@@ -45,6 +45,7 @@ from .lattice import (
     _iter_bits,
     atom_avoiding_coatom,
     boundary_complex,
+    dualize,
     f_vector,
     interior,
     is_diamond,
@@ -60,8 +61,6 @@ from .shelling import (
     _as_budget,
     boundary_intersection,
     find_shelling,
-    is_cl_shellable,
-    is_dual_cl_shellable,
     is_shelling,
 )
 
@@ -673,8 +672,9 @@ def corollary_bounds(
     if not 0 <= k <= d:
         raise RangeError(f"need 0 <= k <= {d}, got k={k}")
     bud = _as_budget(budget)
-    dual_cl = is_dual_cl_shellable(L, budget=bud)
-    cl = is_cl_shellable(L, budget=bud)
+    # the diamond condition is checked once above, so search directly
+    dual_cl = find_shelling(L, budget=bud) is not None
+    cl = find_shelling(dualize(L), budget=bud) is not None
     f = f_vector(L)
 
     facet_bound = facet_ok = None
@@ -704,7 +704,7 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     if not (is_lattice(L) and is_diamond(L)):
         raise NotDiamond("the floor is stated for diamond lattices")
     bud = _as_budget(budget)
-    if not (is_dual_cl_shellable(L, budget=bud) and is_cl_shellable(L, budget=bud)):
+    if find_shelling(L, budget=bud) is None or find_shelling(dualize(L), budget=bud) is None:
         raise NotShellable("the lattice is not shellable in both directions")
     f = f_vector(L)
     floor_value = min(f[0], f[L.dim])

@@ -79,8 +79,8 @@ class FaceLattice:
         "_top",
         "_real_mask",
         "_cover_pairs",
-        "_fingerprint",
         "_sub_cache",
+        "_memo",
     )
 
     def __init__(
@@ -173,8 +173,9 @@ class FaceLattice:
         self._down = tuple(down)
         self._up = tuple(up)
         self._real_mask = full & ~bot_bit & ~top_bit
-        self._fingerprint = None
         self._sub_cache = {}
+        # shelling search and certificate memo, filled by the shelling module
+        self._memo = {}
 
     @staticmethod
     def _check_acyclic(n: int, upper: list[list[int]]) -> None:
@@ -276,14 +277,13 @@ class FaceLattice:
         return m
 
     def fingerprint(self) -> str:
-        """Stable hash of the labelled structure; memoisation key material."""
-        if self._fingerprint is None:
-            payload = json.dumps(
-                [self.dim, list(zip(self.ids, self.ranks)), self._cover_pairs],
-                separators=(",", ":"),
-            )
-            self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
-        return self._fingerprint
+        """Stable hash of the labelled structure: equal exactly when two
+        lattices have the same dimension, ids, ranks and covers."""
+        payload = json.dumps(
+            [self.dim, list(zip(self.ids, self.ranks)), self._cover_pairs],
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def __repr__(self) -> str:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
@@ -673,16 +673,11 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     x = L.index(face_id)
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
-    r = L.rank_of(face_id)
     members = L._down[x]
     elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
-    elements.append((face_id, r))
-    covers = [
-        (a, b)
-        for a, b in L.covers()
-        if (members >> L.index(b)) & 1 and (members >> L.index(a)) & 1
-    ]
-    sub = FaceLattice(elements, covers, r - 2)
+    elements.append((face_id, L.ranks[x]))
+    covers = [(L.ids[c], L.ids[e]) for e in _iter_bits(members) for c in L._lower[e]]
+    sub = FaceLattice(elements, covers, L.ranks[x] - 2)
     L._sub_cache[face_id] = sub
     return sub
 

@@ -9,14 +9,22 @@ nonempty pure (d-1)-dimensional complex whose top faces can start a
 shelling of the boundary of F_j.  An empty intersection is rejected; pass
 ``allow_empty_intersection=True`` to tolerate it.
 
-Verification replays that definition step by step and produces a recursive
+Search and verification run one recursion over the cells of the host
+lattice.  A cell is a face ``x``; its boundary is the down-set of ``x``
+without ``x`` and its facets are the faces one rank below it, so the
+recursion addresses every cell by its host index and builds no lattice
+for it.  One step rule serves both directions.
+
+Verification replays the definition step by step and produces a recursive
 certificate, or a failure carrying the first bad step.  The search walks
 facet orders depth-first, candidates in lexicographic id order, so its
 answer is deterministic: the lexicographically first valid completion of
-the requested prefix.  Completed sub-searches are memoised by the labelled
-structure of the sub-lattice plus the prefix set; lattices are immutable
-and the memo is a plain dict (insert-or-read is atomic under the GIL), so
-concurrent readers are safe, though the search itself runs sequentially.
+the requested prefix.  Completed searches and the sub-certificates built
+from them are memoised in a dict owned by the host lattice, keyed by
+``(cell index, prefix bitmask, permissive flag)`` for a search and
+``(cell index, facet order, permissive flag)`` for a certificate.  The
+memo lives and dies with its lattice, so no answer depends on what the
+process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -146,14 +154,6 @@ class Shape(Enum):
     BALL = "ball"
 
 
-# memo for completed searches: (fingerprint, prefix set, permissive) -> order or None
-_memo: dict[tuple[str, frozenset[str], bool], Union[tuple[str, ...], None]] = {}
-
-
-def clear_search_memo() -> None:
-    _memo.clear()
-
-
 def _order_ids(L: FaceLattice, order: Union[ShellingOrder, Sequence[str]]) -> tuple[str, ...]:
     if isinstance(order, ShellingOrder):
         if order.lattice is not L:
@@ -181,43 +181,112 @@ def boundary_intersection(
     return Subcomplex(L, (L._down[x] & ~(1 << x)) & union)
 
 
-def _pure_ridge_mask(L: FaceLattice, inter: int) -> Union[int, None]:
-    """Ridge mask of an intersection that is pure of codimension 1 in L,
-    or None when the intersection fails that shape."""
-    ridges = inter & L._rank_masks[L.dim]
-    down_union = 0
-    for r in _iter_bits(ridges):
-        down_union |= L._down[r]
-    if down_union != inter:
-        return None
-    return ridges
+def _step(
+    L: FaceLattice, f: int, union: int, first: bool, permissive: bool, budget: SearchBudget
+) -> Union[str, int]:
+    """Whether facet ``f`` of a cell may follow the facets whose closed
+    union is ``union``.
+
+    Returns the failure reason, or the mask of the ridges ``f`` glues
+    along; some shelling of the boundary of ``f`` starts with exactly
+    those (the mask is 0 for a step that glues along nothing).
+    """
+    prefix = 0
+    if not first:
+        inter = L._down[f] & ~(1 << f) & union
+        if inter & L._real_mask:
+            prefix = inter & L._rank_masks[L.ranks[f] - 1]
+            closed = 0
+            for r in _iter_bits(prefix):
+                closed |= L._down[r]
+            if closed != inter:
+                return NOT_PURE
+        elif not permissive:
+            return EMPTY_INTERSECTION
+    if _search(L, f, prefix, permissive, budget) is None:
+        return NO_PREFIX_SHELLING
+    return prefix
 
 
-def _step_ok(
-    L: FaceLattice,
-    facet: str,
-    union: int,
-    first: bool,
-    budget: SearchBudget,
-    permissive: bool,
-) -> bool:
-    sub = sub_lattice(L, facet)
-    if first:
-        return find_shelling(sub, (), budget=budget, allow_empty_intersection=permissive) is not None
-    x = L.index(facet)
-    inter = (L._down[x] & ~(1 << x)) & union
-    if not inter & L._real_mask:
-        if not permissive:
-            return False
-        return find_shelling(sub, (), budget=budget, allow_empty_intersection=permissive) is not None
-    ridges = _pure_ridge_mask(L, inter)
-    if ridges is None:
+def _search(
+    L: FaceLattice, x: int, prefix: int, permissive: bool, budget: SearchBudget
+) -> Union[tuple[int, ...], None]:
+    """The lexicographically first shelling of the boundary of cell ``x``
+    that starts with exactly the facets in the ``prefix`` mask, as host
+    indices, or None.  Memoised on the host lattice."""
+    facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
+    if L.ranks[x] <= 2:
+        return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
+    key = (x, prefix, permissive)
+    if key in L._memo:
+        return L._memo[key]
+
+    n = facets.bit_count()
+    k = prefix.bit_count()
+    chosen: list[int] = []
+    steps: dict[tuple[int, int], Union[str, int]] = {}
+
+    def dfs(union: int, left: int) -> bool:
+        pos = len(chosen)
+        if pos == n:
+            return True
+        # host indices run in id order within a rank
+        for f in _iter_bits(left & prefix if pos < k else left):
+            budget.spend()
+            step = steps.get((f, union))
+            if step is None:
+                step = steps[f, union] = _step(L, f, union, pos == 0, permissive, budget)
+            if isinstance(step, str):
+                continue
+            chosen.append(f)
+            if dfs(union | L._down[f], left & ~(1 << f)):
+                return True
+            chosen.pop()
         return False
-    prefix = L._ids_of(ridges)
-    return (
-        find_shelling(sub, prefix, budget=budget, allow_empty_intersection=permissive)
-        is not None
-    )
+
+    found = tuple(chosen) if dfs(0, facets) else None
+    L._memo[key] = found
+    return found
+
+
+def _replay(
+    L: FaceLattice, x: int, order: Sequence[int], permissive: bool, budget: SearchBudget
+) -> Union[tuple[ShellingStep, ...], ShellingFailure]:
+    """The step records of a facet order on the boundary of cell ``x``,
+    or the first step that breaks the definition."""
+    if L.ranks[x] <= 2:
+        return ()
+    steps: list[ShellingStep] = []
+    union = 0
+    for j, f in enumerate(order, 1):
+        prefix = _step(L, f, union, j == 1, permissive, budget)
+        if isinstance(prefix, str):
+            return ShellingFailure(j, prefix)
+        sub_order = _search(L, f, prefix, permissive, budget)
+        sub = _certificate(L, f, sub_order, permissive, budget)
+        steps.append(ShellingStep(L.ids[f], L._ids_of(prefix), sub))
+        union |= L._down[f]
+    return tuple(steps)
+
+
+def _certificate(
+    L: FaceLattice, x: int, order: tuple[int, ...], permissive: bool, budget: SearchBudget
+) -> ShellingCertificate:
+    """Certificate for an order the search found on the boundary of cell
+    ``x``, bound to the cached cell lattice; built once per
+    (cell, order, permissive) and kept in the host's memo."""
+    key = (x, order, permissive)
+    cert = L._memo.get(key)
+    if cert is None:
+        steps = _replay(L, x, order, permissive, budget)
+        if isinstance(steps, ShellingFailure):
+            raise InternalContradiction(
+                f"search returned an order that fails verification at step {steps.step}"
+            )
+        cell = sub_lattice(L, L.ids[x])
+        cert = ShellingCertificate(ShellingOrder(cell, tuple(L.ids[i] for i in order)), steps)
+        L._memo[key] = cert
+    return cert
 
 
 def find_shelling(
@@ -231,57 +300,15 @@ def find_shelling(
     facet set, in some order.
 
     Returns the lexicographically first such order, or None when none
-    exists.  Results for each (lattice, prefix) pair are memoised, so
-    repeated queries from the verifier are cheap.
+    exists.  Results are memoised on the lattice, so repeated queries
+    from the verifier are cheap.
     """
     bud = _as_budget(budget)
-    facet_list = sorted(L.facets())
-    prefix_set = frozenset(str(f) for f in prefix)
-    if not prefix_set <= set(facet_list):
+    prefix_set = {str(f) for f in prefix}
+    if not prefix_set <= set(L.facets()):
         raise PreconditionViolated("prefix contains non-facets")
-    if L.dim <= 0:
-        ordered = tuple(sorted(prefix_set)) + tuple(
-            f for f in facet_list if f not in prefix_set
-        )
-        return ShellingOrder(L, ordered)
-
-    key = (L.fingerprint(), prefix_set, allow_empty_intersection)
-    if key in _memo:
-        found = _memo[key]
-        return None if found is None else ShellingOrder(L, found)
-
-    n = len(facet_list)
-    chosen: list[str] = []
-    chosen_set: set[str] = set()
-    cond_cache: dict[tuple[str, int], bool] = {}
-
-    def dfs(pos: int, union: int) -> bool:
-        if pos == n:
-            return True
-        if pos < len(prefix_set):
-            pool = [f for f in sorted(prefix_set) if f not in chosen_set]
-        else:
-            pool = [f for f in facet_list if f not in chosen_set]
-        for f in pool:
-            bud.spend()
-            ck = (f, union)
-            ok = cond_cache.get(ck)
-            if ok is None:
-                ok = _step_ok(L, f, union, pos == 0, bud, allow_empty_intersection)
-                cond_cache[ck] = ok
-            if not ok:
-                continue
-            chosen.append(f)
-            chosen_set.add(f)
-            if dfs(pos + 1, union | L._down[L.index(f)]):
-                return True
-            chosen.pop()
-            chosen_set.discard(f)
-        return False
-
-    found = tuple(chosen) if dfs(0, 0) else None
-    _memo[key] = found
-    return None if found is None else ShellingOrder(L, found)
+    found = _search(L, L._top, L._mask_of(prefix_set), allow_empty_intersection, bud)
+    return None if found is None else ShellingOrder(L, tuple(L.ids[i] for i in found))
 
 
 def is_shelling(
@@ -303,65 +330,10 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
-    if L.dim <= 0:
-        return ShellingCertificate(ShellingOrder(L, seq), ())
-
-    def free_step(j: int, facet: str) -> Union[ShellingStep, ShellingFailure]:
-        sub = sub_lattice(L, facet)
-        sub_order = find_shelling(
-            sub, (), budget=bud, allow_empty_intersection=allow_empty_intersection
-        )
-        if sub_order is None:
-            return ShellingFailure(j, NO_PREFIX_SHELLING)
-        return ShellingStep(facet, (), _certify(sub, sub_order))
-
-    def _certify(sub: FaceLattice, sub_order: ShellingOrder) -> ShellingCertificate:
-        cert = is_shelling(
-            sub, sub_order, budget=bud, allow_empty_intersection=allow_empty_intersection
-        )
-        if isinstance(cert, ShellingFailure):
-            raise InternalContradiction(
-                f"search returned an order that fails verification at step {cert.step}"
-            )
-        return cert
-
-    steps: list[ShellingStep] = []
-    union = 0
-    for j, facet in enumerate(seq, 1):
-        x = L.index(facet)
-        if j == 1:
-            outcome = free_step(j, facet)
-            if isinstance(outcome, ShellingFailure):
-                return outcome
-            steps.append(outcome)
-        else:
-            inter = (L._down[x] & ~(1 << x)) & union
-            if not inter & L._real_mask:
-                if not allow_empty_intersection:
-                    return ShellingFailure(j, EMPTY_INTERSECTION)
-                outcome = free_step(j, facet)
-                if isinstance(outcome, ShellingFailure):
-                    return outcome
-                steps.append(outcome)
-            else:
-                ridges = _pure_ridge_mask(L, inter)
-                if ridges is None:
-                    return ShellingFailure(j, NOT_PURE)
-                ridge_ids = L._ids_of(ridges)
-                sub = sub_lattice(L, facet)
-                sub_order = find_shelling(
-                    sub,
-                    ridge_ids,
-                    budget=bud,
-                    allow_empty_intersection=allow_empty_intersection,
-                )
-                if sub_order is None:
-                    return ShellingFailure(j, NO_PREFIX_SHELLING)
-                steps.append(
-                    ShellingStep(facet, tuple(sorted(ridge_ids)), _certify(sub, sub_order))
-                )
-        union |= L._down[x]
-    return ShellingCertificate(ShellingOrder(L, seq), tuple(steps))
+    steps = _replay(L, L._top, [L.index(f) for f in seq], allow_empty_intersection, bud)
+    if isinstance(steps, ShellingFailure):
+        return steps
+    return ShellingCertificate(ShellingOrder(L, seq), steps)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

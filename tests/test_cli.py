@@ -311,7 +311,6 @@ def test_malformed_lattice_data(tmp_path):
 
 
 def test_budget_exhaustion_exit_code(tmp_path):
-    sb.clear_search_memo()
     src = write_lattice(tmp_path / "big.json", sb.cross_polytope(3))
     out = tmp_path / "report.json"
     code = run(["find-shelling", "--input", str(src), "--budget", "5",
@@ -320,7 +319,6 @@ def test_budget_exhaustion_exit_code(tmp_path):
     env = read_envelope(out)
     assert env["result"]["error"] == "BudgetExceeded"
     assert env["ok"] is False
-    sb.clear_search_memo()
 
 
 def test_usage_errors():

@@ -125,6 +125,11 @@ def test_certificate_steps_replay():
         got = step.sub_certificate.order.facets[: len(step.intersection_facets)]
         assert sorted(got) == sorted(step.intersection_facets)
         assert isinstance(sb.is_shelling(sub, step.sub_certificate.order), sb.ShellingCertificate)
+        # depth-2 orders belong to the cell lattices cached on the host
+        for inner in step.sub_certificate.steps:
+            cell = sb.sub_lattice(oct_, inner.facet)
+            order = inner.sub_certificate.order
+            assert isinstance(sb.is_shelling(cell, order), sb.ShellingCertificate)
 
 
 def test_zero_sphere_any_order_is_shelling():
@@ -172,11 +177,32 @@ def test_find_shelling_rejects_foreign_prefix():
 
 
 def test_find_shelling_deterministic():
-    sb.clear_search_memo()
     a = sb.find_shelling(sb.cross_polytope(2))
-    sb.clear_search_memo()
     b = sb.find_shelling(sb.cross_polytope(2))
     assert a.facets == b.facets
+
+
+def _first_accepted(L, prefix=()):
+    for perm in permutations(sorted(L.facets())):
+        if perm[: len(prefix)] == prefix and naive_is_shelling(L, perm):
+            return perm
+    return None
+
+
+def test_find_shelling_is_lexicographically_first():
+    cases = [
+        sb.ngon(5),
+        sb.simplex_boundary(2),
+        sb.hypercube_boundary(2),
+        sb.cross_polytope(1),
+        sb.punctured(sb.simplex_boundary(3)),
+        sb.from_facets([[1, 2, 3], [4, 5, 6]]),
+    ]
+    for L in cases:
+        for prefix in ((), (max(L.facets()),)):
+            found = sb.find_shelling(L, prefix)
+            got = None if found is None else found.facets
+            assert got == _first_accepted(L, prefix), (L, prefix)
 
 
 def test_find_shelling_unshellable_union():
@@ -207,13 +233,11 @@ def test_corpus_orders_verify_and_satisfy_oracle_on_small_cases():
 
 
 def test_budget_exhaustion_raises():
-    sb.clear_search_memo()
     with pytest.raises(sb.BudgetExceeded):
         sb.find_shelling(sb.cross_polytope(2), budget=3)
 
 
 def test_budget_never_false_negative():
-    sb.clear_search_memo()
     L = sb.ngon(6)
     try:
         got = sb.find_shelling(L, budget=2)
@@ -224,7 +248,6 @@ def test_budget_never_false_negative():
 
 
 def test_memo_hit_spends_nothing():
-    sb.clear_search_memo()
     oct_ = sb.cross_polytope(2)
     first = sb.find_shelling(oct_)
     warm = sb.find_shelling(oct_, budget=0)
@@ -232,12 +255,10 @@ def test_memo_hit_spends_nothing():
 
 
 def test_shared_budget_accumulates():
-    sb.clear_search_memo()
     bud = sb.SearchBudget(10 ** 6)
     sb.find_shelling(sb.cross_polytope(2), budget=bud)
     spent_once = bud.spent
     assert spent_once > 0
-    sb.clear_search_memo()
     sb.find_shelling(sb.cross_polytope(2), budget=bud)
     assert bud.spent == 2 * spent_once
 
