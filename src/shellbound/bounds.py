@@ -17,6 +17,15 @@ split, and sum without double counting.  Every identity the argument
 relies on is recomputed and cross-checked; a mismatch raises
 :class:`InternalContradiction` because it would mean the input lied about
 being a verified shelling, or the mathematics failed.
+
+Each public function verifies its order once, and the proof route then
+reads its evidence from the certificate instead of searching again: step
+j carries the shelling of the j-th facet boundary that starts with exactly
+the ridges glued to earlier facets, which is the split the per-facet
+counts and the witness construction need, at every depth.  The polytopal
+corollaries depend on the lattice, not on k, so the diamond check and the
+dual lattice are made once per lattice and kept in its memo
+(``L._memo``); searches on the dual then share one memo across k.
 """
 
 from __future__ import annotations
@@ -45,20 +54,19 @@ from .lattice import (
     _iter_bits,
     atom_avoiding_coatom,
     boundary_complex,
-    dualize,
     f_vector,
     interior,
-    is_diamond,
-    is_lattice,
     is_pseudomanifold,
     is_pure,
-    sub_lattice,
 )
 from .shelling import (
     SearchBudget,
+    ShellingCertificate,
     ShellingFailure,
     ShellingOrder,
     _as_budget,
+    _dual,
+    _is_diamond_lattice,
     boundary_intersection,
     find_shelling,
     is_shelling,
@@ -118,13 +126,13 @@ def binomial_split_lb(a: int, b: int, d: int, m: int) -> bool:
 # -- shelling-order splits ----------------------------------------------
 
 
-def _verified_order(
+def _verified(
     L: FaceLattice, order: Union[ShellingOrder, Sequence[str]], budget: SearchBudget
-) -> tuple[str, ...]:
+) -> ShellingCertificate:
     result = is_shelling(L, order, budget=budget)
     if isinstance(result, ShellingFailure):
         raise NotAShelling(result)
-    return result.order.facets
+    return result
 
 
 def _require_sphere(L: FaceLattice) -> None:
@@ -157,8 +165,12 @@ def split_complexes(
     Both sides are pseudomanifolds, and the interior of each side is the
     complement of the other side; both facts are recomputed and enforced.
     """
-    bud = _as_budget(budget)
-    seq = _verified_order(L, order, bud)
+    seq = _verified(L, order, _as_budget(budget)).order.facets
+    return _split(L, seq, j)
+
+
+def _split(L: FaceLattice, seq: tuple[str, ...], j: int) -> SplitPair:
+    """:func:`split_complexes` on an order already verified on ``L``."""
     _require_sphere(L)
     n = len(seq)
     if not 0 <= j <= n:
@@ -211,17 +223,22 @@ def check_split_count(
     the verdict.
     """
     delta = L.dim
-    d = delta + 1
     if not (delta >= 0 and (delta // 2) <= k <= delta):
         raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
-    bud = _as_budget(budget)
-    seq = _verified_order(L, order, bud)
+    seq = _verified(L, order, _as_budget(budget)).order.facets
     if not 0 <= j <= len(seq):
         raise RangeError(f"need 0 <= j <= {len(seq)}, got j={j}")
-    pair = split_complexes(L, seq, j, budget=bud)
+    return _split_count(L, seq, j, k)
+
+
+def _split_count(L: FaceLattice, seq: tuple[str, ...], j: int, k: int) -> SplitCountResult:
+    """:func:`check_split_count` on an order already verified on ``L``,
+    with ``j`` and ``k`` in range."""
+    pair = _split(L, seq, j)
     fk_begin = f_vector(pair.begin_interior)[k]
     fk_end = f_vector(pair.end_interior)[k]
-    return SplitCountResult(j, k, fk_begin + fk_end, _rho_doubled(d + 1, k), fk_begin, fk_end)
+    rhs = _rho_doubled(L.dim + 2, k)
+    return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
 
 
 # -- witness pairs -------------------------------------------------------
@@ -253,14 +270,19 @@ class WitnessPair:
         }
 
 
-def _witness(L: FaceLattice, seq: tuple[str, ...], j: int, bud: SearchBudget) -> tuple[str, str]:
+def _witness(cert: ShellingCertificate, j: int) -> tuple[str, str]:
+    """The witness pair of a verified sphere shelling cut at j, pushed down
+    through the prefixed sub-shellings the certificate carries."""
+    L = cert.order.lattice
+    seq = cert.order.facets
     d = L.dim
     if d == 0:
         return seq[0], seq[1]
     if j == 1:
         # the leading closed facet, and the least vertex outside it
         return seq[0], atom_avoiding_coatom(L, seq[0])
-    facet = seq[j - 1]
+    step = cert.steps[j - 1]
+    facet = step.facet
     x = L.index(facet)
     pos = {f: i for i, f in enumerate(seq)}
     prefix: list[str] = []
@@ -270,14 +292,13 @@ def _witness(L: FaceLattice, seq: tuple[str, ...], j: int, bud: SearchBudget) ->
             raise InternalContradiction("a ridge of the sphere is not in exactly two facets")
         if pos[L.ids[others.bit_length() - 1]] < j - 1:
             prefix.append(L.ids[ridge])
-    sub = sub_lattice(L, facet)
-    sub_order = find_shelling(sub, prefix, budget=bud)
-    if sub_order is None:
-        raise InternalContradiction("a verified step lost its prefixed boundary shelling")
+    if tuple(prefix) != step.intersection_facets:
+        raise InternalContradiction("a verified step glues along other ridges")
+    sub_cert = step.sub_certificate
     inner_j = len(prefix)
-    if not 1 <= inner_j < len(sub_order.facets):
+    if not 1 <= inner_j < len(sub_cert.order.facets):
         raise InternalContradiction("facet boundary split is degenerate")
-    begin_face, inner_end = _witness(sub, sub_order.facets, inner_j, bud)
+    begin_face, inner_end = _witness(sub_cert, inner_j)
     try:
         end_face = atom_avoiding_coatom(L, facet, inner_end)
     except NoSuchAtom:
@@ -302,14 +323,14 @@ def find_witness_pair(
     witness through a cover that escapes the closed facet.  Memberships
     are verified against the split interiors before returning.
     """
-    bud = _as_budget(budget)
-    seq = _verified_order(L, order, bud)
+    cert = _verified(L, order, _as_budget(budget))
+    seq = cert.order.facets
     _require_sphere(L)
     n = len(seq)
     if not 1 <= j < n:
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
-    begin_face, end_face = _witness(L, seq, j, bud)
-    pair = split_complexes(L, seq, j, budget=bud)
+    begin_face, end_face = _witness(cert, j)
+    pair = _split(L, seq, j)
     witness = WitnessPair(
         begin_face,
         end_face,
@@ -366,8 +387,12 @@ def facet_decomposition(
     face is interior to two earlier sides (or an earlier side and the
     complex boundary), nor interior to two later sides.
     """
-    bud = _as_budget(budget)
-    seq = _verified_order(X, order, bud)
+    seq = _verified(X, order, _as_budget(budget)).order.facets
+    return _decomposition(X, seq)
+
+
+def _decomposition(X: FaceLattice, seq: tuple[str, ...]) -> SplitDecomposition:
+    """:func:`facet_decomposition` of an order already verified on ``X``."""
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the decomposition needs a pseudomanifold")
     d = X.dim
@@ -575,8 +600,7 @@ def verify_lower_bound(
     d = X.dim
     if d < 1 or not (d - 1) // 2 <= k <= d:
         raise RangeError(f"need {(d - 1) // 2} <= k <= {d}, got k={k}")
-    bud = _as_budget(budget)
-    seq = _verified_order(X, order, bud)
+    cert = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the bound applies to pseudomanifolds")
     f = f_vector(X)
@@ -585,14 +609,17 @@ def verify_lower_bound(
     per_facet: list[PerFacetBound] = []
     interior_sum = 0
     if k <= d - 1:
-        decomp = facet_decomposition(X, seq, budget=bud)
-        for split in decomp.splits:
-            sub = sub_lattice(X, split.facet)
-            prefix = tuple(r for r in sub.facets() if r in split.before)
-            sub_order = find_shelling(sub, prefix, budget=bud)
-            if sub_order is None:
+        decomp = _decomposition(X, cert.order.facets)
+        for split, step in zip(decomp.splits, cert.steps):
+            # the step's sub-shelling of the facet boundary starts with
+            # exactly the ridges glued to earlier facets
+            prefix = X._ids_of(split.before.mask & X._rank_masks[d])
+            if prefix != step.intersection_facets:
+                raise InternalContradiction("the earlier side differs from the glued ridges")
+            sub_order = step.sub_certificate.order
+            if set(sub_order.facets[: len(prefix)]) != set(prefix):
                 raise InternalContradiction("a facet boundary lost its prefixed shelling")
-            counted = check_split_count(sub, sub_order, len(prefix), k, budget=bud)
+            counted = _split_count(sub_order.lattice, sub_order.facets, len(prefix), k)
             direct_begin = f_vector(split.before_interior)[k]
             direct_end = f_vector(split.after_interior)[k]
             if (counted.fk_begin, counted.fk_end) != (direct_begin, direct_end):
@@ -666,7 +693,7 @@ def corollary_bounds(
     half; when both, by min(f_0, f_d) everywhere.  Unmet hypotheses are
     reported as absent bounds, never asserted.
     """
-    if not (is_lattice(L) and is_diamond(L)):
+    if not _is_diamond_lattice(L):
         raise NotDiamond("the corollaries are stated for diamond lattices")
     d = L.dim
     if not 0 <= k <= d:
@@ -674,7 +701,7 @@ def corollary_bounds(
     bud = _as_budget(budget)
     # the diamond condition is checked once above, so search directly
     dual_cl = find_shelling(L, budget=bud) is not None
-    cl = find_shelling(dualize(L), budget=bud) is not None
+    cl = find_shelling(_dual(L), budget=bud) is not None
     f = f_vector(L)
 
     facet_bound = facet_ok = None
@@ -701,10 +728,10 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     Raises :class:`NotShellable` when either direction fails, since the
     statement is then silent about the lattice.
     """
-    if not (is_lattice(L) and is_diamond(L)):
+    if not _is_diamond_lattice(L):
         raise NotDiamond("the floor is stated for diamond lattices")
     bud = _as_budget(budget)
-    if find_shelling(L, budget=bud) is None or find_shelling(dualize(L), budget=bud) is None:
+    if find_shelling(L, budget=bud) is None or find_shelling(_dual(L), budget=bud) is None:
         raise NotShellable("the lattice is not shellable in both directions")
     f = f_vector(L)
     floor_value = min(f[0], f[L.dim])

@@ -487,37 +487,21 @@ def parse_facet_text(text: str) -> list[list[str]]:
 # -- order-theoretic predicates -----------------------------------------
 
 
-def _unique_greatest(L: FaceLattice, mask: int) -> bool:
-    for r in range(L.dim + 2, -1, -1):
-        level = mask & L._rank_masks[r]
-        if level:
-            if level.bit_count() != 1:
-                return False
-            m = level.bit_length() - 1
-            return not (mask & ~L._down[m])
-    return False
-
-
-def _unique_least(L: FaceLattice, mask: int) -> bool:
-    for r in range(L.dim + 3):
-        level = mask & L._rank_masks[r]
-        if level:
-            if level.bit_count() != 1:
-                return False
-            m = level.bit_length() - 1
-            return not (mask & ~L._up[m])
-    return False
-
-
 def is_lattice(L: FaceLattice) -> bool:
-    """True iff every pair of elements has a unique meet and a unique join."""
-    n = len(L)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not _unique_greatest(L, L._down[x] & L._down[y]):
-                return False
-            if not _unique_least(L, L._up[x] & L._up[y]):
-                return False
+    """True iff every pair of elements has a unique meet and a unique join.
+
+    Only meets are checked.  The constructor puts every element above the
+    bottom and below the top, and in a finite poset with a top, pairwise
+    meets give joins: the join of x and y is the meet of their common
+    upper bounds, a set that always holds the top.  The common lower
+    bounds of x and y are the intersection of their down-sets, and a meet
+    exists iff that intersection is the down-set of one element.
+    """
+    principal = set(L._down)
+    down = L._down
+    for x, dx in enumerate(down):
+        if not {dx & dy for dy in down[x + 1 :]} <= principal:
+            return False
     return True
 
 
@@ -753,7 +737,7 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
         dim = int(data["dim"])
         faces = [(str(f["id"]), int(f["dim"])) for f in data["faces"]]
         covers = [(str(a), str(b)) for a, b in data["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidFace(f"malformed lattice data: {exc}") from None
     for i, _ in faces:
         if i in (BOTTOM_ID, TOP_ID):

@@ -23,8 +23,9 @@ the requested prefix.  Completed searches and the sub-certificates built
 from them are memoised in a dict owned by the host lattice, keyed by
 ``(cell index, prefix bitmask, permissive flag)`` for a search and
 ``(cell index, facet order, permissive flag)`` for a certificate.  The
-memo lives and dies with its lattice, so no answer depends on what the
-process computed on other lattices.
+same dict keeps the diamond verdict and the dual lattice under string
+keys.  The memo lives and dies with its lattice, so no answer depends on
+what the process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -352,6 +353,29 @@ def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:
     return Shape.SPHERE if bd.mask == 0 else Shape.BALL
 
 
+# String memo keys cannot collide with the search memo's tuple keys.  The
+# verdict and the dual are kept apart because a lattice can pass the diamond
+# test and have no dual (a sphere plus an isolated vertex), and a caller
+# that needs only the verdict must not fail on that.
+
+
+def _is_diamond_lattice(L: FaceLattice) -> bool:
+    """``is_lattice(L) and is_diamond(L)``, decided once per lattice."""
+    verdict = L._memo.get("diamond lattice")
+    if verdict is None:
+        verdict = L._memo["diamond lattice"] = is_lattice(L) and is_diamond(L)
+    return verdict
+
+
+def _dual(L: FaceLattice) -> FaceLattice:
+    """``dualize(L)``, built once per lattice, so that searches on the dual
+    share one memo."""
+    dual = L._memo.get("dual")
+    if dual is None:
+        dual = L._memo["dual"] = dualize(L)
+    return dual
+
+
 def is_dual_cl_shellable(
     L: FaceLattice, *, budget: Union[int, SearchBudget, None] = None
 ) -> bool:
@@ -361,13 +385,13 @@ def is_dual_cl_shellable(
     its face lattice, which is what the name records; the search is simply
     a facet-order search on the complex itself.
     """
-    if not (is_lattice(L) and is_diamond(L)):
+    if not _is_diamond_lattice(L):
         raise NotDiamond("dual CL-shellability is examined on diamond lattices only")
     return find_shelling(L, (), budget=budget) is not None
 
 
 def is_cl_shellable(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = None) -> bool:
     """CL-shellability of the lattice, tested on the order-reversed lattice."""
-    if not (is_lattice(L) and is_diamond(L)):
+    if not _is_diamond_lattice(L):
         raise NotDiamond("CL-shellability is examined on diamond lattices only")
-    return find_shelling(dualize(L), (), budget=budget) is not None
+    return find_shelling(_dual(L), (), budget=budget) is not None

@@ -7,7 +7,7 @@ reused; none of the search, memoisation, or purity machinery under test
 is touched.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from shellbound import FaceLattice, sub_lattice
 
@@ -32,6 +32,20 @@ def reachability(
         above[i].add(top_id)
         above[bottom_id].add(i)
     return above
+
+
+def naive_is_lattice(L: FaceLattice) -> bool:
+    """Every pair has a unique meet and a unique join, both found by brute
+    force over the reachability closure of the explicit covers."""
+    above = reachability(list(zip(L.ids, L.ranks)), list(L.covers()), L.bottom, L.top)
+    for x, y in combinations(L.ids, 2):
+        lower = [z for z in L.ids if x in above[z] and y in above[z]]
+        upper = [z for z in L.ids if z in above[x] and z in above[y]]
+        meets = [m for m in lower if all(m in above[z] for z in lower)]
+        joins = [j for j in upper if all(z in above[j] for z in upper)]
+        if len(meets) != 1 or len(joins) != 1:
+            return False
+    return True
 
 
 def _intersection_faces(L: FaceLattice, order: tuple[str, ...], j: int) -> set[str]:

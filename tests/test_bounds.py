@@ -475,3 +475,72 @@ def test_barany_check():
         sb.barany_check(sb.from_facets([[1, 2], [2, 3]]))
     with pytest.raises(sb.NotShellable):
         sb.barany_check(sb.from_facets([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]))
+
+
+# -- each proof checked once ---------------------------------------------
+
+CHECK_ONCE = {
+    "cross-polytope-3": lambda: sb.cross_polytope(3),
+    "hypercube-boundary-3": lambda: sb.hypercube_boundary(3),
+    "punctured-simplex-boundary-4": lambda: sb.punctured(sb.simplex_boundary(4)),
+}
+
+
+def spent(fn, *args, budget=None, **kwargs) -> int:
+    budget = budget or sb.SearchBudget()
+    before = budget.spent
+    fn(*args, budget=budget, **kwargs)
+    return budget.spent - before
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ONCE))
+def test_bound_route_spends_only_the_verification(name):
+    make = CHECK_ONCE[name]
+    seq = sb.find_shelling(make()).facets
+    verification = spent(sb.is_shelling, make(), seq)
+    assert verification > 0
+    L = make()
+    d = L.dim
+    ks = range((d - 1) // 2, d + 1)
+    assert spent(sb.verify_lower_bound, L, seq, ks[0]) == verification
+    for k in ks[1:]:
+        assert spent(sb.verify_lower_bound, L, seq, k) == 0, k
+    assert spent(sb.facet_decomposition, make(), seq) == verification
+    if sb.boundary_complex(L).mask == 0:
+        n = len(seq)
+        assert spent(sb.find_witness_pair, make(), seq, n // 2) == verification
+        assert spent(sb.check_split_count, make(), seq, n // 2, d) == verification
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ONCE))
+def test_per_facet_bounds_match_the_prefixed_search(name):
+    # the prefixed sub-shelling read from the certificate counts the same
+    # faces as a fresh search of the facet boundary with that prefix
+    L = CHECK_ONCE[name]()
+    seq = sb.find_shelling(L).facets
+    d = L.dim
+    splits = sb.facet_decomposition(L, seq).splits
+    for k in range((d - 1) // 2, d):
+        report = sb.verify_lower_bound(L, seq, k)
+        expected = []
+        for split in splits:
+            sub = sb.sub_lattice(L, split.facet)
+            prefix = [r for r in sub.facets() if r in split.before]
+            counted = sb.check_split_count(
+                sub, sb.find_shelling(sub, prefix), len(prefix), k
+            )
+            expected.append(sb.PerFacetBound(split.j, counted.fk_begin, counted.fk_end, counted.rhs))
+        assert report.per_facet == tuple(expected), k
+
+
+@pytest.mark.parametrize("name", ["cross-polytope-3", "hypercube-boundary-3"])
+def test_corollaries_search_each_direction_once(name):
+    L = CHECK_ONCE[name]()
+    budget = sb.SearchBudget()
+    assert spent(sb.corollary_bounds, L, 0, budget=budget) > 0
+    for k in range(1, L.dim + 1):
+        assert spent(sb.corollary_bounds, L, k, budget=budget) == 0, k
+    assert spent(sb.barany_check, L) == 0
+    assert spent(sb.is_cl_shellable, L) == 0
+    assert spent(sb.is_dual_cl_shellable, L) == 0
+

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,22 @@ def test_malformed_lattice_data(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "faces": "nope", "covers": []}')
     assert run(["find-shelling", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("where", ["dim", "face dim"])
+def test_huge_float_in_lattice_json_is_usage_error(tmp_path, where):
+    # JSON reads 1e400 as an infinite float, which int() cannot convert
+    data = sb.lattice_to_json_dict(sb.ngon(4))
+    (data if where == "dim" else data["faces"][0])["dim"] = "HUGE"
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+    src = str(Path(sb.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "shellbound.cli", "find-shelling", "--input", str(bad)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_budget_exhaustion_exit_code(tmp_path):

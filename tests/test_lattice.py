@@ -1,12 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 
-from corpus import spheres_d_le_3
-from oracles import reachability
+from corpus import balls, spheres_d_le_3
+from oracles import naive_is_lattice, reachability
 
 
 def zero_sphere() -> sb.FaceLattice:
@@ -40,6 +41,17 @@ def doubled_triangle() -> sb.FaceLattice:
                    (f"e{e}", "A"), (f"e{e}", "B")]
     covers += [("A", TOP_ID), ("B", TOP_ID)]
     return sb.build_lattice(elements, covers, 2)
+
+
+def bowtie() -> sb.FaceLattice:
+    # two atoms both under the same two rank-2 elements: graded and
+    # bounded, every rank-2 interval has four elements, yet the atoms have
+    # two minimal upper bounds and the rank-2 elements two maximal lower
+    # bounds
+    elements = [(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 2), ("d", 2), (TOP_ID, 3)]
+    covers = [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("c", TOP_ID), ("d", TOP_ID)]
+    covers += [(x, y) for x in "ab" for y in "cd"]
+    return sb.build_lattice(elements, covers, 1)
 
 
 def mixed_dims_by_hand() -> sb.FaceLattice:
@@ -208,6 +220,49 @@ def test_is_lattice():
     assert sb.is_lattice(sb.simplex_boundary(2))
     assert sb.is_lattice(zero_sphere())
     assert not sb.is_lattice(doubled_triangle())
+
+
+def test_is_lattice_matches_naive_oracle():
+    cases = [(name, L) for name, L in spheres_d_le_3() + balls()]
+    cases += [(f"dual-{name}", sb.dualize(L)) for name, L in cases]
+    cases += [("doubled-triangle", doubled_triangle()), ("bowtie", bowtie()),
+              ("mixed-dims", mixed_dims_by_hand())]
+    verdicts = {name: sb.is_lattice(L) for name, L in cases}
+    assert verdicts == {name: naive_is_lattice(L) for name, L in cases}
+    assert not verdicts["doubled-triangle"] and not verdicts["bowtie"]
+
+
+@st.composite
+def graded_bounded_posets(draw) -> sb.FaceLattice:
+    """At most 9 elements: a bottom, a top, and 1 to 3 elements on each
+    rank between them, each element covering a nonempty set of the rank
+    below."""
+    dim = draw(st.integers(0, 2))
+    elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
+    covers = []
+    below = [BOTTOM_ID]
+    spare = 7
+    for r in range(1, dim + 2):
+        size = draw(st.integers(1, min(3, spare - (dim + 1 - r))))
+        spare -= size
+        level = [f"r{r}x{i}" for i in range(size)]
+        for x in level:
+            elements.append((x, r))
+            covers += [(y, x) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
+        below = level
+    covers += [(y, TOP_ID) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
+    return sb.build_lattice(elements, covers, dim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_posets())
+def test_is_lattice_matches_naive_oracle_on_small_posets(L):
+    assert sb.is_lattice(L) == naive_is_lattice(L)
+    try:
+        dual = sb.dualize(L)
+    except sb.NotGraded:
+        return
+    assert sb.is_lattice(dual) == naive_is_lattice(dual)
 
 
 def test_is_diamond():
