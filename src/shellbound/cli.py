@@ -2,10 +2,12 @@
 
 Every checking subcommand emits one report: a JSON object with the tool
 version, the claim tag being checked, a sha256 of the input, the
-parameters, and the result.  Reports are byte-stable given identical
-inputs (sorted keys, fixed indentation), so they can be kept as golden
-files.  ``gen`` is the exception: it emits the complex itself, ready to
-be fed back through ``--input``.
+parameters, and the result.  The version also marks the report schema;
+from 0.2.0 on, a ``check-shelling`` certificate is a node table in which
+steps refer to shared sub-certificates by position.  Reports are
+byte-stable given identical inputs (sorted keys, fixed indentation), so
+they can be kept as golden files.  ``gen`` is the exception: it emits the
+complex itself, ready to be fed back through ``--input``.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report is still written); 2 usage or input error; 3 search budget

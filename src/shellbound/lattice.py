@@ -320,10 +320,11 @@ class Subcomplex:
     @cached_property
     def dim(self) -> int:
         """Largest dimension of a member face; -1 when at most the bottom."""
-        top = -1
-        for x in _iter_bits(self.mask):
-            top = max(top, self.lattice.ranks[x] - 1)
-        return top
+        rank_masks = self.lattice._rank_masks
+        for r in range(len(rank_masks) - 1, 0, -1):
+            if self.mask & rank_masks[r]:
+                return r - 1
+        return -1
 
     def __contains__(self, face_id: str) -> bool:
         return face_id in self.lattice and bool(self.mask & (1 << self.lattice.index(face_id)))
@@ -635,13 +636,10 @@ def f_vector(x: Union[Complex, FaceSet]) -> FVector:
     L = x.lattice
     if x.mask == 0:
         return FVector(-1, (0,))
-    top = -1
-    per_rank = {}
-    for e in _iter_bits(x.mask):
-        r = L.ranks[e]
-        per_rank[r] = per_rank.get(r, 0) + 1
-        top = max(top, r - 1)
-    return FVector(top, tuple(per_rank.get(r, 0) for r in range(top + 2)))
+    counts = [(x.mask & m).bit_count() for m in L._rank_masks]
+    while not counts[-1]:
+        counts.pop()
+    return FVector(len(counts) - 2, tuple(counts))
 
 
 def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:

@@ -16,7 +16,12 @@ recursion addresses every cell by its host index and builds no lattice
 for it.  One step rule serves both directions.
 
 Verification replays the definition step by step and produces a recursive
-certificate, or a failure carrying the first bad step.  The search walks
+certificate, or a failure carrying the first bad step.  A certificate names
+its cell by host index and shares each sub-certificate among every step
+that needs it, so it is a DAG with one node per (cell, order); verifying
+builds no lattice, and a cell's lattice is built only when a caller reads
+``order.lattice``.  Its JSON is a node table: each step refers to its
+sub-certificate by position in a ``"nodes"`` list.  The search walks
 facet orders depth-first, candidates in lexicographic id order, so its
 answer is deterministic: the lexicographically first valid completion of
 the requested prefix.  Completed searches and the sub-certificates built
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -116,24 +122,57 @@ class ShellingStep:
     intersection_facets: tuple[str, ...]
     sub_certificate: "ShellingCertificate"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "facet": self.facet,
-            "intersection_facets": list(self.intersection_facets),
-            "sub_certificate": self.sub_certificate.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ShellingCertificate:
-    order: ShellingOrder
+    """A verified shelling of the boundary of host cell ``cell``; the whole
+    complex is the cell ``lattice._top``.
+
+    Sub-certificates are shared, one per (cell, order).  ``order`` binds
+    the facets to the host for the top cell, or to the host's cached
+    ``sub_lattice`` for any other cell, on first read.
+    """
+
+    lattice: FaceLattice
+    cell: int
+    facets: tuple[str, ...]
     steps: tuple[ShellingStep, ...]
 
+    @cached_property
+    def order(self) -> ShellingOrder:
+        L = self.lattice
+        cell = L if self.cell == L._top else sub_lattice(L, L.ids[self.cell])
+        return ShellingOrder(cell, self.facets)
+
     def to_json_dict(self) -> dict:
-        return {
-            "order": list(self.order.facets),
-            "steps": [s.to_json_dict() for s in self.steps],
-        }
+        """``order`` and ``steps`` of this certificate, and a ``nodes``
+        table holding each sub-certificate once, as ``cell``, ``order`` and
+        ``steps``; a step names its sub-certificate by table position.
+        Nodes are numbered in first-visit depth-first order."""
+        ids = self.lattice.ids
+        index: dict[tuple[int, tuple[str, ...]], int] = {}
+        nodes: list[dict] = []
+
+        def steps_json(cert: ShellingCertificate) -> list[dict]:
+            out = []
+            for step in cert.steps:
+                sub = step.sub_certificate
+                key = (sub.cell, sub.facets)
+                ref = index.get(key)
+                if ref is None:
+                    ref = index[key] = len(nodes)
+                    node = {"cell": ids[sub.cell], "order": list(sub.facets)}
+                    nodes.append(node)
+                    node["steps"] = steps_json(sub)
+                out.append({
+                    "facet": step.facet,
+                    "intersection_facets": list(step.intersection_facets),
+                    "sub_certificate": ref,
+                })
+            return out
+
+        steps = steps_json(self)
+        return {"order": list(self.facets), "steps": steps, "nodes": nodes}
 
 
 @dataclass(frozen=True)
@@ -274,8 +313,8 @@ def _certificate(
     L: FaceLattice, x: int, order: tuple[int, ...], permissive: bool, budget: SearchBudget
 ) -> ShellingCertificate:
     """Certificate for an order the search found on the boundary of cell
-    ``x``, bound to the cached cell lattice; built once per
-    (cell, order, permissive) and kept in the host's memo."""
+    ``x``; built once per (cell, order, permissive) and kept in the host's
+    memo."""
     key = (x, order, permissive)
     cert = L._memo.get(key)
     if cert is None:
@@ -284,9 +323,7 @@ def _certificate(
             raise InternalContradiction(
                 f"search returned an order that fails verification at step {steps.step}"
             )
-        cell = sub_lattice(L, L.ids[x])
-        cert = ShellingCertificate(ShellingOrder(cell, tuple(L.ids[i] for i in order)), steps)
-        L._memo[key] = cert
+        cert = L._memo[key] = ShellingCertificate(L, x, tuple(L.ids[i] for i in order), steps)
     return cert
 
 
@@ -334,7 +371,7 @@ def is_shelling(
     steps = _replay(L, L._top, [L.index(f) for f in seq], allow_empty_intersection, bud)
     if isinstance(steps, ShellingFailure):
         return steps
-    return ShellingCertificate(ShellingOrder(L, seq), steps)
+    return ShellingCertificate(L, L._top, seq, steps)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

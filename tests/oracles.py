@@ -90,3 +90,50 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
         if not _exists_shelling(sub, tuple(ridges)):
             return False
     return True
+
+
+def naive_dim_and_counts(L: FaceLattice, face_ids) -> tuple[int, tuple[int, ...]]:
+    """Largest dimension among the given faces (-1 when there is none above
+    the empty face) and their counts by dimension from -1 up, one face at a
+    time."""
+    dims = [L.dim_of(i) for i in face_ids]
+    top = max(dims, default=-1)
+    return top, tuple(dims.count(k) for k in range(-1, top + 1))
+
+
+def expand_certificate(doc: dict) -> dict:
+    """Inflate a certificate's node table into the nested tree of report
+    schema 0.1, where every step carries its sub-certificate inline as
+    ``order`` and ``steps``."""
+    nodes = doc["nodes"]
+
+    def inflate(node: dict) -> dict:
+        return {
+            "order": node["order"],
+            "steps": [
+                {
+                    "facet": step["facet"],
+                    "intersection_facets": step["intersection_facets"],
+                    "sub_certificate": inflate(nodes[step["sub_certificate"]]),
+                }
+                for step in node["steps"]
+            ],
+        }
+
+    return inflate(doc)
+
+
+def nested_certificate(cert) -> dict:
+    """A certificate object walked as a tree, in the nested form of report
+    schema 0.1."""
+    return {
+        "order": list(cert.order.facets),
+        "steps": [
+            {
+                "facet": step.facet,
+                "intersection_facets": list(step.intersection_facets),
+                "sub_certificate": nested_certificate(step.sub_certificate),
+            }
+            for step in cert.steps
+        ],
+    }

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import shellbound as sb
 from shellbound.cli import CLAIM_TAGS, run
+
+from oracles import expand_certificate, nested_certificate
 
 
 def write_lattice(path, L):
@@ -109,6 +112,33 @@ def test_check_shelling_rejects(tmp_path, square_json):
     assert env["ok"] is False
     assert env["result"]["accepted"] is False
     assert env["result"]["failure"] == {"step": 2, "reason": "EmptyIntersection"}
+
+
+def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
+    L = sb.cross_polytope(2)
+    order = sb.find_shelling(L).facets
+    out = tmp_path / "report.json"
+    code = run(["check-shelling", "--input", oct_json, "--order", ",".join(order),
+                "--out", str(out)])
+    assert code == 0
+    env = read_envelope(out)
+    assert env["version"] == "0.2.0"
+    cert = env["result"]["certificate"]
+    assert set(cert) == {"order", "steps", "nodes"}
+    assert all(isinstance(s["sub_certificate"], int) for s in cert["steps"])
+    assert len(cert["nodes"]) == 20  # 8 triangles and 12 edges, each once
+    assert expand_certificate(cert) == nested_certificate(sb.is_shelling(L, order))
+
+    bad = ("123", "456", "126", "135", "156", "246", "234", "345")
+    code = run(["check-shelling", "--input", oct_json, "--order", ",".join(bad),
+                "--out", str(out)])
+    assert code == 1
+    env = read_envelope(out)
+    assert env["version"] == "0.2.0"
+    assert env["result"] == {
+        "accepted": False,
+        "failure": {"step": 2, "reason": "EmptyIntersection"},
+    }
 
 
 def test_check_shelling_facet_text_input(tmp_path):
@@ -349,6 +379,12 @@ def test_usage_errors():
 
 def test_version_flag():
     assert run(["--version"]) == 0
+
+
+def test_package_and_report_schema_share_one_version():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == sb.__version__
 
 
 def test_claim_tags_are_stable():

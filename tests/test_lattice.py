@@ -7,7 +7,7 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 
 from corpus import balls, spheres_d_le_3
-from oracles import naive_is_lattice, reachability
+from oracles import naive_dim_and_counts, naive_is_lattice, reachability
 
 
 def zero_sphere() -> sb.FaceLattice:
@@ -363,6 +363,25 @@ def test_boundary_interior_partition():
         inner = sb.interior(L)
         assert bd.mask & inner.mask == 0
         assert (bd.mask | inner.mask) & L._real_mask == L._real_mask
+
+
+def test_dim_and_f_vector_match_naive_oracle():
+    cases = [(L, True) for _, L in spheres_d_le_3()] + [(L, False) for _, L in balls()]
+    for L, sphere in cases:
+        order = sb.find_shelling(L)
+        parts = [sb.interior(L), sb.boundary_complex(L), sb.Subcomplex(L, 0)]
+        for s in sb.facet_decomposition(L, order).splits:
+            parts += [s.before, s.after, s.before_interior, s.after_interior]
+        if sphere:
+            for j in range(len(order) + 1):
+                pair = sb.split_complexes(L, order, j)
+                parts += [pair.begin, pair.end, pair.begin_interior, pair.end_interior]
+        for part in parts:
+            dim, counts = naive_dim_and_counts(L, part.members)
+            fv = sb.f_vector(part)
+            assert (fv.dim, fv.counts) == (dim, counts), part
+            if isinstance(part, sb.Subcomplex):
+                assert part.dim == dim, part
 
 
 def test_empty_complex_f_vector():

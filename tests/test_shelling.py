@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 import shellbound as sb
 from shellbound import BOTTOM_ID
 
-from corpus import shelled_spheres_d_le_3
-from oracles import naive_is_shelling
+from corpus import balls, shelled_spheres_d_le_3
+from oracles import expand_certificate, naive_is_shelling, nested_certificate
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
 
@@ -120,8 +121,11 @@ def test_certificate_steps_replay():
     order = sb.find_shelling(oct_)
     cert = sb.is_shelling(oct_, order)
     assert isinstance(cert, sb.ShellingCertificate)
+    assert oct_._sub_cache == {}
     for step in cert.steps[1:]:
-        sub = sb.sub_lattice(oct_, step.facet)
+        # reading a sub-certificate's order binds it to the host's cell lattice
+        sub = step.sub_certificate.order.lattice
+        assert sub is sb.sub_lattice(oct_, step.facet)
         got = step.sub_certificate.order.facets[: len(step.intersection_facets)]
         assert sorted(got) == sorted(step.intersection_facets)
         assert isinstance(sb.is_shelling(sub, step.sub_certificate.order), sb.ShellingCertificate)
@@ -132,11 +136,61 @@ def test_certificate_steps_replay():
             assert isinstance(sb.is_shelling(cell, order), sb.ShellingCertificate)
 
 
+@pytest.mark.parametrize(
+    "L", [sb.cross_polytope(3), sb.simplex_boundary(5)], ids=["cross-3", "simplex-5"]
+)
+def test_verification_builds_no_lattice(L):
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    assert isinstance(cert, sb.ShellingCertificate)
+    assert L._sub_cache == {}
+    step = cert.steps[-1]
+    assert step.sub_certificate.order.lattice is sb.sub_lattice(L, step.facet)
+    assert cert.order.lattice is L
+    assert sb.classify(L, cert) is sb.Shape.SPHERE
+
+
+def test_certificate_node_table_loses_nothing():
+    cases = [(name, L) for name, L, _ in shelled_spheres_d_le_3()] + list(balls())
+    for name, L in cases:
+        cert = sb.is_shelling(L, sb.find_shelling(L))
+        doc = cert.to_json_dict()
+        assert expand_certificate(doc) == nested_certificate(cert), name
+
+        # one node per distinct (cell, order) reachable, each referenced,
+        # numbered in first-visit depth-first order
+        pairs, stack = set(), [cert]
+        while stack:
+            for step in stack.pop().steps:
+                sub = step.sub_certificate
+                pairs.add((step.facet, tuple(sub.order.facets)))
+                stack.append(sub)
+        nodes = doc["nodes"]
+        assert {(n["cell"], tuple(n["order"])) for n in nodes} == pairs, name
+        assert len(nodes) == len(pairs), name
+
+        first_seen: list[int] = []
+
+        def visit(node):
+            for step in node["steps"]:
+                ref = step["sub_certificate"]
+                if ref not in first_seen:
+                    first_seen.append(ref)
+                    visit(nodes[ref])
+
+        visit(doc)
+        assert first_seen == list(range(len(nodes))), name
+
+        # the JSON depends on the certificate's value only
+        copy = sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+        again = sb.is_shelling(copy, cert.order.facets)
+        assert json.dumps(again.to_json_dict()) == json.dumps(doc), name
+
+
 def test_zero_sphere_any_order_is_shelling():
     L = sb.from_facets([[1], [2]])
     cert = sb.is_shelling(L, ("2", "1"))
     assert isinstance(cert, sb.ShellingCertificate)
-    assert cert.to_json_dict() == {"order": ["2", "1"], "steps": []}
+    assert cert.to_json_dict() == {"order": ["2", "1"], "steps": [], "nodes": []}
 
 
 # -- find_shelling -------------------------------------------------------
