@@ -135,10 +135,10 @@ def _verified(
     return result
 
 
-def _require_sphere(L: FaceLattice) -> None:
-    if not is_pseudomanifold(L):
+def _require_sphere(X: Union[FaceLattice, Subcomplex]) -> None:
+    if not is_pseudomanifold(X):
         raise NotPseudomanifold("a sphere pseudomanifold is required")
-    if boundary_complex(L).mask != 0:
+    if boundary_complex(X).mask != 0:
         raise PreconditionViolated("the complex has nonempty boundary; need a sphere")
 
 
@@ -166,12 +166,15 @@ def split_complexes(
     complement of the other side; both facts are recomputed and enforced.
     """
     seq = _verified(L, order, _as_budget(budget)).order.facets
-    return _split(L, seq, j)
+    return _split(L, L._top, seq, j)
 
 
-def _split(L: FaceLattice, seq: tuple[str, ...], j: int) -> SplitPair:
-    """:func:`split_complexes` on an order already verified on ``L``."""
-    _require_sphere(L)
+def _split(L: FaceLattice, cell: int, seq: tuple[str, ...], j: int) -> SplitPair:
+    """:func:`split_complexes` on an order already verified on the boundary
+    of host cell ``cell`` (``L._top`` for the whole complex), on host masks."""
+    boundary = L._down[cell] & ~(1 << cell)
+    _require_sphere(Subcomplex(L, boundary))
+    real = boundary & ~(1 << L._bottom)
     n = len(seq)
     if not 0 <= j <= n:
         raise InvalidSplit(f"need 0 <= j <= {n}, got {j}")
@@ -187,7 +190,7 @@ def _split(L: FaceLattice, seq: tuple[str, ...], j: int) -> SplitPair:
         raise InternalContradiction("a side of a verified sphere split is not a pseudomanifold")
     begin_int = interior(begin)
     end_int = interior(end)
-    if begin_int.mask != L._real_mask & ~end_mask or end_int.mask != L._real_mask & ~begin_mask:
+    if begin_int.mask != real & ~end_mask or end_int.mask != real & ~begin_mask:
         raise InternalContradiction("split interiors do not complement each other")
     return SplitPair(begin, end, begin_int, end_int)
 
@@ -228,16 +231,19 @@ def check_split_count(
     seq = _verified(L, order, _as_budget(budget)).order.facets
     if not 0 <= j <= len(seq):
         raise RangeError(f"need 0 <= j <= {len(seq)}, got j={j}")
-    return _split_count(L, seq, j, k)
+    return _split_count(L, L._top, seq, j, k)
 
 
-def _split_count(L: FaceLattice, seq: tuple[str, ...], j: int, k: int) -> SplitCountResult:
-    """:func:`check_split_count` on an order already verified on ``L``,
-    with ``j`` and ``k`` in range."""
-    pair = _split(L, seq, j)
+def _split_count(
+    L: FaceLattice, cell: int, seq: tuple[str, ...], j: int, k: int
+) -> SplitCountResult:
+    """:func:`check_split_count` on an order already verified on the
+    boundary of host cell ``cell``, with ``j`` and ``k`` in range."""
+    pair = _split(L, cell, seq, j)
     fk_begin = f_vector(pair.begin_interior)[k]
     fk_end = f_vector(pair.end_interior)[k]
-    rhs = _rho_doubled(L.dim + 2, k)
+    # the boundary of a cell of rank r is a sphere of dimension r - 2
+    rhs = _rho_doubled(L.ranks[cell], k)
     return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
 
 
@@ -330,7 +336,7 @@ def find_witness_pair(
     if not 1 <= j < n:
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
     begin_face, end_face = _witness(cert, j)
-    pair = _split(L, seq, j)
+    pair = _split(L, L._top, seq, j)
     witness = WitnessPair(
         begin_face,
         end_face,
@@ -616,10 +622,11 @@ def verify_lower_bound(
             prefix = X._ids_of(split.before.mask & X._rank_masks[d])
             if prefix != step.intersection_facets:
                 raise InternalContradiction("the earlier side differs from the glued ridges")
-            sub_order = step.sub_certificate.order
-            if set(sub_order.facets[: len(prefix)]) != set(prefix):
+            sub = step.sub_certificate
+            if set(sub.facets[: len(prefix)]) != set(prefix):
                 raise InternalContradiction("a facet boundary lost its prefixed shelling")
-            counted = _split_count(sub_order.lattice, sub_order.facets, len(prefix), k)
+            # recounted on host masks of the facet cell, building no lattice
+            counted = _split_count(X, sub.cell, sub.facets, len(prefix), k)
             direct_begin = f_vector(split.before_interior)[k]
             direct_end = f_vector(split.after_interior)[k]
             if (counted.fk_begin, counted.fk_end) != (direct_begin, direct_end):

@@ -140,8 +140,16 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
         facet_id = facets[0]
     elif facet_id not in facets:
         raise InvalidFace(f"{facet_id!r} is not a facet")
-    elements = [(i, r) for i, r in zip(S.ids, S.ranks) if i != facet_id]
-    covers = [(a, b) for a, b in S.covers() if facet_id not in (a, b)]
+    x = S.index(facet_id)
+    ids = S.ids
+    elements = [(i, r) for i, r in zip(ids, S.ranks) if i != facet_id]
+    covers = [
+        (ids[a], ids[b])
+        for b, below in enumerate(S._lower)
+        if b != x
+        for a in below
+        if a != x
+    ]
     return build_lattice(elements, covers, S.dim)
 
 

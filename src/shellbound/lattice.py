@@ -19,6 +19,11 @@ Conventions used throughout the package:
 
 Up-sets and down-sets are cached as bit vectors (Python ints) over a frozen
 element order fixed at construction; lattices are immutable afterwards.
+The constructor runs every validation for every caller, derived lattices
+(:func:`dualize`, :func:`sub_lattice`, ``generators.punctured``) included.
+It resolves each cover pair to element indices once and keeps the cover
+neighbours as index tuples; the sorted id pairs of
+:meth:`FaceLattice.covers` are computed on its first call.
 """
 
 from __future__ import annotations
@@ -106,79 +111,91 @@ class FaceLattice:
 
         order = sorted(elems, key=lambda e: (e[1], e[0]))
         self.dim = dim
-        self.ids = tuple(i for i, _ in order)
-        self.ranks = tuple(r for _, r in order)
-        self._index = {i: n for n, i in enumerate(self.ids)}
-        n = len(self.ids)
+        self.ids = ids = tuple(i for i, _ in order)
+        self.ranks = ranks = tuple(r for _, r in order)
+        n = len(ids)
+        # one int object per element, shared by the index and every
+        # neighbour list
+        nums = tuple(range(n))
+        self._index = index = dict(zip(ids, nums))
 
-        cover_set = set()
+        # each cover is resolved once, to the int a * n + b; one sort of
+        # those ints lists the covers by lower then upper index
+        codes = set()
         for a, b in covers:
-            a, b = str(a), str(b)
-            if a not in self._index or b not in self._index:
-                raise InvalidFace(f"cover ({a!r}, {b!r}) names an unknown element")
-            cover_set.add((self._index[a], self._index[b]))
-
+            ia = index.get(str(a))
+            ib = index.get(str(b))
+            if ia is None or ib is None:
+                raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element")
+            codes.add(ia * n + ib)
         lower: list[list[int]] = [[] for _ in range(n)]
         upper: list[list[int]] = [[] for _ in range(n)]
-        for a, b in cover_set:
-            lower[b].append(a)
-            upper[a].append(b)
+        for code in sorted(codes):
+            a, b = divmod(code, n)
+            lower[b].append(nums[a])
+            upper[a].append(nums[b])
 
         self._check_acyclic(n, upper)
 
-        for a, b in cover_set:
-            if self.ranks[b] != self.ranks[a] + 1:
+        # ranks rise with the index, so the ends of a sorted neighbour list
+        # carry its lowest and highest rank
+        for a, ups in enumerate(upper):
+            if ups and not ranks[ups[0]] == ranks[ups[-1]] == ranks[a] + 1:
+                b = next(b for b in ups if ranks[b] != ranks[a] + 1)
                 raise NotGraded(
-                    f"cover ({self.ids[a]!r}, {self.ids[b]!r}) jumps rank "
-                    f"{self.ranks[a]} to {self.ranks[b]}"
+                    f"cover ({ids[a]!r}, {ids[b]!r}) jumps rank {ranks[a]} to {ranks[b]}"
                 )
-        bottom = self._index[bottoms[0]]
-        for x in range(n):
-            if x != bottom and not lower[x]:
-                raise NotGraded(f"element {self.ids[x]!r} has no chain to the bottom")
+        # the frozen order is (rank, id), so the bottom is index 0 and the
+        # top index n - 1
+        for x in range(1, n):
+            if not lower[x]:
+                raise NotGraded(f"element {ids[x]!r} has no chain to the bottom")
 
-        self._bottom = bottom
-        self._top = self._index[tops[0]]
-        # frozen order is (rank, id), so sorting cover neighbours by index
-        # also sorts them lexicographically within a rank
-        self._lower = tuple(tuple(sorted(c)) for c in lower)
-        self._upper = tuple(tuple(sorted(c)) for c in upper)
-        self._cover_pairs = tuple(sorted((self.ids[a], self.ids[b]) for a, b in cover_set))
+        self._bottom = 0
+        self._top = top = n - 1
+        # neighbours were appended in index order, which within a rank is
+        # lexicographic id order
+        self._lower = tuple(map(tuple, lower))
+        self._upper = tuple(map(tuple, upper))
+        self._cover_pairs = None
 
         rank_masks = [0] * (top_rank + 1)
-        for x, r in enumerate(self.ranks):
+        for x, r in enumerate(ranks):
             rank_masks[r] |= 1 << x
         self._rank_masks = tuple(rank_masks)
 
+        # every cover raises the index, so down-sets fill in index order and
+        # up-sets in reverse; the extremes bound everything, whether or not
+        # covers say so
         full = (1 << n) - 1
+        top_bit = 1 << top
         down = [0] * n
-        for x in sorted(range(n), key=lambda y: self.ranks[y]):
-            m = 1 << x
-            for c in self._lower[x]:
+        for x, below in enumerate(lower):
+            m = (1 << x) | 1
+            for c in below:
                 m |= down[c]
             down[x] = m
         up = [0] * n
-        for x in sorted(range(n), key=lambda y: -self.ranks[y]):
-            m = 1 << x
-            for c in self._upper[x]:
+        for x in range(top, -1, -1):
+            m = (1 << x) | top_bit
+            for c in upper[x]:
                 m |= up[c]
             up[x] = m
-        # the extremes bound everything, whether or not covers say so
-        bot_bit, top_bit = 1 << self._bottom, 1 << self._top
-        for x in range(n):
-            down[x] |= bot_bit
-            up[x] |= top_bit
-        down[self._top] = full
-        up[self._bottom] = full
+        down[top] = full
+        up[0] = full
         self._down = tuple(down)
         self._up = tuple(up)
-        self._real_mask = full & ~bot_bit & ~top_bit
+        self._real_mask = full & ~1 & ~top_bit
         self._sub_cache = {}
         # shelling search and certificate memo, filled by the shelling module
         self._memo = {}
 
     @staticmethod
     def _check_acyclic(n: int, upper: list[list[int]]) -> None:
+        # when every cover raises the index, index order is a topological
+        # order; neighbour lists are sorted, so their first entries tell
+        if all(not ups or ups[0] > x for x, ups in enumerate(upper)):
+            return
         indeg = [0] * n
         for x in range(n):
             for y in upper[x]:
@@ -242,8 +259,15 @@ class FaceLattice:
         return self._ids_of(self._real_mask)
 
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """The explicit cover pairs ``(lower, upper)``, sorted."""
-        return self._cover_pairs
+        """The explicit cover pairs ``(lower, upper)``, sorted; computed on
+        the first call."""
+        pairs = self._cover_pairs
+        if pairs is None:
+            ids = self.ids
+            pairs = self._cover_pairs = tuple(
+                sorted((ids[a], ids[b]) for b, below in enumerate(self._lower) for a in below)
+            )
+        return pairs
 
     def lower_covers(self, face_id: str) -> tuple[str, ...]:
         return tuple(self.ids[c] for c in self._lower[self.index(face_id)])
@@ -280,7 +304,7 @@ class FaceLattice:
         """Stable hash of the labelled structure: equal exactly when two
         lattices have the same dimension, ids, ranks and covers."""
         payload = json.dumps(
-            [self.dim, list(zip(self.ids, self.ranks)), self._cover_pairs],
+            [self.dim, list(zip(self.ids, self.ranks)), self.covers()],
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -421,10 +445,6 @@ def build_lattice(
     return FaceLattice(elements, covers, dim)
 
 
-def _face_token_id(tokens: frozenset[str], sep: str) -> str:
-    return sep.join(sorted(tokens, key=lambda t: (len(t), t)))
-
-
 def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     """Face lattice of the simplicial complex generated by vertex sets.
 
@@ -448,29 +468,28 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     if sep and any("-" in t for t in vocabulary):
         raise InvalidFace("multi-character vertex tokens may not contain '-'")
 
-    faces: set[frozenset[str]] = set()
+    # with each facet's tokens in id order, every face is a tuple already
+    # in id order and its sub-faces are tuple slices
+    faces: set[tuple[str, ...]] = set()
     for f in facet_sets:
-        for k in range(1, len(f) + 1):
-            faces.update(frozenset(c) for c in combinations(sorted(f), k))
+        tokens = sorted(f, key=lambda t: (len(t), t))
+        for k in range(1, d + 2):
+            faces.update(combinations(tokens, k))
+    ids = {s: sep.join(s) for s in faces}
+    for i in (BOTTOM_ID, TOP_ID):
+        if i in ids.values():
+            raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
 
     elements = [(BOTTOM_ID, 0), (TOP_ID, d + 2)]
-    ids = {}
-    for s in faces:
-        i = _face_token_id(s, sep)
-        if i in (BOTTOM_ID, TOP_ID):
-            raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
-        ids[s] = i
-        elements.append((i, len(s)))
-
+    elements += [(i, len(s)) for s, i in ids.items()]
     covers = []
-    for s in faces:
+    for s, i in ids.items():
         if len(s) == 1:
-            covers.append((BOTTOM_ID, ids[s]))
+            covers.append((BOTTOM_ID, i))
         else:
-            for v in s:
-                covers.append((ids[s - {v}], ids[s]))
+            covers += [(ids[s[:v] + s[v + 1 :]], i) for v in range(len(s))]
         if len(s) == d + 1:
-            covers.append((ids[s], TOP_ID))
+            covers.append((i, TOP_ID))
     return FaceLattice(elements, covers, d)
 
 
@@ -526,8 +545,9 @@ def dualize(L: FaceLattice) -> FaceLattice:
     """The order-reversed lattice: same ids, complemented ranks, covers
     flipped.  Applying it twice reproduces the original."""
     top_rank = L.dim + 2
-    elements = [(i, top_rank - r) for i, r in zip(L.ids, L.ranks)]
-    covers = [(b, a) for a, b in L.covers()]
+    ids = L.ids
+    elements = [(i, top_rank - r) for i, r in zip(ids, L.ranks)]
+    covers = [(ids[b], ids[a]) for b, below in enumerate(L._lower) for a in below]
     return FaceLattice(elements, covers, L.dim)
 
 
@@ -571,6 +591,32 @@ def is_pure(x: Complex) -> bool:
     return union == sc.mask
 
 
+def _free_ridges(x: Complex) -> Union[tuple[Subcomplex, int], None]:
+    """The complex as a subcomplex and the mask of its codimension-1 faces
+    lying in exactly one top face; None when it is not a pseudomanifold.
+
+    Walks the top faces once, keeping the ridges seen in at least one, two
+    and three of them.
+    """
+    if not is_pure(x):
+        return None
+    sc = _as_subcomplex(x)
+    if sc.dim <= -1:
+        return sc, 0
+    L = sc.lattice
+    top_rank = sc.dim + 1
+    ridges = L._rank_masks[top_rank - 1]
+    seen1 = seen2 = seen3 = 0
+    for f in _iter_bits(sc.mask & L._rank_masks[top_rank]):
+        r = L._down[f] & ridges
+        seen3 |= seen2 & r
+        seen2 |= seen1 & r
+        seen1 |= r
+    if seen3:
+        return None
+    return sc, seen1 & ~seen2
+
+
 def is_pseudomanifold(x: Complex) -> bool:
     """Pure, and every codimension-1 face lies in at most two top faces.
 
@@ -578,18 +624,7 @@ def is_pseudomanifold(x: Complex) -> bool:
     so at most two vertices are allowed; the degenerate complexes with at
     most one face qualify vacuously.
     """
-    if not is_pure(x):
-        return False
-    sc = _as_subcomplex(x)
-    if sc.dim <= -1:
-        return True
-    L = sc.lattice
-    top_rank = sc.dim + 1
-    for ridge in _iter_bits(sc.mask & L._rank_masks[top_rank - 1]):
-        cofaces = L._up[ridge] & sc.mask & L._rank_masks[top_rank]
-        if cofaces.bit_count() > 2:
-            return False
-    return True
+    return _free_ridges(x) is not None
 
 
 def boundary_complex(x: Complex) -> Subcomplex:
@@ -598,18 +633,14 @@ def boundary_complex(x: Complex) -> Subcomplex:
     Empty for a complex without boundary (a sphere); raises
     :class:`NotPseudomanifold` when the input is not a pseudomanifold.
     """
-    if not is_pseudomanifold(x):
+    found = _free_ridges(x)
+    if found is None:
         raise NotPseudomanifold("boundary is only defined for pseudomanifolds")
-    sc = _as_subcomplex(x)
+    sc, free = found
     L = sc.lattice
-    if sc.dim <= -1:
-        return Subcomplex(L, 0)
-    top_rank = sc.dim + 1
     mask = 0
-    for ridge in _iter_bits(sc.mask & L._rank_masks[top_rank - 1]):
-        cofaces = L._up[ridge] & sc.mask & L._rank_masks[top_rank]
-        if cofaces.bit_count() == 1:
-            mask |= L._down[ridge]
+    for ridge in _iter_bits(free):
+        mask |= L._down[ridge]
     return Subcomplex(L, mask)
 
 

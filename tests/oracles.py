@@ -34,6 +34,49 @@ def reachability(
     return above
 
 
+def naive_lattice_arrays(
+    elements: list[tuple[str, int]], covers: list[tuple[str, str]], dim: int
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """``(_lower, _upper, _down, _up)`` of the lattice on these elements and
+    covers, over the (rank, id) element order: cover neighbours read off
+    the cover list pair by pair, down- and up-sets from
+    :func:`reachability`."""
+    order = sorted(elements, key=lambda e: (e[1], e[0]))
+    ids = [i for i, _ in order]
+    pos = {i: x for x, i in enumerate(ids)}
+    bottom = next(i for i, r in elements if r == 0)
+    top = next(i for i, r in elements if r == dim + 2)
+    pairs = set(covers)
+    lower = tuple(tuple(sorted(pos[a] for a, b in pairs if b == i)) for i in ids)
+    upper = tuple(tuple(sorted(pos[b] for a, b in pairs if a == i)) for i in ids)
+    above = reachability(elements, list(pairs), bottom, top)
+    down = tuple(sum(1 << pos[y] for y in ids if x in above[y]) for x in ids)
+    up = tuple(sum(1 << pos[y] for y in above[x]) for x in ids)
+    return lower, upper, down, up
+
+
+def naive_pseudomanifold(L: FaceLattice, face_ids) -> tuple[bool, frozenset[str]]:
+    """Whether the complex on the given faces is a pseudomanifold, and the
+    faces of its boundary (empty when it is not one), counting the top
+    faces over each ridge one ridge at a time."""
+    faces = set(face_ids)
+    dims = {f: L.dim_of(f) for f in faces}
+    top = max(dims.values(), default=-1)
+    if top <= -1:
+        return True, frozenset()
+    tops = [f for f in faces if dims[f] == top]
+    if not all(any(L.leq(f, t) for t in tops) for f in faces):
+        return False, frozenset()
+    boundary: set[str] = set()
+    for ridge in (f for f in faces if dims[f] == top - 1):
+        cofaces = sum(L.leq(ridge, t) for t in tops)
+        if cofaces > 2:
+            return False, frozenset()
+        if cofaces == 1:
+            boundary |= L.down_set(ridge)
+    return True, frozenset(boundary)
+
+
 def naive_is_lattice(L: FaceLattice) -> bool:
     """Every pair has a unique meet and a unique join, both found by brute
     force over the reachability closure of the explicit covers."""

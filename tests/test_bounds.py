@@ -505,6 +505,8 @@ def test_bound_route_spends_only_the_verification(name):
     assert spent(sb.verify_lower_bound, L, seq, ks[0]) == verification
     for k in ks[1:]:
         assert spent(sb.verify_lower_bound, L, seq, k) == 0, k
+    # the per-facet recount reads host masks and builds no cell lattice
+    assert L._sub_cache == {}
     assert spent(sb.facet_decomposition, make(), seq) == verification
     if sb.boundary_complex(L).mask == 0:
         n = len(seq)

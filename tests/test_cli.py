@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -383,8 +383,15 @@ def test_version_flag():
 
 def test_package_and_report_schema_share_one_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == sb.__version__
+    text = pyproject.read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10 has no TOML reader
+        match = re.search(r'^\[project\]$(?:\n(?!\[).*)*?\nversion = "([^"]+)"$', text, re.M)
+        version = match.group(1)
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    assert version == sb.__version__
 
 
 def test_claim_tags_are_stable():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,13 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 
 from corpus import balls, spheres_d_le_3
-from oracles import naive_dim_and_counts, naive_is_lattice, reachability
+from oracles import (
+    naive_dim_and_counts,
+    naive_is_lattice,
+    naive_lattice_arrays,
+    naive_pseudomanifold,
+    reachability,
+)
 
 
 def zero_sphere() -> sb.FaceLattice:
@@ -122,6 +130,13 @@ def test_duplicate_and_unknown_ids_rejected():
         sb.build_lattice(
             [(BOTTOM_ID, 0), ("v1", 1), (TOP_ID, 2)], [("v9", TOP_ID)], 0
         )
+    # an unknown id is reported before a cycle among the known ones
+    with pytest.raises(sb.InvalidFace):
+        sb.build_lattice(
+            [(BOTTOM_ID, 0), ("a", 1), ("b", 1), (TOP_ID, 2)],
+            [("a", "b"), ("b", "a"), ("v9", "a")],
+            0,
+        )
 
 
 def test_rank_out_of_range_rejected():
@@ -137,6 +152,35 @@ def test_orphan_element_rejected():
             [(BOTTOM_ID, "v1"), ("v1", TOP_ID), ("v2", TOP_ID)],
             0,
         )
+
+
+def _check_constructor(elements, covers, dim, rng):
+    """Build from shuffled elements and covers, and compare the cover
+    neighbours and order bit vectors with the naive oracle."""
+    expected = naive_lattice_arrays(elements, covers, dim)
+    elements, covers = list(elements), list(covers)
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    L = sb.build_lattice(elements, covers, dim)
+    assert (L._lower, L._upper, L._down, L._up) == expected
+    assert L.covers() == tuple(sorted(set(covers)))
+    return L
+
+
+def test_constructor_matches_naive_oracle():
+    cases = [(name, L) for name, L in spheres_d_le_3() + balls()]
+    cases += [(f"dual-{name}", sb.dualize(L)) for name, L in cases]
+    cases += [("zero-sphere", zero_sphere()), ("doubled-triangle", doubled_triangle()),
+              ("bowtie", bowtie()), ("mixed-dims", mixed_dims_by_hand()),
+              ("multi-char", sb.from_facets([[1, 2, 10], [2, 10, 11], [1, 10, 11]]))]
+    for name, L in cases:
+        elements, covers = list(zip(L.ids, L.ranks)), list(L.covers())
+        assert (L._lower, L._upper, L._down, L._up) == naive_lattice_arrays(
+            elements, covers, L.dim
+        ), name
+        _check_constructor(elements, covers, L.dim, random.Random(name))
+        if name != "mixed-dims":
+            assert sb.dualize(sb.dualize(L)).covers() == L.covers(), name
 
 
 def test_from_facets_examples():
@@ -233,8 +277,8 @@ def test_is_lattice_matches_naive_oracle():
 
 
 @st.composite
-def graded_bounded_posets(draw) -> sb.FaceLattice:
-    """At most 9 elements: a bottom, a top, and 1 to 3 elements on each
+def graded_bounded_poset_parts(draw) -> tuple[list, list, int]:
+    """Elements, covers and dimension of a graded bounded poset of at most 9 elements: a bottom, a top, and 1 to 3 elements on each
     rank between them, each element covering a nonempty set of the rank
     below."""
     dim = draw(st.integers(0, 2))
@@ -251,11 +295,14 @@ def graded_bounded_posets(draw) -> sb.FaceLattice:
             covers += [(y, x) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
         below = level
     covers += [(y, TOP_ID) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
-    return sb.build_lattice(elements, covers, dim)
+    return elements, covers, dim
+
+
+graded_bounded_posets = graded_bounded_poset_parts().map(lambda p: sb.build_lattice(*p))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(graded_bounded_posets())
+@given(graded_bounded_posets)
 def test_is_lattice_matches_naive_oracle_on_small_posets(L):
     assert sb.is_lattice(L) == naive_is_lattice(L)
     try:
@@ -263,6 +310,17 @@ def test_is_lattice_matches_naive_oracle_on_small_posets(L):
     except sb.NotGraded:
         return
     assert sb.is_lattice(dual) == naive_is_lattice(dual)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts(), st.randoms(use_true_random=False))
+def test_constructor_matches_naive_oracle_on_small_posets(parts, rng):
+    L = _check_constructor(*parts, rng)
+    try:
+        dual = sb.dualize(L)
+    except sb.NotGraded:
+        return
+    assert sb.dualize(dual).covers() == L.covers()
 
 
 def test_is_diamond():
@@ -365,6 +423,36 @@ def test_boundary_interior_partition():
         assert (bd.mask | inner.mask) & L._real_mask == L._real_mask
 
 
+def test_pseudomanifold_and_boundary_match_naive_oracle():
+    fan = sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]])
+    pinched = sb.from_facets([[1, 2, 3], [1, 4, 5]])
+    cases = [(L, True) for _, L in spheres_d_le_3()] + [(L, False) for _, L in balls()]
+    cases += [(fan, False), (pinched, False), (mixed_dims_by_hand(), False)]
+    for L, sphere in cases:
+        parts = [L, sb.Subcomplex(L, 0), sb.Subcomplex(L, 1 << L._bottom)]
+        parts += [sb.closure(L, [f]) for f in L.facets()[:3]]
+        if sb.is_pseudomanifold(L):
+            parts += [sb.boundary_complex(L), sb.closure(L, sb.interior(L))]
+            order = sb.find_shelling(L)
+            if order is not None:
+                for s in sb.facet_decomposition(L, order).splits:
+                    parts += [s.before, s.after]
+                if sphere:
+                    for j in range(len(order) + 1):
+                        pair = sb.split_complexes(L, order, j)
+                        parts += [pair.begin, pair.end]
+        for part in parts:
+            members = L.ids if part is L else part.members
+            ok, boundary = naive_pseudomanifold(L, set(members) - {L.top})
+            assert sb.is_pseudomanifold(part) == ok, part
+            if ok:
+                assert sb.boundary_complex(part).members == boundary, part
+            else:
+                with pytest.raises(sb.NotPseudomanifold):
+                    sb.boundary_complex(part)
+    assert not sb.is_pseudomanifold(fan) and sb.is_pseudomanifold(pinched)
+
+
 def test_dim_and_f_vector_match_naive_oracle():
     cases = [(L, True) for _, L in spheres_d_le_3()] + [(L, False) for _, L in balls()]
     for L, sphere in cases:
@@ -451,6 +539,36 @@ def test_json_round_trip():
         data = sb.lattice_to_json_dict(L)
         back = sb.lattice_from_json_dict(json.loads(json.dumps(data)))
         assert back.fingerprint() == L.fingerprint()
+
+
+# sha256 of json.dumps(lattice_to_json_dict(L), sort_keys=True, indent=2),
+# pinning face ids and cover order and with them every report's bytes
+LATTICE_JSON_SHA256 = {
+    "simplex-boundary-6": "7ebfcba4697353fed8dce4a5a70722dc4f6162b1ce5dc03618bbe4b7b67b82a0",
+    "cyclic-6-10": "5f9860bcfed36ec87072814e1027b927e01137f43959d1edf96d9e764ce49ef7",
+    "hypercube-boundary-4": "5fe3c1d413d2efee8d32617ac6e5c066f187c362d27bbfe79a5fc97003e555fe",
+    "punctured-cross-polytope-4":
+        "f3b55c6c47d4c24dd6b8356fbffef11ed88fe65f63df8d3cdbd961dda077c87a",
+    "multi-char-tokens": "2541712ef9329761c0ad7bb6a8ec5372d21d48ef53e9ec4063b64be0553c8751",
+}
+
+
+def test_lattice_json_bytes_are_pinned():
+    cases = {
+        "simplex-boundary-6": sb.simplex_boundary(6),
+        "cyclic-6-10": sb.cyclic_boundary(6, 10),
+        "hypercube-boundary-4": sb.hypercube_boundary(4),
+        "punctured-cross-polytope-4": sb.punctured(sb.cross_polytope(4)),
+        "multi-char-tokens": sb.from_facets([[1, 2, 10], [2, 10, 11], [1, 10, 11], [1, 2, 11]]),
+    }
+    assert "1-2-10" in cases["multi-char-tokens"]
+    digests = {
+        name: hashlib.sha256(
+            json.dumps(sb.lattice_to_json_dict(L), sort_keys=True, indent=2).encode()
+        ).hexdigest()
+        for name, L in cases.items()
+    }
+    assert digests == LATTICE_JSON_SHA256
 
 
 def test_json_dict_shape():
