@@ -22,9 +22,10 @@ Each public function verifies its order once, and the proof route then
 reads its evidence from the certificate instead of searching again: step
 j carries the shelling of the j-th facet boundary that starts with exactly
 the ridges glued to earlier facets, which is the split the per-facet
-counts and the witness construction need, at every depth.  The polytopal
-corollaries depend on the lattice, not on k, so the diamond check and the
-dual lattice are made once per lattice and kept in its memo
+counts and the witness construction need, at every depth.  Both read the
+certificate's cells on host masks and build no cell lattice.  The
+polytopal corollaries depend on the lattice, not on k, so the diamond
+check and the dual lattice are made once per lattice and kept in its memo
 (``L._memo``); searches on the dual then share one memo across k.
 """
 
@@ -52,7 +53,7 @@ from .lattice import (
     FaceSet,
     Subcomplex,
     _iter_bits,
-    atom_avoiding_coatom,
+    _least_atom_avoiding,
     boundary_complex,
     f_vector,
     interior,
@@ -98,8 +99,7 @@ def rho(d_plus_1: int, k: int) -> RhoCoefficient:
     d = d_plus_1 - 1
     if d < 0 or not 0 <= k <= d:
         raise RangeError(f"rho needs 0 <= k <= {d}, got k={k}")
-    hi, lo = _halves(d_plus_1)
-    return RhoCoefficient(d_plus_1, k, Fraction(comb(hi, d - k) + comb(lo, d - k), 2))
+    return RhoCoefficient(d_plus_1, k, Fraction(_rho_doubled(d_plus_1, k), 2))
 
 
 def _rho_doubled(d_plus_1: int, k: int) -> int:
@@ -165,7 +165,7 @@ def split_complexes(
     Both sides are pseudomanifolds, and the interior of each side is the
     complement of the other side; both facts are recomputed and enforced.
     """
-    seq = _verified(L, order, _as_budget(budget)).order.facets
+    seq = _verified(L, order, _as_budget(budget)).facets
     return _split(L, L._top, seq, j)
 
 
@@ -228,7 +228,7 @@ def check_split_count(
     delta = L.dim
     if not (delta >= 0 and (delta // 2) <= k <= delta):
         raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
-    seq = _verified(L, order, _as_budget(budget)).order.facets
+    seq = _verified(L, order, _as_budget(budget)).facets
     if not 0 <= j <= len(seq):
         raise RangeError(f"need 0 <= j <= {len(seq)}, got j={j}")
     return _split_count(L, L._top, seq, j, k)
@@ -276,37 +276,40 @@ class WitnessPair:
         }
 
 
-def _witness(cert: ShellingCertificate, j: int) -> tuple[str, str]:
-    """The witness pair of a verified sphere shelling cut at j, pushed down
-    through the prefixed sub-shellings the certificate carries."""
-    L = cert.order.lattice
-    seq = cert.order.facets
-    d = L.dim
-    if d == 0:
-        return seq[0], seq[1]
+def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
+    """The witness pair, as host indices, of a verified sphere shelling of
+    the boundary of cell ``cert.cell`` cut at j, pushed down through the
+    prefixed sub-shellings the certificate carries."""
+    L = cert.lattice
+    cell = cert.cell
+    r = L.ranks[cell]
+    seq = cert.facets
+    if r == 2:
+        return L.index(seq[0]), L.index(seq[1])
+    inside = L._down[cell] ^ (1 << cell)
     if j == 1:
         # the leading closed facet, and the least vertex outside it
-        return seq[0], atom_avoiding_coatom(L, seq[0])
+        first = L.index(seq[0])
+        return first, _least_atom_avoiding(L, inside, first, L._bottom)
     step = cert.steps[j - 1]
-    facet = step.facet
-    x = L.index(facet)
-    pos = {f: i for i, f in enumerate(seq)}
-    prefix: list[str] = []
-    for ridge in _iter_bits(L._down[x] & L._rank_masks[d]):
-        others = L._up[ridge] & L._rank_masks[d + 1] & ~(1 << x)
+    x = L.index(step.facet)
+    earlier = L._mask_of(seq[: j - 1])
+    glued = 0
+    for ridge in _iter_bits(L._down[x] & L._rank_masks[r - 2]):
+        others = L._up[ridge] & L._rank_masks[r - 1] & inside & ~(1 << x)
         if others.bit_count() != 1:
             raise InternalContradiction("a ridge of the sphere is not in exactly two facets")
-        if pos[L.ids[others.bit_length() - 1]] < j - 1:
-            prefix.append(L.ids[ridge])
-    if tuple(prefix) != step.intersection_facets:
+        if others & earlier:
+            glued |= 1 << ridge
+    if L._ids_of(glued) != step.intersection_facets:
         raise InternalContradiction("a verified step glues along other ridges")
     sub_cert = step.sub_certificate
-    inner_j = len(prefix)
-    if not 1 <= inner_j < len(sub_cert.order.facets):
+    inner_j = glued.bit_count()
+    if not 1 <= inner_j < len(sub_cert.facets):
         raise InternalContradiction("facet boundary split is degenerate")
     begin_face, inner_end = _witness(sub_cert, inner_j)
     try:
-        end_face = atom_avoiding_coatom(L, facet, inner_end)
+        end_face = _least_atom_avoiding(L, inside, x, inner_end)
     except NoSuchAtom:
         raise InternalContradiction(
             "every cover of the inner witness lies inside the closed facet"
@@ -330,12 +333,13 @@ def find_witness_pair(
     are verified against the split interiors before returning.
     """
     cert = _verified(L, order, _as_budget(budget))
-    seq = cert.order.facets
+    seq = cert.facets
     _require_sphere(L)
     n = len(seq)
     if not 1 <= j < n:
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
-    begin_face, end_face = _witness(cert, j)
+    begin, end = _witness(cert, j)
+    begin_face, end_face = L.ids[begin], L.ids[end]
     pair = _split(L, L._top, seq, j)
     witness = WitnessPair(
         begin_face,
@@ -393,7 +397,7 @@ def facet_decomposition(
     face is interior to two earlier sides (or an earlier side and the
     complex boundary), nor interior to two later sides.
     """
-    seq = _verified(X, order, _as_budget(budget)).order.facets
+    seq = _verified(X, order, _as_budget(budget)).facets
     return _decomposition(X, seq)
 
 
@@ -615,7 +619,7 @@ def verify_lower_bound(
     per_facet: list[PerFacetBound] = []
     interior_sum = 0
     if k <= d - 1:
-        decomp = _decomposition(X, cert.order.facets)
+        decomp = _decomposition(X, cert.facets)
         for split, step in zip(decomp.splits, cert.steps):
             # the step's sub-shelling of the facet boundary starts with
             # exactly the ridges glued to earlier facets

@@ -75,14 +75,16 @@ CLAIM_TAGS = {
     "gubt": "Thm4.1",
 }
 
-FAMILIES = (
-    "simplex-boundary",
-    "cross-polytope",
-    "hypercube-boundary",
-    "ngon",
-    "cyclic-boundary",
-    "punctured",
-)
+# each generated family with the flags it reads, in argument order;
+# ``punctured`` reads a base complex instead
+_GENERATORS = {
+    "simplex-boundary": (simplex_boundary, ("--d",)),
+    "cross-polytope": (cross_polytope, ("--d",)),
+    "hypercube-boundary": (hypercube_boundary, ("--d",)),
+    "ngon": (ngon, ("--n",)),
+    "cyclic-boundary": (cyclic_boundary, ("--d", "--n")),
+}
+FAMILIES = (*_GENERATORS, "punctured")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -215,17 +217,9 @@ def _require(args: argparse.Namespace, flag: str) -> object:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family.replace("-", "_")
-    if family == "simplex_boundary":
-        L = simplex_boundary(_require(args, "--d"))
-    elif family == "cross_polytope":
-        L = cross_polytope(_require(args, "--d"))
-    elif family == "hypercube_boundary":
-        L = hypercube_boundary(_require(args, "--d"))
-    elif family == "ngon":
-        L = ngon(_require(args, "--n"))
-    elif family == "cyclic_boundary":
-        L = cyclic_boundary(_require(args, "--d"), _require(args, "--n"))
+    if args.family in _GENERATORS:
+        generate, flags = _GENERATORS[args.family]
+        L = generate(*[_require(args, flag) for flag in flags])
     else:
         if args.input is None:
             raise InputError("punctured: --input is required")

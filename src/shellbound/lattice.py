@@ -24,6 +24,10 @@ The constructor runs every validation for every caller, derived lattices
 It resolves each cover pair to element indices once and keeps the cover
 neighbours as index tuples; the sorted id pairs of
 :meth:`FaceLattice.covers` are computed on its first call.
+
+A lattice keeps one memo, ``_memo``, which the shelling module fills.  The
+library reads a cell through host masks and builds no lattice for it;
+:func:`sub_lattice` builds one only when a caller asks.
 """
 
 from __future__ import annotations
@@ -84,7 +88,6 @@ class FaceLattice:
         "_top",
         "_real_mask",
         "_cover_pairs",
-        "_sub_cache",
         "_memo",
     )
 
@@ -186,7 +189,6 @@ class FaceLattice:
         self._down = tuple(down)
         self._up = tuple(up)
         self._real_mask = full & ~1 & ~top_bit
-        self._sub_cache = {}
         # shelling search and certificate memo, filled by the shelling module
         self._memo = {}
 
@@ -313,17 +315,43 @@ class FaceLattice:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
 
 
-class Subcomplex:
+class _MaskSet:
+    """A set of faces of a host lattice, held as a bit mask over its
+    element order.  Two are equal when they are of the same class, on the
+    same lattice object, with the same mask."""
+
+    def __init__(self, lattice: FaceLattice, mask: int):
+        self.lattice = lattice
+        self.mask = mask
+
+    @cached_property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.lattice.ids[x] for x in _iter_bits(self.mask))
+
+    def __contains__(self, face_id: str) -> bool:
+        return face_id in self.lattice and bool(self.mask & (1 << self.lattice.index(face_id)))
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other.lattice is self.lattice
+            and other.mask == self.mask
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.lattice), self.mask))
+
+
+class Subcomplex(_MaskSet):
     """A downward-closed set of faces of a host lattice.
 
     Contains the bottom whenever nonempty, never the top.  Instances are
     produced by :func:`closure` and friends; :meth:`from_ids` validates
     closure for hand-built member sets.
     """
-
-    def __init__(self, lattice: FaceLattice, mask: int):
-        self.lattice = lattice
-        self.mask = mask
 
     @classmethod
     def from_ids(cls, lattice: FaceLattice, ids: Iterable[str]) -> "Subcomplex":
@@ -338,10 +366,6 @@ class Subcomplex:
         return cls(lattice, mask)
 
     @cached_property
-    def members(self) -> frozenset[str]:
-        return frozenset(self.lattice.ids[x] for x in _iter_bits(self.mask))
-
-    @cached_property
     def dim(self) -> int:
         """Largest dimension of a member face; -1 when at most the bottom."""
         rank_masks = self.lattice._rank_masks
@@ -350,32 +374,12 @@ class Subcomplex:
                 return r - 1
         return -1
 
-    def __contains__(self, face_id: str) -> bool:
-        return face_id in self.lattice and bool(self.mask & (1 << self.lattice.index(face_id)))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subcomplex)
-            and other.lattice is self.lattice
-            and other.mask == self.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.lattice), self.mask))
-
     def __repr__(self) -> str:
         return f"Subcomplex(dim={self.dim}, members={len(self)})"
 
 
-class FaceSet:
+class FaceSet(_MaskSet):
     """An arbitrary set of proper faces of a host lattice (no extremes)."""
-
-    def __init__(self, lattice: FaceLattice, mask: int):
-        self.lattice = lattice
-        self.mask = mask
 
     @classmethod
     def from_ids(cls, lattice: FaceLattice, ids: Iterable[str]) -> "FaceSet":
@@ -383,26 +387,6 @@ class FaceSet:
         if mask & ~lattice._real_mask:
             raise InvalidFace("a face set may not contain the artificial extremes")
         return cls(lattice, mask)
-
-    @cached_property
-    def members(self) -> frozenset[str]:
-        return frozenset(self.lattice.ids[x] for x in _iter_bits(self.mask))
-
-    def __contains__(self, face_id: str) -> bool:
-        return face_id in self.lattice and bool(self.mask & (1 << self.lattice.index(face_id)))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FaceSet)
-            and other.lattice is self.lattice
-            and other.mask == self.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.lattice), self.mask))
 
     def __repr__(self) -> str:
         return f"FaceSet(members={len(self)})"
@@ -678,11 +662,8 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
 
     The faces are exactly those strictly below the given face, which itself
     becomes the artificial maximum; for a vertex this is the empty complex
-    of dimension -1.  Results are cached per host lattice.
+    of dimension -1.  Each call builds a new lattice.
     """
-    cached = L._sub_cache.get(face_id)
-    if cached is not None:
-        return cached
     x = L.index(face_id)
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
@@ -690,9 +671,7 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
     elements.append((face_id, L.ranks[x]))
     covers = [(L.ids[c], L.ids[e]) for e in _iter_bits(members) for c in L._lower[e]]
-    sub = FaceLattice(elements, covers, L.ranks[x] - 2)
-    L._sub_cache[face_id] = sub
-    return sub
+    return FaceLattice(elements, covers, L.ranks[x] - 2)
 
 
 def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, bool]:
@@ -711,6 +690,20 @@ def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, boo
     return count, count >= comb(top_rank - r, top_rank - s)
 
 
+def _least_atom_avoiding(L: FaceLattice, cell_mask: int, coatom: int, base: int) -> int:
+    """Index of the least atom of ``[base, cell]`` that is not below
+    ``coatom``, where ``cell_mask`` holds the faces strictly below the cell.
+
+    The atoms share a rank, and within a rank the least index has the
+    least id, so this is the lowest set bit.  Raises :class:`NoSuchAtom`
+    when every such atom lies below the coatom.
+    """
+    avoiding = L._rank_masks[L.ranks[base] + 1] & L._up[base] & cell_mask & ~L._down[coatom]
+    if not avoiding:
+        raise NoSuchAtom(f"every atom above {L.ids[base]!r} lies below {L.ids[coatom]!r}")
+    return (avoiding & -avoiding).bit_length() - 1
+
+
 def atom_avoiding_coatom(
     L: FaceLattice, coatom_id: str, base_id: str | None = None
 ) -> str:
@@ -722,17 +715,7 @@ def atom_avoiding_coatom(
     """
     c = L.index(coatom_id)
     base = L._bottom if base_id is None else L.index(base_id)
-    atoms = L._rank_masks[L.ranks[base] + 1] & L._up[base] & ~(1 << L._top)
-    avoiding = atoms & ~L._down[c]
-    best = None
-    for x in _iter_bits(avoiding):
-        if best is None or L.ids[x] < best:
-            best = L.ids[x]
-    if best is None:
-        raise NoSuchAtom(
-            f"every atom above {L.ids[base]!r} lies below {coatom_id!r}"
-        )
-    return best
+    return L.ids[_least_atom_avoiding(L, L._down[L._top] ^ (1 << L._top), c, base)]
 
 
 # -- serialisation -------------------------------------------------------

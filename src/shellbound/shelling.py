@@ -18,19 +18,19 @@ for it.  One step rule serves both directions.
 Verification replays the definition step by step and produces a recursive
 certificate, or a failure carrying the first bad step.  A certificate names
 its cell by host index and shares each sub-certificate among every step
-that needs it, so it is a DAG with one node per (cell, order); verifying
-builds no lattice, and a cell's lattice is built only when a caller reads
-``order.lattice``.  Its JSON is a node table: each step refers to its
-sub-certificate by position in a ``"nodes"`` list.  The search walks
-facet orders depth-first, candidates in lexicographic id order, so its
-answer is deterministic: the lexicographically first valid completion of
-the requested prefix.  Completed searches and the sub-certificates built
-from them are memoised in a dict owned by the host lattice, keyed by
-``(cell index, prefix bitmask, permissive flag)`` for a search and
-``(cell index, facet order, permissive flag)`` for a certificate.  The
-same dict keeps the diamond verdict and the dual lattice under string
-keys.  The memo lives and dies with its lattice, so no answer depends on
-what the process computed on other lattices.
+that needs it, so it is a DAG with one node per (cell, order).  No library
+path builds a lattice for a cell; one is built only when a caller reads a
+sub-certificate's ``order``.  Its JSON is a node table: each step refers
+to its sub-certificate by position in a ``"nodes"`` list.  The search
+walks facet orders depth-first, candidates in lexicographic id order, so
+its answer is deterministic: the lexicographically first valid completion
+of the requested prefix.  Completed searches and the sub-certificates
+built from them are memoised in ``L._memo``, the host lattice's only
+memo, keyed by ``(cell index, prefix bitmask, permissive flag)`` for a
+search and ``(cell index, facet order, permissive flag)`` for a
+certificate.  The same dict keeps the diamond verdict and the dual
+lattice under string keys.  The memo lives and dies with its lattice, so
+no answer depends on what the process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -51,6 +51,7 @@ from .errors import (
     NotDiamond,
     NotPseudomanifold,
     PreconditionViolated,
+    RangeError,
 )
 from .lattice import (
     FaceLattice,
@@ -78,6 +79,8 @@ class SearchBudget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
+        if limit < 0:
+            raise RangeError(f"a search budget must be at least 0, got {limit}")
         self.limit = limit
         self.spent = 0
 
@@ -129,8 +132,9 @@ class ShellingCertificate:
     complex is the cell ``lattice._top``.
 
     Sub-certificates are shared, one per (cell, order).  ``order`` binds
-    the facets to the host for the top cell, or to the host's cached
-    ``sub_lattice`` for any other cell, on first read.
+    the facets to the host for the top cell, or to a new ``sub_lattice``
+    of the cell for any other cell, on first read; the library reads
+    ``facets`` and never builds that lattice.
     """
 
     lattice: FaceLattice

@@ -9,7 +9,7 @@ is touched.
 
 from itertools import combinations, permutations
 
-from shellbound import FaceLattice, sub_lattice
+from shellbound import FaceLattice, atom_avoiding_coatom, sub_lattice
 
 
 def reachability(
@@ -99,13 +99,15 @@ def _intersection_faces(L: FaceLattice, order: tuple[str, ...], j: int) -> set[s
     return below & earlier
 
 
-def _exists_shelling(sub: FaceLattice, prefix: tuple[str, ...]) -> bool:
+def _first_shelling(sub: FaceLattice, prefix: tuple[str, ...]):
+    """The first shelling of ``sub`` that starts with exactly the facets in
+    ``prefix``, or None; lexicographically first when ``prefix`` is sorted."""
     rest = [f for f in sub.facets() if f not in prefix]
     for front in permutations(prefix):
         for back in permutations(rest):
-            if naive_is_shelling(sub, front + tuple(back)):
-                return True
-    return False
+            if naive_is_shelling(sub, front + back):
+                return front + back
+    return None
 
 
 def naive_is_shelling(L: FaceLattice, order) -> bool:
@@ -117,7 +119,7 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
         return True
     for j in range(1, len(order) + 1):
         sub = sub_lattice(L, order[j - 1])
-        if not _exists_shelling(sub, ()):
+        if _first_shelling(sub, ()) is None:
             return False
         if j == 1:
             continue
@@ -130,9 +132,29 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
             covered |= set(L.down_set(r)) - {L.bottom}
         if covered != inter:
             return False
-        if not _exists_shelling(sub, tuple(ridges)):
+        if _first_shelling(sub, tuple(ridges)) is None:
             return False
     return True
+
+
+def naive_witness(L: FaceLattice, order, j: int) -> tuple[str, str]:
+    """The witness pair of a sphere shelling cut at j, by the split lemma
+    read literally: push the cut into the boundary of the j-th facet, on a
+    fresh :func:`sub_lattice` with the first shelling of it that starts
+    with the glued ridges, and lift the trailing witness with
+    :func:`atom_avoiding_coatom`, at every depth."""
+    order = tuple(order)
+    if L.dim == 0:
+        return order[0], order[1]
+    if j == 1:
+        return order[0], atom_avoiding_coatom(L, order[0])
+    facet = order[j - 1]
+    glued = tuple(sorted(
+        r for r in L.lower_covers(facet) if any(L.leq(r, f) for f in order[: j - 1])
+    ))
+    sub = sub_lattice(L, facet)
+    begin, inner_end = naive_witness(sub, _first_shelling(sub, glued), len(glued))
+    return begin, atom_avoiding_coatom(L, facet, inner_end)
 
 
 def naive_dim_and_counts(L: FaceLattice, face_ids) -> tuple[int, tuple[int, ...]]:
@@ -170,7 +192,7 @@ def nested_certificate(cert) -> dict:
     """A certificate object walked as a tree, in the nested form of report
     schema 0.1."""
     return {
-        "order": list(cert.order.facets),
+        "order": list(cert.facets),
         "steps": [
             {
                 "facet": step.facet,

@@ -38,10 +38,11 @@ def accepted_orders(L: sb.FaceLattice) -> list[tuple[str, ...]]:
     pruning loses nothing)."""
     d = L.dim
     facets = sorted(L.facets())
+    subs = {f: sb.sub_lattice(L, f) for f in facets}
     out: list[tuple[str, ...]] = []
 
     def step_ok(chosen: list[str], f: str) -> bool:
-        sub = sb.sub_lattice(L, f)
+        sub = subs[f]
         if not chosen:
             return sb.find_shelling(sub) is not None
         inter = sb.boundary_intersection(L, (*chosen, f), len(chosen) + 1)

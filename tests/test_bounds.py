@@ -6,6 +6,7 @@ import pytest
 import shellbound as sb
 
 from corpus import shelled_spheres_d_le_3
+from oracles import naive_witness
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
 
@@ -220,6 +221,18 @@ def test_witness_sweep_small_spheres():
         for j in range(1, len(order)):
             w = sb.find_witness_pair(L, order, j)
             assert w.begin_dim + w.end_dim <= L.dim, (name, j)
+
+
+def test_witness_pairs_match_the_naive_construction():
+    # pins the exact faces chosen at every depth, not only their properties
+    cases = [(name, L, order.facets) for name, L, order in shelled_spheres_d_le_3()]
+    cube = sb.hypercube_boundary(3)
+    cases.append(("hypercube-boundary-3", cube, sb.find_shelling(cube).facets))
+    for name, L, seq in cases:
+        for order in (seq, seq[::-1]):
+            for j in range(1, len(order)):
+                w = sb.find_witness_pair(L, order, j)
+                assert (w.begin_face, w.end_face) == naive_witness(L, order, j), (name, order, j)
 
 
 def test_witness_rejects_bad_input():
@@ -494,24 +507,29 @@ def spent(fn, *args, budget=None, **kwargs) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ONCE))
-def test_bound_route_spends_only_the_verification(name):
+def test_bound_route_spends_only_the_verification(name, lattice_builds):
     make = CHECK_ONCE[name]
     seq = sb.find_shelling(make()).facets
     verification = spent(sb.is_shelling, make(), seq)
     assert verification > 0
-    L = make()
+    L, decomposed, witnessed, split = make(), make(), make(), make()
+    # the route reads every cell on host masks and builds no cell lattice
+    lattice_builds.count = 0
     d = L.dim
     ks = range((d - 1) // 2, d + 1)
     assert spent(sb.verify_lower_bound, L, seq, ks[0]) == verification
     for k in ks[1:]:
         assert spent(sb.verify_lower_bound, L, seq, k) == 0, k
-    # the per-facet recount reads host masks and builds no cell lattice
-    assert L._sub_cache == {}
-    assert spent(sb.facet_decomposition, make(), seq) == verification
+    assert spent(sb.facet_decomposition, decomposed, seq) == verification
     if sb.boundary_complex(L).mask == 0:
         n = len(seq)
-        assert spent(sb.find_witness_pair, make(), seq, n // 2) == verification
-        assert spent(sb.check_split_count, make(), seq, n // 2, d) == verification
+        assert spent(sb.find_witness_pair, witnessed, seq, n // 2) == verification
+        assert spent(sb.check_split_count, split, seq, n // 2, d) == verification
+        for j in range(1, n):
+            sb.find_witness_pair(witnessed, seq, j)
+        for j in range(n + 1):
+            sb.split_complexes(split, seq, j)
+    assert lattice_builds.count == 0
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ONCE))

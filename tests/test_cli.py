@@ -371,6 +371,18 @@ def test_budget_exhaustion_exit_code(tmp_path):
     assert env["ok"] is False
 
 
+def test_negative_budget_is_usage_error(oct_json):
+    src = str(Path(sb.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "shellbound.cli", "find-shelling", "--input", oct_json,
+         "--budget", "-1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_usage_errors():
     assert run(["no-such-command"]) == 2
     assert run(["check-shelling"]) == 2

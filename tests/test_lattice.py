@@ -371,6 +371,15 @@ def test_closure_idempotent_and_monotone():
     assert small.mask & ~big.mask == 0
 
 
+def test_face_sets_compare_by_class_lattice_and_mask():
+    g = sb.ngon(4)
+    c = sb.closure(g, ["e12"])
+    assert c == sb.Subcomplex(g, c.mask) and hash(c) == hash(sb.Subcomplex(g, c.mask))
+    assert sb.interior(g) == sb.FaceSet(g, sb.interior(g).mask)
+    assert sb.Subcomplex(g, 0) != sb.FaceSet(g, 0)
+    assert sb.Subcomplex(g, 0) != sb.Subcomplex(sb.ngon(4), 0)
+
+
 def test_closure_rejects_top():
     with pytest.raises(sb.InvalidFace):
         sb.closure(sb.ngon(4), [TOP_ID])
@@ -493,11 +502,6 @@ def test_sub_lattice_examples():
         sb.sub_lattice(oct_, TOP_ID)
     with pytest.raises(sb.InvalidFace):
         sb.sub_lattice(oct_, "nope")
-
-
-def test_sub_lattice_is_cached():
-    oct_ = sb.cross_polytope(2)
-    assert sb.sub_lattice(oct_, "123") is sb.sub_lattice(oct_, "123")
 
 
 def test_upper_interval_count_examples():

@@ -116,35 +116,40 @@ def test_is_shelling_needs_pure_input():
         sb.is_shelling(L, ("f",))
 
 
-def test_certificate_steps_replay():
+def test_certificate_steps_replay(lattice_builds):
     oct_ = sb.cross_polytope(2)
     order = sb.find_shelling(oct_)
+    lattice_builds.count = 0
     cert = sb.is_shelling(oct_, order)
     assert isinstance(cert, sb.ShellingCertificate)
-    assert oct_._sub_cache == {}
+    assert lattice_builds.count == 0
     for step in cert.steps[1:]:
-        # reading a sub-certificate's order binds it to the host's cell lattice
+        # reading a sub-certificate's order binds it to the cell's lattice
         sub = step.sub_certificate.order.lattice
-        assert sub is sb.sub_lattice(oct_, step.facet)
+        assert sub.fingerprint() == sb.sub_lattice(oct_, step.facet).fingerprint()
         got = step.sub_certificate.order.facets[: len(step.intersection_facets)]
         assert sorted(got) == sorted(step.intersection_facets)
         assert isinstance(sb.is_shelling(sub, step.sub_certificate.order), sb.ShellingCertificate)
-        # depth-2 orders belong to the cell lattices cached on the host
+        # depth-2 orders are shellings of the cell lattices
         for inner in step.sub_certificate.steps:
             cell = sb.sub_lattice(oct_, inner.facet)
-            order = inner.sub_certificate.order
+            order = inner.sub_certificate.order.facets
             assert isinstance(sb.is_shelling(cell, order), sb.ShellingCertificate)
 
 
 @pytest.mark.parametrize(
     "L", [sb.cross_polytope(3), sb.simplex_boundary(5)], ids=["cross-3", "simplex-5"]
 )
-def test_verification_builds_no_lattice(L):
+def test_verification_builds_no_lattice(L, lattice_builds):
     cert = sb.is_shelling(L, sb.find_shelling(L))
     assert isinstance(cert, sb.ShellingCertificate)
-    assert L._sub_cache == {}
+    assert lattice_builds.count == 0
+    # reading a sub-certificate's order builds its cell lattice, once
     step = cert.steps[-1]
-    assert step.sub_certificate.order.lattice is sb.sub_lattice(L, step.facet)
+    sub = step.sub_certificate
+    assert sub.order is sub.order
+    assert lattice_builds.count == 1
+    assert sub.order.lattice.fingerprint() == sb.sub_lattice(L, step.facet).fingerprint()
     assert cert.order.lattice is L
     assert sb.classify(L, cert) is sb.Shape.SPHERE
 
@@ -306,6 +311,11 @@ def test_memo_hit_spends_nothing():
     first = sb.find_shelling(oct_)
     warm = sb.find_shelling(oct_, budget=0)
     assert warm.facets == first.facets
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(sb.RangeError):
+        sb.find_shelling(sb.cross_polytope(2), budget=-1)
 
 
 def test_shared_budget_accumulates():
