@@ -18,14 +18,15 @@ relies on is recomputed and cross-checked; a mismatch raises
 :class:`InternalContradiction` because it would mean the input lied about
 being a verified shelling, or the mathematics failed.
 
-Each public function verifies its order once, and the proof route then
-reads its evidence from the certificate instead of searching again: step
-j carries the shelling of the j-th facet boundary that starts with exactly
-the ridges glued to earlier facets, which is the split the per-facet
-counts and the witness construction need, at every depth.  Both read the
-certificate's cells on host masks and build no cell lattice.  The
-polytopal corollaries depend on the lattice, not on k, so the diamond
-check and the dual lattice are made once per lattice and kept in its memo
+Each public function verifies its order once and hands the certificate
+down: the private helpers of the proof route take a verified
+:class:`ShellingCertificate`.  Step j carries the shelling of the j-th
+facet boundary that starts with exactly the ridges glued to earlier
+facets, the split that the per-facet counts and the witness construction
+need at every depth; both read it from the certificate on host masks and
+build no cell lattice.  The polytopal corollaries ask
+:func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
+check and dual lattice are made once per lattice and kept in its memo
 (``L._memo``); searches on the dual then share one memo across k.
 """
 
@@ -66,10 +67,10 @@ from .shelling import (
     ShellingFailure,
     ShellingOrder,
     _as_budget,
-    _dual,
     _is_diamond_lattice,
     boundary_intersection,
-    find_shelling,
+    is_cl_shellable,
+    is_dual_cl_shellable,
     is_shelling,
 )
 
@@ -165,13 +166,14 @@ def split_complexes(
     Both sides are pseudomanifolds, and the interior of each side is the
     complement of the other side; both facts are recomputed and enforced.
     """
-    seq = _verified(L, order, _as_budget(budget)).facets
-    return _split(L, L._top, seq, j)
+    return _split(_verified(L, order, _as_budget(budget)), j)
 
 
-def _split(L: FaceLattice, cell: int, seq: tuple[str, ...], j: int) -> SplitPair:
-    """:func:`split_complexes` on an order already verified on the boundary
-    of host cell ``cell`` (``L._top`` for the whole complex), on host masks."""
+def _split(cert: ShellingCertificate, j: int) -> SplitPair:
+    """:func:`split_complexes` of a verified shelling of the boundary of
+    host cell ``cert.cell`` (the top for the whole complex), on host
+    masks."""
+    L, cell, seq = cert.lattice, cert.cell, cert.facets
     boundary = L._down[cell] & ~(1 << cell)
     _require_sphere(Subcomplex(L, boundary))
     real = boundary & ~(1 << L._bottom)
@@ -228,22 +230,20 @@ def check_split_count(
     delta = L.dim
     if not (delta >= 0 and (delta // 2) <= k <= delta):
         raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
-    seq = _verified(L, order, _as_budget(budget)).facets
-    if not 0 <= j <= len(seq):
-        raise RangeError(f"need 0 <= j <= {len(seq)}, got j={j}")
-    return _split_count(L, L._top, seq, j, k)
+    cert = _verified(L, order, _as_budget(budget))
+    if not 0 <= j <= len(cert.facets):
+        raise RangeError(f"need 0 <= j <= {len(cert.facets)}, got j={j}")
+    return _split_count(cert, j, k)
 
 
-def _split_count(
-    L: FaceLattice, cell: int, seq: tuple[str, ...], j: int, k: int
-) -> SplitCountResult:
-    """:func:`check_split_count` on an order already verified on the
-    boundary of host cell ``cell``, with ``j`` and ``k`` in range."""
-    pair = _split(L, cell, seq, j)
+def _split_count(cert: ShellingCertificate, j: int, k: int) -> SplitCountResult:
+    """:func:`check_split_count` of a verified shelling of the boundary of
+    host cell ``cert.cell``, with ``j`` and ``k`` in range."""
+    pair = _split(cert, j)
     fk_begin = f_vector(pair.begin_interior)[k]
     fk_end = f_vector(pair.end_interior)[k]
     # the boundary of a cell of rank r is a sphere of dimension r - 2
-    rhs = _rho_doubled(L.ranks[cell], k)
+    rhs = _rho_doubled(cert.lattice.ranks[cert.cell], k)
     return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
 
 
@@ -333,14 +333,13 @@ def find_witness_pair(
     are verified against the split interiors before returning.
     """
     cert = _verified(L, order, _as_budget(budget))
-    seq = cert.facets
     _require_sphere(L)
-    n = len(seq)
+    n = len(cert.facets)
     if not 1 <= j < n:
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
     begin, end = _witness(cert, j)
     begin_face, end_face = L.ids[begin], L.ids[end]
-    pair = _split(L, L._top, seq, j)
+    pair = _split(cert, j)
     witness = WitnessPair(
         begin_face,
         end_face,
@@ -397,12 +396,13 @@ def facet_decomposition(
     face is interior to two earlier sides (or an earlier side and the
     complex boundary), nor interior to two later sides.
     """
-    seq = _verified(X, order, _as_budget(budget)).facets
-    return _decomposition(X, seq)
+    return _decomposition(_verified(X, order, _as_budget(budget)))
 
 
-def _decomposition(X: FaceLattice, seq: tuple[str, ...]) -> SplitDecomposition:
-    """:func:`facet_decomposition` of an order already verified on ``X``."""
+def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
+    """:func:`facet_decomposition` of a verified shelling of the whole
+    complex."""
+    X, seq = cert.lattice, cert.facets
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the decomposition needs a pseudomanifold")
     d = X.dim
@@ -619,7 +619,7 @@ def verify_lower_bound(
     per_facet: list[PerFacetBound] = []
     interior_sum = 0
     if k <= d - 1:
-        decomp = _decomposition(X, cert.facets)
+        decomp = _decomposition(cert)
         for split, step in zip(decomp.splits, cert.steps):
             # the step's sub-shelling of the facet boundary starts with
             # exactly the ridges glued to earlier facets
@@ -630,7 +630,7 @@ def verify_lower_bound(
             if set(sub.facets[: len(prefix)]) != set(prefix):
                 raise InternalContradiction("a facet boundary lost its prefixed shelling")
             # recounted on host masks of the facet cell, building no lattice
-            counted = _split_count(X, sub.cell, sub.facets, len(prefix), k)
+            counted = _split_count(sub, len(prefix), k)
             direct_begin = f_vector(split.before_interior)[k]
             direct_end = f_vector(split.after_interior)[k]
             if (counted.fk_begin, counted.fk_end) != (direct_begin, direct_end):
@@ -710,9 +710,8 @@ def corollary_bounds(
     if not 0 <= k <= d:
         raise RangeError(f"need 0 <= k <= {d}, got k={k}")
     bud = _as_budget(budget)
-    # the diamond condition is checked once above, so search directly
-    dual_cl = find_shelling(L, budget=bud) is not None
-    cl = find_shelling(_dual(L), budget=bud) is not None
+    dual_cl = is_dual_cl_shellable(L, budget=bud)
+    cl = is_cl_shellable(L, budget=bud)
     f = f_vector(L)
 
     facet_bound = facet_ok = None
@@ -742,7 +741,7 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     if not _is_diamond_lattice(L):
         raise NotDiamond("the floor is stated for diamond lattices")
     bud = _as_budget(budget)
-    if find_shelling(L, budget=bud) is None or find_shelling(_dual(L), budget=bud) is None:
+    if not (is_dual_cl_shellable(L, budget=bud) and is_cl_shellable(L, budget=bud)):
         raise NotShellable("the lattice is not shellable in both directions")
     f = f_vector(L)
     floor_value = min(f[0], f[L.dim])

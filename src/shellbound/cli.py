@@ -155,7 +155,7 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise InputError(f"{path}: invalid JSON: {e}") from None
         try:
             return lattice_from_json_dict(data), digest

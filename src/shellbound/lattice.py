@@ -646,8 +646,7 @@ def f_vector(x: Union[Complex, FaceSet]) -> FVector:
     or face set, counts exactly the members.  No closure is taken.
     """
     if isinstance(x, FaceLattice):
-        counts = [1] + [len(x.faces(k)) for k in range(x.dim + 1)]
-        return FVector(x.dim, tuple(counts))
+        x = _full_subcomplex(x)
     L = x.lattice
     if x.mask == 0:
         return FVector(-1, (0,))
@@ -711,10 +710,13 @@ def atom_avoiding_coatom(
 
     With no base this is the least vertex outside the closed facet
     ``coatom_id``.  In a diamond lattice of rank at least 2 such an atom
-    always exists; :class:`NoSuchAtom` therefore flags a non-diamond input.
+    always exists; :class:`NoSuchAtom` therefore flags a non-diamond input,
+    and :class:`InvalidFace` a non-coatom or the top as the base.
     """
     c = L.index(coatom_id)
     base = L._bottom if base_id is None else L.index(base_id)
+    if L.ranks[c] != L.ranks[L._top] - 1 or base == L._top:
+        raise InvalidFace(f"need a coatom and a base below the top: {coatom_id!r}, {base_id!r}")
     return L.ids[_least_atom_avoiding(L, L._down[L._top] ^ (1 << L._top), c, base)]
 
 
@@ -742,14 +744,19 @@ def lattice_to_json_dict(L: FaceLattice) -> dict:
 def lattice_from_json_dict(data: dict) -> FaceLattice:
     """Inverse of :func:`lattice_to_json_dict`.
 
-    Adds the bottom below every 0-dimensional face and the top above every
-    face of the declared dimension, then runs full validation.
+    Dimensions must be JSON integers and covers pairs of face ids.  Adds
+    the bottom below every 0-dimensional face and the top above every face
+    of the declared dimension, then runs full validation.
     """
     try:
-        dim = int(data["dim"])
-        faces = [(str(f["id"]), int(f["dim"])) for f in data["faces"]]
+        dim = data["dim"]
+        faces = [(str(f["id"]), f["dim"]) for f in data["faces"]]
+        if any(type(k) is not int for k in [dim] + [k for _, k in faces]):
+            raise InvalidFace("malformed lattice data: a dimension is not an integer")
+        if any(not isinstance(c, (list, tuple)) for c in data["covers"]):
+            raise InvalidFace("malformed lattice data: a cover is not a pair of ids")
         covers = [(str(a), str(b)) for a, b in data["covers"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFace(f"malformed lattice data: {exc}") from None
     for i, _ in faces:
         if i in (BOTTOM_ID, TOP_ID):

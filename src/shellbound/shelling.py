@@ -13,24 +13,28 @@ Search and verification run one recursion over the cells of the host
 lattice.  A cell is a face ``x``; its boundary is the down-set of ``x``
 without ``x`` and its facets are the faces one rank below it, so the
 recursion addresses every cell by its host index and builds no lattice
-for it.  One step rule serves both directions.
+for it.  Three functions make up the core.  ``_step`` is the step rule:
+whether a facet may follow the facets placed before it, and if so its
+evidence, the glued ridges and the first shelling of its boundary that
+starts with exactly them.  ``_search`` walks facet orders depth-first
+through ``_step``, candidates in lexicographic id order, so it returns the
+lexicographically first valid completion of the requested prefix.
+``_verify``, the only function that walks a given order, applies ``_step``
+at each position and verifies each step's sub-order in turn; it returns a
+certificate, or a failure carrying the first bad step.
 
-Verification replays the definition step by step and produces a recursive
-certificate, or a failure carrying the first bad step.  A certificate names
-its cell by host index and shares each sub-certificate among every step
-that needs it, so it is a DAG with one node per (cell, order).  No library
-path builds a lattice for a cell; one is built only when a caller reads a
-sub-certificate's ``order``.  Its JSON is a node table: each step refers
-to its sub-certificate by position in a ``"nodes"`` list.  The search
-walks facet orders depth-first, candidates in lexicographic id order, so
-its answer is deterministic: the lexicographically first valid completion
-of the requested prefix.  Completed searches and the sub-certificates
-built from them are memoised in ``L._memo``, the host lattice's only
-memo, keyed by ``(cell index, prefix bitmask, permissive flag)`` for a
-search and ``(cell index, facet order, permissive flag)`` for a
-certificate.  The same dict keeps the diamond verdict and the dual
-lattice under string keys.  The memo lives and dies with its lattice, so
-no answer depends on what the process computed on other lattices.
+A certificate names its cell by host index and shares each
+sub-certificate among every step that needs it: a DAG with one node per
+(cell, order), whose JSON is a node table in which each step refers to its
+sub-certificate by position in a ``"nodes"`` list.  No library path
+builds a lattice for a cell; a caller that reads a sub-certificate's
+``order`` builds one.  Searches and sub-certificates are memoised in
+``L._memo``, the host lattice's only memo, keyed by ``(cell index, prefix
+bitmask, permissive flag)`` and ``(cell index, facet order, permissive
+flag)``; the order a caller hands to :func:`is_shelling` is not kept.
+The same dict keeps the diamond verdict and the dual lattice under string
+keys.  It lives and dies with its lattice, so no answer depends on what
+the process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -226,17 +230,17 @@ def boundary_intersection(
 
 
 def _step(
-    L: FaceLattice, f: int, union: int, first: bool, permissive: bool, budget: SearchBudget
-) -> Union[str, int]:
+    L: FaceLattice, f: int, union: int, permissive: bool, budget: SearchBudget
+) -> Union[str, tuple[int, tuple[int, ...]]]:
     """Whether facet ``f`` of a cell may follow the facets whose closed
-    union is ``union``.
+    union is ``union`` (0 when ``f`` comes first).
 
-    Returns the failure reason, or the mask of the ridges ``f`` glues
-    along; some shelling of the boundary of ``f`` starts with exactly
-    those (the mask is 0 for a step that glues along nothing).
+    Returns the failure reason, or the evidence: the mask of the ridges
+    ``f`` glues along (0 for a step that glues along nothing) and the first
+    shelling of the boundary of ``f`` that starts with exactly those.
     """
     prefix = 0
-    if not first:
+    if union:
         inter = L._down[f] & ~(1 << f) & union
         if inter & L._real_mask:
             prefix = inter & L._rank_masks[L.ranks[f] - 1]
@@ -247,9 +251,10 @@ def _step(
                 return NOT_PURE
         elif not permissive:
             return EMPTY_INTERSECTION
-    if _search(L, f, prefix, permissive, budget) is None:
+    sub_order = _search(L, f, prefix, permissive, budget)
+    if sub_order is None:
         return NO_PREFIX_SHELLING
-    return prefix
+    return prefix, sub_order
 
 
 def _search(
@@ -268,7 +273,7 @@ def _search(
     n = facets.bit_count()
     k = prefix.bit_count()
     chosen: list[int] = []
-    steps: dict[tuple[int, int], Union[str, int]] = {}
+    steps: dict[tuple[int, int], Union[str, tuple[int, tuple[int, ...]]]] = {}
 
     def dfs(union: int, left: int) -> bool:
         pos = len(chosen)
@@ -279,7 +284,7 @@ def _search(
             budget.spend()
             step = steps.get((f, union))
             if step is None:
-                step = steps[f, union] = _step(L, f, union, pos == 0, permissive, budget)
+                step = steps[f, union] = _step(L, f, union, permissive, budget)
             if isinstance(step, str):
                 continue
             chosen.append(f)
@@ -293,42 +298,33 @@ def _search(
     return found
 
 
-def _replay(
+def _verify(
     L: FaceLattice, x: int, order: Sequence[int], permissive: bool, budget: SearchBudget
-) -> Union[tuple[ShellingStep, ...], ShellingFailure]:
-    """The step records of a facet order on the boundary of cell ``x``,
-    or the first step that breaks the definition."""
-    if L.ranks[x] <= 2:
-        return ()
+) -> ShellingResult:
+    """Check a facet order, as host indices, on the boundary of cell ``x``:
+    its certificate, or the first step that breaks the definition.  Each
+    sub-certificate is verified once per (cell, sub-order, permissive) and
+    kept in the host's memo; ``order`` itself is not."""
     steps: list[ShellingStep] = []
     union = 0
-    for j, f in enumerate(order, 1):
-        prefix = _step(L, f, union, j == 1, permissive, budget)
-        if isinstance(prefix, str):
-            return ShellingFailure(j, prefix)
-        sub_order = _search(L, f, prefix, permissive, budget)
-        sub = _certificate(L, f, sub_order, permissive, budget)
+    # every order of at most two vertices is a shelling
+    for j, f in enumerate(order if L.ranks[x] > 2 else (), 1):
+        step = _step(L, f, union, permissive, budget)
+        if isinstance(step, str):
+            return ShellingFailure(j, step)
+        prefix, sub_order = step
+        key = (f, sub_order, permissive)
+        sub = L._memo.get(key)
+        if sub is None:
+            sub = _verify(L, f, sub_order, permissive, budget)
+            if isinstance(sub, ShellingFailure):
+                raise InternalContradiction(
+                    f"search returned an order that fails verification at step {sub.step}"
+                )
+            L._memo[key] = sub
         steps.append(ShellingStep(L.ids[f], L._ids_of(prefix), sub))
         union |= L._down[f]
-    return tuple(steps)
-
-
-def _certificate(
-    L: FaceLattice, x: int, order: tuple[int, ...], permissive: bool, budget: SearchBudget
-) -> ShellingCertificate:
-    """Certificate for an order the search found on the boundary of cell
-    ``x``; built once per (cell, order, permissive) and kept in the host's
-    memo."""
-    key = (x, order, permissive)
-    cert = L._memo.get(key)
-    if cert is None:
-        steps = _replay(L, x, order, permissive, budget)
-        if isinstance(steps, ShellingFailure):
-            raise InternalContradiction(
-                f"search returned an order that fails verification at step {steps.step}"
-            )
-        cert = L._memo[key] = ShellingCertificate(L, x, tuple(L.ids[i] for i in order), steps)
-    return cert
+    return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
 
 
 def find_shelling(
@@ -371,22 +367,19 @@ def is_shelling(
     seq = _order_ids(L, order)
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
-    bud = _as_budget(budget)
-    steps = _replay(L, L._top, [L.index(f) for f in seq], allow_empty_intersection, bud)
-    if isinstance(steps, ShellingFailure):
-        return steps
-    return ShellingCertificate(L, L._top, seq, steps)
+    order_ix = [L.index(f) for f in seq]
+    return _verify(L, L._top, order_ix, allow_empty_intersection, _as_budget(budget))
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:
     """Ball or sphere, decided by whether the boundary is empty.
 
     The certificate is demanded as evidence that the classification
-    theorem applies; it must belong to this lattice.
+    theorem applies; it must certify this lattice's whole complex.
     """
     if not isinstance(certificate, ShellingCertificate):
         raise PreconditionViolated("classification needs a shelling certificate")
-    if certificate.order.lattice is not L:
+    if certificate.lattice is not L or certificate.cell != L._top:
         raise PreconditionViolated("certificate belongs to a different lattice")
     if not is_pseudomanifold(L):
         raise NotPseudomanifold("classification applies to pseudomanifolds")

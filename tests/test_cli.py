@@ -344,20 +344,62 @@ def test_malformed_lattice_data(tmp_path):
     assert run(["find-shelling", "--input", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("where", ["dim", "face dim"])
-def test_huge_float_in_lattice_json_is_usage_error(tmp_path, where):
-    # JSON reads 1e400 as an infinite float, which int() cannot convert
-    data = sb.lattice_to_json_dict(sb.ngon(4))
-    (data if where == "dim" else data["faces"][0])["dim"] = "HUGE"
-    bad = tmp_path / "huge.json"
-    bad.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+def run_subprocess(args: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a child interpreter, so that a traceback reaches stderr."""
     src = str(Path(sb.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "shellbound.cli", "find-shelling", "--input", str(bad)],
+    return subprocess.run(
+        [sys.executable, "-m", "shellbound.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
+
+
+def triangle_by_hand() -> dict:
+    """Lattice JSON of a triangle whose face ids are single characters."""
+    faces = [{"id": v, "dim": 0} for v in "abc"] + [{"id": e, "dim": 1} for e in "xyz"]
+    covers = [list(c) for c in ("ax", "bx", "by", "cy", "cz", "az")]
+    return {"dim": 1, "faces": faces, "covers": covers}
+
+
+# the path of the value each case replaces in the triangle, and the raw
+# JSON put there; JSON reads 1e400 as an infinite float, and int() would
+# turn the fractions and true into the triangle's own dimensions
+MALFORMED_VALUES = {
+    "dim": (("dim",), "1e400"),
+    "face dim": (("faces", 0, "dim"), "1e400"),
+    "fractional dim": (("dim",), "1.9"),
+    "fractional face dim": (("faces", 0, "dim"), "0.7"),
+    "boolean face dim": (("faces", 3, "dim"), "true"),
+    "string cover": (("covers", 0), '"ax"'),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_VALUES)
+def test_huge_float_in_lattice_json_is_usage_error(tmp_path, case):
+    assert sb.find_shelling(sb.lattice_from_json_dict(triangle_by_hand())) is not None
+    path, raw = MALFORMED_VALUES[case]
+    data = triangle_by_hand()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "RAW"
+    text = json.dumps(data).replace('"RAW"', raw)
+    with pytest.raises(sb.InvalidFace):
+        sb.lattice_from_json_dict(json.loads(text))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    proc = run_subprocess(["find-shelling", "--input", str(bad)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "malformed lattice data" in proc.stderr
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"dim": ' + "[" * 200000 + "]" * 200000 + "}")
+    proc = run_subprocess(["find-shelling", "--input", str(bad)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid JSON" in proc.stderr
 
 
 def test_budget_exhaustion_exit_code(tmp_path):
@@ -372,12 +414,7 @@ def test_budget_exhaustion_exit_code(tmp_path):
 
 
 def test_negative_budget_is_usage_error(oct_json):
-    src = str(Path(sb.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "shellbound.cli", "find-shelling", "--input", oct_json,
-         "--budget", "-1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    proc = run_subprocess(["find-shelling", "--input", oct_json, "--budget", "-1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

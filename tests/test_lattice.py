@@ -479,6 +479,15 @@ def test_dim_and_f_vector_match_naive_oracle():
             assert (fv.dim, fv.counts) == (dim, counts), part
             if isinstance(part, sb.Subcomplex):
                 assert part.dim == dim, part
+    # whole lattices: every face but the artificial top
+    wholes = [L for L, _ in cases]
+    wholes += [sb.dualize(L) for L in wholes]
+    square = sb.ngon(4)
+    wholes += [sb.sub_lattice(square, square.faces(0)[0]), zero_sphere()]
+    for L in wholes:
+        dim, counts = naive_dim_and_counts(L, [i for i in L.ids if i != L.top])
+        fv = sb.f_vector(L)
+        assert (fv.dim, fv.counts) == (L.dim, counts) == (dim, counts), L
 
 
 def test_empty_complex_f_vector():
@@ -533,6 +542,15 @@ def test_atom_avoiding_coatom_failure():
     disk = sb.from_facets([[1, 2, 3]])
     with pytest.raises(sb.NoSuchAtom):
         sb.atom_avoiding_coatom(disk, "123")
+
+
+def test_atom_avoiding_coatom_checks_its_arguments():
+    oct_ = sb.cross_polytope(2)
+    for coatom in ("12", "1", oct_.bottom, oct_.top):
+        with pytest.raises(sb.InvalidFace):
+            sb.atom_avoiding_coatom(oct_, coatom)
+    with pytest.raises(sb.InvalidFace):
+        sb.atom_avoiding_coatom(oct_, "123", oct_.top)
 
 
 # -- serialization -------------------------------------------------------

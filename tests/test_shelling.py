@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import permutations
 
@@ -6,7 +7,7 @@ import pytest
 import shellbound as sb
 from shellbound import BOTTOM_ID
 
-from corpus import balls, shelled_spheres_d_le_3
+from corpus import balls, shelled_spheres_d_le_3, spheres_d_le_3
 from oracles import expand_certificate, naive_is_shelling, nested_certificate
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
@@ -198,6 +199,67 @@ def test_zero_sphere_any_order_is_shelling():
     assert cert.to_json_dict() == {"order": ["2", "1"], "steps": [], "nodes": []}
 
 
+# sha256 of the certificate or failure JSON and the nodes spent, for the
+# found order, its reverse, and its first facet followed by the rest
+# reversed, strict and permissive, each mode on a fresh lattice: pins the
+# certificate bytes of check-shelling reports and what verification spends
+CERTIFICATE_SHA256 = {
+    "simplex-boundary-1": "b1210a9834cba3695f8b6f1078a1819a369aa858f3e648eadf158df36c9828f4",
+    "punctured-simplex-boundary-1": "631b8df20ad9c047b04b5f0d27b5aeedf53d38ac6c046002d38afe5705b6a040",
+    "simplex-boundary-2": "3a66da816637087baeb074efd1947077fed5bc007275e9c23100d9b651e34ed8",
+    "punctured-simplex-boundary-2": "6d10b618a4b0ef84bb1ad4220cc7dc37cf817be5bc00984d3a48bfe7f7985aa7",
+    "simplex-boundary-3": "22cb362c74c16fd7cc572b3597cf8295c69cbcd4d719215e8132ea706dc76b83",
+    "punctured-simplex-boundary-3": "f158b7edd37dd8f53ebd9e9e32a1e855db3528936c426951a248ff479f654ea5",
+    "cross-polytope-1": "76a82571b99f2c6393e2531c1f19112ba7d965098c09fe6552fb51015f3f41c2",
+    "punctured-cross-polytope-1": "19c2bbe250f7ac94097034f84b989a3dbd3d7bff6e2f66252cc550f9d3b4cb9e",
+    "cross-polytope-2": "8c54ac6dbf1f5df8fa8d27547ab251dfb1dae98639fbd13ca40f1f76c75c796c",
+    "punctured-cross-polytope-2": "93762dff6e58876fd8be84c634698f89ffbf6ce55d4c9a26c392e672d6ce8e7a",
+    "cross-polytope-3": "f3b25994ed9ebcc63656666e1a6eb2004a1218ec108f227bbd0227ae1c709cbe",
+    "punctured-cross-polytope-3": "ed2f5323de233f4e65b8029b97e99322cf521d1cea86ebf263f4a3552a61306b",
+    "ngon-3": "a7f6890576c5eff0badb6f6a3db0a147b7dbda6326a20f4c18cfcb53963282c2",
+    "punctured-ngon-3": "5ef1b94df866871e64791d14e1524a6cb59d4837befa5bed56b12a19f53428c7",
+    "ngon-4": "0dcdee3dc909f5a02906ee8a74acdbf2550f5865388877fe8ee51309ddc98381",
+    "punctured-ngon-4": "c8bfc16f80a9c0aafb43c3d0e086cf25686f3f0b7fce17109d85e3ea08ba6afc",
+    "ngon-5": "adaebc47eb5b25af8e75d9373935888d8d3e9e7d9f6b284ba023a43ef7cec790",
+    "punctured-ngon-5": "11141603610e36eeb48414e975127a71d84e9c70b972e6765613e268888ed805",
+    "ngon-6": "39613ef397e7692bd88572ddb60c59b5b3d4d83db85425092319ac9e128e4dea",
+    "punctured-ngon-6": "037ad41fd4995f0f4559cf86485c5bb84636c8c4a292ceb495542018eb3ecbe4",
+    "ngon-7": "b8d216bb37024875f9695f60a4522bc99d7b5efce52fee0a5690dbc03ace6339",
+    "punctured-ngon-7": "1019fbf549b02b926f757a32b54da6e6eab6f4076d704a80f4e5ea51f2b8a38a",
+    "ngon-8": "566925dce599af396bb4bd724359392b1073a582429e7744915a71ea4c9a5198",
+    "punctured-ngon-8": "aeea6c2e26d2669b1869dd216676d044027064afa72db296461c06d1bf6e1ddc",
+    "cyclic-4-5": "22cb362c74c16fd7cc572b3597cf8295c69cbcd4d719215e8132ea706dc76b83",
+    "punctured-cyclic-4-5": "f158b7edd37dd8f53ebd9e9e32a1e855db3528936c426951a248ff479f654ea5",
+    "cyclic-4-6": "eb63f52d955c8b16e300e2577e8913b56e563129976e6e1dd4a6d39c87b61c89",
+    "punctured-cyclic-4-6": "33197496315f0efc88f3e309080f9900199d67cfd238e0e28736690e612ef101",
+    "cyclic-4-7": "213837d0b6a1104856a2da73c943f7725d6e5082d82ed40e00694d64980f93cd",
+    "punctured-cyclic-4-7": "5e6761acec68c61963a42fe18f5a46f4ac1a5199e39b69152843f6af8edc3e24",
+}
+
+
+def _certificate_record(L: sb.FaceLattice) -> str:
+    lines = []
+    for permissive in (False, True):
+        fresh = sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+        bud = sb.SearchBudget()
+        seq = sb.find_shelling(fresh, budget=bud, allow_empty_intersection=permissive).facets
+        lines.append(f"find {permissive} {bud.spent}")
+        for order in (seq, seq[::-1], seq[:1] + seq[:0:-1]):
+            bud = sb.SearchBudget()
+            res = sb.is_shelling(fresh, order, budget=bud, allow_empty_intersection=permissive)
+            record = [type(res).__name__, res.to_json_dict(), bud.spent]
+            lines.append(json.dumps(record, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_certificate_bytes_and_spend_are_pinned():
+    cases = []
+    for name, L in spheres_d_le_3():
+        cases += [(name, L), (f"punctured-{name}", sb.punctured(L))]
+    digests = {name: _certificate_record(L) for name, L in cases}
+    assert digests == CERTIFICATE_SHA256
+
+
 # -- find_shelling -------------------------------------------------------
 
 
@@ -347,6 +409,15 @@ def test_classify_demands_matching_certificate():
         sb.classify(sb.ngon(4), cert)
     with pytest.raises(sb.PreconditionViolated):
         sb.classify(oct_, "not a certificate")
+
+
+def test_classify_refuses_a_sub_certificate(lattice_builds):
+    L = sb.cross_polytope(3)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    lattice_builds.count = 0
+    with pytest.raises(sb.PreconditionViolated, match="different lattice"):
+        sb.classify(L, cert.steps[-1].sub_certificate)
+    assert lattice_builds.count == 0
 
 
 # -- lattice-level shellability views ------------------------------------
