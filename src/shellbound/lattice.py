@@ -97,11 +97,17 @@ class FaceLattice:
         covers: Iterable[tuple[str, str]],
         dim: int,
     ):
-        elems = [(str(i), int(r)) for i, r in elements]
+        elems = [(str(i), r) for i, r in elements]
         if len({i for i, _ in elems}) != len(elems):
             raise InvalidFace("duplicate element ids")
+        # type(), not isinstance(): bool is an int subclass, and True must
+        # not pass for rank 1
+        if type(dim) is not int:
+            raise InvalidFace(f"dimension {dim!r} is not an integer")
         top_rank = dim + 2
         for i, r in elems:
+            if type(r) is not int:
+                raise InvalidFace(f"rank {r!r} of {i!r} is not an integer")
             if not 0 <= r <= top_rank:
                 raise RankOutOfRange(f"rank {r} of {i!r} outside [0, {top_rank}]")
 
@@ -265,10 +271,16 @@ class FaceLattice:
         the first call."""
         pairs = self._cover_pairs
         if pairs is None:
+            # one string sort of the ids orders the covers by lower id;
+            # each element's upper covers are then sorted on their own
             ids = self.ids
-            pairs = self._cover_pairs = tuple(
-                sorted((ids[a], ids[b]) for b, below in enumerate(self._lower) for a in below)
-            )
+            upper = self._upper
+            out: list[tuple[str, str]] = []
+            for a in sorted(range(len(ids)), key=ids.__getitem__):
+                if upper[a]:
+                    ia = ids[a]
+                    out += sorted([(ia, ids[b]) for b in upper[a]])
+            pairs = self._cover_pairs = tuple(out)
         return pairs
 
     def lower_covers(self, face_id: str) -> tuple[str, ...]:

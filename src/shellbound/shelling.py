@@ -19,6 +19,13 @@ evidence, the glued ridges and the first shelling of its boundary that
 starts with exactly them.  ``_search`` walks facet orders depth-first
 through ``_step``, candidates in lexicographic id order, so it returns the
 lexicographically first valid completion of the requested prefix.
+It prunes in two ways, neither of which changes an answer.  Within one
+search the facets still to place determine the whole state of the walk,
+so a set of them that failed once is remembered and never walked again:
+it would fail the same way, and a failed subtree holds no order to find.
+And a cell whose lower interval is Boolean bounds a simplex, where every
+facet order is a shelling, so its first order is the prefix sorted, then
+the rest sorted; it is read off without a search.
 ``_verify``, the only function that walks a given order, applies ``_step``
 at each position and verifies each step's sub-order in turn; it returns a
 certificate, or a failure carrying the first bad step.
@@ -32,9 +39,9 @@ builds a lattice for a cell; a caller that reads a sub-certificate's
 ``L._memo``, the host lattice's only memo, keyed by ``(cell index, prefix
 bitmask, permissive flag)`` and ``(cell index, facet order, permissive
 flag)``; the order a caller hands to :func:`is_shelling` is not kept.
-The same dict keeps the diamond verdict and the dual lattice under string
-keys.  It lives and dies with its lattice, so no answer depends on what
-the process computed on other lattices.
+The same dict keeps the diamond verdict, the dual lattice and the mask of
+Boolean cells under string keys.  It lives and dies with its lattice, so
+no answer depends on what the process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -257,28 +264,85 @@ def _step(
     return prefix, sub_order
 
 
+def _boolean_cells(L: FaceLattice) -> int:
+    """Mask of the cells whose lower interval is a Boolean lattice, decided
+    once per lattice in one bottom-up pass over the lower covers.
+
+    A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
+    below it (itself included), r lower covers, every one of those passes,
+    and no two of them have the same atoms.  The test is exact: the r
+    covers are then the r distinct (r-1)-subsets of x's atoms, so their
+    Boolean intervals give every proper subset of them as the atom set of
+    some face, and the count leaves room for exactly one face per subset.
+    Counting alone is not enough: three edges on three vertices, two of
+    them with the same ends, have the counts of a triangle.  The top's
+    lower covers are read from its down-set, as ``_search`` reads a cell's
+    facets, since a face may lie under the top with no explicit cover.
+    """
+    mask = L._memo.get("boolean cells")
+    if mask is None:
+        mask = 0
+        down, by_rank, lower = L._down, L._rank_masks, L._lower
+        atoms = by_rank[1]
+        passed = [False] * len(down)
+        for x, r in enumerate(L.ranks):
+            d = down[x]
+            if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
+                continue
+            below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
+            if (
+                len(below) == r
+                and all([passed[y] for y in below])
+                and len({down[y] & atoms for y in below}) == r
+            ):
+                passed[x] = True
+                mask |= 1 << x
+        L._memo["boolean cells"] = mask
+    return mask
+
+
 def _search(
     L: FaceLattice, x: int, prefix: int, permissive: bool, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
     """The lexicographically first shelling of the boundary of cell ``x``
     that starts with exactly the facets in the ``prefix`` mask, as host
-    indices, or None.  Memoised on the host lattice."""
+    indices, or None.  Memoised on the host lattice.
+
+    Two prunings leave every answer as the plain depth-first search gives
+    it.  The DFS state is ``left``, the facets not yet placed: the union,
+    the position and whether the prefix still binds all follow from it, so
+    a ``left`` whose subtree failed fails whenever it recurs, and the DFS
+    returns at once.  A failed subtree holds no answer, so skipping it
+    cannot change which order is found first.  And on a cell whose lower
+    interval is Boolean, the boundary of a simplex, every facet order is a
+    shelling (Ziegler, *Lectures on Polytopes*, Lecture 8): any two facets
+    meet in a common ridge, so every step glues along a nonempty union of
+    ridges, and each facet is again a simplex.  The first candidate at
+    every depth succeeds, so the first order is the prefix sorted, then
+    the rest sorted, found without spending a node.
+    """
     facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
     if L.ranks[x] <= 2:
         return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
     key = (x, prefix, permissive)
     if key in L._memo:
         return L._memo[key]
+    if _boolean_cells(L) >> x & 1:
+        found = L._memo[key] = tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
+        return found
 
     n = facets.bit_count()
     k = prefix.bit_count()
     chosen: list[int] = []
     steps: dict[tuple[int, int], Union[str, tuple[int, tuple[int, ...]]]] = {}
+    dead: set[int] = set()
 
     def dfs(union: int, left: int) -> bool:
         pos = len(chosen)
         if pos == n:
             return True
+        if left in dead:
+            return False
         # host indices run in id order within a rank
         for f in _iter_bits(left & prefix if pos < k else left):
             budget.spend()
@@ -291,6 +355,7 @@ def _search(
             if dfs(union | L._down[f], left & ~(1 << f)):
                 return True
             chosen.pop()
+        dead.add(left)
         return False
 
     found = tuple(chosen) if dfs(0, facets) else None

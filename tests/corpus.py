@@ -1,8 +1,12 @@
-"""Shared small-complex corpus, built once per test session."""
+"""Shared small-complex corpus, built once per test session, hand-made
+non-sphere lattices, and a generator of small graded bounded posets."""
 
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 import shellbound as sb
+from shellbound import BOTTOM_ID, TOP_ID
 
 
 @lru_cache(maxsize=None)
@@ -47,3 +51,70 @@ def balls() -> tuple[tuple[str, sb.FaceLattice], ...]:
     ]:
         out.append((f"punctured-{name}", sb.punctured(sphere)))
     return tuple(out)
+
+
+def doubled_triangle() -> sb.FaceLattice:
+    # two 2-cells over the same three edges: every edge pair has two
+    # minimal upper bounds, so this is a poset but not a lattice
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 4), ("A", 3), ("B", 3)]
+    covers = []
+    for v in "123":
+        elements.append((f"v{v}", 1))
+        covers.append((BOTTOM_ID, f"v{v}"))
+    for e in ("12", "13", "23"):
+        elements.append((f"e{e}", 2))
+        covers += [(f"v{e[0]}", f"e{e}"), (f"v{e[1]}", f"e{e}"),
+                   (f"e{e}", "A"), (f"e{e}", "B")]
+    covers += [("A", TOP_ID), ("B", TOP_ID)]
+    return sb.build_lattice(elements, covers, 2)
+
+
+def bowtie() -> sb.FaceLattice:
+    # two atoms both under the same two rank-2 elements: graded and
+    # bounded, every rank-2 interval has four elements, yet the atoms have
+    # two minimal upper bounds and the rank-2 elements two maximal lower
+    # bounds
+    elements = [(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 2), ("d", 2), (TOP_ID, 3)]
+    covers = [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("c", TOP_ID), ("d", TOP_ID)]
+    covers += [(x, y) for x in "ab" for y in "cd"]
+    return sb.build_lattice(elements, covers, 1)
+
+
+def mixed_dims_by_hand() -> sb.FaceLattice:
+    # a triangle plus a dangling edge 45; the edge has no chain to the
+    # top via covers, which the implicit extreme order tolerates
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 4), ("f123", 3), ("e45", 2)]
+    covers = [("f123", TOP_ID)]
+    for v in "12345":
+        elements.append((f"v{v}", 1))
+        covers.append((BOTTOM_ID, f"v{v}"))
+    for e in ("12", "13", "23"):
+        elements.append((f"e{e}", 2))
+        covers += [(f"v{e[0]}", f"e{e}"), (f"v{e[1]}", f"e{e}"), (f"e{e}", "f123")]
+    covers += [("v4", "e45"), ("v5", "e45")]
+    return sb.build_lattice(elements, covers, 2)
+
+
+@st.composite
+def graded_bounded_poset_parts(draw) -> tuple[list, list, int]:
+    """Elements, covers and dimension of a graded bounded poset of at most 9 elements: a bottom, a top, and 1 to 3 elements on each
+    rank between them, each element covering a nonempty set of the rank
+    below."""
+    dim = draw(st.integers(0, 2))
+    elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
+    covers = []
+    below = [BOTTOM_ID]
+    spare = 7
+    for r in range(1, dim + 2):
+        size = draw(st.integers(1, min(3, spare - (dim + 1 - r))))
+        spare -= size
+        level = [f"r{r}x{i}" for i in range(size)]
+        for x in level:
+            elements.append((x, r))
+            covers += [(y, x) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
+        below = level
+    covers += [(y, TOP_ID) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
+    return elements, covers, dim
+
+
+graded_bounded_posets = graded_bounded_poset_parts().map(lambda p: sb.build_lattice(*p))

@@ -4,12 +4,15 @@ Deliberately naive: order relations by fixpoint iteration over raw cover
 pairs, shellings by exhaustive permutation search straight off the
 recursive definition.  Only navigation primitives of the lattice are
 reused; none of the search, memoisation, or purity machinery under test
-is touched.
+is touched, except by :func:`unpruned_search`, the shelling search as it
+was before it learnt to prune, kept as the reference for the pruned one.
 """
 
 from itertools import combinations, permutations
 
 from shellbound import FaceLattice, atom_avoiding_coatom, sub_lattice
+from shellbound.lattice import _iter_bits
+from shellbound.shelling import _step
 
 
 def reachability(
@@ -135,6 +138,59 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
         if _first_shelling(sub, tuple(ridges)) is None:
             return False
     return True
+
+
+def unpruned_search(L: FaceLattice, x: int, prefix: int, permissive: bool, budget):
+    """``shelling._search`` without its two prunings: no memo of dead sets
+    of remaining facets, and no shortcut on Boolean cells.  Installed in
+    place of ``shelling._search``, it is reached from ``_step`` too, so the
+    whole recursion and every certificate built on it go unpruned."""
+    facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
+    if L.ranks[x] <= 2:
+        return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
+    key = (x, prefix, permissive)
+    if key in L._memo:
+        return L._memo[key]
+
+    n = facets.bit_count()
+    k = prefix.bit_count()
+    chosen: list[int] = []
+    steps: dict = {}
+
+    def dfs(union: int, left: int) -> bool:
+        pos = len(chosen)
+        if pos == n:
+            return True
+        for f in _iter_bits(left & prefix if pos < k else left):
+            budget.spend()
+            step = steps.get((f, union))
+            if step is None:
+                step = steps[f, union] = _step(L, f, union, permissive, budget)
+            if isinstance(step, str):
+                continue
+            chosen.append(f)
+            if dfs(union | L._down[f], left & ~(1 << f)):
+                return True
+            chosen.pop()
+        return False
+
+    found = tuple(chosen) if dfs(0, facets) else None
+    L._memo[key] = found
+    return found
+
+
+def naive_is_boolean(L: FaceLattice, x: int) -> bool:
+    """Whether the faces below ``x`` are, under containment, the subsets of
+    its atoms: each face fixed by its set of atoms, every subset met once,
+    and containment of faces the same as containment of atom sets."""
+    below = [z for z in range(len(L.ids)) if L.leq(L.ids[z], L.ids[x])]
+    atoms = {z: frozenset(a for a in below if L.ranks[a] == 1 and L.leq(L.ids[a], L.ids[z]))
+             for z in below}
+    if len(set(atoms.values())) != len(below) or len(below) != 2 ** len(atoms[x]):
+        return False
+    return all(
+        L.leq(L.ids[y], L.ids[z]) == (atoms[y] <= atoms[z]) for y in below for z in below
+    )
 
 
 def naive_witness(L: FaceLattice, order, j: int) -> tuple[str, str]:

@@ -511,7 +511,12 @@ def test_bound_route_spends_only_the_verification(name, lattice_builds):
     make = CHECK_ONCE[name]
     seq = sb.find_shelling(make()).facets
     verification = spent(sb.is_shelling, make(), seq)
-    assert verification > 0
+    # a simplex facet's sub-shellings are read off without a search; the
+    # cube's square facets are searched
+    if name == "hypercube-boundary-3":
+        assert verification > 0
+    else:
+        assert verification == 0
     L, decomposed, witnessed, split = make(), make(), make(), make()
     # the route reads every cell on host masks and builds no cell lattice
     lattice_builds.count = 0

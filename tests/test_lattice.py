@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 
-from corpus import balls, spheres_d_le_3
+from corpus import (
+    balls,
+    bowtie,
+    doubled_triangle,
+    graded_bounded_poset_parts,
+    graded_bounded_posets,
+    mixed_dims_by_hand,
+    spheres_d_le_3,
+)
 from oracles import (
     naive_dim_and_counts,
     naive_is_lattice,
@@ -33,48 +41,6 @@ def square_by_hand() -> sb.FaceLattice:
     for e, ends in [("e12", "12"), ("e23", "23"), ("e34", "34"), ("e41", "41")]:
         covers += [(f"v{ends[0]}", e), (f"v{ends[1]}", e), (e, TOP_ID)]
     return sb.build_lattice([(BOTTOM_ID, 0), (TOP_ID, 3)] + ids, covers, 1)
-
-
-def doubled_triangle() -> sb.FaceLattice:
-    # two 2-cells over the same three edges: every edge pair has two
-    # minimal upper bounds, so this is a poset but not a lattice
-    elements = [(BOTTOM_ID, 0), (TOP_ID, 4), ("A", 3), ("B", 3)]
-    covers = []
-    for v in "123":
-        elements.append((f"v{v}", 1))
-        covers.append((BOTTOM_ID, f"v{v}"))
-    for e in ("12", "13", "23"):
-        elements.append((f"e{e}", 2))
-        covers += [(f"v{e[0]}", f"e{e}"), (f"v{e[1]}", f"e{e}"),
-                   (f"e{e}", "A"), (f"e{e}", "B")]
-    covers += [("A", TOP_ID), ("B", TOP_ID)]
-    return sb.build_lattice(elements, covers, 2)
-
-
-def bowtie() -> sb.FaceLattice:
-    # two atoms both under the same two rank-2 elements: graded and
-    # bounded, every rank-2 interval has four elements, yet the atoms have
-    # two minimal upper bounds and the rank-2 elements two maximal lower
-    # bounds
-    elements = [(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 2), ("d", 2), (TOP_ID, 3)]
-    covers = [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("c", TOP_ID), ("d", TOP_ID)]
-    covers += [(x, y) for x in "ab" for y in "cd"]
-    return sb.build_lattice(elements, covers, 1)
-
-
-def mixed_dims_by_hand() -> sb.FaceLattice:
-    # a triangle plus a dangling edge 45; the edge has no chain to the
-    # top via covers, which the implicit extreme order tolerates
-    elements = [(BOTTOM_ID, 0), (TOP_ID, 4), ("f123", 3), ("e45", 2)]
-    covers = [("f123", TOP_ID)]
-    for v in "12345":
-        elements.append((f"v{v}", 1))
-        covers.append((BOTTOM_ID, f"v{v}"))
-    for e in ("12", "13", "23"):
-        elements.append((f"e{e}", 2))
-        covers += [(f"v{e[0]}", f"e{e}"), (f"v{e[1]}", f"e{e}"), (f"e{e}", "f123")]
-    covers += [("v4", "e45"), ("v5", "e45")]
-    return sb.build_lattice(elements, covers, 2)
 
 
 # -- construction and validation ----------------------------------------
@@ -142,6 +108,24 @@ def test_duplicate_and_unknown_ids_rejected():
 def test_rank_out_of_range_rejected():
     with pytest.raises(sb.RankOutOfRange):
         sb.build_lattice([(BOTTOM_ID, 0), ("x", 5), (TOP_ID, 2)], [], 0)
+
+
+@pytest.mark.parametrize(
+    "elements, dim",
+    [
+        ([(BOTTOM_ID, 0), ("a", 1.9), ("b", 1), (TOP_ID, 2)], 0),
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", True), (TOP_ID, 2)], 0),
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), (TOP_ID, 2)], 0.5),
+    ],
+    ids=["fractional rank", "boolean rank", "fractional dim"],
+)
+def test_non_integer_ranks_and_dims_rejected(elements, dim):
+    # the constructor refuses what lattice_from_json_dict refuses, where
+    # int() would have truncated it to a zero sphere
+    covers = [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("a", TOP_ID), ("b", TOP_ID)]
+    sb.build_lattice([(BOTTOM_ID, 0), ("a", 1), ("b", 1), (TOP_ID, 2)], covers, 0)
+    with pytest.raises(sb.InvalidFace, match="not an integer"):
+        sb.build_lattice(elements, covers, dim)
 
 
 def test_orphan_element_rejected():
@@ -276,29 +260,6 @@ def test_is_lattice_matches_naive_oracle():
     assert not verdicts["doubled-triangle"] and not verdicts["bowtie"]
 
 
-@st.composite
-def graded_bounded_poset_parts(draw) -> tuple[list, list, int]:
-    """Elements, covers and dimension of a graded bounded poset of at most 9 elements: a bottom, a top, and 1 to 3 elements on each
-    rank between them, each element covering a nonempty set of the rank
-    below."""
-    dim = draw(st.integers(0, 2))
-    elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
-    covers = []
-    below = [BOTTOM_ID]
-    spare = 7
-    for r in range(1, dim + 2):
-        size = draw(st.integers(1, min(3, spare - (dim + 1 - r))))
-        spare -= size
-        level = [f"r{r}x{i}" for i in range(size)]
-        for x in level:
-            elements.append((x, r))
-            covers += [(y, x) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
-        below = level
-    covers += [(y, TOP_ID) for y in draw(st.sets(st.sampled_from(below), min_size=1))]
-    return elements, covers, dim
-
-
-graded_bounded_posets = graded_bounded_poset_parts().map(lambda p: sb.build_lattice(*p))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,0 +1,171 @@
+"""The pruned shelling search against the unpruned one it replaced.
+
+``_search`` skips a set of remaining facets that failed once, and reads
+the first order of a Boolean cell off without a search.  Neither may change
+an answer: every order, failure and certificate byte must be what the
+unpruned search gives.
+"""
+
+import json
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+
+import shellbound as sb
+from shellbound import BOTTOM_ID, TOP_ID, shelling
+
+from corpus import (
+    bowtie,
+    doubled_triangle,
+    graded_bounded_poset_parts,
+    mixed_dims_by_hand,
+    spheres_d_le_3,
+)
+from oracles import naive_is_boolean, unpruned_search
+
+
+def _answers(L: sb.FaceLattice, permissive: bool) -> list:
+    """``find_shelling`` for every prefix of at most two facets, then the
+    certificate or failure JSON of every order found, of its reverse and of
+    the facets in reverse id order."""
+    facets = L.facets()
+    out, orders = [], [facets[::-1]]
+    for size in (0, 1, 2):
+        for prefix in combinations(facets, size):
+            found = sb.find_shelling(L, prefix, allow_empty_intersection=permissive)
+            out.append(None if found is None else found.facets)
+            if found is not None:
+                orders += [found.facets, found.facets[::-1]]
+    for order in dict.fromkeys(orders):
+        try:
+            res = sb.is_shelling(L, order, allow_empty_intersection=permissive)
+        except sb.PreconditionViolated as exc:
+            out.append(str(exc))
+        else:
+            out.append(json.dumps(res.to_json_dict()))
+    return out
+
+
+def _assert_unpruned_agrees(make) -> None:
+    for permissive in (False, True):
+        pruned = _answers(make(), permissive)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shelling, "_search", unpruned_search)
+            reference = _answers(make(), permissive)
+        assert pruned == reference, permissive
+
+
+def _fresh(L: sb.FaceLattice):
+    return lambda: sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+
+
+def _sphere_cases():
+    for name, L in spheres_d_le_3():
+        yield pytest.param(_fresh(L), id=name)
+        yield pytest.param(_fresh(sb.punctured(L)), id=f"punctured-{name}")
+
+
+@pytest.mark.parametrize("make", _sphere_cases())
+def test_pruned_search_matches_unpruned_on_the_corpus(make):
+    _assert_unpruned_agrees(make)
+
+
+@pytest.mark.parametrize("make", [doubled_triangle, bowtie, mixed_dims_by_hand])
+def test_pruned_search_matches_unpruned_off_spheres(make):
+    _assert_unpruned_agrees(make)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts())
+def test_pruned_search_matches_unpruned_on_small_posets(parts):
+    _assert_unpruned_agrees(lambda: sb.build_lattice(*parts))
+
+
+# -- the Boolean-cell test ------------------------------------------------
+
+
+def _boolean_ids(L: sb.FaceLattice) -> set[str]:
+    mask = shelling._boolean_cells(L)
+    return {i for x, i in enumerate(L.ids) if mask >> x & 1}
+
+
+def _lattice(dim: int, cells: dict[str, str]) -> sb.FaceLattice:
+    """Vertices named by one digit and, for each other cell, the cells it
+    covers as a space-separated list; the top covers every cell no other
+    cell covers."""
+    elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
+    covers = []
+    rank = {}
+    for v in sorted({c for below in cells.values() for c in below.split() if c.isdigit()}):
+        rank[v] = 1
+        elements.append((v, 1))
+        covers.append((BOTTOM_ID, v))
+    for cell, below in cells.items():
+        rank[cell] = 1 + max(rank[c] for c in below.split())
+        elements.append((cell, rank[cell]))
+        covers += [(c, cell) for c in below.split()]
+    covered = {c for below in cells.values() for c in below.split()}
+    covers += [(c, TOP_ID) for c in rank if c not in covered]
+    return sb.build_lattice(elements, covers, dim)
+
+
+def test_boolean_test_rejects_a_triangle_with_a_doubled_edge():
+    # three edges on three vertices, two with the same ends: the counts of
+    # a triangle, not its face poset
+    L = _lattice(2, {"a12": "1 2", "b12": "1 2", "c13": "1 3", "T": "a12 b12 c13"})
+    assert "T" not in _boolean_ids(L)
+    assert not naive_is_boolean(L, L.index("T"))
+    assert {"a12", "b12", "c13"} <= _boolean_ids(L)
+
+
+def test_boolean_test_rejects_a_tetrahedron_with_a_doubled_edge():
+    # four triangles with distinct vertex sets, two of which hold different
+    # edges on vertices 1 and 2
+    edges = {"e12": "1 2", "f12": "1 2", "e13": "1 3", "e14": "1 4",
+             "e23": "2 3", "e24": "2 4", "e34": "3 4"}
+    triangles = {"t123": "e12 e13 e23", "t124": "f12 e14 e24",
+                 "t134": "e13 e14 e34", "t234": "e23 e24 e34"}
+    cells = {**edges, **triangles, "X": " ".join(triangles)}
+    L = _lattice(3, cells)
+    assert "X" not in _boolean_ids(L)
+    assert not naive_is_boolean(L, L.index("X"))
+    assert set(triangles) <= _boolean_ids(L)
+    _assert_unpruned_agrees(lambda: _lattice(3, cells))
+
+
+def test_boolean_test_matches_the_naive_definition():
+    cases = [L for _, L in spheres_d_le_3()]
+    cases += [sb.punctured(L) for L in cases] + [sb.dualize(L) for L in cases]
+    cases += [doubled_triangle(), bowtie(), mixed_dims_by_hand(), sb.simplex_boundary(4)]
+    for L in cases:
+        assert _boolean_ids(L) == {
+            L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)
+        }, L
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts())
+def test_boolean_test_matches_the_naive_definition_on_small_posets(parts):
+    L = sb.build_lattice(*parts)
+    assert _boolean_ids(L) == {L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)}
+
+
+# -- search effort ----------------------------------------------------------
+
+# nodes spent by a cold find_shelling: deterministic, so a change in the
+# search shows here even where its wall time is lost in noise
+COLD_FIND_SPENT = {
+    "simplex-boundary-8": (lambda: sb.simplex_boundary(8), 0),
+    "cross-polytope-5": (lambda: sb.cross_polytope(5), 64),
+    "hypercube-boundary-5": (lambda: sb.hypercube_boundary(5), 24_723),
+    "cyclic-boundary-6-12": (lambda: sb.cyclic_boundary(6, 12), 126),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_FIND_SPENT))
+def test_cold_find_spends_the_pinned_nodes(name):
+    make, nodes = COLD_FIND_SPENT[name]
+    budget = sb.SearchBudget()
+    assert sb.find_shelling(make(), budget=budget) is not None
+    assert budget.spent == nodes

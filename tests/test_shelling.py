@@ -199,65 +199,102 @@ def test_zero_sphere_any_order_is_shelling():
     assert cert.to_json_dict() == {"order": ["2", "1"], "steps": [], "nodes": []}
 
 
-# sha256 of the certificate or failure JSON and the nodes spent, for the
-# found order, its reverse, and its first facet followed by the rest
-# reversed, strict and permissive, each mode on a fresh lattice: pins the
-# certificate bytes of check-shelling reports and what verification spends
+# sha256 of the certificate or failure JSON for the found order, its
+# reverse, and its first facet followed by the rest reversed, strict and
+# permissive, each mode on a fresh lattice: pins the certificate bytes of
+# check-shelling reports
 CERTIFICATE_SHA256 = {
-    "simplex-boundary-1": "b1210a9834cba3695f8b6f1078a1819a369aa858f3e648eadf158df36c9828f4",
-    "punctured-simplex-boundary-1": "631b8df20ad9c047b04b5f0d27b5aeedf53d38ac6c046002d38afe5705b6a040",
-    "simplex-boundary-2": "3a66da816637087baeb074efd1947077fed5bc007275e9c23100d9b651e34ed8",
-    "punctured-simplex-boundary-2": "6d10b618a4b0ef84bb1ad4220cc7dc37cf817be5bc00984d3a48bfe7f7985aa7",
-    "simplex-boundary-3": "22cb362c74c16fd7cc572b3597cf8295c69cbcd4d719215e8132ea706dc76b83",
-    "punctured-simplex-boundary-3": "f158b7edd37dd8f53ebd9e9e32a1e855db3528936c426951a248ff479f654ea5",
-    "cross-polytope-1": "76a82571b99f2c6393e2531c1f19112ba7d965098c09fe6552fb51015f3f41c2",
-    "punctured-cross-polytope-1": "19c2bbe250f7ac94097034f84b989a3dbd3d7bff6e2f66252cc550f9d3b4cb9e",
-    "cross-polytope-2": "8c54ac6dbf1f5df8fa8d27547ab251dfb1dae98639fbd13ca40f1f76c75c796c",
-    "punctured-cross-polytope-2": "93762dff6e58876fd8be84c634698f89ffbf6ce55d4c9a26c392e672d6ce8e7a",
-    "cross-polytope-3": "f3b25994ed9ebcc63656666e1a6eb2004a1218ec108f227bbd0227ae1c709cbe",
-    "punctured-cross-polytope-3": "ed2f5323de233f4e65b8029b97e99322cf521d1cea86ebf263f4a3552a61306b",
-    "ngon-3": "a7f6890576c5eff0badb6f6a3db0a147b7dbda6326a20f4c18cfcb53963282c2",
-    "punctured-ngon-3": "5ef1b94df866871e64791d14e1524a6cb59d4837befa5bed56b12a19f53428c7",
-    "ngon-4": "0dcdee3dc909f5a02906ee8a74acdbf2550f5865388877fe8ee51309ddc98381",
-    "punctured-ngon-4": "c8bfc16f80a9c0aafb43c3d0e086cf25686f3f0b7fce17109d85e3ea08ba6afc",
-    "ngon-5": "adaebc47eb5b25af8e75d9373935888d8d3e9e7d9f6b284ba023a43ef7cec790",
-    "punctured-ngon-5": "11141603610e36eeb48414e975127a71d84e9c70b972e6765613e268888ed805",
-    "ngon-6": "39613ef397e7692bd88572ddb60c59b5b3d4d83db85425092319ac9e128e4dea",
-    "punctured-ngon-6": "037ad41fd4995f0f4559cf86485c5bb84636c8c4a292ceb495542018eb3ecbe4",
-    "ngon-7": "b8d216bb37024875f9695f60a4522bc99d7b5efce52fee0a5690dbc03ace6339",
-    "punctured-ngon-7": "1019fbf549b02b926f757a32b54da6e6eab6f4076d704a80f4e5ea51f2b8a38a",
-    "ngon-8": "566925dce599af396bb4bd724359392b1073a582429e7744915a71ea4c9a5198",
-    "punctured-ngon-8": "aeea6c2e26d2669b1869dd216676d044027064afa72db296461c06d1bf6e1ddc",
-    "cyclic-4-5": "22cb362c74c16fd7cc572b3597cf8295c69cbcd4d719215e8132ea706dc76b83",
-    "punctured-cyclic-4-5": "f158b7edd37dd8f53ebd9e9e32a1e855db3528936c426951a248ff479f654ea5",
-    "cyclic-4-6": "eb63f52d955c8b16e300e2577e8913b56e563129976e6e1dd4a6d39c87b61c89",
-    "punctured-cyclic-4-6": "33197496315f0efc88f3e309080f9900199d67cfd238e0e28736690e612ef101",
-    "cyclic-4-7": "213837d0b6a1104856a2da73c943f7725d6e5082d82ed40e00694d64980f93cd",
-    "punctured-cyclic-4-7": "5e6761acec68c61963a42fe18f5a46f4ac1a5199e39b69152843f6af8edc3e24",
+    "simplex-boundary-1": "d9a8b338a8303165f2f958e9f8f0f036eae26a55f2c6e53f09d391e627c748f4",
+    "punctured-simplex-boundary-1": "481c4330d1e7e8e3c91dd393b6206dba1418fbde0122b805ba2346b094e79f49",
+    "simplex-boundary-2": "114783972454fc00e3f937b074e0bf1777dbb4e8d2137ef58a8b47f45b88b568",
+    "punctured-simplex-boundary-2": "bc00707e86935ec32a995aebf3423f265c4e9c69deb8c459c2d09ffe3ead7fae",
+    "simplex-boundary-3": "44c8296abadec4509be6b2d45f2d282b369c0faee18713918f0d977b7c9eebf1",
+    "punctured-simplex-boundary-3": "346bf98dd5b56f1ce7981b8c974b92ac8b12ab1c2c2e9e31068afbf10dcaa5e5",
+    "cross-polytope-1": "e3f87cbd6a08fc807ba72056da4980129b38f40343c7f024ac4904aa612bc255",
+    "punctured-cross-polytope-1": "1c80a6dd8b80b94be28561fb7fcecf6711040befe72b8a79a7f8ccd895db45c1",
+    "cross-polytope-2": "07c099145bf208be9bf12b94423e6f54e5966e582065cc02c71222ee968c4eaf",
+    "punctured-cross-polytope-2": "c4b859aa1a5bff8b5c9c133a205a1cb15721dc1cba876fdb92aacece7a3de864",
+    "cross-polytope-3": "e01a4fab639143944045a9d2c323c23ca5b5f311e8dd3422db860f54d72071eb",
+    "punctured-cross-polytope-3": "b0f51ebe4a7ae466517bd4204069f6cc37534eca8b530809572f3178fa26cb6d",
+    "ngon-3": "8ce21c74007d9b58f09dadd08cfcc94dd6e9f710985d71282300e42100f4f7aa",
+    "punctured-ngon-3": "c2c58499a4073aa5e9a9456ae7dbb6d181d4421e7a5f1c8882b1f862952c675e",
+    "ngon-4": "2db299030a98a72cffb407a74d00c6419ab5a6c5f6728bd9dabb61a422296fc6",
+    "punctured-ngon-4": "880f40bd7a18284becc4b650cb290d34c3932b37ecbee747f5dd79b6765347dc",
+    "ngon-5": "10dd9ef1a3e56a51fe026a5d7223ff4413f2d5d6a20595bec8144f002e1aaf18",
+    "punctured-ngon-5": "ffce0c77eb03f54a8b1d21b09536b84fbb631c1bf0ab87fc33b41248f411593c",
+    "ngon-6": "a3718fe4d88e8fa473e520e8ff250f5d44360f146082667ddab2a055b7f2561a",
+    "punctured-ngon-6": "bc5cc4f532a9116a401555e5f99fffcdb82d03e489a8019dfd5e248a8d88bb55",
+    "ngon-7": "137c030fa45fe20aa9ee61540a95677f7e7123c7587168f4bb7c13eef7162a0f",
+    "punctured-ngon-7": "2a42baf0f931032363e6b57f56aabb8b3ad82b144928aa6c93498fa7c8e64da9",
+    "ngon-8": "f0f98018f8b6d3b2a33bf1d48760750e73ebe6ed806bf35503705649bd666788",
+    "punctured-ngon-8": "9d3aae4ef76abfdda7bd0b87c9068f113563a412fbe81a14254efa200509ee3e",
+    "cyclic-4-5": "44c8296abadec4509be6b2d45f2d282b369c0faee18713918f0d977b7c9eebf1",
+    "punctured-cyclic-4-5": "346bf98dd5b56f1ce7981b8c974b92ac8b12ab1c2c2e9e31068afbf10dcaa5e5",
+    "cyclic-4-6": "8300e638f73ae78612f60c1e5878924c224b4a1e2a307e71df9bb718bbe115d1",
+    "punctured-cyclic-4-6": "d085249b9e712946740b8d7b2490d78dd3ea6d05222ac504f935666618a93534",
+    "cyclic-4-7": "06ccf886e1f1e0c4d88f45c9b65026862c16a80f9708d1b3fffc344d6c6d971d",
+    "punctured-cyclic-4-7": "1e4b4da2428111a8d2b7d4bbe8e624bf368e098e0b26d42ff0d319ac194996da",
+}
+
+# the nodes spent by the same calls: the search, then the three
+# verifications, strict and then permissive.  Verifying a simplicial
+# complex searches nothing, since every facet is a simplex.
+CERTIFICATE_SPENT = {
+    "simplex-boundary-1": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-simplex-boundary-1": (2, 0, 0, 0, 2, 0, 0, 0),
+    "simplex-boundary-2": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-simplex-boundary-2": (3, 0, 0, 0, 3, 0, 0, 0),
+    "simplex-boundary-3": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-simplex-boundary-3": (4, 0, 0, 0, 4, 0, 0, 0),
+    "cross-polytope-1": (4, 0, 0, 0, 4, 0, 0, 0),
+    "punctured-cross-polytope-1": (4, 0, 0, 0, 3, 0, 0, 0),
+    "cross-polytope-2": (8, 0, 0, 0, 8, 0, 0, 0),
+    "punctured-cross-polytope-2": (12, 0, 0, 0, 12, 0, 0, 0),
+    "cross-polytope-3": (16, 0, 0, 0, 16, 0, 0, 0),
+    "punctured-cross-polytope-3": (32, 0, 0, 0, 32, 0, 0, 0),
+    "ngon-3": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-3": (2, 0, 0, 0, 2, 0, 0, 0),
+    "ngon-4": (4, 0, 0, 0, 4, 0, 0, 0),
+    "punctured-ngon-4": (3, 0, 0, 0, 3, 0, 0, 0),
+    "ngon-5": (5, 0, 0, 0, 5, 0, 0, 0),
+    "punctured-ngon-5": (4, 0, 0, 0, 4, 0, 0, 0),
+    "ngon-6": (6, 0, 0, 0, 6, 0, 0, 0),
+    "punctured-ngon-6": (5, 0, 0, 0, 5, 0, 0, 0),
+    "ngon-7": (7, 0, 0, 0, 7, 0, 0, 0),
+    "punctured-ngon-7": (6, 0, 0, 0, 6, 0, 0, 0),
+    "ngon-8": (8, 0, 0, 0, 8, 0, 0, 0),
+    "punctured-ngon-8": (7, 0, 0, 0, 7, 0, 0, 0),
+    "cyclic-4-5": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-cyclic-4-5": (4, 0, 0, 0, 4, 0, 0, 0),
+    "cyclic-4-6": (9, 0, 0, 0, 9, 0, 0, 0),
+    "punctured-cyclic-4-6": (12, 0, 0, 0, 12, 0, 0, 0),
+    "cyclic-4-7": (14, 0, 0, 0, 14, 0, 0, 0),
+    "punctured-cyclic-4-7": (27, 0, 0, 0, 27, 0, 0, 0),
 }
 
 
-def _certificate_record(L: sb.FaceLattice) -> str:
-    lines = []
+def _certificate_record(L: sb.FaceLattice) -> tuple[str, tuple[int, ...]]:
+    lines, spends = [], []
     for permissive in (False, True):
         fresh = sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
         bud = sb.SearchBudget()
         seq = sb.find_shelling(fresh, budget=bud, allow_empty_intersection=permissive).facets
-        lines.append(f"find {permissive} {bud.spent}")
+        spends.append(bud.spent)
         for order in (seq, seq[::-1], seq[:1] + seq[:0:-1]):
             bud = sb.SearchBudget()
             res = sb.is_shelling(fresh, order, budget=bud, allow_empty_intersection=permissive)
-            record = [type(res).__name__, res.to_json_dict(), bud.spent]
-            lines.append(json.dumps(record, sort_keys=True))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            lines.append(json.dumps([type(res).__name__, res.to_json_dict()], sort_keys=True))
+            spends.append(bud.spent)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), tuple(spends)
 
 
 def test_certificate_bytes_and_spend_are_pinned():
     cases = []
     for name, L in spheres_d_le_3():
         cases += [(name, L), (f"punctured-{name}", sb.punctured(L))]
-    digests = {name: _certificate_record(L) for name, L in cases}
-    assert digests == CERTIFICATE_SHA256
+    records = {name: _certificate_record(L) for name, L in cases}
+    assert {name: digest for name, (digest, _) in records.items()} == CERTIFICATE_SHA256
+    assert {name: spends for name, (_, spends) in records.items()} == CERTIFICATE_SPENT
 
 
 # -- find_shelling -------------------------------------------------------
