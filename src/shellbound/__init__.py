@@ -1,110 +1,6 @@
 """Graded face lattices of regular CW spheres and balls: shelling search
 and verification, and exact face-number lower bounds."""
 
-from .errors import (
-    BudgetExceeded,
-    CyclicCovers,
-    EmptyInput,
-    HypothesisNotMet,
-    IndexOutOfRange,
-    InputError,
-    InternalContradiction,
-    InvalidFace,
-    InvalidSplit,
-    LatticeBuildError,
-    MixedDimensions,
-    NoBottom,
-    NoSuchAtom,
-    NoTop,
-    NotAShelling,
-    NotDiamond,
-    NotGraded,
-    NotPseudomanifold,
-    NotShellable,
-    NotSimplicial,
-    PreconditionViolated,
-    RangeError,
-    RankOutOfRange,
-    ShellboundError,
-)
-from .lattice import (
-    BOTTOM_ID,
-    TOP_ID,
-    FaceLattice,
-    FaceSet,
-    FVector,
-    Subcomplex,
-    atom_avoiding_coatom,
-    boundary_complex,
-    build_lattice,
-    closure,
-    dualize,
-    f_vector,
-    from_facets,
-    interior,
-    is_diamond,
-    is_lattice,
-    is_pseudomanifold,
-    is_pure,
-    lattice_from_json_dict,
-    lattice_to_json_dict,
-    parse_facet_text,
-    sub_lattice,
-    upper_interval_count,
-)
-from .shelling import (
-    DEFAULT_BUDGET,
-    EMPTY_INTERSECTION,
-    NO_PREFIX_SHELLING,
-    NOT_PURE,
-    SearchBudget,
-    Shape,
-    ShellingCertificate,
-    ShellingFailure,
-    ShellingOrder,
-    ShellingStep,
-    boundary_intersection,
-    classify,
-    find_shelling,
-    is_cl_shellable,
-    is_dual_cl_shellable,
-    is_shelling,
-)
-from .bounds import (
-    BoundsReport,
-    CorollaryReport,
-    FacetSplit,
-    PerFacetBound,
-    RhoCoefficient,
-    SplitCountResult,
-    SplitDecomposition,
-    SplitPair,
-    WitnessPair,
-    barany_check,
-    binomial_split_lb,
-    check_split_count,
-    corollary_bounds,
-    facet_decomposition,
-    find_witness_pair,
-    is_simplicial,
-    rho,
-    simplicial_equality_identity,
-    split_complexes,
-    vandermonde_check,
-    verify_lower_bound,
-)
-from .generators import (
-    GubtReport,
-    GubtRow,
-    cross_polytope,
-    cyclic_boundary,
-    gubt_compare,
-    hypercube_boundary,
-    ngon,
-    punctured,
-    simplex_boundary,
-)
-
 __version__ = "0.2.0"
 
 __all__ = [
@@ -202,3 +98,20 @@ __all__ = [
     "vandermonde_check",
     "verify_lower_bound",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import the whole library on the first read of a public name and
+    bind every name in ``__all__`` here, so that later reads are plain
+    attributes.  ``python -m shellbound.cli`` reads none of them, so a
+    command imports only the modules it uses.  Any other name fails at
+    once and loads nothing."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bounds, errors, generators, lattice, shelling
+
+    found: dict = {}
+    for module in (errors, lattice, shelling, bounds, generators):
+        found.update(vars(module))
+    globals().update((public, found[public]) for public in __all__)
+    return found[name]

@@ -28,16 +28,21 @@ build no cell lattice.  The polytopal corollaries ask
 :func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
 check and dual lattice are made once per lattice and kept in its memo
 (``L._memo``); searches on the dual then share one memo across k.
+
+Last comes the comparison of a shellable sphere with the boundary of the
+cyclic polytope of the same dimension and vertex count
+(:func:`gubt_compare`); it is the only function here that builds a
+reference complex, so it alone imports :mod:`generators`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
 
 from .errors import (
+    HypothesisNotMet,
     InternalContradiction,
     InvalidSplit,
     NoSuchAtom,
@@ -55,11 +60,12 @@ from .lattice import (
     Subcomplex,
     _iter_bits,
     _least_atom_avoiding,
+    _record,
     boundary_complex,
     f_vector,
     interior,
     is_pseudomanifold,
-    is_pure,
+    is_simplicial,
 )
 from .shelling import (
     SearchBudget,
@@ -69,6 +75,7 @@ from .shelling import (
     _as_budget,
     _is_diamond_lattice,
     boundary_intersection,
+    find_shelling,
     is_cl_shellable,
     is_dual_cl_shellable,
     is_shelling,
@@ -78,7 +85,7 @@ from .shelling import (
 # -- coefficients --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class RhoCoefficient:
     """The bound multiplier for a (d+1)-polytopal setting at dimension k."""
 
@@ -143,7 +150,7 @@ def _require_sphere(X: Union[FaceLattice, Subcomplex]) -> None:
         raise PreconditionViolated("the complex has nonempty boundary; need a sphere")
 
 
-@dataclass(frozen=True)
+@_record
 class SplitPair:
     """A shelling order cut at position j: the subcomplex spanned by the
     first j facets, the one spanned by the rest, and their interiors."""
@@ -197,7 +204,7 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     return SplitPair(begin, end, begin_int, end_int)
 
 
-@dataclass(frozen=True)
+@_record
 class SplitCountResult:
     j: int
     k: int
@@ -250,7 +257,7 @@ def _split_count(cert: ShellingCertificate, j: int, k: int) -> SplitCountResult:
 # -- witness pairs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class WitnessPair:
     """Two faces separated by a shelling split whose dimensions sum to at
     most the complex dimension: one interior to the leading subcomplex,
@@ -359,7 +366,7 @@ def find_witness_pair(
 # -- per-facet decomposition --------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class FacetSplit:
     """The boundary of one facet cut into the part glued to earlier facets
     and the part facing later facets or the complex boundary."""
@@ -372,7 +379,7 @@ class FacetSplit:
     after_interior: FaceSet
 
 
-@dataclass(frozen=True)
+@_record
 class SplitDecomposition:
     lattice: FaceLattice
     order: tuple[str, ...]
@@ -481,7 +488,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
 # -- the main inequality -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class PerFacetBound:
     j: int
     fk_int_C: int
@@ -501,7 +508,7 @@ class PerFacetBound:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class BoundsReport:
     """Everything checked for one k: the exact inequality, the equality
     expectation, the per-facet floors, and the double-counting ceiling."""
@@ -537,29 +544,6 @@ class BoundsReport:
             "expected_equality": self.expected_equality,
             "per_facet": [p.to_json_dict() for p in self.per_facet],
         }
-
-
-def is_simplicial(X: FaceLattice) -> bool:
-    """Whether every facet is a simplex.
-
-    Tested by counting codimension-1 faces below each facet (d + 1 for a
-    d-simplex) and cross-checked against the closed cells being Boolean
-    intervals of size 2^(d+1); the two tests agree on diamond lattices.
-    """
-    if not is_pure(X):
-        raise PreconditionViolated("simpliciality is examined on pure complexes")
-    d = X.dim
-    by_ridges = True
-    by_interval = True
-    for facet in X.facets():
-        x = X.index(facet)
-        if (X._down[x] & X._rank_masks[d]).bit_count() != d + 1:
-            by_ridges = False
-        if X._down[x].bit_count() != 2 ** (d + 1):
-            by_interval = False
-    if by_ridges != by_interval:
-        raise InternalContradiction("ridge-count and Boolean-interval tests disagree")
-    return by_ridges
 
 
 def simplicial_equality_identity(X: FaceLattice) -> bool:
@@ -659,7 +643,7 @@ def verify_lower_bound(
 # -- polytopal corollaries ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class CorollaryReport:
     """Face-count floors that follow once the lattice is shellable in one
     or both directions, evaluated at a single k."""
@@ -746,3 +730,78 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     f = f_vector(L)
     floor_value = min(f[0], f[L.dim])
     return all(f[k] >= floor_value for k in range(L.dim + 1))
+
+
+# -- comparison against the cyclic polytope ------------------------------
+
+
+@_record
+class GubtRow:
+    k: int
+    f_p: int
+    f_c: int
+    ok: bool
+
+    def to_json_dict(self) -> dict:
+        return {"k": self.k, "f_p": self.f_p, "f_c": self.f_c, "ok": self.ok}
+
+
+@_record
+class GubtReport:
+    """Face counts of a sphere against the cyclic polytope boundary with
+    the same dimension and vertex count.  Rows that fall short are
+    reported, never asserted away."""
+
+    d: int
+    n: int
+    simplicial: bool
+    facets_p: int
+    facets_c: int
+    rows: tuple[GubtRow, ...]
+    all_ok: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "n": self.n,
+            "simplicial": self.simplicial,
+            "facets_p": self.facets_p,
+            "facets_c": self.facets_c,
+            "rows": [r.to_json_dict() for r in self.rows],
+            "all_ok": self.all_ok,
+        }
+
+
+def gubt_compare(
+    P: FaceLattice, d: int, n: int, *, budget: Union[int, SearchBudget, None] = None
+) -> GubtReport:
+    """Compare a shellable (d-1)-sphere on n vertices against C(d, n).
+
+    The hypothesis is that P has at least as many facets as the cyclic
+    boundary; when it holds, every face count of P is expected to meet
+    the cyclic one, and the report records where that happens.  A sphere
+    with fewer facets raises :class:`HypothesisNotMet` since the
+    comparison is silent about it.
+    """
+    # the only use of the generators, so the other reports never load them
+    from .generators import cyclic_boundary
+
+    C = cyclic_boundary(d, n)
+    if P.dim != d - 1:
+        raise PreconditionViolated(f"dimension {P.dim} does not match d-1={d - 1}")
+    if not is_pseudomanifold(P):
+        raise NotPseudomanifold("the comparison needs a pseudomanifold")
+    if boundary_complex(P).mask != 0:
+        raise PreconditionViolated("the comparison is stated for spheres")
+    fP = f_vector(P)
+    fC = f_vector(C)
+    if find_shelling(P, budget=_as_budget(budget)) is None:
+        raise NotShellable("no shelling order found")
+    if fP[d - 1] < fC[d - 1]:
+        raise HypothesisNotMet(
+            f"facet count {fP[d - 1]} is below the cyclic count {fC[d - 1]}"
+        )
+    rows = tuple(GubtRow(k, fP[k], fC[k], fP[k] >= fC[k]) for k in range(d))
+    return GubtReport(
+        d, n, is_simplicial(P), fP[d - 1], fC[d - 1], rows, all(r.ok for r in rows)
+    )

@@ -17,18 +17,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from . import __version__
-from .bounds import (
-    corollary_bounds,
-    find_witness_pair,
-    is_simplicial,
-    verify_lower_bound,
-)
 from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -39,29 +32,14 @@ from .errors import (
     NotAShelling,
     NotShellable,
 )
-from .generators import (
-    cross_polytope,
-    cyclic_boundary,
-    gubt_compare,
-    hypercube_boundary,
-    ngon,
-    punctured,
-    simplex_boundary,
-)
-from .lattice import (
-    FaceLattice,
-    from_facets,
-    lattice_from_json_dict,
-    lattice_to_json_dict,
-    parse_facet_text,
-)
-from .shelling import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    ShellingFailure,
-    find_shelling,
-    is_shelling,
-)
+
+if TYPE_CHECKING:
+    from .lattice import FaceLattice
+    from .shelling import SearchBudget
+
+# Each subcommand imports the modules it runs inside the function that
+# runs it, so that a run loads no other checking code: a fresh
+# interpreter for every command pays for every module it imports.
 
 # claim tags are protocol identifiers consumed by downstream tooling;
 # do not rename
@@ -75,14 +53,14 @@ CLAIM_TAGS = {
     "gubt": "Thm4.1",
 }
 
-# each generated family with the flags it reads, in argument order;
-# ``punctured`` reads a base complex instead
+# each generated family's function in ``generators`` with the flags it
+# reads, in argument order; ``punctured`` reads a base complex instead
 _GENERATORS = {
-    "simplex-boundary": (simplex_boundary, ("--d",)),
-    "cross-polytope": (cross_polytope, ("--d",)),
-    "hypercube-boundary": (hypercube_boundary, ("--d",)),
-    "ngon": (ngon, ("--n",)),
-    "cyclic-boundary": (cyclic_boundary, ("--d", "--n")),
+    "simplex-boundary": ("simplex_boundary", ("--d",)),
+    "cross-polytope": ("cross_polytope", ("--d",)),
+    "hypercube-boundary": ("hypercube_boundary", ("--d",)),
+    "ngon": ("ngon", ("--n",)),
+    "cyclic-boundary": ("cyclic_boundary", ("--d", "--n")),
 }
 FAMILIES = (*_GENERATORS, "punctured")
 
@@ -99,9 +77,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="lattice JSON or facet-list file")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--format", choices=("json", "tsv"), default="json")
-        sp.add_argument(
-            "--budget", type=int, default=DEFAULT_BUDGET, help="search node cap"
-        )
+        sp.add_argument("--budget", type=int, help="search node cap")
 
     g = sub.add_parser("gen", help="emit a corpus complex")
     g.add_argument("family", choices=FAMILIES)
@@ -145,6 +121,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_lattice(path: str) -> tuple[FaceLattice, str]:
+    import hashlib
+
+    from .lattice import from_facets, lattice_from_json_dict, parse_facet_text
+
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -217,14 +197,17 @@ def _require(args: argparse.Namespace, flag: str) -> object:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators
+    from .lattice import is_simplicial, lattice_to_json_dict
+
     if args.family in _GENERATORS:
-        generate, flags = _GENERATORS[args.family]
-        L = generate(*[_require(args, flag) for flag in flags])
+        name, flags = _GENERATORS[args.family]
+        L = getattr(generators, name)(*[_require(args, flag) for flag in flags])
     else:
         if args.input is None:
             raise InputError("punctured: --input is required")
         base, _ = _load_lattice(args.input)
-        L = punctured(base, args.facet)
+        L = generators.punctured(base, args.facet)
     if args.format == "text":
         if not is_simplicial(L):
             raise InputError("facet-list text output needs a simplicial complex")
@@ -243,6 +226,8 @@ def _dispatch(
     args: argparse.Namespace, L: FaceLattice, bud: SearchBudget
 ) -> tuple[dict, dict, bool]:
     """Returns (params, result, ok) for one checking subcommand."""
+    from .shelling import ShellingFailure, find_shelling, is_shelling
+
     command = args.command
     if command == "check-shelling":
         order = _parse_order(args.order)
@@ -263,6 +248,9 @@ def _dispatch(
         if found is None:
             return {"prefix": list(prefix)}, {"found": False, "order": None}, False
         return {"prefix": list(prefix)}, {"found": True, "order": list(found.facets)}, True
+
+    # the remaining reports follow the proof route
+    from .bounds import corollary_bounds, find_witness_pair, gubt_compare, verify_lower_bound
 
     if command == "bounds":
         given = _parse_order(args.order)
@@ -306,8 +294,10 @@ def _dispatch(
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .shelling import _as_budget
+
     L, digest = _load_lattice(args.input)
-    bud = SearchBudget(args.budget)
+    bud = _as_budget(args.budget)
     code = 0
     try:
         params, result, ok = _dispatch(args, L, bud)

@@ -6,34 +6,27 @@ deterministic face ids, so the same call always produces the same labels
 in the same order.  Size guards keep the combinatorial blow-up of the
 larger families within interactive reach; they raise :class:`RangeError`
 rather than letting a call run away.
+
+The module only builds complexes, so it imports only :mod:`errors` and
+:mod:`lattice`; the comparison of a sphere with the cyclic polytope
+boundary is ``bounds.gubt_compare``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Union
 
-from .bounds import is_simplicial
-from .errors import (
-    HypothesisNotMet,
-    InvalidFace,
-    NotPseudomanifold,
-    NotShellable,
-    PreconditionViolated,
-    RangeError,
-)
+from .errors import InvalidFace, NotPseudomanifold, PreconditionViolated, RangeError
 from .lattice import (
     BOTTOM_ID,
     TOP_ID,
     FaceLattice,
     boundary_complex,
     build_lattice,
-    f_vector,
     from_facets,
     is_pseudomanifold,
 )
-from .shelling import SearchBudget, _as_budget, find_shelling
 
 
 def simplex_boundary(d: int) -> FaceLattice:
@@ -89,6 +82,9 @@ def ngon(n: int) -> FaceLattice:
     """The n-gon: vertices ``v1..vn`` and edges ``e12, e23, ..., e{n}1``."""
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
+    if n > 8191:
+        # 16 384 elements, as many as simplex_boundary(12), the largest family
+        raise RangeError(f"need n <= 8191, got {n}")
     elements = [(BOTTOM_ID, 0), (TOP_ID, 3)]
     covers = []
     for i in range(1, n + 1):
@@ -151,75 +147,3 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
         if a != x
     ]
     return build_lattice(elements, covers, S.dim)
-
-
-# -- comparison against the cyclic polytope ------------------------------
-
-
-@dataclass(frozen=True)
-class GubtRow:
-    k: int
-    f_p: int
-    f_c: int
-    ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "f_p": self.f_p, "f_c": self.f_c, "ok": self.ok}
-
-
-@dataclass(frozen=True)
-class GubtReport:
-    """Face counts of a sphere against the cyclic polytope boundary with
-    the same dimension and vertex count.  Rows that fall short are
-    reported, never asserted away."""
-
-    d: int
-    n: int
-    simplicial: bool
-    facets_p: int
-    facets_c: int
-    rows: tuple[GubtRow, ...]
-    all_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "simplicial": self.simplicial,
-            "facets_p": self.facets_p,
-            "facets_c": self.facets_c,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "all_ok": self.all_ok,
-        }
-
-
-def gubt_compare(
-    P: FaceLattice, d: int, n: int, *, budget: Union[int, SearchBudget, None] = None
-) -> GubtReport:
-    """Compare a shellable (d-1)-sphere on n vertices against C(d, n).
-
-    The hypothesis is that P has at least as many facets as the cyclic
-    boundary; when it holds, every face count of P is expected to meet
-    the cyclic one, and the report records where that happens.  A sphere
-    with fewer facets raises :class:`HypothesisNotMet` since the
-    comparison is silent about it.
-    """
-    C = cyclic_boundary(d, n)
-    if P.dim != d - 1:
-        raise PreconditionViolated(f"dimension {P.dim} does not match d-1={d - 1}")
-    if not is_pseudomanifold(P):
-        raise NotPseudomanifold("the comparison needs a pseudomanifold")
-    if boundary_complex(P).mask != 0:
-        raise PreconditionViolated("the comparison is stated for spheres")
-    fP = f_vector(P)
-    fC = f_vector(C)
-    if find_shelling(P, budget=_as_budget(budget)) is None:
-        raise NotShellable("no shelling order found")
-    if fP[d - 1] < fC[d - 1]:
-        raise HypothesisNotMet(
-            f"facet count {fP[d - 1]} is below the cyclic count {fC[d - 1]}"
-        )
-    rows = tuple(GubtRow(k, fP[k], fC[k], fP[k] >= fC[k]) for k in range(d))
-    return GubtReport(
-        d, n, is_simplicial(P), fP[d - 1], fC[d - 1], rows, all(r.ok for r in rows)
-    )

@@ -28,13 +28,16 @@ neighbours as index tuples; the sorted id pairs of
 A lattice keeps one memo, ``_memo``, which the shelling module fills.  The
 library reads a cell through host masks and builds no lattice for it;
 :func:`sub_lattice` builds one only when a caller asks.
+
+Predicates on a complex live here, :func:`is_simplicial` among them.  So
+does ``_record``, the decorator that makes the library's result classes
+(:class:`FVector` here, the shelling orders, certificates and failures,
+and the bounds reports) immutable records.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -43,6 +46,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import (
     CyclicCovers,
     EmptyInput,
+    InternalContradiction,
     InvalidFace,
     MixedDimensions,
     NoBottom,
@@ -50,6 +54,7 @@ from .errors import (
     NotGraded,
     NotPseudomanifold,
     NoTop,
+    PreconditionViolated,
     RankOutOfRange,
 )
 
@@ -321,6 +326,8 @@ class FaceLattice:
             [self.dim, list(zip(self.ids, self.ranks)), self.covers()],
             separators=(",", ":"),
         )
+        import hashlib
+
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def __repr__(self) -> str:
@@ -404,7 +411,56 @@ class FaceSet(_MaskSet):
         return f"FaceSet(members={len(self)})"
 
 
-@dataclass(frozen=True)
+def _record(cls: type) -> type:
+    """Make ``cls`` an immutable record of the fields it annotates, in
+    annotation order, as ``dataclass(frozen=True)`` would.
+
+    Adds ``__init__`` (positional or keyword arguments; it then calls
+    ``__post_init__`` when the class has one), ``__eq__`` between
+    instances of the same class, ``__hash__`` of the field tuple,
+    ``__repr__`` as ``Name(field=value, ...)``, and ``__setattr__`` and
+    ``__delattr__`` that raise :class:`AttributeError`.  ``__init__``,
+    ``__eq__`` and ``__hash__`` are compiled once per class, so that an
+    instance costs what a dataclass instance costs; :mod:`dataclasses`
+    itself is not imported because it loads :mod:`inspect`, which every
+    command-line run would pay for at start-up.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    mine = "".join(f"self.{f}, " for f in fields)
+    theirs = "".join(f"other.{f}, " for f in fields)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(fields)}):",
+        *[f"    _set(self, {f!r}, {f})" for f in fields],
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+    ])
+    methods: dict = {"_set": object.__setattr__}
+    exec(source, methods)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods.update(__repr__=__repr__, __setattr__=__setattr__, __delattr__=__delattr__)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        method = methods[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
+
+
+@_record
 class FVector:
     """Face counts ``(f_-1, f_0, ..., f_dim)``; index by dimension."""
 
@@ -623,6 +679,29 @@ def is_pseudomanifold(x: Complex) -> bool:
     return _free_ridges(x) is not None
 
 
+def is_simplicial(X: FaceLattice) -> bool:
+    """Whether every facet is a simplex.
+
+    Tested by counting codimension-1 faces below each facet (d + 1 for a
+    d-simplex) and cross-checked against the closed cells being Boolean
+    intervals of size 2^(d+1); the two tests agree on diamond lattices.
+    """
+    if not is_pure(X):
+        raise PreconditionViolated("simpliciality is examined on pure complexes")
+    d = X.dim
+    by_ridges = True
+    by_interval = True
+    for facet in X.facets():
+        x = X.index(facet)
+        if (X._down[x] & X._rank_masks[d]).bit_count() != d + 1:
+            by_ridges = False
+        if X._down[x].bit_count() != 2 ** (d + 1):
+            by_interval = False
+    if by_ridges != by_interval:
+        raise InternalContradiction("ridge-count and Boolean-interval tests disagree")
+    return by_ridges
+
+
 def boundary_complex(x: Complex) -> Subcomplex:
     """Closure of the codimension-1 faces lying in exactly one top face.
 
@@ -763,6 +842,7 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     try:
         dim = data["dim"]
         faces = [(str(f["id"]), f["dim"]) for f in data["faces"]]
+        # not the constructor's check repeated: it sees the rank k + 1, and True + 1 == 2
         if any(type(k) is not int for k in [dim] + [k for _, k in faces]):
             raise InvalidFace("malformed lattice data: a dimension is not an integer")
         if any(not isinstance(c, (list, tuple)) for c in data["covers"]):

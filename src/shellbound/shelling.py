@@ -50,7 +50,6 @@ ever reporting a false negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -68,6 +67,7 @@ from .lattice import (
     FaceLattice,
     Subcomplex,
     _iter_bits,
+    _record,
     boundary_complex,
     dualize,
     is_diamond,
@@ -109,7 +109,7 @@ def _as_budget(budget: Union[int, SearchBudget, None]) -> SearchBudget:
     return SearchBudget(int(budget))
 
 
-@dataclass(frozen=True)
+@_record
 class ShellingOrder:
     """A facet order bound to its lattice; always a permutation of the facets."""
 
@@ -127,7 +127,7 @@ class ShellingOrder:
         return iter(self.facets)
 
 
-@dataclass(frozen=True)
+@_record
 class ShellingStep:
     """Evidence for one step: which ridges the facet glues along, and a
     shelling of its boundary starting with exactly those ridges."""
@@ -137,7 +137,7 @@ class ShellingStep:
     sub_certificate: "ShellingCertificate"
 
 
-@dataclass(frozen=True)
+@_record
 class ShellingCertificate:
     """A verified shelling of the boundary of host cell ``cell``; the whole
     complex is the cell ``lattice._top``.
@@ -190,7 +190,7 @@ class ShellingCertificate:
         return {"order": list(self.facets), "steps": steps, "nodes": nodes}
 
 
-@dataclass(frozen=True)
+@_record
 class ShellingFailure:
     """First step at which an order breaks the definition, 1-based."""
 

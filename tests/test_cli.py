@@ -85,6 +85,12 @@ def test_gen_missing_parameter():
     assert run(["gen", "punctured"]) == 2
 
 
+def test_gen_size_guard_is_usage_error(capsys):
+    # refused before anything is allocated, not killed for its memory
+    assert run(["gen", "ngon", "--n", "100000000"]) == 2
+    assert "8191" in capsys.readouterr().err
+
+
 # -- check-shelling ------------------------------------------------------
 
 
@@ -344,13 +350,18 @@ def test_malformed_lattice_data(tmp_path):
     assert run(["find-shelling", "--input", str(bad)]) == 2
 
 
-def run_subprocess(args: list[str]) -> subprocess.CompletedProcess:
-    """The CLI in a child interpreter, so that a traceback reaches stderr."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A child interpreter given ARGV, with these sources on its path."""
     src = str(Path(sb.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "shellbound.cli", *args],
+        [sys.executable, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
+
+
+def run_subprocess(args: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a child interpreter, so that a traceback reaches stderr."""
+    return run_python("-m", "shellbound.cli", *args)
 
 
 def triangle_by_hand() -> dict:
@@ -417,6 +428,7 @@ def test_negative_budget_is_usage_error(oct_json):
     proc = run_subprocess(["find-shelling", "--input", oct_json, "--budget", "-1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "a search budget must be at least 0, got -1" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -428,6 +440,40 @@ def test_usage_errors():
 
 def test_version_flag():
     assert run(["--version"]) == 0
+
+
+# one line of ``python -X importtime`` output per module, named last
+IMPORT_TIME_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
+
+
+def test_each_run_imports_only_the_modules_it_uses(oct_json):
+    def loaded(*argv: str) -> set[str]:
+        proc = run_python("-X", "importtime", *argv)
+        assert proc.returncode == 0, proc.stderr
+        return set(IMPORT_TIME_LINE.findall(proc.stderr))
+
+    # what the interpreter loads at start-up is not the package's doing
+    startup = loaded("-c", "pass")
+
+    def imports(*argv: str) -> set[str]:
+        return loaded(*argv) - startup
+
+    cli = ("-m", "shellbound.cli")
+    order = ",".join(sb.find_shelling(sb.cross_polytope(2)).facets)
+    version = imports(*cli, "--version")
+    gen = imports(*cli, "gen", "simplex-boundary", "--d", "3")
+    find = imports(*cli, "find-shelling", "--input", oct_json)
+    check = imports(*cli, "check-shelling", "--input", oct_json, "--order", order)
+    gubt = imports(*cli, "gubt", "--input", oct_json, "--d", "3", "--n", "5")
+    library = imports("-c", "import shellbound; shellbound.FaceLattice")
+
+    every = version | gen | find | check | gubt | library
+    assert not {"dataclasses", "inspect"} & every
+    assert "shellbound.lattice" not in version
+    assert not {"shellbound.shelling", "shellbound.bounds"} & gen
+    assert not {"shellbound.bounds", "shellbound.generators"} & (find | check)
+    modules = {f"shellbound.{m}" for m in ("errors", "lattice", "shelling", "bounds", "generators")}
+    assert modules <= gubt and modules <= library
 
 
 def test_package_and_report_schema_share_one_version():

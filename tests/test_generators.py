@@ -92,6 +92,8 @@ def test_generator_range_guards():
     with pytest.raises(sb.RangeError):
         sb.ngon(2)
     with pytest.raises(sb.RangeError):
+        sb.ngon(8192)
+    with pytest.raises(sb.RangeError):
         sb.cyclic_boundary(1, 5)
     with pytest.raises(sb.RangeError):
         sb.cyclic_boundary(4, 4)

@@ -1,0 +1,103 @@
+"""The frozen result records keep the semantics of a frozen dataclass:
+construction by position or keyword, equality within one class, the hash
+of the field tuple, the ``Name(field=value, ...)`` repr, and no
+assignment or deletion."""
+
+import pytest
+
+import shellbound as sb
+
+
+def records() -> dict:
+    """One instance of every record class, each from a library result."""
+    L = sb.cross_polytope(2)
+    order = sb.find_shelling(L).facets
+    cert = sb.is_shelling(L, order)
+    decomposition = sb.facet_decomposition(L, order)
+    report = sb.verify_lower_bound(L, order, 1)
+    gubt = sb.gubt_compare(L, 3, 5)
+    found = [
+        sb.f_vector(L),
+        cert.order,
+        cert.steps[1],
+        cert,
+        # the first facet, then the one opposite it: they meet nowhere
+        sb.is_shelling(L, order[:1] + order[-1:] + order[1:-1]),
+        sb.rho(3, 1),
+        sb.split_complexes(L, order, 3),
+        sb.check_split_count(L, order, 3, 1),
+        sb.find_witness_pair(L, order, 3),
+        decomposition.splits[1],
+        decomposition,
+        report.per_facet[0],
+        report,
+        sb.corollary_bounds(L, 1),
+        gubt.rows[0],
+        gubt,
+    ]
+    return {type(r).__name__: r for r in found}
+
+
+RECORDS = records()
+
+
+def fields_of(record) -> dict:
+    return {name: getattr(record, name) for name in type(record).__annotations__}
+
+
+def test_every_record_class_is_covered():
+    assert sorted(RECORDS) == sorted([
+        "BoundsReport", "CorollaryReport", "FVector", "FacetSplit", "GubtReport",
+        "GubtRow", "PerFacetBound", "RhoCoefficient", "ShellingCertificate",
+        "ShellingFailure", "ShellingOrder", "ShellingStep", "SplitCountResult",
+        "SplitDecomposition", "SplitPair", "WitnessPair",
+    ])
+    assert all(type(r) is getattr(sb, name) for name, r in RECORDS.items())
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_semantics(name):
+    record = RECORDS[name]
+    cls = type(record)
+    values = fields_of(record)
+    assert len(values) >= 2
+
+    for rebuilt in (cls(*values.values()), cls(**values)):
+        assert rebuilt == record and not rebuilt != record
+        assert hash(rebuilt) == hash(record) == hash(tuple(values.values()))
+        assert rebuilt is not record
+
+    # equal only within one class: not to a subclass or a tuple with the
+    # same fields
+    twin = type("Twin", (cls,), {})(*values.values())
+    assert twin != record and record != twin
+    assert record != tuple(values.values())
+
+    first = next(iter(values))
+    with pytest.raises(AttributeError):
+        setattr(record, first, values[first])
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    assert fields_of(record) == values
+
+    body = ", ".join(f"{k}={v!r}" for k, v in values.items())
+    assert repr(record) == f"{name}({body})"
+
+
+def test_shelling_order_checks_its_facets():
+    order = RECORDS["ShellingOrder"]
+    with pytest.raises(sb.PreconditionViolated):
+        sb.ShellingOrder(order.lattice, order.facets[:-1])
+    with pytest.raises(sb.PreconditionViolated):
+        sb.ShellingOrder(lattice=order.lattice, facets=order.facets + order.facets[:1])
+
+
+def test_certificate_order_is_cached():
+    cert = RECORDS["ShellingCertificate"]
+    assert cert.order is cert.order
+    assert cert.order.facets == cert.facets
+    step = cert.steps[1].sub_certificate
+    assert step.order is step.order
+    assert step.order.lattice.dim == cert.lattice.dim - 1
