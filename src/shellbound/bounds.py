@@ -32,12 +32,12 @@ check and dual lattice are made once per lattice and kept in its memo
 Last comes the comparison of a shellable sphere with the boundary of the
 cyclic polytope of the same dimension and vertex count
 (:func:`gubt_compare`); it is the only function here that builds a
-reference complex, so it alone imports :mod:`generators`.
+reference complex, so it alone imports :mod:`generators`; likewise only
+the two functions that build a ``Fraction`` import :mod:`fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
 
@@ -58,6 +58,7 @@ from .lattice import (
     FaceLattice,
     FaceSet,
     Subcomplex,
+    _closed,
     _iter_bits,
     _least_atom_avoiding,
     _record,
@@ -104,6 +105,8 @@ def rho(d_plus_1: int, k: int) -> RhoCoefficient:
     Defined for 0 <= k <= d where d = d_plus_1 - 1; takes the value 1 at
     k = d and grows as k shrinks.
     """
+    from fractions import Fraction
+
     d = d_plus_1 - 1
     if d < 0 or not 0 <= k <= d:
         raise RangeError(f"rho needs 0 <= k <= {d}, got k={k}")
@@ -187,12 +190,8 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     n = len(seq)
     if not 0 <= j <= n:
         raise InvalidSplit(f"need 0 <= j <= {n}, got {j}")
-    begin_mask = 0
-    for f in seq[:j]:
-        begin_mask |= L._down[L.index(f)]
-    end_mask = 0
-    for f in seq[j:]:
-        end_mask |= L._down[L.index(f)]
+    begin_mask = _closed(L, L._mask_of(seq[:j]))
+    end_mask = _closed(L, L._mask_of(seq[j:]))
     begin = Subcomplex(L, begin_mask)
     end = Subcomplex(L, end_mask)
     if not (is_pseudomanifold(begin) and is_pseudomanifold(end)):
@@ -442,12 +441,8 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
                 raise InternalContradiction("a ridge lies in more than two facets")
         if before_ridges & after_ridges:
             raise InternalContradiction("a ridge landed on both sides of its facet")
-        before_mask = 0
-        for r in _iter_bits(before_ridges):
-            before_mask |= X._down[r]
-        after_mask = 0
-        for r in _iter_bits(after_ridges):
-            after_mask |= X._down[r]
+        before_mask = _closed(X, before_ridges)
+        after_mask = _closed(X, after_ridges)
 
         cell_boundary = X._down[x] & ~(1 << x)
         if before_mask | after_mask != cell_boundary:
@@ -460,9 +455,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
                 raise InternalContradiction(
                     "the earlier side differs from the step intersection"
                 )
-        later_union = 0
-        for f in seq[j0 + 1 :]:
-            later_union |= X._down[X.index(f)]
+        later_union = _closed(X, X._mask_of(seq[j0 + 1 :]))
         if after_mask != cell_boundary & (bd_mask | later_union):
             raise InternalContradiction(
                 "the later side differs from its boundary description"
@@ -623,6 +616,8 @@ def verify_lower_bound(
                 )
             per_facet.append(PerFacetBound(split.j, counted.fk_begin, counted.fk_end, counted.rhs))
             interior_sum += counted.fk_begin + counted.fk_end
+
+    from fractions import Fraction
 
     lhs = f[k]
     rhs = rho(d + 1, k).value * f[d] + Fraction(fbd[k], 2)

@@ -29,6 +29,11 @@ A lattice keeps one memo, ``_memo``, which the shelling module fills.  The
 library reads a cell through host masks and builds no lattice for it;
 :func:`sub_lattice` builds one only when a caller asks.
 
+A :class:`Subcomplex` derives its boundary once, on first use, in one pass
+over its top faces; :func:`is_pseudomanifold`, :func:`boundary_complex`
+and :func:`interior` all read that one value.  ``_closed`` is the one
+down-closure of a set of faces, for every module of the package.
+
 Predicates on a complex live here, :func:`is_simplicial` among them.  So
 does ``_record``, the decorator that makes the library's result classes
 (:class:`FVector` here, the shelling orders, certificates and failures,
@@ -68,6 +73,18 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _closed(L: FaceLattice, mask: int) -> int:
+    """The union of the down-sets of the faces in ``mask``."""
+    down = L._down
+    union = 0
+    # _iter_bits inlined: this runs for every split side and every step
+    while mask:
+        low = mask & -mask
+        union |= down[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
 class FaceLattice:
@@ -393,6 +410,32 @@ class Subcomplex(_MaskSet):
                 return r - 1
         return -1
 
+    @cached_property
+    def _boundary(self) -> Union[int, None]:
+        """Mask of the boundary: the closure of the codimension-1 faces
+        lying in exactly one top face; None when the subcomplex is not a
+        pseudomanifold.
+
+        One pass over the top faces closes them, which decides purity,
+        and keeps the ridges seen in at least one, two and three of them.
+        """
+        if self.dim <= -1:
+            return 0
+        L = self.lattice
+        top_rank = self.dim + 1
+        ridges = L._rank_masks[top_rank - 1]
+        union = seen1 = seen2 = seen3 = 0
+        for f in _iter_bits(self.mask & L._rank_masks[top_rank]):
+            down = L._down[f]
+            union |= down
+            r = down & ridges
+            seen3 |= seen2 & r
+            seen2 |= seen1 & r
+            seen1 |= r
+        if union != self.mask or seen3:
+            return None
+        return _closed(L, seen1 & ~seen2)
+
     def __repr__(self) -> str:
         return f"Subcomplex(dim={self.dim}, members={len(self)})"
 
@@ -618,8 +661,8 @@ def closure(L: FaceLattice, face_ids: Union[FaceSet, Iterable[str]]) -> Subcompl
         x = L.index(i)
         if x == L._top:
             raise InvalidFace("the artificial top is not a face")
-        mask |= L._down[x]
-    return Subcomplex(L, mask)
+        mask |= 1 << x
+    return Subcomplex(L, _closed(L, mask))
 
 
 def _full_subcomplex(L: FaceLattice) -> Subcomplex:
@@ -636,37 +679,7 @@ def is_pure(x: Complex) -> bool:
     if sc.mask == 0:
         return True
     L = sc.lattice
-    top_mask = sc.mask & L._rank_masks[sc.dim + 1]
-    union = 0
-    for f in _iter_bits(top_mask):
-        union |= L._down[f]
-    return union == sc.mask
-
-
-def _free_ridges(x: Complex) -> Union[tuple[Subcomplex, int], None]:
-    """The complex as a subcomplex and the mask of its codimension-1 faces
-    lying in exactly one top face; None when it is not a pseudomanifold.
-
-    Walks the top faces once, keeping the ridges seen in at least one, two
-    and three of them.
-    """
-    if not is_pure(x):
-        return None
-    sc = _as_subcomplex(x)
-    if sc.dim <= -1:
-        return sc, 0
-    L = sc.lattice
-    top_rank = sc.dim + 1
-    ridges = L._rank_masks[top_rank - 1]
-    seen1 = seen2 = seen3 = 0
-    for f in _iter_bits(sc.mask & L._rank_masks[top_rank]):
-        r = L._down[f] & ridges
-        seen3 |= seen2 & r
-        seen2 |= seen1 & r
-        seen1 |= r
-    if seen3:
-        return None
-    return sc, seen1 & ~seen2
+    return _closed(L, sc.mask & L._rank_masks[sc.dim + 1]) == sc.mask
 
 
 def is_pseudomanifold(x: Complex) -> bool:
@@ -676,7 +689,7 @@ def is_pseudomanifold(x: Complex) -> bool:
     so at most two vertices are allowed; the degenerate complexes with at
     most one face qualify vacuously.
     """
-    return _free_ridges(x) is not None
+    return _as_subcomplex(x)._boundary is not None
 
 
 def is_simplicial(X: FaceLattice) -> bool:
@@ -708,15 +721,10 @@ def boundary_complex(x: Complex) -> Subcomplex:
     Empty for a complex without boundary (a sphere); raises
     :class:`NotPseudomanifold` when the input is not a pseudomanifold.
     """
-    found = _free_ridges(x)
-    if found is None:
+    sc = _as_subcomplex(x)
+    if sc._boundary is None:
         raise NotPseudomanifold("boundary is only defined for pseudomanifolds")
-    sc, free = found
-    L = sc.lattice
-    mask = 0
-    for ridge in _iter_bits(free):
-        mask |= L._down[ridge]
-    return Subcomplex(L, mask)
+    return Subcomplex(sc.lattice, sc._boundary)
 
 
 def interior(x: Complex) -> FaceSet:
@@ -726,7 +734,7 @@ def interior(x: Complex) -> FaceSet:
     consumer of interiors counts faces of dimension >= 0.
     """
     sc = _as_subcomplex(x)
-    bd = boundary_complex(x)
+    bd = boundary_complex(sc)
     return FaceSet(sc.lattice, (sc.mask & ~bd.mask) & sc.lattice._real_mask)
 
 

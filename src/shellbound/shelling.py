@@ -66,6 +66,7 @@ from .errors import (
 from .lattice import (
     FaceLattice,
     Subcomplex,
+    _closed,
     _iter_bits,
     _record,
     boundary_complex,
@@ -230,9 +231,7 @@ def boundary_intersection(
     if not 2 <= j <= len(seq):
         raise IndexOutOfRange(f"need 2 <= j <= {len(seq)}, got {j}")
     x = L.index(seq[j - 1])
-    union = 0
-    for f in seq[: j - 1]:
-        union |= L._down[L.index(f)]
+    union = _closed(L, L._mask_of(seq[: j - 1]))
     return Subcomplex(L, (L._down[x] & ~(1 << x)) & union)
 
 
@@ -251,10 +250,7 @@ def _step(
         inter = L._down[f] & ~(1 << f) & union
         if inter & L._real_mask:
             prefix = inter & L._rank_masks[L.ranks[f] - 1]
-            closed = 0
-            for r in _iter_bits(prefix):
-                closed |= L._down[r]
-            if closed != inter:
+            if _closed(L, prefix) != inter:
                 return NOT_PURE
         elif not permissive:
             return EMPTY_INTERSECTION
@@ -319,17 +315,14 @@ def _search(
     meet in a common ridge, so every step glues along a nonempty union of
     ridges, and each facet is again a simplex.  The first candidate at
     every depth succeeds, so the first order is the prefix sorted, then
-    the rest sorted, found without spending a node.
+    the rest sorted, found without spending a node or a memo entry.
     """
     facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
-    if L.ranks[x] <= 2:
+    if L.ranks[x] <= 2 or _boolean_cells(L) >> x & 1:
         return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
     key = (x, prefix, permissive)
     if key in L._memo:
         return L._memo[key]
-    if _boolean_cells(L) >> x & 1:
-        found = L._memo[key] = tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
-        return found
 
     n = facets.bit_count()
     k = prefix.bit_count()

@@ -58,6 +58,16 @@ def naive_lattice_arrays(
     return lower, upper, down, up
 
 
+def naive_is_pure(L: FaceLattice, face_ids) -> bool:
+    """Whether every one of the given faces lies below one of the highest
+    dimension among them, tested face against face."""
+    faces = set(face_ids)
+    dims = {f: L.dim_of(f) for f in faces}
+    top = max(dims.values(), default=-1)
+    tops = [f for f in faces if dims[f] == top]
+    return all(any(L.leq(f, t) for t in tops) for f in faces)
+
+
 def naive_pseudomanifold(L: FaceLattice, face_ids) -> tuple[bool, frozenset[str]]:
     """Whether the complex on the given faces is a pseudomanifold, and the
     faces of its boundary (empty when it is not one), counting the top
@@ -67,9 +77,9 @@ def naive_pseudomanifold(L: FaceLattice, face_ids) -> tuple[bool, frozenset[str]
     top = max(dims.values(), default=-1)
     if top <= -1:
         return True, frozenset()
-    tops = [f for f in faces if dims[f] == top]
-    if not all(any(L.leq(f, t) for t in tops) for f in faces):
+    if not naive_is_pure(L, faces):
         return False, frozenset()
+    tops = [f for f in faces if dims[f] == top]
     boundary: set[str] = set()
     for ridge in (f for f in faces if dims[f] == top - 1):
         cofaces = sum(L.leq(ridge, t) for t in tops)

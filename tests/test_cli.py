@@ -464,11 +464,14 @@ def test_each_run_imports_only_the_modules_it_uses(oct_json):
     gen = imports(*cli, "gen", "simplex-boundary", "--d", "3")
     find = imports(*cli, "find-shelling", "--input", oct_json)
     check = imports(*cli, "check-shelling", "--input", oct_json, "--order", order)
+    witness = imports(*cli, "witness", "--input", oct_json, "--order", order, "--split", "2")
     gubt = imports(*cli, "gubt", "--input", oct_json, "--d", "3", "--n", "5")
     library = imports("-c", "import shellbound; shellbound.FaceLattice")
 
-    every = version | gen | find | check | gubt | library
+    every = version | gen | find | check | witness | gubt | library
     assert not {"dataclasses", "inspect"} & every
+    # neither report builds a Fraction
+    assert not {"fractions", "decimal", "_decimal"} & (witness | gubt)
     assert "shellbound.lattice" not in version
     assert not {"shellbound.shelling", "shellbound.bounds"} & gen
     assert not {"shellbound.bounds", "shellbound.generators"} & (find | check)

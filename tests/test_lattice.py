@@ -20,6 +20,7 @@ from corpus import (
 from oracles import (
     naive_dim_and_counts,
     naive_is_lattice,
+    naive_is_pure,
     naive_lattice_arrays,
     naive_pseudomanifold,
     reachability,
@@ -421,6 +422,51 @@ def test_pseudomanifold_and_boundary_match_naive_oracle():
                 with pytest.raises(sb.NotPseudomanifold):
                     sb.boundary_complex(part)
     assert not sb.is_pseudomanifold(fan) and sb.is_pseudomanifold(pinched)
+
+
+# the four questions the complex layer answers, each as a comparable value
+COMPLEX_QUESTIONS = {
+    "pure": sb.is_pure,
+    "pseudomanifold": sb.is_pseudomanifold,
+    "boundary": lambda x: sb.boundary_complex(x).members,
+    "interior": lambda x: sb.interior(x).members,
+}
+
+
+def _ask(x, questions) -> dict:
+    answers = {}
+    for q in questions:
+        try:
+            answers[q] = COMPLEX_QUESTIONS[q](x)
+        except sb.NotPseudomanifold:
+            answers[q] = sb.NotPseudomanifold
+    return answers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts(), st.randoms(use_true_random=False))
+def test_complex_layer_matches_naive_oracle_on_small_posets(parts, rng):
+    L = sb.build_lattice(*parts)
+    faces = L.face_ids()
+    masks = [L._real_mask | 1 << L._bottom, 0, 1 << L._bottom]
+    masks += [sb.closure(L, rng.sample(faces, rng.randint(1, len(faces)))).mask
+              for _ in range(6)]
+    forward = list(COMPLEX_QUESTIONS)
+    for mask in masks:
+        members = L._ids_of(mask)
+        ok, boundary = naive_pseudomanifold(L, members)
+        expected = {
+            "pure": naive_is_pure(L, members),
+            "pseudomanifold": ok,
+            "boundary": boundary if ok else sb.NotPseudomanifold,
+            "interior": frozenset(members) - boundary - {L.bottom} if ok else sb.NotPseudomanifold,
+        }
+        # two objects with one mask, asked in opposite orders: no answer
+        # may depend on which question was asked first
+        assert _ask(sb.Subcomplex(L, mask), forward) == expected, members
+        assert _ask(sb.Subcomplex(L, mask), forward[::-1]) == expected, members
+        if mask == masks[0]:
+            assert _ask(L, forward[::-1]) == expected
 
 
 def test_dim_and_f_vector_match_naive_oracle():
