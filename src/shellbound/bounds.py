@@ -302,10 +302,10 @@ def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
     earlier = L._mask_of(seq[: j - 1])
     glued = 0
     for ridge in _iter_bits(L._down[x] & L._rank_masks[r - 2]):
-        others = L._up[ridge] & L._rank_masks[r - 1] & inside & ~(1 << x)
-        if others.bit_count() != 1:
+        others = [y for y in L._upper[ridge] if y != x and inside >> y & 1]
+        if len(others) != 1:
             raise InternalContradiction("a ridge of the sphere is not in exactly two facets")
-        if others & earlier:
+        if earlier >> others[0] & 1:
             glued |= 1 << ridge
     if L._ids_of(glued) != step.intersection_facets:
         raise InternalContradiction("a verified step glues along other ridges")
@@ -424,8 +424,8 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         before_ridges = 0
         after_ridges = 0
         for ridge in _iter_bits(X._down[x] & X._rank_masks[d]):
-            others = X._up[ridge] & X._rank_masks[d + 1] & ~(1 << x)
-            count = others.bit_count()
+            others = [y for y in X._upper[ridge] if y != x]
+            count = len(others)
             if count == 0:
                 if not (bd_mask >> ridge) & 1:
                     raise InternalContradiction(
@@ -433,7 +433,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
                     )
                 after_ridges |= 1 << ridge
             elif count == 1:
-                if pos[X.ids[others.bit_length() - 1]] < j0:
+                if pos[X.ids[others[0]]] < j0:
                     before_ridges |= 1 << ridge
                 else:
                     after_ridges |= 1 << ridge

@@ -17,16 +17,19 @@ Conventions used throughout the package:
 * ties are always broken by lexicographic face id, never by insertion
   order, so every derived object is deterministic.
 
-Up-sets and down-sets are cached as bit vectors (Python ints) over a frozen
-element order fixed at construction; lattices are immutable afterwards.
-The constructor runs every validation for every caller, derived lattices
-(:func:`dualize`, :func:`sub_lattice`, ``generators.punctured``) included.
-It resolves each cover pair to element indices once and keeps the cover
-neighbours as index tuples; the sorted id pairs of
-:meth:`FaceLattice.covers` are computed on its first call.
+Down-sets are cached as bit vectors (Python ints) over a frozen element
+order fixed at construction; lattices are immutable afterwards.  Up-sets
+are not stored, since each would span the top and so all n bits: upward
+queries walk the upper covers.  The constructor runs every validation
+for every caller, derived lattices (:func:`dualize`, :func:`sub_lattice`,
+``generators.punctured``) included.  It resolves each cover pair to
+element indices once and keeps the cover neighbours as index tuples; the
+sorted id pairs of :meth:`FaceLattice.covers` are computed on its first
+call.
 
-A lattice keeps one memo, ``_memo``, which the shelling module fills.  The
-library reads a cell through host masks and builds no lattice for it;
+A lattice keeps one memo, ``_memo``, which the shelling module fills and
+which holds the whole complex as one :class:`Subcomplex`.  The library
+reads a cell through host masks and builds no lattice for it;
 :func:`sub_lattice` builds one only when a caller asks.
 
 A :class:`Subcomplex` derives its boundary once, on first use, in one pass
@@ -42,9 +45,10 @@ and the bounds reports) immutable records.
 
 from __future__ import annotations
 
+import gc
 import json
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -75,6 +79,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _levels_above(L: FaceLattice, x: int) -> Iterator[set[int]]:
+    """The faces reached from ``x`` by upper covers, one rank at a time
+    from ``x`` itself; the top comes only where covers reach it."""
+    level = {x}
+    while level:
+        yield level
+        level = {z for y in level for z in L._upper[y]}
+
+
 def _closed(L: FaceLattice, mask: int) -> int:
     """The union of the down-sets of the faces in ``mask``."""
     down = L._down
@@ -102,7 +115,6 @@ class FaceLattice:
         "ranks",
         "_index",
         "_down",
-        "_up",
         "_lower",
         "_upper",
         "_rank_masks",
@@ -119,6 +131,16 @@ class FaceLattice:
         covers: Iterable[tuple[str, str]],
         dim: int,
     ):
+        # a collection during the build would free nothing: all of it is kept
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(elements, covers, dim)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build(self, elements, covers, dim) -> None:
         elems = [(str(i), r) for i, r in elements]
         if len({i for i, _ in elems}) != len(elems):
             raise InvalidFace("duplicate element ids")
@@ -195,28 +217,19 @@ class FaceLattice:
             rank_masks[r] |= 1 << x
         self._rank_masks = tuple(rank_masks)
 
-        # every cover raises the index, so down-sets fill in index order and
-        # up-sets in reverse; the extremes bound everything, whether or not
-        # covers say so
+        # every cover raises the index, so down-sets fill in index order;
+        # the bottom lies below everything and the top above it, whether or
+        # not covers say so
         full = (1 << n) - 1
-        top_bit = 1 << top
         down = [0] * n
         for x, below in enumerate(lower):
             m = (1 << x) | 1
             for c in below:
                 m |= down[c]
             down[x] = m
-        up = [0] * n
-        for x in range(top, -1, -1):
-            m = (1 << x) | top_bit
-            for c in upper[x]:
-                m |= up[c]
-            up[x] = m
         down[top] = full
-        up[0] = full
         self._down = tuple(down)
-        self._up = tuple(up)
-        self._real_mask = full & ~1 & ~top_bit
+        self._real_mask = full & ~1 & ~(1 << top)
         # shelling search and certificate memo, filled by the shelling module
         self._memo = {}
 
@@ -322,10 +335,11 @@ class FaceLattice:
         return frozenset(self.ids[x] for x in _iter_bits(m))
 
     def up_set(self, face_id: str, strict: bool = False) -> frozenset[str]:
-        m = self._up[self.index(face_id)]
+        x = self.index(face_id)
+        above = {self._top}.union(*_levels_above(self, x))
         if strict:
-            m &= ~(1 << self.index(face_id))
-        return frozenset(self.ids[x] for x in _iter_bits(m))
+            above.discard(x)
+        return frozenset(self.ids[y] for y in above)
 
     def _ids_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.ids[x] for x in _iter_bits(mask))
@@ -625,13 +639,20 @@ def is_diamond(L: FaceLattice) -> bool:
 
     Only meaningful on lattices; callers are expected to have checked
     :func:`is_lattice` first.
+
+    Read from the covers: an interval [x, z] of rank 2 holds x, z and one
+    y per path x < y < z, except that the top lies above every face, so
+    [x, top] holds x, the top and the upper covers of x.
     """
-    for x in range(len(L)):
-        r = L.ranks[x] + 2
-        if r > L.dim + 2:
-            continue
-        for z in _iter_bits(L._up[x] & L._rank_masks[r]):
-            if (L._up[x] & L._down[z]).bit_count() != 4:
+    upper = L._upper
+    for x, r in enumerate(L.ranks):
+        if r == L.dim:
+            if len(upper[x]) != 2:
+                return False
+        elif r < L.dim:
+            # paths to each z, sorted: pairs of equal entries, no z thrice
+            zs = sorted([z for y in upper[x] for z in upper[y]])
+            if zs[::2] != zs[1::2] or 2 * len(set(zs)) != len(zs):
                 return False
     return True
 
@@ -665,12 +686,15 @@ def closure(L: FaceLattice, face_ids: Union[FaceSet, Iterable[str]]) -> Subcompl
     return Subcomplex(L, _closed(L, mask))
 
 
-def _full_subcomplex(L: FaceLattice) -> Subcomplex:
-    return Subcomplex(L, L._real_mask | (1 << L._bottom))
-
-
 def _as_subcomplex(x: Complex) -> Subcomplex:
-    return _full_subcomplex(x) if isinstance(x, FaceLattice) else x
+    """A lattice as its whole complex, one per lattice, so that its
+    boundary is derived once; anything else as it is."""
+    if not isinstance(x, FaceLattice):
+        return x
+    sc = x._memo.get("whole complex")
+    if sc is None:
+        sc = x._memo["whole complex"] = Subcomplex(x, x._real_mask | (1 << x._bottom))
+    return sc
 
 
 def is_pure(x: Complex) -> bool:
@@ -744,8 +768,7 @@ def f_vector(x: Union[Complex, FaceSet]) -> FVector:
     For a lattice, counts every face plus the empty face; for a subcomplex
     or face set, counts exactly the members.  No closure is taken.
     """
-    if isinstance(x, FaceLattice):
-        x = _full_subcomplex(x)
+    x = _as_subcomplex(x)
     L = x.lattice
     if x.mask == 0:
         return FVector(-1, (0,))
@@ -784,7 +807,7 @@ def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, boo
     top_rank = L.dim + 2
     if not r <= s <= top_rank - 1:
         raise RankOutOfRange(f"need rank {r} <= s <= {top_rank - 1}, got {s}")
-    count = (L._up[x] & L._rank_masks[s]).bit_count()
+    count = len(next(islice(_levels_above(L, x), s - r, None), ()))
     return count, count >= comb(top_rank - r, top_rank - s)
 
 
@@ -792,14 +815,16 @@ def _least_atom_avoiding(L: FaceLattice, cell_mask: int, coatom: int, base: int)
     """Index of the least atom of ``[base, cell]`` that is not below
     ``coatom``, where ``cell_mask`` holds the faces strictly below the cell.
 
-    The atoms share a rank, and within a rank the least index has the
-    least id, so this is the lowest set bit.  Raises :class:`NoSuchAtom`
+    The atoms are the upper covers of ``base`` in the cell, and cover
+    tuples run in index order, which within a rank is id order, so the
+    first that qualifies is the least.  Raises :class:`NoSuchAtom`
     when every such atom lies below the coatom.
     """
-    avoiding = L._rank_masks[L.ranks[base] + 1] & L._up[base] & cell_mask & ~L._down[coatom]
-    if not avoiding:
-        raise NoSuchAtom(f"every atom above {L.ids[base]!r} lies below {L.ids[coatom]!r}")
-    return (avoiding & -avoiding).bit_length() - 1
+    below = L._down[coatom]
+    for a in L._upper[base]:
+        if cell_mask >> a & 1 and not below >> a & 1:
+            return a
+    raise NoSuchAtom(f"every atom above {L.ids[base]!r} lies below {L.ids[coatom]!r}")
 
 
 def atom_avoiding_coatom(

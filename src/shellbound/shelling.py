@@ -25,7 +25,7 @@ so a set of them that failed once is remembered and never walked again:
 it would fail the same way, and a failed subtree holds no order to find.
 And a cell whose lower interval is Boolean bounds a simplex, where every
 facet order is a shelling, so its first order is the prefix sorted, then
-the rest sorted; it is read off without a search.
+the rest sorted; it is read off the cell's lower covers without a search.
 ``_verify``, the only function that walks a given order, applies ``_step``
 at each position and verifies each step's sub-order in turn; it returns a
 certificate, or a failure carrying the first bad step.
@@ -39,9 +39,10 @@ builds a lattice for a cell; a caller that reads a sub-certificate's
 ``L._memo``, the host lattice's only memo, keyed by ``(cell index, prefix
 bitmask, permissive flag)`` and ``(cell index, facet order, permissive
 flag)``; the order a caller hands to :func:`is_shelling` is not kept.
-The same dict keeps the diamond verdict, the dual lattice and the mask of
-Boolean cells under string keys.  It lives and dies with its lattice, so
-no answer depends on what the process computed on other lattices.
+The same dict keeps the diamond verdict, the dual lattice, the mask of
+Boolean cells and the whole complex as a subcomplex under string keys.
+It lives and dies with its lattice, so no answer depends on what the
+process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -317,9 +318,16 @@ def _search(
     every depth succeeds, so the first order is the prefix sorted, then
     the rest sorted, found without spending a node or a memo entry.
     """
-    facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
-    if L.ranks[x] <= 2 or _boolean_cells(L) >> x & 1:
-        return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
+    r = L.ranks[x]
+    facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
+    if r <= 2 or _boolean_cells(L) >> x & 1:
+        # below the top and above rank 1 the facets are the lower covers,
+        # already in index order; the top's are read from its down-set
+        in_order = L._lower[x] if 1 < r and x != L._top else tuple(_iter_bits(facets))
+        first, rest = [], []
+        for f in in_order:
+            (first if prefix >> f & 1 else rest).append(f)
+        return tuple(first + rest)
     key = (x, prefix, permissive)
     if key in L._memo:
         return L._memo[key]

@@ -40,7 +40,8 @@ def reachability(
 def naive_lattice_arrays(
     elements: list[tuple[str, int]], covers: list[tuple[str, str]], dim: int
 ) -> tuple[tuple, tuple, tuple, tuple]:
-    """``(_lower, _upper, _down, _up)`` of the lattice on these elements and
+    """The cover neighbours ``_lower`` and ``_upper``, the down-set masks
+    ``_down`` and the up-set masks of the lattice on these elements and
     covers, over the (rank, id) element order: cover neighbours read off
     the cover list pair by pair, down- and up-sets from
     :func:`reachability`."""
@@ -56,6 +57,39 @@ def naive_lattice_arrays(
     down = tuple(sum(1 << pos[y] for y in ids if x in above[y]) for x in ids)
     up = tuple(sum(1 << pos[y] for y in above[x]) for x in ids)
     return lower, upper, down, up
+
+
+def _above(L: FaceLattice) -> dict[str, set[str]]:
+    return reachability(list(zip(L.ids, L.ranks)), list(L.covers()), L.bottom, L.top)
+
+
+def naive_is_diamond(L: FaceLattice) -> bool:
+    """Every interval [x, z] with z two ranks above x has four elements,
+    counted over the reachability closure of the explicit covers."""
+    above = _above(L)
+    rank = dict(zip(L.ids, L.ranks))
+    return all(
+        sum(z in above[y] for y in above[x]) == 4
+        for x in L.ids
+        for z in above[x]
+        if rank[z] == rank[x] + 2
+    )
+
+
+def naive_atoms_avoiding_coatoms(L: FaceLattice) -> dict[tuple[str, object], object]:
+    """For every coatom and every base below the top (None for the
+    bottom's default), the least id among the faces other than the top
+    that cover the base and do not lie below the coatom, or None when
+    there is no such face; read off the reachability closure."""
+    above = _above(L)
+    rank = dict(zip(L.ids, L.ranks))
+    out = {}
+    for coatom in (c for c in L.ids if rank[c] == rank[L.top] - 1):
+        for base in [None] + [b for b in L.ids if b != L.top]:
+            b = L.bottom if base is None else base
+            atoms = [y for y in above[b] if rank[y] == rank[b] + 1 and y != L.top]
+            out[coatom, base] = min((y for y in atoms if coatom not in above[y]), default=None)
+    return out
 
 
 def naive_is_pure(L: FaceLattice, face_ids) -> bool:

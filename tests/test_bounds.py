@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -535,6 +536,27 @@ def test_bound_route_spends_only_the_verification(name, lattice_builds):
         for j in range(n + 1):
             sb.split_complexes(split, seq, j)
     assert lattice_builds.count == 0
+
+
+def test_bound_route_derives_the_whole_boundary_once(monkeypatch):
+    X = sb.cross_polytope(4)
+    seq = sb.find_shelling(X).facets
+    derive = sb.Subcomplex.__dict__["_boundary"].func
+    whole = []
+
+    def counting(sc):
+        if sc.lattice is X and sc.mask == X._real_mask | 1:
+            whole.append(sc)
+        return derive(sc)
+
+    prop = cached_property(counting)
+    prop.__set_name__(sb.Subcomplex, "_boundary")
+    monkeypatch.setattr(sb.Subcomplex, "_boundary", prop)
+    d = X.dim
+    for k in range((d - 1) // 2, d + 1):
+        assert sb.verify_lower_bound(X, seq, k).ok, k
+    sb.facet_decomposition(X, seq)
+    assert len(whole) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ONCE))

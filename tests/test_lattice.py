@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,9 @@ from corpus import (
     spheres_d_le_3,
 )
 from oracles import (
+    naive_atoms_avoiding_coatoms,
     naive_dim_and_counts,
+    naive_is_diamond,
     naive_is_lattice,
     naive_is_pure,
     naive_lattice_arrays,
@@ -139,15 +144,21 @@ def test_orphan_element_rejected():
         )
 
 
+def _arrays(L: sb.FaceLattice) -> tuple[tuple, tuple, tuple, tuple]:
+    """The cover neighbours and down-set masks the lattice keeps, and the
+    up-set of every element as a mask, read through ``up_set``."""
+    return L._lower, L._upper, L._down, tuple(L._mask_of(L.up_set(i)) for i in L.ids)
+
+
 def _check_constructor(elements, covers, dim, rng):
     """Build from shuffled elements and covers, and compare the cover
-    neighbours and order bit vectors with the naive oracle."""
+    neighbours, down-set bit vectors and up-sets with the naive oracle."""
     expected = naive_lattice_arrays(elements, covers, dim)
     elements, covers = list(elements), list(covers)
     rng.shuffle(elements)
     rng.shuffle(covers)
     L = sb.build_lattice(elements, covers, dim)
-    assert (L._lower, L._upper, L._down, L._up) == expected
+    assert _arrays(L) == expected
     assert L.covers() == tuple(sorted(set(covers)))
     return L
 
@@ -160,12 +171,61 @@ def test_constructor_matches_naive_oracle():
               ("multi-char", sb.from_facets([[1, 2, 10], [2, 10, 11], [1, 10, 11]]))]
     for name, L in cases:
         elements, covers = list(zip(L.ids, L.ranks)), list(L.covers())
-        assert (L._lower, L._upper, L._down, L._up) == naive_lattice_arrays(
+        assert _arrays(L) == naive_lattice_arrays(
             elements, covers, L.dim
         ), name
         _check_constructor(elements, covers, L.dim, random.Random(name))
         if name != "mixed-dims":
             assert sb.dualize(sb.dualize(L)).covers() == L.covers(), name
+
+
+def test_constructor_pauses_the_collector_and_restores_it():
+    was_enabled = gc.isenabled()
+    L = zero_sphere()
+    elements, covers = list(zip(L.ids, L.ranks)), list(L.covers())
+    seen = []
+
+    def watched(pairs):
+        seen.append(gc.isenabled())
+        yield from pairs
+
+    try:
+        gc.enable()
+        sb.build_lattice(elements, watched(covers), 0)
+        assert seen == [False] and gc.isenabled()
+        with pytest.raises(sb.CyclicCovers):
+            sb.build_lattice(
+                [(BOTTOM_ID, 0), ("a", 1), ("b", 1), (TOP_ID, 2)],
+                [(BOTTOM_ID, "a"), ("a", "b"), ("b", "a"), ("b", TOP_ID)],
+                0,
+            )
+        assert gc.isenabled()
+        gc.disable()
+        sb.build_lattice(elements, covers, 0)
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_lattice_keeps_no_up_set_masks():
+    # an up-set mask spans the top, so n of them hold n^2 bits; the covers
+    # answer every upward query
+    assert "_up" not in sb.FaceLattice.__slots__
+    L = sb.simplex_boundary(10)
+    elements, covers, dim = list(zip(L.ids, L.ranks)), list(L.covers()), L.dim
+    del L
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = sb.build_lattice(elements, covers, dim)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 2 ** 12
+    assert after - before < 3 * 2 ** 20
 
 
 def test_from_facets_examples():
@@ -289,6 +349,47 @@ def test_is_diamond():
     assert sb.is_diamond(sb.cross_polytope(2))
     assert sb.is_diamond(sb.ngon(4))
     assert not sb.is_diamond(sb.from_facets([[1, 2], [2, 3]]))
+
+
+def _check_upward_readers(L: sb.FaceLattice) -> None:
+    """``is_diamond``, ``up_set``, ``upper_interval_count`` and
+    ``atom_avoiding_coatom`` against brute force over the reachability
+    closure of the covers."""
+    assert sb.is_diamond(L) == naive_is_diamond(L)
+    above = reachability(list(zip(L.ids, L.ranks)), list(L.covers()), L.bottom, L.top)
+    top_rank = L.dim + 2
+    for x, r in zip(L.ids, L.ranks):
+        assert L.up_set(x) == frozenset(above[x])
+        assert L.up_set(x, strict=True) == frozenset(above[x] - {x})
+        for s in range(r, top_rank):
+            count = sum(L.rank_of(y) == s for y in above[x])
+            floor = comb(top_rank - r, top_rank - s)
+            assert sb.upper_interval_count(L, x, s) == (count, count >= floor)
+    for (coatom, base), atom in naive_atoms_avoiding_coatoms(L).items():
+        if atom is None:
+            with pytest.raises(sb.NoSuchAtom):
+                sb.atom_avoiding_coatom(L, coatom, base)
+        else:
+            assert sb.atom_avoiding_coatom(L, coatom, base) == atom
+
+
+def test_upward_readers_match_naive_oracles():
+    cases = [(name, L) for name, L in spheres_d_le_3() + balls()]
+    cases += [(f"dual-{name}", sb.dualize(L)) for name, L in cases]
+    cases += [("doubled-triangle", doubled_triangle()), ("bowtie", bowtie()),
+              ("mixed-dims", mixed_dims_by_hand()), ("zero-sphere", zero_sphere())]
+    verdicts = {}
+    for name, L in cases:
+        _check_upward_readers(L)
+        verdicts[name] = sb.is_diamond(L)
+    assert verdicts["bowtie"] and not verdicts["mixed-dims"]
+    assert all(verdicts[name] for name, _ in spheres_d_le_3())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_posets)
+def test_upward_readers_match_naive_oracles_on_small_posets(L):
+    _check_upward_readers(L)
 
 
 def test_dualize_octahedron_is_cube_shaped():
