@@ -16,7 +16,12 @@ facets or the complex boundary, bound the interior face counts of each
 split, and sum without double counting.  Every identity the argument
 relies on is recomputed and cross-checked; a mismatch raises
 :class:`InternalContradiction` because it would mean the input lied about
-being a verified shelling, or the mathematics failed.
+being a verified shelling, or the mathematics failed.  The per-facet
+guards live in :func:`_decomposition`, which cuts each facet boundary
+once, with :func:`_split` on the step's sub-shelling, and checks the cut
+against the facet's ridges; :func:`verify_lower_bound` counts on its
+sides.  ``_split`` needs a sphere, so a facet boundary that is none (the
+input is then no regular CW complex) stops as a precondition error.
 
 Each public function verifies its order once and hands the certificate
 down: the private helpers of the proof route take a verified
@@ -75,7 +80,6 @@ from .shelling import (
     ShellingOrder,
     _as_budget,
     _is_diamond_lattice,
-    boundary_intersection,
     find_shelling,
     is_cl_shellable,
     is_dual_cl_shellable,
@@ -185,7 +189,8 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     masks."""
     L, cell, seq = cert.lattice, cert.cell, cert.facets
     boundary = L._down[cell] & ~(1 << cell)
-    _require_sphere(Subcomplex(L, boundary))
+    # the whole complex's boundary is derived once per lattice
+    _require_sphere(L if cell == L._top else Subcomplex(L, boundary))
     real = boundary & ~(1 << L._bottom)
     n = len(seq)
     if not 0 <= j <= n:
@@ -239,17 +244,11 @@ def check_split_count(
     cert = _verified(L, order, _as_budget(budget))
     if not 0 <= j <= len(cert.facets):
         raise RangeError(f"need 0 <= j <= {len(cert.facets)}, got j={j}")
-    return _split_count(cert, j, k)
-
-
-def _split_count(cert: ShellingCertificate, j: int, k: int) -> SplitCountResult:
-    """:func:`check_split_count` of a verified shelling of the boundary of
-    host cell ``cert.cell``, with ``j`` and ``k`` in range."""
     pair = _split(cert, j)
     fk_begin = f_vector(pair.begin_interior)[k]
     fk_end = f_vector(pair.end_interior)[k]
     # the boundary of a cell of rank r is a sphere of dimension r - 2
-    rhs = _rho_doubled(cert.lattice.ranks[cert.cell], k)
+    rhs = _rho_doubled(L.ranks[cert.cell], k)
     return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
 
 
@@ -282,6 +281,25 @@ class WitnessPair:
         }
 
 
+def _ridge_sides(L: FaceLattice, x: int, inside: int, earlier: int, bd: int) -> tuple[int, int]:
+    """The ridges of facet ``x`` of a cell whose proper faces are the
+    ``inside`` mask, as two masks: those shared with a facet in the
+    ``earlier`` mask, and the rest, each shared with a later facet or
+    lying on the boundary mask ``bd``."""
+    before = after = 0
+    for ridge in _iter_bits(L._down[x] & L._rank_masks[L.ranks[x] - 1]):
+        others = [y for y in L._upper[ridge] if y != x and inside >> y & 1]
+        if len(others) > 1:
+            raise InternalContradiction("a ridge lies in more than two facets")
+        if others and earlier >> others[0] & 1:
+            before |= 1 << ridge
+        elif others or bd >> ridge & 1:
+            after |= 1 << ridge
+        else:
+            raise InternalContradiction("a ridge in a single facet is missing from the boundary")
+    return before, after
+
+
 def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
     """The witness pair, as host indices, of a verified sphere shelling of
     the boundary of cell ``cert.cell`` cut at j, pushed down through the
@@ -299,14 +317,7 @@ def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
         return first, _least_atom_avoiding(L, inside, first, L._bottom)
     step = cert.steps[j - 1]
     x = L.index(step.facet)
-    earlier = L._mask_of(seq[: j - 1])
-    glued = 0
-    for ridge in _iter_bits(L._down[x] & L._rank_masks[r - 2]):
-        others = [y for y in L._upper[ridge] if y != x and inside >> y & 1]
-        if len(others) != 1:
-            raise InternalContradiction("a ridge of the sphere is not in exactly two facets")
-        if earlier >> others[0] & 1:
-            glued |= 1 << ridge
+    glued, _ = _ridge_sides(L, x, inside, L._mask_of(seq[: j - 1]), 0)
     if L._ids_of(glued) != step.intersection_facets:
         raise InternalContradiction("a verified step glues along other ridges")
     sub_cert = step.sub_certificate
@@ -395,12 +406,14 @@ def facet_decomposition(
 
     For facet j, the ridges below it are split by where their second facet
     sits in the order (or whether they lie on the complex boundary); each
-    side is closed off.  The identities the counting argument needs are
-    recomputed here and enforced: the sides cover the facet boundary with
-    disjoint ridge sets, the earlier side equals the step intersection,
-    the sides meet exactly in their common boundary, and across facets no
-    face is interior to two earlier sides (or an earlier side and the
-    complex boundary), nor interior to two later sides.
+    side is closed off and must match the cut of the facet boundary, a
+    sphere, at the step's prefixed sub-shelling.  The identities the
+    counting argument needs are recomputed here and enforced: the sides
+    cover the facet boundary with disjoint ridge sets, the earlier side
+    equals the step intersection and the step's glued ridges, the sides
+    meet exactly in their common boundary, and across facets no face is
+    interior to two earlier sides (or an earlier side and the complex
+    boundary), nor interior to two later sides.
     """
     return _decomposition(_verified(X, order, _as_budget(budget)))
 
@@ -415,30 +428,18 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     if d < 1:
         raise RangeError("the decomposition needs dimension at least 1")
     bd_mask = boundary_complex(X).mask
-    pos = {f: i for i, f in enumerate(seq)}
+    # later_unions[j0]: the closed union of the facets after position j0
+    later_unions = [0]
+    for facet in reversed(seq[1:]):
+        later_unions.append(later_unions[-1] | X._down[X.index(facet)])
+    later_unions.reverse()
     splits: list[FacetSplit] = []
+    earlier = earlier_union = 0
     seen_before_int = 0
     seen_after_int = 0
-    for j0, facet in enumerate(seq):
-        x = X.index(facet)
-        before_ridges = 0
-        after_ridges = 0
-        for ridge in _iter_bits(X._down[x] & X._rank_masks[d]):
-            others = [y for y in X._upper[ridge] if y != x]
-            count = len(others)
-            if count == 0:
-                if not (bd_mask >> ridge) & 1:
-                    raise InternalContradiction(
-                        "a ridge in a single facet is missing from the boundary"
-                    )
-                after_ridges |= 1 << ridge
-            elif count == 1:
-                if pos[X.ids[others[0]]] < j0:
-                    before_ridges |= 1 << ridge
-                else:
-                    after_ridges |= 1 << ridge
-            else:
-                raise InternalContradiction("a ridge lies in more than two facets")
+    for j0, step in enumerate(cert.steps):
+        x = X.index(step.facet)
+        before_ridges, after_ridges = _ridge_sides(X, x, X._real_mask, earlier, bd_mask)
         if before_ridges & after_ridges:
             raise InternalContradiction("a ridge landed on both sides of its facet")
         before_mask = _closed(X, before_ridges)
@@ -450,31 +451,38 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         if j0 == 0:
             if before_mask != 0:
                 raise InternalContradiction("the first facet has no earlier side")
-        else:
-            if before_mask != boundary_intersection(X, seq, j0 + 1).mask:
-                raise InternalContradiction(
-                    "the earlier side differs from the step intersection"
-                )
-        later_union = _closed(X, X._mask_of(seq[j0 + 1 :]))
-        if after_mask != cell_boundary & (bd_mask | later_union):
+        elif before_mask != cell_boundary & earlier_union:
+            raise InternalContradiction("the earlier side differs from the step intersection")
+        if after_mask != cell_boundary & (bd_mask | later_unions[j0]):
             raise InternalContradiction(
                 "the later side differs from its boundary description"
             )
-        before = Subcomplex(X, before_mask)
-        after = Subcomplex(X, after_mask)
-        bd_before = boundary_complex(before).mask
-        bd_after = boundary_complex(after).mask
+        # the step's sub-shelling of the facet boundary starts with
+        # exactly the ridges glued to earlier facets
+        prefix = X._ids_of(before_ridges)
+        if prefix != step.intersection_facets:
+            raise InternalContradiction("the earlier side differs from the glued ridges")
+        sub = step.sub_certificate
+        if set(sub.facets[: len(prefix)]) != set(prefix):
+            raise InternalContradiction("a facet boundary lost its prefixed shelling")
+        # cut on host masks of the facet cell, building no lattice
+        pair = _split(sub, len(prefix))
+        if (pair.begin.mask, pair.end.mask) != (before_mask, after_mask):
+            raise InternalContradiction("split recount disagrees with the facet decomposition")
+        bd_before = boundary_complex(pair.begin).mask
+        bd_after = boundary_complex(pair.end).mask
         if not (before_mask & after_mask == bd_before == bd_after):
             raise InternalContradiction("the sides do not meet in their common boundary")
-        before_int = interior(before)
-        after_int = interior(after)
+        before_int, after_int = pair.begin_interior, pair.end_interior
         if before_int.mask & (seen_before_int | bd_mask):
             raise InternalContradiction("a face is interior to two earlier sides")
         if after_int.mask & seen_after_int:
             raise InternalContradiction("a face is interior to two later sides")
         seen_before_int |= before_int.mask
         seen_after_int |= after_int.mask
-        splits.append(FacetSplit(j0 + 1, facet, before, after, before_int, after_int))
+        earlier |= 1 << x
+        earlier_union |= X._down[x]
+        splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
     return SplitDecomposition(X, seq, tuple(splits))
 
 
@@ -577,12 +585,12 @@ def verify_lower_bound(
 ) -> BoundsReport:
     """Check f_k >= rho(d+1, k) * f_d + f_k(boundary) / 2 along its proof.
 
-    Runs, in order: the per-facet floors from the boundary decomposition
-    (each cross-checked against an independent recount through the split
-    machinery of the facet boundary), the double-counting ceiling on their
-    sum, the exact rational inequality, and the equality expectation
-    (equality iff k = d, or k = d - 1 with X simplicial).  Admissible
-    range: floor((d-1)/2) <= k <= d, dimension at least 1.
+    Runs, in order: the per-facet floors, counted on the sides of the
+    facet decomposition (whose guards, the cut of each facet boundary at
+    its step's sub-shelling included, run there), the double-counting
+    ceiling on their sum, the exact rational inequality, and the equality
+    expectation (equality iff k = d, or k = d - 1 with X simplicial).
+    Admissible range: floor((d-1)/2) <= k <= d, dimension at least 1.
     """
     d = X.dim
     if d < 1 or not (d - 1) // 2 <= k <= d:
@@ -596,26 +604,13 @@ def verify_lower_bound(
     per_facet: list[PerFacetBound] = []
     interior_sum = 0
     if k <= d - 1:
-        decomp = _decomposition(cert)
-        for split, step in zip(decomp.splits, cert.steps):
-            # the step's sub-shelling of the facet boundary starts with
-            # exactly the ridges glued to earlier facets
-            prefix = X._ids_of(split.before.mask & X._rank_masks[d])
-            if prefix != step.intersection_facets:
-                raise InternalContradiction("the earlier side differs from the glued ridges")
-            sub = step.sub_certificate
-            if set(sub.facets[: len(prefix)]) != set(prefix):
-                raise InternalContradiction("a facet boundary lost its prefixed shelling")
-            # recounted on host masks of the facet cell, building no lattice
-            counted = _split_count(sub, len(prefix), k)
-            direct_begin = f_vector(split.before_interior)[k]
-            direct_end = f_vector(split.after_interior)[k]
-            if (counted.fk_begin, counted.fk_end) != (direct_begin, direct_end):
-                raise InternalContradiction(
-                    "split recount disagrees with the facet decomposition"
-                )
-            per_facet.append(PerFacetBound(split.j, counted.fk_begin, counted.fk_end, counted.rhs))
-            interior_sum += counted.fk_begin + counted.fk_end
+        # a facet is a cell of rank d + 1
+        rhs = _rho_doubled(d + 1, k)
+        for split in _decomposition(cert).splits:
+            fk_begin = f_vector(split.before_interior)[k]
+            fk_end = f_vector(split.after_interior)[k]
+            per_facet.append(PerFacetBound(split.j, fk_begin, fk_end, rhs))
+            interior_sum += fk_begin + fk_end
 
     from fractions import Fraction
 

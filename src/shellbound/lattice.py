@@ -32,10 +32,11 @@ which holds the whole complex as one :class:`Subcomplex`.  The library
 reads a cell through host masks and builds no lattice for it;
 :func:`sub_lattice` builds one only when a caller asks.
 
-A :class:`Subcomplex` derives its boundary once, on first use, in one pass
-over its top faces; :func:`is_pseudomanifold`, :func:`boundary_complex`
-and :func:`interior` all read that one value.  ``_closed`` is the one
-down-closure of a set of faces, for every module of the package.
+A :class:`Subcomplex` derives its boundary once, on first use: it asks
+:func:`is_pure`, then counts ridges in one pass over its top faces;
+:func:`is_pseudomanifold`, :func:`boundary_complex` and :func:`interior`
+all read that one value.  ``_closed`` is the one down-closure of a set
+of faces, for every module of the package.
 
 Predicates on a complex live here, :func:`is_simplicial` among them.  So
 does ``_record``, the decorator that makes the library's result classes
@@ -430,23 +431,23 @@ class Subcomplex(_MaskSet):
         lying in exactly one top face; None when the subcomplex is not a
         pseudomanifold.
 
-        One pass over the top faces closes them, which decides purity,
-        and keeps the ridges seen in at least one, two and three of them.
+        :func:`is_pure` decides purity; then one pass over the top faces
+        keeps the ridges seen in at least one, two and three of them.
         """
         if self.dim <= -1:
             return 0
+        if not is_pure(self):
+            return None
         L = self.lattice
         top_rank = self.dim + 1
         ridges = L._rank_masks[top_rank - 1]
-        union = seen1 = seen2 = seen3 = 0
+        seen1 = seen2 = seen3 = 0
         for f in _iter_bits(self.mask & L._rank_masks[top_rank]):
-            down = L._down[f]
-            union |= down
-            r = down & ridges
+            r = L._down[f] & ridges
             seen3 |= seen2 & r
             seen2 |= seen1 & r
             seen1 |= r
-        if union != self.mask or seen3:
+        if seen3:
             return None
         return _closed(L, seen1 & ~seen2)
 

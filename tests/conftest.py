@@ -1,10 +1,11 @@
 """Fixtures shared by the test modules."""
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
 
-from shellbound import FaceLattice
+from shellbound import FaceLattice, Subcomplex
 
 
 @pytest.fixture
@@ -20,3 +21,20 @@ def lattice_builds(monkeypatch):
 
     monkeypatch.setattr(FaceLattice, "__init__", counting_init)
     return counter
+
+
+@pytest.fixture
+def boundary_walks(monkeypatch):
+    """Lists each ``Subcomplex`` whose boundary is derived while the test
+    runs, once per derivation; a test may clear the list."""
+    walked: list[Subcomplex] = []
+    derive = Subcomplex.__dict__["_boundary"].func
+
+    def counting(sc):
+        walked.append(sc)
+        return derive(sc)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Subcomplex, "_boundary")
+    monkeypatch.setattr(Subcomplex, "_boundary", prop)
+    return walked

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
 import pytest
@@ -285,6 +284,24 @@ def test_facet_decomposition_rejects_bad_input():
         sb.facet_decomposition(sb.ngon(4), ("e12", "e34", "e23", "e41"))
 
 
+def test_decomposition_checks_the_certificate_steps():
+    from shellbound.bounds import _decomposition
+
+    L = sb.cross_polytope(2)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    steps = list(cert.steps)
+    glued = steps[1].intersection_facets
+    other = tuple(r for r in L.lower_covers(steps[1].facet) if r not in glued)[:1]
+    relabelled = steps.copy()
+    relabelled[1] = sb.ShellingStep(steps[1].facet, other, steps[1].sub_certificate)
+    swapped = steps.copy()
+    swapped[0] = sb.ShellingStep(steps[0].facet, (), steps[1].sub_certificate)
+    swapped[1] = sb.ShellingStep(steps[1].facet, glued, steps[0].sub_certificate)
+    for lying, guard in ((relabelled, "glued ridges"), (swapped, "split recount")):
+        with pytest.raises(sb.InternalContradiction, match=guard):
+            _decomposition(sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(lying)))
+
+
 def test_facet_decomposition_interiors_are_disjoint_families():
     for L in (sb.cross_polytope(2), ball2(), sb.ngon(5)):
         order = sb.find_shelling(L)
@@ -538,25 +555,31 @@ def test_bound_route_spends_only_the_verification(name, lattice_builds):
     assert lattice_builds.count == 0
 
 
-def test_bound_route_derives_the_whole_boundary_once(monkeypatch):
+def test_bound_route_derives_the_whole_boundary_once(boundary_walks):
     X = sb.cross_polytope(4)
     seq = sb.find_shelling(X).facets
-    derive = sb.Subcomplex.__dict__["_boundary"].func
-    whole = []
-
-    def counting(sc):
-        if sc.lattice is X and sc.mask == X._real_mask | 1:
-            whole.append(sc)
-        return derive(sc)
-
-    prop = cached_property(counting)
-    prop.__set_name__(sb.Subcomplex, "_boundary")
-    monkeypatch.setattr(sb.Subcomplex, "_boundary", prop)
     d = X.dim
     for k in range((d - 1) // 2, d + 1):
         assert sb.verify_lower_bound(X, seq, k).ok, k
     sb.facet_decomposition(X, seq)
+    # at j = 0 and j = n one side is the whole complex, derived as a side
+    n = len(seq)
+    for j in range(1, n):
+        sb.split_complexes(X, seq, j)
+        sb.find_witness_pair(X, seq, j)
+    sb.check_split_count(X, seq, n // 2, d)
+    whole = [sc for sc in boundary_walks if sc.lattice is X and sc.mask == X._real_mask | 1]
     assert len(whole) == 1
+
+
+def test_bound_cuts_each_facet_boundary_once(boundary_walks):
+    X = sb.cross_polytope(4)
+    seq = sb.find_shelling(X).facets
+    sb.verify_lower_bound(X, seq, 1)
+    boundary_walks.clear()
+    sb.verify_lower_bound(X, seq, 1)
+    # per facet: its boundary's sphere check and the two sides of its cut
+    assert len(boundary_walks) == 3 * len(seq) == 96
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ONCE))

@@ -244,6 +244,21 @@ def test_bounds_unshellable_input(tmp_path):
     assert env["result"]["error"] == "NotShellable"
 
 
+def test_bounds_on_a_non_sphere_facet_boundary_is_usage_error(tmp_path):
+    # a loop edge: its one vertex is the whole boundary of the edge, which
+    # is no sphere, so the input is no regular CW complex
+    loop = {"dim": 1, "faces": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}],
+            "covers": [["v", "e"]]}
+    src = tmp_path / "loop.json"
+    src.write_text(json.dumps(loop))
+    out = tmp_path / "report.json"
+    proc = run_subprocess(["bounds", "--input", str(src), "--out", str(out)])
+    assert proc.returncode == 2
+    assert not out.exists()
+    assert "Traceback" not in proc.stderr
+    assert "need a sphere" in proc.stderr
+
+
 # -- witness -------------------------------------------------------------
 
 
