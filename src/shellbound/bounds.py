@@ -23,13 +23,18 @@ against the facet's ridges; :func:`verify_lower_bound` counts on its
 sides.  ``_split`` needs a sphere, so a facet boundary that is none (the
 input is then no regular CW complex) stops as a precondition error.
 
-Each public function verifies its order once and hands the certificate
-down: the private helpers of the proof route take a verified
-:class:`ShellingCertificate`.  Step j carries the shelling of the j-th
-facet boundary that starts with exactly the ridges glued to earlier
-facets, the split that the per-facet counts and the witness construction
-need at every depth; both read it from the certificate on host masks and
-build no cell lattice.  The polytopal corollaries ask
+Each public function asks :func:`is_shelling` for its order's
+certificate and hands it down: the private helpers of the proof route
+take a verified :class:`ShellingCertificate`.  The lattice keeps the
+last certificate that verified, so a k-sweep, the decomposition, the
+witnesses and the split counts on one order verify it once per lattice.
+:func:`_decomposition` keeps its result beside that certificate object,
+so each facet boundary is cut once for every k; a certificate built by
+hand is checked afresh on every call.  Step j carries the shelling of
+the j-th facet boundary that starts with exactly the ridges glued to
+earlier facets, the split that the per-facet counts and the witness
+construction need at every depth; both read it from the certificate on
+host masks and build no cell lattice.  The polytopal corollaries ask
 :func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
 check and dual lattice are made once per lattice and kept in its memo
 (``L._memo``); searches on the dual then share one memo across k.
@@ -63,6 +68,7 @@ from .lattice import (
     FaceLattice,
     FaceSet,
     Subcomplex,
+    _as_subcomplex,
     _closed,
     _iter_bits,
     _least_atom_avoiding,
@@ -188,17 +194,18 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     host cell ``cert.cell`` (the top for the whole complex), on host
     masks."""
     L, cell, seq = cert.lattice, cert.cell, cert.facets
-    boundary = L._down[cell] & ~(1 << cell)
-    # the whole complex's boundary is derived once per lattice
-    _require_sphere(L if cell == L._top else Subcomplex(L, boundary))
-    real = boundary & ~(1 << L._bottom)
+    # the cell's boundary as a subcomplex, the whole complex's kept once
+    # per lattice; at j = 0 and j = n it is one side, derived once
+    whole = _as_subcomplex(L) if cell == L._top else Subcomplex(L, L._down[cell] & ~(1 << cell))
+    _require_sphere(whole)
+    real = whole.mask & ~(1 << L._bottom)
     n = len(seq)
     if not 0 <= j <= n:
         raise InvalidSplit(f"need 0 <= j <= {n}, got {j}")
     begin_mask = _closed(L, L._mask_of(seq[:j]))
     end_mask = _closed(L, L._mask_of(seq[j:]))
-    begin = Subcomplex(L, begin_mask)
-    end = Subcomplex(L, end_mask)
+    begin = whole if begin_mask == whole.mask else Subcomplex(L, begin_mask)
+    end = whole if end_mask == whole.mask else Subcomplex(L, end_mask)
     if not (is_pseudomanifold(begin) and is_pseudomanifold(end)):
         raise InternalContradiction("a side of a verified sphere split is not a pseudomanifold")
     begin_int = interior(begin)
@@ -420,8 +427,14 @@ def facet_decomposition(
 
 def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     """:func:`facet_decomposition` of a verified shelling of the whole
-    complex."""
+    complex.  The decomposition of the certificate that
+    :func:`is_shelling` keeps is kept beside it, for that certificate
+    object alone: a certificate built by hand with the same facets is
+    checked afresh."""
     X, seq = cert.lattice, cert.facets
+    kept = X._memo.get("decomposition")
+    if kept is not None and kept[0] is cert:
+        return kept[1]
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the decomposition needs a pseudomanifold")
     d = X.dim
@@ -483,7 +496,11 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         earlier |= 1 << x
         earlier_union |= X._down[x]
         splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
-    return SplitDecomposition(X, seq, tuple(splits))
+    decomposition = SplitDecomposition(X, seq, tuple(splits))
+    certified = X._memo.get("certificate")
+    if certified is not None and certified[1] is cert:
+        X._memo["decomposition"] = (cert, decomposition)
+    return decomposition
 
 
 # -- the main inequality -------------------------------------------------

@@ -28,7 +28,10 @@ sorted id pairs of :meth:`FaceLattice.covers` are computed on its first
 call.
 
 A lattice keeps one memo, ``_memo``, which the shelling module fills and
-which holds the whole complex as one :class:`Subcomplex`.  The library
+which holds the whole complex as one :class:`Subcomplex`.  Besides its
+searches and sub-certificates it keeps one whole-complex certificate,
+the last that verified, and the facet decomposition the bounds module
+derived from it; both go when another order is kept.  The library
 reads a cell through host masks and builds no lattice for it;
 :func:`sub_lattice` builds one only when a caller asks.
 

@@ -38,11 +38,16 @@ builds a lattice for a cell; a caller that reads a sub-certificate's
 ``order`` builds one.  Searches and sub-certificates are memoised in
 ``L._memo``, the host lattice's only memo, keyed by ``(cell index, prefix
 bitmask, permissive flag)`` and ``(cell index, facet order, permissive
-flag)``; the order a caller hands to :func:`is_shelling` is not kept.
-The same dict keeps the diamond verdict, the dual lattice, the mask of
-Boolean cells and the whole complex as a subcomplex under string keys.
-It lives and dies with its lattice, so no answer depends on what the
-process computed on other lattices.
+flag)``.  Of the whole-complex orders a caller hands to
+:func:`is_shelling`, the memo keeps one: the last that verified, with
+its certificate, under the key ``"certificate"``, so the proof route's
+calls on one order verify it once.  A failure, or a run out of budget,
+is not kept, and keeping a new order drops the last one, so the memo
+stays bounded by the input.  The same dict keeps the diamond verdict,
+the dual lattice, the mask of Boolean cells, the whole complex as a
+subcomplex and the kept certificate's facet decomposition under string
+keys.  It lives and dies with its lattice, so no answer depends on what
+the process computed on other lattices.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -370,7 +375,8 @@ def _verify(
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     its certificate, or the first step that breaks the definition.  Each
     sub-certificate is verified once per (cell, sub-order, permissive) and
-    kept in the host's memo; ``order`` itself is not."""
+    kept in the host's memo; ``order`` itself is kept, if at all, by
+    :func:`is_shelling`."""
     steps: list[ShellingStep] = []
     union = 0
     # every order of at most two vertices is a shelling
@@ -427,14 +433,30 @@ def is_shelling(
     Returns a :class:`ShellingCertificate` with one step record per facet,
     or a :class:`ShellingFailure` naming the first bad step and why:
     ``EmptyIntersection``, ``NotPure``, or ``NoPrefixShelling``.
+
+    The input is checked on every call.  The last order that verified,
+    with its permissive flag, is kept in the lattice's memo, and a call
+    on that order again returns the same certificate object without
+    walking it or spending budget.
     """
     if not is_pure(L):
         raise PreconditionViolated("shellings are defined for pure complexes")
     seq = _order_ids(L, order)
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
-    order_ix = [L.index(f) for f in seq]
-    return _verify(L, L._top, order_ix, allow_empty_intersection, _as_budget(budget))
+    bud = _as_budget(budget)
+    order_ix = tuple([L.index(f) for f in seq])
+    key = (order_ix, allow_empty_intersection)
+    kept = L._memo.get("certificate")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    result = _verify(L, L._top, order_ix, allow_empty_intersection, bud)
+    if isinstance(result, ShellingCertificate):
+        # one slot: keeping an order drops the last one, and the
+        # decomposition the bounds module derived from it
+        L._memo["certificate"] = (key, result)
+        L._memo.pop("decomposition", None)
+    return result
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

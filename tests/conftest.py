@@ -38,3 +38,22 @@ def boundary_walks(monkeypatch):
     prop.__set_name__(Subcomplex, "_boundary")
     monkeypatch.setattr(Subcomplex, "_boundary", prop)
     return walked
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    """Lists the lattice of each verification of a whole-complex order
+    (a ``_verify`` call on the top cell) while the test runs; a test may
+    clear the list."""
+    from shellbound import shelling
+
+    verified: list[FaceLattice] = []
+    verify = shelling._verify
+
+    def counting(L, x, *args):
+        if x == L._top:
+            verified.append(L)
+        return verify(L, x, *args)
+
+    monkeypatch.setattr(shelling, "_verify", counting)
+    return verified

@@ -53,6 +53,11 @@ def balls() -> tuple[tuple[str, sb.FaceLattice], ...]:
     return tuple(out)
 
 
+def fresh_copy(L: sb.FaceLattice) -> sb.FaceLattice:
+    """An equal lattice with an empty memo."""
+    return sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+
+
 def doubled_triangle() -> sb.FaceLattice:
     # two 2-cells over the same three edges: every edge pair has two
     # minimal upper bounds, so this is a poset but not a lattice

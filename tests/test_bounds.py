@@ -1,11 +1,22 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
 
-from corpus import shelled_spheres_d_le_3
+from corpus import (
+    balls,
+    bowtie,
+    doubled_triangle,
+    fresh_copy,
+    graded_bounded_posets,
+    mixed_dims_by_hand,
+    shelled_spheres_d_le_3,
+    spheres_d_le_3,
+)
 from oracles import naive_witness
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
@@ -302,6 +313,27 @@ def test_decomposition_checks_the_certificate_steps():
             _decomposition(sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(lying)))
 
 
+def test_kept_decomposition_serves_only_its_certificate():
+    from shellbound.bounds import _decomposition
+
+    L = sb.cross_polytope(2)
+    seq = sb.find_shelling(L).facets
+    decomp = sb.facet_decomposition(L, seq)
+    cert = sb.is_shelling(L, seq)
+    assert _decomposition(cert) is decomp
+    # a certificate with the same facets and lying steps is checked afresh
+    steps = list(cert.steps)
+    steps[0] = sb.ShellingStep(steps[0].facet, (), steps[1].sub_certificate)
+    steps[1] = sb.ShellingStep(steps[1].facet, steps[1].intersection_facets, cert.steps[0].sub_certificate)
+    lying = sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(steps))
+    with pytest.raises(sb.InternalContradiction, match="split recount"):
+        _decomposition(lying)
+    # keeping another order drops the decomposition with the certificate
+    assert isinstance(sb.is_shelling(L, seq[::-1]), sb.ShellingCertificate)
+    assert "decomposition" not in L._memo
+    assert sb.facet_decomposition(L, seq) is not decomp
+
+
 def test_facet_decomposition_interiors_are_disjoint_families():
     for L in (sb.cross_polytope(2), ball2(), sb.ngon(5)):
         order = sb.find_shelling(L)
@@ -562,12 +594,12 @@ def test_bound_route_derives_the_whole_boundary_once(boundary_walks):
     for k in range((d - 1) // 2, d + 1):
         assert sb.verify_lower_bound(X, seq, k).ok, k
     sb.facet_decomposition(X, seq)
-    # at j = 0 and j = n one side is the whole complex, derived as a side
     n = len(seq)
-    for j in range(1, n):
+    for j in range(n + 1):
         sb.split_complexes(X, seq, j)
+        sb.check_split_count(X, seq, j, d)
+    for j in range(1, n):
         sb.find_witness_pair(X, seq, j)
-    sb.check_split_count(X, seq, n // 2, d)
     whole = [sc for sc in boundary_walks if sc.lattice is X and sc.mask == X._real_mask | 1]
     assert len(whole) == 1
 
@@ -575,11 +607,33 @@ def test_bound_route_derives_the_whole_boundary_once(boundary_walks):
 def test_bound_cuts_each_facet_boundary_once(boundary_walks):
     X = sb.cross_polytope(4)
     seq = sb.find_shelling(X).facets
-    sb.verify_lower_bound(X, seq, 1)
+    d = X.dim
+    sb.is_pseudomanifold(X)
+    boundary_walks.clear()
+    for k in range((d - 1) // 2, d + 1):
+        sb.verify_lower_bound(X, seq, k)
+    sb.facet_decomposition(X, seq)
+    # per facet: its boundary's sphere check and the two sides of its cut,
+    # where the first facet's later side and the last facet's earlier side
+    # are its whole boundary, derived once
+    assert len(boundary_walks) == 3 * len(seq) - 2 == 94
     boundary_walks.clear()
     sb.verify_lower_bound(X, seq, 1)
-    # per facet: its boundary's sphere check and the two sides of its cut
-    assert len(boundary_walks) == 3 * len(seq) == 96
+    assert boundary_walks == []
+
+
+def test_proof_route_verifies_each_order_once(verifications):
+    X = sb.cross_polytope(4)
+    seq = sb.find_shelling(X).facets
+    d, n = X.dim, len(seq)
+    for k in range((d - 1) // 2, d + 1):
+        sb.verify_lower_bound(X, seq, k)
+    sb.facet_decomposition(X, seq)
+    for j in range(1, n):
+        sb.find_witness_pair(X, seq, j)
+    for k in range(d // 2, d + 1):
+        sb.check_split_count(X, seq, n // 2, k)
+    assert verifications == [X]
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ONCE))
@@ -614,3 +668,75 @@ def test_corollaries_search_each_direction_once(name):
     assert spent(sb.is_cl_shellable, L) == 0
     assert spent(sb.is_dual_cl_shellable, L) == 0
 
+
+# -- one kept certificate per lattice ------------------------------------
+
+
+def plain(result):
+    """A proof-route result as values that do not name its lattice: face
+    sets as ids, certificates as their JSON, errors as type and message."""
+    if isinstance(result, sb.FaceLattice):
+        return None
+    if isinstance(result, BaseException):
+        return type(result).__name__, str(result)
+    if isinstance(result, (sb.Subcomplex, sb.FaceSet)):
+        return type(result).__name__, result.lattice._ids_of(result.mask)
+    if isinstance(result, (sb.ShellingCertificate, sb.ShellingFailure)):
+        return type(result).__name__, result.to_json_dict()
+    if isinstance(result, tuple):
+        return tuple(plain(item) for item in result)
+    fields = type(result).__dict__.get("__annotations__")
+    if fields:
+        return type(result).__name__, tuple(plain(getattr(result, f)) for f in fields)
+    return result
+
+
+def proof_route_calls(L: sb.FaceLattice) -> list:
+    """Every proof-route call on the lattice's first shelling (its sorted
+    facets when it has none) and on the reverse of that order."""
+    try:
+        found = sb.find_shelling(fresh_copy(L))
+    except sb.ShellboundError:
+        found = None
+    seq = found.facets if found else tuple(sorted(L.facets()))
+    d, n = L.dim, len(seq)
+    calls = []
+    for order in (seq, seq[::-1]):
+        calls += [(sb.is_shelling, order, p) for p in (False, True)]
+        calls.append((sb.facet_decomposition, order))
+        calls += [(sb.verify_lower_bound, order, k) for k in range(-1, d + 2)]
+        calls += [(sb.find_witness_pair, order, j) for j in range(n + 1)]
+        calls += [(sb.split_complexes, order, j) for j in (0, 1, n // 2, n)]
+        calls += [(sb.check_split_count, order, j, k) for j in (0, n // 2, n) for k in range(d + 1)]
+    return calls
+
+
+def run_call(L: sb.FaceLattice, call: tuple):
+    fn, order, *rest = call
+    try:
+        if fn is sb.is_shelling:
+            return plain(fn(L, order, allow_empty_intersection=rest[0]))
+        return plain(fn(L, order, *rest))
+    except sb.ShellboundError as exc:
+        return plain(exc)
+
+
+def assert_shared_lattice_answers_as_fresh(L: sb.FaceLattice, rng: random.Random) -> None:
+    calls = proof_route_calls(L)
+    rng.shuffle(calls)
+    for call in calls:
+        assert run_call(L, call) == run_call(fresh_copy(L), call), call
+
+
+def test_shared_lattice_answers_as_a_fresh_one_on_the_corpus():
+    rng = random.Random(13)
+    cases = [L for _, L in spheres_d_le_3()] + [L for _, L in balls()]
+    cases += [doubled_triangle(), bowtie(), mixed_dims_by_hand()]
+    for L in cases:
+        assert_shared_lattice_answers_as_fresh(fresh_copy(L), rng)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_posets, st.randoms(use_true_random=False))
+def test_shared_lattice_answers_as_a_fresh_one_on_posets(L, rng):
+    assert_shared_lattice_answers_as_fresh(L, rng)

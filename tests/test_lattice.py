@@ -228,6 +228,21 @@ def test_lattice_keeps_no_up_set_masks():
     assert after - before < 3 * 2 ** 20
 
 
+def test_iter_bits_matches_a_naive_scan_at_every_width():
+    from shellbound.lattice import _iter_bits
+
+    rng = random.Random(7)
+    # narrow and wide, sparse and dense, and the extremes
+    masks = [0, 1, (1 << 2048) - 1, (1 << 2049) - 1, 1 << 2048, (1 << 20_000) - 1]
+    masks += [1 << 5000 | (1 << bits) - 1 for bits in (63, 64, 65)]
+    for _ in range(40):
+        width = rng.randint(0, 20_000)
+        density = rng.choice((0.001, 0.1, 0.5, 0.99))
+        masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    for mask in masks:
+        assert list(_iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_from_facets_examples():
     assert sb.f_vector(sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])).counts == (1, 4, 6, 4)
     path = sb.from_facets([[1, 2], [2, 3]])
