@@ -37,7 +37,8 @@ construction need at every depth; both read it from the certificate on
 host masks and build no cell lattice.  The polytopal corollaries ask
 :func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
 check and dual lattice are made once per lattice and kept in its memo
-(``L._memo``); searches on the dual then share one memo across k.
+(``L._memo``, listed in the :mod:`~shellbound.lattice` docstring);
+searches on the dual then share one memo across k.
 
 Last comes the comparison of a shellable sphere with the boundary of the
 cyclic polytope of the same dimension and vertex count
@@ -71,6 +72,7 @@ from .lattice import (
     _as_subcomplex,
     _closed,
     _iter_bits,
+    _json_fields,
     _least_atom_avoiding,
     _record,
     boundary_complex,
@@ -517,13 +519,7 @@ class PerFacetBound:
     def ok(self) -> bool:
         return self.fk_int_C + self.fk_int_D >= self.bound
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "fk_int_C": self.fk_int_C,
-            "fk_int_D": self.fk_int_D,
-            "bound": self.bound,
-        }
+    to_json_dict = _json_fields
 
 
 @_record
@@ -610,7 +606,9 @@ def verify_lower_bound(
     Admissible range: floor((d-1)/2) <= k <= d, dimension at least 1.
     """
     d = X.dim
-    if d < 1 or not (d - 1) // 2 <= k <= d:
+    if d < 1:
+        raise RangeError(f"the bound needs dimension at least 1, got dimension {d}")
+    if not (d - 1) // 2 <= k <= d:
         raise RangeError(f"need {(d - 1) // 2} <= k <= {d}, got k={k}")
     cert = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
@@ -666,22 +664,7 @@ class CorollaryReport:
     barany_bound: Union[int, None]
     barany_ok: Union[bool, None]
 
-    def to_json_dict(self) -> dict:
-        def frac(x):
-            return None if x is None else {"num": x.numerator, "den": x.denominator}
-
-        return {
-            "k": self.k,
-            "dim": self.dim,
-            "dual_cl_shellable": self.dual_cl_shellable,
-            "cl_shellable": self.cl_shellable,
-            "facet_bound": frac(self.facet_bound),
-            "facet_bound_ok": self.facet_bound_ok,
-            "vertex_bound": frac(self.vertex_bound),
-            "vertex_bound_ok": self.vertex_bound_ok,
-            "barany_bound": self.barany_bound,
-            "barany_ok": self.barany_ok,
-        }
+    to_json_dict = _json_fields
 
 
 def corollary_bounds(
@@ -749,8 +732,7 @@ class GubtRow:
     f_c: int
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "f_p": self.f_p, "f_c": self.f_c, "ok": self.ok}
+    to_json_dict = _json_fields
 
 
 @_record
@@ -767,16 +749,7 @@ class GubtReport:
     rows: tuple[GubtRow, ...]
     all_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "simplicial": self.simplicial,
-            "facets_p": self.facets_p,
-            "facets_c": self.facets_c,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "all_ok": self.all_ok,
-        }
+    to_json_dict = _json_fields
 
 
 def gubt_compare(

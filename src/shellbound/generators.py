@@ -79,7 +79,12 @@ def hypercube_boundary(d: int) -> FaceLattice:
 
 
 def ngon(n: int) -> FaceLattice:
-    """The n-gon: vertices ``v1..vn`` and edges ``e12, e23, ..., e{n}1``."""
+    """The n-gon: vertices ``v1..vn`` and edges ``e12, e23, ..., e{n}1``.
+
+    Where two such edge ids would coincide, as ``e1011`` names both
+    (10, 11) and (101, 1) when n = 101, every edge id puts a ``-``
+    between its ends instead: ``e1-2, ..., e101-1``.
+    """
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
     if n > 8191:
@@ -90,9 +95,10 @@ def ngon(n: int) -> FaceLattice:
     for i in range(1, n + 1):
         elements.append((f"v{i}", 1))
         covers.append((BOTTOM_ID, f"v{i}"))
-    for i in range(1, n + 1):
-        a, b = i, i % n + 1
-        edge = f"e{a}{b}"
+    ends = [(i, i % n + 1) for i in range(1, n + 1)]
+    sep = "" if len({f"{a}{b}" for a, b in ends}) == n else "-"
+    for a, b in ends:
+        edge = f"e{a}{sep}{b}"
         elements.append((edge, 2))
         covers += [(f"v{a}", edge), (f"v{b}", edge), (edge, TOP_ID)]
     return build_lattice(elements, covers, 1)

@@ -23,17 +23,30 @@ are not stored, since each would span the top and so all n bits: upward
 queries walk the upper covers.  The constructor runs every validation
 for every caller, derived lattices (:func:`dualize`, :func:`sub_lattice`,
 ``generators.punctured``) included.  It resolves each cover pair to
-element indices once and keeps the cover neighbours as index tuples; the
-sorted id pairs of :meth:`FaceLattice.covers` are computed on its first
-call.
+element indices once and keeps the cover neighbours as index tuples.
+The library reads a cell through host masks and builds no lattice for
+it; :func:`sub_lattice` builds one only when a caller asks.
 
-A lattice keeps one memo, ``_memo``, which the shelling module fills and
-which holds the whole complex as one :class:`Subcomplex`.  Besides its
-searches and sub-certificates it keeps one whole-complex certificate,
-the last that verified, and the facet decomposition the bounds module
-derived from it; both go when another order is kept.  The library
-reads a cell through host masks and builds no lattice for it;
-:func:`sub_lattice` builds one only when a caller asks.
+A lattice keeps one memo, ``_memo``, which lives and dies with it, so
+no answer depends on what the process computed on other lattices.  What
+it holds is listed here and nowhere else:
+
+* the shelling module's searches and sub-certificates, under the tuple
+  keys ``(cell index, prefix bitmask, permissive flag)`` and ``(cell
+  index, facet order, permissive flag)``;
+* set once, through ``_memoised``: ``"covers"`` (the sorted pairs of
+  :meth:`FaceLattice.covers`), ``"whole complex"`` (the lattice as one
+  :class:`Subcomplex`), ``"diamond lattice"`` (whether :func:`is_lattice`
+  and :func:`is_diamond` hold), ``"dual"`` (its :func:`dualize`, so that
+  searches on the dual share one memo) and ``"boolean cells"`` (the mask
+  of the cells with a Boolean lower interval).  The verdict is kept apart
+  from the dual, which a lattice that passes the diamond test can lack
+  (a sphere plus an isolated vertex);
+* replaced, not set once: ``"certificate"``, the last whole-complex
+  order that ``shelling.is_shelling`` verified, with its permissive flag
+  and certificate, and ``"decomposition"``, the facet decomposition the
+  bounds module derived from it.  Keeping another order drops both, so
+  the memo stays bounded by the input.
 
 A :class:`Subcomplex` derives its boundary once, on first use: it asks
 :func:`is_pure`, then counts ridges in one pass over its top faces;
@@ -44,7 +57,8 @@ of faces, for every module of the package.
 Predicates on a complex live here, :func:`is_simplicial` among them.  So
 does ``_record``, the decorator that makes the library's result classes
 (:class:`FVector` here, the shelling orders, certificates and failures,
-and the bounds reports) immutable records.
+and the bounds reports) immutable records, and ``_json_fields``, the
+writer of a record's JSON from its fields.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import json
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import (
     CyclicCovers,
@@ -74,6 +88,8 @@ from .errors import (
 #: Reserved ids for the artificial extremes.  User faces may not use them.
 BOTTOM_ID = "_bot"
 TOP_ID = "_top"
+
+_T = TypeVar("_T")
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -104,6 +120,15 @@ def _closed(L: FaceLattice, mask: int) -> int:
     return union
 
 
+def _memoised(L: FaceLattice, key: str, make: Callable[[FaceLattice], _T]) -> _T:
+    """``L._memo[key]``, set to ``make(L)`` on the first call; the one
+    way a set-once entry of the memo is read or written."""
+    value = L._memo.get(key)
+    if value is None:
+        value = L._memo[key] = make(L)
+    return value
+
+
 class FaceLattice:
     """Immutable graded lattice of faces of a regular CW complex.
 
@@ -125,7 +150,6 @@ class FaceLattice:
         "_bottom",
         "_top",
         "_real_mask",
-        "_cover_pairs",
         "_memo",
     )
 
@@ -214,7 +238,6 @@ class FaceLattice:
         # lexicographic id order
         self._lower = tuple(map(tuple, lower))
         self._upper = tuple(map(tuple, upper))
-        self._cover_pairs = None
 
         rank_masks = [0] * (top_rank + 1)
         for x, r in enumerate(ranks):
@@ -234,7 +257,7 @@ class FaceLattice:
         down[top] = full
         self._down = tuple(down)
         self._real_mask = full & ~1 & ~(1 << top)
-        # shelling search and certificate memo, filled by the shelling module
+        # the lattice's one memo; the module docstring lists what it holds
         self._memo = {}
 
     @staticmethod
@@ -308,19 +331,7 @@ class FaceLattice:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The explicit cover pairs ``(lower, upper)``, sorted; computed on
         the first call."""
-        pairs = self._cover_pairs
-        if pairs is None:
-            # one string sort of the ids orders the covers by lower id;
-            # each element's upper covers are then sorted on their own
-            ids = self.ids
-            upper = self._upper
-            out: list[tuple[str, str]] = []
-            for a in sorted(range(len(ids)), key=ids.__getitem__):
-                if upper[a]:
-                    ia = ids[a]
-                    out += sorted([(ia, ids[b]) for b in upper[a]])
-            pairs = self._cover_pairs = tuple(out)
-        return pairs
+        return _memoised(self, "covers", _sorted_covers)
 
     def lower_covers(self, face_id: str) -> tuple[str, ...]:
         return tuple(self.ids[c] for c in self._lower[self.index(face_id)])
@@ -367,6 +378,19 @@ class FaceLattice:
 
     def __repr__(self) -> str:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
+
+
+def _sorted_covers(L: FaceLattice) -> tuple[tuple[str, str], ...]:
+    # one string sort of the ids orders the covers by lower id; each
+    # element's upper covers are then sorted on their own
+    ids = L.ids
+    upper = L._upper
+    out: list[tuple[str, str]] = []
+    for a in sorted(range(len(ids)), key=ids.__getitem__):
+        if upper[a]:
+            ia = ids[a]
+            out += sorted([(ia, ids[b]) for b in upper[a]])
+    return tuple(out)
 
 
 class _MaskSet:
@@ -485,8 +509,14 @@ def _record(cls: type) -> type:
     instance costs what a dataclass instance costs; :mod:`dataclasses`
     itself is not imported because it loads :mod:`inspect`, which every
     command-line run would pay for at start-up.
+
+    The field names are kept in ``cls._fields``.  A record whose report
+    names are its field names takes :func:`_json_fields` as its
+    ``to_json_dict``, which writes each field in turn: a tuple as a list,
+    a nested record through its ``to_json_dict``, a ``Fraction`` as
+    ``{"num", "den"}``, and None, a bool, an int or a string as it is.
     """
-    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
     mine = "".join(f"self.{f}, " for f in fields)
     theirs = "".join(f"other.{f}, " for f in fields)
     source = "\n".join([
@@ -519,6 +549,22 @@ def _record(cls: type) -> type:
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
     return cls
+
+
+def _json_fields(record) -> dict:
+    """The JSON form of a record, one entry per field; see :func:`_record`."""
+    return {f: _json_value(getattr(record, f)) for f in record._fields}
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if value is None or isinstance(value, (int, str)):
+        return value
+    # a Fraction, told apart without importing :mod:`fractions`
+    return {"num": value.numerator, "den": value.denominator}
 
 
 @_record
@@ -695,10 +741,7 @@ def _as_subcomplex(x: Complex) -> Subcomplex:
     boundary is derived once; anything else as it is."""
     if not isinstance(x, FaceLattice):
         return x
-    sc = x._memo.get("whole complex")
-    if sc is None:
-        sc = x._memo["whole complex"] = Subcomplex(x, x._real_mask | (1 << x._bottom))
-    return sc
+    return _memoised(x, "whole complex", lambda L: Subcomplex(L, L._real_mask | 1 << L._bottom))
 
 
 def is_pure(x: Complex) -> bool:

@@ -36,18 +36,11 @@ sub-certificate among every step that needs it: a DAG with one node per
 sub-certificate by position in a ``"nodes"`` list.  No library path
 builds a lattice for a cell; a caller that reads a sub-certificate's
 ``order`` builds one.  Searches and sub-certificates are memoised in
-``L._memo``, the host lattice's only memo, keyed by ``(cell index, prefix
-bitmask, permissive flag)`` and ``(cell index, facet order, permissive
-flag)``.  Of the whole-complex orders a caller hands to
-:func:`is_shelling`, the memo keeps one: the last that verified, with
-its certificate, under the key ``"certificate"``, so the proof route's
-calls on one order verify it once.  A failure, or a run out of budget,
-is not kept, and keeping a new order drops the last one, so the memo
-stays bounded by the input.  The same dict keeps the diamond verdict,
-the dual lattice, the mask of Boolean cells, the whole complex as a
-subcomplex and the kept certificate's facet decomposition under string
-keys.  It lives and dies with its lattice, so no answer depends on what
-the process computed on other lattices.
+``L._memo``, the host lattice's only memo, whose contents the
+:mod:`~shellbound.lattice` docstring lists.  Of the whole-complex orders
+a caller hands to :func:`is_shelling`, the memo keeps the last that
+verified, so the proof route's calls on one order verify it once; a
+failure, or a run out of budget, is not kept.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -74,6 +67,8 @@ from .lattice import (
     Subcomplex,
     _closed,
     _iter_bits,
+    _json_fields,
+    _memoised,
     _record,
     boundary_complex,
     dualize,
@@ -204,8 +199,7 @@ class ShellingFailure:
     step: int
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "reason": self.reason}
+    to_json_dict = _json_fields
 
 
 ShellingResult = Union[ShellingCertificate, ShellingFailure]
@@ -268,7 +262,8 @@ def _step(
 
 def _boolean_cells(L: FaceLattice) -> int:
     """Mask of the cells whose lower interval is a Boolean lattice, decided
-    once per lattice in one bottom-up pass over the lower covers.
+    in one bottom-up pass over the lower covers; ``_search`` keeps it in
+    the memo.
 
     A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
     below it (itself included), r lower covers, every one of those passes,
@@ -281,25 +276,22 @@ def _boolean_cells(L: FaceLattice) -> int:
     lower covers are read from its down-set, as ``_search`` reads a cell's
     facets, since a face may lie under the top with no explicit cover.
     """
-    mask = L._memo.get("boolean cells")
-    if mask is None:
-        mask = 0
-        down, by_rank, lower = L._down, L._rank_masks, L._lower
-        atoms = by_rank[1]
-        passed = [False] * len(down)
-        for x, r in enumerate(L.ranks):
-            d = down[x]
-            if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
-                continue
-            below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
-            if (
-                len(below) == r
-                and all([passed[y] for y in below])
-                and len({down[y] & atoms for y in below}) == r
-            ):
-                passed[x] = True
-                mask |= 1 << x
-        L._memo["boolean cells"] = mask
+    mask = 0
+    down, by_rank, lower = L._down, L._rank_masks, L._lower
+    atoms = by_rank[1]
+    passed = [False] * len(down)
+    for x, r in enumerate(L.ranks):
+        d = down[x]
+        if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
+            continue
+        below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
+        if (
+            len(below) == r
+            and all([passed[y] for y in below])
+            and len({down[y] & atoms for y in below}) == r
+        ):
+            passed[x] = True
+            mask |= 1 << x
     return mask
 
 
@@ -325,7 +317,7 @@ def _search(
     """
     r = L.ranks[x]
     facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
-    if r <= 2 or _boolean_cells(L) >> x & 1:
+    if r <= 2 or _memoised(L, "boolean cells", _boolean_cells) >> x & 1:
         # below the top and above rank 1 the facets are the lower covers,
         # already in index order; the top's are read from its down-set
         in_order = L._lower[x] if 1 < r and x != L._top else tuple(_iter_bits(facets))
@@ -340,7 +332,6 @@ def _search(
     n = facets.bit_count()
     k = prefix.bit_count()
     chosen: list[int] = []
-    steps: dict[tuple[int, int], Union[str, tuple[int, tuple[int, ...]]]] = {}
     dead: set[int] = set()
 
     def dfs(union: int, left: int) -> bool:
@@ -352,10 +343,7 @@ def _search(
         # host indices run in id order within a rank
         for f in _iter_bits(left & prefix if pos < k else left):
             budget.spend()
-            step = steps.get((f, union))
-            if step is None:
-                step = steps[f, union] = _step(L, f, union, permissive, budget)
-            if isinstance(step, str):
+            if isinstance(_step(L, f, union, permissive, budget), str):
                 continue
             chosen.append(f)
             if dfs(union | L._down[f], left & ~(1 << f)):
@@ -475,27 +463,9 @@ def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:
     return Shape.SPHERE if bd.mask == 0 else Shape.BALL
 
 
-# String memo keys cannot collide with the search memo's tuple keys.  The
-# verdict and the dual are kept apart because a lattice can pass the diamond
-# test and have no dual (a sphere plus an isolated vertex), and a caller
-# that needs only the verdict must not fail on that.
-
-
 def _is_diamond_lattice(L: FaceLattice) -> bool:
     """``is_lattice(L) and is_diamond(L)``, decided once per lattice."""
-    verdict = L._memo.get("diamond lattice")
-    if verdict is None:
-        verdict = L._memo["diamond lattice"] = is_lattice(L) and is_diamond(L)
-    return verdict
-
-
-def _dual(L: FaceLattice) -> FaceLattice:
-    """``dualize(L)``, built once per lattice, so that searches on the dual
-    share one memo."""
-    dual = L._memo.get("dual")
-    if dual is None:
-        dual = L._memo["dual"] = dualize(L)
-    return dual
+    return _memoised(L, "diamond lattice", lambda L: is_lattice(L) and is_diamond(L))
 
 
 def is_dual_cl_shellable(
@@ -516,4 +486,4 @@ def is_cl_shellable(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = 
     """CL-shellability of the lattice, tested on the order-reversed lattice."""
     if not _is_diamond_lattice(L):
         raise NotDiamond("CL-shellability is examined on diamond lattices only")
-    return find_shelling(_dual(L), (), budget=budget) is not None
+    return find_shelling(_memoised(L, "dual", dualize), (), budget=budget) is not None

@@ -438,6 +438,15 @@ def test_bound_rejects_bad_input():
         sb.verify_lower_bound(sb.ngon(4), ("e12", "e34", "e23", "e41"), 1)
 
 
+def test_bound_names_its_dimension_floor():
+    # the 0-sphere: every k fails on the dimension, whatever the k-range says
+    S0 = sb.simplex_boundary(0)
+    order = sb.find_shelling(S0)
+    for k in (-1, 0):
+        with pytest.raises(sb.RangeError, match="^the bound needs dimension at least 1, got"):
+            sb.verify_lower_bound(S0, order, k)
+
+
 # -- simpliciality and identities ----------------------------------------
 
 

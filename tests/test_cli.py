@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -259,6 +260,20 @@ def test_bounds_on_a_non_sphere_facet_boundary_is_usage_error(tmp_path):
     assert "need a sphere" in proc.stderr
 
 
+def test_bounds_on_the_zero_sphere_names_the_dimension_floor(tmp_path):
+    src = write_lattice(tmp_path / "s0.json", sb.simplex_boundary(0))
+    proc = run_subprocess(["bounds", "--input", src])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "shellbound: the bound needs dimension at least 1, got dimension 0\n"
+
+
+def test_gen_ngon_with_colliding_plain_ids(capsys):
+    assert run(["gen", "ngon", "--n", "101"]) == 0
+    L = sb.lattice_from_json_dict(json.loads(capsys.readouterr().out))
+    assert sb.f_vector(L).proper == (101, 101)
+
+
 # -- witness -------------------------------------------------------------
 
 
@@ -340,6 +355,50 @@ def test_reports_are_byte_stable(tmp_path, oct_json):
     for target in (a, b):
         assert run(["bounds", "--input", oct_json, "--out", str(target)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+OCT_ORDER = "123,126,135,156,234,246,345,456"
+
+# the sha256 of each report as written to stdout, on the octahedron
+# (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON
+GOLDEN_REPORTS = {
+    "find-shelling": (
+        ["find-shelling", "--input", "oct"], 0,
+        "d31aa6985ca0d9cd0e8ecc98314306ace82d7abbdfebbb9b5f7f5b4428832829"),
+    "check-shelling accepted": (
+        ["check-shelling", "--input", "oct", "--order", OCT_ORDER], 0,
+        "21175be2283902d03395c2495012a1846cae4c8a520710a36c72e710d61276ab"),
+    "check-shelling rejected": (
+        ["check-shelling", "--input", "square", "--order", "e12,e34,e23,e41"], 1,
+        "5e3a53f50440314b857d25047edd08514bf676633f676e2609d303d4c07b21be"),
+    "bounds json": (
+        ["bounds", "--input", "oct"], 0,
+        "f5fa72a81c8faffe802e6fe9e862281203592d61ac80802a55301921283329c1"),
+    "bounds tsv": (
+        ["bounds", "--input", "oct", "--format", "tsv"], 0,
+        "480e563f0406d423a48804cacc40b5782b4c936bb59459192d073824ca8f3a73"),
+    "witness": (
+        ["witness", "--input", "oct", "--order", OCT_ORDER, "--split", "3"], 0,
+        "bf5210c6f7c9e802f47f4791875b5f547b9d30f899d1bfda3984bf3136da266b"),
+    "corollaries": (
+        ["corollaries", "--input", "oct"], 0,
+        "f84471bb20bb8a38f9e1d149e9a26d4e795fff7904f9c2b1773ba4131ba8b6b3"),
+    "gubt": (
+        ["gubt", "--input", "oct", "--d", "3", "--n", "5"], 0,
+        "6a70f40ec93a84ccf79fea205e8dd0d4159d10eda181e0fd951e0955f376d1e0"),
+    "gen ngon": (
+        ["gen", "ngon", "--n", "5"], 0,
+        "bc18cae228f6a3e730e2c1f822fb3bd4f022926b0106cc09f2303e4be89f0f4d"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_REPORTS)
+def test_report_matches_its_golden_hash(capsys, oct_json, square_json, case):
+    argv, code, digest = GOLDEN_REPORTS[case]
+    inputs = {"oct": oct_json, "square": square_json}
+    assert run([inputs.get(arg, arg) for arg in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_stdout_when_no_out_flag(capsys, square_json):

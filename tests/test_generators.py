@@ -58,6 +58,16 @@ def test_ngon_shape():
     assert g.upper_covers("v1") == ("e12", "e51")
 
 
+@pytest.mark.parametrize("n", [9, 10, 100, 101, 102, 202, 909, 1000])
+def test_ngon_edge_ids_are_distinct(n):
+    # for n = 101, plain ids would name (10, 11) and (101, 1) both e1011;
+    # only such n take the separator, so every other n keeps its ids
+    sep = "-" if n in (101, 202, 909) else ""
+    g = sb.ngon(n)
+    assert sb.f_vector(g).proper == (n, n)
+    assert set(g.faces(1)) == {f"e{i}{sep}{i % n + 1}" for i in range(1, n + 1)}
+
+
 def test_cyclic_boundary_facet_counts():
     assert len(sb.cyclic_boundary(3, 5).facets()) == 6
     assert len(sb.cyclic_boundary(4, 6).facets()) == 9
