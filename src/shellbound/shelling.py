@@ -19,16 +19,23 @@ evidence, the glued ridges and the first shelling of its boundary that
 starts with exactly them.  ``_search`` walks facet orders depth-first
 through ``_step``, candidates in lexicographic id order, so it returns the
 lexicographically first valid completion of the requested prefix.
-It prunes in two ways, neither of which changes an answer.  Within one
-search the facets still to place determine the whole state of the walk,
-so a set of them that failed once is remembered and never walked again:
-it would fail the same way, and a failed subtree holds no order to find.
-And a cell whose lower interval is Boolean bounds a simplex, where every
-facet order is a shelling, so its first order is the prefix sorted, then
-the rest sorted; it is read off the cell's lower covers without a search.
+It prunes in one way and knows two cell shapes in closed form, and none
+of the three changes an answer.  Within one search the facets still to
+place determine the whole state of the walk, so a set of them that failed
+once is remembered and never walked again: it would fail the same way,
+and a failed subtree holds no order to find.  A cell whose lower interval
+is Boolean bounds a simplex, where every facet order is a shelling, so
+its first order is the prefix sorted, then the rest sorted; it is read
+off the cell's lower covers without a search.  And a 2-cell's boundary is
+a graph, whose shellings are the edge orders that stay connected; any
+connected start can still be completed when any can, so the walk would
+never backtrack, and the order is grown greedily instead, the least
+admissible edge at each position.
 ``_verify``, the only function that walks a given order, applies ``_step``
 at each position and verifies each step's sub-order in turn; it returns a
-certificate, or a failure carrying the first bad step.
+certificate, or a failure carrying the first bad step.  On a simplex cell
+no order fails, and each step's evidence is read off as the search would
+give it: the ridges already placed, then the rest.
 
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
@@ -295,6 +302,53 @@ def _boolean_cells(L: FaceLattice) -> int:
     return mask
 
 
+def _simplex_order(L: FaceLattice, x: int, prefix: int) -> tuple[int, ...]:
+    """The first shelling of the boundary of a simplex cell ``x`` (Boolean
+    lower interval, or rank at most 2) that starts with exactly the facets
+    in ``prefix``: those facets, then the rest, each in index order."""
+    r = L.ranks[x]
+    # below the top and above rank 1 the facets are the lower covers,
+    # already in index order; the top's are read from its down-set
+    if 1 < r and x != L._top:
+        in_order = L._lower[x]
+    else:
+        in_order = _iter_bits(L._down[x] & L._rank_masks[r - 1] & L._real_mask)
+    first, rest = [], []
+    for f in in_order:
+        (first if prefix >> f & 1 else rest).append(f)
+    return tuple(first + rest)
+
+
+def _graph_order(
+    L: FaceLattice, edges: int, prefix: int, permissive: bool
+) -> Union[tuple[int, ...], None]:
+    """The first shelling of a 2-cell's boundary, the graph on the
+    ``edges`` mask, that starts with exactly the edges in ``prefix``, or
+    None: the least remaining edge at each position (from the prefix while
+    it binds) that shares a vertex with the edges placed so far, where the
+    first edge, and every edge when ``permissive``, need share none."""
+    atoms = L._rank_masks[1]
+    k = prefix.bit_count()
+    order: list[int] = []
+    seen = 0  # vertices of the edges placed
+    near = 0  # edges through one of them
+    left = edges
+    while left:
+        pool = left & prefix if len(order) < k else left
+        if order and not permissive:
+            pool &= near
+        if not pool:
+            return None
+        f = (pool & -pool).bit_length() - 1
+        order.append(f)
+        left ^= 1 << f
+        for v in _iter_bits(L._down[f] & atoms & ~seen):
+            seen |= 1 << v
+            for e in L._upper[v]:
+                near |= 1 << e
+    return tuple(order)
+
+
 def _search(
     L: FaceLattice, x: int, prefix: int, permissive: bool, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
@@ -302,59 +356,81 @@ def _search(
     that starts with exactly the facets in the ``prefix`` mask, as host
     indices, or None.  Memoised on the host lattice.
 
-    Two prunings leave every answer as the plain depth-first search gives
-    it.  The DFS state is ``left``, the facets not yet placed: the union,
-    the position and whether the prefix still binds all follow from it, so
-    a ``left`` whose subtree failed fails whenever it recurs, and the DFS
-    returns at once.  A failed subtree holds no answer, so skipping it
-    cannot change which order is found first.  And on a cell whose lower
-    interval is Boolean, the boundary of a simplex, every facet order is a
-    shelling (Ziegler, *Lectures on Polytopes*, Lecture 8): any two facets
-    meet in a common ridge, so every step glues along a nonempty union of
-    ridges, and each facet is again a simplex.  The first candidate at
-    every depth succeeds, so the first order is the prefix sorted, then
-    the rest sorted, found without spending a node or a memo entry.
+    Two cell shapes are answered in closed form, without a walk or a
+    node, and with the answer the plain depth-first search gives.  On a
+    cell whose lower interval is Boolean, the boundary of a simplex, every
+    facet order is a shelling (Ziegler,
+    *Lectures on Polytopes*, Lecture 8): any two facets meet in a common
+    ridge, so every step glues along a nonempty union of ridges, and each
+    facet is again a simplex.  The first candidate at every depth
+    succeeds, so the first order is the prefix sorted, then the rest
+    sorted, found without a memo entry.  And on a cell of rank 3 the
+    boundary is a graph, the facets its edges and the ridges its vertices:
+    an edge may follow iff it shares a vertex with the edges placed (or
+    always, when permissive), and its own boundary, a set of vertices, is
+    shelled in every order.  Every admissible step leaves the placed edges
+    connected, and a connected set of edges grows to any connected set
+    that holds it one adjacent edge at a time, so whether the order can
+    be completed does not depend on the choices made so far: the DFS
+    never backtracks, and its answer is the greedy one of
+    :func:`_graph_order`.  Every other cell is walked by :func:`_walk`.
     """
     r = L.ranks[x]
-    facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
     if r <= 2 or _memoised(L, "boolean cells", _boolean_cells) >> x & 1:
-        # below the top and above rank 1 the facets are the lower covers,
-        # already in index order; the top's are read from its down-set
-        in_order = L._lower[x] if 1 < r and x != L._top else tuple(_iter_bits(facets))
-        first, rest = [], []
-        for f in in_order:
-            (first if prefix >> f & 1 else rest).append(f)
-        return tuple(first + rest)
+        return _simplex_order(L, x, prefix)
     key = (x, prefix, permissive)
-    if key in L._memo:
-        return L._memo[key]
+    if key not in L._memo:
+        facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
+        L._memo[key] = (
+            _graph_order(L, facets, prefix, permissive)
+            if r == 3
+            else _walk(L, facets, prefix, permissive, budget)
+        )
+    return L._memo[key]
 
+
+def _walk(
+    L: FaceLattice, facets: int, prefix: int, permissive: bool, budget: SearchBudget
+) -> Union[tuple[int, ...], None]:
+    """:func:`_search`'s depth-first walk over the orders of the ``facets``
+    mask that start with exactly the facets in ``prefix``, one node per
+    candidate placement.
+
+    One pruning leaves the answer as the plain walk gives it.  The state
+    is ``left``, the facets not yet placed: the union, the position and
+    whether the prefix still binds all follow from it, so a ``left`` whose
+    subtree failed fails whenever it recurs, and the walk skips it.  A
+    failed subtree holds no answer, so skipping it cannot change which
+    order is found first.  The walk keeps its own stack, so a cell may
+    have more facets than Python's recursion limit.
+    """
     n = facets.bit_count()
     k = prefix.bit_count()
     chosen: list[int] = []
     dead: set[int] = set()
-
-    def dfs(union: int, left: int) -> bool:
-        pos = len(chosen)
-        if pos == n:
-            return True
-        if left in dead:
-            return False
-        # host indices run in id order within a rank
-        for f in _iter_bits(left & prefix if pos < k else left):
+    # one frame per depth: the union and the facets left there, and the
+    # candidates not yet tried, in index order (host indices run in id
+    # order within a rank); chosen[i] led from frame i to frame i + 1
+    frames = [(0, facets, _iter_bits(facets & prefix if k else facets))]
+    while frames and len(chosen) < n:
+        union, left, candidates = frames[-1]
+        for f in candidates:
             budget.spend()
-            if isinstance(_step(L, f, union, permissive, budget), str):
-                continue
-            chosen.append(f)
-            if dfs(union | L._down[f], left & ~(1 << f)):
-                return True
-            chosen.pop()
-        dead.add(left)
-        return False
-
-    found = tuple(chosen) if dfs(0, facets) else None
-    L._memo[key] = found
-    return found
+            if not isinstance(_step(L, f, union, permissive, budget), str):
+                break
+        else:
+            dead.add(left)
+            frames.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        rest = left & ~(1 << f)
+        if rest in dead:
+            continue
+        chosen.append(f)
+        pool = rest & prefix if len(chosen) < k else rest
+        frames.append((union | L._down[f], rest, _iter_bits(pool)))
+    return tuple(chosen) if len(chosen) == n else None
 
 
 def _verify(
@@ -364,15 +440,29 @@ def _verify(
     its certificate, or the first step that breaks the definition.  Each
     sub-certificate is verified once per (cell, sub-order, permissive) and
     kept in the host's memo; ``order`` itself is kept, if at all, by
-    :func:`is_shelling`."""
+    :func:`is_shelling`.
+
+    On a simplex cell every order is a shelling, so each step's evidence
+    is read off without the step rule: the facet glues along those of its
+    ridges that lie in the earlier facets, and its sub-order is the one
+    :func:`_search` gives for them.
+    """
+    r = L.ranks[x]
+    simplex = r > 2 and _memoised(L, "boolean cells", _boolean_cells) >> x & 1
     steps: list[ShellingStep] = []
     union = 0
     # every order of at most two vertices is a shelling
-    for j, f in enumerate(order if L.ranks[x] > 2 else (), 1):
-        step = _step(L, f, union, permissive, budget)
-        if isinstance(step, str):
-            return ShellingFailure(j, step)
-        prefix, sub_order = step
+    for j, f in enumerate(order if r > 2 else (), 1):
+        if simplex:
+            # the union of down-sets is closed, and holds a ridge of every
+            # facet after the first
+            prefix = L._down[f] & union & L._rank_masks[r - 2]
+            sub_order = _simplex_order(L, f, prefix)
+        else:
+            step = _step(L, f, union, permissive, budget)
+            if isinstance(step, str):
+                return ShellingFailure(j, step)
+            prefix, sub_order = step
         key = (f, sub_order, permissive)
         sub = L._memo.get(key)
         if sub is None:

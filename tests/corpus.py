@@ -123,3 +123,11 @@ def graded_bounded_poset_parts(draw) -> tuple[list, list, int]:
 
 
 graded_bounded_posets = graded_bounded_poset_parts().map(lambda p: sb.build_lattice(*p))
+
+
+def bipyramid_facets(n: int = 600) -> list[list[str]]:
+    """The triangles of the bipyramid over an n-gon: apexes N and S, each
+    joined to every edge ``vi vi+1`` of the polygon (indices mod n)."""
+    return [
+        [apex, f"v{i}", f"v{i % n + 1}"] for i in range(1, n + 1) for apex in ("N", "S")
+    ]

@@ -11,6 +11,7 @@ import pytest
 import shellbound as sb
 from shellbound.cli import CLAIM_TAGS, run
 
+from corpus import bipyramid_facets
 from oracles import expand_certificate, nested_certificate
 
 
@@ -181,6 +182,21 @@ def test_find_shelling_prefix_failure(tmp_path, square_json):
     env = read_envelope(out)
     assert env["result"] == {"found": False, "order": None}
     assert env["params"]["prefix"] == ["e12", "e34"]
+
+
+@pytest.mark.parametrize("command", ["find-shelling", "bounds", "corollaries"])
+def test_commands_on_more_facets_than_the_recursion_limit(tmp_path, command):
+    # the bipyramid over a 600-gon has 1 200 triangles
+    facets = bipyramid_facets(600)
+    src = tmp_path / "bipyramid.txt"
+    src.write_text("".join(" ".join(f) + "\n" for f in facets))
+    proc = run_subprocess([command, "--input", str(src)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command == "find-shelling":
+        order = json.loads(proc.stdout)["result"]["order"]
+        L = sb.from_facets(facets)
+        assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate)
 
 
 # -- bounds --------------------------------------------------------------

@@ -1,0 +1,63 @@
+"""The summary of ``tools/pairs.py`` on canned perfbench result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "report_bytes", "unit": "bytes", "better": "lower", "bound": 0.1},
+    {"name": "score", "unit": "count", "better": "higher"},
+]
+
+
+def _line(wall: float, correct: bool = True, failed: int = 0) -> str:
+    metrics = {
+        "wall_s": {"value": wall, "unit": "s"},
+        "report_bytes": {"value": 100, "unit": "bytes"},
+        "score": {"value": 10 * wall, "unit": "count"},
+    }
+    result = {"correct": correct, "attempted": 5, "failed": failed, "metrics": metrics}
+    return "perfbench search seed=11 passes=3 trace=0\n  details\n" + json.dumps(result) + "\n"
+
+
+def test_result_is_the_last_line():
+    assert pairs.result_of(_line(0.5))["metrics"]["wall_s"]["value"] == 0.5
+    with pytest.raises(ValueError):
+        pairs.result_of("\n")
+
+
+def test_summary_of_five_pairs():
+    parent = [pairs.result_of(_line(w)) for w in (1.0, 1.2, 1.1, 1.4, 1.3)]
+    change = [pairs.result_of(_line(w)) for w in (0.9, 1.3, 1.0, 1.0, 1.0)]
+    wall, size, score = pairs.summary(METRICS, parent, change)
+    assert (wall["parent_q1"], wall["parent_median"], wall["parent_q3"]) == pytest.approx(
+        (1.1, 1.2, 1.3)
+    )
+    assert wall["change_median"] == 1.0
+    assert wall["change_pct"] == pytest.approx(-100 / 6)
+    assert (wall["wins"], wall["pairs"]) == (4, 5)
+    # a tie is no win, and a zero median gives no percentage
+    assert (size["change_pct"], size["wins"]) == (0.0, 0)
+    # higher is better: the change wins where it is larger
+    assert score["wins"] == 1
+    zero = [pairs.result_of(_line(0.0))]
+    assert pairs.summary(METRICS[:1], zero, zero)[0]["change_pct"] is None
+    assert len(pairs.format_rows([wall, size, score])) == 4
+
+
+def test_bad_runs_are_flagged():
+    results = [pairs.result_of(_line(1.0)), pairs.result_of(_line(1.0, correct=False)),
+               pairs.result_of(_line(1.0, failed=2))]
+    assert pairs.flags("change", results) == [
+        "flagged: change run 2: correct=False failed=0",
+        "flagged: change run 3: correct=True failed=2",
+    ]

@@ -1,12 +1,15 @@
 """The pruned shelling search against the unpruned one it replaced.
 
-``_search`` skips a set of remaining facets that failed once, and reads
-the first order of a Boolean cell off without a search.  Neither may change
-an answer: every order, failure and certificate byte must be what the
-unpruned search gives.
+``_search`` skips a set of remaining facets that failed once, reads the
+first order of a Boolean cell off without a search, and grows the order
+of a 2-cell's boundary greedily; ``_verify`` reads a Boolean cell's
+evidence off without the step rule.  None of them may change an answer:
+every order, failure and certificate byte must be what the unpruned
+search, and the general route, give.
 """
 
 import json
+import sys
 from itertools import combinations
 
 import pytest
@@ -16,6 +19,7 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID, shelling
 
 from corpus import (
+    bipyramid_facets,
     bowtie,
     doubled_triangle,
     graded_bounded_poset_parts,
@@ -47,13 +51,25 @@ def _answers(L: sb.FaceLattice, permissive: bool) -> list:
     return out
 
 
-def _assert_unpruned_agrees(make) -> None:
+def _assert_agrees_with(make, name: str, reference) -> None:
+    """``_answers`` with both flags, as the module gives them and with
+    ``shelling.<name>`` replaced by ``reference``."""
     for permissive in (False, True):
-        pruned = _answers(make(), permissive)
+        answers = _answers(make(), permissive)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shelling, "_search", unpruned_search)
-            reference = _answers(make(), permissive)
-        assert pruned == reference, permissive
+            mp.setattr(shelling, name, reference)
+            expected = _answers(make(), permissive)
+        assert answers == expected, permissive
+
+
+def _assert_unpruned_agrees(make) -> None:
+    _assert_agrees_with(make, "_search", unpruned_search)
+
+
+def _assert_general_route_agrees(make) -> None:
+    # no cell is Boolean: _search and _verify apply the step rule to every
+    # simplex cell too
+    _assert_agrees_with(make, "_boolean_cells", lambda L: 0)
 
 
 def _fresh(L: sb.FaceLattice):
@@ -80,6 +96,27 @@ def test_pruned_search_matches_unpruned_off_spheres(make):
 @given(graded_bounded_poset_parts())
 def test_pruned_search_matches_unpruned_on_small_posets(parts):
     _assert_unpruned_agrees(lambda: sb.build_lattice(*parts))
+
+
+# -- the simplex certificate against the step rule -------------------------
+
+
+def _sphere_ball_and_dual_cases():
+    for name, L in spheres_d_le_3():
+        yield pytest.param(_fresh(L), id=name)
+        yield pytest.param(_fresh(sb.punctured(L)), id=f"punctured-{name}")
+        yield pytest.param(_fresh(sb.dualize(L)), id=f"dual-{name}")
+
+
+@pytest.mark.parametrize("make", _sphere_ball_and_dual_cases())
+def test_simplex_certificates_match_the_step_rule_on_the_corpus(make):
+    _assert_general_route_agrees(make)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts())
+def test_simplex_certificates_match_the_step_rule_on_small_posets(parts):
+    _assert_general_route_agrees(lambda: sb.build_lattice(*parts))
 
 
 # -- the Boolean-cell test ------------------------------------------------
@@ -151,6 +188,53 @@ def test_boolean_test_matches_the_naive_definition_on_small_posets(parts):
     assert _boolean_ids(L) == {L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)}
 
 
+# -- the 2-cell closed form ------------------------------------------------
+
+# boundaries of 2-cells that are graphs but not cycles, as edges named by
+# letters (index order) over vertices named by digits
+GRAPHS = {
+    "theta": {"a": "1 2", "b": "2 4", "c": "1 3", "d": "3 4", "e": "1 4"},
+    "path": {"c": "1 2", "a": "2 3", "b": "3 4"},
+    "two-triangles": {"a": "1 2", "d": "2 3", "b": "1 3", "e": "4 5", "c": "5 6", "f": "4 6"},
+    "digon": {"a": "1 2", "b": "1 2"},
+    "loop": {"a": "1"},
+    "lollipop": {"b": "1", "a": "1 2"},
+    "dangling-edge": {"a": "1 2", "c": "2 3", "d": "1 3", "b": "3 4"},
+    "star": {"b": "1 2", "a": "1 3", "c": "1 4"},
+    "two-triangles-at-a-vertex": {
+        "a": "1 2", "b": "2 3", "f": "1 3", "c": "3 4", "e": "4 5", "d": "3 5"
+    },
+}
+
+
+def _graph_cells():
+    """Each graph as the boundary of a 2-cell in a 2-dimensional complex,
+    and as the top of a 1-dimensional one."""
+    for name, edges in GRAPHS.items():
+        yield pytest.param(
+            lambda edges=edges: (_lattice(2, {**edges, "P": " ".join(edges)}), "P"),
+            id=f"cell-{name}",
+        )
+        yield pytest.param(lambda edges=edges: (_lattice(1, edges), TOP_ID), id=f"top-{name}")
+
+
+@pytest.mark.parametrize("make", _graph_cells())
+def test_graph_orders_match_the_unpruned_search(make):
+    (L, cell), (M, _) = make(), make()
+    x = L.index(cell)
+    edges = [L.index(e) for e in L.faces(1)]
+    for size in (0, 1, 2, 3):
+        for prefix in combinations(edges, size):
+            mask = sum(1 << e for e in prefix)
+            for permissive in (False, True):
+                budget = sb.SearchBudget()
+                found = shelling._search(L, x, mask, permissive, budget)
+                assert budget.spent == 0
+                assert found == unpruned_search(M, x, mask, permissive, sb.SearchBudget()), (
+                    [L.ids[e] for e in prefix], permissive
+                )
+
+
 # -- search effort ----------------------------------------------------------
 
 # nodes spent by a cold find_shelling: deterministic, so a change in the
@@ -158,7 +242,7 @@ def test_boolean_test_matches_the_naive_definition_on_small_posets(parts):
 COLD_FIND_SPENT = {
     "simplex-boundary-8": (lambda: sb.simplex_boundary(8), 0),
     "cross-polytope-5": (lambda: sb.cross_polytope(5), 64),
-    "hypercube-boundary-5": (lambda: sb.hypercube_boundary(5), 24_723),
+    "hypercube-boundary-5": (lambda: sb.hypercube_boundary(5), 19_871),
     "cyclic-boundary-6-12": (lambda: sb.cyclic_boundary(6, 12), 126),
 }
 
@@ -169,3 +253,37 @@ def test_cold_find_spends_the_pinned_nodes(name):
     budget = sb.SearchBudget()
     assert sb.find_shelling(make(), budget=budget) is not None
     assert budget.spent == nodes
+
+
+def test_cold_find_on_a_polygon_spends_no_node():
+    budget = sb.SearchBudget()
+    assert sb.find_shelling(sb.ngon(8), budget=budget) is not None
+    assert budget.spent == 0
+
+
+# step-rule calls of a cold is_shelling of a found order: none where every
+# cell is a simplex, one per top-level step where only the facets are
+COLD_VERIFY_STEPS = {
+    "simplex-boundary-6": (lambda: sb.simplex_boundary(6), 0),
+    "cross-polytope-4": (lambda: sb.cross_polytope(4), 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_VERIFY_STEPS))
+def test_cold_verify_applies_the_step_rule_the_pinned_times(name, monkeypatch):
+    make, calls = COLD_VERIFY_STEPS[name]
+    order = sb.find_shelling(make())
+    counted = []
+    step = shelling._step
+    monkeypatch.setattr(shelling, "_step", lambda *args: counted.append(1) or step(*args))
+    assert isinstance(sb.is_shelling(make(), order.facets), sb.ShellingCertificate)
+    assert len(counted) == calls
+
+
+def test_search_walks_more_facets_than_the_recursion_limit():
+    L = sb.from_facets(bipyramid_facets(600))
+    assert len(L.facets()) > sys.getrecursionlimit()
+    budget = sb.SearchBudget()
+    order = sb.find_shelling(L, budget=budget)
+    assert budget.spent == 278_920
+    assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate)

@@ -238,32 +238,33 @@ CERTIFICATE_SHA256 = {
 
 # the nodes spent by the same calls: the search, then the three
 # verifications, strict and then permissive.  Verifying a simplicial
-# complex searches nothing, since every facet is a simplex.
+# complex searches nothing, since every facet is a simplex, and no
+# 1-dimensional complex is searched, since its order is grown greedily.
 CERTIFICATE_SPENT = {
     "simplex-boundary-1": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-simplex-boundary-1": (2, 0, 0, 0, 2, 0, 0, 0),
+    "punctured-simplex-boundary-1": (0, 0, 0, 0, 0, 0, 0, 0),
     "simplex-boundary-2": (0, 0, 0, 0, 0, 0, 0, 0),
     "punctured-simplex-boundary-2": (3, 0, 0, 0, 3, 0, 0, 0),
     "simplex-boundary-3": (0, 0, 0, 0, 0, 0, 0, 0),
     "punctured-simplex-boundary-3": (4, 0, 0, 0, 4, 0, 0, 0),
-    "cross-polytope-1": (4, 0, 0, 0, 4, 0, 0, 0),
-    "punctured-cross-polytope-1": (4, 0, 0, 0, 3, 0, 0, 0),
+    "cross-polytope-1": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-cross-polytope-1": (0, 0, 0, 0, 0, 0, 0, 0),
     "cross-polytope-2": (8, 0, 0, 0, 8, 0, 0, 0),
     "punctured-cross-polytope-2": (12, 0, 0, 0, 12, 0, 0, 0),
     "cross-polytope-3": (16, 0, 0, 0, 16, 0, 0, 0),
     "punctured-cross-polytope-3": (32, 0, 0, 0, 32, 0, 0, 0),
     "ngon-3": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-3": (2, 0, 0, 0, 2, 0, 0, 0),
-    "ngon-4": (4, 0, 0, 0, 4, 0, 0, 0),
-    "punctured-ngon-4": (3, 0, 0, 0, 3, 0, 0, 0),
-    "ngon-5": (5, 0, 0, 0, 5, 0, 0, 0),
-    "punctured-ngon-5": (4, 0, 0, 0, 4, 0, 0, 0),
-    "ngon-6": (6, 0, 0, 0, 6, 0, 0, 0),
-    "punctured-ngon-6": (5, 0, 0, 0, 5, 0, 0, 0),
-    "ngon-7": (7, 0, 0, 0, 7, 0, 0, 0),
-    "punctured-ngon-7": (6, 0, 0, 0, 6, 0, 0, 0),
-    "ngon-8": (8, 0, 0, 0, 8, 0, 0, 0),
-    "punctured-ngon-8": (7, 0, 0, 0, 7, 0, 0, 0),
+    "punctured-ngon-3": (0, 0, 0, 0, 0, 0, 0, 0),
+    "ngon-4": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-4": (0, 0, 0, 0, 0, 0, 0, 0),
+    "ngon-5": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-5": (0, 0, 0, 0, 0, 0, 0, 0),
+    "ngon-6": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-6": (0, 0, 0, 0, 0, 0, 0, 0),
+    "ngon-7": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-7": (0, 0, 0, 0, 0, 0, 0, 0),
+    "ngon-8": (0, 0, 0, 0, 0, 0, 0, 0),
+    "punctured-ngon-8": (0, 0, 0, 0, 0, 0, 0, 0),
     "cyclic-4-5": (0, 0, 0, 0, 0, 0, 0, 0),
     "punctured-cyclic-4-5": (4, 0, 0, 0, 4, 0, 0, 0),
     "cyclic-4-6": (9, 0, 0, 0, 9, 0, 0, 0),

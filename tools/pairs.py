@@ -1,0 +1,128 @@
+"""Compare two source trees on one perfbench workload, in alternating pairs.
+
+    python tools/pairs.py PARENT_DIR CHANGE_DIR --workload search --seed 11 --pairs 10
+
+runs ``perfbench/run.py --trace 0`` in each tree, alternately: the parent
+first on odd pairs (1, 3, ...), the change first on even ones.  For every
+end-to-end metric that ``BENCHMARK.json`` names, it then prints the
+parent's median and quartiles, the change's median, the change in %, and
+in how many pairs the change did better (strictly, in the metric's
+declared direction).  A run whose result says ``correct`` false or
+``failed`` above 0 is flagged, and the exit code is then 1; a run that
+exits nonzero or prints no result stops the comparison with exit 1.
+
+Each tree is run from its own directory with this interpreter, so run
+both from copies that hold nothing but their committed files.
+``BENCHMARK.json`` is read from CHANGE_DIR.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def result_of(stdout: str) -> dict:
+    """The result object perfbench prints as its last line of output."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        if proc.returncode:
+            raise ValueError(f"exit {proc.returncode}: {proc.stderr[-500:]}")
+        return result_of(proc.stdout)
+    except ValueError as e:
+        raise SystemExit(f"pairs: perfbench in {tree}: {e}") from None
+
+
+def flags(side: str, results: list[dict]) -> list[str]:
+    """One line per run, 1-based, that is not correct or failed an item."""
+    out = []
+    for i, res in enumerate(results, 1):
+        if res.get("correct") is not True or res.get("failed", 0) > 0:
+            out.append(
+                f"flagged: {side} run {i}: correct={res.get('correct')} "
+                f"failed={res.get('failed')}"
+            )
+    return out
+
+
+def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
+    """Per metric: the parent's quartiles (q1, median, q3), the change's
+    median, the change in % of the parent's median (None when that is 0),
+    and the pairs the change won.  ``parent[i]`` and ``change[i]`` are the
+    two runs of pair i."""
+    rows = []
+    for m in metrics:
+        name, lower = m["name"], m.get("better", "lower") == "lower"
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        q1, med, q3 = statistics.quantiles(p, n=4, method="inclusive") if len(p) > 1 else p * 3
+        c_med = statistics.median(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        rows.append({
+            "name": name, "unit": m.get("unit", ""), "parent_q1": q1, "parent_median": med,
+            "parent_q3": q3, "change_median": c_med,
+            "change_pct": None if med == 0 else 100 * (c_med - med) / med,
+            "wins": wins, "pairs": len(p),
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> list[str]:
+    out = [f"{'metric':16} {'parent q1':>11} {'median':>11} {'q3':>11} "
+           f"{'change med':>11} {'change':>8}  wins"]
+    for r in rows:
+        pct = "n/a" if r["change_pct"] is None else f"{r['change_pct']:+.1f}%"
+        out.append(
+            f"{r['name']:16} {r['parent_q1']:>11.6g} {r['parent_median']:>11.6g} "
+            f"{r['parent_q3']:>11.6g} {r['change_median']:>11.6g} {pct:>8}  "
+            f"{r['wins']}/{r['pairs']}"
+        )
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+
+    parent, change = [], []
+    for i in range(1, args.pairs + 1):
+        if i % 2:
+            parent.append(run_once(args.parent, args.workload, args.seed))
+            change.append(run_once(args.change, args.workload, args.seed))
+        else:
+            change.append(run_once(args.change, args.workload, args.seed))
+            parent.append(run_once(args.parent, args.workload, args.seed))
+        print(f"pair {i} done ({'parent' if i % 2 else 'change'} first)", file=sys.stderr)
+
+    print(f"{args.workload} seed={args.seed} pairs={args.pairs}")
+    for line in format_rows(summary(metrics, parent, change)):
+        print(line)
+    flagged = flags("parent", parent) + flags("change", change)
+    for line in flagged:
+        print(line)
+    return 1 if flagged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
