@@ -22,6 +22,10 @@ once, with :func:`_split` on the step's sub-shelling, and checks the cut
 against the facet's ridges; :func:`verify_lower_bound` counts on its
 sides.  ``_split`` needs a sphere, so a facet boundary that is none (the
 input is then no regular CW complex) stops as a precondition error.
+That check, like every predicate on a complex this module asks
+(``_require_sphere``, :func:`is_simplicial` for the equality case, and
+the diamond test of the corollaries), is imported from
+:mod:`~shellbound.lattice`; none is defined here.
 
 Each public function asks :func:`is_shelling` for its order's
 certificate and hands it down: the private helpers of the proof route
@@ -41,7 +45,7 @@ check and dual lattice are made once per lattice and kept in its memo
 searches on the dual then share one memo across k.
 
 Last comes the comparison of a shellable sphere with the boundary of the
-cyclic polytope of the same dimension and vertex count
+cyclic polytope of the same dimension on a given number of vertices
 (:func:`gubt_compare`); it is the only function here that builds a
 reference complex, so it alone imports :mod:`generators`; likewise only
 the two functions that build a ``Fraction`` import :mod:`fractions`.
@@ -71,10 +75,12 @@ from .lattice import (
     Subcomplex,
     _as_subcomplex,
     _closed,
+    _is_diamond_lattice,
     _iter_bits,
     _json_fields,
     _least_atom_avoiding,
     _record,
+    _require_sphere,
     boundary_complex,
     f_vector,
     interior,
@@ -87,7 +93,6 @@ from .shelling import (
     ShellingFailure,
     ShellingOrder,
     _as_budget,
-    _is_diamond_lattice,
     find_shelling,
     is_cl_shellable,
     is_dual_cl_shellable,
@@ -156,13 +161,6 @@ def _verified(
     if isinstance(result, ShellingFailure):
         raise NotAShelling(result)
     return result
-
-
-def _require_sphere(X: Union[FaceLattice, Subcomplex]) -> None:
-    if not is_pseudomanifold(X):
-        raise NotPseudomanifold("a sphere pseudomanifold is required")
-    if boundary_complex(X).mask != 0:
-        raise PreconditionViolated("the complex has nonempty boundary; need a sphere")
 
 
 @_record
@@ -755,13 +753,15 @@ class GubtReport:
 def gubt_compare(
     P: FaceLattice, d: int, n: int, *, budget: Union[int, SearchBudget, None] = None
 ) -> GubtReport:
-    """Compare a shellable (d-1)-sphere on n vertices against C(d, n).
+    """Compare a shellable (d-1)-sphere against C(d, n), the boundary of
+    the cyclic d-polytope on n vertices.
 
-    The hypothesis is that P has at least as many facets as the cyclic
-    boundary; when it holds, every face count of P is expected to meet
-    the cyclic one, and the report records where that happens.  A sphere
-    with fewer facets raises :class:`HypothesisNotMet` since the
-    comparison is silent about it.
+    n is the cyclic polytope's vertex count and is not checked against
+    the sphere's.  The hypothesis is that P has at least as many facets
+    as the cyclic boundary; when it holds, every face count of P is
+    expected to meet the cyclic one, and the report records where that
+    happens.  A sphere with fewer facets raises :class:`HypothesisNotMet`
+    since the comparison is silent about it.
     """
     # the only use of the generators, so the other reports never load them
     from .generators import cyclic_boundary
@@ -769,10 +769,7 @@ def gubt_compare(
     C = cyclic_boundary(d, n)
     if P.dim != d - 1:
         raise PreconditionViolated(f"dimension {P.dim} does not match d-1={d - 1}")
-    if not is_pseudomanifold(P):
-        raise NotPseudomanifold("the comparison needs a pseudomanifold")
-    if boundary_complex(P).mask != 0:
-        raise PreconditionViolated("the comparison is stated for spheres")
+    _require_sphere(P)
     fP = f_vector(P)
     fC = f_vector(C)
     if find_shelling(P, budget=_as_budget(budget)) is None:

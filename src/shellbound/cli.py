@@ -346,13 +346,7 @@ def run(argv: Union[list, None] = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_report(args)
-    except BudgetExceeded as e:
-        print(f"shellbound: budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except (InputError, LatticeBuildError) as e:
-        print(f"shellbound: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, LatticeBuildError, OSError) as e:
         print(f"shellbound: {e}", file=sys.stderr)
         return 2
 

@@ -17,16 +17,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Union
 
-from .errors import InvalidFace, NotPseudomanifold, PreconditionViolated, RangeError
-from .lattice import (
-    BOTTOM_ID,
-    TOP_ID,
-    FaceLattice,
-    boundary_complex,
-    build_lattice,
-    from_facets,
-    is_pseudomanifold,
-)
+from .errors import InvalidFace, RangeError
+from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, build_lattice, from_facets
 
 
 def simplex_boundary(d: int) -> FaceLattice:
@@ -133,10 +125,7 @@ def cyclic_boundary(d: int, n: int) -> FaceLattice:
 def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
     """Remove one open facet from a sphere, leaving a ball with the same
     faces otherwise.  Defaults to the lexicographically least facet."""
-    if not is_pseudomanifold(S):
-        raise NotPseudomanifold("puncturing needs a pseudomanifold")
-    if boundary_complex(S).mask != 0:
-        raise PreconditionViolated("puncturing is defined on spheres")
+    _require_sphere(S)
     facets = S.facets()
     if facet_id is None:
         facet_id = facets[0]

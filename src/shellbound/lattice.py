@@ -39,9 +39,11 @@ it holds is listed here and nowhere else:
   :class:`Subcomplex`), ``"diamond lattice"`` (whether :func:`is_lattice`
   and :func:`is_diamond` hold), ``"dual"`` (its :func:`dualize`, so that
   searches on the dual share one memo) and ``"boolean cells"`` (the mask
-  of the cells with a Boolean lower interval).  The verdict is kept apart
-  from the dual, which a lattice that passes the diamond test can lack
-  (a sphere plus an isolated vertex);
+  ``_boolean_cells`` gives of the cells with a Boolean lower interval,
+  read by :func:`is_simplicial` and by the shelling search and
+  verifier).  The verdict is kept apart from the dual, which a lattice
+  that passes the diamond test can lack (a sphere plus an isolated
+  vertex);
 * replaced, not set once: ``"certificate"``, the last whole-complex
   order that ``shelling.is_shelling`` verified, with its permissive flag
   and certificate, and ``"decomposition"``, the facet decomposition the
@@ -54,8 +56,13 @@ A :class:`Subcomplex` derives its boundary once, on first use: it asks
 all read that one value.  ``_closed`` is the one down-closure of a set
 of faces, for every module of the package.
 
-Predicates on a complex live here, :func:`is_simplicial` among them.  So
-does ``_record``, the decorator that makes the library's result classes
+Every predicate on a complex lives here, and each is decided by one
+test: ``_is_diamond_lattice``, :func:`is_lattice` and :func:`is_diamond`
+once per lattice; ``_boolean_cells``, the exact test of which cells are
+simplices, and :func:`is_simplicial`, which reads it; and
+``_require_sphere``, the one check of the sphere hypothesis.  The other
+modules import these and define none of their own.  Here too are
+``_record``, the decorator that makes the library's result classes
 (:class:`FVector` here, the shelling orders, certificates and failures,
 and the bounds reports) immutable records, and ``_json_fields``, the
 writer of a record's JSON from its fields.
@@ -68,12 +75,11 @@ import json
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import (
     CyclicCovers,
     EmptyInput,
-    InternalContradiction,
     InvalidFace,
     MixedDimensions,
     NoBottom,
@@ -427,21 +433,8 @@ class Subcomplex(_MaskSet):
     """A downward-closed set of faces of a host lattice.
 
     Contains the bottom whenever nonempty, never the top.  Instances are
-    produced by :func:`closure` and friends; :meth:`from_ids` validates
-    closure for hand-built member sets.
+    produced by :func:`closure` and friends.
     """
-
-    @classmethod
-    def from_ids(cls, lattice: FaceLattice, ids: Iterable[str]) -> "Subcomplex":
-        mask = lattice._mask_of(ids)
-        if mask & (1 << lattice._top):
-            raise InvalidFace("a subcomplex may not contain the artificial top")
-        for x in _iter_bits(mask):
-            if lattice._down[x] & ~mask:
-                raise InvalidFace(
-                    f"member set is not downward closed below {lattice.ids[x]!r}"
-                )
-        return cls(lattice, mask)
 
     @cached_property
     def dim(self) -> int:
@@ -484,13 +477,6 @@ class Subcomplex(_MaskSet):
 
 class FaceSet(_MaskSet):
     """An arbitrary set of proper faces of a host lattice (no extremes)."""
-
-    @classmethod
-    def from_ids(cls, lattice: FaceLattice, ids: Iterable[str]) -> "FaceSet":
-        mask = lattice._mask_of(ids)
-        if mask & ~lattice._real_mask:
-            raise InvalidFace("a face set may not contain the artificial extremes")
-        return cls(lattice, mask)
 
     def __repr__(self) -> str:
         return f"FaceSet(members={len(self)})"
@@ -707,6 +693,11 @@ def is_diamond(L: FaceLattice) -> bool:
     return True
 
 
+def _is_diamond_lattice(L: FaceLattice) -> bool:
+    """``is_lattice(L) and is_diamond(L)``, decided once per lattice."""
+    return _memoised(L, "diamond lattice", lambda L: is_lattice(L) and is_diamond(L))
+
+
 def dualize(L: FaceLattice) -> FaceLattice:
     """The order-reversed lattice: same ids, complemented ranks, covers
     flipped.  Applying it twice reproduces the original."""
@@ -763,27 +754,50 @@ def is_pseudomanifold(x: Complex) -> bool:
     return _as_subcomplex(x)._boundary is not None
 
 
-def is_simplicial(X: FaceLattice) -> bool:
-    """Whether every facet is a simplex.
+def _boolean_cells(L: FaceLattice) -> int:
+    """Mask of the cells whose lower interval is a Boolean lattice, decided
+    in one bottom-up pass over the lower covers; kept in the memo under
+    ``"boolean cells"``.
 
-    Tested by counting codimension-1 faces below each facet (d + 1 for a
-    d-simplex) and cross-checked against the closed cells being Boolean
-    intervals of size 2^(d+1); the two tests agree on diamond lattices.
+    A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
+    below it (itself included), r lower covers, every one of those passes,
+    and no two of them have the same atoms.  The test is exact: the r
+    covers are then the r distinct (r-1)-subsets of x's atoms, so their
+    Boolean intervals give every proper subset of them as the atom set of
+    some face, and the count leaves room for exactly one face per subset.
+    Counting alone is not enough: three edges on three vertices, two of
+    them with the same ends, have the counts of a triangle.  The top's
+    lower covers are read from its down-set, as the shelling search reads
+    a cell's facets, since a face may lie under the top with no explicit
+    cover.
     """
+    mask = 0
+    down, by_rank, lower = L._down, L._rank_masks, L._lower
+    atoms = by_rank[1]
+    passed = [False] * len(down)
+    for x, r in enumerate(L.ranks):
+        d = down[x]
+        if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
+            continue
+        below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
+        if (
+            len(below) == r
+            and all([passed[y] for y in below])
+            and len({down[y] & atoms for y in below}) == r
+        ):
+            passed[x] = True
+            mask |= 1 << x
+    return mask
+
+
+def is_simplicial(X: FaceLattice) -> bool:
+    """Whether every facet is a simplex, that is, has a Boolean lower
+    interval (:func:`_boolean_cells`); asked of a complex that is not
+    pure, it raises :class:`PreconditionViolated`."""
     if not is_pure(X):
         raise PreconditionViolated("simpliciality is examined on pure complexes")
-    d = X.dim
-    by_ridges = True
-    by_interval = True
-    for facet in X.facets():
-        x = X.index(facet)
-        if (X._down[x] & X._rank_masks[d]).bit_count() != d + 1:
-            by_ridges = False
-        if X._down[x].bit_count() != 2 ** (d + 1):
-            by_interval = False
-    if by_ridges != by_interval:
-        raise InternalContradiction("ridge-count and Boolean-interval tests disagree")
-    return by_ridges
+    facets = X._rank_masks[X.dim + 1] & X._real_mask
+    return not facets & ~_memoised(X, "boolean cells", _boolean_cells)
 
 
 def boundary_complex(x: Complex) -> Subcomplex:
@@ -796,6 +810,16 @@ def boundary_complex(x: Complex) -> Subcomplex:
     if sc._boundary is None:
         raise NotPseudomanifold("boundary is only defined for pseudomanifolds")
     return Subcomplex(sc.lattice, sc._boundary)
+
+
+def _require_sphere(x: Complex) -> None:
+    """Raise unless ``x`` is a pseudomanifold without boundary; the one
+    check of the sphere hypothesis."""
+    bd = _as_subcomplex(x)._boundary
+    if bd is None:
+        raise NotPseudomanifold("a sphere pseudomanifold is required")
+    if bd:
+        raise PreconditionViolated("the complex has nonempty boundary; need a sphere")
 
 
 def interior(x: Complex) -> FaceSet:

@@ -35,7 +35,12 @@ admissible edge at each position.
 at each position and verifies each step's sub-order in turn; it returns a
 certificate, or a failure carrying the first bad step.  On a simplex cell
 no order fails, and each step's evidence is read off as the search would
-give it: the ridges already placed, then the rest.
+give it: the ridges already placed, then the rest.  Both read which
+cells are simplices from one mask, the exact Boolean-interval test
+``_boolean_cells`` of :mod:`~shellbound.lattice`, kept in the memo and
+read by :func:`~shellbound.lattice.is_simplicial` too; the diamond test
+of the CL-shellability checks is ``lattice._is_diamond_lattice``.  This
+module defines no predicate on a complex of its own.
 
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
@@ -72,15 +77,15 @@ from .errors import (
 from .lattice import (
     FaceLattice,
     Subcomplex,
+    _boolean_cells,
     _closed,
+    _is_diamond_lattice,
     _iter_bits,
     _json_fields,
     _memoised,
     _record,
     boundary_complex,
     dualize,
-    is_diamond,
-    is_lattice,
     is_pseudomanifold,
     is_pure,
     sub_lattice,
@@ -265,41 +270,6 @@ def _step(
     if sub_order is None:
         return NO_PREFIX_SHELLING
     return prefix, sub_order
-
-
-def _boolean_cells(L: FaceLattice) -> int:
-    """Mask of the cells whose lower interval is a Boolean lattice, decided
-    in one bottom-up pass over the lower covers; ``_search`` keeps it in
-    the memo.
-
-    A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
-    below it (itself included), r lower covers, every one of those passes,
-    and no two of them have the same atoms.  The test is exact: the r
-    covers are then the r distinct (r-1)-subsets of x's atoms, so their
-    Boolean intervals give every proper subset of them as the atom set of
-    some face, and the count leaves room for exactly one face per subset.
-    Counting alone is not enough: three edges on three vertices, two of
-    them with the same ends, have the counts of a triangle.  The top's
-    lower covers are read from its down-set, as ``_search`` reads a cell's
-    facets, since a face may lie under the top with no explicit cover.
-    """
-    mask = 0
-    down, by_rank, lower = L._down, L._rank_masks, L._lower
-    atoms = by_rank[1]
-    passed = [False] * len(down)
-    for x, r in enumerate(L.ranks):
-        d = down[x]
-        if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
-            continue
-        below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
-        if (
-            len(below) == r
-            and all([passed[y] for y in below])
-            and len({down[y] & atoms for y in below}) == r
-        ):
-            passed[x] = True
-            mask |= 1 << x
-    return mask
 
 
 def _simplex_order(L: FaceLattice, x: int, prefix: int) -> tuple[int, ...]:
@@ -551,11 +521,6 @@ def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:
         raise NotPseudomanifold("classification applies to pseudomanifolds")
     bd = boundary_complex(L)
     return Shape.SPHERE if bd.mask == 0 else Shape.BALL
-
-
-def _is_diamond_lattice(L: FaceLattice) -> bool:
-    """``is_lattice(L) and is_diamond(L)``, decided once per lattice."""
-    return _memoised(L, "diamond lattice", lambda L: is_lattice(L) and is_diamond(L))
 
 
 def is_dual_cl_shellable(

@@ -131,3 +131,20 @@ def bipyramid_facets(n: int = 600) -> list[list[str]]:
     return [
         [apex, f"v{i}", f"v{i % n + 1}"] for i in range(1, n + 1) for apex in ("N", "S")
     ]
+
+
+def lune_sphere() -> sb.FaceLattice:
+    """A regular CW 3-sphere that is not strongly regular (Björner, Europ.
+    J. Combin. 1984): two 3-cells ``B1`` and ``B2`` glued along the
+    2-sphere of the four lunes ``l1..l4`` on the vertices ``a`` and ``b``,
+    lune ``li`` bounded by the edges ``ei`` and ``e(i+1)`` (indices mod 4).
+    Each 3-cell has four ridges, as a tetrahedron does, but twelve faces
+    below it, not sixteen."""
+    elements = [(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("B1", 4), ("B2", 4), (TOP_ID, 5)]
+    covers = [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("B1", TOP_ID), ("B2", TOP_ID)]
+    for i in range(1, 5):
+        edge, lune = f"e{i}", f"l{i}"
+        elements += [(edge, 2), (lune, 3)]
+        covers += [("a", edge), ("b", edge), (edge, lune), (f"e{i % 4 + 1}", lune)]
+        covers += [(lune, "B1"), (lune, "B2")]
+    return sb.build_lattice(elements, covers, 3)

@@ -12,12 +12,14 @@ from corpus import (
     bowtie,
     doubled_triangle,
     fresh_copy,
+    graded_bounded_poset_parts,
     graded_bounded_posets,
+    lune_sphere,
     mixed_dims_by_hand,
     shelled_spheres_d_le_3,
     spheres_d_le_3,
 )
-from oracles import naive_witness
+from oracles import naive_is_boolean, naive_witness
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
 
@@ -455,6 +457,10 @@ def test_is_simplicial():
     assert not sb.is_simplicial(sb.hypercube_boundary(2))
     assert sb.is_simplicial(sb.simplex_boundary(3))
     assert sb.is_simplicial(sb.ngon(7))
+    # each 3-cell has four ridges, as a tetrahedron does, but its lower
+    # interval is not Boolean
+    assert not sb.is_simplicial(lune_sphere())
+    assert not sb.is_simplicial(sb.punctured(lune_sphere()))
     with pytest.raises(sb.PreconditionViolated):
         sb.is_simplicial(
             sb.build_lattice(
@@ -467,6 +473,31 @@ def test_is_simplicial():
                 2,
             )
         )
+
+
+def _assert_simplicial_is_boolean_facets(L: sb.FaceLattice) -> None:
+    assert sb.is_simplicial(L) == all(
+        naive_is_boolean(L, L.index(f)) for f in L.facets()
+    ), L
+
+
+def test_is_simplicial_matches_the_naive_boolean_test():
+    spheres = [L for _, L in spheres_d_le_3()]
+    cases = spheres + [L for _, L in balls()] + [sb.dualize(L) for L in spheres]
+    cases += [lune_sphere(), sb.punctured(lune_sphere())]
+    for L in cases:
+        _assert_simplicial_is_boolean_facets(fresh_copy(L))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts())
+def test_is_simplicial_matches_the_naive_boolean_test_on_small_posets(parts):
+    L = sb.build_lattice(*parts)
+    if sb.is_pure(L):
+        _assert_simplicial_is_boolean_facets(L)
+    else:
+        with pytest.raises(sb.PreconditionViolated):
+            sb.is_simplicial(L)
 
 
 def test_simplicial_equality_identity():

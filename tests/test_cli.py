@@ -11,7 +11,7 @@ import pytest
 import shellbound as sb
 from shellbound.cli import CLAIM_TAGS, run
 
-from corpus import bipyramid_facets
+from corpus import bipyramid_facets, lune_sphere
 from oracles import expand_certificate, nested_certificate
 
 
@@ -80,6 +80,15 @@ def test_gen_text_format_rejects_nonsimplicial(tmp_path):
     code = run(["gen", "hypercube-boundary", "--d", "2", "--format", "text",
                 "--out", str(out)])
     assert code == 2
+
+
+def test_gen_text_format_on_the_lune_ball_is_usage_error(tmp_path):
+    # its 3-cell has the ridge count of a tetrahedron but is no simplex
+    src = write_lattice(tmp_path / "lunes.json", lune_sphere())
+    proc = run_subprocess(["gen", "punctured", "--input", src, "--format", "text"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "shellbound: facet-list text output needs a simplicial complex\n"
 
 
 def test_gen_missing_parameter():
@@ -276,6 +285,21 @@ def test_bounds_on_a_non_sphere_facet_boundary_is_usage_error(tmp_path):
     assert "need a sphere" in proc.stderr
 
 
+def test_bounds_on_the_lune_sphere_reports_no_contradiction(tmp_path):
+    # equality at k = 2 is expected only on simplicial complexes, so the
+    # report fails there until strong regularity is checked
+    src = write_lattice(tmp_path / "lunes.json", lune_sphere())
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--input", src, "--out", str(out)]) == 1
+    env = read_envelope(out)
+    assert "InternalContradiction" not in out.read_text()
+    assert env["ok"] is False
+    reports = env["result"]["reports"]
+    assert [(r["k"], r["equality"], r["expected_equality"]) for r in reports] == [
+        (1, False, False), (2, True, False), (3, True, True)
+    ]
+
+
 def test_bounds_on_the_zero_sphere_names_the_dimension_floor(tmp_path):
     src = write_lattice(tmp_path / "s0.json", sb.simplex_boundary(0))
     proc = run_subprocess(["bounds", "--input", src])
@@ -339,6 +363,15 @@ def test_gubt_octahedron(tmp_path, oct_json):
     assert env["claim"] == "Thm4.1"
     assert env["result"]["all_ok"] is True
     assert env["result"]["rows"][1] == {"k": 1, "f_p": 12, "f_c": 9, "ok": True}
+
+
+@pytest.mark.parametrize("argv", [["gubt", "--d", "3", "--n", "5"], ["gen", "punctured"]])
+def test_sphere_commands_on_a_ball_are_usage_errors(tmp_path, argv):
+    src = write_lattice(tmp_path / "ball.json", sb.punctured(sb.cross_polytope(2)))
+    proc = run_subprocess(argv + ["--input", src])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "shellbound: the complex has nonempty boundary; need a sphere\n"
 
 
 def test_gubt_hypothesis_not_met(tmp_path):
@@ -426,6 +459,32 @@ def test_stdout_when_no_out_flag(capsys, square_json):
 
 def test_missing_input_file(tmp_path):
     assert run(["find-shelling", "--input", str(tmp_path / "absent.json")]) == 2
+
+
+def test_directory_as_input_is_usage_error(tmp_path):
+    proc = run_subprocess(["find-shelling", "--input", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("shellbound: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_non_utf8_input_is_usage_error(tmp_path):
+    bad = tmp_path / "bytes.txt"
+    bad.write_bytes(b"1 2\n2 \xff\n")
+    proc = run_subprocess(["find-shelling", "--input", str(bad)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not text" in proc.stderr
+
+
+def test_empty_order_entry_is_usage_error(oct_json):
+    proc = run_subprocess(["check-shelling", "--input", oct_json, "--order", "a,,b"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "--order must be a comma-separated list of face ids" in proc.stderr
 
 
 def test_malformed_json_input(tmp_path):

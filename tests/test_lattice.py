@@ -277,6 +277,11 @@ def test_multi_char_tokens_use_separator():
         sb.from_facets([["a-b", "c"], ["c", "d"], ["d", "a-b"]])
 
 
+def test_from_facets_rejects_a_reserved_vertex_token():
+    with pytest.raises(sb.InvalidFace, match="reserved id '_bot'"):
+        sb.from_facets([["_bot", "x"], ["x", "y"], ["y", "_bot"]])
+
+
 # -- order queries -------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import shellbound as sb
-from shellbound import BOTTOM_ID, TOP_ID, shelling
+from shellbound import BOTTOM_ID, TOP_ID, lattice, shelling
 
 from corpus import (
     bipyramid_facets,
@@ -123,7 +123,7 @@ def test_simplex_certificates_match_the_step_rule_on_small_posets(parts):
 
 
 def _boolean_ids(L: sb.FaceLattice) -> set[str]:
-    mask = shelling._boolean_cells(L)
+    mask = lattice._boolean_cells(L)
     return {i for x, i in enumerate(L.ids) if mask >> x & 1}
 
 
