@@ -23,7 +23,9 @@ are not stored, since each would span the top and so all n bits: upward
 queries walk the upper covers.  The constructor runs every validation
 for every caller, derived lattices (:func:`dualize`, :func:`sub_lattice`,
 ``generators.punctured``) included.  It resolves each cover pair to
-element indices once and keeps the cover neighbours as index tuples.
+element indices once, files it under its upper end, and keeps the cover
+neighbours as sorted index tuples.  Ids run in (rank, id) order, so
+:meth:`FaceLattice.faces` reads each rank as one slice of them.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
@@ -58,8 +60,10 @@ of faces, for every module of the package.
 
 Every predicate on a complex lives here, and each is decided by one
 test: ``_is_diamond_lattice``, :func:`is_lattice` and :func:`is_diamond`
-once per lattice; ``_boolean_cells``, the exact test of which cells are
-simplices, and :func:`is_simplicial`, which reads it; and
+once per lattice, :func:`is_lattice` from the pairs of sibling facets of
+each cell, not from every pair of elements; ``_boolean_cells``, the
+exact test of which cells are simplices, and :func:`is_simplicial`,
+which reads it; and
 ``_require_sphere``, the one check of the sphere hypothesis.  The other
 modules import these and define none of their own.  Here too are
 ``_record``, the decorator that makes the library's result classes
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
@@ -206,21 +211,22 @@ class FaceLattice:
         nums = tuple(range(n))
         self._index = index = dict(zip(ids, nums))
 
-        # each cover is resolved once, to the int a * n + b; one sort of
-        # those ints lists the covers by lower then upper index
-        codes = set()
-        for a, b in covers:
-            ia = index.get(str(a))
-            ib = index.get(str(b))
-            if ia is None or ib is None:
-                raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element")
-            codes.add(ia * n + ib)
+        # each cover is resolved once and filed under its upper end; each
+        # lower list of two or more is sorted and deduplicated, and the
+        # upper lists then fill in index order, sorted as they grow
         lower: list[list[int]] = [[] for _ in range(n)]
+        for a, b in covers:
+            try:
+                lower[index[str(b)]].append(index[str(a)])
+            except KeyError:
+                raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
+        for b, below in enumerate(lower):
+            if len(below) > 1:
+                lower[b] = sorted(set(below))
         upper: list[list[int]] = [[] for _ in range(n)]
-        for code in sorted(codes):
-            a, b = divmod(code, n)
-            lower[b].append(nums[a])
-            upper[a].append(nums[b])
+        for b, below in zip(nums, lower):
+            for a in below:
+                upper[a].append(b)
 
         self._check_acyclic(n, upper)
 
@@ -240,7 +246,7 @@ class FaceLattice:
 
         self._bottom = 0
         self._top = top = n - 1
-        # neighbours were appended in index order, which within a rank is
+        # neighbour lists are sorted by index, which within a rank is
         # lexicographic id order
         self._lower = tuple(map(tuple, lower))
         self._upper = tuple(map(tuple, upper))
@@ -322,17 +328,18 @@ class FaceLattice:
         The artificial extremes are never included, so ``faces(-1)`` and
         ``faces(dim + 1)`` are empty.
         """
+        # ids run in (rank, id) order, so each rank is one slice of them
         r = k + 1
-        if not 0 <= r <= self.dim + 2:
+        if not 0 < r <= self.dim + 1:
             return ()
-        return self._ids_of(self._rank_masks[r] & self._real_mask)
+        return self.ids[bisect_left(self.ranks, r) : bisect_right(self.ranks, r)]
 
     def facets(self) -> tuple[str, ...]:
         return self.faces(self.dim)
 
     def face_ids(self) -> tuple[str, ...]:
         """Every face id except the artificial extremes."""
-        return self._ids_of(self._real_mask)
+        return self.ids[1:-1]
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The explicit cover pairs ``(lower, upper)``, sorted; computed on
@@ -655,18 +662,35 @@ def parse_facet_text(text: str) -> list[list[str]]:
 def is_lattice(L: FaceLattice) -> bool:
     """True iff every pair of elements has a unique meet and a unique join.
 
-    Only meets are checked.  The constructor puts every element above the
-    bottom and below the top, and in a finite poset with a top, pairwise
-    meets give joins: the join of x and y is the meet of their common
-    upper bounds, a set that always holds the top.  The common lower
-    bounds of x and y are the intersection of their down-sets, and a meet
-    exists iff that intersection is the down-set of one element.
+    Decided from sibling facets: L is a lattice iff, for every cell c (the
+    top included), every two maximal proper faces of c meet, that is, the
+    intersection of their down-sets is the down-set of one element.  Below
+    the top those faces are the lower covers of c.  The top's are the
+    faces with no upper cover but the top, read from the upper covers,
+    since a lesser maximal face has no explicit cover to the top.
+
+    Necessity is plain.  For sufficiency, induct on the rank of c to show
+    that every two elements x, y of [0̂, c] meet; if either is c, the
+    other is the meet.  Otherwise take maximal proper faces F >= x and
+    G >= y of c.  If F = G, the induction on [0̂, F] gives the meet.  If
+    not, H = F ∧ G exists, and every common lower bound of x and y lies
+    under H.  The meets x ∧ H in [0̂, F] and y ∧ H in [0̂, G] exist by
+    induction; both lie under F, so their meet m exists in [0̂, F].  A
+    face lies under x and y iff it lies under x, y and H, iff it lies
+    under x ∧ H and y ∧ H, iff it lies under m; so m = x ∧ y.  Joins
+    follow from meets in a finite poset with a top: the join of x and y
+    is the meet of their common upper bounds, a set that holds the top.
+
+    The cost is the pairs of facets of each cell, not the pairs of
+    elements; ``tests/oracles.py`` keeps the all-pairs check.
     """
-    principal = set(L._down)
-    down = L._down
-    for x, dx in enumerate(down):
-        if not {dx & dy for dy in down[x + 1 :]} <= principal:
-            return False
+    down, upper, top = L._down, L._upper, L._top
+    principal = set(down)
+    top_faces = tuple(x for x in range(top) if upper[x] in ((), (top,)))
+    for facets in (*L._lower[:top], top_faces):
+        for a, b in combinations(facets, 2):
+            if down[a] & down[b] not in principal:
+                return False
     return True
 
 

@@ -17,6 +17,7 @@ from corpus import (
     doubled_triangle,
     graded_bounded_poset_parts,
     graded_bounded_posets,
+    lune_sphere,
     mixed_dims_by_hand,
     spheres_d_le_3,
 )
@@ -109,6 +110,15 @@ def test_duplicate_and_unknown_ids_rejected():
             [("a", "b"), ("b", "a"), ("v9", "a")],
             0,
         )
+    # the first unknown cover in input order is named, whichever end is unknown
+    elements = [(BOTTOM_ID, 0), ("v1", 1), (TOP_ID, 2)]
+    for covers, named in [
+        ([(BOTTOM_ID, "v1"), ("v1", "x9"), ("v8", TOP_ID)], "('v1', 'x9')"),
+        ([(BOTTOM_ID, "v1"), ("v8", TOP_ID), ("v1", "x9")], "('v8', '_top')"),
+    ]:
+        with pytest.raises(sb.InvalidFace) as err:
+            sb.build_lattice(elements, covers, 0)
+        assert str(err.value) == f"cover {named} names an unknown element"
 
 
 def test_rank_out_of_range_rejected():
@@ -151,10 +161,11 @@ def _arrays(L: sb.FaceLattice) -> tuple[tuple, tuple, tuple, tuple]:
 
 
 def _check_constructor(elements, covers, dim, rng):
-    """Build from shuffled elements and covers, and compare the cover
-    neighbours, down-set bit vectors and up-sets with the naive oracle."""
+    """Build from shuffled elements and covers, every other cover given
+    twice, and compare the cover neighbours, down-set bit vectors and
+    up-sets with the naive oracle."""
     expected = naive_lattice_arrays(elements, covers, dim)
-    elements, covers = list(elements), list(covers)
+    elements, covers = list(elements), list(covers) + list(covers)[::2]
     rng.shuffle(elements)
     rng.shuffle(covers)
     L = sb.build_lattice(elements, covers, dim)
@@ -322,6 +333,16 @@ def test_faces_sorted_lexicographically():
     assert list(L.faces(1)) == sorted(L.faces(1))
 
 
+def test_faces_are_the_rank_masks_read_as_ids():
+    cases = [L for _, L in spheres_d_le_3() + balls()]
+    cases += [sb.dualize(L) for L in cases] + [sb.simplex_boundary(12)]
+    for L in cases:
+        for k in range(-1, L.dim + 2):
+            assert L.faces(k) == L._ids_of(L._rank_masks[k + 1] & L._real_mask), (L, k)
+        assert L.face_ids() == L._ids_of(L._real_mask)
+        assert L.facets() == L.faces(L.dim)
+
+
 # -- lattice / diamond / dual -------------------------------------------
 
 
@@ -331,14 +352,33 @@ def test_is_lattice():
     assert not sb.is_lattice(doubled_triangle())
 
 
+def test_is_lattice_reads_the_tops_faces_from_the_upper_covers():
+    # the doubled triangle with the 2-cell B under the top only by the
+    # implicit order: the top's one lower cover is A, yet A and B are both
+    # maximal faces of it, and they do not meet
+    D = doubled_triangle()
+    covers = [c for c in D.covers() if c != ("B", TOP_ID)]
+    L = sb.build_lattice(zip(D.ids, D.ranks), covers, D.dim)
+    assert L.lower_covers(TOP_ID) == ("A",) and L.upper_covers("B") == ()
+    assert not sb.is_lattice(L)
+    assert not naive_is_lattice(L)
+
+
 def test_is_lattice_matches_naive_oracle():
     cases = [(name, L) for name, L in spheres_d_le_3() + balls()]
     cases += [(f"dual-{name}", sb.dualize(L)) for name, L in cases]
     cases += [("doubled-triangle", doubled_triangle()), ("bowtie", bowtie()),
-              ("mixed-dims", mixed_dims_by_hand())]
+              ("mixed-dims", mixed_dims_by_hand()), ("lune-sphere", lune_sphere())]
     verdicts = {name: sb.is_lattice(L) for name, L in cases}
     assert verdicts == {name: naive_is_lattice(L) for name, L in cases}
     assert not verdicts["doubled-triangle"] and not verdicts["bowtie"]
+    assert not verdicts["lune-sphere"]
+
+
+def test_is_lattice_on_large_polytopes():
+    # each takes seconds if every pair of elements is intersected
+    for L in (sb.simplex_boundary(10), sb.hypercube_boundary(6), sb.cross_polytope(6)):
+        assert sb.is_lattice(L), L
 
 
 

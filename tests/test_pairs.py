@@ -61,3 +61,37 @@ def test_bad_runs_are_flagged():
         "flagged: change run 2: correct=False failed=0",
         "flagged: change run 3: correct=True failed=2",
     ]
+
+
+def test_a_workload_list_runs_each_workload_in_turn(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def run_once(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        bad = workload == "proof" and tree.name == "change"
+        return pairs.result_of(_line(1.0, correct=not bad))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main([str(parent), str(change), "--workload", "search", "--pairs", "2"]) == 0
+    assert [w for _, w, _ in calls] == ["search"] * 4
+    calls.clear()
+    capsys.readouterr()
+
+    argv = [str(parent), str(change), "--workload", "search,proof", "--pairs", "2", "--seed", "5"]
+    assert pairs.main(argv) == 1
+    # pair 1 runs the parent first, pair 2 the change
+    order = ["parent", "change", "change", "parent"]
+    assert calls == [(t, w, 5) for w in ("search", "proof") for t in order]
+    out = capsys.readouterr().out.splitlines()
+    titles = [line for line in out if "seed=" in line]
+    assert titles == ["search seed=5 pairs=2", "proof seed=5 pairs=2"]
+    # the flags follow the table of the workload that raised them
+    assert out[-2:] == [
+        "flagged: change run 1: correct=False failed=0",
+        "flagged: change run 2: correct=False failed=0",
+    ]
+    with pytest.raises(SystemExit):
+        pairs.main([str(parent), str(change), "--workload", "search,"])

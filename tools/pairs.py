@@ -7,9 +7,11 @@ first on odd pairs (1, 3, ...), the change first on even ones.  For every
 end-to-end metric that ``BENCHMARK.json`` names, it then prints the
 parent's median and quartiles, the change's median, the change in %, and
 in how many pairs the change did better (strictly, in the metric's
-declared direction).  A run whose result says ``correct`` false or
-``failed`` above 0 is flagged, and the exit code is then 1; a run that
-exits nonzero or prints no result stops the comparison with exit 1.
+declared direction).  ``--workload search,proof`` names several
+workloads: the pairs run for each in turn, and each gets its own table.
+A run whose result says ``correct`` false or ``failed`` above 0 is
+flagged, and the exit code is then 1; a run that exits nonzero or prints
+no result stops the comparison with exit 1.
 
 Each tree is run from its own directory with this interpreter, so run
 both from copies that hold nothing but their committed files.
@@ -93,34 +95,50 @@ def format_rows(rows: list[dict]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent", type=Path)
-    p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10)
-    args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-
+def compare(args, workload: str, metrics: list[dict]) -> list[str]:
+    """Run the pairs for one workload, print its table and return its
+    flag lines."""
     parent, change = [], []
     for i in range(1, args.pairs + 1):
         if i % 2:
-            parent.append(run_once(args.parent, args.workload, args.seed))
-            change.append(run_once(args.change, args.workload, args.seed))
+            parent.append(run_once(args.parent, workload, args.seed))
+            change.append(run_once(args.change, workload, args.seed))
         else:
-            change.append(run_once(args.change, args.workload, args.seed))
-            parent.append(run_once(args.parent, args.workload, args.seed))
-        print(f"pair {i} done ({'parent' if i % 2 else 'change'} first)", file=sys.stderr)
+            change.append(run_once(args.change, workload, args.seed))
+            parent.append(run_once(args.parent, workload, args.seed))
+        print(f"{workload} pair {i} done ({'parent' if i % 2 else 'change'} first)",
+              file=sys.stderr)
 
-    print(f"{args.workload} seed={args.seed} pairs={args.pairs}")
+    print(f"{workload} seed={args.seed} pairs={args.pairs}")
     for line in format_rows(summary(metrics, parent, change)):
         print(line)
     flagged = flags("parent", parent) + flags("change", change)
     for line in flagged:
         print(line)
+    return flagged
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True,
+                   help="a workload, or several separated by commas")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        p.error("--workload names an empty workload")
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+
+    flagged = []
+    for n, workload in enumerate(workloads):
+        if n:
+            print()
+        flagged += compare(args, workload, metrics)
     return 1 if flagged else 0
 
 
