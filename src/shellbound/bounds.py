@@ -27,18 +27,20 @@ That check, like every predicate on a complex this module asks
 the diamond test of the corollaries), is imported from
 :mod:`~shellbound.lattice`; none is defined here.
 
-Each public function asks :func:`is_shelling` for its order's
+Each public function asks :func:`_verified` for its order's
 certificate and hands it down: the private helpers of the proof route
-take a verified :class:`ShellingCertificate`.  The lattice keeps the
-last certificate that verified, so a k-sweep, the decomposition, the
-witnesses and the split counts on one order verify it once per lattice.
-:func:`_decomposition` keeps its result beside that certificate object,
-so each facet boundary is cut once for every k; a certificate built by
-hand is checked afresh on every call.  Step j carries the shelling of
-the j-th facet boundary that starts with exactly the ridges glued to
-earlier facets, the split that the per-facet counts and the witness
-construction need at every depth; both read it from the certificate on
-host masks and build no cell lattice.  The polytopal corollaries ask
+take a verified :class:`ShellingCertificate`.  This module owns the
+memo's ``"proof"`` slot, which keeps the last order that verified with
+its certificate, so a k-sweep, the decomposition, the witnesses and the
+split counts on one order verify it once per lattice, and
+:func:`_decomposition` keeps its result in the same slot, for that
+certificate object alone, so each facet boundary is cut once for every
+k; a certificate built by hand is checked afresh on every call.
+Failures and runs out of budget are never kept.  Step j carries the
+shelling of the j-th facet boundary that starts with exactly the ridges
+glued to earlier facets, the split that the per-facet counts and the
+witness construction need at every depth; both read it from the
+certificate on host masks and build no cell lattice.  The polytopal corollaries ask
 :func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
 check and dual lattice are made once per lattice and kept in its memo
 (``L._memo``, listed in the :mod:`~shellbound.lattice` docstring);
@@ -93,6 +95,7 @@ from .shelling import (
     ShellingFailure,
     ShellingOrder,
     _as_budget,
+    _order_ids,
     find_shelling,
     is_cl_shellable,
     is_dual_cl_shellable,
@@ -157,9 +160,18 @@ def binomial_split_lb(a: int, b: int, d: int, m: int) -> bool:
 def _verified(
     L: FaceLattice, order: Union[ShellingOrder, Sequence[str]], budget: SearchBudget
 ) -> ShellingCertificate:
-    result = is_shelling(L, order, budget=budget)
+    """The certificate of ``order``, or :class:`NotAShelling`.  The last
+    order that verified is kept in the memo's ``"proof"`` slot as ``(facet
+    ids, certificate, decomposition or None)``, and a call on that order
+    again returns its certificate without a search or a walk."""
+    ids = _order_ids(L, order)
+    kept_ids, kept, _ = L._memo.get("proof", (None, None, None))
+    if kept_ids == ids:
+        return kept
+    result = is_shelling(L, ids, budget=budget)
     if isinstance(result, ShellingFailure):
         raise NotAShelling(result)
+    L._memo["proof"] = (ids, result, None)
     return result
 
 
@@ -427,14 +439,13 @@ def facet_decomposition(
 
 def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     """:func:`facet_decomposition` of a verified shelling of the whole
-    complex.  The decomposition of the certificate that
-    :func:`is_shelling` keeps is kept beside it, for that certificate
-    object alone: a certificate built by hand with the same facets is
-    checked afresh."""
+    complex.  It is kept in the ``"proof"`` slot of :func:`_verified`,
+    for the certificate object held there alone: a certificate built by
+    hand with the same facets is checked afresh."""
     X, seq = cert.lattice, cert.facets
-    kept = X._memo.get("decomposition")
-    if kept is not None and kept[0] is cert:
-        return kept[1]
+    ids, kept, done = X._memo.get("proof", (None, None, None))
+    if kept is cert and done is not None:
+        return done
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the decomposition needs a pseudomanifold")
     d = X.dim
@@ -497,9 +508,8 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         earlier_union |= X._down[x]
         splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
     decomposition = SplitDecomposition(X, seq, tuple(splits))
-    certified = X._memo.get("certificate")
-    if certified is not None and certified[1] is cert:
-        X._memo["decomposition"] = (cert, decomposition)
+    if kept is cert:
+        X._memo["proof"] = (ids, cert, decomposition)
     return decomposition
 
 

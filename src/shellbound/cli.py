@@ -290,8 +290,6 @@ def _dispatch(
         report = gubt_compare(L, args.d, args.n, budget=bud)
         return {"d": args.d, "n": args.n}, report.to_json_dict(), report.all_ok
 
-    raise InputError(f"unknown command {command!r}")
-
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .shelling import _as_budget

@@ -30,27 +30,30 @@ The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
 A lattice keeps one memo, ``_memo``, which lives and dies with it, so
-no answer depends on what the process computed on other lattices.  What
-it holds is listed here and nowhere else:
+no answer depends on what the process computed on other lattices.  Each
+entry is written by one module, and what it holds is listed here and
+nowhere else:
 
-* the shelling module's searches and sub-certificates, under the tuple
-  keys ``(cell index, prefix bitmask, permissive flag)`` and ``(cell
-  index, facet order, permissive flag)``;
-* set once, through ``_memoised``: ``"covers"`` (the sorted pairs of
-  :meth:`FaceLattice.covers`), ``"whole complex"`` (the lattice as one
-  :class:`Subcomplex`), ``"diamond lattice"`` (whether :func:`is_lattice`
-  and :func:`is_diamond` hold), ``"dual"`` (its :func:`dualize`, so that
-  searches on the dual share one memo) and ``"boolean cells"`` (the mask
-  ``_boolean_cells`` gives of the cells with a Boolean lower interval,
-  read by :func:`is_simplicial` and by the shelling search and
-  verifier).  The verdict is kept apart from the dual, which a lattice
-  that passes the diamond test can lack (a sphere plus an isolated
-  vertex);
-* replaced, not set once: ``"certificate"``, the last whole-complex
-  order that ``shelling.is_shelling`` verified, with its permissive flag
-  and certificate, and ``"decomposition"``, the facet decomposition the
-  bounds module derived from it.  Keeping another order drops both, so
-  the memo stays bounded by the input.
+* this module, set once through ``_memoised``: ``"covers"`` (the sorted
+  pairs of :meth:`FaceLattice.covers`), ``"whole complex"`` (the lattice
+  as one :class:`Subcomplex`), ``"diamond lattice"`` (whether
+  :func:`is_lattice` and :func:`is_diamond` hold), ``"dual"`` (its
+  :func:`dualize`, so that searches on the dual share one memo) and
+  ``"boolean cells"`` (the mask of the cells with a Boolean lower
+  interval, read through ``_boolean_cells`` by :func:`is_simplicial`
+  and by the shelling search and verifier).  The verdict is kept apart
+  from the dual, which a lattice that passes the diamond test can lack
+  (a sphere plus an isolated vertex);
+* ``shelling``: its searches and sub-certificates, one per cell, under
+  the tuple keys ``(cell index, prefix bitmask, permissive flag)`` and
+  ``(cell index, facet order, permissive flag)``; the certificate of a
+  whole-complex order is not kept there;
+* ``bounds``: one slot, replaced rather than set once, keyed as
+  ``bounds._verified`` says: the last whole-complex order that the proof
+  route verified, as its facet ids, its certificate, and the facet
+  decomposition of that certificate once derived (None before).
+  Verifying another order replaces it, so the memo stays bounded by the
+  input.
 
 A :class:`Subcomplex` derives its boundary once, on first use: it asks
 :func:`is_pure`, then counts ridges in one pass over its top faces;
@@ -779,9 +782,14 @@ def is_pseudomanifold(x: Complex) -> bool:
 
 
 def _boolean_cells(L: FaceLattice) -> int:
-    """Mask of the cells whose lower interval is a Boolean lattice, decided
-    in one bottom-up pass over the lower covers; kept in the memo under
-    ``"boolean cells"``.
+    """Mask of the cells whose lower interval is a Boolean lattice; the one
+    reader of the memo's ``"boolean cells"``, set by :func:`_boolean_pass`."""
+    return _memoised(L, "boolean cells", _boolean_pass)
+
+
+def _boolean_pass(L: FaceLattice) -> int:
+    """:func:`_boolean_cells`, decided in one bottom-up pass over the lower
+    covers.
 
     A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
     below it (itself included), r lower covers, every one of those passes,
@@ -821,7 +829,7 @@ def is_simplicial(X: FaceLattice) -> bool:
     if not is_pure(X):
         raise PreconditionViolated("simpliciality is examined on pure complexes")
     facets = X._rank_masks[X.dim + 1] & X._real_mask
-    return not facets & ~_memoised(X, "boolean cells", _boolean_cells)
+    return not facets & ~_boolean_cells(X)
 
 
 def boundary_complex(x: Complex) -> Subcomplex:

@@ -36,9 +36,9 @@ at each position and verifies each step's sub-order in turn; it returns a
 certificate, or a failure carrying the first bad step.  On a simplex cell
 no order fails, and each step's evidence is read off as the search would
 give it: the ridges already placed, then the rest.  Both read which
-cells are simplices from one mask, the exact Boolean-interval test
-``_boolean_cells`` of :mod:`~shellbound.lattice`, kept in the memo and
-read by :func:`~shellbound.lattice.is_simplicial` too; the diamond test
+cells are simplices from one mask, ``_boolean_cells`` of
+:mod:`~shellbound.lattice`, the exact Boolean-interval test that
+:func:`~shellbound.lattice.is_simplicial` reads too; the diamond test
 of the CL-shellability checks is ``lattice._is_diamond_lattice``.  This
 module defines no predicate on a complex of its own.
 
@@ -47,12 +47,11 @@ sub-certificate among every step that needs it: a DAG with one node per
 (cell, order), whose JSON is a node table in which each step refers to its
 sub-certificate by position in a ``"nodes"`` list.  No library path
 builds a lattice for a cell; a caller that reads a sub-certificate's
-``order`` builds one.  Searches and sub-certificates are memoised in
-``L._memo``, the host lattice's only memo, whose contents the
-:mod:`~shellbound.lattice` docstring lists.  Of the whole-complex orders
-a caller hands to :func:`is_shelling`, the memo keeps the last that
-verified, so the proof route's calls on one order verify it once; a
-failure, or a run out of budget, is not kept.
+``order`` builds one.  Searches and sub-certificates are memoised per
+cell in ``L._memo``, the host lattice's only memo, whose contents the
+:mod:`~shellbound.lattice` docstring lists; :func:`is_shelling` keeps
+nothing of its own, so a repeated call walks its order again, reading
+every step's sub-certificate from the memo and spending no node.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -104,6 +103,10 @@ class SearchBudget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
+        # type(), not isinstance(): bool is an int subclass, and True must
+        # not pass for a budget of 1
+        if type(limit) is not int:
+            raise RangeError(f"a search budget must be an int, got {limit!r}")
         if limit < 0:
             raise RangeError(f"a search budget must be at least 0, got {limit}")
         self.limit = limit
@@ -116,11 +119,9 @@ class SearchBudget:
 
 
 def _as_budget(budget: Union[int, SearchBudget, None]) -> SearchBudget:
-    if budget is None:
-        return SearchBudget()
     if isinstance(budget, SearchBudget):
         return budget
-    return SearchBudget(int(budget))
+    return SearchBudget(DEFAULT_BUDGET if budget is None else budget)
 
 
 @_record
@@ -346,7 +347,7 @@ def _search(
     :func:`_graph_order`.  Every other cell is walked by :func:`_walk`.
     """
     r = L.ranks[x]
-    if r <= 2 or _memoised(L, "boolean cells", _boolean_cells) >> x & 1:
+    if r <= 2 or _boolean_cells(L) >> x & 1:
         return _simplex_order(L, x, prefix)
     key = (x, prefix, permissive)
     if key not in L._memo:
@@ -409,8 +410,7 @@ def _verify(
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     its certificate, or the first step that breaks the definition.  Each
     sub-certificate is verified once per (cell, sub-order, permissive) and
-    kept in the host's memo; ``order`` itself is kept, if at all, by
-    :func:`is_shelling`.
+    kept in the host's memo.
 
     On a simplex cell every order is a shelling, so each step's evidence
     is read off without the step rule: the facet glues along those of its
@@ -418,7 +418,7 @@ def _verify(
     :func:`_search` gives for them.
     """
     r = L.ranks[x]
-    simplex = r > 2 and _memoised(L, "boolean cells", _boolean_cells) >> x & 1
+    simplex = r > 2 and _boolean_cells(L) >> x & 1
     steps: list[ShellingStep] = []
     union = 0
     # every order of at most two vertices is a shelling
@@ -482,10 +482,9 @@ def is_shelling(
     or a :class:`ShellingFailure` naming the first bad step and why:
     ``EmptyIntersection``, ``NotPure``, or ``NoPrefixShelling``.
 
-    The input is checked on every call.  The last order that verified,
-    with its permissive flag, is kept in the lattice's memo, and a call
-    on that order again returns the same certificate object without
-    walking it or spending budget.
+    The input is checked and the order walked on every call; the
+    sub-certificates of its steps are memoised, so a repeated call spends
+    no node.
     """
     if not is_pure(L):
         raise PreconditionViolated("shellings are defined for pure complexes")
@@ -493,18 +492,7 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
-    order_ix = tuple([L.index(f) for f in seq])
-    key = (order_ix, allow_empty_intersection)
-    kept = L._memo.get("certificate")
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    result = _verify(L, L._top, order_ix, allow_empty_intersection, bud)
-    if isinstance(result, ShellingCertificate):
-        # one slot: keeping an order drops the last one, and the
-        # decomposition the bounds module derived from it
-        L._memo["certificate"] = (key, result)
-        L._memo.pop("decomposition", None)
-    return result
+    return _verify(L, L._top, [L.index(f) for f in seq], allow_empty_intersection, bud)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

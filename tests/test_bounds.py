@@ -315,24 +315,101 @@ def test_decomposition_checks_the_certificate_steps():
             _decomposition(sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(lying)))
 
 
+def whole_certificates(L: sb.FaceLattice) -> list:
+    """The whole-complex certificates in the lattice's memo, looking one
+    level into tuples."""
+    items = []
+    for value in L._memo.values():
+        items += value if isinstance(value, tuple) else (value,)
+    return [i for i in items if isinstance(i, sb.ShellingCertificate) and i.cell == L._top]
+
+
+def test_proof_route_keeps_one_proof():
+    L = sb.hypercube_boundary(3)
+    seq = sb.find_shelling(L).facets
+    d = L.dim
+    for order in (seq, seq[::-1], seq):
+        report = sb.verify_lower_bound(L, order, d - 1)
+        assert report == sb.verify_lower_bound(fresh_copy(L), order, d - 1)
+        ids, cert, _ = L._memo["proof"]
+        assert ids == order and whole_certificates(L) == [cert]
+    # is_shelling keeps no certificate of its own; its sub-certificates
+    # are memoised, so a repeated call spends no node
+    M = fresh_copy(L)
+    budgets = [sb.SearchBudget(), sb.SearchBudget()]
+    first, again = (sb.is_shelling(M, seq, budget=b) for b in budgets)
+    assert again == first and budgets[0].spent > 0 and budgets[1].spent == 0
+    assert whole_certificates(M) == []
+
+
+def test_failed_verification_is_not_kept():
+    oct_ = sb.cross_polytope(2)
+    good = sb.find_shelling(oct_).facets
+    # 123 and 345 share only the vertex 3
+    bad = ("123", "345", "126", "135", "156", "234", "246", "456")
+    sb.verify_lower_bound(oct_, good, 1)
+    kept = oct_._memo["proof"]
+    failure = sb.is_shelling(fresh_copy(oct_), bad)
+    assert isinstance(failure, sb.ShellingFailure)
+    for _ in range(2):
+        with pytest.raises(sb.NotAShelling) as caught:
+            sb.verify_lower_bound(oct_, bad, 1)
+        assert caught.value.failure == failure
+        assert oct_._memo["proof"] is kept
+    assert not any(isinstance(v, sb.ShellingFailure) for v in oct_._memo.values())
+    # a budget that runs out keeps nothing either
+    cube = sb.hypercube_boundary(3)
+    seq = sb.find_shelling(fresh_copy(cube)).facets
+    sb.facet_decomposition(cube, seq)
+    kept = cube._memo["proof"]
+    with pytest.raises(sb.BudgetExceeded):
+        sb.verify_lower_bound(cube, seq[::-1], 2, budget=0)
+    assert cube._memo["proof"] is kept
+    assert sb.verify_lower_bound(cube, seq[::-1], 2) == sb.verify_lower_bound(
+        fresh_copy(cube), seq[::-1], 2
+    )
+
+
+def test_bad_budget_is_rejected_when_the_order_is_kept():
+    oct_ = sb.cross_polytope(2)
+    seq = sb.find_shelling(oct_).facets
+    report = sb.verify_lower_bound(oct_, seq, 1)
+    kept = oct_._memo["proof"]
+    for bad in (-1, "many"):
+        with pytest.raises(sb.RangeError):
+            sb.verify_lower_bound(oct_, seq, 1, budget=bad)
+    assert oct_._memo["proof"] is kept
+    assert sb.verify_lower_bound(oct_, seq, 1) == report
+
+
 def test_kept_decomposition_serves_only_its_certificate():
     from shellbound.bounds import _decomposition
 
     L = sb.cross_polytope(2)
     seq = sb.find_shelling(L).facets
     decomp = sb.facet_decomposition(L, seq)
-    cert = sb.is_shelling(L, seq)
+    ids, cert, kept = L._memo["proof"]
+    assert ids == seq and kept is decomp
     assert _decomposition(cert) is decomp
-    # a certificate with the same facets and lying steps is checked afresh
+    # an equal certificate that is another object is checked afresh
+    equal = sb.is_shelling(L, seq)
+    assert equal == cert and equal is not cert
+    assert _decomposition(equal) == decomp and _decomposition(equal) is not decomp
+    # so is one with the same facets and lying steps
     steps = list(cert.steps)
     steps[0] = sb.ShellingStep(steps[0].facet, (), steps[1].sub_certificate)
     steps[1] = sb.ShellingStep(steps[1].facet, steps[1].intersection_facets, cert.steps[0].sub_certificate)
     lying = sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(steps))
     with pytest.raises(sb.InternalContradiction, match="split recount"):
         _decomposition(lying)
-    # keeping another order drops the decomposition with the certificate
-    assert isinstance(sb.is_shelling(L, seq[::-1]), sb.ShellingCertificate)
-    assert "decomposition" not in L._memo
+    assert L._memo["proof"][2] is decomp
+    # verifying another order replaces the proof, decomposition and all,
+    # and the old certificate's decomposition is no longer kept
+    sb.verify_lower_bound(L, seq[::-1], 2)
+    ids, other, kept = L._memo["proof"]
+    assert ids == seq[::-1] and other is not cert and kept is None
+    assert _decomposition(cert) is not decomp
+    assert L._memo["proof"][2] is None
     assert sb.facet_decomposition(L, seq) is not decomp
 
 
@@ -506,6 +583,9 @@ def test_simplicial_equality_identity():
     assert sb.simplicial_equality_identity(sb.simplex_boundary(3))
     with pytest.raises(sb.NotSimplicial):
         sb.simplicial_equality_identity(sb.hypercube_boundary(2))
+    # three triangles on one edge: simplicial, not a pseudomanifold
+    with pytest.raises(sb.NotPseudomanifold):
+        sb.simplicial_equality_identity(sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]]))
 
 
 def test_vandermonde_check():

@@ -84,6 +84,17 @@ def test_cycle_rejected():
         )
 
 
+def test_acyclic_covers_that_lower_the_index_are_walked():
+    # the cover b -> a runs against the (rank, id) order, so the check
+    # walks the covers; it finds no cycle and grading rejects the cover
+    with pytest.raises(sb.NotGraded, match="jumps rank 1 to 1"):
+        sb.build_lattice(
+            [(BOTTOM_ID, 0), ("a", 1), ("b", 1), (TOP_ID, 2)],
+            [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("b", "a"), ("a", TOP_ID), ("b", TOP_ID)],
+            0,
+        )
+
+
 def test_missing_extremes_rejected():
     with pytest.raises(sb.NoBottom):
         sb.build_lattice([("v1", 1), (TOP_ID, 2)], [], 0)

@@ -7,7 +7,7 @@ import pytest
 import shellbound as sb
 from shellbound import BOTTOM_ID
 
-from corpus import balls, fresh_copy, shelled_spheres_d_le_3, spheres_d_le_3
+from corpus import balls, shelled_spheres_d_le_3, spheres_d_le_3
 from oracles import expand_certificate, naive_is_shelling, nested_certificate
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
@@ -413,60 +413,7 @@ def test_memo_hit_spends_nothing():
     assert warm.facets == first.facets
 
 
-def memo_items(L: sb.FaceLattice) -> list:
-    """The values of the lattice's memo, looking one level into tuples."""
-    items = []
-    for value in L._memo.values():
-        items += value if isinstance(value, tuple) else (value,)
-    return items
-
-
-def kept_certificates(L: sb.FaceLattice) -> list:
-    return [
-        item for item in memo_items(L)
-        if isinstance(item, sb.ShellingCertificate) and item.cell == L._top
-    ]
-
-
-def as_record(result) -> tuple:
-    return type(result).__name__, result.to_json_dict()
-
-
-def test_lattice_keeps_one_certificate():
-    L = sb.cross_polytope(3)
-    seq = sb.find_shelling(L).facets
-    fresh = {order: as_record(sb.is_shelling(fresh_copy(L), order)) for order in (seq, seq[::-1])}
-    first = sb.is_shelling(L, seq)
-    for order in (seq[::-1], seq):
-        result = sb.is_shelling(L, order)
-        assert as_record(result) == fresh[order]
-        assert kept_certificates(L) == [result]
-    # the found order was evicted by its reverse and verified again
-    assert result is not first and as_record(result) == as_record(first)
-    assert sb.is_shelling(L, sb.ShellingOrder(L, seq), budget=0) is result
-
-
-def test_failed_verification_is_not_kept():
-    oct_ = sb.cross_polytope(2)
-    good = sb.find_shelling(oct_).facets
-    # 123 and 345 share only the vertex 3
-    bad = ("123", "345", "126", "135", "156", "234", "246", "456")
-    kept = sb.is_shelling(oct_, good)
-    failures = [sb.is_shelling(oct_, bad) for _ in range(2)]
-    assert failures[0] == failures[1] == sb.is_shelling(fresh_copy(oct_), bad)
-    assert isinstance(failures[0], sb.ShellingFailure)
-    assert not any(isinstance(item, sb.ShellingFailure) for item in memo_items(oct_))
-    assert sb.is_shelling(oct_, good) is kept
-    # a budget that runs out keeps nothing either
-    cube = sb.hypercube_boundary(3)
-    seq = sb.find_shelling(fresh_copy(cube)).facets
-    with pytest.raises(sb.BudgetExceeded):
-        sb.is_shelling(cube, seq, budget=0)
-    assert kept_certificates(cube) == []
-    assert as_record(sb.is_shelling(cube, seq)) == as_record(sb.is_shelling(fresh_copy(cube), seq))
-
-
-def test_kept_certificate_is_keyed_by_the_permissive_flag():
+def test_memo_is_keyed_by_the_permissive_flag():
     L = sb.from_facets([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
     seq = sb.find_shelling(L, allow_empty_intersection=True).facets
     for _ in range(2):
@@ -480,15 +427,14 @@ def test_negative_budget_is_rejected():
         sb.find_shelling(sb.cross_polytope(2), budget=-1)
 
 
-def test_bad_budget_is_rejected_when_the_order_is_kept():
+def test_budget_must_be_an_int():
     oct_ = sb.cross_polytope(2)
-    seq = sb.find_shelling(oct_).facets
-    kept = sb.is_shelling(oct_, seq)
-    with pytest.raises(sb.RangeError):
-        sb.is_shelling(oct_, seq, budget=-1)
-    with pytest.raises(ValueError):
-        sb.is_shelling(oct_, seq, budget="many")
-    assert sb.is_shelling(oct_, seq) is kept
+    for bad in (2.7, True, "5", "many", 2.5):
+        with pytest.raises(sb.RangeError, match="must be an int"):
+            sb.SearchBudget(bad)
+        with pytest.raises(sb.RangeError, match="must be an int"):
+            sb.find_shelling(oct_, budget=bad)
+    assert sb.find_shelling(oct_, budget=10 ** 6) == sb.find_shelling(oct_)
 
 
 def test_shared_budget_accumulates():
@@ -520,6 +466,15 @@ def test_classify_demands_matching_certificate():
         sb.classify(sb.ngon(4), cert)
     with pytest.raises(sb.PreconditionViolated):
         sb.classify(oct_, "not a certificate")
+
+
+def test_classify_refuses_a_non_pseudomanifold():
+    # three triangles on one edge: shellable, but not a pseudomanifold
+    L = sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]])
+    cert = sb.is_shelling(L, ("123", "124", "125"))
+    assert isinstance(cert, sb.ShellingCertificate)
+    with pytest.raises(sb.NotPseudomanifold):
+        sb.classify(L, cert)
 
 
 def test_classify_refuses_a_sub_certificate(lattice_builds):

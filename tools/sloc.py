@@ -1,23 +1,30 @@
 """Count source lines per module of the ``shellbound`` package.
 
-Prints, for every module under ``src/shellbound``, its physical lines and
-its code lines, then the totals.  A code line holds at least one token
-that is neither a comment nor part of a docstring, so blank lines,
+    python tools/sloc.py [PARENT_DIR]
+
+prints, for every module under ``src/shellbound``, its physical lines and
+its code lines, then the totals.  Given ``PARENT_DIR``, the root of
+another source tree of the package (such as a checkout of the parent
+commit, as ``tools/pairs.py`` takes), it prints instead each module's
+code lines there, here, and the difference, then the totals; a module
+missing from one tree counts 0 there.  A code line holds at least one
+token that is neither a comment nor part of a docstring, so blank lines,
 comment lines and docstring lines are left out.  A docstring is a string
 literal standing as the first statement of a module, class or function.
 
-Run from anywhere: ``python tools/sloc.py``.  Standard library only.
+Run from anywhere.  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shellbound"
+ROOT = Path(__file__).resolve().parents[1]
 
 # tokens that carry no code of their own
 LAYOUT = {
@@ -56,14 +63,48 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main() -> int:
-    rows = [(path.name, *count(path.read_text(encoding="utf-8")))
-            for path in sorted(PACKAGE.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}")
-    for name, physical, code in rows:
-        print(f"{name:<{width}}  {physical:>8}  {code:>6}")
+def modules(root: Path) -> dict[str, tuple[int, int]]:
+    """Physical and code lines of each module of the package under ``root``."""
+    package = root / "src" / "shellbound"
+    if not package.is_dir():
+        raise SystemExit(f"sloc: no package at {package}")
+    return {path.name: count(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def with_total(rows: list[tuple]) -> list[tuple]:
+    """``rows`` of a name and numbers, then a ``total`` row of their sums."""
+    return rows + [("total", *(sum(col) for col in zip(*(r[1:] for r in rows))))]
+
+
+def compare(parent: Path, tree: Path) -> list[tuple[str, int, int, int]]:
+    """Per module of either tree: its code lines in ``parent``, in
+    ``tree``, and the difference; then the totals."""
+    before, after = modules(parent), modules(tree)
+    rows = []
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, (0, 0))[1], after.get(name, (0, 0))[1]
+        rows.append((name, old, new, new - old))
+    return with_total(rows)
+
+
+def table(header: tuple[str, ...], rows: list[tuple]) -> str:
+    width = max(len(r[0]) for r in [header, *rows])
+    return "\n".join(
+        f"{r[0]:<{width}}" + "".join(f"  {v:>8}" for v in r[1:]) for r in [header, *rows]
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Count source lines per module.")
+    ap.add_argument("parent", nargs="?", type=Path,
+                    help="root of a source tree to compare code lines against")
+    args = ap.parse_args(argv)
+    if args.parent is None:
+        rows = with_total([(name, *lines) for name, lines in modules(ROOT).items()])
+        print(table(("module", "physical", "code"), rows))
+    else:
+        print(table(("module", "parent", "this", "change"), compare(args.parent, ROOT)))
     return 0
 
 
