@@ -132,13 +132,9 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
     elif facet_id not in facets:
         raise InvalidFace(f"{facet_id!r} is not a facet")
     x = S.index(facet_id)
-    ids = S.ids
-    elements = [(i, r) for i, r in zip(ids, S.ranks) if i != facet_id]
-    covers = [
-        (ids[a], ids[b])
-        for b, below in enumerate(S._lower)
-        if b != x
-        for a in below
-        if a != x
-    ]
-    return build_lattice(elements, covers, S.dim)
+    # only the top covers a facet, so every other lower list keeps its
+    # indices, which all lie below x
+    lower = [*S._lower[:x], *S._lower[x + 1 : -1]]
+    lower.append([a if a < x else a - 1 for a in S._lower[-1] if a != x])
+    ids, ranks = S.ids, S.ranks
+    return FaceLattice(S.dim, ids[:x] + ids[x + 1 :], ranks[:x] + ranks[x + 1 :], lower)

@@ -20,11 +20,22 @@ Conventions used throughout the package:
 Down-sets are cached as bit vectors (Python ints) over a frozen element
 order fixed at construction; lattices are immutable afterwards.  Up-sets
 are not stored, since each would span the top and so all n bits: upward
-queries walk the upper covers.  The constructor runs every validation
-for every caller, derived lattices (:func:`dualize`, :func:`sub_lattice`,
-``generators.punctured``) included.  It resolves each cover pair to
-element indices once, files it under its upper end, and keeps the cover
-neighbours as sorted index tuples.  Ids run in (rank, id) order, so
+queries walk the upper covers.
+
+The constructor takes the resolved form: ids and ranks in (rank, id)
+order, and each element's lower covers as sorted indices without
+repeats.  For every caller it checks the dimension's type, unique ids,
+exactly one bottom and one top, acyclicity, gradedness and a lower cover
+under every element but the bottom.  :func:`build_lattice` is the one
+resolver of outside ids: it takes ``str()`` of each id, checks the type
+and range of each rank, sorts the elements, resolves each cover pair to
+indices once (an unknown end is an error) and drops repeated covers;
+:func:`lattice_from_json_dict` and the generators that name their own
+faces build through it.  The builders that already know every index
+build the resolved form directly: :func:`from_facets` sorts its faces by
+(size, id), :func:`dualize` reverses the ranks and keeps each rank's id
+order, ``generators.punctured`` drops one index, and :func:`sub_lattice`
+keeps a cell's down-set in host order.  Ids run in (rank, id) order, so
 :meth:`FaceLattice.faces` reads each rank as one slice of them.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
@@ -81,9 +92,10 @@ import gc
 import json
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
-from typing import Callable, Iterable, Iterator, TypeVar, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import (
     CyclicCovers,
@@ -134,6 +146,46 @@ def _closed(L: FaceLattice, mask: int) -> int:
     return union
 
 
+def _gc_paused(build: Callable[..., _T], *args) -> _T:
+    """``build(*args)`` with the cyclic garbage collector paused: a
+    collection during a build would free nothing, since all of it is kept."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _shared_ints(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The indices ``0 .. len(lower) - 1``, one int object each, to be
+    shared by a lattice's index and every neighbour list: the object the
+    lower lists hold, where they hold one.  Every builder uses one object
+    per index, and reading them back costs a quarter of what mapping every
+    entry to a new object would."""
+    nums = list(range(len(lower)))
+    for x in set(chain.from_iterable(lower)):
+        nums[x] = x
+    return tuple(nums)
+
+
+def _check_dim(dim: object) -> None:
+    # type(), not isinstance(): bool is an int subclass, and True must
+    # not pass for rank 1
+    if type(dim) is not int:
+        raise InvalidFace(f"dimension {dim!r} is not an integer")
+
+
+def _check_extremes(ranks: Sequence[int], top_rank: int) -> None:
+    bottoms = ranks.count(0)
+    if bottoms != 1:
+        raise NoBottom(f"need exactly one rank-0 element, found {bottoms}")
+    tops = ranks.count(top_rank)
+    if tops != 1:
+        raise NoTop(f"need exactly one rank-{top_rank} element, found {tops}")
+
+
 def _memoised(L: FaceLattice, key: str, make: Callable[[FaceLattice], _T]) -> _T:
     """``L._memo[key]``, set to ``make(L)`` on the first call; the one
     way a set-once entry of the memo is read or written."""
@@ -147,9 +199,13 @@ class FaceLattice:
     """Immutable graded lattice of faces of a regular CW complex.
 
     Build through :func:`build_lattice`, :func:`from_facets`, a generator,
-    or :func:`lattice_from_json_dict`; the constructor validates gradedness,
-    acyclicity and the existence of unique extremes, then freezes an element
-    order and precomputes containment bit vectors.
+    or :func:`lattice_from_json_dict`.  The constructor takes the resolved
+    form: ``ids`` and ``ranks`` in (rank, id) order, and for each element
+    the indices of its lower covers, sorted and without repeats; those
+    three it trusts, since every builder makes them so.  It checks the
+    lengths, unique ids, the dimension's type, exactly one bottom and one
+    top, acyclicity, gradedness and a lower cover under every element but
+    the bottom, then precomputes containment bit vectors.
     """
 
     __slots__ = (
@@ -169,67 +225,41 @@ class FaceLattice:
 
     def __init__(
         self,
-        elements: Iterable[tuple[str, int]],
-        covers: Iterable[tuple[str, str]],
         dim: int,
+        ids: Sequence[str],
+        ranks: Sequence[int],
+        lower: Sequence[Sequence[int]],
     ):
-        # a collection during the build would free nothing: all of it is kept
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._build(elements, covers, dim)
-        finally:
-            if enabled:
-                gc.enable()
+        _gc_paused(self._build, dim, ids, ranks, lower)
 
-    def _build(self, elements, covers, dim) -> None:
-        elems = [(str(i), r) for i, r in elements]
-        if len({i for i, _ in elems}) != len(elems):
-            raise InvalidFace("duplicate element ids")
-        # type(), not isinstance(): bool is an int subclass, and True must
-        # not pass for rank 1
-        if type(dim) is not int:
-            raise InvalidFace(f"dimension {dim!r} is not an integer")
-        top_rank = dim + 2
-        for i, r in elems:
-            if type(r) is not int:
-                raise InvalidFace(f"rank {r!r} of {i!r} is not an integer")
-            if not 0 <= r <= top_rank:
-                raise RankOutOfRange(f"rank {r} of {i!r} outside [0, {top_rank}]")
-
-        bottoms = [i for i, r in elems if r == 0]
-        if len(bottoms) != 1:
-            raise NoBottom(f"need exactly one rank-0 element, found {len(bottoms)}")
-        tops = [i for i, r in elems if r == top_rank]
-        if len(tops) != 1:
-            raise NoTop(f"need exactly one rank-{top_rank} element, found {len(tops)}")
-
-        order = sorted(elems, key=lambda e: (e[1], e[0]))
-        self.dim = dim
-        self.ids = ids = tuple(i for i, _ in order)
-        self.ranks = ranks = tuple(r for _, r in order)
+    def _build(self, dim, ids, ranks, lower) -> None:
         n = len(ids)
-        # one int object per element, shared by the index and every
-        # neighbour list
-        nums = tuple(range(n))
-        self._index = index = dict(zip(ids, nums))
+        if not len(ranks) == len(lower) == n:
+            raise InvalidFace(f"{n} ids, {len(ranks)} ranks and {len(lower)} lower cover lists")
+        self.ids = ids = tuple(ids)
+        self.ranks = ranks = tuple(ranks)
+        lower = tuple(map(tuple, lower))
+        nums = _shared_ints(lower)
+        self._index = dict(zip(ids, nums))
+        if len(self._index) != n:
+            raise InvalidFace("duplicate element ids")
+        _check_dim(dim)
+        self.dim = dim
+        top_rank = dim + 2
+        _check_extremes(ranks, top_rank)
 
-        # each cover is resolved once and filed under its upper end; each
-        # lower list of two or more is sorted and deduplicated, and the
-        # upper lists then fill in index order, sorted as they grow
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for a, b in covers:
-            try:
-                lower[index[str(b)]].append(index[str(a)])
-            except KeyError:
-                raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
-        for b, below in enumerate(lower):
-            if len(below) > 1:
-                lower[b] = sorted(set(below))
-        upper: list[list[int]] = [[] for _ in range(n)]
+        # the upper lists fill in index order, so they come out sorted;
+        # when every cover raises the index, as the acyclic check makes
+        # sure, the down-sets fill in index order too, and the bottom lies
+        # below everything
+        upper: list[list[int]] = [[] for _ in nums]
+        down = [0] * n
         for b, below in zip(nums, lower):
+            m = 1 << b | 1
             for a in below:
                 upper[a].append(b)
+                m |= down[a]
+            down[b] = m
 
         self._check_acyclic(n, upper)
 
@@ -251,24 +281,17 @@ class FaceLattice:
         self._top = top = n - 1
         # neighbour lists are sorted by index, which within a rank is
         # lexicographic id order
-        self._lower = tuple(map(tuple, lower))
+        self._lower = lower
         self._upper = tuple(map(tuple, upper))
 
-        rank_masks = [0] * (top_rank + 1)
-        for x, r in enumerate(ranks):
-            rank_masks[r] |= 1 << x
-        self._rank_masks = tuple(rank_masks)
+        # each rank is one run of indices
+        self._rank_masks = tuple(
+            (1 << bisect_right(ranks, r)) - (1 << bisect_left(ranks, r))
+            for r in range(top_rank + 1)
+        )
 
-        # every cover raises the index, so down-sets fill in index order;
-        # the bottom lies below everything and the top above it, whether or
-        # not covers say so
+        # the top lies above everything, whether or not covers say so
         full = (1 << n) - 1
-        down = [0] * n
-        for x, below in enumerate(lower):
-            m = (1 << x) | 1
-            for c in below:
-                m |= down[c]
-            down[x] = m
         down[top] = full
         self._down = tuple(down)
         self._real_mask = full & ~1 & ~(1 << top)
@@ -397,16 +420,14 @@ class FaceLattice:
 
 
 def _sorted_covers(L: FaceLattice) -> tuple[tuple[str, str], ...]:
-    # one string sort of the ids orders the covers by lower id; each
-    # element's upper covers are then sorted on their own
+    # one string sort of the ids orders the covers by lower id; an
+    # element's upper covers share one rank and run in index order, which
+    # within a rank is id order, so each run of pairs is sorted already
     ids = L.ids
     upper = L._upper
-    out: list[tuple[str, str]] = []
-    for a in sorted(range(len(ids)), key=ids.__getitem__):
-        if upper[a]:
-            ia = ids[a]
-            out += sorted([(ia, ids[b]) for b in upper[a]])
-    return tuple(out)
+    return tuple(
+        [(ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]]
+    )
 
 
 class _MaskSet:
@@ -595,9 +616,47 @@ def build_lattice(
     """Validated construction from explicit elements and cover pairs.
 
     ``elements`` are ``(id, rank)`` pairs including the extremes; ranks run
-    from 0 for the empty face to ``dim + 2`` for the maximum.
+    from 0 for the empty face to ``dim + 2`` for the maximum.  The one
+    resolver of outside ids: it takes ``str()`` of every id, checks the
+    ranks' type and range, sorts the elements by (rank, id), resolves each
+    cover to indices once (naming any unknown end) and drops repeated
+    covers; the constructor runs the structural checks.
     """
-    return FaceLattice(elements, covers, dim)
+    # the resolver's temporaries are gone before the constructor runs
+    return FaceLattice(*_gc_paused(_resolve, elements, covers, dim))
+
+
+def _resolve(elements, covers, dim) -> tuple:
+    """``(dim, ids, ranks, lower)``, the constructor's arguments."""
+    elems = [(str(i), r) for i, r in elements]
+    if len(set(map(itemgetter(0), elems))) != len(elems):
+        raise InvalidFace("duplicate element ids")
+    _check_dim(dim)
+    top_rank = dim + 2
+    for i, r in elems:
+        if type(r) is not int:
+            raise InvalidFace(f"rank {r!r} of {i!r} is not an integer")
+        if not 0 <= r <= top_rank:
+            raise RankOutOfRange(f"rank {r} of {i!r} outside [0, {top_rank}]")
+    elems.sort(key=itemgetter(1, 0))
+    ids = tuple(map(itemgetter(0), elems))
+    ranks = tuple(map(itemgetter(1), elems))
+    # before any cover is read, as the extremes were always checked first
+    _check_extremes(ranks, top_rank)
+
+    # each cover is resolved once and filed under its upper end; each
+    # lower list of two or more is then sorted and deduplicated
+    index = dict(zip(ids, range(len(ids))))
+    lower: list[list[int]] = [[] for _ in ids]
+    for a, b in covers:
+        try:
+            lower[index[str(b)]].append(index[str(a)])
+        except KeyError:
+            raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
+    for b, below in enumerate(lower):
+        if len(below) > 1:
+            lower[b] = sorted(set(below))
+    return dim, ids, ranks, lower
 
 
 def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
@@ -624,28 +683,28 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
         raise InvalidFace("multi-character vertex tokens may not contain '-'")
 
     # with each facet's tokens in id order, every face is a tuple already
-    # in id order and its sub-faces are tuple slices
+    # in id order, and its lower covers are its combinations of one fewer
     faces: set[tuple[str, ...]] = set()
     for f in facet_sets:
         tokens = sorted(f, key=lambda t: (len(t), t))
         for k in range(1, d + 2):
             faces.update(combinations(tokens, k))
-    ids = {s: sep.join(s) for s in faces}
+    # (size, id) order is the (rank, id) order, and no two faces share both
+    order = sorted([(len(s), sep.join(s), s) for s in faces])
+    ids = [BOTTOM_ID, *[i for _, i, _ in order], TOP_ID]
     for i in (BOTTOM_ID, TOP_ID):
-        if i in ids.values():
+        if i in ids[1:-1]:
             raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
 
-    elements = [(BOTTOM_ID, 0), (TOP_ID, d + 2)]
-    elements += [(i, len(s)) for s, i in ids.items()]
-    covers = []
-    for s, i in ids.items():
-        if len(s) == 1:
-            covers.append((BOTTOM_ID, i))
-        else:
-            covers += [(ids[s[:v] + s[v + 1 :]], i) for v in range(len(s))]
-        if len(s) == d + 1:
-            covers.append((i, TOP_ID))
-    return FaceLattice(elements, covers, d)
+    # the empty tuple is the empty face, the bottom
+    index = {(): 0}
+    index.update((s, x) for x, (_, _, s) in enumerate(order, 1))
+    lower = [()]
+    lower += [sorted(map(index.__getitem__, combinations(s, k - 1))) for k, _, s in order]
+    # every face of the top size is a facet
+    lower.append(range(len(ids) - 1 - len(facet_sets), len(ids) - 1))
+    ranks = [0, *[k for k, _, _ in order], d + 2]
+    return FaceLattice(d, ids, ranks, lower)
 
 
 def parse_facet_text(text: str) -> list[list[str]]:
@@ -729,10 +788,23 @@ def dualize(L: FaceLattice) -> FaceLattice:
     """The order-reversed lattice: same ids, complemented ranks, covers
     flipped.  Applying it twice reproduces the original."""
     top_rank = L.dim + 2
-    ids = L.ids
-    elements = [(i, top_rank - r) for i, r in zip(ids, L.ranks)]
-    covers = [(ids[b], ids[a]) for b, below in enumerate(L._lower) for a in below]
-    return FaceLattice(elements, covers, L.dim)
+    ids, ranks = L.ids, L.ranks
+    # each rank keeps its id order, and the ranks come in reverse
+    order = [
+        x
+        for r in range(top_rank, -1, -1)
+        for x in range(bisect_left(ranks, r), bisect_right(ranks, r))
+    ]
+    new = [0] * len(order)
+    for y, x in enumerate(order):
+        new[x] = y
+    # a host element's upper covers share one rank, so their new indices
+    # run in the same order
+    upper = L._upper
+    lower = [tuple(map(new.__getitem__, upper[x])) for x in order]
+    return FaceLattice(
+        L.dim, [ids[x] for x in order], [top_rank - ranks[x] for x in order], lower
+    )
 
 
 # -- subcomplex machinery ------------------------------------------------
@@ -891,11 +963,14 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     x = L.index(face_id)
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
-    members = L._down[x]
-    elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
-    elements.append((face_id, L.ranks[x]))
-    covers = [(L.ids[c], L.ids[e]) for e in _iter_bits(members) for c in L._lower[e]]
-    return FaceLattice(elements, covers, L.ranks[x] - 2)
+    # the down-set in host order is in (rank, id) order, the cell last
+    members = list(_iter_bits(L._down[x]))
+    new = dict(zip(members, range(len(members))))
+    ids, ranks, host_lower = L.ids, L.ranks, L._lower
+    lower = [tuple(map(new.__getitem__, host_lower[e])) for e in members]
+    return FaceLattice(
+        L.ranks[x] - 2, [ids[e] for e in members], [ranks[e] for e in members], lower
+    )
 
 
 def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, bool]:
@@ -996,4 +1071,4 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
             covers.append((BOTTOM_ID, i))
         if k == dim:
             covers.append((i, TOP_ID))
-    return FaceLattice(elements, covers, dim)
+    return build_lattice(elements, covers, dim)

@@ -10,9 +10,101 @@ was before it learnt to prune, kept as the reference for the pruned one.
 
 from itertools import combinations, permutations
 
-from shellbound import FaceLattice, atom_avoiding_coatom, sub_lattice
-from shellbound.lattice import _iter_bits
+from shellbound import (
+    BOTTOM_ID,
+    TOP_ID,
+    EmptyInput,
+    FaceLattice,
+    InvalidFace,
+    MixedDimensions,
+    atom_avoiding_coatom,
+    build_lattice,
+    sub_lattice,
+)
+from shellbound.lattice import _iter_bits, _require_sphere
 from shellbound.shelling import _step
+
+
+# -- derived lattices through id strings -----------------------------------
+#
+# Each builder below writes its lattice as ``(id, rank)`` and ``(id, id)``
+# string pairs and hands them to ``build_lattice``, the one resolver of
+# outside ids, as the library's derived builders once did; they are the
+# reference for the builders that now index the result themselves.
+
+
+def string_dualize(L: FaceLattice) -> FaceLattice:
+    top_rank = L.dim + 2
+    ids = L.ids
+    elements = [(i, top_rank - r) for i, r in zip(ids, L.ranks)]
+    covers = [(ids[b], ids[a]) for b, below in enumerate(L._lower) for a in below]
+    return build_lattice(elements, covers, L.dim)
+
+
+def string_punctured(S: FaceLattice, facet_id=None) -> FaceLattice:
+    _require_sphere(S)
+    facets = S.facets()
+    if facet_id is None:
+        facet_id = facets[0]
+    elif facet_id not in facets:
+        raise InvalidFace(f"{facet_id!r} is not a facet")
+    x = S.index(facet_id)
+    ids = S.ids
+    elements = [(i, r) for i, r in zip(ids, S.ranks) if i != facet_id]
+    covers = [
+        (ids[a], ids[b])
+        for b, below in enumerate(S._lower)
+        if b != x
+        for a in below
+        if a != x
+    ]
+    return build_lattice(elements, covers, S.dim)
+
+
+def string_sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
+    x = L.index(face_id)
+    if x in (L._bottom, L._top):
+        raise InvalidFace("the artificial extremes bound no cell")
+    members = L._down[x]
+    elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
+    elements.append((face_id, L.ranks[x]))
+    covers = [(L.ids[c], L.ids[e]) for e in _iter_bits(members) for c in L._lower[e]]
+    return build_lattice(elements, covers, L.ranks[x] - 2)
+
+
+def string_from_facets(facets) -> FaceLattice:
+    facet_sets = {frozenset(str(t) for t in f) for f in facets}
+    facet_sets.discard(frozenset())
+    if not facet_sets:
+        raise EmptyInput("no facets supplied")
+    sizes = {len(f) for f in facet_sets}
+    if len(sizes) != 1:
+        raise MixedDimensions(f"facet sizes differ: {sorted(sizes)}")
+    d = sizes.pop() - 1
+    vocabulary = frozenset().union(*facet_sets)
+    sep = "" if all(len(t) == 1 for t in vocabulary) else "-"
+    if sep and any("-" in t for t in vocabulary):
+        raise InvalidFace("multi-character vertex tokens may not contain '-'")
+    faces = set()
+    for f in facet_sets:
+        tokens = sorted(f, key=lambda t: (len(t), t))
+        for k in range(1, d + 2):
+            faces.update(combinations(tokens, k))
+    ids = {s: sep.join(s) for s in faces}
+    for i in (BOTTOM_ID, TOP_ID):
+        if i in ids.values():
+            raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
+    elements = [(BOTTOM_ID, 0), (TOP_ID, d + 2)]
+    elements += [(i, len(s)) for s, i in ids.items()]
+    covers = []
+    for s, i in ids.items():
+        if len(s) == 1:
+            covers.append((BOTTOM_ID, i))
+        else:
+            covers += [(ids[s[:v] + s[v + 1 :]], i) for v in range(len(s))]
+        if len(s) == d + 1:
+            covers.append((i, TOP_ID))
+    return build_lattice(elements, covers, d)
 
 
 def reachability(

@@ -236,18 +236,25 @@ def test_lattice_keeps_no_up_set_masks():
     # an up-set mask spans the top, so n of them hold n^2 bits; the covers
     # answer every upward query
     assert "_up" not in sb.FaceLattice.__slots__
-    L = sb.simplex_boundary(10)
-    elements, covers, dim = list(zip(L.ids, L.ranks)), list(L.covers()), L.dim
-    del L
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = sb.build_lattice(elements, covers, dim)
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == 2 ** 12
-    assert after - before < 3 * 2 ** 20
+    S = sb.simplex_boundary(10)
+    parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
+    facets = [S._ids_of(S._down[S.index(f)] & S._rank_masks[1]) for f in S.facets()]
+    builds = [(sb.build_lattice, parts), (sb.from_facets, (facets,)), (sb.dualize, (S,)),
+              (sb.punctured, (S,))]
+    for build, args in builds:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build(*args)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 2 ** 12 - (build is sb.punctured)
+        assert after - before < 3 * 2 ** 20, build
+        # one int object per index, shared by the index and every cover list
+        nums = list(kept._index.values())
+        for lists in (kept._lower, kept._upper):
+            assert all(a is nums[a] for below in lists for a in below), build
 
 
 def test_iter_bits_matches_a_naive_scan_at_every_width():

@@ -45,6 +45,8 @@ def test_summary_of_five_pairs():
     assert wall["change_median"] == 1.0
     assert wall["change_pct"] == pytest.approx(-100 / 6)
     assert (wall["wins"], wall["pairs"]) == (4, 5)
+    # 4 of 5 pairs is too few for a gain
+    assert wall["verdict"] == "flat"
     # a tie is no win, and a zero median gives no percentage
     assert (size["change_pct"], size["wins"]) == (0.0, 0)
     # higher is better: the change wins where it is larger
@@ -52,6 +54,41 @@ def test_summary_of_five_pairs():
     zero = [pairs.result_of(_line(0.0))]
     assert pairs.summary(METRICS[:1], zero, zero)[0]["change_pct"] is None
     assert len(pairs.format_rows([wall, size, score])) == 4
+
+
+def _verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    name = metric["name"]
+
+    def runs(values):
+        return [{"metrics": {name: {"value": v}}} for v in values]
+
+    return pairs.summary([metric], runs(parent), runs(change))[0]["verdict"]
+
+
+def test_verdicts():
+    wall = METRICS[0]
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.01, 0.99]
+    # 10/10 pairs, and the medians 0.2 apart against a spread of 0.02
+    assert _verdict(wall, parent, [v - 0.2 for v in parent]) == "gain"
+    # 8/10 pairs is too few for a gain, however large the difference
+    assert _verdict(wall, parent, [0.5] * 8 + [1.5] * 2) == "flat"
+    # every pair won, but by less than the parent's spread
+    assert _verdict(wall, parent, [v - 0.001 for v in parent]) == "flat"
+    # worse by more than the bound, a quarter of the parent's median
+    assert _verdict(wall, parent, [v + 0.3 for v in parent]) == "worse"
+    assert _verdict(wall, parent, [v + 0.2 for v in parent]) == "flat"
+    # runs that spread wider than the bound tell nothing
+    wide = [0.6, 1.4, 0.7, 1.3, 1.0, 0.6, 1.4, 0.7, 1.3, 1.0]
+    assert _verdict(wall, wide, [v + 0.1 for v in wide]) == "unresolved"
+    # higher is better: a larger change is the gain, a smaller one no gain
+    score = METRICS[2]
+    assert _verdict(score, parent, [v + 0.2 for v in parent]) == "gain"
+    # without a bound, nothing is worse or unresolved
+    assert _verdict(score, wide, [v - 0.5 for v in wide]) == "flat"
+    # a metric that reads 0 at the parent is worse on any rise
+    size = METRICS[1]
+    assert _verdict(size, [0] * 4, [0] * 4) == "flat"
+    assert _verdict(size, [0] * 4, [1] * 4) == "worse"
 
 
 def test_bad_runs_are_flagged():

@@ -5,9 +5,20 @@
 runs ``perfbench/run.py --trace 0`` in each tree, alternately: the parent
 first on odd pairs (1, 3, ...), the change first on even ones.  For every
 end-to-end metric that ``BENCHMARK.json`` names, it then prints the
-parent's median and quartiles, the change's median, the change in %, and
-in how many pairs the change did better (strictly, in the metric's
-declared direction).  ``--workload search,proof`` names several
+parent's median and quartiles, the change's median, the change in %, in
+how many pairs the change did better (strictly, in the metric's declared
+direction), and a verdict, the first of these that holds:
+
+* ``gain``: the change won at least 9 in 10 of the pairs, and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, read as a fraction of the parent's median;
+* ``unresolved``: the parent's interquartile range is wider than that
+  bound, so the runs spread too far to call the metric unchanged;
+* ``flat``: anything else.
+
+A metric without a ``bound`` is ``gain`` or ``flat``.  ``--workload search,proof`` names several
 workloads: the pairs run for each in turn, and each gets its own table.
 A run whose result says ``correct`` false or ``failed`` above 0 is
 flagged, and the exit code is then 1; a run that exits nonzero or prints
@@ -60,11 +71,25 @@ def flags(side: str, results: list[dict]) -> list[str]:
     return out
 
 
+def verdict(m: dict, q1: float, med: float, q3: float, c_med: float, wins: int,
+            pairs: int) -> str:
+    """The verdict on one metric, by the rules in the module docstring."""
+    worsening = c_med - med if m.get("better", "lower") == "lower" else med - c_med
+    bound = m.get("bound")
+    if 10 * wins >= 9 * pairs and -worsening > q3 - q1:
+        return "gain"
+    if bound is not None and worsening > bound * abs(med):
+        return "worse"
+    if bound is not None and q3 - q1 > bound * abs(med):
+        return "unresolved"
+    return "flat"
+
+
 def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
     """Per metric: the parent's quartiles (q1, median, q3), the change's
     median, the change in % of the parent's median (None when that is 0),
-    and the pairs the change won.  ``parent[i]`` and ``change[i]`` are the
-    two runs of pair i."""
+    the pairs the change won, and the verdict.  ``parent[i]`` and
+    ``change[i]`` are the two runs of pair i."""
     rows = []
     for m in metrics:
         name, lower = m["name"], m.get("better", "lower") == "lower"
@@ -78,19 +103,20 @@ def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
             "parent_q3": q3, "change_median": c_med,
             "change_pct": None if med == 0 else 100 * (c_med - med) / med,
             "wins": wins, "pairs": len(p),
+            "verdict": verdict(m, q1, med, q3, c_med, wins, len(p)),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
     out = [f"{'metric':16} {'parent q1':>11} {'median':>11} {'q3':>11} "
-           f"{'change med':>11} {'change':>8}  wins"]
+           f"{'change med':>11} {'change':>8}  wins  verdict"]
     for r in rows:
         pct = "n/a" if r["change_pct"] is None else f"{r['change_pct']:+.1f}%"
         out.append(
             f"{r['name']:16} {r['parent_q1']:>11.6g} {r['parent_median']:>11.6g} "
             f"{r['parent_q3']:>11.6g} {r['change_median']:>11.6g} {pct:>8}  "
-            f"{r['wins']}/{r['pairs']}"
+            f"{r['wins']:>2}/{r['pairs']:<2} {r['verdict']}"
         )
     return out
 
