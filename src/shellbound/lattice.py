@@ -22,20 +22,26 @@ order fixed at construction; lattices are immutable afterwards.  Up-sets
 are not stored, since each would span the top and so all n bits: upward
 queries walk the upper covers.
 
-The constructor takes the resolved form: ids and ranks in (rank, id)
-order, and each element's lower covers as sorted indices without
-repeats.  For every caller it checks the dimension's type, unique ids,
-exactly one bottom and one top, acyclicity, gradedness and a lower cover
-under every element but the bottom.  :func:`build_lattice` is the one
-resolver of outside ids: it takes ``str()`` of each id, checks the type
-and range of each rank, sorts the elements, resolves each cover pair to
-indices once (an unknown end is an error) and drops repeated covers;
+Each fact a lattice rests on is checked once, by one owner.
+:func:`build_lattice` is the one resolver of outside ids, and checks the
+outside facts: it takes ``str()`` of each id, then checks that the ids
+are unique, that the dimension is an integer, that each rank is an
+integer in range and that there is exactly one bottom and one top, and
+resolves each cover pair to indices once (an unknown end is an error).
+It sorts the elements by (rank, id) and drops repeated covers.
 :func:`lattice_from_json_dict` and the generators that name their own
 faces build through it.  The builders that already know every index
-build the resolved form directly: :func:`from_facets` sorts its faces by
-(size, id), :func:`dualize` reverses the ranks and keeps each rank's id
-order, ``generators.punctured`` drops one index, and :func:`sub_lattice`
-keeps a cell's down-set in host order.  Ids run in (rank, id) order, so
+build the resolved form directly, and each vouches for its ids,
+dimension and extremes: :func:`from_facets` sorts its faces by (size,
+id), :func:`dualize` reverses the ranks and keeps each rank's id order,
+``generators.punctured`` drops one index, and :func:`sub_lattice` keeps
+a cell's down-set in host order.  The constructor takes the resolved
+form: ids and ranks in (rank, id) order, and each element's lower covers
+as sorted indices without repeats.  It trusts every builder for the ids,
+the dimension, the extremes and that order, and checks only what a
+builder's covers can break: acyclicity, gradedness and a lower cover
+under every element but the bottom (a :func:`dualize` of a non-pure
+lattice lacks one).  Ids run in (rank, id) order, so
 :meth:`FaceLattice.faces` reads each rank as one slice of them.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
@@ -170,22 +176,6 @@ def _shared_ints(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(nums)
 
 
-def _check_dim(dim: object) -> None:
-    # type(), not isinstance(): bool is an int subclass, and True must
-    # not pass for rank 1
-    if type(dim) is not int:
-        raise InvalidFace(f"dimension {dim!r} is not an integer")
-
-
-def _check_extremes(ranks: Sequence[int], top_rank: int) -> None:
-    bottoms = ranks.count(0)
-    if bottoms != 1:
-        raise NoBottom(f"need exactly one rank-0 element, found {bottoms}")
-    tops = ranks.count(top_rank)
-    if tops != 1:
-        raise NoTop(f"need exactly one rank-{top_rank} element, found {tops}")
-
-
 def _memoised(L: FaceLattice, key: str, make: Callable[[FaceLattice], _T]) -> _T:
     """``L._memo[key]``, set to ``make(L)`` on the first call; the one
     way a set-once entry of the memo is read or written."""
@@ -200,12 +190,13 @@ class FaceLattice:
 
     Build through :func:`build_lattice`, :func:`from_facets`, a generator,
     or :func:`lattice_from_json_dict`.  The constructor takes the resolved
-    form: ``ids`` and ``ranks`` in (rank, id) order, and for each element
-    the indices of its lower covers, sorted and without repeats; those
-    three it trusts, since every builder makes them so.  It checks the
-    lengths, unique ids, the dimension's type, exactly one bottom and one
-    top, acyclicity, gradedness and a lower cover under every element but
-    the bottom, then precomputes containment bit vectors.
+    form: an integer ``dim``, unique ``ids`` and their ``ranks`` in (rank,
+    id) order with one bottom at rank 0 and one top at rank ``dim + 2``,
+    and for each element the indices of its lower covers, sorted and
+    without repeats.  All of that it trusts, since every builder vouches
+    for it.  It checks only what the covers can break: that the lengths
+    agree, acyclicity, gradedness and a lower cover under every element
+    but the bottom, then precomputes containment bit vectors.
     """
 
     __slots__ = (
@@ -241,12 +232,7 @@ class FaceLattice:
         lower = tuple(map(tuple, lower))
         nums = _shared_ints(lower)
         self._index = dict(zip(ids, nums))
-        if len(self._index) != n:
-            raise InvalidFace("duplicate element ids")
-        _check_dim(dim)
         self.dim = dim
-        top_rank = dim + 2
-        _check_extremes(ranks, top_rank)
 
         # the upper lists fill in index order, so they come out sorted;
         # when every cover raises the index, as the acyclic check makes
@@ -284,10 +270,10 @@ class FaceLattice:
         self._lower = lower
         self._upper = tuple(map(tuple, upper))
 
-        # each rank is one run of indices
+        # each rank, from 0 to the top's dim + 2, is one run of indices
         self._rank_masks = tuple(
             (1 << bisect_right(ranks, r)) - (1 << bisect_left(ranks, r))
-            for r in range(top_rank + 1)
+            for r in range(dim + 3)
         )
 
         # the top lies above everything, whether or not covers say so
@@ -617,21 +603,28 @@ def build_lattice(
 
     ``elements`` are ``(id, rank)`` pairs including the extremes; ranks run
     from 0 for the empty face to ``dim + 2`` for the maximum.  The one
-    resolver of outside ids: it takes ``str()`` of every id, checks the
-    ranks' type and range, sorts the elements by (rank, id), resolves each
-    cover to indices once (naming any unknown end) and drops repeated
-    covers; the constructor runs the structural checks.
+    resolver of outside ids, and the one check of the facts they carry: it
+    takes ``str()`` of every id and checks, in this order, unique ids, an
+    integer dimension, integer ranks in range, exactly one bottom and one
+    top, and known cover ends (naming the first unknown one).  It sorts
+    the elements by (rank, id), resolves each cover to indices once and
+    drops repeated covers; the constructor checks what the covers can
+    break.
     """
     # the resolver's temporaries are gone before the constructor runs
     return FaceLattice(*_gc_paused(_resolve, elements, covers, dim))
 
 
 def _resolve(elements, covers, dim) -> tuple:
-    """``(dim, ids, ranks, lower)``, the constructor's arguments."""
+    """``(dim, ids, ranks, lower)``, the constructor's arguments, once the
+    outside facts are checked."""
     elems = [(str(i), r) for i, r in elements]
     if len(set(map(itemgetter(0), elems))) != len(elems):
         raise InvalidFace("duplicate element ids")
-    _check_dim(dim)
+    # type(), not isinstance(): bool is an int subclass, and True must
+    # not pass for rank 1
+    if type(dim) is not int:
+        raise InvalidFace(f"dimension {dim!r} is not an integer")
     top_rank = dim + 2
     for i, r in elems:
         if type(r) is not int:
@@ -642,7 +635,12 @@ def _resolve(elements, covers, dim) -> tuple:
     ids = tuple(map(itemgetter(0), elems))
     ranks = tuple(map(itemgetter(1), elems))
     # before any cover is read, as the extremes were always checked first
-    _check_extremes(ranks, top_rank)
+    bottoms = ranks.count(0)
+    if bottoms != 1:
+        raise NoBottom(f"need exactly one rank-0 element, found {bottoms}")
+    tops = ranks.count(top_rank)
+    if tops != 1:
+        raise NoTop(f"need exactly one rank-{top_rank} element, found {tops}")
 
     # each cover is resolved once and filed under its upper end; each
     # lower list of two or more is then sorted and deduplicated
@@ -1048,19 +1046,22 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
 
     Dimensions must be JSON integers and covers pairs of face ids.  Adds
     the bottom below every 0-dimensional face and the top above every face
-    of the declared dimension, then runs full validation.
+    of the declared dimension, then builds through :func:`build_lattice`,
+    which takes ``str()`` of the ids and runs full validation.
     """
     try:
         dim = data["dim"]
-        faces = [(str(f["id"]), f["dim"]) for f in data["faces"]]
-        # not the constructor's check repeated: it sees the rank k + 1, and True + 1 == 2
+        faces = [(f["id"], f["dim"]) for f in data["faces"]]
+        # not build_lattice's check repeated: it sees the rank k + 1, and True + 1 == 2
         if any(type(k) is not int for k in [dim] + [k for _, k in faces]):
             raise InvalidFace("malformed lattice data: a dimension is not an integer")
         if any(not isinstance(c, (list, tuple)) for c in data["covers"]):
             raise InvalidFace("malformed lattice data: a cover is not a pair of ids")
-        covers = [(str(a), str(b)) for a, b in data["covers"]]
+        covers = [(a, b) for a, b in data["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFace(f"malformed lattice data: {exc}") from None
+    # on the raw ids: the only JSON value whose str() is a reserved id is
+    # that string itself
     for i, _ in faces:
         if i in (BOTTOM_ID, TOP_ID):
             raise InvalidFace(f"face id {i!r} is reserved")

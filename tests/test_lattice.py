@@ -165,6 +165,37 @@ def test_orphan_element_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "elements, covers, dim, error, message",
+    [
+        ([("v1", 1), ("v2", 1), (TOP_ID, 2)], [("v9", TOP_ID)], 0,
+         sb.NoBottom, "need exactly one rank-0 element, found 0"),
+        ([(BOTTOM_ID, 0), ("v1", 1), ("t2", 2), (TOP_ID, 2)], [("v9", TOP_ID)], 0,
+         sb.NoTop, "need exactly one rank-2 element, found 2"),
+        ([(BOTTOM_ID, 0), ("v1", 1), ("v1", 1), (TOP_ID, 2)], [("v9", TOP_ID)], 0,
+         sb.InvalidFace, "duplicate element ids"),
+        ([(BOTTOM_ID, 0), ("v1", 1), ("v1", 1), ("x", 5), (TOP_ID, 2)], [], 0,
+         sb.InvalidFace, "duplicate element ids"),
+        ([(BOTTOM_ID, 0), (1, 1), ("1", 1), (TOP_ID, 2)], [], 0,
+         sb.InvalidFace, "duplicate element ids"),
+        ([(BOTTOM_ID, 0), ("v1", 1), (TOP_ID, 3)], [], True,
+         sb.InvalidFace, "dimension True is not an integer"),
+        ([("v1", 1), ("x", 5), (TOP_ID, 2)], [], 0,
+         sb.RankOutOfRange, "rank 5 of 'x' outside [0, 2]"),
+    ],
+    ids=["no bottom, unknown cover", "two tops, unknown cover", "duplicate, unknown cover",
+         "duplicate, rank out of range", "1 and '1'", "boolean dim",
+         "rank out of range, no bottom"],
+)
+def test_the_first_fault_in_check_order_is_reported(elements, covers, dim, error, message):
+    # each input has two faults, or one that a type check must see first;
+    # build_lattice checks ids, then the dimension, ranks, extremes and
+    # covers, and names the first fault it meets
+    with pytest.raises(sb.ShellboundError) as err:
+        sb.build_lattice(elements, covers, dim)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 def _arrays(L: sb.FaceLattice) -> tuple[tuple, tuple, tuple, tuple]:
     """The cover neighbours and down-set masks the lattice keeps, and the
     up-set of every element as a mask, read through ``up_set``."""

@@ -132,3 +132,23 @@ def test_a_workload_list_runs_each_workload_in_turn(tmp_path, monkeypatch, capsy
     ]
     with pytest.raises(SystemExit):
         pairs.main([str(parent), str(change), "--workload", "search,"])
+
+
+def test_all_runs_every_benchmark_workload_in_turn(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    names = ["search", "proof", "cli", "lattice"]
+    benchmark = {"workloads": [{"name": n} for n in names], "end_to_end": METRICS}
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def run_once(tree, workload, seed):
+        calls.append(workload)
+        return pairs.result_of(_line(1.0))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main([str(parent), str(change), "--workload", "all", "--pairs", "1"]) == 0
+    # perfbench never sees "all", and each workload gets its own table
+    assert calls == [n for n in names for _ in range(2)]
+    titles = [line for line in capsys.readouterr().out.splitlines() if "seed=" in line]
+    assert titles == [f"{n} seed=0 pairs=1" for n in names]

@@ -20,6 +20,8 @@ direction), and a verdict, the first of these that holds:
 
 A metric without a ``bound`` is ``gain`` or ``flat``.  ``--workload search,proof`` names several
 workloads: the pairs run for each in turn, and each gets its own table.
+``all`` stands for every workload that ``BENCHMARK.json`` names, in its
+order.
 A run whose result says ``correct`` false or ``failed`` above 0 is
 flagged, and the exit code is then 1; a run that exits nonzero or prints
 no result stops the comparison with exit 1.
@@ -149,16 +151,21 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True,
-                   help="a workload, or several separated by commas")
+                   help="a workload, several separated by commas, or all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=10)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    workloads = args.workload.split(",")
-    if not all(workloads):
+    named = args.workload.split(",")
+    if not all(named):
         p.error("--workload names an empty workload")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = []
+    for w in named:
+        # perfbench's own "all" would print only its last workload's result
+        workloads += [b["name"] for b in benchmark["workloads"]] if w == "all" else [w]
+    metrics = benchmark["end_to_end"]
 
     flagged = []
     for n, workload in enumerate(workloads):
