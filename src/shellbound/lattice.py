@@ -62,9 +62,9 @@ nowhere else:
   from the dual, which a lattice that passes the diamond test can lack
   (a sphere plus an isolated vertex);
 * ``shelling``: its searches and sub-certificates, one per cell, under
-  the tuple keys ``(cell index, prefix bitmask, permissive flag)`` and
-  ``(cell index, facet order, permissive flag)``; the certificate of a
-  whole-complex order is not kept there;
+  the tuple keys ``(cell index, prefix bitmask)`` and ``(cell index,
+  facet order)``, kept apart by the int or tuple second part; the
+  certificate of a whole-complex order is not kept there;
 * ``bounds``: one slot, replaced rather than set once, keyed as
   ``bounds._verified`` says: the last whole-complex order that the proof
   route verified, as its facet ids, its certificate, and the facet

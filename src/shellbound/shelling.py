@@ -6,8 +6,8 @@ d > 0 an order (F_1, ..., F_n) qualifies iff the boundary of every closed
 facet is itself shellable and, for every j > 1, the intersection of the
 boundary of F_j with the union of the earlier facet boundaries is a
 nonempty pure (d-1)-dimensional complex whose top faces can start a
-shelling of the boundary of F_j.  An empty intersection is rejected; pass
-``allow_empty_intersection=True`` to tolerate it.
+shelling of the boundary of F_j.  An empty intersection is always
+rejected.
 
 Search and verification run one recursion over the cells of the host
 lattice.  A cell is a face ``x``; its boundary is the down-set of ``x``
@@ -249,25 +249,24 @@ def boundary_intersection(
 
 
 def _step(
-    L: FaceLattice, f: int, union: int, permissive: bool, budget: SearchBudget
+    L: FaceLattice, f: int, union: int, budget: SearchBudget
 ) -> Union[str, tuple[int, tuple[int, ...]]]:
     """Whether facet ``f`` of a cell may follow the facets whose closed
     union is ``union`` (0 when ``f`` comes first).
 
     Returns the failure reason, or the evidence: the mask of the ridges
-    ``f`` glues along (0 for a step that glues along nothing) and the first
-    shelling of the boundary of ``f`` that starts with exactly those.
+    ``f`` glues along (0 for the first facet) and the first shelling of
+    the boundary of ``f`` that starts with exactly those.
     """
     prefix = 0
     if union:
         inter = L._down[f] & ~(1 << f) & union
-        if inter & L._real_mask:
-            prefix = inter & L._rank_masks[L.ranks[f] - 1]
-            if _closed(L, prefix) != inter:
-                return NOT_PURE
-        elif not permissive:
+        if not inter & L._real_mask:
             return EMPTY_INTERSECTION
-    sub_order = _search(L, f, prefix, permissive, budget)
+        prefix = inter & L._rank_masks[L.ranks[f] - 1]
+        if _closed(L, prefix) != inter:
+            return NOT_PURE
+    sub_order = _search(L, f, prefix, budget)
     if sub_order is None:
         return NO_PREFIX_SHELLING
     return prefix, sub_order
@@ -290,14 +289,12 @@ def _simplex_order(L: FaceLattice, x: int, prefix: int) -> tuple[int, ...]:
     return tuple(first + rest)
 
 
-def _graph_order(
-    L: FaceLattice, edges: int, prefix: int, permissive: bool
-) -> Union[tuple[int, ...], None]:
+def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ...], None]:
     """The first shelling of a 2-cell's boundary, the graph on the
     ``edges`` mask, that starts with exactly the edges in ``prefix``, or
     None: the least remaining edge at each position (from the prefix while
     it binds) that shares a vertex with the edges placed so far, where the
-    first edge, and every edge when ``permissive``, need share none."""
+    first edge need share none."""
     atoms = L._rank_masks[1]
     k = prefix.bit_count()
     order: list[int] = []
@@ -306,7 +303,7 @@ def _graph_order(
     left = edges
     while left:
         pool = left & prefix if len(order) < k else left
-        if order and not permissive:
+        if order:
             pool &= near
         if not pool:
             return None
@@ -321,7 +318,7 @@ def _graph_order(
 
 
 def _search(
-    L: FaceLattice, x: int, prefix: int, permissive: bool, budget: SearchBudget
+    L: FaceLattice, x: int, prefix: int, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
     """The lexicographically first shelling of the boundary of cell ``x``
     that starts with exactly the facets in the ``prefix`` mask, as host
@@ -337,31 +334,29 @@ def _search(
     succeeds, so the first order is the prefix sorted, then the rest
     sorted, found without a memo entry.  And on a cell of rank 3 the
     boundary is a graph, the facets its edges and the ridges its vertices:
-    an edge may follow iff it shares a vertex with the edges placed (or
-    always, when permissive), and its own boundary, a set of vertices, is
-    shelled in every order.  Every admissible step leaves the placed edges
-    connected, and a connected set of edges grows to any connected set
-    that holds it one adjacent edge at a time, so whether the order can
-    be completed does not depend on the choices made so far: the DFS
-    never backtracks, and its answer is the greedy one of
-    :func:`_graph_order`.  Every other cell is walked by :func:`_walk`.
+    an edge may follow iff it shares a vertex with the edges placed, and
+    its own boundary, a set of vertices, is shelled in every order.  Every
+    admissible step leaves the placed edges connected, and a connected set
+    of edges grows to any connected set that holds it one adjacent edge at
+    a time, so whether the order can be completed does not depend on the
+    choices made so far: the DFS never backtracks, and its answer is the
+    greedy one of :func:`_graph_order`.  Every other cell is walked by
+    :func:`_walk`.
     """
     r = L.ranks[x]
     if r <= 2 or _boolean_cells(L) >> x & 1:
         return _simplex_order(L, x, prefix)
-    key = (x, prefix, permissive)
+    key = (x, prefix)
     if key not in L._memo:
         facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
         L._memo[key] = (
-            _graph_order(L, facets, prefix, permissive)
-            if r == 3
-            else _walk(L, facets, prefix, permissive, budget)
+            _graph_order(L, facets, prefix) if r == 3 else _walk(L, facets, prefix, budget)
         )
     return L._memo[key]
 
 
 def _walk(
-    L: FaceLattice, facets: int, prefix: int, permissive: bool, budget: SearchBudget
+    L: FaceLattice, facets: int, prefix: int, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
     """:func:`_search`'s depth-first walk over the orders of the ``facets``
     mask that start with exactly the facets in ``prefix``, one node per
@@ -387,7 +382,7 @@ def _walk(
         union, left, candidates = frames[-1]
         for f in candidates:
             budget.spend()
-            if not isinstance(_step(L, f, union, permissive, budget), str):
+            if not isinstance(_step(L, f, union, budget), str):
                 break
         else:
             dead.add(left)
@@ -405,12 +400,12 @@ def _walk(
 
 
 def _verify(
-    L: FaceLattice, x: int, order: Sequence[int], permissive: bool, budget: SearchBudget
+    L: FaceLattice, x: int, order: Sequence[int], budget: SearchBudget
 ) -> ShellingResult:
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     its certificate, or the first step that breaks the definition.  Each
-    sub-certificate is verified once per (cell, sub-order, permissive) and
-    kept in the host's memo.
+    sub-certificate is verified once per (cell, sub-order) and kept in the
+    host's memo.
 
     On a simplex cell every order is a shelling, so each step's evidence
     is read off without the step rule: the facet glues along those of its
@@ -429,14 +424,14 @@ def _verify(
             prefix = L._down[f] & union & L._rank_masks[r - 2]
             sub_order = _simplex_order(L, f, prefix)
         else:
-            step = _step(L, f, union, permissive, budget)
+            step = _step(L, f, union, budget)
             if isinstance(step, str):
                 return ShellingFailure(j, step)
             prefix, sub_order = step
-        key = (f, sub_order, permissive)
+        key = (f, sub_order)
         sub = L._memo.get(key)
         if sub is None:
-            sub = _verify(L, f, sub_order, permissive, budget)
+            sub = _verify(L, f, sub_order, budget)
             if isinstance(sub, ShellingFailure):
                 raise InternalContradiction(
                     f"search returned an order that fails verification at step {sub.step}"
@@ -452,7 +447,6 @@ def find_shelling(
     prefix: Iterable[str] = (),
     *,
     budget: Union[int, SearchBudget, None] = None,
-    allow_empty_intersection: bool = False,
 ) -> Union[ShellingOrder, None]:
     """Search for a shelling whose first entries are exactly the given
     facet set, in some order.
@@ -465,7 +459,7 @@ def find_shelling(
     prefix_set = {str(f) for f in prefix}
     if not prefix_set <= set(L.facets()):
         raise PreconditionViolated("prefix contains non-facets")
-    found = _search(L, L._top, L._mask_of(prefix_set), allow_empty_intersection, bud)
+    found = _search(L, L._top, L._mask_of(prefix_set), bud)
     return None if found is None else ShellingOrder(L, tuple(L.ids[i] for i in found))
 
 
@@ -474,7 +468,6 @@ def is_shelling(
     order: Union[ShellingOrder, Sequence[str]],
     *,
     budget: Union[int, SearchBudget, None] = None,
-    allow_empty_intersection: bool = False,
 ) -> ShellingResult:
     """Replay the definition against a facet order.
 
@@ -492,7 +485,7 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
-    return _verify(L, L._top, [L.index(f) for f in seq], allow_empty_intersection, bud)
+    return _verify(L, L._top, [L.index(f) for f in seq], bud)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

@@ -276,7 +276,7 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
     return True
 
 
-def unpruned_search(L: FaceLattice, x: int, prefix: int, permissive: bool, budget):
+def unpruned_search(L: FaceLattice, x: int, prefix: int, budget):
     """``shelling._search`` without its two prunings: no memo of dead sets
     of remaining facets, and no shortcut on Boolean cells.  Installed in
     place of ``shelling._search``, it is reached from ``_step`` too, so the
@@ -284,7 +284,7 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, permissive: bool, budge
     facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
     if L.ranks[x] <= 2:
         return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
-    key = (x, prefix, permissive)
+    key = (x, prefix)
     if key in L._memo:
         return L._memo[key]
 
@@ -301,7 +301,7 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, permissive: bool, budge
             budget.spend()
             step = steps.get((f, union))
             if step is None:
-                step = steps[f, union] = _step(L, f, union, permissive, budget)
+                step = steps[f, union] = _step(L, f, union, budget)
             if isinstance(step, str):
                 continue
             chosen.append(f)

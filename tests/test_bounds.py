@@ -822,7 +822,7 @@ def proof_route_calls(L: sb.FaceLattice) -> list:
     d, n = L.dim, len(seq)
     calls = []
     for order in (seq, seq[::-1]):
-        calls += [(sb.is_shelling, order, p) for p in (False, True)]
+        calls.append((sb.is_shelling, order))
         calls.append((sb.facet_decomposition, order))
         calls += [(sb.verify_lower_bound, order, k) for k in range(-1, d + 2)]
         calls += [(sb.find_witness_pair, order, j) for j in range(n + 1)]
@@ -834,8 +834,6 @@ def proof_route_calls(L: sb.FaceLattice) -> list:
 def run_call(L: sb.FaceLattice, call: tuple):
     fn, order, *rest = call
     try:
-        if fn is sb.is_shelling:
-            return plain(fn(L, order, allow_empty_intersection=rest[0]))
         return plain(fn(L, order, *rest))
     except sb.ShellboundError as exc:
         return plain(exc)

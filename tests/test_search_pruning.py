@@ -29,7 +29,7 @@ from corpus import (
 from oracles import naive_is_boolean, unpruned_search
 
 
-def _answers(L: sb.FaceLattice, permissive: bool) -> list:
+def _answers(L: sb.FaceLattice) -> list:
     """``find_shelling`` for every prefix of at most two facets, then the
     certificate or failure JSON of every order found, of its reverse and of
     the facets in reverse id order."""
@@ -37,13 +37,13 @@ def _answers(L: sb.FaceLattice, permissive: bool) -> list:
     out, orders = [], [facets[::-1]]
     for size in (0, 1, 2):
         for prefix in combinations(facets, size):
-            found = sb.find_shelling(L, prefix, allow_empty_intersection=permissive)
+            found = sb.find_shelling(L, prefix)
             out.append(None if found is None else found.facets)
             if found is not None:
                 orders += [found.facets, found.facets[::-1]]
     for order in dict.fromkeys(orders):
         try:
-            res = sb.is_shelling(L, order, allow_empty_intersection=permissive)
+            res = sb.is_shelling(L, order)
         except sb.PreconditionViolated as exc:
             out.append(str(exc))
         else:
@@ -52,14 +52,13 @@ def _answers(L: sb.FaceLattice, permissive: bool) -> list:
 
 
 def _assert_agrees_with(make, name: str, reference) -> None:
-    """``_answers`` with both flags, as the module gives them and with
-    ``shelling.<name>`` replaced by ``reference``."""
-    for permissive in (False, True):
-        answers = _answers(make(), permissive)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shelling, name, reference)
-            expected = _answers(make(), permissive)
-        assert answers == expected, permissive
+    """``_answers`` as the module gives them and with ``shelling.<name>``
+    replaced by ``reference``."""
+    answers = _answers(make())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shelling, name, reference)
+        expected = _answers(make())
+    assert answers == expected
 
 
 def _assert_unpruned_agrees(make) -> None:
@@ -226,13 +225,12 @@ def test_graph_orders_match_the_unpruned_search(make):
     for size in (0, 1, 2, 3):
         for prefix in combinations(edges, size):
             mask = sum(1 << e for e in prefix)
-            for permissive in (False, True):
-                budget = sb.SearchBudget()
-                found = shelling._search(L, x, mask, permissive, budget)
-                assert budget.spent == 0
-                assert found == unpruned_search(M, x, mask, permissive, sb.SearchBudget()), (
-                    [L.ids[e] for e in prefix], permissive
-                )
+            budget = sb.SearchBudget()
+            found = shelling._search(L, x, mask, budget)
+            assert budget.spent == 0
+            assert found == unpruned_search(M, x, mask, sb.SearchBudget()), [
+                L.ids[e] for e in prefix
+            ]
 
 
 # -- search effort ----------------------------------------------------------

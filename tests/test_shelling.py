@@ -69,13 +69,6 @@ def test_square_disconnected_order_rejected():
     assert failure.to_json_dict() == {"step": 2, "reason": "EmptyIntersection"}
 
 
-def test_square_disconnected_order_tolerated_when_permissive():
-    g = sb.ngon(4)
-    cert = sb.is_shelling(g, ("e12", "e34", "e23", "e41"), allow_empty_intersection=True)
-    assert isinstance(cert, sb.ShellingCertificate)
-    assert cert.steps[1].intersection_facets == ()
-
-
 def test_octahedron_antipodal_start_rejected():
     oct_ = sb.cross_polytope(2)
     order = ("123", "456", "126", "135", "156", "234", "246", "345")
@@ -200,92 +193,90 @@ def test_zero_sphere_any_order_is_shelling():
 
 
 # sha256 of the certificate or failure JSON for the found order, its
-# reverse, and its first facet followed by the rest reversed, strict and
-# permissive, each mode on a fresh lattice: pins the certificate bytes of
-# check-shelling reports
+# reverse, and its first facet followed by the rest reversed, on a fresh
+# lattice: pins the certificate bytes of check-shelling reports
 CERTIFICATE_SHA256 = {
-    "simplex-boundary-1": "d9a8b338a8303165f2f958e9f8f0f036eae26a55f2c6e53f09d391e627c748f4",
-    "punctured-simplex-boundary-1": "481c4330d1e7e8e3c91dd393b6206dba1418fbde0122b805ba2346b094e79f49",
-    "simplex-boundary-2": "114783972454fc00e3f937b074e0bf1777dbb4e8d2137ef58a8b47f45b88b568",
-    "punctured-simplex-boundary-2": "bc00707e86935ec32a995aebf3423f265c4e9c69deb8c459c2d09ffe3ead7fae",
-    "simplex-boundary-3": "44c8296abadec4509be6b2d45f2d282b369c0faee18713918f0d977b7c9eebf1",
-    "punctured-simplex-boundary-3": "346bf98dd5b56f1ce7981b8c974b92ac8b12ab1c2c2e9e31068afbf10dcaa5e5",
-    "cross-polytope-1": "e3f87cbd6a08fc807ba72056da4980129b38f40343c7f024ac4904aa612bc255",
-    "punctured-cross-polytope-1": "1c80a6dd8b80b94be28561fb7fcecf6711040befe72b8a79a7f8ccd895db45c1",
-    "cross-polytope-2": "07c099145bf208be9bf12b94423e6f54e5966e582065cc02c71222ee968c4eaf",
-    "punctured-cross-polytope-2": "c4b859aa1a5bff8b5c9c133a205a1cb15721dc1cba876fdb92aacece7a3de864",
-    "cross-polytope-3": "e01a4fab639143944045a9d2c323c23ca5b5f311e8dd3422db860f54d72071eb",
-    "punctured-cross-polytope-3": "b0f51ebe4a7ae466517bd4204069f6cc37534eca8b530809572f3178fa26cb6d",
-    "ngon-3": "8ce21c74007d9b58f09dadd08cfcc94dd6e9f710985d71282300e42100f4f7aa",
-    "punctured-ngon-3": "c2c58499a4073aa5e9a9456ae7dbb6d181d4421e7a5f1c8882b1f862952c675e",
-    "ngon-4": "2db299030a98a72cffb407a74d00c6419ab5a6c5f6728bd9dabb61a422296fc6",
-    "punctured-ngon-4": "880f40bd7a18284becc4b650cb290d34c3932b37ecbee747f5dd79b6765347dc",
-    "ngon-5": "10dd9ef1a3e56a51fe026a5d7223ff4413f2d5d6a20595bec8144f002e1aaf18",
-    "punctured-ngon-5": "ffce0c77eb03f54a8b1d21b09536b84fbb631c1bf0ab87fc33b41248f411593c",
-    "ngon-6": "a3718fe4d88e8fa473e520e8ff250f5d44360f146082667ddab2a055b7f2561a",
-    "punctured-ngon-6": "bc5cc4f532a9116a401555e5f99fffcdb82d03e489a8019dfd5e248a8d88bb55",
-    "ngon-7": "137c030fa45fe20aa9ee61540a95677f7e7123c7587168f4bb7c13eef7162a0f",
-    "punctured-ngon-7": "2a42baf0f931032363e6b57f56aabb8b3ad82b144928aa6c93498fa7c8e64da9",
-    "ngon-8": "f0f98018f8b6d3b2a33bf1d48760750e73ebe6ed806bf35503705649bd666788",
-    "punctured-ngon-8": "9d3aae4ef76abfdda7bd0b87c9068f113563a412fbe81a14254efa200509ee3e",
-    "cyclic-4-5": "44c8296abadec4509be6b2d45f2d282b369c0faee18713918f0d977b7c9eebf1",
-    "punctured-cyclic-4-5": "346bf98dd5b56f1ce7981b8c974b92ac8b12ab1c2c2e9e31068afbf10dcaa5e5",
-    "cyclic-4-6": "8300e638f73ae78612f60c1e5878924c224b4a1e2a307e71df9bb718bbe115d1",
-    "punctured-cyclic-4-6": "d085249b9e712946740b8d7b2490d78dd3ea6d05222ac504f935666618a93534",
-    "cyclic-4-7": "06ccf886e1f1e0c4d88f45c9b65026862c16a80f9708d1b3fffc344d6c6d971d",
-    "punctured-cyclic-4-7": "1e4b4da2428111a8d2b7d4bbe8e624bf368e098e0b26d42ff0d319ac194996da",
+    "simplex-boundary-1": "c2c23231d4c8cbdac446f3ecf5d5f803037213ae0af01b4ca7c7437eb3cceac5",
+    "punctured-simplex-boundary-1": "5d19f602224496be7f0d119e5538da1214ca6f07e2e83e87e8b46e022dc5459d",
+    "simplex-boundary-2": "6ec62fddc053dfc70e8086277081e94c4ee3e925427136a44730957adea6999d",
+    "punctured-simplex-boundary-2": "cd90941c49775ae5a94d8b59ccafc33b1190c20927684d22766acefde1ce75d6",
+    "simplex-boundary-3": "96b99b745713c610100ee3310a6198e45f8e2c3a37dc54f81df84b3ddfb4f690",
+    "punctured-simplex-boundary-3": "3bcc94ebe6f2bbcc9f7352e06515a79716ca948845d2429d494515469efc257a",
+    "cross-polytope-1": "c69c60dc5fd8e5c26021e712ba524471a5f220dd9f977d3ded4be94acbf4b236",
+    "punctured-cross-polytope-1": "385ddc175dca0a545186f21a7dcc3676c7f77a75e3ff6db4f570217ed1af017d",
+    "cross-polytope-2": "21a42574801a67a2b07308ee462c1eb46db7d4171c4943cbb8ec59d1a5610e63",
+    "punctured-cross-polytope-2": "d07155973bbb03173db26feafc84f6ff4e099e30845aed0e62c64b57134c23f2",
+    "cross-polytope-3": "8d1c961e9f60f46ce893e9ca55c2bb3fb1ff75031c7c67bf66614d1345961375",
+    "punctured-cross-polytope-3": "5891310a114c7c98972fc6785f4eb013759aa7089b13c85b8efda0804dea95e5",
+    "ngon-3": "cc2aa5a6a2dff6eb7cdf2873b442f4bd8e2d7f851d30cc4ed00e8e2e6ec63121",
+    "punctured-ngon-3": "891ff01604a6234e98b07569c9dc5a27d469b9d097095969506640f014b1aded",
+    "ngon-4": "1207217f67e0e3db27222560d25a4635dd92659f12474ea214895d0de942feac",
+    "punctured-ngon-4": "52f2035a7ad015c3c41117bf1cf4ad2739ddeb9ca5861019bf80e2c464f358d0",
+    "ngon-5": "144e770cc649efaf3f543fffe11fe6934ec024e6957c3307e1d28617c086aa8b",
+    "punctured-ngon-5": "251741b480cf8dfc570505e88e7270bddbcf3e30124c0103a6b0ae8a618abfd8",
+    "ngon-6": "4aa6b07adcdfa95f7c9b35e3b2251636ef0167201c29e7abff93bafca3e18ce1",
+    "punctured-ngon-6": "54d87d1715d5f67b4a6603fd5f7416fae8d2208328cdd2a3e13a02704add8dc0",
+    "ngon-7": "a882091de1e6c8609fcfe8cda23dff5934ca25b466960a290d73e8d2cadc3c6f",
+    "punctured-ngon-7": "fa8cb37cadf14df83660776d3083f1e32fb59d031c71f8e4ddaf6f99a8d355ef",
+    "ngon-8": "0cf4a5bf2ebff465e7a5262ed3ee181db7b2803c257f495d1b1fd0e8b5da63ef",
+    "punctured-ngon-8": "39d3cc22e33b41d39d73128b42816edd225292bdd089b43b70ecb1b02c05c5c7",
+    "cyclic-4-5": "96b99b745713c610100ee3310a6198e45f8e2c3a37dc54f81df84b3ddfb4f690",
+    "punctured-cyclic-4-5": "3bcc94ebe6f2bbcc9f7352e06515a79716ca948845d2429d494515469efc257a",
+    "cyclic-4-6": "2013efd6c0ffb5de986431581570d125a73a117d5ada74873678597eabd1199e",
+    "punctured-cyclic-4-6": "30d632a8f0fa7542bc98eca4a709402d9e9184bad36cc1e68d3efe68cba13907",
+    "cyclic-4-7": "1ad95fece662c044be9fe1ac505b8fae360f92112350b095ff79f7e48b4faaad",
+    "punctured-cyclic-4-7": "e32e84dbd92903a6beacf9880a5b8b886e415bd930821212fbbf89efed0ba11b",
 }
 
 # the nodes spent by the same calls: the search, then the three
-# verifications, strict and then permissive.  Verifying a simplicial
-# complex searches nothing, since every facet is a simplex, and no
-# 1-dimensional complex is searched, since its order is grown greedily.
+# verifications.  Verifying a simplicial complex searches nothing, since
+# every facet is a simplex, and no 1-dimensional complex is searched,
+# since its order is grown greedily.
 CERTIFICATE_SPENT = {
-    "simplex-boundary-1": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-simplex-boundary-1": (0, 0, 0, 0, 0, 0, 0, 0),
-    "simplex-boundary-2": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-simplex-boundary-2": (3, 0, 0, 0, 3, 0, 0, 0),
-    "simplex-boundary-3": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-simplex-boundary-3": (4, 0, 0, 0, 4, 0, 0, 0),
-    "cross-polytope-1": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-cross-polytope-1": (0, 0, 0, 0, 0, 0, 0, 0),
-    "cross-polytope-2": (8, 0, 0, 0, 8, 0, 0, 0),
-    "punctured-cross-polytope-2": (12, 0, 0, 0, 12, 0, 0, 0),
-    "cross-polytope-3": (16, 0, 0, 0, 16, 0, 0, 0),
-    "punctured-cross-polytope-3": (32, 0, 0, 0, 32, 0, 0, 0),
-    "ngon-3": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-3": (0, 0, 0, 0, 0, 0, 0, 0),
-    "ngon-4": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-4": (0, 0, 0, 0, 0, 0, 0, 0),
-    "ngon-5": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-5": (0, 0, 0, 0, 0, 0, 0, 0),
-    "ngon-6": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-6": (0, 0, 0, 0, 0, 0, 0, 0),
-    "ngon-7": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-7": (0, 0, 0, 0, 0, 0, 0, 0),
-    "ngon-8": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-ngon-8": (0, 0, 0, 0, 0, 0, 0, 0),
-    "cyclic-4-5": (0, 0, 0, 0, 0, 0, 0, 0),
-    "punctured-cyclic-4-5": (4, 0, 0, 0, 4, 0, 0, 0),
-    "cyclic-4-6": (9, 0, 0, 0, 9, 0, 0, 0),
-    "punctured-cyclic-4-6": (12, 0, 0, 0, 12, 0, 0, 0),
-    "cyclic-4-7": (14, 0, 0, 0, 14, 0, 0, 0),
-    "punctured-cyclic-4-7": (27, 0, 0, 0, 27, 0, 0, 0),
+    "simplex-boundary-1": (0, 0, 0, 0),
+    "punctured-simplex-boundary-1": (0, 0, 0, 0),
+    "simplex-boundary-2": (0, 0, 0, 0),
+    "punctured-simplex-boundary-2": (3, 0, 0, 0),
+    "simplex-boundary-3": (0, 0, 0, 0),
+    "punctured-simplex-boundary-3": (4, 0, 0, 0),
+    "cross-polytope-1": (0, 0, 0, 0),
+    "punctured-cross-polytope-1": (0, 0, 0, 0),
+    "cross-polytope-2": (8, 0, 0, 0),
+    "punctured-cross-polytope-2": (12, 0, 0, 0),
+    "cross-polytope-3": (16, 0, 0, 0),
+    "punctured-cross-polytope-3": (32, 0, 0, 0),
+    "ngon-3": (0, 0, 0, 0),
+    "punctured-ngon-3": (0, 0, 0, 0),
+    "ngon-4": (0, 0, 0, 0),
+    "punctured-ngon-4": (0, 0, 0, 0),
+    "ngon-5": (0, 0, 0, 0),
+    "punctured-ngon-5": (0, 0, 0, 0),
+    "ngon-6": (0, 0, 0, 0),
+    "punctured-ngon-6": (0, 0, 0, 0),
+    "ngon-7": (0, 0, 0, 0),
+    "punctured-ngon-7": (0, 0, 0, 0),
+    "ngon-8": (0, 0, 0, 0),
+    "punctured-ngon-8": (0, 0, 0, 0),
+    "cyclic-4-5": (0, 0, 0, 0),
+    "punctured-cyclic-4-5": (4, 0, 0, 0),
+    "cyclic-4-6": (9, 0, 0, 0),
+    "punctured-cyclic-4-6": (12, 0, 0, 0),
+    "cyclic-4-7": (14, 0, 0, 0),
+    "punctured-cyclic-4-7": (27, 0, 0, 0),
 }
 
 
 def _certificate_record(L: sb.FaceLattice) -> tuple[str, tuple[int, ...]]:
     lines, spends = [], []
-    for permissive in (False, True):
-        fresh = sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+    fresh = sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+    bud = sb.SearchBudget()
+    seq = sb.find_shelling(fresh, budget=bud).facets
+    spends.append(bud.spent)
+    for order in (seq, seq[::-1], seq[:1] + seq[:0:-1]):
         bud = sb.SearchBudget()
-        seq = sb.find_shelling(fresh, budget=bud, allow_empty_intersection=permissive).facets
+        res = sb.is_shelling(fresh, order, budget=bud)
+        lines.append(json.dumps([type(res).__name__, res.to_json_dict()], sort_keys=True))
         spends.append(bud.spent)
-        for order in (seq, seq[::-1], seq[:1] + seq[:0:-1]):
-            bud = sb.SearchBudget()
-            res = sb.is_shelling(fresh, order, budget=bud, allow_empty_intersection=permissive)
-            lines.append(json.dumps([type(res).__name__, res.to_json_dict()], sort_keys=True))
-            spends.append(bud.spent)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest(), tuple(spends)
 
 
@@ -365,12 +356,7 @@ def test_find_shelling_is_lexicographically_first():
 
 
 def test_find_shelling_unshellable_union():
-    L = two_circles()
-    assert sb.find_shelling(L) is None
-    permissive = sb.find_shelling(L, allow_empty_intersection=True)
-    assert permissive is not None
-    cert = sb.is_shelling(L, permissive, allow_empty_intersection=True)
-    assert isinstance(cert, sb.ShellingCertificate)
+    assert sb.find_shelling(two_circles()) is None
 
 
 def test_square_orders_exhaustive_against_oracle():
@@ -413,13 +399,13 @@ def test_memo_hit_spends_nothing():
     assert warm.facets == first.facets
 
 
-def test_memo_is_keyed_by_the_permissive_flag():
-    L = sb.from_facets([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
-    seq = sb.find_shelling(L, allow_empty_intersection=True).facets
+def test_a_repeated_verification_answers_as_on_a_fresh_lattice():
+    L = two_circles()
+    order = ("12", "13", "23", "45", "46", "56")
     for _ in range(2):
-        assert isinstance(sb.is_shelling(L, seq, allow_empty_intersection=True), sb.ShellingCertificate)
-        strict = sb.is_shelling(L, seq)
-        assert strict == sb.ShellingFailure(4, "EmptyIntersection")
+        failure = sb.is_shelling(L, order)
+        assert failure == sb.ShellingFailure(4, "EmptyIntersection")
+        assert failure == sb.is_shelling(two_circles(), order)
 
 
 def test_negative_budget_is_rejected():
