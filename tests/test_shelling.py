@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from itertools import permutations
 
@@ -67,6 +68,19 @@ def test_square_disconnected_order_rejected():
     failure = sb.is_shelling(g, ("e12", "e34", "e23", "e41"))
     assert failure == sb.ShellingFailure(2, "EmptyIntersection")
     assert failure.to_json_dict() == {"step": 2, "reason": "EmptyIntersection"}
+
+
+def test_square_disconnected_prefix_not_extended():
+    # the search applies the same step rule: no order starts e12, e34
+    g = sb.ngon(4)
+    assert sb.find_shelling(g, ("e12", "e34")) is None
+    assert sb.find_shelling(g, ("e12", "e23")).facets[:2] == ("e12", "e23")
+
+
+def test_shelling_entry_points_take_only_a_budget_keyword():
+    for fn in (sb.find_shelling, sb.is_shelling):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["budget"]
 
 
 def test_octahedron_antipodal_start_rejected():
