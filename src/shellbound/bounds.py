@@ -38,13 +38,15 @@ certificate object alone, so each facet boundary is cut once for every
 k; a certificate built by hand is checked afresh on every call.
 Failures and runs out of budget are never kept.  Step j carries the
 shelling of the j-th facet boundary that starts with exactly the ridges
-glued to earlier facets, the split that the per-facet counts and the
-witness construction need at every depth; both read it from the
-certificate on host masks and build no cell lattice.  The polytopal corollaries ask
-:func:`is_dual_cl_shellable` and :func:`is_cl_shellable`, whose diamond
-check and dual lattice are made once per lattice and kept in its memo
-(``L._memo``, listed in the :mod:`~shellbound.lattice` docstring);
-searches on the dual then share one memo across k.
+glued to earlier facets, and how many those are, the split that the
+per-facet counts and the witness construction need at every depth; both
+check that its first entries are the ridges the geometry glues along, cut
+it at that count on host masks, and build no cell lattice.  The
+polytopal corollaries ask :func:`is_dual_cl_shellable` and
+:func:`is_cl_shellable`, whose diamond check and dual lattice are made
+once per lattice and kept in its memo (``L._memo``, listed in the
+:mod:`~shellbound.lattice` docstring); searches on the dual then share
+one memo across k.
 
 Last comes the comparison of a shellable sphere with the boundary of the
 cyclic polytope of the same dimension on a given number of vertices
@@ -336,11 +338,11 @@ def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
         return first, _least_atom_avoiding(L, inside, first, L._bottom)
     step = cert.steps[j - 1]
     x = L.index(step.facet)
-    glued, _ = _ridge_sides(L, x, inside, L._mask_of(seq[: j - 1]), 0)
-    if L._ids_of(glued) != step.intersection_facets:
-        raise InternalContradiction("a verified step glues along other ridges")
     sub_cert = step.sub_certificate
-    inner_j = glued.bit_count()
+    inner_j = step.glued
+    before, _ = _ridge_sides(L, x, inside, L._mask_of(seq[: j - 1]), 0)
+    if before != L._mask_of(sub_cert.facets[:inner_j]):
+        raise InternalContradiction("a verified step glues along other ridges")
     if not 1 <= inner_j < len(sub_cert.facets):
         raise InternalContradiction("facet boundary split is degenerate")
     begin_face, inner_end = _witness(sub_cert, inner_j)
@@ -429,10 +431,11 @@ def facet_decomposition(
     sphere, at the step's prefixed sub-shelling.  The identities the
     counting argument needs are recomputed here and enforced: the sides
     cover the facet boundary with disjoint ridge sets, the earlier side
-    equals the step intersection and the step's glued ridges, the sides
-    meet exactly in their common boundary, and across facets no face is
-    interior to two earlier sides (or an earlier side and the complex
-    boundary), nor interior to two later sides.
+    equals the step intersection, whose ridges are the first ones of the
+    step's sub-shelling, the sides meet exactly in their common boundary,
+    and across facets no face is interior to two earlier sides (or an
+    earlier side and the complex boundary), nor interior to two later
+    sides.
     """
     return _decomposition(_verified(X, order, _as_budget(budget)))
 
@@ -483,14 +486,11 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
             )
         # the step's sub-shelling of the facet boundary starts with
         # exactly the ridges glued to earlier facets
-        prefix = X._ids_of(before_ridges)
-        if prefix != step.intersection_facets:
-            raise InternalContradiction("the earlier side differs from the glued ridges")
         sub = step.sub_certificate
-        if set(sub.facets[: len(prefix)]) != set(prefix):
-            raise InternalContradiction("a facet boundary lost its prefixed shelling")
+        if X._mask_of(sub.facets[: step.glued]) != before_ridges:
+            raise InternalContradiction("the earlier side differs from the glued ridges")
         # cut on host masks of the facet cell, building no lattice
-        pair = _split(sub, len(prefix))
+        pair = _split(sub, step.glued)
         if (pair.begin.mask, pair.end.mask) != (before_mask, after_mask):
             raise InternalContradiction("split recount disagrees with the facet decomposition")
         bd_before = boundary_complex(pair.begin).mask

@@ -135,7 +135,9 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
+        # a JSONDecodeError is a ValueError, and so is an integer literal
+        # longer than the interpreter's digit limit
+        except (ValueError, RecursionError) as e:
             raise InputError(f"{path}: invalid JSON: {e}") from None
         try:
             return lattice_from_json_dict(data), digest

@@ -45,7 +45,10 @@ module defines no predicate on a complex of its own.
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
 (cell, order), whose JSON is a node table in which each step refers to its
-sub-certificate by position in a ``"nodes"`` list.  No library path
+sub-certificate by position in a ``"nodes"`` list.  A step states its
+glued ridges once, as their count: its sub-certificate's order starts with
+exactly them, so they are its first entries, and the step's
+``intersection_facets`` reads them from there.  No library path
 builds a lattice for a cell; a caller that reads a sub-certificate's
 ``order`` builds one.  Searches and sub-certificates are memoised per
 cell in ``L._memo``, the host lattice's only memo, whose contents the
@@ -144,12 +147,18 @@ class ShellingOrder:
 
 @_record
 class ShellingStep:
-    """Evidence for one step: which ridges the facet glues along, and a
-    shelling of its boundary starting with exactly those ridges."""
+    """Evidence for one step: the facet, how many ridges it glues along,
+    and a shelling of its boundary starting with exactly those ridges, so
+    that they are the first ``glued`` facets of ``sub_certificate``."""
 
     facet: str
-    intersection_facets: tuple[str, ...]
+    glued: int
     sub_certificate: "ShellingCertificate"
+
+    @property
+    def intersection_facets(self) -> tuple[str, ...]:
+        """The glued ridges in id order, read off the sub-shelling."""
+        return tuple(sorted(self.sub_certificate.facets[: self.glued]))
 
 
 @_record
@@ -410,7 +419,9 @@ def _verify(
     On a simplex cell every order is a shelling, so each step's evidence
     is read off without the step rule: the facet glues along those of its
     ridges that lie in the earlier facets, and its sub-order is the one
-    :func:`_search` gives for them.
+    :func:`_search` gives for them.  A step records how many ridges its
+    facet glues along, the length of its sub-order's prefix; no id is
+    made for them.
     """
     r = L.ranks[x]
     simplex = r > 2 and _boolean_cells(L) >> x & 1
@@ -437,7 +448,7 @@ def _verify(
                     f"search returned an order that fails verification at step {sub.step}"
                 )
             L._memo[key] = sub
-        steps.append(ShellingStep(L.ids[f], L._ids_of(prefix), sub))
+        steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
         union |= L._down[f]
     return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
 

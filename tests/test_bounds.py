@@ -298,21 +298,25 @@ def test_facet_decomposition_rejects_bad_input():
 
 
 def test_decomposition_checks_the_certificate_steps():
-    from shellbound.bounds import _decomposition
+    from shellbound.bounds import _decomposition, _witness
 
     L = sb.cross_polytope(2)
     cert = sb.is_shelling(L, sb.find_shelling(L))
     steps = list(cert.steps)
-    glued = steps[1].intersection_facets
-    other = tuple(r for r in L.lower_covers(steps[1].facet) if r not in glued)[:1]
     relabelled = steps.copy()
-    relabelled[1] = sb.ShellingStep(steps[1].facet, other, steps[1].sub_certificate)
+    # one ridge more than the facet glues along
+    relabelled[1] = sb.ShellingStep(
+        steps[1].facet, steps[1].glued + 1, steps[1].sub_certificate
+    )
     swapped = steps.copy()
-    swapped[0] = sb.ShellingStep(steps[0].facet, (), steps[1].sub_certificate)
-    swapped[1] = sb.ShellingStep(steps[1].facet, glued, steps[0].sub_certificate)
+    swapped[0] = sb.ShellingStep(steps[0].facet, 0, steps[1].sub_certificate)
+    swapped[1] = sb.ShellingStep(steps[1].facet, steps[1].glued, steps[0].sub_certificate)
     for lying, guard in ((relabelled, "glued ridges"), (swapped, "split recount")):
         with pytest.raises(sb.InternalContradiction, match=guard):
             _decomposition(sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(lying)))
+    relabelled_certificate = sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(relabelled))
+    with pytest.raises(sb.InternalContradiction, match="a verified step glues along other ridges"):
+        _witness(relabelled_certificate, 2)
 
 
 def whole_certificates(L: sb.FaceLattice) -> list:
@@ -397,8 +401,8 @@ def test_kept_decomposition_serves_only_its_certificate():
     assert _decomposition(equal) == decomp and _decomposition(equal) is not decomp
     # so is one with the same facets and lying steps
     steps = list(cert.steps)
-    steps[0] = sb.ShellingStep(steps[0].facet, (), steps[1].sub_certificate)
-    steps[1] = sb.ShellingStep(steps[1].facet, steps[1].intersection_facets, cert.steps[0].sub_certificate)
+    steps[0] = sb.ShellingStep(steps[0].facet, 0, steps[1].sub_certificate)
+    steps[1] = sb.ShellingStep(steps[1].facet, steps[1].glued, cert.steps[0].sub_certificate)
     lying = sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(steps))
     with pytest.raises(sb.InternalContradiction, match="split recount"):
         _decomposition(lying)

@@ -553,9 +553,18 @@ def test_huge_float_in_lattice_json_is_usage_error(tmp_path, case):
     assert "malformed lattice data" in proc.stderr
 
 
-def test_deeply_nested_json_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": ' + "[" * 200000 + "]" * 200000 + "}",
+        '{"dim": ' + "9" * 5000 + ', "faces": [], "covers": []}',
+        '{"dim": 0, "faces": [' + "9" * 5000 + '], "covers": []}',
+    ],
+    ids=["deep", "huge-dim", "huge-face-id"],
+)
+def test_deeply_nested_json_is_usage_error(tmp_path, text):
     bad = tmp_path / "deep.json"
-    bad.write_text('{"dim": ' + "[" * 200000 + "]" * 200000 + "}")
+    bad.write_text(text)
     proc = run_subprocess(["find-shelling", "--input", str(bad)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

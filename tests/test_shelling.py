@@ -162,6 +162,34 @@ def test_verification_builds_no_lattice(L, lattice_builds):
     assert sb.classify(L, cert) is sb.Shape.SPHERE
 
 
+@pytest.mark.parametrize(
+    "make, n",
+    [(sb.simplex_boundary, 6), (sb.cross_polytope, 3), (sb.hypercube_boundary, 3)],
+    ids=["simplex-6", "cross-3", "cube-3"],
+)
+def test_verification_and_proof_route_name_no_face_sets(make, n, monkeypatch):
+    # a step holds its glued-ridge count, so neither the verifier, the
+    # certificate's JSON nor the proof route turns a mask into ids
+    order = sb.find_shelling(make(n)).facets
+    L = make(n)
+    calls = []
+    ids_of = sb.FaceLattice._ids_of
+
+    def counting_ids_of(self, mask):
+        calls.append(mask)
+        return ids_of(self, mask)
+
+    monkeypatch.setattr(sb.FaceLattice, "_ids_of", counting_ids_of)
+    cert = sb.is_shelling(L, order)
+    assert isinstance(cert, sb.ShellingCertificate)
+    cert.to_json_dict()
+    for k in range((L.dim - 1) // 2, L.dim + 1):
+        assert sb.verify_lower_bound(L, order, k).ok
+    for j in range(1, len(order)):
+        sb.find_witness_pair(L, order, j)
+    assert calls == []
+
+
 def test_certificate_node_table_loses_nothing():
     cases = [(name, L) for name, L, _ in shelled_spheres_d_le_3()] + list(balls())
     for name, L in cases:
