@@ -506,12 +506,19 @@ def _record(cls: type) -> type:
     Adds ``__init__`` (positional or keyword arguments; it then calls
     ``__post_init__`` when the class has one), ``__eq__`` between
     instances of the same class, ``__hash__`` of the field tuple,
-    ``__repr__`` as ``Name(field=value, ...)``, and ``__setattr__`` and
-    ``__delattr__`` that raise :class:`AttributeError`.  ``__init__``,
-    ``__eq__`` and ``__hash__`` are compiled once per class, so that an
-    instance costs what a dataclass instance costs; :mod:`dataclasses`
-    itself is not imported because it loads :mod:`inspect`, which every
-    command-line run would pay for at start-up.
+    ``__repr__`` as ``Name(field=value, ...)``, ``__setattr__`` and
+    ``__delattr__`` that raise :class:`AttributeError`, and ``__reduce__``,
+    which rebuilds a copy or an unpickled record through ``__init__``.
+
+    Like ``dataclass(slots=True)``, it remakes the class with one slot per
+    field and no instance dict, except where a ``cached_property`` needs
+    one to cache in (``ShellingCertificate.order``).  ``__init__``,
+    ``__eq__``, ``__hash__`` and ``__reduce__`` are compiled once per
+    class, and ``__init__`` stores each field through its slot's
+    descriptor ``__set__``, bound at decoration, past the raising
+    ``__setattr__``; :mod:`dataclasses` itself is not imported because
+    it loads :mod:`inspect`, which every command-line run would pay for
+    at start-up.
 
     The field names are kept in ``cls._fields``.  A record whose report
     names are its field names takes :func:`_json_fields` as its
@@ -519,12 +526,17 @@ def _record(cls: type) -> type:
     a nested record through its ``to_json_dict``, a ``Fraction`` as
     ``{"num", "den"}``, and None, a bool, an int or a string as it is.
     """
-    fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    namespace = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    cached = any(isinstance(v, cached_property) for v in namespace.values())
+    namespace.update(__slots__=fields + ("__dict__",) * cached, _fields=fields,
+                     __qualname__=cls.__qualname__)
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     mine = "".join(f"self.{f}, " for f in fields)
     theirs = "".join(f"other.{f}, " for f in fields)
     source = "\n".join([
         f"def __init__(self, {', '.join(fields)}):",
-        *[f"    _set(self, {f!r}, {f})" for f in fields],
+        *[f"    _set_{f}(self, {f})" for f in fields],
         "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",
@@ -532,8 +544,10 @@ def _record(cls: type) -> type:
         "    return NotImplemented",
         "def __hash__(self):",
         f"    return hash(({mine}))",
+        "def __reduce__(self):",
+        f"    return self.__class__, ({mine})",
     ])
-    methods: dict = {"_set": object.__setattr__}
+    methods: dict = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
     exec(source, methods)
 
     def __repr__(self) -> str:
@@ -547,7 +561,8 @@ def _record(cls: type) -> type:
         raise AttributeError(f"cannot delete field {name!r}")
 
     methods.update(__repr__=__repr__, __setattr__=__setattr__, __delattr__=__delattr__)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+    for name in ("__init__", "__eq__", "__hash__", "__reduce__", "__repr__", "__setattr__",
+                 "__delattr__"):
         method = methods[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)

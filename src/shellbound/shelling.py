@@ -33,24 +33,29 @@ never backtrack, and the order is grown greedily instead, the least
 admissible edge at each position.
 ``_verify``, the only function that walks a given order, applies ``_step``
 at each position and verifies each step's sub-order in turn; it returns a
-certificate, or a failure carrying the first bad step.  On a simplex cell
-no order fails, and each step's evidence is read off as the search would
-give it: the ridges already placed, then the rest.  Both read which
-cells are simplices from one mask, ``_boolean_cells`` of
-:mod:`~shellbound.lattice`, the exact Boolean-interval test that
-:func:`~shellbound.lattice.is_simplicial` reads too; the diamond test
-of the CL-shellability checks is ``lattice._is_diamond_lattice``.  This
-module defines no predicate on a complex of its own.
+certificate, or a failure carrying the first bad step, and raises
+:class:`InternalContradiction` if a sub-order the search returned fails.
+A simplex cell it hands to one recursion, ``_simplex_certificate``: no
+order of a simplex's facets fails and every face of a simplex is a
+simplex, so each step is built in closed form, the ridges already placed
+and the sub-order the search would give for them, and neither the step
+rule nor the Boolean mask is read again below that cell.  The search and
+the verifier read which cells are simplices from one mask,
+``_boolean_cells`` of :mod:`~shellbound.lattice`, the exact
+Boolean-interval test that :func:`~shellbound.lattice.is_simplicial`
+reads too; the diamond test of the CL-shellability checks is
+``lattice._is_diamond_lattice``.  This module defines no predicate on a
+complex of its own.
 
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
 (cell, order), whose JSON is a node table in which each step refers to its
 sub-certificate by position in a ``"nodes"`` list.  A step states its
 glued ridges once, as their count: its sub-certificate's order starts with
-exactly them, so they are its first entries, and the step's
-``intersection_facets`` reads them from there.  No library path
-builds a lattice for a cell; a caller that reads a sub-certificate's
-``order`` builds one.  Searches and sub-certificates are memoised per
+exactly them, so they are its first entries, and both the step's
+``intersection_facets`` and the JSON writer read them from there.  No
+library path builds a lattice for a cell; a caller that reads a
+sub-certificate's ``order`` builds one.  Searches and sub-certificates are memoised per
 cell in ``L._memo``, the host lattice's only memo, whose contents the
 :mod:`~shellbound.lattice` docstring lists; :func:`is_shelling` keeps
 nothing of its own, so a repeated call walks its order again, reading
@@ -205,7 +210,7 @@ class ShellingCertificate:
                     node["steps"] = steps_json(sub)
                 out.append({
                     "facet": step.facet,
-                    "intersection_facets": list(step.intersection_facets),
+                    "intersection_facets": sorted(sub.facets[: step.glued]),
                     "sub_certificate": ref,
                 })
             return out
@@ -416,29 +421,24 @@ def _verify(
     sub-certificate is verified once per (cell, sub-order) and kept in the
     host's memo.
 
-    On a simplex cell every order is a shelling, so each step's evidence
-    is read off without the step rule: the facet glues along those of its
-    ridges that lie in the earlier facets, and its sub-order is the one
-    :func:`_search` gives for them.  A step records how many ridges its
-    facet glues along, the length of its sub-order's prefix; no id is
+    A simplex cell's certificate is built by :func:`_simplex_certificate`,
+    without the step rule.  Any other cell's steps come from :func:`_step`,
+    and a sub-order that the search returned but that fails verification
+    raises :class:`InternalContradiction`.  A step records how many ridges
+    its facet glues along, the length of its sub-order's prefix; no id is
     made for them.
     """
     r = L.ranks[x]
-    simplex = r > 2 and _boolean_cells(L) >> x & 1
+    if r > 2 and _boolean_cells(L) >> x & 1:
+        return _simplex_certificate(L, x, order)
     steps: list[ShellingStep] = []
     union = 0
     # every order of at most two vertices is a shelling
     for j, f in enumerate(order if r > 2 else (), 1):
-        if simplex:
-            # the union of down-sets is closed, and holds a ridge of every
-            # facet after the first
-            prefix = L._down[f] & union & L._rank_masks[r - 2]
-            sub_order = _simplex_order(L, f, prefix)
-        else:
-            step = _step(L, f, union, budget)
-            if isinstance(step, str):
-                return ShellingFailure(j, step)
-            prefix, sub_order = step
+        step = _step(L, f, union, budget)
+        if isinstance(step, str):
+            return ShellingFailure(j, step)
+        prefix, sub_order = step
         key = (f, sub_order)
         sub = L._memo.get(key)
         if sub is None:
@@ -448,6 +448,36 @@ def _verify(
                     f"search returned an order that fails verification at step {sub.step}"
                 )
             L._memo[key] = sub
+        steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
+        union |= L._down[f]
+    return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
+
+
+def _simplex_certificate(L: FaceLattice, x: int, order: Sequence[int]) -> ShellingCertificate:
+    """The certificate of a facet order on the boundary of a simplex cell
+    ``x`` (Boolean lower interval), built in closed form.
+
+    Every order of a simplex's facets is a shelling, and every face of a
+    simplex is a simplex (Ziegler, *Lectures on Polytopes*, Lecture 8), so
+    no step can fail and neither the step rule nor the Boolean mask is
+    read again below ``x``.  The union of down-sets is closed and holds a
+    ridge of every facet after the first: a facet glues along its ridges
+    in that union, and its sub-order is the one :func:`_search` gives for
+    them.  Each sub-certificate is kept in the host's memo under the same
+    (cell, sub-order) key as :func:`_verify` uses.
+    """
+    r = L.ranks[x]
+    ridges = L._rank_masks[r - 2]
+    steps: list[ShellingStep] = []
+    union = 0
+    # every order of at most two vertices is a shelling
+    for f in order if r > 2 else ():
+        prefix = L._down[f] & union & ridges
+        sub_order = _simplex_order(L, f, prefix)
+        key = (f, sub_order)
+        sub = L._memo.get(key)
+        if sub is None:
+            sub = L._memo[key] = _simplex_certificate(L, f, sub_order)
         steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
         union |= L._down[f]
     return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))

@@ -288,6 +288,33 @@ def test_lattice_keeps_no_up_set_masks():
             assert all(a is nums[a] for below in lists for a in below), build
 
 
+def test_records_keep_their_fields_in_slots():
+    from test_records import RECORDS
+
+    for name, record in RECORDS.items():
+        cls = type(record)
+        # only the certificate caches a value, its order, in an instance dict
+        extra = ("__dict__",) if name == "ShellingCertificate" else ()
+        assert cls.__slots__ == cls._fields + extra, name
+        assert hasattr(record, "__dict__") is bool(extra), name
+
+
+def test_a_cold_certificate_keeps_its_size():
+    L = sb.simplex_boundary(8)
+    order = sb.find_shelling(L)
+    # the search memo is warm; the certificate and its sub-certificates
+    # are what the verification adds
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = sb.is_shelling(L, order)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(cert, sb.ShellingCertificate)
+    assert after - before <= 800 * 2 ** 10
+
+
 def test_iter_bits_matches_a_naive_scan_at_every_width():
     from shellbound.lattice import _iter_bits
 

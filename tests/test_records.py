@@ -1,7 +1,10 @@
 """The frozen result records keep the semantics of a frozen dataclass:
 construction by position or keyword, equality within one class, the hash
-of the field tuple, the ``Name(field=value, ...)`` repr, and no
-assignment or deletion."""
+of the field tuple, the ``Name(field=value, ...)`` repr, no assignment or
+deletion, and copies and pickles rebuilt through the constructor."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -84,6 +87,30 @@ def test_record_semantics(name):
 
     body = ", ".join(f"{k}={v!r}" for k, v in values.items())
     assert repr(record) == f"{name}({body})"
+
+
+# the records that hold a lattice, directly or through a subcomplex or a
+# sub-certificate: a lattice equals only itself
+HOLD_A_LATTICE = {
+    "FacetSplit", "ShellingCertificate", "ShellingOrder", "ShellingStep",
+    "SplitDecomposition", "SplitPair",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_copy_and_pickle(name):
+    record = RECORDS[name]
+    shallow = copy.copy(record)
+    assert type(shallow) is type(record) and shallow is not record
+    assert shallow == record
+    assert all(getattr(shallow, f) is getattr(record, f) for f in fields_of(record))
+
+    # a deep copy or a pickle holds a new lattice, equal to nothing but
+    # itself, so only the records without one come back equal
+    for rebuilt in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(rebuilt) is type(record)
+        assert repr(rebuilt) == repr(record)
+        assert (rebuilt == record) is (name not in HOLD_A_LATTICE)
 
 
 def test_shelling_order_checks_its_facets():
