@@ -7,7 +7,9 @@ from 0.2.0 on, a ``check-shelling`` certificate is a node table in which
 steps refer to shared sub-certificates by position.  Reports are
 byte-stable given identical inputs (sorted keys, fixed indentation), so
 they can be kept as golden files.  ``gen`` is the exception: it emits the
-complex itself, ready to be fed back through ``--input``.
+complex itself, ready to be fed back through ``--input``.  JSON is
+written as it is encoded, a batch of pieces at a time, with the same
+bytes as one ``json.dumps`` of the whole.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report is still written); 2 usage or input error; 3 search budget
@@ -19,7 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Union
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Union
 
 from . import __version__
 from .errors import (
@@ -125,6 +128,8 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
 
     from .lattice import from_facets, lattice_from_json_dict, parse_facet_text
 
+    # the bytes and the text are let go once hashed and parsed, before
+    # the lattice is built
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -132,26 +137,39 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not text: {e}") from None
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        # a JSONDecodeError is a ValueError, and so is an integer literal
-        # longer than the interpreter's digit limit
-        except (ValueError, RecursionError) as e:
-            raise InputError(f"{path}: invalid JSON: {e}") from None
-        try:
-            return lattice_from_json_dict(data), digest
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"{path}: malformed lattice JSON: {e}") from None
-    return from_facets(parse_facet_text(text)), digest
+    del raw
+    if not text.lstrip().startswith("{"):
+        facets = parse_facet_text(text)
+        del text
+        return from_facets(facets), digest
+    try:
+        data = json.loads(text)
+    # a JSONDecodeError is a ValueError, and so is an integer literal
+    # longer than the interpreter's digit limit
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"{path}: invalid JSON: {e}") from None
+    del text
+    try:
+        return lattice_from_json_dict(data), digest
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: malformed lattice JSON: {e}") from None
 
 
-def _write_text(out: Union[str, None], text: str) -> None:
+def _write_text(out: Union[str, None], pieces: Iterable[str]) -> None:
+    """Writes ``pieces`` in turn to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _write_json(out: Union[str, None], obj) -> None:
+    """Writes ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline
+    as :func:`_write_text` does, encoding a batch of pieces at a time."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    batches = iter(lambda: "".join(islice(pieces, 4096)), "")
+    _write_text(out, chain(batches, ("\n",)))
 
 
 def _flatten(value, path: str, rows: list[tuple[str, str]]) -> None:
@@ -173,10 +191,9 @@ def _emit(args: argparse.Namespace, envelope: dict) -> None:
     if args.format == "tsv":
         rows: list[tuple[str, str]] = []
         _flatten(envelope, "", rows)
-        text = "".join(f"{k}\t{v}\n" for k, v in rows)
+        _write_text(args.out, (f"{k}\t{v}\n" for k, v in rows))
     else:
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, text)
+        _write_json(args.out, envelope)
 
 
 def _parse_order(raw: Union[str, None]) -> Union[tuple[str, ...], None]:
@@ -216,11 +233,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         lines = []
         for facet in L.facets():
             lines.append(" ".join(v for v in L.faces(0) if L.leq(v, facet)))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, ["\n".join(lines) + "\n"])
     else:
-        _write_text(
-            args.out, json.dumps(lattice_to_json_dict(L), sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(args.out, lattice_to_json_dict(L))
     return 0
 
 

@@ -28,7 +28,9 @@ outside facts: it takes ``str()`` of each id, then checks that the ids
 are unique, that the dimension is an integer, that each rank is an
 integer in range and that there is exactly one bottom and one top, and
 resolves each cover pair to indices once (an unknown end is an error).
-It sorts the elements by (rank, id) and drops repeated covers.
+It sorts the elements by (rank, id), drops repeated covers and hands
+each lower-cover list over as a sorted tuple, which the constructor
+keeps as it is.
 :func:`lattice_from_json_dict` and the generators that name their own
 faces build through it.  The builders that already know every index
 build the resolved form directly, and each vouches for its ids,
@@ -51,9 +53,8 @@ no answer depends on what the process computed on other lattices.  Each
 entry is written by one module, and what it holds is listed here and
 nowhere else:
 
-* this module, set once through ``_memoised``: ``"covers"`` (the sorted
-  pairs of :meth:`FaceLattice.covers`), ``"whole complex"`` (the lattice
-  as one :class:`Subcomplex`), ``"diamond lattice"`` (whether
+* this module, set once through ``_memoised``: ``"whole complex"`` (the
+  lattice as one :class:`Subcomplex`), ``"diamond lattice"`` (whether
   :func:`is_lattice` and :func:`is_diamond` hold), ``"dual"`` (its
   :func:`dualize`, so that searches on the dual share one memo) and
   ``"boolean cells"`` (the mask of the cells with a Boolean lower
@@ -229,6 +230,8 @@ class FaceLattice:
             raise InvalidFace(f"{n} ids, {len(ranks)} ranks and {len(lower)} lower cover lists")
         self.ids = ids = tuple(ids)
         self.ranks = ranks = tuple(ranks)
+        # a lower list that is a tuple already, as the resolver hands them
+        # over, is kept as it is
         lower = tuple(map(tuple, lower))
         nums = _shared_ints(lower)
         self._index = dict(zip(ids, nums))
@@ -250,13 +253,15 @@ class FaceLattice:
         self._check_acyclic(n, upper)
 
         # ranks rise with the index, so the ends of a sorted neighbour list
-        # carry its lowest and highest rank
+        # carry its lowest and highest rank; each list, once checked, gives
+        # way to the tuple the lattice keeps
         for a, ups in enumerate(upper):
             if ups and not ranks[ups[0]] == ranks[ups[-1]] == ranks[a] + 1:
                 b = next(b for b in ups if ranks[b] != ranks[a] + 1)
                 raise NotGraded(
                     f"cover ({ids[a]!r}, {ids[b]!r}) jumps rank {ranks[a]} to {ranks[b]}"
                 )
+            upper[a] = tuple(ups)
         # the frozen order is (rank, id), so the bottom is index 0 and the
         # top index n - 1
         for x in range(1, n):
@@ -268,7 +273,7 @@ class FaceLattice:
         # neighbour lists are sorted by index, which within a rank is
         # lexicographic id order
         self._lower = lower
-        self._upper = tuple(map(tuple, upper))
+        self._upper = tuple(upper)
 
         # each rank, from 0 to the top's dim + 2, is one run of indices
         self._rank_masks = tuple(
@@ -354,9 +359,9 @@ class FaceLattice:
         return self.ids[1:-1]
 
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """The explicit cover pairs ``(lower, upper)``, sorted; computed on
-        the first call."""
-        return _memoised(self, "covers", _sorted_covers)
+        """The explicit cover pairs ``(lower, upper)``, sorted; derived on
+        each call, since the lattice keeps its covers as indices."""
+        return tuple(_sorted_covers(self))
 
     def lower_covers(self, face_id: str) -> tuple[str, ...]:
         return tuple(self.ids[c] for c in self._lower[self.index(face_id)])
@@ -405,14 +410,15 @@ class FaceLattice:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
 
 
-def _sorted_covers(L: FaceLattice) -> tuple[tuple[str, str], ...]:
+def _sorted_covers(L: FaceLattice) -> Iterator[tuple[str, str]]:
+    """The cover pairs of :meth:`FaceLattice.covers`, one at a time."""
     # one string sort of the ids orders the covers by lower id; an
     # element's upper covers share one rank and run in index order, which
     # within a rank is id order, so each run of pairs is sorted already
     ids = L.ids
     upper = L._upper
-    return tuple(
-        [(ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]]
+    return (
+        (ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]
     )
 
 
@@ -658,7 +664,8 @@ def _resolve(elements, covers, dim) -> tuple:
         raise NoTop(f"need exactly one rank-{top_rank} element, found {tops}")
 
     # each cover is resolved once and filed under its upper end; each
-    # lower list of two or more is then sorted and deduplicated
+    # lower list then becomes a sorted tuple without repeats, which the
+    # constructor keeps as it is
     index = dict(zip(ids, range(len(ids))))
     lower: list[list[int]] = [[] for _ in ids]
     for a, b in covers:
@@ -667,8 +674,7 @@ def _resolve(elements, covers, dim) -> tuple:
         except KeyError:
             raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
     for b, below in enumerate(lower):
-        if len(below) > 1:
-            lower[b] = sorted(set(below))
+        lower[b] = tuple(sorted(set(below)) if len(below) > 1 else below)
     return dim, ids, ranks, lower
 
 
@@ -1051,7 +1057,7 @@ def lattice_to_json_dict(L: FaceLattice) -> dict:
         if i not in reserved
     ]
     covers = [
-        [a, b] for a, b in L.covers() if a not in reserved and b not in reserved
+        [a, b] for a, b in _sorted_covers(L) if a not in reserved and b not in reserved
     ]
     return {"dim": L.dim, "faces": faces, "covers": covers}
 
@@ -1070,9 +1076,12 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
         # not build_lattice's check repeated: it sees the rank k + 1, and True + 1 == 2
         if any(type(k) is not int for k in [dim] + [k for _, k in faces]):
             raise InvalidFace("malformed lattice data: a dimension is not an integer")
-        if any(not isinstance(c, (list, tuple)) for c in data["covers"]):
+        covers = data["covers"]
+        if any(not isinstance(c, (list, tuple)) for c in covers):
             raise InvalidFace("malformed lattice data: a cover is not a pair of ids")
-        covers = [(a, b) for a, b in data["covers"]]
+        # unpacked here, so that a cover of the wrong length is malformed data
+        for _, _ in covers:
+            pass
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFace(f"malformed lattice data: {exc}") from None
     # on the raw ids: the only JSON value whose str() is a reserved id is
@@ -1082,9 +1091,11 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
             raise InvalidFace(f"face id {i!r} is reserved")
     elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
     elements += [(i, k + 1) for i, k in faces]
+    # the JSON list is read in place, followed by the extremes' covers
+    extremes = []
     for i, k in faces:
         if k == 0:
-            covers.append((BOTTOM_ID, i))
+            extremes.append((BOTTOM_ID, i))
         if k == dim:
-            covers.append((i, TOP_ID))
-    return build_lattice(elements, covers, dim)
+            extremes.append((i, TOP_ID))
+    return build_lattice(elements, chain(covers, extremes), dim)

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -57,3 +58,21 @@ def verifications(monkeypatch):
 
     monkeypatch.setattr(shelling, "_verify", counting)
     return verified
+
+
+@pytest.fixture
+def traced():
+    """Runs ``call(*args)`` under :mod:`tracemalloc` and returns ``(result,
+    retained bytes, peak bytes)``, both counted from the start of the call."""
+
+    def run(call, *args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call(*args)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, after - before, peak - before
+
+    return run

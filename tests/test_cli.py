@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -50,6 +51,17 @@ def test_gen_families_round_trip(tmp_path):
         assert run(argv + ["--out", str(out)]) == 0
         L = sb.lattice_from_json_dict(json.loads(out.read_text()))
         assert sb.f_vector(L).proper == fv, argv
+
+
+def test_gen_writes_its_json_as_it_encodes_it(tmp_path, traced):
+    path = tmp_path / "simplex.json"
+    with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        code, _, peak = traced(run, ["gen", "simplex-boundary", "--d", "10"])
+    assert code == 0
+    # 16.3 MiB when the whole text was encoded before it was written
+    assert peak < 10 * 2 ** 20
+    whole = json.dumps(sb.lattice_to_json_dict(sb.simplex_boundary(10)), sort_keys=True, indent=2)
+    assert path.read_text() == whole + "\n"
 
 
 def test_gen_punctured_via_file(tmp_path, oct_json):
