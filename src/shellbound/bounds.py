@@ -80,7 +80,6 @@ from .lattice import (
     _as_subcomplex,
     _closed,
     _is_diamond_lattice,
-    _iter_bits,
     _json_fields,
     _least_atom_avoiding,
     _record,
@@ -308,7 +307,7 @@ def _ridge_sides(L: FaceLattice, x: int, inside: int, earlier: int, bd: int) -> 
     ``earlier`` mask, and the rest, each shared with a later facet or
     lying on the boundary mask ``bd``."""
     before = after = 0
-    for ridge in _iter_bits(L._down[x] & L._rank_masks[L.ranks[x] - 1]):
+    for ridge in L._lower[x]:
         others = [y for y in L._upper[ridge] if y != x and inside >> y & 1]
         if len(others) > 1:
             raise InternalContradiction("a ridge lies in more than two facets")

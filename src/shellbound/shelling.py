@@ -31,15 +31,17 @@ a graph, whose shellings are the edge orders that stay connected; any
 connected start can still be completed when any can, so the walk would
 never backtrack, and the order is grown greedily instead, the least
 admissible edge at each position.
-``_verify``, the only function that walks a given order, applies ``_step``
-at each position and verifies each step's sub-order in turn; it returns a
-certificate, or a failure carrying the first bad step, and raises
+``_verify``, the only function that walks a given order and the only
+one that builds a certificate, is one recursion over cells: it takes
+each step's evidence, verifies the step's sub-order in turn, and returns
+a certificate, or a failure carrying the first bad step; it raises
 :class:`InternalContradiction` if a sub-order the search returned fails.
-A simplex cell it hands to one recursion, ``_simplex_certificate``: no
-order of a simplex's facets fails and every face of a simplex is a
-simplex, so each step is built in closed form, the ridges already placed
-and the sub-order the search would give for them, and neither the step
-rule nor the Boolean mask is read again below that cell.  The search and
+Each call is told whether its cell is a simplex.  No order of a
+simplex's facets fails and every face of a simplex is a simplex, so a
+simplex cell's steps are built in closed form, the ridges already placed
+and the sub-order the search would give for them, and its facets inherit
+the bit: below a simplex cell neither the step rule nor the Boolean mask
+is read.  Any other cell's steps come from ``_step``.  The search and
 the verifier read which cells are simplices from one mask,
 ``_boolean_cells`` of :mod:`~shellbound.lattice`, the exact
 Boolean-interval test that :func:`~shellbound.lattice.is_simplicial`
@@ -309,7 +311,6 @@ def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ..
     None: the least remaining edge at each position (from the prefix while
     it binds) that shares a vertex with the edges placed so far, where the
     first edge need share none."""
-    atoms = L._rank_masks[1]
     k = prefix.bit_count()
     order: list[int] = []
     seen = 0  # vertices of the edges placed
@@ -324,10 +325,11 @@ def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ..
         f = (pool & -pool).bit_length() - 1
         order.append(f)
         left ^= 1 << f
-        for v in _iter_bits(L._down[f] & atoms & ~seen):
-            seen |= 1 << v
-            for e in L._upper[v]:
-                near |= 1 << e
+        for v in L._lower[f]:
+            if not seen >> v & 1:
+                seen |= 1 << v
+                for e in L._upper[v]:
+                    near |= 1 << e
     return tuple(order)
 
 
@@ -414,70 +416,52 @@ def _walk(
 
 
 def _verify(
-    L: FaceLattice, x: int, order: Sequence[int], budget: SearchBudget
+    L: FaceLattice, x: int, order: Sequence[int], budget: SearchBudget, simplex: bool
 ) -> ShellingResult:
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     its certificate, or the first step that breaks the definition.  Each
     sub-certificate is verified once per (cell, sub-order) and kept in the
     host's memo.
 
-    A simplex cell's certificate is built by :func:`_simplex_certificate`,
-    without the step rule.  Any other cell's steps come from :func:`_step`,
-    and a sub-order that the search returned but that fails verification
-    raises :class:`InternalContradiction`.  A step records how many ridges
-    its facet glues along, the length of its sub-order's prefix; no id is
-    made for them.
-    """
-    r = L.ranks[x]
-    if r > 2 and _boolean_cells(L) >> x & 1:
-        return _simplex_certificate(L, x, order)
-    steps: list[ShellingStep] = []
-    union = 0
-    # every order of at most two vertices is a shelling
-    for j, f in enumerate(order if r > 2 else (), 1):
-        step = _step(L, f, union, budget)
-        if isinstance(step, str):
-            return ShellingFailure(j, step)
-        prefix, sub_order = step
-        key = (f, sub_order)
-        sub = L._memo.get(key)
-        if sub is None:
-            sub = _verify(L, f, sub_order, budget)
-            if isinstance(sub, ShellingFailure):
-                raise InternalContradiction(
-                    f"search returned an order that fails verification at step {sub.step}"
-                )
-            L._memo[key] = sub
-        steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
-        union |= L._down[f]
-    return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
-
-
-def _simplex_certificate(L: FaceLattice, x: int, order: Sequence[int]) -> ShellingCertificate:
-    """The certificate of a facet order on the boundary of a simplex cell
-    ``x`` (Boolean lower interval), built in closed form.
-
-    Every order of a simplex's facets is a shelling, and every face of a
-    simplex is a simplex (Ziegler, *Lectures on Polytopes*, Lecture 8), so
-    no step can fail and neither the step rule nor the Boolean mask is
-    read again below ``x``.  The union of down-sets is closed and holds a
-    ridge of every facet after the first: a facet glues along its ridges
-    in that union, and its sub-order is the one :func:`_search` gives for
-    them.  Each sub-certificate is kept in the host's memo under the same
-    (cell, sub-order) key as :func:`_verify` uses.
+    ``simplex`` says whether ``x`` is a simplex cell (Boolean lower
+    interval).  Every order of a simplex's facets is a shelling, and every
+    face of a simplex is a simplex (Ziegler, *Lectures on Polytopes*,
+    Lecture 8), so a simplex cell's steps are built in closed form: the
+    union of down-sets is closed and holds a ridge of every facet after
+    the first, a facet glues along its ridges in that union, and its
+    sub-order is the one :func:`_search` gives for them.  Its facets
+    inherit the bit, so below a simplex cell neither the step rule nor the
+    Boolean mask is read.  Any other cell's steps come from :func:`_step`;
+    on a memo miss a facet of rank 3 or more reads its own bit, and a
+    sub-order that the search returned but that fails verification raises
+    :class:`InternalContradiction`.  A step records how many ridges its
+    facet glues along, the length of its sub-order's prefix; no id is made
+    for them.
     """
     r = L.ranks[x]
     ridges = L._rank_masks[r - 2]
     steps: list[ShellingStep] = []
     union = 0
     # every order of at most two vertices is a shelling
-    for f in order if r > 2 else ():
-        prefix = L._down[f] & union & ridges
-        sub_order = _simplex_order(L, f, prefix)
+    for j, f in enumerate(order if r > 2 else (), 1):
+        if simplex:
+            prefix = L._down[f] & union & ridges
+            sub_order = _simplex_order(L, f, prefix)
+        else:
+            step = _step(L, f, union, budget)
+            if isinstance(step, str):
+                return ShellingFailure(j, step)
+            prefix, sub_order = step
         key = (f, sub_order)
         sub = L._memo.get(key)
         if sub is None:
-            sub = L._memo[key] = _simplex_certificate(L, f, sub_order)
+            f_simplex = simplex or (r > 3 and _boolean_cells(L) >> f & 1)
+            sub = _verify(L, f, sub_order, budget, f_simplex)
+            if isinstance(sub, ShellingFailure):
+                raise InternalContradiction(
+                    f"search returned an order that fails verification at step {sub.step}"
+                )
+            L._memo[key] = sub
         steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
         union |= L._down[f]
     return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
@@ -526,7 +510,8 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
-    return _verify(L, L._top, [L.index(f) for f in seq], bud)
+    simplex = L.ranks[L._top] > 2 and _boolean_cells(L) >> L._top & 1
+    return _verify(L, L._top, [L.index(f) for f in seq], bud, simplex)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

@@ -290,10 +290,12 @@ def test_cold_find_on_a_polygon_spends_no_node():
 
 
 # step-rule calls of a cold is_shelling of a found order: none where every
-# cell is a simplex, one per top-level step where only the facets are
+# cell is a simplex, one per top-level step where only the facets are, and
+# more where the facets are not simplices either
 COLD_VERIFY_STEPS = {
     "simplex-boundary-6": (lambda: sb.simplex_boundary(6), 0),
     "cross-polytope-4": (lambda: sb.cross_polytope(4), 32),
+    "hypercube-boundary-3": (lambda: sb.hypercube_boundary(3), 216),
 }
 
 
@@ -306,6 +308,29 @@ def test_cold_verify_applies_the_step_rule_the_pinned_times(name, monkeypatch):
     monkeypatch.setattr(shelling, "_step", lambda *args: counted.append(1) or step(*args))
     assert isinstance(sb.is_shelling(make(), order.facets), sb.ShellingCertificate)
     assert len(counted) == calls
+
+
+# Boolean-mask reads of a cold is_shelling of a found order, by the search
+# and the verifier together: one for the top of a simplex and none below
+# it, and never one for a cell of rank 2 or less
+COLD_VERIFY_MASK_READS = {
+    "simplex-boundary-6": (lambda: sb.simplex_boundary(6), 1),
+    "cross-polytope-4": (lambda: sb.cross_polytope(4), 65),
+    "hypercube-boundary-3": (lambda: sb.hypercube_boundary(3), 145),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_VERIFY_MASK_READS))
+def test_cold_verify_reads_the_boolean_mask_the_pinned_times(name, monkeypatch):
+    make, reads = COLD_VERIFY_MASK_READS[name]
+    order = sb.find_shelling(make())
+    counted = []
+    boolean_cells = shelling._boolean_cells
+    monkeypatch.setattr(
+        shelling, "_boolean_cells", lambda L: counted.append(1) or boolean_cells(L)
+    )
+    assert isinstance(sb.is_shelling(make(), order.facets), sb.ShellingCertificate)
+    assert len(counted) == reads
 
 
 def test_search_walks_more_facets_than_the_recursion_limit():
