@@ -65,7 +65,10 @@ nowhere else:
 * ``shelling``: its searches and sub-certificates, one per cell, under
   the tuple keys ``(cell index, prefix bitmask)`` and ``(cell index,
   facet order)``, kept apart by the int or tuple second part; the
-  certificate of a whole-complex order is not kept there;
+  certificate of a whole-complex order is not kept there.  A
+  sub-certificate whose cell is a simplex goes in with its facets only,
+  and builds its steps in place when they are first read, adding the
+  sub-certificates they name then;
 * ``bounds``: one slot, replaced rather than set once, keyed as
   ``bounds._verified`` says: the last whole-complex order that the proof
   route verified, as its facet ids, its certificate, and the facet
@@ -518,7 +521,9 @@ def _record(cls: type) -> type:
 
     Like ``dataclass(slots=True)``, it remakes the class with one slot per
     field and no instance dict, except where a ``cached_property`` needs
-    one to cache in (``ShellingCertificate.order``).  ``__init__``,
+    one to cache in (``ShellingCertificate.order``; the certificate also
+    keeps there the order of a simplex cell whose steps are not yet
+    built).  ``__init__``,
     ``__eq__``, ``__hash__`` and ``__reduce__`` are compiled once per
     class, and ``__init__`` stores each field through its slot's
     descriptor ``__set__``, bound at decoration, past the raising

@@ -32,18 +32,26 @@ connected start can still be completed when any can, so the walk would
 never backtrack, and the order is grown greedily instead, the least
 admissible edge at each position.
 ``_verify``, the only function that walks a given order and the only
-one that builds a certificate, is one recursion over cells: it takes
-each step's evidence, verifies the step's sub-order in turn, and returns
-a certificate, or a failure carrying the first bad step; it raises
+one that builds a certificate's steps, is one recursion over cells: it
+takes each step's evidence, verifies the step's sub-order in turn, and
+returns the steps, or a failure carrying the first bad step; it raises
 :class:`InternalContradiction` if a sub-order the search returned fails.
 Each call is told whether its cell is a simplex.  No order of a
 simplex's facets fails and every face of a simplex is a simplex, so a
 simplex cell's steps are built in closed form, the ridges already placed
 and the sub-order the search would give for them, and its facets inherit
 the bit: below a simplex cell neither the step rule nor the Boolean mask
-is read.  Any other cell's steps come from ``_step``.  The search and
-the verifier read which cells are simplices from one mask,
-``_boolean_cells`` of :mod:`~shellbound.lattice`, the exact
+is read.  Any other cell's steps come from ``_step``.  There is nothing
+to verify below a simplex cell, so a sub-certificate whose cell is a
+simplex is made with its facets only, and ``_verify`` builds its steps,
+in closed form and spending no node, when something first reads them:
+the JSON writer, a witness, ``==``, ``hash`` or ``repr``; a copy or a
+pickle of it is made with its facets only too.  The proof route reads a
+facet's sub-shelling through its facets, so on a simplicial complex it
+builds the top's steps alone.  The top's steps, and those of every
+other cell, are built at once.  The search and the verifier read which
+cells are simplices from one mask, ``_boolean_cells`` of
+:mod:`~shellbound.lattice`, the exact
 Boolean-interval test that :func:`~shellbound.lattice.is_simplicial`
 reads too; the diamond test of the CL-shellability checks is
 ``lattice._is_diamond_lattice``.  This module defines no predicate on a
@@ -59,9 +67,11 @@ exactly them, so they are its first entries, and both the step's
 library path builds a lattice for a cell; a caller that reads a
 sub-certificate's ``order`` builds one.  Searches and sub-certificates are memoised per
 cell in ``L._memo``, the host lattice's only memo, whose contents the
-:mod:`~shellbound.lattice` docstring lists; :func:`is_shelling` keeps
-nothing of its own, so a repeated call walks its order again, reading
-every step's sub-certificate from the memo and spending no node.
+:mod:`~shellbound.lattice` docstring lists; a simplex cell's
+sub-certificate is kept there before its steps are built and keeps them
+in place once they are.  :func:`is_shelling` keeps nothing of its own,
+so a repeated call walks its order again, reading every step's
+sub-certificate from the memo and spending no node.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -177,12 +187,39 @@ class ShellingCertificate:
     the facets to the host for the top cell, or to a new ``sub_lattice``
     of the cell for any other cell, on first read; the library reads
     ``facets`` and never builds that lattice.
+
+    A sub-certificate whose cell is a simplex is made with its facets
+    only, and its ``steps`` are built on first read, in closed form, and
+    kept: so every read, ``==``, ``hash`` and ``repr`` among them, sees
+    the same steps as for a certificate built whole, and none spends a
+    node.  A copy or a pickle of such a certificate is made the same way,
+    with its facets only: building the steps there would add memo entries
+    while a copy or a pickle of the lattice walks its memo.  Every other
+    certificate has its steps from the start.
     """
 
     lattice: FaceLattice
     cell: int
     facets: tuple[str, ...]
     steps: tuple[ShellingStep, ...]
+
+    def __getattr__(self, name: str):
+        # called for a name that plain lookup misses; it answers only the
+        # empty ``steps`` slot of a certificate that _verify made with its
+        # facets only, and builds them in closed form: a node spent would
+        # exceed the budget of 0
+        if name != "steps" or "_pending" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = _verify(self.lattice, self.cell, self.__dict__["_pending"], SearchBudget(0), True)
+        object.__setattr__(self, "steps", steps)
+        del self.__dict__["_pending"]
+        return steps
+
+    def __reduce_ex__(self, protocol: int):
+        # a certificate with its facets only is copied and pickled as one
+        if "_pending" in self.__dict__:
+            return _unbuilt, (self.lattice, self.cell, self.facets, self.__dict__["_pending"])
+        return self.__reduce__()
 
     @cached_property
     def order(self) -> ShellingOrder:
@@ -417,11 +454,11 @@ def _walk(
 
 def _verify(
     L: FaceLattice, x: int, order: Sequence[int], budget: SearchBudget, simplex: bool
-) -> ShellingResult:
+) -> Union[tuple[ShellingStep, ...], ShellingFailure]:
     """Check a facet order, as host indices, on the boundary of cell ``x``:
-    its certificate, or the first step that breaks the definition.  Each
-    sub-certificate is verified once per (cell, sub-order) and kept in the
-    host's memo.
+    the steps of its certificate, or the first step that breaks the
+    definition.  Each sub-certificate is made once per (cell, sub-order)
+    and kept in the host's memo.
 
     ``simplex`` says whether ``x`` is a simplex cell (Boolean lower
     interval).  Every order of a simplex's facets is a shelling, and every
@@ -429,10 +466,14 @@ def _verify(
     Lecture 8), so a simplex cell's steps are built in closed form: the
     union of down-sets is closed and holds a ridge of every facet after
     the first, a facet glues along its ridges in that union, and its
-    sub-order is the one :func:`_search` gives for them.  Its facets
-    inherit the bit, so below a simplex cell neither the step rule nor the
-    Boolean mask is read.  Any other cell's steps come from :func:`_step`;
-    on a memo miss a facet of rank 3 or more reads its own bit, and a
+    sub-order is the one :func:`_search` gives for them.  Any other cell's
+    steps come from :func:`_step`.  On a memo miss a facet of a simplex,
+    or one of rank 3 or more whose own bit says so, is a simplex cell: its
+    sub-certificate is made with its facets only, and its steps are built
+    by this function, in closed form and spending no node, when something
+    first reads them (:meth:`ShellingCertificate.__getattr__`).  So below
+    a simplex cell neither the step rule nor the Boolean mask is read.
+    Any other facet's sub-certificate is verified here and now, and a
     sub-order that the search returned but that fails verification raises
     :class:`InternalContradiction`.  A step records how many ridges its
     facet glues along, the length of its sub-order's prefix; no id is made
@@ -455,16 +496,37 @@ def _verify(
         key = (f, sub_order)
         sub = L._memo.get(key)
         if sub is None:
-            f_simplex = simplex or (r > 3 and _boolean_cells(L) >> f & 1)
-            sub = _verify(L, f, sub_order, budget, f_simplex)
-            if isinstance(sub, ShellingFailure):
-                raise InternalContradiction(
-                    f"search returned an order that fails verification at step {sub.step}"
-                )
+            facets = tuple(map(L.ids.__getitem__, sub_order))
+            if simplex or (r > 3 and _boolean_cells(L) >> f & 1):
+                sub = _unbuilt(L, f, facets, sub_order)
+            else:
+                sub_steps = _verify(L, f, sub_order, budget, False)
+                if isinstance(sub_steps, ShellingFailure):
+                    raise InternalContradiction(
+                        "search returned an order that fails verification"
+                        f" at step {sub_steps.step}"
+                    )
+                sub = ShellingCertificate(L, f, facets, sub_steps)
             L._memo[key] = sub
         steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
         union |= L._down[f]
-    return ShellingCertificate(L, x, tuple(L.ids[i] for i in order), tuple(steps))
+    return tuple(steps)
+
+
+def _unbuilt(
+    L: FaceLattice, x: int, facets: tuple[str, ...], order: tuple[int, ...]
+) -> ShellingCertificate:
+    """The certificate of ``order``, host indices whose ids are
+    ``facets``, on the boundary of simplex cell ``x``, made with its
+    facets only; it keeps ``order`` until its steps are first read.  It
+    reads nothing of ``L``: unpickling a memo entry calls it before the
+    lattice is whole."""
+    cert = object.__new__(ShellingCertificate)
+    object.__setattr__(cert, "lattice", L)
+    object.__setattr__(cert, "cell", x)
+    object.__setattr__(cert, "facets", facets)
+    cert.__dict__["_pending"] = order
+    return cert
 
 
 def find_shelling(
@@ -511,7 +573,10 @@ def is_shelling(
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
     simplex = L.ranks[L._top] > 2 and _boolean_cells(L) >> L._top & 1
-    return _verify(L, L._top, [L.index(f) for f in seq], bud, simplex)
+    steps = _verify(L, L._top, [L.index(f) for f in seq], bud, simplex)
+    if isinstance(steps, ShellingFailure):
+        return steps
+    return ShellingCertificate(L, L._top, seq, steps)
 
 
 def classify(L: FaceLattice, certificate: ShellingCertificate) -> Shape:

@@ -286,7 +286,9 @@ def test_records_keep_their_fields_in_slots():
 
     for name, record in RECORDS.items():
         cls = type(record)
-        # only the certificate caches a value, its order, in an instance dict
+        # only the certificate keeps values in an instance dict: its order
+        # once read, and a simplex cell's facet indices until its steps are
+        # built
         extra = ("__dict__",) if name == "ShellingCertificate" else ()
         assert cls.__slots__ == cls._fields + extra, name
         assert hasattr(record, "__dict__") is bool(extra), name
@@ -300,6 +302,16 @@ def test_a_cold_certificate_keeps_its_size(traced):
     cert, retained, _ = traced(sb.is_shelling, L, order)
     assert isinstance(cert, sb.ShellingCertificate)
     assert retained <= 800 * 2 ** 10
+
+
+def test_a_cold_simplex_certificate_keeps_its_top_and_its_facets_unbuilt(traced):
+    L = sb.simplex_boundary(8)
+    order = sb.find_shelling(L)
+    # the top's steps are built; each facet's sub-certificate holds its
+    # facets, and builds its own steps when first read
+    cert, retained, _ = traced(sb.is_shelling, L, order)
+    assert isinstance(cert, sb.ShellingCertificate)
+    assert retained < 64 * 2 ** 10
 
 
 def test_iter_bits_matches_a_naive_scan_at_every_width():

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import inspect
 import json
+import pickle
 from itertools import permutations
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import shellbound as sb
 from shellbound import BOTTOM_ID
 
-from corpus import balls, shelled_spheres_d_le_3, spheres_d_le_3
+from corpus import balls, fresh_copy, shelled_spheres_d_le_3, spheres_d_le_3
 from oracles import expand_certificate, naive_is_shelling, nested_certificate
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
@@ -329,6 +331,157 @@ def test_certificate_bytes_and_spend_are_pinned():
     records = {name: _certificate_record(L) for name, L in cases}
     assert {name: digest for name, (digest, _) in records.items()} == CERTIFICATE_SHA256
     assert {name: spends for name, (_, spends) in records.items()} == CERTIFICATE_SPENT
+
+
+# -- a simplex cell's steps, built on first read -------------------------
+
+
+def _built(cert: sb.ShellingCertificate) -> bool:
+    """Whether a certificate holds its steps, asked of the slot itself so
+    that asking builds nothing."""
+    try:
+        sb.ShellingCertificate.steps.__get__(cert)
+    except AttributeError:
+        return False
+    return True
+
+
+def _read_all(cert: sb.ShellingCertificate) -> None:
+    """Read the steps of every node, the last step's sub-certificate first,
+    so not in the order ``to_json_dict`` reads them."""
+    stack = [cert]
+    while stack:
+        stack.extend(step.sub_certificate for step in stack.pop().steps)
+
+
+def _lazy_cases():
+    for name, L in spheres_d_le_3():
+        yield pytest.param(L, id=name)
+        yield pytest.param(sb.punctured(L), id=f"punctured-{name}")
+    yield pytest.param(sb.cross_polytope(4), id="cross-polytope-4")
+
+
+@pytest.mark.parametrize("L", _lazy_cases())
+def test_reading_every_node_first_leaves_the_certificate_json_as_it_is(L):
+    order = sb.find_shelling(L).facets
+    fresh = sb.is_shelling(fresh_copy(L), order)
+    read = sb.is_shelling(fresh_copy(L), order)
+    _read_all(read)
+    assert fresh.to_json_dict() == read.to_json_dict()
+
+
+def _unbuilt_sub_certificate(L: sb.FaceLattice, order, j: int) -> sb.ShellingCertificate:
+    """The sub-certificate of step j of a certificate made afresh: the
+    memo is emptied first, so the node is new."""
+    L._memo.clear()
+    sub = sb.is_shelling(L, order).steps[j].sub_certificate
+    assert not _built(sub)
+    return sub
+
+
+def test_an_unbuilt_node_behaves_as_a_read_one():
+    L = sb.cross_polytope(4)
+    order = sb.find_shelling(L).facets
+    j = len(order) - 1
+    read = sb.is_shelling(L, order).steps[j].sub_certificate
+    _read_all(read)
+
+    def unbuilt():
+        return _unbuilt_sub_certificate(L, order, j)
+
+    lazy = unbuilt()
+    assert lazy is not read and lazy == read and read == unbuilt()
+    assert hash(unbuilt()) == hash(read)
+    assert repr(unbuilt()) == repr(read)
+    # a copy or a pickle is made unbuilt too, and reads as the original
+    copied = copy.copy(unbuilt())
+    assert type(copied) is sb.ShellingCertificate and not _built(copied)
+    assert copied == read and copied.steps is not read.steps
+    for rebuilt in (copy.deepcopy(unbuilt()), pickle.loads(pickle.dumps(unbuilt()))):
+        assert type(rebuilt) is sb.ShellingCertificate and not _built(rebuilt)
+        assert rebuilt.lattice is not L
+        assert repr(rebuilt) == repr(read)
+        assert rebuilt.to_json_dict() == read.to_json_dict()
+
+
+def test_a_lattice_holding_unbuilt_nodes_copies_and_pickles():
+    # copying or pickling the lattice walks its memo; building a node's
+    # steps there would add memo entries during the walk
+    L = sb.cross_polytope(3)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    assert not any(_built(step.sub_certificate) for step in cert.steps)
+    for rebuilt in (copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
+        assert rebuilt.to_json_dict() == cert.to_json_dict()
+    assert len(pickle.loads(pickle.dumps(L))._memo) == len(L._memo)
+
+
+@pytest.mark.parametrize(
+    "make, limit",
+    # a simplex's top is checked in closed form, so its whole certificate
+    # fits a budget of 0
+    [(lambda: sb.simplex_boundary(6), 0), (lambda: sb.cross_polytope(4), sb.DEFAULT_BUDGET)],
+    ids=["simplex-boundary-6", "cross-polytope-4"],
+)
+def test_a_full_read_spends_nothing(make, limit):
+    order = sb.find_shelling(make()).facets
+    L = make()
+    bud = sb.SearchBudget(limit)
+    cert = sb.is_shelling(L, order, budget=bud)
+    spent = bud.spent
+    # reads take a budget of 0 of their own, so a node spent would raise
+    _read_all(cert)
+    cert.to_json_dict()
+    assert bud.spent == spent
+
+
+def test_a_cold_simplex_certificate_builds_steps_on_first_read(monkeypatch):
+    from shellbound import shelling
+
+    L = sb.simplex_boundary(8)
+    order = sb.find_shelling(L).facets
+    built, rules, masks = [], [], []
+    verify, rule, boolean_cells = shelling._verify, shelling._step, shelling._boolean_cells
+    monkeypatch.setattr(
+        shelling, "_verify", lambda L, x, *args: built.append(x) or verify(L, x, *args)
+    )
+    monkeypatch.setattr(shelling, "_step", lambda *args: rules.append(1) or rule(*args))
+    monkeypatch.setattr(
+        shelling, "_boolean_cells", lambda L: masks.append(1) or boolean_cells(L)
+    )
+    cert = sb.is_shelling(L, order)
+    assert built == [L._top]
+    assert not any(_built(step.sub_certificate) for step in cert.steps)
+    sub = cert.steps[3].sub_certificate
+    assert len(sub.steps) == len(sub.facets) and built == [L._top, sub.cell]
+    assert sub.steps is sub.steps and len(built) == 2
+    # a full read builds every node once, and a second one builds nothing
+    nodes = cert.to_json_dict()["nodes"]
+    assert len(built) == 1 + len(nodes)
+    cert.to_json_dict()
+    assert len(built) == 1 + len(nodes)
+    # in closed form: the top's bit is the only mask read, and no step
+    # rule is applied
+    assert (len(rules), len(masks)) == (0, 1)
+
+
+def test_the_proof_route_leaves_simplex_facets_unbuilt(monkeypatch):
+    # the proof route reads each facet boundary's sub-shelling through
+    # its facets and the cut at the glued count, never its steps
+    from shellbound import shelling
+
+    L = sb.cross_polytope(4)
+    order = sb.find_shelling(L).facets
+    built = []
+    verify = shelling._verify
+    monkeypatch.setattr(
+        shelling, "_verify", lambda L, x, *args: built.append(x) or verify(L, x, *args)
+    )
+    for k in range((L.dim - 1) // 2, L.dim + 1):
+        assert sb.verify_lower_bound(L, order, k).ok
+    sb.facet_decomposition(L, order)
+    assert built == [L._top]
+    cert = L._memo["proof"][1]
+    assert not any(_built(step.sub_certificate) for step in cert.steps)
 
 
 # -- find_shelling -------------------------------------------------------
