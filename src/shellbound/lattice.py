@@ -58,8 +58,9 @@ nowhere else:
   :func:`is_lattice` and :func:`is_diamond` hold), ``"dual"`` (its
   :func:`dualize`, so that searches on the dual share one memo) and
   ``"boolean cells"`` (the mask of the cells with a Boolean lower
-  interval, read through ``_boolean_cells`` by :func:`is_simplicial`
-  and by the shelling search and verifier).  The verdict is kept apart
+  interval, read through ``_boolean_cells`` by :func:`is_simplicial`,
+  and by ``find_shelling`` and ``is_shelling`` once per call, which pass
+  it down the shelling recursion).  The verdict is kept apart
   from the dual, which a lattice that passes the diamond test can lack
   (a sphere plus an isolated vertex);
 * ``shelling``: its searches and sub-certificates, one per cell, under
@@ -1072,8 +1073,10 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
 
     Dimensions must be JSON integers and covers pairs of face ids.  Adds
     the bottom below every 0-dimensional face and the top above every face
-    of the declared dimension, then builds through :func:`build_lattice`,
-    which takes ``str()`` of the ids and runs full validation.
+    of the declared dimension, or above the bottom when that dimension is
+    -1, the complex of the empty face alone, which has no such face; then
+    builds through :func:`build_lattice`, which takes ``str()`` of the ids
+    and runs full validation.
     """
     try:
         dim = data["dim"]
@@ -1097,7 +1100,7 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
     elements += [(i, k + 1) for i, k in faces]
     # the JSON list is read in place, followed by the extremes' covers
-    extremes = []
+    extremes = [(BOTTOM_ID, TOP_ID)] if dim == -1 else []
     for i, k in faces:
         if k == 0:
             extremes.append((BOTTOM_ID, i))

@@ -36,26 +36,28 @@ one that builds a certificate's steps, is one recursion over cells: it
 takes each step's evidence, verifies the step's sub-order in turn, and
 returns the steps, or a failure carrying the first bad step; it raises
 :class:`InternalContradiction` if a sub-order the search returned fails.
-Each call is told whether its cell is a simplex.  No order of a
-simplex's facets fails and every face of a simplex is a simplex, so a
-simplex cell's steps are built in closed form, the ridges already placed
-and the sub-order the search would give for them, and its facets inherit
-the bit: below a simplex cell neither the step rule nor the Boolean mask
-is read.  Any other cell's steps come from ``_step``.  There is nothing
-to verify below a simplex cell, so a sub-certificate whose cell is a
-simplex is made with its facets only, and ``_verify`` builds its steps,
-in closed form and spending no node, when something first reads them:
-the JSON writer, a witness, ``==``, ``hash`` or ``repr``; a copy or a
-pickle of it is made with its facets only too.  The proof route reads a
-facet's sub-shelling through its facets, so on a simplicial complex it
-builds the top's steps alone.  The top's steps, and those of every
-other cell, are built at once.  The search and the verifier read which
-cells are simplices from one mask, ``_boolean_cells`` of
-:mod:`~shellbound.lattice`, the exact
-Boolean-interval test that :func:`~shellbound.lattice.is_simplicial`
-reads too; the diamond test of the CL-shellability checks is
-``lattice._is_diamond_lattice``.  This module defines no predicate on a
-complex of its own.
+No order of a simplex's facets fails and every face of a simplex is a
+simplex, so a simplex cell's steps are built in closed form, the ridges
+already placed and the sub-order the search would give for them, and
+below a simplex cell the step rule is never applied.  Any other cell's
+steps come from ``_step``.  There is nothing to verify below a simplex
+cell, so a sub-certificate whose cell is a simplex is made with its
+facets only, and ``_verify`` builds its steps, in closed form and
+spending no node, when something first reads them: the JSON writer, a
+witness, ``==``, ``hash`` or ``repr``; a copy or a pickle of it is made
+with its facets only too.  The proof route reads a facet's sub-shelling
+through its facets, so on a simplicial complex it builds the top's steps
+alone.  The top's steps, and those of every other cell, are built at
+once.  Which cells are simplices is the one lattice fact the recursion
+reads besides the covers.  :func:`find_shelling` and :func:`is_shelling`
+read it once per call, as the mask ``_boolean_cells`` of
+:mod:`~shellbound.lattice`, the exact Boolean-interval test that
+:func:`~shellbound.lattice.is_simplicial` reads too, and pass it down as
+the int ``simplices`` through ``_search``, ``_walk``, ``_step`` and
+``_verify``; nothing below them reads the memo for it.  A lazy read of a
+simplex cell's steps passes all ones, which is exact there.  The diamond
+test of the CL-shellability checks is ``lattice._is_diamond_lattice``.
+This module defines no predicate on a complex of its own.
 
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
@@ -207,10 +209,12 @@ class ShellingCertificate:
         # called for a name that plain lookup misses; it answers only the
         # empty ``steps`` slot of a certificate that _verify made with its
         # facets only, and builds them in closed form: a node spent would
-        # exceed the budget of 0
+        # exceed the budget of 0.  Its cell is a simplex, and so is every
+        # face of it, so the all-ones mask is exact here and no memo entry
+        # is read for it
         if name != "steps" or "_pending" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = _verify(self.lattice, self.cell, self.__dict__["_pending"], SearchBudget(0), True)
+        steps = _verify(self.lattice, self.cell, self.__dict__["_pending"], -1, SearchBudget(0))
         object.__setattr__(self, "steps", steps)
         del self.__dict__["_pending"]
         return steps
@@ -302,10 +306,11 @@ def boundary_intersection(
 
 
 def _step(
-    L: FaceLattice, f: int, union: int, budget: SearchBudget
+    L: FaceLattice, f: int, union: int, simplices: int, budget: SearchBudget
 ) -> Union[str, tuple[int, tuple[int, ...]]]:
     """Whether facet ``f`` of a cell may follow the facets whose closed
-    union is ``union`` (0 when ``f`` comes first).
+    union is ``union`` (0 when ``f`` comes first); ``simplices`` is the
+    Boolean-cell mask, handed on to :func:`_search`.
 
     Returns the failure reason, or the evidence: the mask of the ridges
     ``f`` glues along (0 for the first facet) and the first shelling of
@@ -319,7 +324,7 @@ def _step(
         prefix = inter & L._rank_masks[L.ranks[f] - 1]
         if _closed(L, prefix) != inter:
             return NOT_PURE
-    sub_order = _search(L, f, prefix, budget)
+    sub_order = _search(L, f, prefix, simplices, budget)
     if sub_order is None:
         return NO_PREFIX_SHELLING
     return prefix, sub_order
@@ -371,16 +376,18 @@ def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ..
 
 
 def _search(
-    L: FaceLattice, x: int, prefix: int, budget: SearchBudget
+    L: FaceLattice, x: int, prefix: int, simplices: int, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
     """The lexicographically first shelling of the boundary of cell ``x``
     that starts with exactly the facets in the ``prefix`` mask, as host
-    indices, or None.  Memoised on the host lattice.
+    indices, or None.  Memoised on the host lattice.  ``simplices`` is
+    the Boolean-cell mask, read once by the entry point and handed down
+    the whole recursion.
 
     Two cell shapes are answered in closed form, without a walk or a
     node, and with the answer the plain depth-first search gives.  On a
-    cell whose lower interval is Boolean, the boundary of a simplex, every
-    facet order is a shelling (Ziegler,
+    cell in ``simplices``, the boundary of a simplex, every facet order
+    is a shelling (Ziegler,
     *Lectures on Polytopes*, Lecture 8): any two facets meet in a common
     ridge, so every step glues along a nonempty union of ridges, and each
     facet is again a simplex.  The first candidate at every depth
@@ -397,19 +404,20 @@ def _search(
     :func:`_walk`.
     """
     r = L.ranks[x]
-    if r <= 2 or _boolean_cells(L) >> x & 1:
+    if r <= 2 or simplices >> x & 1:
         return _simplex_order(L, x, prefix)
     key = (x, prefix)
     if key not in L._memo:
         facets = L._down[x] & L._rank_masks[r - 1] & L._real_mask
-        L._memo[key] = (
-            _graph_order(L, facets, prefix) if r == 3 else _walk(L, facets, prefix, budget)
-        )
+        if r == 3:
+            L._memo[key] = _graph_order(L, facets, prefix)
+        else:
+            L._memo[key] = _walk(L, facets, prefix, simplices, budget)
     return L._memo[key]
 
 
 def _walk(
-    L: FaceLattice, facets: int, prefix: int, budget: SearchBudget
+    L: FaceLattice, facets: int, prefix: int, simplices: int, budget: SearchBudget
 ) -> Union[tuple[int, ...], None]:
     """:func:`_search`'s depth-first walk over the orders of the ``facets``
     mask that start with exactly the facets in ``prefix``, one node per
@@ -435,7 +443,7 @@ def _walk(
         union, left, candidates = frames[-1]
         for f in candidates:
             budget.spend()
-            if not isinstance(_step(L, f, union, budget), str):
+            if not isinstance(_step(L, f, union, simplices, budget), str):
                 break
         else:
             dead.add(left)
@@ -453,31 +461,32 @@ def _walk(
 
 
 def _verify(
-    L: FaceLattice, x: int, order: Sequence[int], budget: SearchBudget, simplex: bool
+    L: FaceLattice, x: int, order: Sequence[int], simplices: int, budget: SearchBudget
 ) -> Union[tuple[ShellingStep, ...], ShellingFailure]:
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     the steps of its certificate, or the first step that breaks the
     definition.  Each sub-certificate is made once per (cell, sub-order)
     and kept in the host's memo.
 
-    ``simplex`` says whether ``x`` is a simplex cell (Boolean lower
-    interval).  Every order of a simplex's facets is a shelling, and every
-    face of a simplex is a simplex (Ziegler, *Lectures on Polytopes*,
-    Lecture 8), so a simplex cell's steps are built in closed form: the
-    union of down-sets is closed and holds a ridge of every facet after
-    the first, a facet glues along its ridges in that union, and its
-    sub-order is the one :func:`_search` gives for them.  Any other cell's
-    steps come from :func:`_step`.  On a memo miss a facet of a simplex,
-    or one of rank 3 or more whose own bit says so, is a simplex cell: its
-    sub-certificate is made with its facets only, and its steps are built
-    by this function, in closed form and spending no node, when something
-    first reads them (:meth:`ShellingCertificate.__getattr__`).  So below
-    a simplex cell neither the step rule nor the Boolean mask is read.
-    Any other facet's sub-certificate is verified here and now, and a
-    sub-order that the search returned but that fails verification raises
-    :class:`InternalContradiction`.  A step records how many ridges its
-    facet glues along, the length of its sub-order's prefix; no id is made
-    for them.
+    ``simplices`` is the Boolean-cell mask, read once by the entry point
+    and handed down, or all ones when a simplex cell's steps are built on
+    first read.
+    Every order of a simplex's facets is a shelling, and every face of a
+    simplex is a simplex (Ziegler, *Lectures on Polytopes*, Lecture 8), so
+    a simplex cell's steps are built in closed form: the union of
+    down-sets is closed and holds a ridge of every facet after the first,
+    a facet glues along its ridges in that union, and its sub-order is the
+    one :func:`_search` gives for them.  Any other cell's steps come from
+    :func:`_step`.  On a memo miss a facet of rank 3 or more in
+    ``simplices`` is a simplex cell: its sub-certificate is made with its
+    facets only, and its steps are built by this function, in closed form
+    and spending no node, when something first reads them
+    (:meth:`ShellingCertificate.__getattr__`).  So below a simplex cell
+    the step rule is never applied.  Any other facet's sub-certificate is
+    verified here and now, and a sub-order that the search returned but
+    that fails verification raises :class:`InternalContradiction`.  A step
+    records how many ridges its facet glues along, the length of its
+    sub-order's prefix; no id is made for them.
     """
     r = L.ranks[x]
     ridges = L._rank_masks[r - 2]
@@ -485,11 +494,11 @@ def _verify(
     union = 0
     # every order of at most two vertices is a shelling
     for j, f in enumerate(order if r > 2 else (), 1):
-        if simplex:
+        if simplices >> x & 1:
             prefix = L._down[f] & union & ridges
             sub_order = _simplex_order(L, f, prefix)
         else:
-            step = _step(L, f, union, budget)
+            step = _step(L, f, union, simplices, budget)
             if isinstance(step, str):
                 return ShellingFailure(j, step)
             prefix, sub_order = step
@@ -497,10 +506,10 @@ def _verify(
         sub = L._memo.get(key)
         if sub is None:
             facets = tuple(map(L.ids.__getitem__, sub_order))
-            if simplex or (r > 3 and _boolean_cells(L) >> f & 1):
+            if r > 3 and simplices >> f & 1:
                 sub = _unbuilt(L, f, facets, sub_order)
             else:
-                sub_steps = _verify(L, f, sub_order, budget, False)
+                sub_steps = _verify(L, f, sub_order, simplices, budget)
                 if isinstance(sub_steps, ShellingFailure):
                     raise InternalContradiction(
                         "search returned an order that fails verification"
@@ -546,7 +555,7 @@ def find_shelling(
     prefix_set = {str(f) for f in prefix}
     if not prefix_set <= set(L.facets()):
         raise PreconditionViolated("prefix contains non-facets")
-    found = _search(L, L._top, L._mask_of(prefix_set), bud)
+    found = _search(L, L._top, L._mask_of(prefix_set), _boolean_cells(L), bud)
     return None if found is None else ShellingOrder(L, tuple(L.ids[i] for i in found))
 
 
@@ -572,8 +581,7 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
-    simplex = L.ranks[L._top] > 2 and _boolean_cells(L) >> L._top & 1
-    steps = _verify(L, L._top, [L.index(f) for f in seq], bud, simplex)
+    steps = _verify(L, L._top, [L.index(f) for f in seq], _boolean_cells(L), bud)
     if isinstance(steps, ShellingFailure):
         return steps
     return ShellingCertificate(L, L._top, seq, steps)

@@ -1,6 +1,7 @@
 """Shared small-complex corpus, built once per test session, hand-made
 non-sphere lattices, and a generator of small graded bounded posets."""
 
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -56,6 +57,27 @@ def balls() -> tuple[tuple[str, sb.FaceLattice], ...]:
 def fresh_copy(L: sb.FaceLattice) -> sb.FaceLattice:
     """An equal lattice with an empty memo."""
     return sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
+
+
+def rank_permutation(L: sb.FaceLattice, rng: random.Random) -> dict[str, str]:
+    """A random permutation of ``L``'s ids within each rank, as a map from
+    each id to its new name."""
+    name = {}
+    for r in range(L.dim + 3):
+        ids = [i for i, rank in zip(L.ids, L.ranks) if rank == r]
+        name.update(zip(ids, rng.sample(ids, len(ids))))
+    return name
+
+
+def relabelled(L: sb.FaceLattice, name: dict[str, str]) -> sb.FaceLattice:
+    """``L`` with every id renamed through ``name``, rebuilt through
+    ``build_lattice``: under a :func:`rank_permutation`, the same complex
+    with its faces in another index order."""
+    return sb.build_lattice(
+        [(name[i], r) for i, r in zip(L.ids, L.ranks)],
+        [(name[a], name[b]) for a, b in L.covers()],
+        L.dim,
+    )
 
 
 def doubled_triangle() -> sb.FaceLattice:

@@ -276,11 +276,13 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
     return True
 
 
-def unpruned_search(L: FaceLattice, x: int, prefix: int, budget):
+def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget):
     """``shelling._search`` without its two prunings: no memo of dead sets
-    of remaining facets, and no shortcut on Boolean cells.  Installed in
-    place of ``shelling._search``, it is reached from ``_step`` too, so the
-    whole recursion and every certificate built on it go unpruned."""
+    of remaining facets, and no shortcut on Boolean cells, so the
+    Boolean-cell mask ``simplices`` is only handed on to ``_step``, as
+    ``_search`` hands it.  Installed in place of ``shelling._search``, it
+    is reached from ``_step`` too, so the whole recursion and every
+    certificate built on it go unpruned."""
     facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
     if L.ranks[x] <= 2:
         return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
@@ -301,7 +303,7 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, budget):
             budget.spend()
             step = steps.get((f, union))
             if step is None:
-                step = steps[f, union] = _step(L, f, union, budget)
+                step = steps[f, union] = _step(L, f, union, simplices, budget)
             if isinstance(step, str):
                 continue
             chosen.append(f)

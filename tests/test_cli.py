@@ -205,6 +205,14 @@ def test_find_shelling_prefix_failure(tmp_path, square_json):
     assert env["params"]["prefix"] == ["e12", "e34"]
 
 
+def test_find_shelling_on_the_empty_complex(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": -1, "faces": [], "covers": []}))
+    out = tmp_path / "report.json"
+    assert run(["find-shelling", "--input", str(path), "--out", str(out)]) == 0
+    assert read_envelope(out)["result"] == {"found": True, "order": []}
+
+
 @pytest.mark.parametrize("command", ["find-shelling", "bounds", "corollaries"])
 def test_commands_on_more_facets_than_the_recursion_limit(tmp_path, command):
     # the bipyramid over a 600-gon has 1 200 triangles

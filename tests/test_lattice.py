@@ -836,6 +836,17 @@ def test_lattice_json_bytes_are_pinned():
     assert digests == LATTICE_JSON_SHA256
 
 
+def test_json_round_trip_of_the_empty_complex():
+    # the (-1)-dimensional complex has no face of its dimension, so the
+    # loader sets the top over the bottom itself
+    L = sb.sub_lattice(sb.simplex_boundary(2), "1")
+    data = sb.lattice_to_json_dict(L)
+    assert data == {"dim": -1, "faces": [], "covers": []}
+    back = sb.lattice_from_json_dict(json.loads(json.dumps(data)))
+    assert sb.lattice_to_json_dict(back) == data
+    assert back.ranks == (0, 1)
+
+
 def test_json_dict_shape():
     data = sb.lattice_to_json_dict(zero_sphere())
     assert data == {

@@ -5,7 +5,10 @@ first order of a Boolean cell off without a search, and grows the order
 of a 2-cell's boundary greedily; ``_verify`` reads a Boolean cell's
 evidence off without the step rule.  None of them may change an answer:
 every order, failure and certificate byte must be what the unpruned
-search, and the general route, give.
+search, and the general route, give.  Both learn which cells are Boolean
+from the mask that ``find_shelling`` and ``is_shelling`` read once per
+call and pass down, so replacing ``shelling._boolean_cells`` with the
+empty mask sends every cell down the general route.
 """
 
 import json
@@ -25,6 +28,8 @@ from corpus import (
     doubled_triangle,
     graded_bounded_poset_parts,
     mixed_dims_by_hand,
+    rank_permutation,
+    relabelled,
     spheres_d_le_3,
 )
 from oracles import naive_is_boolean, unpruned_search
@@ -119,21 +124,6 @@ def test_simplex_certificates_match_the_step_rule_on_small_posets(parts):
     _assert_general_route_agrees(lambda: sb.build_lattice(*parts))
 
 
-def _relabelled(L: sb.FaceLattice, rng: random.Random) -> sb.FaceLattice:
-    """``L`` with its ids permuted within each rank, rebuilt through
-    ``build_lattice``: the same complex with its faces in another index
-    order, so that the simplex cells' first orders differ."""
-    name = {}
-    for r in range(L.dim + 3):
-        ids = [i for i, rank in zip(L.ids, L.ranks) if rank == r]
-        name.update(zip(ids, rng.sample(ids, len(ids))))
-    return sb.build_lattice(
-        [(name[i], r) for i, r in zip(L.ids, L.ranks)],
-        [(name[a], name[b]) for a, b in L.covers()],
-        L.dim,
-    )
-
-
 RELABELLED = {
     "simplex-boundary-5": lambda: sb.simplex_boundary(5),
     "cross-polytope-4": lambda: sb.cross_polytope(4),
@@ -143,7 +133,8 @@ RELABELLED = {
 
 @pytest.mark.parametrize("name", sorted(RELABELLED))
 def test_simplex_certificates_match_the_step_rule_on_relabelled_ids(name):
-    L = _relabelled(RELABELLED[name](), random.Random(23))
+    L = RELABELLED[name]()
+    L = relabelled(L, rank_permutation(L, random.Random(23)))
     # the empty prefix only: prefixes of one facet take about 2 s on these three
     _assert_general_route_agrees(_fresh(L), most=0)
 
@@ -256,9 +247,10 @@ def test_graph_orders_match_the_unpruned_search(make):
         for prefix in combinations(edges, size):
             mask = sum(1 << e for e in prefix)
             budget = sb.SearchBudget()
-            found = shelling._search(L, x, mask, budget)
+            found = shelling._search(L, x, mask, lattice._boolean_cells(L), budget)
             assert budget.spent == 0
-            assert found == unpruned_search(M, x, mask, sb.SearchBudget()), [
+            simplices = lattice._boolean_cells(M)
+            assert found == unpruned_search(M, x, mask, simplices, sb.SearchBudget()), [
                 L.ids[e] for e in prefix
             ]
 
@@ -311,12 +303,12 @@ def test_cold_verify_applies_the_step_rule_the_pinned_times(name, monkeypatch):
 
 
 # Boolean-mask reads of a cold is_shelling of a found order, by the search
-# and the verifier together: one for the top of a simplex and none below
-# it, and never one for a cell of rank 2 or less
+# and the verifier together: one, by is_shelling, which passes the mask
+# down, whatever the cells below the top are
 COLD_VERIFY_MASK_READS = {
     "simplex-boundary-6": (lambda: sb.simplex_boundary(6), 1),
-    "cross-polytope-4": (lambda: sb.cross_polytope(4), 65),
-    "hypercube-boundary-3": (lambda: sb.hypercube_boundary(3), 145),
+    "cross-polytope-4": (lambda: sb.cross_polytope(4), 1),
+    "hypercube-boundary-3": (lambda: sb.hypercube_boundary(3), 1),
 }
 
 
@@ -331,6 +323,35 @@ def test_cold_verify_reads_the_boolean_mask_the_pinned_times(name, monkeypatch):
     )
     assert isinstance(sb.is_shelling(make(), order.facets), sb.ShellingCertificate)
     assert len(counted) == reads
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sb.cross_polytope(4), lambda: sb.hypercube_boundary(4)],
+    ids=["cross-polytope-4", "hypercube-boundary-4"],
+)
+def test_each_entry_point_reads_the_boolean_mask_once_per_call(make, monkeypatch):
+    counted = []
+    boolean_cells = shelling._boolean_cells
+    monkeypatch.setattr(
+        shelling, "_boolean_cells", lambda L: counted.append(1) or boolean_cells(L)
+    )
+
+    def once(call, *args):
+        counted.clear()
+        result = call(*args)
+        assert len(counted) == 1, call.__name__
+        return result
+
+    L = make()
+    order = once(sb.find_shelling, L)  # cold
+    once(sb.find_shelling, L)  # warm
+    cert = once(sb.is_shelling, L, order)
+    once(sb.is_shelling, L, order)  # warm
+    # a full read builds the lazy nodes with no read at all
+    counted.clear()
+    cert.to_json_dict()
+    assert counted == []
 
 
 def test_search_walks_more_facets_than_the_recursion_limit():
