@@ -79,11 +79,13 @@ from .lattice import (
     Subcomplex,
     _as_subcomplex,
     _closed,
+    _down_sets,
     _is_diamond_lattice,
     _json_fields,
     _least_atom_avoiding,
     _record,
     _require_sphere,
+    _upper_covers,
     boundary_complex,
     f_vector,
     interior,
@@ -209,14 +211,15 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     L, cell, seq = cert.lattice, cert.cell, cert.facets
     # the cell's boundary as a subcomplex, the whole complex's kept once
     # per lattice; at j = 0 and j = n it is one side, derived once
-    whole = _as_subcomplex(L) if cell == L._top else Subcomplex(L, L._down[cell] & ~(1 << cell))
+    down = _down_sets(L)
+    whole = _as_subcomplex(L) if cell == L._top else Subcomplex(L, down[cell] & ~(1 << cell))
     _require_sphere(whole)
     real = whole.mask & ~(1 << L._bottom)
     n = len(seq)
     if not 0 <= j <= n:
         raise InvalidSplit(f"need 0 <= j <= {n}, got {j}")
-    begin_mask = _closed(L, L._mask_of(seq[:j]))
-    end_mask = _closed(L, L._mask_of(seq[j:]))
+    begin_mask = _closed(down, L._mask_of(seq[:j]))
+    end_mask = _closed(down, L._mask_of(seq[j:]))
     begin = whole if begin_mask == whole.mask else Subcomplex(L, begin_mask)
     end = whole if end_mask == whole.mask else Subcomplex(L, end_mask)
     if not (is_pseudomanifold(begin) and is_pseudomanifold(end)):
@@ -306,9 +309,10 @@ def _ridge_sides(L: FaceLattice, x: int, inside: int, earlier: int, bd: int) -> 
     ``inside`` mask, as two masks: those shared with a facet in the
     ``earlier`` mask, and the rest, each shared with a later facet or
     lying on the boundary mask ``bd``."""
+    upper = _upper_covers(L)
     before = after = 0
     for ridge in L._lower[x]:
-        others = [y for y in L._upper[ridge] if y != x and inside >> y & 1]
+        others = [y for y in upper[ridge] if y != x and inside >> y & 1]
         if len(others) > 1:
             raise InternalContradiction("a ridge lies in more than two facets")
         if others and earlier >> others[0] & 1:
@@ -330,7 +334,7 @@ def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
     seq = cert.facets
     if r == 2:
         return L.index(seq[0]), L.index(seq[1])
-    inside = L._down[cell] ^ (1 << cell)
+    inside = _down_sets(L)[cell] ^ (1 << cell)
     if j == 1:
         # the leading closed facet, and the least vertex outside it
         first = L.index(seq[0])
@@ -454,10 +458,11 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     if d < 1:
         raise RangeError("the decomposition needs dimension at least 1")
     bd_mask = boundary_complex(X).mask
+    down = _down_sets(X)
     # later_unions[j0]: the closed union of the facets after position j0
     later_unions = [0]
     for facet in reversed(seq[1:]):
-        later_unions.append(later_unions[-1] | X._down[X.index(facet)])
+        later_unions.append(later_unions[-1] | down[X.index(facet)])
     later_unions.reverse()
     splits: list[FacetSplit] = []
     earlier = earlier_union = 0
@@ -468,10 +473,10 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         before_ridges, after_ridges = _ridge_sides(X, x, X._real_mask, earlier, bd_mask)
         if before_ridges & after_ridges:
             raise InternalContradiction("a ridge landed on both sides of its facet")
-        before_mask = _closed(X, before_ridges)
-        after_mask = _closed(X, after_ridges)
+        before_mask = _closed(down, before_ridges)
+        after_mask = _closed(down, after_ridges)
 
-        cell_boundary = X._down[x] & ~(1 << x)
+        cell_boundary = down[x] & ~(1 << x)
         if before_mask | after_mask != cell_boundary:
             raise InternalContradiction("the two sides do not cover the facet boundary")
         if j0 == 0:
@@ -504,7 +509,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         seen_before_int |= before_int.mask
         seen_after_int |= after_int.mask
         earlier |= 1 << x
-        earlier_union |= X._down[x]
+        earlier_union |= down[x]
         splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
     decomposition = SplitDecomposition(X, seq, tuple(splits))
     if kept is cert:

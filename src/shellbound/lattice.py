@@ -17,10 +17,22 @@ Conventions used throughout the package:
 * ties are always broken by lexicographic face id, never by insertion
   order, so every derived object is deterministic.
 
-Down-sets are cached as bit vectors (Python ints) over a frozen element
-order fixed at construction; lattices are immutable afterwards.  Up-sets
-are not stored, since each would span the top and so all n bits: upward
-queries walk the upper covers.
+A lattice keeps its ids, ranks and lower covers, over a frozen element
+order fixed at construction, and two arrays derived from the lower covers
+that it builds on first read and keeps: the down-set of every element as
+a bit vector (a Python int), through ``_down_sets``, and the upper covers
+of every element, through ``_upper_covers``.  Each is built by its
+accessor alone, and every reader goes through it once per call; the one
+exception is the shelling recursion, which reads the down-sets from their
+slot because its entry points build them first.  Many lattices never read
+one of the two, or either: a generated complex that is only written out,
+a dual that is only dualized again, a facet's :func:`sub_lattice`, a
+punctured ball, which never reads upper covers.  A search or a
+verification builds the down-sets only, and a JSON dump the upper covers
+only.  The answers do not depend on which arrays are built, and lattices
+are immutable apart from building them.  Up-sets are not stored, since
+each would span the top and so all n bits: upward queries walk the upper
+covers.
 
 Each fact a lattice rests on is checked once, by one owner.
 :func:`build_lattice` is the one resolver of outside ids, and checks the
@@ -41,9 +53,10 @@ a cell's down-set in host order.  The constructor takes the resolved
 form: ids and ranks in (rank, id) order, and each element's lower covers
 as sorted indices without repeats.  It trusts every builder for the ids,
 the dimension, the extremes and that order, and checks only what a
-builder's covers can break: acyclicity, gradedness and a lower cover
-under every element but the bottom (a :func:`dualize` of a non-pure
-lattice lacks one).  Ids run in (rank, id) order, so
+builder's covers can break, on the lower covers alone: acyclicity,
+gradedness and a lower cover under every element but the bottom (a
+:func:`dualize` of a non-pure lattice lacks one).  It builds neither
+derived array.  Ids run in (rank, id) order, so
 :meth:`FaceLattice.faces` reads each rank as one slice of them.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
@@ -81,7 +94,8 @@ A :class:`Subcomplex` derives its boundary once, on first use: it asks
 :func:`is_pure`, then counts ridges in one pass over its top faces;
 :func:`is_pseudomanifold`, :func:`boundary_complex` and :func:`interior`
 all read that one value.  ``_closed`` is the one down-closure of a set
-of faces, for every module of the package.
+of faces, for every module of the package; it takes the down-sets its
+caller has read, so the shelling recursion hands it the slot.
 
 Every predicate on a complex lives here, and each is decided by one
 test: ``_is_diamond_lattice``, :func:`is_lattice` and :func:`is_diamond`
@@ -139,15 +153,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
 def _levels_above(L: FaceLattice, x: int) -> Iterator[set[int]]:
     """The faces reached from ``x`` by upper covers, one rank at a time
     from ``x`` itself; the top comes only where covers reach it."""
+    upper = _upper_covers(L)
     level = {x}
     while level:
         yield level
-        level = {z for y in level for z in L._upper[y]}
+        level = {z for y in level for z in upper[y]}
 
 
-def _closed(L: FaceLattice, mask: int) -> int:
-    """The union of the down-sets of the faces in ``mask``."""
-    down = L._down
+def _closed(down: tuple[int, ...], mask: int) -> int:
+    """The union of the down-sets ``down`` of the faces in ``mask``."""
     union = 0
     # _iter_bits inlined: this runs for every split side and every step
     while mask:
@@ -190,6 +204,90 @@ def _memoised(L: FaceLattice, key: str, make: Callable[[FaceLattice], _T]) -> _T
     return value
 
 
+def _down_sets(L: FaceLattice) -> tuple[int, ...]:
+    """The down-set of every element as a bit mask over the element
+    order, built on the first call and kept in ``L._down``."""
+    down = L._down
+    if down is None:
+        down = L._down = _gc_paused(_fill_down_sets, L._lower)
+    return down
+
+
+def _fill_down_sets(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    # every cover raises the index, as the constructor checked, so the
+    # down-sets fill in index order; the bottom lies below everything
+    down = [0] * len(lower)
+    for b, below in enumerate(lower):
+        m = 1 << b | 1
+        for a in below:
+            m |= down[a]
+        down[b] = m
+    # the top lies above everything, whether or not covers say so
+    down[-1] = (1 << len(lower)) - 1
+    return tuple(down)
+
+
+def _upper_covers(L: FaceLattice) -> tuple[tuple[int, ...], ...]:
+    """The indices of every element's upper covers, sorted, built on the
+    first call and kept in ``L._upper``."""
+    upper = L._upper
+    if upper is None:
+        upper = L._upper = _gc_paused(_fill_upper_covers, L)
+    return upper
+
+
+def _fill_upper_covers(L: FaceLattice) -> tuple[tuple[int, ...], ...]:
+    # the lists fill in index order, so they come out sorted, and they
+    # hold the index's own int objects
+    nums = tuple(L._index.values())
+    upper: list[list[int]] = [[] for _ in nums]
+    for b, below in zip(nums, L._lower):
+        for a in below:
+            upper[a].append(b)
+    return tuple(map(tuple, upper))
+
+
+def _check_covers(ids: tuple[str, ...], ranks: tuple[int, ...], lower: tuple) -> None:
+    """Check what a builder's lower covers can break, in this order:
+    acyclicity, gradedness, and a lower cover under every element but
+    the bottom."""
+    # ranks rise with the index and lower lists are sorted, so the ends of
+    # a list carry its lowest and highest rank; when every cover raises
+    # the rank by one, it raises the index too, and there is no cycle
+    if not all(ranks[below[0]] == ranks[below[-1]] == r - 1 for r, below in zip(ranks, lower)
+               if below):
+        _check_acyclic(lower)
+        # of the covers that jump, the one with the least lower end is
+        # named, then the least upper end
+        a, b = min((a, b) for b, below in enumerate(lower) for a in below
+                   if ranks[a] != ranks[b] - 1)
+        raise NotGraded(f"cover ({ids[a]!r}, {ids[b]!r}) jumps rank {ranks[a]} to {ranks[b]}")
+    if not all(lower[1:]):
+        x = lower.index((), 1)
+        raise NotGraded(f"element {ids[x]!r} has no chain to the bottom")
+
+
+def _check_acyclic(lower: tuple[tuple[int, ...], ...]) -> None:
+    # Kahn's algorithm from the top down: an element is taken once every
+    # element it lies under is taken
+    n = len(lower)
+    above = [0] * n
+    for below in lower:
+        for a in below:
+            above[a] += 1
+    queue = [x for x in range(n) if above[x] == 0]
+    seen = 0
+    while queue:
+        b = queue.pop()
+        seen += 1
+        for a in lower[b]:
+            above[a] -= 1
+            if above[a] == 0:
+                queue.append(a)
+    if seen != n:
+        raise CyclicCovers("cover relation contains a cycle")
+
+
 class FaceLattice:
     """Immutable graded lattice of faces of a regular CW complex.
 
@@ -199,9 +297,14 @@ class FaceLattice:
     id) order with one bottom at rank 0 and one top at rank ``dim + 2``,
     and for each element the indices of its lower covers, sorted and
     without repeats.  All of that it trusts, since every builder vouches
-    for it.  It checks only what the covers can break: that the lengths
-    agree, acyclicity, gradedness and a lower cover under every element
-    but the bottom, then precomputes containment bit vectors.
+    for it.  It checks only what the covers can break, on the lower covers
+    alone: that the lengths agree, acyclicity, gradedness and a lower
+    cover under every element but the bottom.  The down-set bit vectors
+    and the upper-cover lists are built on first read, by
+    ``_down_sets`` and ``_upper_covers``; until then their slots hold
+    None.  No ``__getattr__`` builds them, since attribute reads on a
+    class with one are no longer specialised, and no property, which
+    would put a call on every read of the slot in the shelling recursion.
     """
 
     __slots__ = (
@@ -237,83 +340,27 @@ class FaceLattice:
         # a lower list that is a tuple already, as the resolver hands them
         # over, is kept as it is
         lower = tuple(map(tuple, lower))
-        nums = _shared_ints(lower)
-        self._index = dict(zip(ids, nums))
+        self._index = dict(zip(ids, _shared_ints(lower)))
         self.dim = dim
+        _check_covers(ids, ranks, lower)
 
-        # the upper lists fill in index order, so they come out sorted;
-        # when every cover raises the index, as the acyclic check makes
-        # sure, the down-sets fill in index order too, and the bottom lies
-        # below everything
-        upper: list[list[int]] = [[] for _ in nums]
-        down = [0] * n
-        for b, below in zip(nums, lower):
-            m = 1 << b | 1
-            for a in below:
-                upper[a].append(b)
-                m |= down[a]
-            down[b] = m
-
-        self._check_acyclic(n, upper)
-
-        # ranks rise with the index, so the ends of a sorted neighbour list
-        # carry its lowest and highest rank; each list, once checked, gives
-        # way to the tuple the lattice keeps
-        for a, ups in enumerate(upper):
-            if ups and not ranks[ups[0]] == ranks[ups[-1]] == ranks[a] + 1:
-                b = next(b for b in ups if ranks[b] != ranks[a] + 1)
-                raise NotGraded(
-                    f"cover ({ids[a]!r}, {ids[b]!r}) jumps rank {ranks[a]} to {ranks[b]}"
-                )
-            upper[a] = tuple(ups)
         # the frozen order is (rank, id), so the bottom is index 0 and the
-        # top index n - 1
-        for x in range(1, n):
-            if not lower[x]:
-                raise NotGraded(f"element {ids[x]!r} has no chain to the bottom")
-
+        # top index n - 1; neighbour lists are sorted by index, which within
+        # a rank is lexicographic id order
         self._bottom = 0
         self._top = top = n - 1
-        # neighbour lists are sorted by index, which within a rank is
-        # lexicographic id order
         self._lower = lower
-        self._upper = tuple(upper)
+        # built on first read, by _down_sets and _upper_covers
+        self._down = self._upper = None
 
         # each rank, from 0 to the top's dim + 2, is one run of indices
         self._rank_masks = tuple(
             (1 << bisect_right(ranks, r)) - (1 << bisect_left(ranks, r))
             for r in range(dim + 3)
         )
-
-        # the top lies above everything, whether or not covers say so
-        full = (1 << n) - 1
-        down[top] = full
-        self._down = tuple(down)
-        self._real_mask = full & ~1 & ~(1 << top)
+        self._real_mask = (1 << n) - 1 & ~1 & ~(1 << top)
         # the lattice's one memo; the module docstring lists what it holds
         self._memo = {}
-
-    @staticmethod
-    def _check_acyclic(n: int, upper: list[list[int]]) -> None:
-        # when every cover raises the index, index order is a topological
-        # order; neighbour lists are sorted, so their first entries tell
-        if all(not ups or ups[0] > x for x, ups in enumerate(upper)):
-            return
-        indeg = [0] * n
-        for x in range(n):
-            for y in upper[x]:
-                indeg[y] += 1
-        queue = [x for x in range(n) if indeg[x] == 0]
-        seen = 0
-        while queue:
-            x = queue.pop()
-            seen += 1
-            for y in upper[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if seen != n:
-            raise CyclicCovers("cover relation contains a cycle")
 
     # -- basic queries ---------------------------------------------------
 
@@ -371,14 +418,14 @@ class FaceLattice:
         return tuple(self.ids[c] for c in self._lower[self.index(face_id)])
 
     def upper_covers(self, face_id: str) -> tuple[str, ...]:
-        return tuple(self.ids[c] for c in self._upper[self.index(face_id)])
+        return tuple(self.ids[c] for c in _upper_covers(self)[self.index(face_id)])
 
     def leq(self, a: str, b: str) -> bool:
         """Containment: is face ``a`` below or equal to face ``b``?"""
-        return bool((1 << self.index(a)) & self._down[self.index(b)])
+        return bool((1 << self.index(a)) & _down_sets(self)[self.index(b)])
 
     def down_set(self, face_id: str, strict: bool = False) -> frozenset[str]:
-        m = self._down[self.index(face_id)]
+        m = _down_sets(self)[self.index(face_id)]
         if strict:
             m &= ~(1 << self.index(face_id))
         return frozenset(self.ids[x] for x in _iter_bits(m))
@@ -420,7 +467,7 @@ def _sorted_covers(L: FaceLattice) -> Iterator[tuple[str, str]]:
     # element's upper covers share one rank and run in index order, which
     # within a rank is id order, so each run of pairs is sorted already
     ids = L.ids
-    upper = L._upper
+    upper = _upper_covers(L)
     return (
         (ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]
     )
@@ -486,17 +533,18 @@ class Subcomplex(_MaskSet):
         if not is_pure(self):
             return None
         L = self.lattice
+        down = _down_sets(L)
         top_rank = self.dim + 1
         ridges = L._rank_masks[top_rank - 1]
         seen1 = seen2 = seen3 = 0
         for f in _iter_bits(self.mask & L._rank_masks[top_rank]):
-            r = L._down[f] & ridges
+            r = down[f] & ridges
             seen3 |= seen2 & r
             seen2 |= seen1 & r
             seen1 |= r
         if seen3:
             return None
-        return _closed(L, seen1 & ~seen2)
+        return _closed(down, seen1 & ~seen2)
 
     def __repr__(self) -> str:
         return f"Subcomplex(dim={self.dim}, members={len(self)})"
@@ -753,8 +801,8 @@ def is_lattice(L: FaceLattice) -> bool:
     top included), every two maximal proper faces of c meet, that is, the
     intersection of their down-sets is the down-set of one element.  Below
     the top those faces are the lower covers of c.  The top's are the
-    faces with no upper cover but the top, read from the upper covers,
-    since a lesser maximal face has no explicit cover to the top.
+    faces in no lower-cover list but the top's, since a lesser maximal
+    face has no explicit cover to the top.
 
     Necessity is plain.  For sufficiency, induct on the rank of c to show
     that every two elements x, y of [0̂, c] meet; if either is c, the
@@ -771,10 +819,11 @@ def is_lattice(L: FaceLattice) -> bool:
     The cost is the pairs of facets of each cell, not the pairs of
     elements; ``tests/oracles.py`` keeps the all-pairs check.
     """
-    down, upper, top = L._down, L._upper, L._top
+    down, lower, top = _down_sets(L), L._lower, L._top
     principal = set(down)
-    top_faces = tuple(x for x in range(top) if upper[x] in ((), (top,)))
-    for facets in (*L._lower[:top], top_faces):
+    covered = set(chain.from_iterable(lower[:top]))
+    top_faces = tuple(x for x in range(top) if x not in covered)
+    for facets in (*lower[:top], top_faces):
         for a, b in combinations(facets, 2):
             if down[a] & down[b] not in principal:
                 return False
@@ -791,7 +840,7 @@ def is_diamond(L: FaceLattice) -> bool:
     y per path x < y < z, except that the top lies above every face, so
     [x, top] holds x, the top and the upper covers of x.
     """
-    upper = L._upper
+    upper = _upper_covers(L)
     for x, r in enumerate(L.ranks):
         if r == L.dim:
             if len(upper[x]) != 2:
@@ -825,7 +874,7 @@ def dualize(L: FaceLattice) -> FaceLattice:
         new[x] = y
     # a host element's upper covers share one rank, so their new indices
     # run in the same order
-    upper = L._upper
+    upper = _upper_covers(L)
     lower = [tuple(map(new.__getitem__, upper[x])) for x in order]
     return FaceLattice(
         L.dim, [ids[x] for x in order], [top_rank - ranks[x] for x in order], lower
@@ -848,7 +897,7 @@ def closure(L: FaceLattice, face_ids: Union[FaceSet, Iterable[str]]) -> Subcompl
         if x == L._top:
             raise InvalidFace("the artificial top is not a face")
         mask |= 1 << x
-    return Subcomplex(L, _closed(L, mask))
+    return Subcomplex(L, _closed(_down_sets(L), mask))
 
 
 def _as_subcomplex(x: Complex) -> Subcomplex:
@@ -865,7 +914,7 @@ def is_pure(x: Complex) -> bool:
     if sc.mask == 0:
         return True
     L = sc.lattice
-    return _closed(L, sc.mask & L._rank_masks[sc.dim + 1]) == sc.mask
+    return _closed(_down_sets(L), sc.mask & L._rank_masks[sc.dim + 1]) == sc.mask
 
 
 def is_pseudomanifold(x: Complex) -> bool:
@@ -901,7 +950,7 @@ def _boolean_pass(L: FaceLattice) -> int:
     cover.
     """
     mask = 0
-    down, by_rank, lower = L._down, L._rank_masks, L._lower
+    down, by_rank, lower = _down_sets(L), L._rank_masks, L._lower
     atoms = by_rank[1]
     passed = [False] * len(down)
     for x, r in enumerate(L.ranks):
@@ -989,7 +1038,7 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
     # the down-set in host order is in (rank, id) order, the cell last
-    members = list(_iter_bits(L._down[x]))
+    members = list(_iter_bits(_down_sets(L)[x]))
     new = dict(zip(members, range(len(members))))
     ids, ranks, host_lower = L.ids, L.ranks, L._lower
     lower = [tuple(map(new.__getitem__, host_lower[e])) for e in members]
@@ -1023,8 +1072,8 @@ def _least_atom_avoiding(L: FaceLattice, cell_mask: int, coatom: int, base: int)
     first that qualifies is the least.  Raises :class:`NoSuchAtom`
     when every such atom lies below the coatom.
     """
-    below = L._down[coatom]
-    for a in L._upper[base]:
+    below = _down_sets(L)[coatom]
+    for a in _upper_covers(L)[base]:
         if cell_mask >> a & 1 and not below >> a & 1:
             return a
     raise NoSuchAtom(f"every atom above {L.ids[base]!r} lies below {L.ids[coatom]!r}")
@@ -1044,7 +1093,7 @@ def atom_avoiding_coatom(
     base = L._bottom if base_id is None else L.index(base_id)
     if L.ranks[c] != L.ranks[L._top] - 1 or base == L._top:
         raise InvalidFace(f"need a coatom and a base below the top: {coatom_id!r}, {base_id!r}")
-    return L.ids[_least_atom_avoiding(L, L._down[L._top] ^ (1 << L._top), c, base)]
+    return L.ids[_least_atom_avoiding(L, L._real_mask | 1 << L._bottom, c, base)]
 
 
 # -- serialisation -------------------------------------------------------

@@ -59,6 +59,17 @@ simplex cell's steps passes all ones, which is exact there.  The diamond
 test of the CL-shellability checks is ``lattice._is_diamond_lattice``.
 This module defines no predicate on a complex of its own.
 
+The lattice builds its down-sets and upper covers on first read, through
+``lattice._down_sets`` and ``lattice._upper_covers``.  The recursion
+(``_search``, ``_walk``, ``_step``, ``_verify``, ``_simplex_order`` and
+``_graph_order``) reads the down-sets from their slot, ``L._down``,
+without the accessor: :func:`find_shelling` and :func:`is_shelling` read
+them through it before they enter the recursion, as they read
+``simplices``, and a simplex cell's steps are built on read only on a
+lattice that ran the recursion.  It reads no upper covers: in a 2-cell's
+graph, an edge meets the edges placed when its down-set meets theirs.
+So a search or a verification builds the down-sets only.
+
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
 (cell, order), whose JSON is a node table in which each step refers to its
@@ -100,6 +111,7 @@ from .lattice import (
     Subcomplex,
     _boolean_cells,
     _closed,
+    _down_sets,
     _is_diamond_lattice,
     _iter_bits,
     _json_fields,
@@ -301,8 +313,9 @@ def boundary_intersection(
     if not 2 <= j <= len(seq):
         raise IndexOutOfRange(f"need 2 <= j <= {len(seq)}, got {j}")
     x = L.index(seq[j - 1])
-    union = _closed(L, L._mask_of(seq[: j - 1]))
-    return Subcomplex(L, (L._down[x] & ~(1 << x)) & union)
+    down = _down_sets(L)
+    union = _closed(down, L._mask_of(seq[: j - 1]))
+    return Subcomplex(L, (down[x] & ~(1 << x)) & union)
 
 
 def _step(
@@ -322,7 +335,7 @@ def _step(
         if not inter & L._real_mask:
             return EMPTY_INTERSECTION
         prefix = inter & L._rank_masks[L.ranks[f] - 1]
-        if _closed(L, prefix) != inter:
+        if _closed(L._down, prefix) != inter:
             return NOT_PURE
     sub_order = _search(L, f, prefix, simplices, budget)
     if sub_order is None:
@@ -352,26 +365,39 @@ def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ..
     ``edges`` mask, that starts with exactly the edges in ``prefix``, or
     None: the least remaining edge at each position (from the prefix while
     it binds) that shares a vertex with the edges placed so far, where the
-    first edge need share none."""
+    first edge need share none.
+
+    An edge shares one when its down-set meets the union of theirs beyond
+    the bottom, bit 0, so no upper cover is read.  The union only grows,
+    so an edge that fails the test cannot pass it before one of its
+    vertices is placed: it is set apart, and filed under its vertices
+    until then.  Each edge fails at most once, and the time stays linear
+    in the edges.
+    """
+    down, lower = L._down, L._lower
     k = prefix.bit_count()
     order: list[int] = []
-    seen = 0  # vertices of the edges placed
-    near = 0  # edges through one of them
+    union = 0  # the closed union of the edges placed
+    apart = 0  # edges that failed the test, until a vertex of theirs is placed
+    waiting: dict[int, list[int]] = {}  # those edges, under each of their vertices
     left = edges
     while left:
         pool = left & prefix if len(order) < k else left
-        if order:
-            pool &= near
-        if not pool:
+        for f in _iter_bits(pool & ~apart if apart else pool):
+            if not union or down[f] & union > 1:
+                break
+            apart |= 1 << f
+            for v in lower[f]:
+                waiting.setdefault(v, []).append(f)
+        else:
             return None
-        f = (pool & -pool).bit_length() - 1
         order.append(f)
         left ^= 1 << f
-        for v in L._lower[f]:
-            if not seen >> v & 1:
-                seen |= 1 << v
-                for e in L._upper[v]:
-                    near |= 1 << e
+        union |= down[f]
+        if waiting:
+            for v in lower[f]:
+                for e in waiting.pop(v, ()):
+                    apart &= ~(1 << e)
     return tuple(order)
 
 
@@ -555,6 +581,8 @@ def find_shelling(
     prefix_set = {str(f) for f in prefix}
     if not prefix_set <= set(L.facets()):
         raise PreconditionViolated("prefix contains non-facets")
+    # the recursion reads the down-sets from their slot
+    _down_sets(L)
     found = _search(L, L._top, L._mask_of(prefix_set), _boolean_cells(L), bud)
     return None if found is None else ShellingOrder(L, tuple(L.ids[i] for i in found))
 
@@ -581,6 +609,8 @@ def is_shelling(
     if sorted(seq) != sorted(L.facets()):
         raise PreconditionViolated("order is not a permutation of the facets")
     bud = _as_budget(budget)
+    # the recursion reads the down-sets from their slot
+    _down_sets(L)
     steps = _verify(L, L._top, [L.index(f) for f in seq], _boolean_cells(L), bud)
     if isinstance(steps, ShellingFailure):
         return steps

@@ -21,7 +21,7 @@ from shellbound import (
     build_lattice,
     sub_lattice,
 )
-from shellbound.lattice import _iter_bits, _require_sphere
+from shellbound.lattice import _down_sets, _iter_bits, _require_sphere
 from shellbound.shelling import _step
 
 
@@ -65,7 +65,7 @@ def string_sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     x = L.index(face_id)
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
-    members = L._down[x]
+    members = _down_sets(L)[x]
     elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
     elements.append((face_id, L.ranks[x]))
     covers = [(L.ids[c], L.ids[e]) for e in _iter_bits(members) for c in L._lower[e]]
@@ -132,8 +132,8 @@ def reachability(
 def naive_lattice_arrays(
     elements: list[tuple[str, int]], covers: list[tuple[str, str]], dim: int
 ) -> tuple[tuple, tuple, tuple, tuple]:
-    """The cover neighbours ``_lower`` and ``_upper``, the down-set masks
-    ``_down`` and the up-set masks of the lattice on these elements and
+    """The cover neighbours ``_lower`` and ``_upper_covers``, the down-set
+    masks ``_down_sets`` and the up-set masks of the lattice on these elements and
     covers, over the (rank, id) element order: cover neighbours read off
     the cover list pair by pair, down- and up-sets from
     :func:`reachability`."""
@@ -283,7 +283,8 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget)
     ``_search`` hands it.  Installed in place of ``shelling._search``, it
     is reached from ``_step`` too, so the whole recursion and every
     certificate built on it go unpruned."""
-    facets = L._down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
+    down = _down_sets(L)
+    facets = down[x] & L._rank_masks[L.ranks[x] - 1] & L._real_mask
     if L.ranks[x] <= 2:
         return tuple(_iter_bits(prefix)) + tuple(_iter_bits(facets & ~prefix))
     key = (x, prefix)
@@ -307,7 +308,7 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget)
             if isinstance(step, str):
                 continue
             chosen.append(f)
-            if dfs(union | L._down[f], left & ~(1 << f)):
+            if dfs(union | down[f], left & ~(1 << f)):
                 return True
             chosen.pop()
         return False

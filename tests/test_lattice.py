@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
+from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
     balls,
@@ -92,6 +93,55 @@ def test_acyclic_covers_that_lower_the_index_are_walked():
             [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("b", "a"), ("a", TOP_ID), ("b", TOP_ID)],
             0,
         )
+
+
+@pytest.mark.parametrize(
+    "elements, covers, dim, error, message",
+    [
+        # v1 -> g and v2 -> f jump, v1 < v2 and f < g: the lesser lower
+        # end is named, though the lesser upper end has the other cover
+        ([(BOTTOM_ID, 0), ("v1", 1), ("v2", 1), ("e", 2), ("f", 3), ("g", 3), (TOP_ID, 4)],
+         [(BOTTOM_ID, "v1"), (BOTTOM_ID, "v2"), ("v1", "e"), ("v2", "e"), ("e", "f"),
+          ("e", "g"), ("v1", "g"), ("v2", "f"), ("f", TOP_ID), ("g", TOP_ID)], 2,
+         sb.NotGraded, "cover ('v1', 'g') jumps rank 1 to 3"),
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("x", 3), (TOP_ID, 4)],
+         [(BOTTOM_ID, "a"), ("a", "b"), ("b", "a"), ("a", "x"), ("x", TOP_ID)], 2,
+         sb.CyclicCovers, "cover relation contains a cycle"),
+        # b has no lower cover, and the bottom's cover of c jumps
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 2), (TOP_ID, 3)],
+         [(BOTTOM_ID, "a"), ("a", "c"), (BOTTOM_ID, "c"), ("c", TOP_ID)], 1,
+         sb.NotGraded, "cover ('_bot', 'c') jumps rank 0 to 2"),
+        # c -> b -> a runs against the index order, without a cycle
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 1), (TOP_ID, 2)],
+         [(BOTTOM_ID, "a"), ("c", "b"), ("b", "a"), ("a", TOP_ID), ("b", TOP_ID),
+          ("c", TOP_ID)], 0,
+         sb.NotGraded, "cover ('b', 'a') jumps rank 1 to 1"),
+        # the same covers closed into a cycle by a -> c
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 1), (TOP_ID, 2)],
+         [(BOTTOM_ID, "a"), ("c", "b"), ("b", "a"), ("a", "c"), ("a", TOP_ID),
+          ("b", TOP_ID), ("c", TOP_ID)], 0,
+         sb.CyclicCovers, "cover relation contains a cycle"),
+    ],
+    ids=["two jumps in opposite orders", "cycle and jump", "jump and orphan",
+         "acyclic against the index", "cycle against the index"],
+)
+def test_the_first_fault_of_the_covers_is_reported(elements, covers, dim, error, message):
+    # the constructor checks the lower covers for a cycle, then for a rank
+    # jump, then for an element with no lower cover
+    with pytest.raises(sb.ShellboundError) as err:
+        sb.build_lattice(elements, covers, dim)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+def test_the_cycle_check_walks_covers_against_the_index():
+    # lower covers as the constructor keeps them, but 3 lies under 1,
+    # against the index order: Kahn's walk does not assume index order
+    from shellbound.lattice import _check_acyclic
+
+    lower = ((), (0, 3), (0,), (0,), (1, 2))
+    assert _check_acyclic(lower) is None
+    with pytest.raises(sb.CyclicCovers):
+        _check_acyclic(((), (0, 3), (0,), (0, 1), (1, 2)))
 
 
 def test_missing_extremes_rejected():
@@ -198,7 +248,8 @@ def test_the_first_fault_in_check_order_is_reported(elements, covers, dim, error
 def _arrays(L: sb.FaceLattice) -> tuple[tuple, tuple, tuple, tuple]:
     """The cover neighbours and down-set masks the lattice keeps, and the
     up-set of every element as a mask, read through ``up_set``."""
-    return L._lower, L._upper, L._down, tuple(L._mask_of(L.up_set(i)) for i in L.ids)
+    return (L._lower, _upper_covers(L), _down_sets(L),
+            tuple(L._mask_of(L.up_set(i)) for i in L.ids))
 
 
 def _check_constructor(elements, covers, dim, rng):
@@ -268,16 +319,22 @@ def test_lattice_keeps_no_up_set_masks(traced):
     assert "_up" not in sb.FaceLattice.__slots__
     S = sb.simplex_boundary(10)
     parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
-    facets = [S._ids_of(S._down[S.index(f)] & S._rank_masks[1]) for f in S.facets()]
+    facets = [S._ids_of(_down_sets(S)[S.index(f)] & S._rank_masks[1]) for f in S.facets()]
     builds = [(sb.build_lattice, parts), (sb.from_facets, (facets,)), (sb.dualize, (S,)),
               (sb.punctured, (S,))]
+    def read_in_full(build, *args):
+        # the bound covers what a lattice keeps once both arrays are read
+        L = build(*args)
+        _down_sets(L), _upper_covers(L)
+        return L
+
     for build, args in builds:
-        kept, retained, _ = traced(build, *args)
+        kept, retained, _ = traced(read_in_full, build, *args)
         assert len(kept) == 2 ** 12 - (build is sb.punctured)
         assert retained < 3 * 2 ** 20, build
         # one int object per index, shared by the index and every cover list
         nums = list(kept._index.values())
-        for lists in (kept._lower, kept._upper):
+        for lists in (kept._lower, _upper_covers(kept)):
             assert all(a is nums[a] for below in lists for a in below), build
 
 

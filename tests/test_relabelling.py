@@ -6,7 +6,10 @@ index order.  Whether a shelling exists, the verdict on any order and the
 step and reason of a failure, the bounds and corollary reports, the face
 counts and the order predicates must not change, and ``dualize`` must
 commute with the renaming.  The lexicographically first order itself may
-change, so it is mapped across and verified there.
+change, so it is mapped across and verified there; whether an order
+starts from a given facet must not change, nor ``classify``.  An input
+that fails a precondition, or that no lattice can be built from, fails
+with the same error class after the renaming.
 """
 
 import random
@@ -15,8 +18,9 @@ from functools import lru_cache
 import pytest
 
 import shellbound as sb
+from shellbound import BOTTOM_ID, TOP_ID
 
-from corpus import rank_permutation, relabelled
+from corpus import doubled_triangle, rank_permutation, relabelled
 
 INPUTS = {
     "simplex-boundary-4": lambda: sb.simplex_boundary(4),
@@ -109,3 +113,98 @@ def test_face_counts_and_predicates_are_the_same(name, seed):
 def test_dualize_commutes_with_the_renaming(name, seed):
     L, name_of, M = _pair(name, seed)
     assert relabelled(sb.dualize(L), name_of).fingerprint() == sb.dualize(M).fingerprint()
+
+
+@pytest.mark.parametrize("name,seed", PAIRS)
+def test_a_mapped_one_facet_prefix_is_found_alike(name, seed):
+    L, name_of, M = _pair(name, seed)
+    for f in L.facets():
+        assert (sb.find_shelling(L, [f]) is None) == (sb.find_shelling(M, [name_of[f]]) is None), f
+
+
+@pytest.mark.parametrize("name,seed", PAIRS)
+def test_classify_is_the_same(name, seed):
+    L, name_of, M = _pair(name, seed)
+    order = _first_order(name, seed)
+    mapped = [name_of[f] for f in order]
+    assert sb.classify(L, sb.is_shelling(L, order)) == sb.classify(M, sb.is_shelling(M, mapped))
+
+
+def _error(call, *args):
+    """The class of the error ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except sb.ShellboundError as exc:
+        return type(exc)
+    return None
+
+
+def _triangle_plus_edge() -> sb.FaceLattice:
+    # a filled triangle with an edge hanging off it: not pure
+    return sb.build_lattice(
+        [(BOTTOM_ID, 0), (TOP_ID, 4), ("v1", 1), ("v2", 1), ("v3", 1), ("v4", 1),
+         ("e12", 2), ("e13", 2), ("e23", 2), ("e34", 2), ("f", 3)],
+        [(BOTTOM_ID, "v1"), (BOTTOM_ID, "v2"), (BOTTOM_ID, "v3"), (BOTTOM_ID, "v4"),
+         ("v1", "e12"), ("v2", "e12"), ("v1", "e13"), ("v3", "e13"),
+         ("v2", "e23"), ("v3", "e23"), ("v3", "e34"), ("v4", "e34"),
+         ("e12", "f"), ("e13", "f"), ("e23", "f"), ("f", TOP_ID)],
+        2,
+    )
+
+
+# each query with the precondition it needs; the inputs below fail some
+PRECONDITIONED = {
+    "is_shelling": lambda L: sb.is_shelling(L, L.facets()),
+    "is_simplicial": sb.is_simplicial,
+    "boundary_complex": sb.boundary_complex,
+    "is_cl_shellable": sb.is_cl_shellable,
+    "is_dual_cl_shellable": sb.is_dual_cl_shellable,
+    "barany_check": sb.barany_check,
+    "corollary_bounds": lambda L: sb.corollary_bounds(L, 0),
+    "facet_decomposition": lambda L: sb.facet_decomposition(L, L.facets()),
+    "punctured": sb.punctured,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "make, failing",
+    [(_triangle_plus_edge, "is_shelling"), (doubled_triangle, "is_cl_shellable")],
+    ids=["triangle-plus-edge", "doubled-triangle"],
+)
+def test_failed_preconditions_raise_the_same_class(make, failing, seed):
+    L = make()
+    M = relabelled(L, rank_permutation(L, random.Random(seed)))
+    errors = {name: _error(query, L) for name, query in PRECONDITIONED.items()}
+    assert errors[failing] is not None
+    assert errors == {name: _error(query, M) for name, query in PRECONDITIONED.items()}
+
+
+def _renamed(elements, covers, rng: random.Random) -> tuple[list, list]:
+    """Elements and covers with the ids renamed within each rank."""
+    by_rank: dict[int, list[str]] = {}
+    for i, r in elements:
+        by_rank.setdefault(r, []).append(i)
+    name_of = {}
+    for ids in by_rank.values():
+        name_of.update(zip(ids, rng.sample(ids, len(ids))))
+    return [(name_of[i], r) for i, r in elements], [(name_of[a], name_of[b]) for a, b in covers]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "elements, covers, dim, error",
+    [
+        ([(BOTTOM_ID, 0), ("v1", 1), ("v2", 1), ("e12", 2), ("f", 3), (TOP_ID, 4)],
+         [(BOTTOM_ID, "v1"), (BOTTOM_ID, "v2"), ("v1", "e12"), ("v2", "e12"), ("e12", "f"),
+          ("v1", "f"), ("f", TOP_ID)], 2, sb.NotGraded),
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 1), (TOP_ID, 2)],
+         [(BOTTOM_ID, "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("a", TOP_ID), ("b", TOP_ID),
+          ("c", TOP_ID)], 0, sb.CyclicCovers),
+    ],
+    ids=["rank-jump", "cycle"],
+)
+def test_bad_covers_raise_the_same_class(elements, covers, dim, error, seed):
+    assert _error(sb.build_lattice, elements, covers, dim) is error
+    renamed = _renamed(elements, covers, random.Random(seed))
+    assert _error(sb.build_lattice, *renamed, dim) is error

@@ -9,6 +9,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
+from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
     balls,
@@ -29,7 +30,8 @@ def _outcome(build, *args):
         L = build(*args)
     except sb.ShellboundError as exc:
         return type(exc), str(exc)
-    fields = (L.dim, L.ids, L.ranks, L._lower, L._upper, L._down, L._rank_masks, L._index)
+    fields = (L.dim, L.ids, L.ranks, L._lower, _upper_covers(L), _down_sets(L), L._rank_masks,
+              L._index)
     return fields, L.covers(), L.fingerprint()
 
 
@@ -53,7 +55,7 @@ def _inputs() -> tuple[tuple[str, sb.FaceLattice], ...]:
 
 def _vertex_sets(L: sb.FaceLattice) -> list[list[str]]:
     atoms = L._rank_masks[1]
-    return [list(L._ids_of(L._down[L.index(f)] & atoms)) for f in L.facets()]
+    return [list(L._ids_of(_down_sets(L)[L.index(f)] & atoms)) for f in L.facets()]
 
 
 def _check_every_builder(L: sb.FaceLattice, cells=None) -> None:

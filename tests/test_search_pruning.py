@@ -255,6 +255,41 @@ def test_graph_orders_match_the_unpruned_search(make):
             ]
 
 
+def _greedy_graph_order(L: sb.FaceLattice, edges: list[int], prefix: set[int]):
+    """The 2-cell closed form from its definition, over vertex sets: the
+    least remaining edge (from the prefix while it binds) that shares a
+    vertex with the edges placed, any edge first."""
+    order: list[int] = []
+    seen: set[int] = set()
+    left = sorted(edges)
+    while left:
+        pool = [e for e in left if e in prefix] if len(order) < len(prefix) else left
+        f = next((e for e in pool if not order or seen & set(L._lower[e])), None)
+        if f is None:
+            return None
+        order.append(f)
+        left.remove(f)
+        seen |= set(L._lower[f])
+    return tuple(order)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_graph_orders_on_a_relabelled_polygon_match_the_definition(seed):
+    # with the edges in random index order, most edges fail the test at
+    # least once before they can follow
+    P = sb.ngon(60)
+    L = relabelled(P, rank_permutation(P, random.Random(seed)))
+    lattice._down_sets(L)
+    edges = [L.index(e) for e in L.faces(1)]
+    rng = random.Random(seed)
+    prefixes = [()] + [(e,) for e in edges] + [tuple(rng.sample(edges, 2)) for _ in range(20)]
+    for prefix in prefixes:
+        mask = sum(1 << e for e in prefix)
+        assert shelling._graph_order(L, sum(1 << e for e in edges), mask) == (
+            _greedy_graph_order(L, edges, set(prefix))
+        ), prefix
+
+
 # -- search effort ----------------------------------------------------------
 
 # nodes spent by a cold find_shelling: deterministic, so a change in the
