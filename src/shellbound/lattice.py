@@ -460,6 +460,16 @@ class FaceLattice:
     def __repr__(self) -> str:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
 
+    def __copy__(self) -> FaceLattice:
+        """A copy with a new empty memo, since what the memo holds names
+        the lattice it was made on; every other slot holds an immutable
+        value or None, and is shared."""
+        twin = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin._memo = {}
+        return twin
+
 
 def _sorted_covers(L: FaceLattice) -> Iterator[tuple[str, str]]:
     """The cover pairs of :meth:`FaceLattice.covers`, one at a time."""
@@ -706,7 +716,9 @@ def _resolve(elements, covers, dim) -> tuple:
             raise InvalidFace(f"rank {r!r} of {i!r} is not an integer")
         if not 0 <= r <= top_rank:
             raise RankOutOfRange(f"rank {r} of {i!r} outside [0, {top_rank}]")
-    elems.sort(key=itemgetter(1, 0))
+    # by id, then stably by rank: the (rank, id) order, without a tuple per key
+    elems.sort(key=itemgetter(0))
+    elems.sort(key=itemgetter(1))
     ids = tuple(map(itemgetter(0), elems))
     ranks = tuple(map(itemgetter(1), elems))
     # before any cover is read, as the extremes were always checked first
@@ -934,37 +946,59 @@ def _boolean_cells(L: FaceLattice) -> int:
 
 
 def _boolean_pass(L: FaceLattice) -> int:
-    """:func:`_boolean_cells`, decided in one bottom-up pass over the lower
-    covers.
+    """:func:`_boolean_cells`, decided in one bottom-up pass, rank by rank.
 
-    A cell ``x`` of rank r passes when it has r atoms below it, 2^r faces
-    below it (itself included), r lower covers, every one of those passes,
-    and no two of them have the same atoms.  The test is exact: the r
-    covers are then the r distinct (r-1)-subsets of x's atoms, so their
-    Boolean intervals give every proper subset of them as the atom set of
-    some face, and the count leaves room for exactly one face per subset.
+    A cell ``x`` of rank r passes when it has 2^r faces below it (itself
+    included), r atoms below it, every face strictly below it passes, and
+    its lower covers have r different atom sets.  The test is exact: a
+    cover holds r - 1 of x's atoms, so r covers with different atoms are
+    the r (r-1)-subsets of them; their Boolean intervals give every
+    proper subset as the atom set of some face, and the count leaves room
+    for exactly one face per subset, and so for no other lower cover.
     Counting alone is not enough: three edges on three vertices, two of
     them with the same ends, have the counts of a triangle.  The top's
     lower covers are read from its down-set, as the shelling search reads
     a cell's facets, since a face may lie under the top with no explicit
     cover.
+
+    "Every face strictly below x passes" is one mask test, ``down[x] &
+    mask == down[x] ^ 1 << x``: ranks rise with the index, so the pass
+    has decided every face below x when it reaches x.  The test holds
+    exactly when every lower cover of x passes.  One way, the covers lie
+    strictly below x.  The other way, by induction on the rank: below
+    the top, the faces strictly below x are the down-sets of its lower
+    covers, and below a cover that passed every face passed.  The top's
+    down-set holds every element; but when the counts hold and its
+    facets pass with r different atom sets, their down-sets hold a face
+    for each of the 2^r - 1 proper subsets of its r atoms, which with the
+    top fill the count, so no face lies outside them.
+
+    The bottom and the rank-1 elements always pass, so the mask starts
+    with them and the pass with rank 2.  There four faces below a cell
+    are the cell, the bottom and two vertices, which are then its lower
+    covers, passed, with different atoms: the count is the whole test.
+    Each passing cell's atom mask goes into ``atom_sets``, where the
+    distinct-atoms test of the rank above reads it.
     """
-    mask = 0
     down, by_rank, lower = _down_sets(L), L._rank_masks, L._lower
-    atoms = by_rank[1]
-    passed = [False] * len(down)
-    for x, r in enumerate(L.ranks):
-        d = down[x]
-        if d.bit_count() != 1 << r or (d & atoms).bit_count() != r:
-            continue
-        below = lower[x] if x != L._top else tuple(_iter_bits(d & by_rank[r - 1]))
-        if (
-            len(below) == r
-            and all([passed[y] for y in below])
-            and len({down[y] & atoms for y in below}) == r
-        ):
-            passed[x] = True
+    atoms, top = by_rank[1], L._top
+    mask = by_rank[0] | atoms
+    atom_sets = [0] * len(down)
+    for r in range(2, len(by_rank)):
+        size, run = 1 << r, by_rank[r]
+        for x in range(run.bit_length() - run.bit_count(), run.bit_length()):
+            d = down[x]
+            if d.bit_count() != size:
+                continue
+            a = d & atoms
+            if r > 2:
+                if a.bit_count() != r or d & mask != d ^ 1 << x:
+                    continue
+                below = lower[x] if x != top else tuple(_iter_bits(d & by_rank[r - 1]))
+                if len(set(map(atom_sets.__getitem__, below))) != r:
+                    continue
             mask |= 1 << x
+            atom_sets[x] = a
     return mask
 
 

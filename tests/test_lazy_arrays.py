@@ -222,15 +222,25 @@ def test_copies_and_pickles_answer_as_the_original(duplicate, arrays_first):
 
 
 def test_an_unbuilt_shallow_copy_builds_its_down_sets_for_a_search():
-    # a shallow copy shares the memo, so the original's calls leave the
-    # simplex mask and the whole complex, on the original, there before
-    # the copy has read its down-sets
+    # a shallow copy has a memo of its own, so the original's calls leave
+    # nothing there, and the copy's search builds its own down-sets
     L = sb.hypercube_boundary(3)
     find_twin, verify_twin = copy.copy(L), copy.copy(L)
     order = sb.find_shelling(L).facets
     sb.is_shelling(L, order)
-    assert find_twin._memo is L._memo and built(find_twin) == built(verify_twin) == (False, False)
+    assert find_twin._memo is not L._memo and built(find_twin) == built(verify_twin) == (False, False)
     found = sb.find_shelling(find_twin, L.facets()[-1:])
     assert found.facets == sb.find_shelling(sb.hypercube_boundary(3), L.facets()[-1:]).facets
     assert isinstance(sb.is_shelling(verify_twin, order), sb.ShellingCertificate)
     assert built(find_twin) == built(verify_twin) == (True, False)
+
+
+def test_what_a_shallow_copy_memoises_belongs_to_the_copy():
+    L = sb.cross_polytope(2)
+    twin = copy.copy(L)
+    assert twin._memo == {} and twin._memo is not L._memo
+    assert sb.boundary_complex(twin).lattice is twin
+    assert sb.interior(L).lattice is L and sb.interior(twin).lattice is twin
+    order = sb.find_shelling(L).facets
+    assert sb.split_complexes(twin, order, 0).end.lattice is twin
+    assert sb.split_complexes(L, order, 0).end.lattice is L

@@ -152,3 +152,33 @@ def test_all_runs_every_benchmark_workload_in_turn(tmp_path, monkeypatch, capsys
     assert calls == [n for n in names for _ in range(2)]
     titles = [line for line in capsys.readouterr().out.splitlines() if "seed=" in line]
     assert titles == [f"{n} seed=0 pairs=1" for n in names]
+
+
+def test_a_seed_list_runs_each_workload_at_each_seed_in_turn(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def run_once(tree, workload, seed):
+        calls.append((workload, seed))
+        bad = seed == 17 and tree.name == "change"
+        return pairs.result_of(_line(1.0, correct=not bad))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "search,proof", "--pairs", "1"]
+    assert pairs.main(argv + ["--seed", "11,17"]) == 1
+    runs = [("search", 11), ("search", 17), ("proof", 11), ("proof", 17)]
+    assert calls == [run for run in runs for _ in range(2)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "seed=" in line] == [f"{w} seed={s} pairs=1" for w, s in runs]
+    # each flag follows the table of the seed that raised it: the title,
+    # the header and one row per metric
+    for w in ("search", "proof"):
+        at = out.index(f"{w} seed=17 pairs=1") + 2 + len(METRICS)
+        assert out[at] == "flagged: change run 1: correct=False failed=0"
+    calls.clear()
+    assert pairs.main(argv) == 0
+    assert calls == [("search", 0)] * 2 + [("proof", 0)] * 2
+    with pytest.raises(SystemExit):
+        pairs.main(argv + ["--seed", "11,x"])

@@ -19,6 +19,7 @@ import pytest
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
+from shellbound.lattice import _boolean_cells
 
 from corpus import doubled_triangle, rank_permutation, relabelled
 
@@ -32,8 +33,9 @@ INPUTS = {
     "dual-cyclic-boundary-4-8": lambda: sb.dualize(sb.cyclic_boundary(4, 8)),
     "ngon-7": lambda: sb.ngon(7),
 }
-# the punctured ball is the one input that is not a diamond lattice
-DIAMOND = sorted(set(INPUTS) - {"punctured-cross-polytope-3"})
+# the punctured ball is the one input that is not a sphere, and the one
+# that is not a diamond lattice
+SPHERES = DIAMOND = sorted(set(INPUTS) - {"punctured-cross-polytope-3"})
 SEEDS = (11, 12)
 PAIRS = [(name, seed) for name in sorted(INPUTS) for seed in SEEDS]
 
@@ -107,6 +109,28 @@ def test_face_counts_and_predicates_are_the_same(name, seed):
                    sb.is_pseudomanifold):
         assert answer(L) == answer(M), answer.__name__
     assert (sb.is_lattice(L) and sb.is_diamond(L)) == (name in DIAMOND)
+
+
+@pytest.mark.parametrize("name,seed", PAIRS)
+def test_the_simplex_mask_maps_across_the_renaming(name, seed):
+    L, name_of, M = _pair(name, seed)
+    simplices = [{K.ids[x] for x in range(len(K)) if _boolean_cells(K) >> x & 1} for K in (L, M)]
+    assert {name_of[i] for i in simplices[0]} == simplices[1]
+
+
+@pytest.mark.parametrize("name,seed", [(n, s) for n, s in PAIRS if n in SPHERES])
+def test_gubt_compare_is_the_same(name, seed):
+    L, _, M = _pair(name, seed)
+    d, n = L.dim + 1, sb.f_vector(L)[0]
+    assert _gubt(L, d, n) == _gubt(M, d, n)
+
+
+def _gubt(L: sb.FaceLattice, d: int, n: int):
+    """The report of ``gubt_compare``, or the class of its error."""
+    try:
+        return sb.gubt_compare(L, d, n).to_json_dict()
+    except sb.ShellboundError as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("name,seed", PAIRS)

@@ -23,10 +23,12 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID, lattice, shelling
 
 from corpus import (
+    balls,
     bipyramid_facets,
     bowtie,
     doubled_triangle,
     graded_bounded_poset_parts,
+    lune_sphere,
     mixed_dims_by_hand,
     rank_permutation,
     relabelled,
@@ -167,10 +169,13 @@ def _lattice(dim: int, cells: dict[str, str]) -> sb.FaceLattice:
     return sb.build_lattice(elements, covers, dim)
 
 
+# three edges on three vertices, two with the same ends: the counts of a
+# triangle, not its face poset
+DOUBLED_EDGE_TRIANGLE = {"a12": "1 2", "b12": "1 2", "c13": "1 3", "T": "a12 b12 c13"}
+
+
 def test_boolean_test_rejects_a_triangle_with_a_doubled_edge():
-    # three edges on three vertices, two with the same ends: the counts of
-    # a triangle, not its face poset
-    L = _lattice(2, {"a12": "1 2", "b12": "1 2", "c13": "1 3", "T": "a12 b12 c13"})
+    L = _lattice(2, DOUBLED_EDGE_TRIANGLE)
     assert "T" not in _boolean_ids(L)
     assert not naive_is_boolean(L, L.index("T"))
     assert {"a12", "b12", "c13"} <= _boolean_ids(L)
@@ -191,21 +196,39 @@ def test_boolean_test_rejects_a_tetrahedron_with_a_doubled_edge():
     _assert_unpruned_agrees(lambda: _lattice(3, cells))
 
 
+def _naive_boolean_ids(L: sb.FaceLattice) -> set[str]:
+    return {L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)}
+
+
 def test_boolean_test_matches_the_naive_definition():
-    cases = [L for _, L in spheres_d_le_3()]
-    cases += [sb.punctured(L) for L in cases] + [sb.dualize(L) for L in cases]
+    # the whole mask, every cell and not only the facets
+    spheres = [L for _, L in spheres_d_le_3()]
+    cases = spheres + [sb.punctured(L) for L in spheres] + [L for _, L in balls()]
+    cases += [sb.dualize(L) for L in cases] + [lune_sphere(), sb.punctured(lune_sphere())]
     cases += [doubled_triangle(), bowtie(), mixed_dims_by_hand(), sb.simplex_boundary(4)]
+    # the dimension -1 lattice, whose top has rank 1; a 0-sphere, whose top
+    # has rank 2; an n-gon
+    cases += [
+        sb.build_lattice([(BOTTOM_ID, 0), (TOP_ID, 1)], [(BOTTOM_ID, TOP_ID)], -1),
+        sb.simplex_boundary(0),
+        sb.ngon(5),
+    ]
+    # a triangle with a doubled edge, and a rank-2 cell over one vertex, as
+    # the top and below it
+    cases += [
+        _lattice(2, DOUBLED_EDGE_TRIANGLE),
+        _lattice(1, {"a": "1"}),
+        _lattice(2, {"a": "1", "P": "a"}),
+    ]
     for L in cases:
-        assert _boolean_ids(L) == {
-            L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)
-        }, L
+        assert _boolean_ids(L) == _naive_boolean_ids(L), L
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graded_bounded_poset_parts())
 def test_boolean_test_matches_the_naive_definition_on_small_posets(parts):
     L = sb.build_lattice(*parts)
-    assert _boolean_ids(L) == {L.ids[x] for x in range(len(L.ids)) if naive_is_boolean(L, x)}
+    assert _boolean_ids(L) == _naive_boolean_ids(L)
 
 
 # -- the 2-cell closed form ------------------------------------------------

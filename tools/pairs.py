@@ -1,6 +1,6 @@
 """Compare two source trees on one perfbench workload, in alternating pairs.
 
-    python tools/pairs.py PARENT_DIR CHANGE_DIR --workload search --seed 11 --pairs 10
+    python tools/pairs.py PARENT_DIR CHANGE_DIR --workload search --seed 11,17 --pairs 10
 
 runs ``perfbench/run.py --trace 0`` in each tree, alternately: the parent
 first on odd pairs (1, 3, ...), the change first on even ones.  For every
@@ -21,7 +21,8 @@ direction), and a verdict, the first of these that holds:
 A metric without a ``bound`` is ``gain`` or ``flat``.  ``--workload search,proof`` names several
 workloads: the pairs run for each in turn, and each gets its own table.
 ``all`` stands for every workload that ``BENCHMARK.json`` names, in its
-order.
+order.  ``--seed 11,17`` names several seeds: each workload runs at each
+seed in turn, with one table per workload and seed.
 A run whose result says ``correct`` false or ``failed`` above 0 is
 flagged, and the exit code is then 1; a run that exits nonzero or prints
 no result stops the comparison with exit 1.
@@ -38,6 +39,7 @@ import json
 import statistics
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 
@@ -123,21 +125,21 @@ def format_rows(rows: list[dict]) -> list[str]:
     return out
 
 
-def compare(args, workload: str, metrics: list[dict]) -> list[str]:
-    """Run the pairs for one workload, print its table and return its
-    flag lines."""
+def compare(args, workload: str, seed: int, metrics: list[dict]) -> list[str]:
+    """Run the pairs for one workload at one seed, print its table and
+    return its flag lines."""
     parent, change = [], []
     for i in range(1, args.pairs + 1):
         if i % 2:
-            parent.append(run_once(args.parent, workload, args.seed))
-            change.append(run_once(args.change, workload, args.seed))
+            parent.append(run_once(args.parent, workload, seed))
+            change.append(run_once(args.change, workload, seed))
         else:
-            change.append(run_once(args.change, workload, args.seed))
-            parent.append(run_once(args.parent, workload, args.seed))
-        print(f"{workload} pair {i} done ({'parent' if i % 2 else 'change'} first)",
-              file=sys.stderr)
+            change.append(run_once(args.change, workload, seed))
+            parent.append(run_once(args.parent, workload, seed))
+        print(f"{workload} seed={seed} pair {i} done "
+              f"({'parent' if i % 2 else 'change'} first)", file=sys.stderr)
 
-    print(f"{workload} seed={args.seed} pairs={args.pairs}")
+    print(f"{workload} seed={seed} pairs={args.pairs}")
     for line in format_rows(summary(metrics, parent, change)):
         print(line)
     flagged = flags("parent", parent) + flags("change", change)
@@ -146,13 +148,18 @@ def compare(args, workload: str, metrics: list[dict]) -> list[str]:
     return flagged
 
 
+def seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True,
                    help="a workload, several separated by commas, or all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_list, default="0",
+                   help="a seed, or several separated by commas")
     p.add_argument("--pairs", type=int, default=10)
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -168,10 +175,10 @@ def main(argv=None) -> int:
     metrics = benchmark["end_to_end"]
 
     flagged = []
-    for n, workload in enumerate(workloads):
+    for n, (workload, seed) in enumerate(product(workloads, args.seed)):
         if n:
             print()
-        flagged += compare(args, workload, metrics)
+        flagged += compare(args, workload, seed, metrics)
     return 1 if flagged else 0
 
 
