@@ -2,14 +2,19 @@
 
 Every checking subcommand emits one report: a JSON object with the tool
 version, the claim tag being checked, a sha256 of the input, the
-parameters, and the result.  The version also marks the report schema;
-from 0.2.0 on, a ``check-shelling`` certificate is a node table in which
-steps refer to shared sub-certificates by position.  Reports are
-byte-stable given identical inputs (sorted keys, fixed indentation), so
-they can be kept as golden files.  ``gen`` is the exception: it emits the
-complex itself, ready to be fed back through ``--input``.  JSON is
-written as it is encoded, a batch of pieces at a time, with the same
-bytes as one ``json.dumps`` of the whole.
+parameters, and the result.  The version also marks the report schema.
+From 0.2.0 on, a ``check-shelling`` certificate is a node table in which
+steps refer to shared sub-certificates by position.  From 0.3.0 on, a
+step whose facet is a simplex names no node: its ``sub_certificate`` is
+null, and a reader rebuilds the sub-order as the step's
+``intersection_facets``, then the facet's other ridges, each in id order,
+and each step below it the same way.  From 0.3.0 on too, ``params`` are
+the same whether a run is accepted, rejected or stopped by an error.
+Reports are byte-stable given identical inputs (sorted keys, fixed
+indentation), so they can be kept as golden files.  ``gen`` is the
+exception: it emits the complex itself, ready to be fed back through
+``--input``.  JSON is written as it is encoded, a batch of pieces at a
+time, with the same bytes as one ``json.dumps`` of the whole.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report is still written); 2 usage or input error; 3 search budget
@@ -239,46 +244,63 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# each checking subcommand's report params, in the form the report gives
+# them: ``order`` and ``prefix`` are read from ``--order`` as id lists
+_PARAMS = {
+    "check-shelling": ("order",),
+    "find-shelling": ("prefix",),
+    "bounds": ("order", "k"),
+    "witness": ("order", "split"),
+    "corollaries": ("k",),
+    "gubt": ("d", "n"),
+}
+
+
+def _params(args: argparse.Namespace) -> dict:
+    """The report's ``params``, the same whether the run is accepted,
+    rejected or stopped by an error."""
+    params = {}
+    for name in _PARAMS[args.command]:
+        if name == "order":
+            given = _parse_order(args.order)
+            params[name] = None if given is None else list(given)
+        elif name == "prefix":
+            params[name] = list(_parse_order(args.order) or ())
+        else:
+            params[name] = getattr(args, name)
+    return params
+
+
 def _dispatch(
-    args: argparse.Namespace, L: FaceLattice, bud: SearchBudget
-) -> tuple[dict, dict, bool]:
-    """Returns (params, result, ok) for one checking subcommand."""
+    args: argparse.Namespace, params: dict, L: FaceLattice, bud: SearchBudget
+) -> tuple[dict, bool]:
+    """Returns (result, ok) for one checking subcommand, run on the
+    ``params`` that :func:`_params` read."""
     from .shelling import ShellingFailure, find_shelling, is_shelling
 
     command = args.command
     if command == "check-shelling":
-        order = _parse_order(args.order)
-        outcome = is_shelling(L, order, budget=bud)
+        outcome = is_shelling(L, params["order"], budget=bud)
         if isinstance(outcome, ShellingFailure):
-            return {"order": list(order)}, {
-                "accepted": False,
-                "failure": outcome.to_json_dict(),
-            }, False
-        return {"order": list(order)}, {
-            "accepted": True,
-            "certificate": outcome.to_json_dict(),
-        }, True
+            return {"accepted": False, "failure": outcome.to_json_dict()}, False
+        return {"accepted": True, "certificate": outcome.to_json_dict()}, True
 
     if command == "find-shelling":
-        prefix = _parse_order(args.order) or ()
-        found = find_shelling(L, prefix, budget=bud)
+        found = find_shelling(L, params["prefix"], budget=bud)
         if found is None:
-            return {"prefix": list(prefix)}, {"found": False, "order": None}, False
-        return {"prefix": list(prefix)}, {"found": True, "order": list(found.facets)}, True
+            return {"found": False, "order": None}, False
+        return {"found": True, "order": list(found.facets)}, True
 
     # the remaining reports follow the proof route
     from .bounds import corollary_bounds, find_witness_pair, gubt_compare, verify_lower_bound
 
     if command == "bounds":
-        given = _parse_order(args.order)
-        params = {"order": None if given is None else list(given), "k": args.k}
-        if given is None:
+        order = params["order"]
+        if order is None:
             search = find_shelling(L, budget=bud)
             if search is None:
-                return params, {"error": "NotShellable", "detail": "no shelling found"}, False
+                return {"error": "NotShellable", "detail": "no shelling found"}, False
             order = search.facets
-        else:
-            order = given
         d = L.dim
         ks = [args.k] if args.k is not None else list(range((d - 1) // 2, d + 1))
         reports = [verify_lower_bound(L, order, k, budget=bud) for k in ks]
@@ -286,12 +308,11 @@ def _dispatch(
             "order": list(order),
             "reports": [r.to_json_dict() for r in reports],
         }
-        return params, result, all(r.ok for r in reports)
+        return result, all(r.ok for r in reports)
 
     if command == "witness":
-        order = _parse_order(args.order)
-        pair = find_witness_pair(L, order, args.split, budget=bud)
-        return {"order": list(order), "split": args.split}, pair.to_json_dict(), True
+        pair = find_witness_pair(L, params["order"], args.split, budget=bud)
+        return pair.to_json_dict(), True
 
     if command == "corollaries":
         ks = [args.k] if args.k is not None else list(range(L.dim + 1))
@@ -301,11 +322,11 @@ def _dispatch(
             for r in reports
             for flag in (r.facet_bound_ok, r.vertex_bound_ok, r.barany_ok)
         )
-        return {"k": args.k}, {"reports": [r.to_json_dict() for r in reports]}, ok
+        return {"reports": [r.to_json_dict() for r in reports]}, ok
 
     if command == "gubt":
         report = gubt_compare(L, args.d, args.n, budget=bud)
-        return {"d": args.d, "n": args.n}, report.to_json_dict(), report.all_ok
+        return report.to_json_dict(), report.all_ok
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -313,21 +334,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     L, digest = _load_lattice(args.input)
     bud = _as_budget(args.budget)
+    params = _params(args)
     code = 0
     try:
-        params, result, ok = _dispatch(args, L, bud)
+        result, ok = _dispatch(args, params, L, bud)
         if not ok:
             code = 1
     except NotAShelling as e:
-        params = _base_params(args)
         result = {"error": "NotAShelling", "failure": e.failure.to_json_dict()}
         ok, code = False, 1
     except (NotShellable, HypothesisNotMet, InternalContradiction, NoSuchAtom) as e:
-        params = _base_params(args)
         result = {"error": type(e).__name__, "detail": str(e)}
         ok, code = False, 1
     except BudgetExceeded as e:
-        params = _base_params(args)
         result = {"error": "BudgetExceeded", "detail": str(e)}
         ok, code = False, 3
     envelope = {
@@ -342,14 +361,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     }
     _emit(args, envelope)
     return code
-
-
-def _base_params(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    for name in ("order", "k", "split", "d", "n"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            params[name] = getattr(args, name)
-    return params
 
 
 def run(argv: Union[list, None] = None) -> int:

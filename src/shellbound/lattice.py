@@ -72,8 +72,9 @@ nowhere else:
   :func:`dualize`, so that searches on the dual share one memo) and
   ``"boolean cells"`` (the mask of the cells with a Boolean lower
   interval, read through ``_boolean_cells`` by :func:`is_simplicial`,
-  and by ``find_shelling`` and ``is_shelling`` once per call, which pass
-  it down the shelling recursion).  The verdict is kept apart
+  by ``find_shelling`` and ``is_shelling`` once per call, which pass
+  it down the shelling recursion, and by the certificate writer once
+  per call, which names no node for a simplex).  The verdict is kept apart
   from the dual, which a lattice that passes the diamond test can lack
   (a sphere plus an isolated vertex);
 * ``shelling``: its searches and sub-certificates, one per cell, under
@@ -661,6 +662,11 @@ class FVector:
 
     dim: int
     counts: tuple[int, ...]
+
+    # indexing is by dimension and reads 0 past ``dim``, so iterating by
+    # index would start at f_0, skip f_-1 and never end; iterating, and
+    # ``in``, raise TypeError instead: read ``counts`` or ``proper``
+    __iter__ = None
 
     def __getitem__(self, k: int) -> int:
         if -1 <= k <= self.dim:

@@ -43,13 +43,13 @@ below a simplex cell the step rule is never applied.  Any other cell's
 steps come from ``_step``.  There is nothing to verify below a simplex
 cell, so a sub-certificate whose cell is a simplex is made with its
 facets only, and ``_verify`` builds its steps, in closed form and
-spending no node, when something first reads them: the JSON writer, a
-witness, ``==``, ``hash`` or ``repr``; a copy or a pickle of it is made
-with its facets only too.  The proof route reads a facet's sub-shelling
-through its facets, so on a simplicial complex it builds the top's steps
-alone.  The top's steps, and those of every other cell, are built at
-once.  Which cells are simplices is the one lattice fact the recursion
-reads besides the covers.  :func:`find_shelling` and :func:`is_shelling`
+spending no node, when something first reads them: a witness, ``==``,
+``hash`` or ``repr``; a copy or a pickle of it is made with its facets
+only too.  The JSON writer never reads them.  The proof route reads a
+facet's sub-shelling through its facets, so on a simplicial complex it
+builds the top's steps alone.  The top's steps, and those of every other
+cell, are built at once.  Which cells are simplices is the one lattice
+fact the recursion reads besides the covers.  :func:`find_shelling` and :func:`is_shelling`
 read it once per call, as the mask ``_boolean_cells`` of
 :mod:`~shellbound.lattice`, the exact Boolean-interval test that
 :func:`~shellbound.lattice.is_simplicial` reads too, and pass it down as
@@ -73,7 +73,10 @@ So a search or a verification builds the down-sets only.
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
 (cell, order), whose JSON is a node table in which each step refers to its
-sub-certificate by position in a ``"nodes"`` list.  A step states its
+sub-certificate by position in a ``"nodes"`` list.  A step whose facet is
+a simplex cell names no node there: its sub-order is the closed form of
+``_simplex_order`` for its glued ridges, so its ``sub_certificate`` is
+null, and the writer reads the mask once to tell.  A step states its
 glued ridges once, as their count: its sub-certificate's order starts with
 exactly them, so they are its first entries, and both the step's
 ``intersection_facets`` and the JSON writer read them from there.  No
@@ -247,8 +250,19 @@ class ShellingCertificate:
         """``order`` and ``steps`` of this certificate, and a ``nodes``
         table holding each sub-certificate once, as ``cell``, ``order`` and
         ``steps``; a step names its sub-certificate by table position.
-        Nodes are numbered in first-visit depth-first order."""
-        ids = self.lattice.ids
+        Nodes are numbered in first-visit depth-first order.
+
+        A step whose facet is a simplex cell names no node: its
+        ``sub_certificate`` is null, and nothing below it is written.  Its
+        sub-order is the closed form of :func:`_simplex_order`, the glued
+        ridges and then the rest, each in id order, which the step's
+        ``intersection_facets`` fix; the writer reads the Boolean-cell
+        mask once, and builds no simplex cell's steps and no memo entry.
+        A simplex step with any other sub-order, which only a certificate
+        built by hand can hold, would be lost as null, so it raises
+        :class:`InternalContradiction`."""
+        L = self.lattice
+        ids, simplices = L.ids, _boolean_cells(L)
         index: dict[tuple[int, tuple[str, ...]], int] = {}
         nodes: list[dict] = []
 
@@ -256,22 +270,27 @@ class ShellingCertificate:
             out = []
             for step in cert.steps:
                 sub = step.sub_certificate
-                key = (sub.cell, sub.facets)
-                ref = index.get(key)
-                if ref is None:
-                    ref = index[key] = len(nodes)
-                    node = {"cell": ids[sub.cell], "order": list(sub.facets)}
-                    nodes.append(node)
-                    node["steps"] = steps_json(sub)
+                glued = sub.facets[: step.glued]
+                ref = None
+                if not simplices >> sub.cell & 1:
+                    ref = index.setdefault((sub.cell, sub.facets), len(nodes))
+                    if ref == len(nodes):
+                        nodes.append({"cell": ids[sub.cell], "order": list(sub.facets)})
+                        nodes[ref]["steps"] = steps_json(sub)
+                else:
+                    closed = _simplex_order(L, sub.cell, L._mask_of(glued))
+                    if closed != tuple(map(L.index, sub.facets)):
+                        raise InternalContradiction(
+                            f"simplex facet {step.facet!r}: its sub-order is not the"
+                            " closed form, which a null node stands for")
                 out.append({
                     "facet": step.facet,
-                    "intersection_facets": sorted(sub.facets[: step.glued]),
+                    "intersection_facets": sorted(glued),
                     "sub_certificate": ref,
                 })
             return out
 
-        steps = steps_json(self)
-        return {"order": list(self.facets), "steps": steps, "nodes": nodes}
+        return {"order": list(self.facets), "steps": steps_json(self), "nodes": nodes}
 
 
 @_record

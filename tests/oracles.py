@@ -361,26 +361,67 @@ def naive_dim_and_counts(L: FaceLattice, face_ids) -> tuple[int, tuple[int, ...]
     return top, tuple(dims.count(k) for k in range(-1, top + 1))
 
 
-def expand_certificate(doc: dict) -> dict:
+def expand_certificate(doc: dict, L: FaceLattice) -> dict:
     """Inflate a certificate's node table into the nested tree of report
     schema 0.1, where every step carries its sub-certificate inline as
-    ``order`` and ``steps``."""
+    ``order`` and ``steps``.
+
+    From schema 0.3.0 on, a step whose facet is a simplex names no node:
+    its ``sub_certificate`` is null, and it is rebuilt here in closed form
+    (:func:`simplex_certificate`) once :func:`naive_is_boolean` has found
+    the facet a simplex.  A null on any other facet, or a node named for
+    a simplex facet, raises ValueError: each step has one form."""
     nodes = doc["nodes"]
 
     def inflate(node: dict) -> dict:
-        return {
-            "order": node["order"],
-            "steps": [
-                {
-                    "facet": step["facet"],
-                    "intersection_facets": step["intersection_facets"],
-                    "sub_certificate": inflate(nodes[step["sub_certificate"]]),
-                }
-                for step in node["steps"]
-            ],
-        }
+        steps = []
+        for step in node["steps"]:
+            facet, glued, ref = step["facet"], step["intersection_facets"], step["sub_certificate"]
+            simplex = naive_is_boolean(L, L.index(facet))
+            if ref is None and not simplex:
+                raise ValueError(f"null sub-certificate on facet {facet!r}, not a simplex")
+            if ref is not None and simplex:
+                raise ValueError(f"a node named for simplex facet {facet!r}")
+            steps.append({
+                "facet": facet,
+                "intersection_facets": glued,
+                "sub_certificate": (
+                    simplex_certificate(L, facet, glued) if ref is None else inflate(nodes[ref])
+                ),
+            })
+        return {"order": node["order"], "steps": steps}
 
     return inflate(doc)
+
+
+def _ridges(L: FaceLattice, face_id: str) -> list[str]:
+    """The faces one dimension below ``face_id`` and under it, in id order."""
+    dim = L.dim_of(face_id) - 1
+    return sorted(g for g in L.down_set(face_id) if g != L.bottom and L.dim_of(g) == dim)
+
+
+def simplex_certificate(L: FaceLattice, face_id: str, glued) -> dict:
+    """The nested certificate of the boundary of simplex ``face_id`` that a
+    null step stands for: the ``glued`` ridges in id order, then the other
+    ridges in id order, and at each position the same closed form for the
+    ridges it shares with the earlier ones.  An edge's boundary, two
+    vertices, has no steps."""
+    ridges = _ridges(L, face_id)
+    if not set(glued) <= set(ridges):
+        raise ValueError(f"{sorted(glued)} are not all ridges of {face_id!r}")
+    order = sorted(glued) + [g for g in ridges if g not in glued]
+    steps = []
+    if L.dim_of(face_id) > 1:
+        earlier: set[str] = set()
+        for g in order:
+            shared = [h for h in _ridges(L, g) if h in earlier]
+            steps.append({
+                "facet": g,
+                "intersection_facets": shared,
+                "sub_certificate": simplex_certificate(L, g, shared),
+            })
+            earlier |= L.down_set(g)
+    return {"order": order, "steps": steps}
 
 
 def nested_certificate(cert) -> dict:

@@ -151,23 +151,39 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 0
     env = read_envelope(out)
-    assert env["version"] == "0.2.0"
+    assert env["version"] == "0.3.0"
     cert = env["result"]["certificate"]
     assert set(cert) == {"order", "steps", "nodes"}
-    assert all(isinstance(s["sub_certificate"], int) for s in cert["steps"])
-    assert len(cert["nodes"]) == 20  # 8 triangles and 12 edges, each once
-    assert expand_certificate(cert) == nested_certificate(sb.is_shelling(L, order))
+    # every facet is a triangle, a simplex, so no step names a node
+    assert all(s["sub_certificate"] is None for s in cert["steps"])
+    assert cert["nodes"] == []
+    assert expand_certificate(cert, L) == nested_certificate(sb.is_shelling(L, order))
 
     bad = ("123", "456", "126", "135", "156", "246", "234", "345")
     code = run(["check-shelling", "--input", oct_json, "--order", ",".join(bad),
                 "--out", str(out)])
     assert code == 1
     env = read_envelope(out)
-    assert env["version"] == "0.2.0"
+    assert env["version"] == "0.3.0"
     assert env["result"] == {
         "accepted": False,
         "failure": {"step": 2, "reason": "EmptyIntersection"},
     }
+
+
+def test_check_shelling_names_a_node_for_each_non_simplex_facet(tmp_path):
+    L = sb.hypercube_boundary(2)
+    src = write_lattice(tmp_path / "cube.json", L)
+    order = sb.find_shelling(L).facets
+    out = tmp_path / "report.json"
+    assert run(["check-shelling", "--input", src, "--order", ",".join(order),
+                "--out", str(out)]) == 0
+    cert = read_envelope(out)["result"]["certificate"]
+    # a node per square, and none for an edge
+    assert [s["sub_certificate"] for s in cert["steps"]] == list(range(6))
+    assert {n["cell"] for n in cert["nodes"]} == set(order)
+    assert all(s["sub_certificate"] is None for n in cert["nodes"] for s in n["steps"])
+    assert expand_certificate(cert, L) == nested_certificate(sb.is_shelling(L, order))
 
 
 def test_check_shelling_facet_text_input(tmp_path):
@@ -372,6 +388,37 @@ def test_corollaries_single_k(tmp_path, oct_json):
     assert env["params"] == {"k": 2}
 
 
+NOT_A_SHELLING = ("123", "456", "126", "135", "156", "246", "234", "345")
+
+
+@pytest.mark.parametrize("k", [None, 1])
+def test_an_error_report_gives_the_params_an_accepted_one_does(tmp_path, oct_json, k):
+    out = tmp_path / "report.json"
+    flags = [] if k is None else ["--k", str(k)]
+
+    def bounds(order):
+        return run(["bounds", "--input", oct_json, "--order", ",".join(order),
+                    *flags, "--out", str(out)])
+
+    assert bounds(sb.find_shelling(sb.cross_polytope(2)).facets) == 0
+    accepted = read_envelope(out)["params"]
+    assert bounds(NOT_A_SHELLING) == 1
+    env = read_envelope(out)
+    assert env["result"]["error"] == "NotAShelling"
+    assert env["params"] == {"order": list(NOT_A_SHELLING), "k": k}
+    assert set(env["params"]) == set(accepted)
+
+
+def test_a_budget_report_names_the_prefix_as_a_find_does(tmp_path, oct_json):
+    out = tmp_path / "report.json"
+    code = run(["find-shelling", "--input", oct_json, "--order", "456",
+                "--budget", "0", "--out", str(out)])
+    assert code == 3
+    env = read_envelope(out)
+    assert env["result"]["error"] == "BudgetExceeded"
+    assert env["params"] == {"prefix": ["456"]}
+
+
 # -- gubt ----------------------------------------------------------------
 
 
@@ -429,32 +476,33 @@ def test_reports_are_byte_stable(tmp_path, oct_json):
 OCT_ORDER = "123,126,135,156,234,246,345,456"
 
 # the sha256 of each report as written to stdout, on the octahedron
-# (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON
+# (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON,
+# at report schema 0.3.0
 GOLDEN_REPORTS = {
     "find-shelling": (
         ["find-shelling", "--input", "oct"], 0,
-        "d31aa6985ca0d9cd0e8ecc98314306ace82d7abbdfebbb9b5f7f5b4428832829"),
+        "1f3901e34f186ef6823ee61efc3bb07a043d624e87718366e27b4e961129cb05"),
     "check-shelling accepted": (
         ["check-shelling", "--input", "oct", "--order", OCT_ORDER], 0,
-        "21175be2283902d03395c2495012a1846cae4c8a520710a36c72e710d61276ab"),
+        "dfb955ffbeb4c229b884f3d2f72ef433964d9ce1fb1280a68a9743e598b4c7d4"),
     "check-shelling rejected": (
         ["check-shelling", "--input", "square", "--order", "e12,e34,e23,e41"], 1,
-        "5e3a53f50440314b857d25047edd08514bf676633f676e2609d303d4c07b21be"),
+        "bd98454988134cade4710f87590b15f47f1e21e77b12d8f82d0fbc796fd1a949"),
     "bounds json": (
         ["bounds", "--input", "oct"], 0,
-        "f5fa72a81c8faffe802e6fe9e862281203592d61ac80802a55301921283329c1"),
+        "a286010fa615ce78193fea921f17ed35433309df313bf1e80a7c20d209345717"),
     "bounds tsv": (
         ["bounds", "--input", "oct", "--format", "tsv"], 0,
-        "480e563f0406d423a48804cacc40b5782b4c936bb59459192d073824ca8f3a73"),
+        "54c66810e921bd3de9bec54115ebc8b5d4627d99e0e5af0d4afc0bc7a72b4ef8"),
     "witness": (
         ["witness", "--input", "oct", "--order", OCT_ORDER, "--split", "3"], 0,
-        "bf5210c6f7c9e802f47f4791875b5f547b9d30f899d1bfda3984bf3136da266b"),
+        "da44c7723a246588e952c6989a492f77715ae6f51f297765e5484acf864c45c8"),
     "corollaries": (
         ["corollaries", "--input", "oct"], 0,
-        "f84471bb20bb8a38f9e1d149e9a26d4e795fff7904f9c2b1773ba4131ba8b6b3"),
+        "ec957b1a82b90f7accfb04eb3cbc4d8cbf0d0960df5af567ff6ca420b35447f7"),
     "gubt": (
         ["gubt", "--input", "oct", "--d", "3", "--n", "5"], 0,
-        "6a70f40ec93a84ccf79fea205e8dd0d4159d10eda181e0fd951e0955f376d1e0"),
+        "0e7662631d648c5670c8b2fad9e368243f7835936bd0b52d5736ab6d7cf56fc0"),
     "gen ngon": (
         ["gen", "ngon", "--n", "5"], 0,
         "bc18cae228f6a3e730e2c1f822fb3bd4f022926b0106cc09f2303e4be89f0f4d"),

@@ -386,6 +386,20 @@ def test_iter_bits_matches_a_naive_scan_at_every_width():
         assert list(_iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def test_an_f_vector_is_indexed_by_dimension_and_not_iterated():
+    f = sb.f_vector(sb.cross_polytope(2))
+    assert (f[-1], f[0], f[2], f[3]) == (1, 6, 8, 0)
+    # iterating by index would skip f_-1 and never end, as every index
+    # past the dimension reads 0
+    with pytest.raises(TypeError):
+        iter(f)
+    with pytest.raises(TypeError):
+        list(f)
+    with pytest.raises(TypeError):
+        6 in f
+    assert list(f.counts) == [1, 6, 12, 8]
+
+
 def test_from_facets_examples():
     assert sb.f_vector(sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])).counts == (1, 4, 6, 4)
     path = sb.from_facets([[1, 2], [2, 3]])

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import pickle
+import random
 from itertools import permutations
 
 import pytest
@@ -10,8 +11,15 @@ import pytest
 import shellbound as sb
 from shellbound import BOTTOM_ID
 
-from corpus import balls, fresh_copy, shelled_spheres_d_le_3, spheres_d_le_3
-from oracles import expand_certificate, naive_is_shelling, nested_certificate
+from corpus import (
+    balls,
+    fresh_copy,
+    rank_permutation,
+    relabelled,
+    shelled_spheres_d_le_3,
+    spheres_d_le_3,
+)
+from oracles import expand_certificate, naive_is_boolean, naive_is_shelling, nested_certificate
 
 SQUARE_ORDER = ("e12", "e23", "e34", "e41")
 
@@ -197,16 +205,18 @@ def test_certificate_node_table_loses_nothing():
     for name, L in cases:
         cert = sb.is_shelling(L, sb.find_shelling(L))
         doc = cert.to_json_dict()
-        assert expand_certificate(doc) == nested_certificate(cert), name
+        assert expand_certificate(doc, L) == nested_certificate(cert), name
 
-        # one node per distinct (cell, order) reachable, each referenced,
-        # numbered in first-visit depth-first order
+        # one node per distinct (cell, order) reachable through steps whose
+        # facet is not a simplex, each referenced, numbered in first-visit
+        # depth-first order; below a simplex every face is one
         pairs, stack = set(), [cert]
         while stack:
             for step in stack.pop().steps:
                 sub = step.sub_certificate
-                pairs.add((step.facet, tuple(sub.order.facets)))
-                stack.append(sub)
+                if not naive_is_boolean(L, sub.cell):
+                    pairs.add((step.facet, tuple(sub.order.facets)))
+                    stack.append(sub)
         nodes = doc["nodes"]
         assert {(n["cell"], tuple(n["order"])) for n in nodes} == pairs, name
         assert len(nodes) == len(pairs), name
@@ -216,7 +226,7 @@ def test_certificate_node_table_loses_nothing():
         def visit(node):
             for step in node["steps"]:
                 ref = step["sub_certificate"]
-                if ref not in first_seen:
+                if ref is not None and ref not in first_seen:
                     first_seen.append(ref)
                     visit(nodes[ref])
 
@@ -238,38 +248,39 @@ def test_zero_sphere_any_order_is_shelling():
 
 # sha256 of the certificate or failure JSON for the found order, its
 # reverse, and its first facet followed by the rest reversed, on a fresh
-# lattice: pins the certificate bytes of check-shelling reports
+# lattice: pins the certificate bytes of check-shelling reports (schema
+# 0.3.0, where a step on a simplex facet names no node)
 CERTIFICATE_SHA256 = {
-    "simplex-boundary-1": "c2c23231d4c8cbdac446f3ecf5d5f803037213ae0af01b4ca7c7437eb3cceac5",
-    "punctured-simplex-boundary-1": "5d19f602224496be7f0d119e5538da1214ca6f07e2e83e87e8b46e022dc5459d",
-    "simplex-boundary-2": "6ec62fddc053dfc70e8086277081e94c4ee3e925427136a44730957adea6999d",
-    "punctured-simplex-boundary-2": "cd90941c49775ae5a94d8b59ccafc33b1190c20927684d22766acefde1ce75d6",
-    "simplex-boundary-3": "96b99b745713c610100ee3310a6198e45f8e2c3a37dc54f81df84b3ddfb4f690",
-    "punctured-simplex-boundary-3": "3bcc94ebe6f2bbcc9f7352e06515a79716ca948845d2429d494515469efc257a",
-    "cross-polytope-1": "c69c60dc5fd8e5c26021e712ba524471a5f220dd9f977d3ded4be94acbf4b236",
-    "punctured-cross-polytope-1": "385ddc175dca0a545186f21a7dcc3676c7f77a75e3ff6db4f570217ed1af017d",
-    "cross-polytope-2": "21a42574801a67a2b07308ee462c1eb46db7d4171c4943cbb8ec59d1a5610e63",
-    "punctured-cross-polytope-2": "d07155973bbb03173db26feafc84f6ff4e099e30845aed0e62c64b57134c23f2",
-    "cross-polytope-3": "8d1c961e9f60f46ce893e9ca55c2bb3fb1ff75031c7c67bf66614d1345961375",
-    "punctured-cross-polytope-3": "5891310a114c7c98972fc6785f4eb013759aa7089b13c85b8efda0804dea95e5",
-    "ngon-3": "cc2aa5a6a2dff6eb7cdf2873b442f4bd8e2d7f851d30cc4ed00e8e2e6ec63121",
-    "punctured-ngon-3": "891ff01604a6234e98b07569c9dc5a27d469b9d097095969506640f014b1aded",
-    "ngon-4": "1207217f67e0e3db27222560d25a4635dd92659f12474ea214895d0de942feac",
-    "punctured-ngon-4": "52f2035a7ad015c3c41117bf1cf4ad2739ddeb9ca5861019bf80e2c464f358d0",
-    "ngon-5": "144e770cc649efaf3f543fffe11fe6934ec024e6957c3307e1d28617c086aa8b",
-    "punctured-ngon-5": "251741b480cf8dfc570505e88e7270bddbcf3e30124c0103a6b0ae8a618abfd8",
-    "ngon-6": "4aa6b07adcdfa95f7c9b35e3b2251636ef0167201c29e7abff93bafca3e18ce1",
-    "punctured-ngon-6": "54d87d1715d5f67b4a6603fd5f7416fae8d2208328cdd2a3e13a02704add8dc0",
-    "ngon-7": "a882091de1e6c8609fcfe8cda23dff5934ca25b466960a290d73e8d2cadc3c6f",
-    "punctured-ngon-7": "fa8cb37cadf14df83660776d3083f1e32fb59d031c71f8e4ddaf6f99a8d355ef",
-    "ngon-8": "0cf4a5bf2ebff465e7a5262ed3ee181db7b2803c257f495d1b1fd0e8b5da63ef",
-    "punctured-ngon-8": "39d3cc22e33b41d39d73128b42816edd225292bdd089b43b70ecb1b02c05c5c7",
-    "cyclic-4-5": "96b99b745713c610100ee3310a6198e45f8e2c3a37dc54f81df84b3ddfb4f690",
-    "punctured-cyclic-4-5": "3bcc94ebe6f2bbcc9f7352e06515a79716ca948845d2429d494515469efc257a",
-    "cyclic-4-6": "2013efd6c0ffb5de986431581570d125a73a117d5ada74873678597eabd1199e",
-    "punctured-cyclic-4-6": "30d632a8f0fa7542bc98eca4a709402d9e9184bad36cc1e68d3efe68cba13907",
-    "cyclic-4-7": "1ad95fece662c044be9fe1ac505b8fae360f92112350b095ff79f7e48b4faaad",
-    "punctured-cyclic-4-7": "e32e84dbd92903a6beacf9880a5b8b886e415bd930821212fbbf89efed0ba11b",
+    "simplex-boundary-1": "f1f9ed65af61d1d28e9091b3436ec5fc713825516a09ddf238360b8d8bfd1012",
+    "punctured-simplex-boundary-1": "d111889899f80307dc3394631165d59feabee53634ce5b051e793abef3077e16",
+    "simplex-boundary-2": "5aab5094a09ac43fb77a53a548314b402e23c9f322a5354f8b5d44e97718da05",
+    "punctured-simplex-boundary-2": "9ab0f1207d97d3155889519f299e3c7cd6764229d4f5b97f74ffc6075d06278d",
+    "simplex-boundary-3": "4807e9b1813c594dfaf1094b8434663e5bef7b8ad816825d3bf9076b42c59741",
+    "punctured-simplex-boundary-3": "2ca46b691d59ac3c3cc526705dddafdf5e66a3a5248515d05fa6c0a00e456e75",
+    "cross-polytope-1": "8b463e46fce9ec0487f2c5955a75725890390a75d285c591245aac068634e564",
+    "punctured-cross-polytope-1": "6d8f89ad6fa41d550f795fe1b227a8ab6bcbeb75e9e212fcad8404ade739cbbc",
+    "cross-polytope-2": "62911b60155d8eb3a8680e0793f293a646f59196944e12ca8075e10bfb4f2510",
+    "punctured-cross-polytope-2": "aa5f0b453f3336d5d3188fd82df049f33461551801b777e38489fea0b11e9422",
+    "cross-polytope-3": "7cfbf0680e83323ede843284439bd9c6574623c66a1ddc97dd71371853644432",
+    "punctured-cross-polytope-3": "fa33f53c7abd1d85047c852c84a6c057e3e4c82a9494f3acd02a58b312dccb25",
+    "ngon-3": "e905c02732fbce541f7a36fab4ad6bd9d029d1f9ca178585f39ffeecaece16f1",
+    "punctured-ngon-3": "12322ae59e8e17441abce301166cef46e3d33c37b24e7dfa26e3f3a69d47189e",
+    "ngon-4": "17849d6972a33354aaa7f6c823336e78ccb26fa03175b53b010f5091fb10ae06",
+    "punctured-ngon-4": "4accce05f9a67f449bf373f49a49194ab902d433b3f0494a040c474e78219fbe",
+    "ngon-5": "0e11b6ee3eebbf5dc56b43faa24c48deb67056d5800e75167dfd2b6bc6f8b278",
+    "punctured-ngon-5": "4ac801efac8a003b2a3e754322aaf06d1187849d35f03d9675e96ae9e959962d",
+    "ngon-6": "0a12d69cf65b7e8296c30c19c1b53d5f04beb09d048c7c60a756a6fa4459145e",
+    "punctured-ngon-6": "2dd01f719c77bd477975e71c7a7f0e12a96400c686facb8b5c060b84d3640421",
+    "ngon-7": "5abb813e9be1a9cdce0145f181ced12cbbefae972f7110f0166af797749a2c38",
+    "punctured-ngon-7": "3ee6dfdeb9766245a665a826fbedc26ad46dd5914971f13cb2166817e5611af6",
+    "ngon-8": "380756195eb6a1b16dc6733c5b44ce7f747c208b6227e0e514c28797f0970df8",
+    "punctured-ngon-8": "0169f902a20ba50756ceb4e37116ffa219f47ade2b56d98a3244261b06242e02",
+    "cyclic-4-5": "4807e9b1813c594dfaf1094b8434663e5bef7b8ad816825d3bf9076b42c59741",
+    "punctured-cyclic-4-5": "2ca46b691d59ac3c3cc526705dddafdf5e66a3a5248515d05fa6c0a00e456e75",
+    "cyclic-4-6": "030b31aea68f973101cd48e0808d7c5cb847b7937fc8b173da75b2eb7a6e9c3c",
+    "punctured-cyclic-4-6": "c1592edff86a10ce8d34afe277c839beed6dfd5b60ee27fe52ff269cc9e01f82",
+    "cyclic-4-7": "7298d08b43f45fb29f48c7d257f54a3790d7faeae1eceb3948861216d03fc0ee",
+    "punctured-cyclic-4-7": "26aec839dcee6e738c1462ac3e786fdc9cece58a16041584b95dab11d2266a52",
 }
 
 # the nodes spent by the same calls: the search, then the three
@@ -454,14 +465,87 @@ def test_a_cold_simplex_certificate_builds_steps_on_first_read(monkeypatch):
     sub = cert.steps[3].sub_certificate
     assert len(sub.steps) == len(sub.facets) and built == [L._top, sub.cell]
     assert sub.steps is sub.steps and len(built) == 2
-    # a full read builds every node once, and a second one builds nothing
-    nodes = cert.to_json_dict()["nodes"]
-    assert len(built) == 1 + len(nodes)
-    cert.to_json_dict()
-    assert len(built) == 1 + len(nodes)
-    # in closed form: the top's bit is the only mask read, and no step
-    # rule is applied
-    assert (len(rules), len(masks)) == (0, 1)
+    # the writer builds no node; a full read builds every node once, and
+    # a second one builds nothing
+    assert cert.to_json_dict()["nodes"] == [] and len(built) == 2
+    nodes = _read_each(cert)
+    assert len(built) == 1 + nodes
+    _read_each(cert)
+    assert len(built) == 1 + nodes
+    # in closed form: the recursion reads the mask once, for the top's bit,
+    # the writer once, and no step rule is applied
+    assert (len(rules), len(masks)) == (0, 2)
+
+
+def _read_each(cert: sb.ShellingCertificate) -> int:
+    """Read the steps of every distinct node below ``cert`` once, as a
+    walk of the DAG; returns how many nodes there are."""
+    seen, stack = set(), [cert]
+    while stack:
+        for step in stack.pop().steps:
+            sub = step.sub_certificate
+            if id(sub) not in seen:
+                seen.add(id(sub))
+                stack.append(sub)
+    return len(seen)
+
+
+def test_the_writer_builds_no_simplex_node():
+    # relabelled, a simplex's certificate DAG has about ten thousand
+    # nodes; the report names none of them
+    L = sb.simplex_boundary(8)
+    L = relabelled(L, rank_permutation(L, random.Random(11)))
+    order = sb.find_shelling(fresh_copy(L)).facets
+    cert = sb.is_shelling(L, order)
+    entries = len(L._memo)
+    text = json.dumps(cert.to_json_dict())
+    assert len(L._memo) == entries
+    subs = [v for v in L._memo.values() if isinstance(v, sb.ShellingCertificate)]
+    subs += [step.sub_certificate for step in cert.steps]
+    assert not any(_built(sub) for sub in subs)
+    assert len(text.encode()) < 100 * 1024
+
+
+def test_the_writer_refuses_a_simplex_sub_order_it_cannot_state():
+    L = sb.cross_polytope(2)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    step = cert.steps[1]
+    sub = step.sub_certificate
+    assert step.glued == 1
+    # the glued edge, then the other two in reverse: a shelling of the
+    # triangle's boundary, but not the one a null step stands for
+    swapped = sub.facets[:1] + sub.facets[:0:-1]
+    assert swapped != sub.facets
+    forged = sb.ShellingCertificate(L, cert.cell, cert.facets, (
+        cert.steps[0],
+        sb.ShellingStep(step.facet, 1, sb.ShellingCertificate(L, sub.cell, swapped, ())),
+        *cert.steps[2:],
+    ))
+    with pytest.raises(sb.InternalContradiction):
+        forged.to_json_dict()
+
+
+def test_the_oracle_rejects_a_null_node_on_a_non_simplex_facet():
+    L = sb.hypercube_boundary(2)
+    doc = sb.is_shelling(L, sb.find_shelling(L)).to_json_dict()
+    expand_certificate(doc, L)
+    # the first step's facet is a square
+    assert doc["steps"][0]["sub_certificate"] == 0
+    doc["steps"][0]["sub_certificate"] = None
+    with pytest.raises(ValueError, match="not a simplex"):
+        expand_certificate(doc, L)
+
+
+def test_the_oracle_rejects_a_node_named_for_a_simplex_facet():
+    L = sb.ngon(4)
+    doc = sb.is_shelling(L, SQUARE_ORDER).to_json_dict()
+    step = doc["steps"][0]
+    inline = expand_certificate(doc, L)["steps"][0]["sub_certificate"]
+    # the node the 0.2.0 writer gave the edge, with the same order
+    doc["nodes"].append({"cell": step["facet"], **inline})
+    step["sub_certificate"] = 0
+    with pytest.raises(ValueError, match="simplex facet"):
+        expand_certificate(doc, L)
 
 
 def test_the_proof_route_leaves_simplex_facets_unbuilt(monkeypatch):
