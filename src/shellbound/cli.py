@@ -10,6 +10,13 @@ null, and a reader rebuilds the sub-order as the step's
 ``intersection_facets``, then the facet's other ridges, each in id order,
 and each step below it the same way.  From 0.3.0 on too, ``params`` are
 the same whether a run is accepted, rejected or stopped by an error.
+From 0.4.0 on, a step names a node only when the search walks its
+facet, so a step on a 2-cell, a polygon, is null too.  A reader rebuilds
+its sub-order greedily: at each position the least edge, in id order,
+that shares a vertex with the edges placed (the first need share none),
+drawn from the step's ``intersection_facets`` until all of them are
+placed.  Each edge glues along the vertices it shares with the earlier
+ones.
 Reports are byte-stable given identical inputs (sorted keys, fixed
 indentation), so they can be kept as golden files.  ``gen`` is the
 exception: it emits the complex itself, ready to be fed back through

@@ -74,16 +74,16 @@ nowhere else:
   interval, read through ``_boolean_cells`` by :func:`is_simplicial`,
   by ``find_shelling`` and ``is_shelling`` once per call, which pass
   it down the shelling recursion, and by the certificate writer once
-  per call, which names no node for a simplex).  The verdict is kept apart
-  from the dual, which a lattice that passes the diamond test can lack
-  (a sphere plus an isolated vertex);
+  per call, which names no node for a simplex or a 2-cell).  The
+  verdict is kept apart from the dual, which a lattice that passes the
+  diamond test can lack (a sphere plus an isolated vertex);
 * ``shelling``: its searches and sub-certificates, one per cell, under
   the tuple keys ``(cell index, prefix bitmask)`` and ``(cell index,
   facet order)``, kept apart by the int or tuple second part; the
   certificate of a whole-complex order is not kept there.  A
-  sub-certificate whose cell is a simplex goes in with its facets only,
-  and builds its steps in place when they are first read, adding the
-  sub-certificates they name then;
+  sub-certificate whose cell is a simplex, or a 2-cell, goes in with its
+  facets only, and builds its steps in place when they are first read,
+  adding the sub-certificates they name then;
 * ``bounds``: one slot, replaced rather than set once, keyed as
   ``bounds._verified`` says: the last whole-complex order that the proof
   route verified, as its facet ids, its certificate, and the facet
@@ -582,8 +582,8 @@ def _record(cls: type) -> type:
     Like ``dataclass(slots=True)``, it remakes the class with one slot per
     field and no instance dict, except where a ``cached_property`` needs
     one to cache in (``ShellingCertificate.order``; the certificate also
-    keeps there the order of a simplex cell whose steps are not yet
-    built).  ``__init__``,
+    keeps there the order of a simplex cell or 2-cell whose steps are not
+    yet built).  ``__init__``,
     ``__eq__``, ``__hash__`` and ``__reduce__`` are compiled once per
     class, and ``__init__`` stores each field through its slot's
     descriptor ``__set__``, bound at decoration, past the raising

@@ -45,18 +45,26 @@ cell, so a sub-certificate whose cell is a simplex is made with its
 facets only, and ``_verify`` builds its steps, in closed form and
 spending no node, when something first reads them: a witness, ``==``,
 ``hash`` or ``repr``; a copy or a pickle of it is made with its facets
-only too.  The JSON writer never reads them.  The proof route reads a
-facet's sub-shelling through its facets, so on a simplicial complex it
-builds the top's steps alone.  The top's steps, and those of every other
-cell, are built at once.  Which cells are simplices is the one lattice
-fact the recursion reads besides the covers.  :func:`find_shelling` and :func:`is_shelling`
-read it once per call, as the mask ``_boolean_cells`` of
+only too.  A 2-cell's sub-order is checked when its step is verified, by
+the step rule of its graph in mask operations alone: each edge after the
+first meets the union of the earlier ones beyond the bottom.  Its
+sub-certificate is then made with its facets only too, and its steps
+are built by the step rule on first read, with the mask 0, exact on a
+cell of rank 3; an order that fails there raises
+:class:`InternalContradiction`.  The JSON writer reads neither cell's
+steps.  The proof route reads a facet's sub-shelling through its facets,
+so on a simplicial complex it builds the top's steps alone.  The top's
+steps, and those of every other cell, are built at once.  Which cells
+are simplices is the one lattice fact the recursion reads besides the
+covers.  :func:`find_shelling` and :func:`is_shelling` read it once per
+call, as the mask ``_boolean_cells`` of
 :mod:`~shellbound.lattice`, the exact Boolean-interval test that
 :func:`~shellbound.lattice.is_simplicial` reads too, and pass it down as
 the int ``simplices`` through ``_search``, ``_walk``, ``_step`` and
 ``_verify``; nothing below them reads the memo for it.  A lazy read of a
-simplex cell's steps passes all ones, which is exact there.  The diamond
-test of the CL-shellability checks is ``lattice._is_diamond_lattice``.
+simplex cell's steps passes all ones, which is exact there, and one of a
+2-cell's passes 0.  The diamond test of the CL-shellability checks is
+``lattice._is_diamond_lattice``.
 This module defines no predicate on a complex of its own.
 
 The lattice builds its down-sets and upper covers on first read, through
@@ -65,29 +73,32 @@ The lattice builds its down-sets and upper covers on first read, through
 ``_graph_order``) reads the down-sets from their slot, ``L._down``,
 without the accessor: :func:`find_shelling` and :func:`is_shelling` read
 them through it before they enter the recursion, as they read
-``simplices``, and a simplex cell's steps are built on read only on a
-lattice that ran the recursion.  It reads no upper covers: in a 2-cell's
+``simplices``, and a simplex cell's or 2-cell's steps are built on read
+only on a lattice that ran the recursion.  It reads no upper covers: in a 2-cell's
 graph, an edge meets the edges placed when its down-set meets theirs.
 So a search or a verification builds the down-sets only.
 
 A certificate names its cell by host index and shares each
 sub-certificate among every step that needs it: a DAG with one node per
-(cell, order), whose JSON is a node table in which each step refers to its
-sub-certificate by position in a ``"nodes"`` list.  A step whose facet is
-a simplex cell names no node there: its sub-order is the closed form of
-``_simplex_order`` for its glued ridges, so its ``sub_certificate`` is
-null, and the writer reads the mask once to tell.  A step states its
-glued ridges once, as their count: its sub-certificate's order starts with
-exactly them, so they are its first entries, and both the step's
-``intersection_facets`` and the JSON writer read them from there.  No
-library path builds a lattice for a cell; a caller that reads a
-sub-certificate's ``order`` builds one.  Searches and sub-certificates are memoised per
-cell in ``L._memo``, the host lattice's only memo, whose contents the
-:mod:`~shellbound.lattice` docstring lists; a simplex cell's
-sub-certificate is kept there before its steps are built and keeps them
-in place once they are.  :func:`is_shelling` keeps nothing of its own,
-so a repeated call walks its order again, reading every step's
-sub-certificate from the memo and spending no node.
+(cell, order), whose JSON is a node table in which each step refers to
+its sub-certificate by position in a ``"nodes"`` list.  A step names a
+node there only when ``_search`` walks its facet.  On a simplex cell, or
+a cell of dimension at most 2, the sub-order is the closed form the
+search gives for the glued ridges, that of ``_graph_order`` on a 2-cell
+that is not a simplex and of ``_simplex_order`` on any other, so the
+step's ``sub_certificate`` is null, and the writer reads the mask once to
+tell.  A step states its glued ridges once, as their count: its
+sub-certificate's order starts with exactly them, so they are its first
+entries, and both the step's ``intersection_facets`` and the JSON writer
+read them from there.  No library path builds a lattice for a cell; a
+caller that reads a sub-certificate's ``order`` builds one.  Searches
+and sub-certificates are memoised per cell in ``L._memo``, the host
+lattice's only memo, whose contents the :mod:`~shellbound.lattice`
+docstring lists; a simplex cell's or 2-cell's sub-certificate is kept
+there before its steps are built and keeps them in place once they are.
+:func:`is_shelling` keeps nothing of its own, so a repeated call walks
+its order again, reading every step's sub-certificate from the memo and
+spending no node.
 
 Each candidate placement costs one node against a budget (default 10^7
 nodes).  Exhausting the budget raises :class:`BudgetExceeded` rather than
@@ -205,13 +216,14 @@ class ShellingCertificate:
     of the cell for any other cell, on first read; the library reads
     ``facets`` and never builds that lattice.
 
-    A sub-certificate whose cell is a simplex is made with its facets
-    only, and its ``steps`` are built on first read, in closed form, and
-    kept: so every read, ``==``, ``hash`` and ``repr`` among them, sees
-    the same steps as for a certificate built whole, and none spends a
-    node.  A copy or a pickle of such a certificate is made the same way,
-    with its facets only: building the steps there would add memo entries
-    while a copy or a pickle of the lattice walks its memo.  Every other
+    A sub-certificate whose cell is a simplex or a 2-cell is made with its
+    facets only, and its ``steps`` are built on first read and kept: a
+    simplex's in closed form, a 2-cell's by the step rule on its edges.
+    So every read, ``==``, ``hash`` and ``repr`` among them, sees the same
+    steps as for a certificate built whole, and none spends a node.  A
+    copy or a pickle of such a certificate is made the same way, with its
+    facets only: building the steps there would add memo entries while a
+    copy or a pickle of the lattice walks its memo.  Every other
     certificate has its steps from the start.
     """
 
@@ -223,13 +235,15 @@ class ShellingCertificate:
     def __getattr__(self, name: str):
         # called for a name that plain lookup misses; it answers only the
         # empty ``steps`` slot of a certificate that _verify made with its
-        # facets only, and builds them in closed form: a node spent would
-        # exceed the budget of 0.  Its cell is a simplex, and so is every
-        # face of it, so the all-ones mask is exact here and no memo entry
-        # is read for it
+        # facets only, and builds them with the mask kept for it (see
+        # _unbuilt): a node spent would exceed the budget of 0
         if name != "steps" or "_pending" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = _verify(self.lattice, self.cell, self.__dict__["_pending"], -1, SearchBudget(0))
+        order, simplices = self.__dict__["_pending"]
+        steps = _verify(self.lattice, self.cell, order, simplices, SearchBudget(0))
+        if isinstance(steps, ShellingFailure):
+            raise InternalContradiction(
+                f"a 2-cell's sub-order fails verification at step {steps.step} when read")
         object.__setattr__(self, "steps", steps)
         del self.__dict__["_pending"]
         return steps
@@ -237,7 +251,7 @@ class ShellingCertificate:
     def __reduce_ex__(self, protocol: int):
         # a certificate with its facets only is copied and pickled as one
         if "_pending" in self.__dict__:
-            return _unbuilt, (self.lattice, self.cell, self.facets, self.__dict__["_pending"])
+            return _unbuilt, (self.lattice, self.cell, self.facets, *self.__dict__["_pending"])
         return self.__reduce__()
 
     @cached_property
@@ -252,17 +266,24 @@ class ShellingCertificate:
         ``steps``; a step names its sub-certificate by table position.
         Nodes are numbered in first-visit depth-first order.
 
-        A step whose facet is a simplex cell names no node: its
-        ``sub_certificate`` is null, and nothing below it is written.  Its
-        sub-order is the closed form of :func:`_simplex_order`, the glued
-        ridges and then the rest, each in id order, which the step's
-        ``intersection_facets`` fix; the writer reads the Boolean-cell
-        mask once, and builds no simplex cell's steps and no memo entry.
-        A simplex step with any other sub-order, which only a certificate
-        built by hand can hold, would be lost as null, so it raises
-        :class:`InternalContradiction`."""
+        A step names a node only when :func:`_search` walks its facet.  A
+        step whose facet is a simplex cell, or of dimension at most 2,
+        names none: its ``sub_certificate`` is null, and nothing below it
+        is written.  Its sub-order is the closed form the search gives for
+        the glued ridges, which the step's ``intersection_facets`` fix:
+        on a 2-cell that is not a simplex, that of :func:`_graph_order`,
+        at each position the least edge that shares a vertex with those
+        placed, from the glued edges while they bind; on any other, that
+        of :func:`_simplex_order`, the glued ridges and then the rest, each
+        in id order.  The writer reads the Boolean-cell mask once, and a
+        2-cell's order from the memo, where the search keeps it (it is
+        grown again only if it is not there); it builds no such cell's
+        steps and adds no memo entry.  A null step with any other
+        sub-order, which only a certificate built by hand can hold, would
+        be lost as null, so it raises :class:`InternalContradiction`."""
         L = self.lattice
-        ids, simplices = L.ids, _boolean_cells(L)
+        ids, ranks, simplices = L.ids, L.ranks, _boolean_cells(L)
+        down, edges = _down_sets(L), L._rank_masks[2]
         index: dict[tuple[int, tuple[str, ...]], int] = {}
         nodes: list[dict] = []
 
@@ -270,19 +291,27 @@ class ShellingCertificate:
             out = []
             for step in cert.steps:
                 sub = step.sub_certificate
+                x = sub.cell
                 glued = sub.facets[: step.glued]
+                simplex = simplices >> x & 1
                 ref = None
-                if not simplices >> sub.cell & 1:
-                    ref = index.setdefault((sub.cell, sub.facets), len(nodes))
+                if ranks[x] > 3 and not simplex:
+                    ref = index.setdefault((x, sub.facets), len(nodes))
                     if ref == len(nodes):
-                        nodes.append({"cell": ids[sub.cell], "order": list(sub.facets)})
+                        nodes.append({"cell": ids[x], "order": list(sub.facets)})
                         nodes[ref]["steps"] = steps_json(sub)
                 else:
-                    closed = _simplex_order(L, sub.cell, L._mask_of(glued))
-                    if closed != tuple(map(L.index, sub.facets)):
+                    prefix = L._mask_of(glued)
+                    if ranks[x] == 3 and not simplex:
+                        closed = L._memo.get((x, prefix))
+                        if closed is None:
+                            closed = _graph_order(L, down[x] & edges, prefix)
+                    else:
+                        closed = _simplex_order(L, x, prefix)
+                    if closed is None or tuple(map(ids.__getitem__, closed)) != sub.facets:
                         raise InternalContradiction(
-                            f"simplex facet {step.facet!r}: its sub-order is not the"
-                            " closed form, which a null node stands for")
+                            f"facet {step.facet!r}: its sub-order is not the closed"
+                            " form, which a null node stands for")
                 out.append({
                     "facet": step.facet,
                     "intersection_facets": sorted(glued),
@@ -527,9 +556,14 @@ def _verify(
     facets only, and its steps are built by this function, in closed form
     and spending no node, when something first reads them
     (:meth:`ShellingCertificate.__getattr__`).  So below a simplex cell
-    the step rule is never applied.  Any other facet's sub-certificate is
-    verified here and now, and a sub-order that the search returned but
-    that fails verification raises :class:`InternalContradiction`.  A step
+    the step rule is never applied.  Any other facet of rank 3 is a
+    2-cell, whose boundary is a graph: its sub-order is checked here by
+    the graph's step rule, each edge after the first meeting the union of
+    the earlier ones beyond the bottom, and its sub-certificate is then
+    made with its facets only too, its steps built by the step rule on
+    first read.  Any other facet's sub-certificate is verified here and
+    now.  A sub-order that the search returned but that fails
+    verification raises :class:`InternalContradiction`.  A step
     records how many ridges its facet glues along, the length of its
     sub-order's prefix; no id is made for them.
     """
@@ -552,7 +586,18 @@ def _verify(
         if sub is None:
             facets = tuple(map(L.ids.__getitem__, sub_order))
             if r > 3 and simplices >> f & 1:
-                sub = _unbuilt(L, f, facets, sub_order)
+                sub = _unbuilt(L, f, facets, sub_order, -1)
+            elif r == 4:
+                # a 2-cell: each edge after the first meets the union of the
+                # earlier ones beyond the bottom, the graph's step rule
+                seen = 0
+                for e in sub_order:
+                    if seen and L._down[e] & seen <= 1:
+                        raise InternalContradiction(
+                            "search returned a 2-cell order that is not connected"
+                            f" at {L.ids[e]!r}")
+                    seen |= L._down[e]
+                sub = _unbuilt(L, f, facets, sub_order, 0)
             else:
                 sub_steps = _verify(L, f, sub_order, simplices, budget)
                 if isinstance(sub_steps, ShellingFailure):
@@ -568,18 +613,21 @@ def _verify(
 
 
 def _unbuilt(
-    L: FaceLattice, x: int, facets: tuple[str, ...], order: tuple[int, ...]
+    L: FaceLattice, x: int, facets: tuple[str, ...], order: tuple[int, ...], simplices: int
 ) -> ShellingCertificate:
     """The certificate of ``order``, host indices whose ids are
-    ``facets``, on the boundary of simplex cell ``x``, made with its
-    facets only; it keeps ``order`` until its steps are first read.  It
-    reads nothing of ``L``: unpickling a memo entry calls it before the
-    lattice is whole."""
+    ``facets``, on the boundary of cell ``x``, made with its facets only;
+    it keeps ``order``, and the mask :func:`_verify` builds its steps
+    with, until they are first read.  The mask is all ones below a
+    simplex, where the steps come in closed form, and 0 on a 2-cell that
+    is not one, where the step rule checks each edge; either is exact
+    there, so no memo entry is read for it.  It reads nothing of ``L``:
+    unpickling a memo entry calls it before the lattice is whole."""
     cert = object.__new__(ShellingCertificate)
     object.__setattr__(cert, "lattice", L)
     object.__setattr__(cert, "cell", x)
     object.__setattr__(cert, "facets", facets)
-    cert.__dict__["_pending"] = order
+    cert.__dict__["_pending"] = order, simplices
     return cert
 
 

@@ -366,29 +366,37 @@ def expand_certificate(doc: dict, L: FaceLattice) -> dict:
     schema 0.1, where every step carries its sub-certificate inline as
     ``order`` and ``steps``.
 
-    From schema 0.3.0 on, a step whose facet is a simplex names no node:
-    its ``sub_certificate`` is null, and it is rebuilt here in closed form
-    (:func:`simplex_certificate`) once :func:`naive_is_boolean` has found
-    the facet a simplex.  A null on any other facet, or a node named for
-    a simplex facet, raises ValueError: each step has one form."""
+    From schema 0.4.0 on, a step names a node only when the search walks
+    its facet: a step whose facet is a simplex, or of dimension at most 2,
+    names none, and its ``sub_certificate`` is null.  Such a step is
+    rebuilt here: on a facet that :func:`naive_is_boolean` finds a
+    simplex, or of dimension at most 1, in closed form
+    (:func:`simplex_certificate`); on any other 2-cell by a search of its
+    own (:func:`graph_certificate`).  A null on any other facet, or a node
+    named for a facet that takes a null, raises ValueError: each step has
+    one form."""
     nodes = doc["nodes"]
 
     def inflate(node: dict) -> dict:
         steps = []
         for step in node["steps"]:
             facet, glued, ref = step["facet"], step["intersection_facets"], step["sub_certificate"]
+            dim = L.dim_of(facet)
             simplex = naive_is_boolean(L, L.index(facet))
-            if ref is None and not simplex:
-                raise ValueError(f"null sub-certificate on facet {facet!r}, not a simplex")
             if ref is not None and simplex:
                 raise ValueError(f"a node named for simplex facet {facet!r}")
-            steps.append({
-                "facet": facet,
-                "intersection_facets": glued,
-                "sub_certificate": (
-                    simplex_certificate(L, facet, glued) if ref is None else inflate(nodes[ref])
-                ),
-            })
+            if ref is not None and dim <= 2:
+                raise ValueError(f"a node named for facet {facet!r} of dimension {dim}")
+            if ref is not None:
+                sub = inflate(nodes[ref])
+            elif simplex or dim <= 1:
+                sub = simplex_certificate(L, facet, glued)
+            elif dim == 2:
+                sub = graph_certificate(L, facet, glued)
+            else:
+                raise ValueError(
+                    f"null sub-certificate on facet {facet!r}, not a simplex, of dimension {dim}")
+            steps.append({"facet": facet, "intersection_facets": glued, "sub_certificate": sub})
         return {"order": node["order"], "steps": steps}
 
     return inflate(doc)
@@ -401,11 +409,12 @@ def _ridges(L: FaceLattice, face_id: str) -> list[str]:
 
 
 def simplex_certificate(L: FaceLattice, face_id: str, glued) -> dict:
-    """The nested certificate of the boundary of simplex ``face_id`` that a
-    null step stands for: the ``glued`` ridges in id order, then the other
-    ridges in id order, and at each position the same closed form for the
-    ridges it shares with the earlier ones.  An edge's boundary, two
-    vertices, has no steps."""
+    """The nested certificate of the boundary of simplex ``face_id``, or
+    of any face of dimension at most 1, that a null step stands for: the
+    ``glued`` ridges in id order, then the other ridges in id order, and
+    at each position the same closed form for the ridges it shares with
+    the earlier ones.  The boundary of a face of dimension 1 is a set of
+    vertices, shelled in every order, so it has no steps."""
     ridges = _ridges(L, face_id)
     if not set(glued) <= set(ridges):
         raise ValueError(f"{sorted(glued)} are not all ridges of {face_id!r}")
@@ -421,6 +430,44 @@ def simplex_certificate(L: FaceLattice, face_id: str, glued) -> dict:
                 "sub_certificate": simplex_certificate(L, g, shared),
             })
             earlier |= L.down_set(g)
+    return {"order": order, "steps": steps}
+
+
+def graph_certificate(L: FaceLattice, face_id: str, glued) -> dict:
+    """The nested certificate of the boundary of 2-cell ``face_id``, a
+    graph, that a null step stands for: the first order of its edges that
+    a depth-first search finds, trying the edges in id order, under the
+    step rule of a graph (each edge after the first shares a vertex with
+    an earlier one) and starting with exactly the ``glued`` edges.  Each
+    edge glues along the vertices it shares with the earlier ones, and
+    its own boundary, a set of vertices, is rebuilt in closed form."""
+    edges = _ridges(L, face_id)
+    if not set(glued) <= set(edges):
+        raise ValueError(f"{sorted(glued)} are not all edges of {face_id!r}")
+    ends = {e: set(_ridges(L, e)) for e in edges}
+
+    def first(order: list[str], seen: set[str]):
+        if len(order) == len(edges):
+            return order
+        for e in sorted(glued) if len(order) < len(glued) else edges:
+            if e not in order and (not order or ends[e] & seen):
+                found = first(order + [e], seen | ends[e])
+                if found is not None:
+                    return found
+        return None
+
+    order = first([], set())
+    if order is None:
+        raise ValueError(f"no shelling of the boundary of {face_id!r} starts with {sorted(glued)}")
+    steps, seen = [], set()
+    for e in order:
+        shared = sorted(ends[e] & seen)
+        steps.append({
+            "facet": e,
+            "intersection_facets": shared,
+            "sub_certificate": simplex_certificate(L, e, shared),
+        })
+        seen |= ends[e]
     return {"order": order, "steps": steps}
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import shellbound as sb
 from shellbound.cli import CLAIM_TAGS, run
 
-from corpus import bipyramid_facets, lune_sphere
+from corpus import bipyramid_facets, lune_sphere, rank_permutation, relabelled
 from oracles import expand_certificate, nested_certificate
 
 
@@ -151,7 +152,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 0
     env = read_envelope(out)
-    assert env["version"] == "0.3.0"
+    assert env["version"] == "0.4.0"
     cert = env["result"]["certificate"]
     assert set(cert) == {"order", "steps", "nodes"}
     # every facet is a triangle, a simplex, so no step names a node
@@ -164,7 +165,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 1
     env = read_envelope(out)
-    assert env["version"] == "0.3.0"
+    assert env["version"] == "0.4.0"
     assert env["result"] == {
         "accepted": False,
         "failure": {"step": 2, "reason": "EmptyIntersection"},
@@ -172,18 +173,44 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
 
 
 def test_check_shelling_names_a_node_for_each_non_simplex_facet(tmp_path):
-    L = sb.hypercube_boundary(2)
+    # the boundary of the 4-cube: its facets are 3-cubes, whose facets are
+    # squares, 2-cells
+    L = sb.hypercube_boundary(3)
     src = write_lattice(tmp_path / "cube.json", L)
     order = sb.find_shelling(L).facets
     out = tmp_path / "report.json"
     assert run(["check-shelling", "--input", src, "--order", ",".join(order),
                 "--out", str(out)]) == 0
     cert = read_envelope(out)["result"]["certificate"]
-    # a node per square, and none for an edge
-    assert [s["sub_certificate"] for s in cert["steps"]] == list(range(6))
+    # a node per 3-cube, and none for a square or an edge
+    assert [s["sub_certificate"] for s in cert["steps"]] == list(range(8))
     assert {n["cell"] for n in cert["nodes"]} == set(order)
     assert all(s["sub_certificate"] is None for n in cert["nodes"] for s in n["steps"])
     assert expand_certificate(cert, L) == nested_certificate(sb.is_shelling(L, order))
+
+
+# the bytes of the report below at schema 0.3.0, which named a node for
+# every square
+CUBE_REPORT_BYTES_0_3_0 = 375_919
+
+
+def test_check_shelling_on_a_cube_builds_no_2_cell_node(tmp_path, monkeypatch):
+    from shellbound import shelling
+
+    L = sb.hypercube_boundary(4)
+    L = relabelled(L, rank_permutation(L, random.Random(11)))
+    src = write_lattice(tmp_path / "cube.json", L)
+    order = sb.find_shelling(L).facets
+    out = tmp_path / "report.json"
+    ranks = []
+    verify = shelling._verify
+    monkeypatch.setattr(
+        shelling, "_verify", lambda L, x, *args: ranks.append(L.ranks[x]) or verify(L, x, *args)
+    )
+    assert run(["check-shelling", "--input", src, "--order", ",".join(order),
+                "--out", str(out)]) == 0
+    assert ranks and 3 not in ranks
+    assert len(out.read_bytes()) <= 0.4 * CUBE_REPORT_BYTES_0_3_0
 
 
 def test_check_shelling_facet_text_input(tmp_path):
@@ -477,32 +504,32 @@ OCT_ORDER = "123,126,135,156,234,246,345,456"
 
 # the sha256 of each report as written to stdout, on the octahedron
 # (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON,
-# at report schema 0.3.0
+# at report schema 0.4.0
 GOLDEN_REPORTS = {
     "find-shelling": (
         ["find-shelling", "--input", "oct"], 0,
-        "1f3901e34f186ef6823ee61efc3bb07a043d624e87718366e27b4e961129cb05"),
+        "be9fde675ec7fe05b79c80fc9e4f0943279e5020d464422ce934e33f1d7e8540"),
     "check-shelling accepted": (
         ["check-shelling", "--input", "oct", "--order", OCT_ORDER], 0,
-        "dfb955ffbeb4c229b884f3d2f72ef433964d9ce1fb1280a68a9743e598b4c7d4"),
+        "ec35139b08a22ebc84e36897bbb18c68dc30bd6862d88a174a351f5d814a0d4a"),
     "check-shelling rejected": (
         ["check-shelling", "--input", "square", "--order", "e12,e34,e23,e41"], 1,
-        "bd98454988134cade4710f87590b15f47f1e21e77b12d8f82d0fbc796fd1a949"),
+        "e4581aed8691c2370c13173863f55dee5c6c9c18e33f5ecac70f13142184bce6"),
     "bounds json": (
         ["bounds", "--input", "oct"], 0,
-        "a286010fa615ce78193fea921f17ed35433309df313bf1e80a7c20d209345717"),
+        "9f9b7ae6c9f7de447934e0c976e5cb128df686b635a61cf232beadc58cf60592"),
     "bounds tsv": (
         ["bounds", "--input", "oct", "--format", "tsv"], 0,
-        "54c66810e921bd3de9bec54115ebc8b5d4627d99e0e5af0d4afc0bc7a72b4ef8"),
+        "987ddf8154df2f78bea15f0e7d7dae54eaf72e132950448b1512b60116fd979f"),
     "witness": (
         ["witness", "--input", "oct", "--order", OCT_ORDER, "--split", "3"], 0,
-        "da44c7723a246588e952c6989a492f77715ae6f51f297765e5484acf864c45c8"),
+        "1b51ef8f1c4a711e6ba4df91a6d7cff65d88cbdf63ec7b3765bb9978ff2ed201"),
     "corollaries": (
         ["corollaries", "--input", "oct"], 0,
-        "ec957b1a82b90f7accfb04eb3cbc4d8cbf0d0960df5af567ff6ca420b35447f7"),
+        "b8718b599b90e91887a53a21ca861fb2f38a69c119d5663bff113ec0cc36aff2"),
     "gubt": (
         ["gubt", "--input", "oct", "--d", "3", "--n", "5"], 0,
-        "0e7662631d648c5670c8b2fad9e368243f7835936bd0b52d5736ab6d7cf56fc0"),
+        "2e9fa048decd8549d2fc2ffd4247827e60ad43cfd71ac241892442adcdd30ffe"),
     "gen ngon": (
         ["gen", "ngon", "--n", "5"], 0,
         "bc18cae228f6a3e730e2c1f822fb3bd4f022926b0106cc09f2303e4be89f0f4d"),

@@ -7,7 +7,9 @@ step and reason of a failure, the bounds and corollary reports, the face
 counts and the order predicates must not change, and ``dualize`` must
 commute with the renaming.  The lexicographically first order itself may
 change, so it is mapped across and verified there; whether an order
-starts from a given facet must not change, nor ``classify``.  An input
+starts from a given facet must not change, nor ``classify``.  A mapped
+order's certificate, its null steps rebuilt by the oracle, must be the
+tree the library reads.  An input
 that fails a precondition, or that no lattice can be built from, fails
 with the same error class after the renaming.
 """
@@ -16,12 +18,15 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 from shellbound.lattice import _boolean_cells
 
 from corpus import doubled_triangle, rank_permutation, relabelled
+from oracles import expand_certificate, nested_certificate
 
 INPUTS = {
     "simplex-boundary-4": lambda: sb.simplex_boundary(4),
@@ -81,6 +86,35 @@ def test_random_orders_get_the_same_verdict(name, seed):
         assert _verdict(sb.is_shelling(L, order)) == _verdict(
             sb.is_shelling(M, [name_of[f] for f in order])
         ), order
+
+
+CERTIFIED = {
+    f"{prefix}{name}-{d}": (lambda make=make, d=d, dual=dual: dual(make(d)))
+    for name, make in (("hypercube-boundary", sb.hypercube_boundary),
+                       ("cross-polytope", sb.cross_polytope))
+    for d in (2, 3)
+    for prefix, dual in (("", lambda L: L), ("dual-", sb.dualize))
+}
+
+
+@lru_cache(maxsize=None)
+def _certified(name: str) -> tuple[sb.FaceLattice, tuple[str, ...]]:
+    L = CERTIFIED[name]()
+    return L, sb.find_shelling(L).facets
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(CERTIFIED)), st.randoms(use_true_random=False))
+def test_a_mapped_order_is_certified_alike(name, rng):
+    # the certificate of the mapped order, its null steps rebuilt by the
+    # oracle, is the tree the library reads: squares and simplices named
+    # by no node, whatever index order the renaming gives their ridges
+    L, order = _certified(name)
+    name_of = rank_permutation(L, rng)
+    M = relabelled(L, name_of)
+    cert = sb.is_shelling(M, [name_of[f] for f in order])
+    assert isinstance(cert, sb.ShellingCertificate)
+    assert expand_certificate(cert.to_json_dict(), M) == nested_certificate(cert)
 
 
 @pytest.mark.parametrize("name,seed", PAIRS)

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 import shellbound as sb
-from shellbound import BOTTOM_ID
+from shellbound import BOTTOM_ID, TOP_ID, lattice
 
 from corpus import (
     balls,
@@ -249,7 +249,9 @@ def test_zero_sphere_any_order_is_shelling():
 # sha256 of the certificate or failure JSON for the found order, its
 # reverse, and its first facet followed by the rest reversed, on a fresh
 # lattice: pins the certificate bytes of check-shelling reports (schema
-# 0.3.0, where a step on a simplex facet names no node)
+# 0.4.0, where a step on a simplex facet or a 2-cell names no node; no
+# facet here is a 2-cell that is not a simplex, so the bytes are those of
+# 0.3.0)
 CERTIFICATE_SHA256 = {
     "simplex-boundary-1": "f1f9ed65af61d1d28e9091b3436ec5fc713825516a09ddf238360b8d8bfd1012",
     "punctured-simplex-boundary-1": "d111889899f80307dc3394631165d59feabee53634ce5b051e793abef3077e16",
@@ -391,7 +393,15 @@ def _unbuilt_sub_certificate(L: sb.FaceLattice, order, j: int) -> sb.ShellingCer
 
 
 def test_an_unbuilt_node_behaves_as_a_read_one():
-    L = sb.cross_polytope(4)
+    _assert_an_unbuilt_node_reads_alike(sb.cross_polytope(4))
+
+
+def test_an_unbuilt_2_cell_node_behaves_as_a_read_one():
+    # the last step's facet is a square
+    _assert_an_unbuilt_node_reads_alike(sb.hypercube_boundary(2))
+
+
+def _assert_an_unbuilt_node_reads_alike(L: sb.FaceLattice) -> None:
     order = sb.find_shelling(L).facets
     j = len(order) - 1
     read = sb.is_shelling(L, order).steps[j].sub_certificate
@@ -506,6 +516,70 @@ def test_the_writer_builds_no_simplex_node():
     assert len(text.encode()) < 100 * 1024
 
 
+@pytest.mark.parametrize(
+    "make, expand",
+    # the simplex's certificate as a nested tree has millions of steps, so
+    # only the cube's is expanded
+    [(lambda: sb.simplex_boundary(8), False), (lambda: sb.hypercube_boundary(4), True)],
+    ids=["simplex-boundary-8", "hypercube-boundary-4"],
+)
+def test_is_shelling_builds_no_closed_form_node(make, expand, monkeypatch):
+    from shellbound import shelling
+
+    L = make()
+    L = relabelled(L, rank_permutation(L, random.Random(11)))
+    order = sb.find_shelling(fresh_copy(L)).facets
+    simplices = lattice._boolean_cells(fresh_copy(L))
+    built = []
+    verify = shelling._verify
+    monkeypatch.setattr(
+        shelling, "_verify", lambda L, x, *args: built.append(x) or verify(L, x, *args)
+    )
+    cert = sb.is_shelling(L, order)
+    # a cold verify enters no simplex cell and no 2-cell below the top, and
+    # the writer adds no memo entry
+    assert built[0] == L._top
+    assert not [x for x in built[1:] if simplices >> x & 1 or L.ranks[x] == 3]
+    entries = len(L._memo)
+    doc = cert.to_json_dict()
+    assert len(L._memo) == entries and len(built) == 1 + len(doc["nodes"])
+    # a full read of the DAG builds each node once, and a second builds none
+    nodes = _read_each(cert)
+    assert len(built) == 1 + nodes
+    _read_each(cert)
+    assert len(built) == 1 + nodes
+    if expand:
+        assert expand_certificate(doc, L) == nested_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda L: pickle.loads(pickle.dumps(L))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_cube_lattice_keep_its_2_cells_unbuilt(duplicate):
+    L = sb.hypercube_boundary(3)
+    order = sb.find_shelling(fresh_copy(L)).facets
+    cert = sb.is_shelling(L, order)
+
+    def squares(M):
+        return [v for v in M._memo.values()
+                if isinstance(v, sb.ShellingCertificate) and M.ranks[v.cell] == 3]
+
+    assert squares(L) and not any(map(_built, squares(L)))
+    entries = len(L._memo)
+    twin = duplicate(L)
+    # the walk of the memo builds no square's steps and adds no entry; a
+    # shallow copy has a memo of its own, empty
+    assert len(L._memo) == entries and not any(map(_built, squares(L)))
+    assert len(twin._memo) in (0, entries) and not any(map(_built, squares(twin)))
+    again = sb.is_shelling(twin, order)
+    _read_each(cert)
+    _read_each(again)
+    assert nested_certificate(again) == nested_certificate(cert)
+    assert twin._memo.keys() == L._memo.keys()
+
+
 def test_the_writer_refuses_a_simplex_sub_order_it_cannot_state():
     L = sb.cross_polytope(2)
     cert = sb.is_shelling(L, sb.find_shelling(L))
@@ -526,14 +600,94 @@ def test_the_writer_refuses_a_simplex_sub_order_it_cannot_state():
 
 
 def test_the_oracle_rejects_a_null_node_on_a_non_simplex_facet():
-    L = sb.hypercube_boundary(2)
+    L = sb.hypercube_boundary(3)
     doc = sb.is_shelling(L, sb.find_shelling(L)).to_json_dict()
     expand_certificate(doc, L)
-    # the first step's facet is a square
+    # the first step's facet is a 3-cube
     assert doc["steps"][0]["sub_certificate"] == 0
     doc["steps"][0]["sub_certificate"] = None
     with pytest.raises(ValueError, match="not a simplex"):
         expand_certificate(doc, L)
+
+
+def test_a_square_step_is_rebuilt_greedily():
+    # the README's example: squares Q and R glued along edge 34
+    edges = ["12", "14", "23", "34", "35", "46", "56"]
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 4), ("Q", 3), ("R", 3)]
+    elements += [(v, 1) for v in "123456"] + [(e, 2) for e in edges]
+    covers = [(BOTTOM_ID, v) for v in "123456"] + [(v, e) for e in edges for v in e]
+    covers += [(e, "Q") for e in edges[:4]] + [(e, "R") for e in edges[3:]]
+    covers += [("Q", TOP_ID), ("R", TOP_ID)]
+    L = sb.build_lattice(elements, covers, 2)
+    doc = sb.is_shelling(L, ["R", "Q"]).to_json_dict()
+    assert doc["nodes"] == [] and doc["steps"][1] == {
+        "facet": "Q", "intersection_facets": ["34"], "sub_certificate": None
+    }
+    square = expand_certificate(doc, L)["steps"][1]["sub_certificate"]
+    assert square["order"] == ["34", "14", "12", "23"]
+    assert [s["intersection_facets"] for s in square["steps"]] == [[], ["4"], ["1"], ["2", "3"]]
+
+
+def test_the_oracle_rejects_a_node_named_for_a_2_cell():
+    L = sb.hypercube_boundary(2)
+    doc = sb.is_shelling(L, sb.find_shelling(L)).to_json_dict()
+    step = doc["steps"][0]
+    # every facet is a square, a 2-cell, so no step names a node
+    assert doc["nodes"] == [] and step["sub_certificate"] is None
+    inline = expand_certificate(doc, L)["steps"][0]["sub_certificate"]
+    # the node the 0.3.0 writer gave the square, with the same order
+    doc["nodes"].append({"cell": step["facet"], **inline})
+    step["sub_certificate"] = 0
+    with pytest.raises(ValueError, match="of dimension 2"):
+        expand_certificate(doc, L)
+
+
+def test_the_writer_refuses_a_2_cell_sub_order_it_cannot_state():
+    L = sb.hypercube_boundary(2)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    step = cert.steps[1]
+    sub = step.sub_certificate
+    assert step.glued == 1
+    # the glued edge, then the other three in reverse: a shelling of the
+    # square's boundary, but not the greedy one a null step stands for
+    swapped = sub.facets[:1] + sub.facets[:0:-1]
+    assert swapped != sub.facets
+    assert naive_is_shelling(sb.sub_lattice(L, step.facet), swapped)
+    # and two opposite edges as the glued ones, from which no order of the
+    # square's edges can start
+    apart = sub.facets[:1] + sub.facets[2:3] + sub.facets[1:2] + sub.facets[3:]
+    assert not set(L.down_set(apart[0])) & set(L.down_set(apart[1])) - {L.bottom}
+    for order, glued in ((swapped, 1), (apart, 2)):
+        forged = sb.ShellingCertificate(L, cert.cell, cert.facets, (
+            cert.steps[0],
+            sb.ShellingStep(step.facet, glued, sb.ShellingCertificate(L, sub.cell, order, ())),
+            *cert.steps[2:],
+        ))
+        with pytest.raises(sb.InternalContradiction):
+            forged.to_json_dict()
+
+
+def test_a_disconnected_2_cell_order_is_refused_inside_the_verify(monkeypatch):
+    from shellbound import shelling
+
+    L = sb.hypercube_boundary(3)
+    order = sb.find_shelling(fresh_copy(L)).facets
+    graph_order, square = shelling._graph_order, []
+
+    def disconnected(L, edges, prefix):
+        # for the first square asked with no glued edge: its first edge,
+        # then one that shares no vertex with it
+        found = graph_order(L, edges, prefix)
+        if prefix or square and square != [edges]:
+            return found
+        square.append(edges)
+        apart = next(e for e in found if L._down[e] & L._down[found[0]] <= 1)
+        return (found[0], apart, *(e for e in found[1:] if e != apart))
+
+    monkeypatch.setattr(shelling, "_graph_order", disconnected)
+    with pytest.raises(sb.InternalContradiction, match="not connected"):
+        sb.is_shelling(L, order)
+    assert square
 
 
 def test_the_oracle_rejects_a_node_named_for_a_simplex_facet():
