@@ -62,7 +62,10 @@ The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
 A lattice keeps one memo, ``_memo``, which lives and dies with it, so
-no answer depends on what the process computed on other lattices.  Each
+no answer depends on what the process computed on other lattices.  A
+copy, a deep copy or an unpickled lattice starts with an empty one
+(``FaceLattice.__getstate__``), since what the memo holds names the
+lattice it was made on; so copying a lattice walks no memo entry.  Each
 entry is written by one module, and what it holds is listed here and
 nowhere else:
 
@@ -461,15 +464,12 @@ class FaceLattice:
     def __repr__(self) -> str:
         return f"FaceLattice(dim={self.dim}, elements={len(self.ids)})"
 
-    def __copy__(self) -> FaceLattice:
-        """A copy with a new empty memo, since what the memo holds names
-        the lattice it was made on; every other slot holds an immutable
-        value or None, and is shared."""
-        twin = object.__new__(type(self))
-        for name in self.__slots__:
-            setattr(twin, name, getattr(self, name))
-        twin._memo = {}
-        return twin
+    def __getstate__(self) -> tuple[None, dict]:
+        """Every slot, with an empty memo in place of this lattice's own;
+        the module docstring says why."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_memo"] = {}
+        return None, state
 
 
 def _sorted_covers(L: FaceLattice) -> Iterator[tuple[str, str]]:
@@ -582,8 +582,9 @@ def _record(cls: type) -> type:
     Like ``dataclass(slots=True)``, it remakes the class with one slot per
     field and no instance dict, except where a ``cached_property`` needs
     one to cache in (``ShellingCertificate.order``; the certificate also
-    keeps there the order of a simplex cell or 2-cell whose steps are not
-    yet built).  ``__init__``,
+    keeps there the order of a closed-form node whose steps are not yet
+    built, which a copy or a pickle, rebuilt from the fields, reads
+    first).  ``__init__``,
     ``__eq__``, ``__hash__`` and ``__reduce__`` are compiled once per
     class, and ``__init__`` stores each field through its slot's
     descriptor ``__set__``, bound at decoration, past the raising

@@ -31,51 +31,48 @@ a graph, whose shellings are the edge orders that stay connected; any
 connected start can still be completed when any can, so the walk would
 never backtrack, and the order is grown greedily instead, the least
 admissible edge at each position.
-``_verify``, the only function that walks a given order and the only
-one that builds a certificate's steps, is one recursion over cells: it
-takes each step's evidence, verifies the step's sub-order in turn, and
-returns the steps, or a failure carrying the first bad step; it raises
+``_verify``, the only function that walks a given order, is one
+recursion over cells: it takes each step's evidence from ``_step``,
+verifies the step's sub-order in turn, and returns the steps, or a
+failure carrying the first bad step; it raises
 :class:`InternalContradiction` if a sub-order the search returned fails.
-No order of a simplex's facets fails and every face of a simplex is a
-simplex, so a simplex cell's steps are built in closed form, the ridges
-already placed and the sub-order the search would give for them, and
-below a simplex cell the step rule is never applied.  Any other cell's
-steps come from ``_step``.  There is nothing to verify below a simplex
-cell, so a sub-certificate whose cell is a simplex is made with its
-facets only, and ``_verify`` builds its steps, in closed form and
-spending no node, when something first reads them: a witness, ``==``,
-``hash`` or ``repr``; a copy or a pickle of it is made with its facets
-only too.  A 2-cell's sub-order is checked when its step is verified, by
-the step rule of its graph in mask operations alone: each edge after the
-first meets the union of the earlier ones beyond the bottom.  Its
-sub-certificate is then made with its facets only too, and its steps
-are built by the step rule on first read, with the mask 0, exact on a
-cell of rank 3; an order that fails there raises
-:class:`InternalContradiction`.  The JSON writer reads neither cell's
-steps.  The proof route reads a facet's sub-shelling through its facets,
-so on a simplicial complex it builds the top's steps alone.  The top's
-steps, and those of every other cell, are built at once.  Which cells
-are simplices is the one lattice fact the recursion reads besides the
-covers.  :func:`find_shelling` and :func:`is_shelling` read it once per
-call, as the mask ``_boolean_cells`` of
-:mod:`~shellbound.lattice`, the exact Boolean-interval test that
-:func:`~shellbound.lattice.is_simplicial` reads too, and pass it down as
-the int ``simplices`` through ``_search``, ``_walk``, ``_step`` and
-``_verify``; nothing below them reads the memo for it.  A lazy read of a
-simplex cell's steps passes all ones, which is exact there, and one of a
-2-cell's passes 0.  The diamond test of the CL-shellability checks is
-``lattice._is_diamond_lattice``.
+Below a cell that ``_search`` does not walk, a simplex or a cell of rank
+at most 3, there is nothing to verify.  Every order of a simplex's
+facets is a shelling and every face of a simplex is a simplex; a
+2-cell's edge order is a shelling once it stays connected, which
+``_verify`` checks of the search's order, in mask operations alone,
+where it first reads it.  So the steps of such a cell come in closed
+form, from ``_closed_steps``: each facet glues along its ridges already
+placed, and its sub-order is the one ``_simplex_order`` gives for them,
+found with no node, no mask and no failure.  ``_verify`` hands it an
+entry cell that is a simplex or of rank at most 2, and makes each such
+facet's sub-certificate through ``_closed_node``: with its facets only,
+its steps built by ``_closed_steps`` when something first reads them
+(:class:`ShellingCertificate` says which reads do), except an edge's,
+whose steps are none.  The JSON writer reads no such node's steps.  The proof route
+reads a facet's sub-shelling through its facets, so on a simplicial
+complex it builds the top's steps alone.  The top's steps, and those of
+every walked cell, are built at once.  Which cells are simplices is the
+one lattice fact the recursion reads besides the covers.
+:func:`find_shelling` and :func:`is_shelling` read it once per call, as
+the mask ``_boolean_cells`` of :mod:`~shellbound.lattice`, the exact
+Boolean-interval test that :func:`~shellbound.lattice.is_simplicial`
+reads too, and pass it down as the int ``simplices`` through
+``_search``, ``_walk``, ``_step`` and ``_verify``; nothing below them
+reads the memo for it.  The diamond test of the CL-shellability checks
+is ``lattice._is_diamond_lattice``.
 This module defines no predicate on a complex of its own.
 
 The lattice builds its down-sets and upper covers on first read, through
 ``lattice._down_sets`` and ``lattice._upper_covers``.  The recursion
-(``_search``, ``_walk``, ``_step``, ``_verify``, ``_simplex_order`` and
-``_graph_order``) reads the down-sets from their slot, ``L._down``,
-without the accessor: :func:`find_shelling` and :func:`is_shelling` read
-them through it before they enter the recursion, as they read
-``simplices``, and a simplex cell's or 2-cell's steps are built on read
-only on a lattice that ran the recursion.  It reads no upper covers: in a 2-cell's
-graph, an edge meets the edges placed when its down-set meets theirs.
+(``_search``, ``_walk``, ``_step``, ``_verify``, ``_closed_steps``,
+``_simplex_order`` and ``_graph_order``) reads the down-sets from their
+slot, ``L._down``, without the accessor: :func:`find_shelling` and
+:func:`is_shelling` read them through it before they enter the
+recursion, as they read ``simplices``, and a closed-form node's steps
+are built on read only on a lattice that ran the recursion.  It reads no
+upper covers: in a 2-cell's graph, an edge meets the edges placed when
+its down-set meets theirs.
 So a search or a verification builds the down-sets only.
 
 A certificate names its cell by host index and shares each
@@ -216,15 +213,12 @@ class ShellingCertificate:
     of the cell for any other cell, on first read; the library reads
     ``facets`` and never builds that lattice.
 
-    A sub-certificate whose cell is a simplex or a 2-cell is made with its
-    facets only, and its ``steps`` are built on first read and kept: a
-    simplex's in closed form, a 2-cell's by the step rule on its edges.
-    So every read, ``==``, ``hash`` and ``repr`` among them, sees the same
-    steps as for a certificate built whole, and none spends a node.  A
-    copy or a pickle of such a certificate is made the same way, with its
-    facets only: building the steps there would add memo entries while a
-    copy or a pickle of the lattice walks its memo.  Every other
-    certificate has its steps from the start.
+    A sub-certificate whose cell :func:`_search` does not walk, other
+    than an edge, is made with its facets only, and its ``steps`` are
+    built in closed form on first read and kept.  So every read, ``==``,
+    ``hash``, ``repr``, a copy and a pickle among them, sees the same
+    steps as for a certificate built whole, and none spends a node.
+    Every other certificate has its steps from the start.
     """
 
     lattice: FaceLattice
@@ -234,25 +228,13 @@ class ShellingCertificate:
 
     def __getattr__(self, name: str):
         # called for a name that plain lookup misses; it answers only the
-        # empty ``steps`` slot of a certificate that _verify made with its
-        # facets only, and builds them with the mask kept for it (see
-        # _unbuilt): a node spent would exceed the budget of 0
+        # empty ``steps`` slot of a certificate that _closed_node made with
+        # its facets only, and builds them from the order kept for it
         if name != "steps" or "_pending" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        order, simplices = self.__dict__["_pending"]
-        steps = _verify(self.lattice, self.cell, order, simplices, SearchBudget(0))
-        if isinstance(steps, ShellingFailure):
-            raise InternalContradiction(
-                f"a 2-cell's sub-order fails verification at step {steps.step} when read")
+        steps = _closed_steps(self.lattice, self.cell, self.__dict__.pop("_pending"))
         object.__setattr__(self, "steps", steps)
-        del self.__dict__["_pending"]
         return steps
-
-    def __reduce_ex__(self, protocol: int):
-        # a certificate with its facets only is copied and pickled as one
-        if "_pending" in self.__dict__:
-            return _unbuilt, (self.lattice, self.cell, self.facets, *self.__dict__["_pending"])
-        return self.__reduce__()
 
     @cached_property
     def order(self) -> ShellingOrder:
@@ -539,65 +521,44 @@ def _verify(
 ) -> Union[tuple[ShellingStep, ...], ShellingFailure]:
     """Check a facet order, as host indices, on the boundary of cell ``x``:
     the steps of its certificate, or the first step that breaks the
-    definition.  Each sub-certificate is made once per (cell, sub-order)
-    and kept in the host's memo.
+    definition.  ``simplices`` is the Boolean-cell mask, read once by the
+    entry point and handed down.
 
-    ``simplices`` is the Boolean-cell mask, read once by the entry point
-    and handed down, or all ones when a simplex cell's steps are built on
-    first read.
-    Every order of a simplex's facets is a shelling, and every face of a
-    simplex is a simplex (Ziegler, *Lectures on Polytopes*, Lecture 8), so
-    a simplex cell's steps are built in closed form: the union of
-    down-sets is closed and holds a ridge of every facet after the first,
-    a facet glues along its ridges in that union, and its sub-order is the
-    one :func:`_search` gives for them.  Any other cell's steps come from
-    :func:`_step`.  On a memo miss a facet of rank 3 or more in
-    ``simplices`` is a simplex cell: its sub-certificate is made with its
-    facets only, and its steps are built by this function, in closed form
-    and spending no node, when something first reads them
-    (:meth:`ShellingCertificate.__getattr__`).  So below a simplex cell
-    the step rule is never applied.  Any other facet of rank 3 is a
-    2-cell, whose boundary is a graph: its sub-order is checked here by
-    the graph's step rule, each edge after the first meeting the union of
-    the earlier ones beyond the bottom, and its sub-certificate is then
-    made with its facets only too, its steps built by the step rule on
-    first read.  Any other facet's sub-certificate is verified here and
-    now.  A sub-order that the search returned but that fails
-    verification raises :class:`InternalContradiction`.  A step
-    records how many ridges its facet glues along, the length of its
-    sub-order's prefix; no id is made for them.
+    A simplex cell, or one of rank at most 2, has its steps from
+    :func:`_closed_steps`: every order of its facets is a shelling.  Any
+    other cell's steps come from :func:`_step`, and each step's
+    sub-certificate is made once per (cell, sub-order) and kept in the
+    host's memo.  A facet that :func:`_search` walks has its sub-order
+    verified here and now; any other is made by :func:`_closed_node`,
+    after a 2-cell's sub-order passes the graph's step rule: each edge
+    after the first meets the union of the earlier ones beyond the bottom.
+    A sub-order that the search returned but that fails raises
+    :class:`InternalContradiction`.  A step records how many ridges its
+    facet glues along, the length of its sub-order's prefix; no id is made
+    for them.
     """
     r = L.ranks[x]
-    ridges = L._rank_masks[r - 2]
+    if r <= 2 or simplices >> x & 1:
+        return _closed_steps(L, x, order)
     steps: list[ShellingStep] = []
     union = 0
-    # every order of at most two vertices is a shelling
-    for j, f in enumerate(order if r > 2 else (), 1):
-        if simplices >> x & 1:
-            prefix = L._down[f] & union & ridges
-            sub_order = _simplex_order(L, f, prefix)
-        else:
-            step = _step(L, f, union, simplices, budget)
-            if isinstance(step, str):
-                return ShellingFailure(j, step)
-            prefix, sub_order = step
-        key = (f, sub_order)
-        sub = L._memo.get(key)
+    for j, f in enumerate(order, 1):
+        step = _step(L, f, union, simplices, budget)
+        if isinstance(step, str):
+            return ShellingFailure(j, step)
+        prefix, sub_order = step
+        sub = L._memo.get((f, sub_order))
         if sub is None:
-            facets = tuple(map(L.ids.__getitem__, sub_order))
-            if r > 3 and simplices >> f & 1:
-                sub = _unbuilt(L, f, facets, sub_order, -1)
-            elif r == 4:
-                # a 2-cell: each edge after the first meets the union of the
-                # earlier ones beyond the bottom, the graph's step rule
-                seen = 0
-                for e in sub_order:
-                    if seen and L._down[e] & seen <= 1:
-                        raise InternalContradiction(
-                            "search returned a 2-cell order that is not connected"
-                            f" at {L.ids[e]!r}")
-                    seen |= L._down[e]
-                sub = _unbuilt(L, f, facets, sub_order, 0)
+            if r < 5 or simplices >> f & 1:
+                if r == 4 and not simplices >> f & 1:
+                    seen = 0
+                    for e in sub_order:
+                        if seen and L._down[e] & seen <= 1:
+                            raise InternalContradiction(
+                                "search returned a 2-cell order that is not connected"
+                                f" at {L.ids[e]!r}")
+                        seen |= L._down[e]
+                sub = _closed_node(L, f, sub_order)
             else:
                 sub_steps = _verify(L, f, sub_order, simplices, budget)
                 if isinstance(sub_steps, ShellingFailure):
@@ -605,29 +566,49 @@ def _verify(
                         "search returned an order that fails verification"
                         f" at step {sub_steps.step}"
                     )
-                sub = ShellingCertificate(L, f, facets, sub_steps)
-            L._memo[key] = sub
+                facets = tuple(map(L.ids.__getitem__, sub_order))
+                sub = L._memo[f, sub_order] = ShellingCertificate(L, f, facets, sub_steps)
         steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
         union |= L._down[f]
     return tuple(steps)
 
 
-def _unbuilt(
-    L: FaceLattice, x: int, facets: tuple[str, ...], order: tuple[int, ...], simplices: int
-) -> ShellingCertificate:
-    """The certificate of ``order``, host indices whose ids are
-    ``facets``, on the boundary of cell ``x``, made with its facets only;
-    it keeps ``order``, and the mask :func:`_verify` builds its steps
-    with, until they are first read.  The mask is all ones below a
-    simplex, where the steps come in closed form, and 0 on a 2-cell that
-    is not one, where the step rule checks each edge; either is exact
-    there, so no memo entry is read for it.  It reads nothing of ``L``:
-    unpickling a memo entry calls it before the lattice is whole."""
-    cert = object.__new__(ShellingCertificate)
-    object.__setattr__(cert, "lattice", L)
-    object.__setattr__(cert, "cell", x)
-    object.__setattr__(cert, "facets", facets)
-    cert.__dict__["_pending"] = order, simplices
+def _closed_steps(L: FaceLattice, x: int, order: Sequence[int]) -> tuple[ShellingStep, ...]:
+    """The steps of ``order``, host indices, on the boundary of a cell
+    ``x`` that :func:`_search` does not walk: a simplex, or a cell of rank
+    at most 3.  Every order of such a cell's facets is a shelling, a
+    2-cell's once its edges stay connected, which :func:`_verify` checks
+    where the search's order is first read (Ziegler, *Lectures on
+    Polytopes*, Lecture 8).  The union of down-sets is closed, a facet
+    glues along its ridges in that union, and its sub-order is the one
+    :func:`_simplex_order` gives for them: what :func:`_step` would give,
+    found with no node, no mask and no failure."""
+    r = L.ranks[x]
+    down, ridges = L._down, L._rank_masks[r - 2]
+    steps = []
+    union = 0
+    # every order of at most two vertices is a shelling
+    for f in order if r > 2 else ():
+        prefix = down[f] & union & ridges
+        sub = _closed_node(L, f, _simplex_order(L, f, prefix))
+        steps.append(ShellingStep(L.ids[f], prefix.bit_count(), sub))
+        union |= down[f]
+    return tuple(steps)
+
+
+def _closed_node(L: FaceLattice, x: int, order: tuple[int, ...]) -> ShellingCertificate:
+    """The memo's certificate of ``order``, host indices, on the boundary
+    of a cell ``x`` that :func:`_search` does not walk, made and kept
+    there on a miss.  An edge's is made with its steps, which are none;
+    any other's with its facets only, keeping ``order`` until its steps
+    are first read and built by :func:`_closed_steps`."""
+    cert = L._memo.get((x, order))
+    if cert is None:
+        cert = ShellingCertificate(L, x, tuple(map(L.ids.__getitem__, order)), ())
+        if L.ranks[x] > 2:
+            object.__delattr__(cert, "steps")
+            cert.__dict__["_pending"] = order
+        L._memo[x, order] = cert
     return cert
 
 

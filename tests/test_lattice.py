@@ -344,8 +344,8 @@ def test_records_keep_their_fields_in_slots():
     for name, record in RECORDS.items():
         cls = type(record)
         # only the certificate keeps values in an instance dict: its order
-        # once read, and a simplex cell's facet indices until its steps are
-        # built
+        # once read, and a closed-form node's facet indices until its steps
+        # are built
         extra = ("__dict__",) if name == "ShellingCertificate" else ()
         assert cls.__slots__ == cls._fields + extra, name
         assert hasattr(record, "__dict__") is bool(extra), name

@@ -213,12 +213,17 @@ def test_copies_and_pickles_answer_as_the_original(duplicate, arrays_first):
         _down_sets(L)
         _upper_covers(L)
     twin = duplicate(L)
+    assert twin._memo == {}
     assert built(twin) == built(L) == (arrays_first, arrays_first)
     expected = _answers(sb.hypercube_boundary(3))
     assert _answers(twin) == expected
     assert built(twin) == (True, True)
     assert _down_sets(twin) == _down_sets(L) and _upper_covers(twin) == _upper_covers(L)
     assert _answers(L) == expected
+    # a duplicate of a lattice warm from every query starts cold too
+    warm = duplicate(L)
+    assert L._memo and warm._memo == {}
+    assert _answers(warm) == expected and _answers(L) == expected
 
 
 def test_an_unbuilt_shallow_copy_builds_its_down_sets_for_a_search():

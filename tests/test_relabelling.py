@@ -11,7 +11,10 @@ starts from a given facet must not change, nor ``classify``.  A mapped
 order's certificate, its null steps rebuilt by the oracle, must be the
 tree the library reads.  An input
 that fails a precondition, or that no lattice can be built from, fails
-with the same error class after the renaming.
+with the same error class after the renaming.  Besides fixed inputs and
+seeds, derandomised properties draw a generator at a small size (as it
+is, punctured or dualized) or a corpus complex, with a random renaming,
+and compare all of these answers at once.
 """
 
 import random
@@ -25,7 +28,7 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 from shellbound.lattice import _boolean_cells
 
-from corpus import doubled_triangle, rank_permutation, relabelled
+from corpus import balls, doubled_triangle, rank_permutation, relabelled, spheres_d_le_3
 from oracles import expand_certificate, nested_certificate
 
 INPUTS = {
@@ -104,17 +107,102 @@ def _certified(name: str) -> tuple[sb.FaceLattice, tuple[str, ...]]:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(CERTIFIED)), st.randoms(use_true_random=False))
-def test_a_mapped_order_is_certified_alike(name, rng):
+@given(st.sampled_from(sorted(CERTIFIED)), st.integers(0, 2**32 - 1))
+def test_a_mapped_order_is_certified_alike(name, seed):
     # the certificate of the mapped order, its null steps rebuilt by the
     # oracle, is the tree the library reads: squares and simplices named
     # by no node, whatever index order the renaming gives their ridges
     L, order = _certified(name)
-    name_of = rank_permutation(L, rng)
+    name_of = rank_permutation(L, random.Random(seed))
     M = relabelled(L, name_of)
     cert = sb.is_shelling(M, [name_of[f] for f in order])
     assert isinstance(cert, sb.ShellingCertificate)
     assert expand_certificate(cert.to_json_dict(), M) == nested_certificate(cert)
+
+
+# the generators at small sizes, each as it is, punctured, and, for the
+# spheres, dualized
+GENERATED = {
+    "simplex-boundary": (sb.simplex_boundary, range(1, 5)),
+    "cross-polytope": (sb.cross_polytope, range(1, 4)),
+    "hypercube-boundary": (sb.hypercube_boundary, range(1, 4)),
+    "ngon": (sb.ngon, range(3, 9)),
+    "cyclic-boundary-4": (lambda n: sb.cyclic_boundary(4, n), range(5, 8)),
+}
+VARIANTS = {"": lambda L: L, "punctured-": sb.punctured, "dual-": sb.dualize}
+
+
+@lru_cache(maxsize=None)
+def _generated(family: str, size: int, variant: str) -> sb.FaceLattice:
+    make, _ = GENERATED[family]
+    return VARIANTS[variant](make(size))
+
+
+CORPUS = {"spheres": spheres_d_le_3, "balls": balls}
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` answers, as JSON where it is a report, or the
+    class of its error."""
+    try:
+        answer = call(*args)
+    except sb.ShellboundError as exc:
+        return type(exc)
+    return answer.to_json_dict() if hasattr(answer, "to_json_dict") else answer
+
+
+def _assert_renaming_changes_nothing(L: sb.FaceLattice, rng: random.Random) -> None:
+    """Every answer this file compares, on ``L`` and on ``L`` renamed by a
+    within-rank permutation drawn from ``rng``."""
+    name_of = rank_permutation(L, rng)
+    M = relabelled(L, name_of)
+    found = sb.find_shelling(L)
+    assert found is not None and sb.find_shelling(M) is not None
+    order = found.facets
+    mapped = [name_of[f] for f in order]
+    cert = sb.is_shelling(M, mapped)
+    assert isinstance(cert, sb.ShellingCertificate)
+    assert expand_certificate(cert.to_json_dict(), M) == nested_certificate(cert)
+    assert _outcome(sb.classify, L, sb.is_shelling(L, order)) == _outcome(sb.classify, M, cert)
+    facets = L.facets()
+    for _ in range(3):
+        shuffled = rng.sample(facets, len(facets))
+        assert _verdict(sb.is_shelling(L, shuffled)) == _verdict(
+            sb.is_shelling(M, [name_of[f] for f in shuffled])
+        ), shuffled
+    for f in facets:
+        assert (sb.find_shelling(L, [f]) is None) == (sb.find_shelling(M, [name_of[f]]) is None)
+    for k in range((L.dim - 1) // 2, L.dim + 1):
+        assert _outcome(sb.verify_lower_bound, L, order, k) == _outcome(
+            sb.verify_lower_bound, M, mapped, k
+        ), k
+    for k in range(L.dim + 1):
+        assert _outcome(sb.corollary_bounds, L, k) == _outcome(sb.corollary_bounds, M, k), k
+    for answer in (sb.f_vector, sb.is_lattice, sb.is_diamond, sb.is_simplicial,
+                   sb.is_pseudomanifold):
+        assert _outcome(answer, L) == _outcome(answer, M), answer.__name__
+    simplices = [{K.ids[x] for x in range(len(K)) if _boolean_cells(K) >> x & 1} for K in (L, M)]
+    assert {name_of[i] for i in simplices[0]} == simplices[1]
+    d, n = L.dim + 1, sb.f_vector(L)[0]
+    assert _gubt(L, d, n) == _gubt(M, d, n)
+    assert relabelled(sb.dualize(L), name_of).fingerprint() == sb.dualize(M).fingerprint()
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_renaming_a_small_generated_complex_changes_nothing(family, data, seed):
+    size = data.draw(st.sampled_from(GENERATED[family][1]), label="size")
+    variant = data.draw(st.sampled_from(sorted(VARIANTS)), label="variant")
+    _assert_renaming_changes_nothing(_generated(family, size, variant), random.Random(seed))
+
+
+@pytest.mark.parametrize("part", sorted(CORPUS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_renaming_a_corpus_complex_changes_nothing(part, data, seed):
+    _, L = data.draw(st.sampled_from(CORPUS[part]()), label="input")
+    _assert_renaming_changes_nothing(L, random.Random(seed))
 
 
 @pytest.mark.parametrize("name,seed", PAIRS)

@@ -414,42 +414,59 @@ def _assert_an_unbuilt_node_reads_alike(L: sb.FaceLattice) -> None:
     assert lazy is not read and lazy == read and read == unbuilt()
     assert hash(unbuilt()) == hash(read)
     assert repr(unbuilt()) == repr(read)
-    # a copy or a pickle is made unbuilt too, and reads as the original
+    # a copy or a pickle reads as the original
     copied = copy.copy(unbuilt())
-    assert type(copied) is sb.ShellingCertificate and not _built(copied)
-    assert copied == read and copied.steps is not read.steps
+    assert type(copied) is sb.ShellingCertificate
+    assert copied == read and hash(copied) == hash(read) and copied.steps is not read.steps
+    assert copied.to_json_dict() == read.to_json_dict()
     for rebuilt in (copy.deepcopy(unbuilt()), pickle.loads(pickle.dumps(unbuilt()))):
-        assert type(rebuilt) is sb.ShellingCertificate and not _built(rebuilt)
+        assert type(rebuilt) is sb.ShellingCertificate
         assert rebuilt.lattice is not L
         assert repr(rebuilt) == repr(read)
         assert rebuilt.to_json_dict() == read.to_json_dict()
 
 
 def test_a_lattice_holding_unbuilt_nodes_copies_and_pickles():
-    # copying or pickling the lattice walks its memo; building a node's
-    # steps there would add memo entries during the walk
+    # a pickled lattice starts with an empty memo, so pickling it walks
+    # no node and builds no node's steps
     L = sb.cross_polytope(3)
     cert = sb.is_shelling(L, sb.find_shelling(L))
     assert not any(_built(step.sub_certificate) for step in cert.steps)
+    entries = len(L._memo)
+    assert pickle.loads(pickle.dumps(L))._memo == {} and len(L._memo) == entries
+    assert not any(_built(step.sub_certificate) for step in cert.steps)
     for rebuilt in (copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
         assert rebuilt.to_json_dict() == cert.to_json_dict()
-    assert len(pickle.loads(pickle.dumps(L))._memo) == len(L._memo)
+
+
+def _relabelled_cube_4() -> sb.FaceLattice:
+    L = sb.hypercube_boundary(4)
+    return relabelled(L, rank_permutation(L, random.Random(11)))
 
 
 @pytest.mark.parametrize(
     "make, limit",
     # a simplex's top is checked in closed form, so its whole certificate
     # fits a budget of 0
-    [(lambda: sb.simplex_boundary(6), 0), (lambda: sb.cross_polytope(4), sb.DEFAULT_BUDGET)],
-    ids=["simplex-boundary-6", "cross-polytope-4"],
+    [(lambda: sb.simplex_boundary(6), 0), (lambda: sb.cross_polytope(4), sb.DEFAULT_BUDGET),
+     (_relabelled_cube_4, sb.DEFAULT_BUDGET)],
+    ids=["simplex-boundary-6", "cross-polytope-4", "relabelled-hypercube-boundary-4"],
 )
-def test_a_full_read_spends_nothing(make, limit):
+def test_a_full_read_spends_nothing(make, limit, monkeypatch):
+    from shellbound import shelling
+
     order = sb.find_shelling(make()).facets
     L = make()
     bud = sb.SearchBudget(limit)
     cert = sb.is_shelling(L, order, budget=bud)
     spent = bud.spent
-    # reads take a budget of 0 of their own, so a node spent would raise
+
+    def no_step_rule(*args):
+        raise AssertionError("a read applied the step rule")
+
+    # a read builds its nodes in closed form: it spends no node and
+    # applies no step rule, on a simplex's cells and a square's alike
+    monkeypatch.setattr(shelling, "_step", no_step_rule)
     _read_all(cert)
     cert.to_json_dict()
     assert bud.spent == spent
@@ -460,44 +477,55 @@ def test_a_cold_simplex_certificate_builds_steps_on_first_read(monkeypatch):
 
     L = sb.simplex_boundary(8)
     order = sb.find_shelling(L).facets
-    built, rules, masks = [], [], []
-    verify, rule, boolean_cells = shelling._verify, shelling._step, shelling._boolean_cells
+    built, closed, rules, masks = [], [], [], []
+    verify, closed_steps = shelling._verify, shelling._closed_steps
+    rule, boolean_cells = shelling._step, shelling._boolean_cells
     monkeypatch.setattr(
         shelling, "_verify", lambda L, x, *args: built.append(x) or verify(L, x, *args)
+    )
+    monkeypatch.setattr(
+        shelling, "_closed_steps", lambda L, x, o: closed.append(x) or closed_steps(L, x, o)
     )
     monkeypatch.setattr(shelling, "_step", lambda *args: rules.append(1) or rule(*args))
     monkeypatch.setattr(
         shelling, "_boolean_cells", lambda L: masks.append(1) or boolean_cells(L)
     )
     cert = sb.is_shelling(L, order)
-    assert built == [L._top]
+    # the top is a simplex: _verify hands its steps to the closed form
+    assert built == closed == [L._top]
     assert not any(_built(step.sub_certificate) for step in cert.steps)
     sub = cert.steps[3].sub_certificate
-    assert len(sub.steps) == len(sub.facets) and built == [L._top, sub.cell]
-    assert sub.steps is sub.steps and len(built) == 2
+    assert len(sub.steps) == len(sub.facets) and closed == [L._top, sub.cell]
+    assert sub.steps is sub.steps and len(closed) == 2
     # the writer builds no node; a full read builds every node once, and
-    # a second one builds nothing
-    assert cert.to_json_dict()["nodes"] == [] and len(built) == 2
-    nodes = _read_each(cert)
-    assert len(built) == 1 + nodes
+    # a second one builds nothing; an edge's node is made with its steps
+    assert cert.to_json_dict()["nodes"] == [] and len(closed) == 2
+    nodes = _unbuilt_cells(_read_each(cert), L)
+    assert sorted(closed[1:]) == nodes
     _read_each(cert)
-    assert len(built) == 1 + nodes
+    assert sorted(closed[1:]) == nodes and built == [L._top]
     # in closed form: the recursion reads the mask once, for the top's bit,
     # the writer once, and no step rule is applied
     assert (len(rules), len(masks)) == (0, 2)
 
 
-def _read_each(cert: sb.ShellingCertificate) -> int:
+def _read_each(cert: sb.ShellingCertificate) -> list[sb.ShellingCertificate]:
     """Read the steps of every distinct node below ``cert`` once, as a
-    walk of the DAG; returns how many nodes there are."""
-    seen, stack = set(), [cert]
+    walk of the DAG; returns those nodes."""
+    seen, stack = {}, [cert]
     while stack:
         for step in stack.pop().steps:
             sub = step.sub_certificate
             if id(sub) not in seen:
-                seen.add(id(sub))
+                seen[id(sub)] = sub
                 stack.append(sub)
-    return len(seen)
+    return list(seen.values())
+
+
+def _unbuilt_cells(nodes: list[sb.ShellingCertificate], L: sb.FaceLattice) -> list[int]:
+    """The cells of the nodes whose steps are built after they are made,
+    sorted: every node but an edge's."""
+    return sorted(node.cell for node in nodes if L.ranks[node.cell] > 2)
 
 
 def test_the_writer_builds_no_simplex_node():
@@ -530,24 +558,30 @@ def test_is_shelling_builds_no_closed_form_node(make, expand, monkeypatch):
     L = relabelled(L, rank_permutation(L, random.Random(11)))
     order = sb.find_shelling(fresh_copy(L)).facets
     simplices = lattice._boolean_cells(fresh_copy(L))
-    built = []
-    verify = shelling._verify
+    built, closed = [], []
+    verify, closed_steps = shelling._verify, shelling._closed_steps
     monkeypatch.setattr(
         shelling, "_verify", lambda L, x, *args: built.append(x) or verify(L, x, *args)
     )
+    monkeypatch.setattr(
+        shelling, "_closed_steps", lambda L, x, o: closed.append(x) or closed_steps(L, x, o)
+    )
     cert = sb.is_shelling(L, order)
     # a cold verify enters no simplex cell and no 2-cell below the top, and
-    # the writer adds no memo entry
-    assert built[0] == L._top
+    # builds no closed-form node but a simplex top's steps; the writer adds
+    # no memo entry
+    top = len(closed)
+    assert built[0] == L._top and closed == [L._top] * (simplices >> L._top & 1)
     assert not [x for x in built[1:] if simplices >> x & 1 or L.ranks[x] == 3]
     entries = len(L._memo)
     doc = cert.to_json_dict()
     assert len(L._memo) == entries and len(built) == 1 + len(doc["nodes"])
+    assert len(closed) == top
     # a full read of the DAG builds each node once, and a second builds none
-    nodes = _read_each(cert)
-    assert len(built) == 1 + nodes
+    nodes = _unbuilt_cells(_read_each(cert), L)
+    assert sorted(built[1:] + closed[top:]) == nodes
     _read_each(cert)
-    assert len(built) == 1 + nodes
+    assert sorted(built[1:] + closed[top:]) == nodes
     if expand:
         assert expand_certificate(doc, L) == nested_certificate(cert)
 
@@ -569,10 +603,10 @@ def test_copies_of_a_cube_lattice_keep_its_2_cells_unbuilt(duplicate):
     assert squares(L) and not any(map(_built, squares(L)))
     entries = len(L._memo)
     twin = duplicate(L)
-    # the walk of the memo builds no square's steps and adds no entry; a
-    # shallow copy has a memo of its own, empty
+    # every duplicate starts with a memo of its own, empty, so none walks
+    # the original's: no square's steps are built and no entry is added
     assert len(L._memo) == entries and not any(map(_built, squares(L)))
-    assert len(twin._memo) in (0, entries) and not any(map(_built, squares(twin)))
+    assert twin._memo == {}
     again = sb.is_shelling(twin, order)
     _read_each(cert)
     _read_each(again)
