@@ -17,6 +17,11 @@ that shares a vertex with the edges placed (the first need share none),
 drawn from the step's ``intersection_facets`` until all of them are
 placed.  Each edge glues along the vertices it shares with the earlier
 ones.
+From 0.5.0 on, the lattice JSON that ``gen`` writes lists each face's
+lower covers as positions in ``faces`` (a ``lower`` list on each face)
+instead of a top-level ``covers`` list of id pairs; ``--input`` reads
+both forms, and a file in either form gives the same reports apart from
+``input_sha256``.
 Reports are byte-stable given identical inputs (sorted keys, fixed
 indentation), so they can be kept as golden files.  ``gen`` is the
 exception: it emits the complex itself, ready to be fed back through

@@ -28,11 +28,11 @@ slot because its entry points build them first.  Many lattices never read
 one of the two, or either: a generated complex that is only written out,
 a dual that is only dualized again, a facet's :func:`sub_lattice`, a
 punctured ball, which never reads upper covers.  A search or a
-verification builds the down-sets only, and a JSON dump the upper covers
-only.  The answers do not depend on which arrays are built, and lattices
-are immutable apart from building them.  Up-sets are not stored, since
-each would span the top and so all n bits: upward queries walk the upper
-covers.
+verification builds the down-sets only, and a JSON dump neither, since
+it lists lower covers.  The answers do not depend on which arrays are
+built, and lattices are immutable apart from building them.  Up-sets are
+not stored, since each would span the top and so all n bits: upward
+queries walk the upper covers.
 
 Each fact a lattice rests on is checked once, by one owner.
 :func:`build_lattice` is the one resolver of outside ids, and checks the
@@ -43,11 +43,15 @@ resolves each cover pair to indices once (an unknown end is an error).
 It sorts the elements by (rank, id), drops repeated covers and hands
 each lower-cover list over as a sorted tuple, which the constructor
 keeps as it is.
-:func:`lattice_from_json_dict` and the generators that name their own
-faces build through it.  The builders that already know every index
-build the resolved form directly, and each vouches for its ids,
-dimension and extremes: :func:`from_facets` sorts its faces by (size,
-id), :func:`dualize` reverses the ranks and keeps each rank's id order,
+The generators that name their own faces build through it, and so does
+:func:`lattice_from_json_dict` on the id-pair form.  On the positional
+form, where each face lists its lower covers by file position, that
+loader runs the same checks of the elements, with the same messages in
+the same order, then checks the positions and maps each to its index
+once.  The builders that already know every index build the resolved
+form directly, and each vouches for its ids, dimension and extremes:
+:func:`from_facets` sorts its faces by (size, id), :func:`dualize`
+reverses the ranks and keeps each rank's id order,
 ``generators.punctured`` drops one index, and :func:`sub_lattice` keeps
 a cell's down-set in host order.  The constructor takes the resolved
 form: ids and ranks in (rank, id) order, and each element's lower covers
@@ -710,6 +714,25 @@ def build_lattice(
 def _resolve(elements, covers, dim) -> tuple:
     """``(dim, ids, ranks, lower)``, the constructor's arguments, once the
     outside facts are checked."""
+    ids, ranks, index = _resolve_elements(elements, dim)
+    # each cover is resolved once and filed under its upper end; each
+    # lower list then becomes a sorted tuple without repeats, which the
+    # constructor keeps as it is
+    lower: list[list[int]] = [[] for _ in ids]
+    for a, b in covers:
+        try:
+            lower[index[str(b)]].append(index[str(a)])
+        except KeyError:
+            raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
+    for b, below in enumerate(lower):
+        lower[b] = tuple(sorted(set(below)) if len(below) > 1 else below)
+    return dim, ids, ranks, lower
+
+
+def _resolve_elements(elements, dim) -> tuple:
+    """``(ids, ranks, index)`` of the elements, in (rank, id) order, with
+    ``index`` from each id to its place, once the facts the elements
+    carry are checked: :func:`build_lattice`'s checks but the cover ends."""
     elems = [(str(i), r) for i, r in elements]
     if len(set(map(itemgetter(0), elems))) != len(elems):
         raise InvalidFace("duplicate element ids")
@@ -735,20 +758,7 @@ def _resolve(elements, covers, dim) -> tuple:
     tops = ranks.count(top_rank)
     if tops != 1:
         raise NoTop(f"need exactly one rank-{top_rank} element, found {tops}")
-
-    # each cover is resolved once and filed under its upper end; each
-    # lower list then becomes a sorted tuple without repeats, which the
-    # constructor keeps as it is
-    index = dict(zip(ids, range(len(ids))))
-    lower: list[list[int]] = [[] for _ in ids]
-    for a, b in covers:
-        try:
-            lower[index[str(b)]].append(index[str(a)])
-        except KeyError:
-            raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
-    for b, below in enumerate(lower):
-        lower[b] = tuple(sorted(set(below)) if len(below) > 1 else below)
-    return dim, ids, ranks, lower
+    return ids, ranks, dict(zip(ids, range(len(ids))))
 
 
 def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
@@ -1141,45 +1151,62 @@ def atom_avoiding_coatom(
 
 
 def lattice_to_json_dict(L: FaceLattice) -> dict:
-    """Plain-dict form of the lattice: faces and covers between them only.
+    """Plain-dict form of the lattice: its dimension and its faces, each
+    with its dimension, its id and its lower covers by position.
 
-    The artificial extremes and their covers are implicit and re-added on
-    load.  Key order and list order are deterministic.
+    Faces run in (rank, id) order, and ``lower`` lists the 0-based
+    positions in ``faces`` of the face's lower covers, ascending; a
+    vertex lists none.  The artificial extremes and their covers are
+    implicit and re-added on load.  Key order and list order are
+    deterministic.  Only the lower covers are read, so a dump builds
+    neither derived array.
     """
-    reserved = {L.bottom, L.top}
-    faces = [
-        {"id": i, "dim": r - 1}
-        for i, r in zip(L.ids, L.ranks)
-        if i not in reserved
+    ids, ranks, lower, top = L.ids, L.ranks, L._lower, L._top
+    # the faces are the elements between the extremes, so element x sits
+    # at position x - 1; a vertex's one lower cover is the bottom
+    vertices = bisect_right(ranks, 1, 0, top)
+    position = tuple(range(-1, top)).__getitem__
+    faces = [{"dim": 0, "id": i, "lower": []} for i in ids[1:vertices]]
+    faces += [
+        {"dim": r - 1, "id": i, "lower": list(map(position, below))}
+        for i, r, below in zip(ids[vertices:top], ranks[vertices:top], lower[vertices:top])
     ]
-    covers = [
-        [a, b] for a, b in _sorted_covers(L) if a not in reserved and b not in reserved
-    ]
-    return {"dim": L.dim, "faces": faces, "covers": covers}
+    return {"dim": L.dim, "faces": faces}
 
 
 def lattice_from_json_dict(data: dict) -> FaceLattice:
-    """Inverse of :func:`lattice_to_json_dict`.
+    """Inverse of :func:`lattice_to_json_dict`; also reads the id-pair
+    form, which that function wrote before schema 0.5.0.
 
-    Dimensions must be JSON integers and covers pairs of face ids.  Adds
-    the bottom below every 0-dimensional face and the top above every face
-    of the declared dimension, or above the bottom when that dimension is
-    -1, the complex of the empty face alone, which has no such face; then
-    builds through :func:`build_lattice`, which takes ``str()`` of the ids
-    and runs full validation.
+    Dimensions must be JSON integers.  A dict with a top-level ``covers``
+    key is in the id-pair form: each cover is a pair of face ids, and no
+    face may have a ``lower`` list.  Any other dict gives each face a
+    ``lower`` list of positions in ``faces``: JSON integers in range,
+    none the face's own.  Both forms add the bottom below every
+    0-dimensional face and the top above every face of the declared
+    dimension, or above the bottom when that dimension is -1, the complex
+    of the empty face alone, which has no such face.  The id-pair form
+    builds through :func:`build_lattice`.  The positional form runs
+    build_lattice's checks of the elements, with the same messages in the
+    same order, then checks the positions, maps each to its lattice index
+    once and hands the lower lists to the constructor.
     """
     try:
         dim = data["dim"]
-        faces = [(f["id"], f["dim"]) for f in data["faces"]]
+        raw = data["faces"]
+        faces = [(f["id"], f["dim"]) for f in raw]
         # not build_lattice's check repeated: it sees the rank k + 1, and True + 1 == 2
         if any(type(k) is not int for k in [dim] + [k for _, k in faces]):
             raise InvalidFace("malformed lattice data: a dimension is not an integer")
-        covers = data["covers"]
-        if any(not isinstance(c, (list, tuple)) for c in covers):
-            raise InvalidFace("malformed lattice data: a cover is not a pair of ids")
-        # unpacked here, so that a cover of the wrong length is malformed data
-        for _, _ in covers:
-            pass
+        if "covers" in data:
+            covers = data["covers"]
+            if any(not isinstance(c, (list, tuple)) for c in covers):
+                raise InvalidFace("malformed lattice data: a cover is not a pair of ids")
+            # unpacked here, so that a cover of the wrong length is malformed data
+            for _, _ in covers:
+                pass
+            if any("lower" in f for f in raw):
+                raise InvalidFace("malformed lattice data: both 'covers' and a face's 'lower'")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFace(f"malformed lattice data: {exc}") from None
     # on the raw ids: the only JSON value whose str() is a reserved id is
@@ -1189,6 +1216,8 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
             raise InvalidFace(f"face id {i!r} is reserved")
     elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
     elements += [(i, k + 1) for i, k in faces]
+    if "covers" not in data:
+        return FaceLattice(*_gc_paused(_resolve_positions, elements, raw, dim))
     # the JSON list is read in place, followed by the extremes' covers
     extremes = [(BOTTOM_ID, TOP_ID)] if dim == -1 else []
     for i, k in faces:
@@ -1197,3 +1226,58 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
         if k == dim:
             extremes.append((i, TOP_ID))
     return build_lattice(elements, chain(covers, extremes), dim)
+
+
+def _resolve_positions(elements, raw, dim) -> tuple:
+    """``(dim, ids, ranks, lower)``, the constructor's arguments, from
+    the elements (the extremes, then the faces in file order) and the
+    file's faces, once the elements and the positions are checked."""
+    ids, ranks, index = _resolve_elements(elements, dim)
+    # at[p] is the lattice index of the face at file position p, which is
+    # element p + 2, after the extremes
+    names = map(str, map(itemgetter(0), islice(elements, 2, None)))
+    at = tuple(map(index.__getitem__, names))
+    lowers = [f.get("lower") for f in raw]
+    m = len(at)
+    if not (
+        set(map(type, lowers)) <= {list}
+        # type(), as for ranks: JSON true must not pass for position 1
+        and set(map(type, chain.from_iterable(lowers))) <= {int}
+        and 0 <= min(chain.from_iterable(lowers), default=0)
+        and max(chain.from_iterable(lowers), default=-1) < m
+        and not any(map(list.__contains__, lowers, range(m)))
+    ):
+        raise InvalidFace(_position_fault(raw))
+    # each list is mapped to indices once, and sorted without repeats; a
+    # vertex lies over the bottom, and the top over the top-rank faces
+    get = at.__getitem__
+    lower = [()] * len(ids)
+    for x, below in zip(at, lowers):
+        if below:
+            lower[x] = tuple(sorted(set(map(get, below))))
+    vertices = bisect_right(ranks, 1, 0, len(ids) - 1)
+    lower[1:vertices] = [(0, *below) for below in lower[1:vertices]]
+    # the index's own int objects, which the other lists hold too
+    nums = tuple(index.values())
+    lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
+    return dim, ids, ranks, lower
+
+
+def _position_fault(raw: list) -> str:
+    """The first fault of the faces' ``lower`` lists, in file order."""
+    for p, f in enumerate(raw):
+        i = str(f["id"])
+        if "lower" not in f:
+            return f"malformed lattice data: face {i!r} has no 'lower' list"
+        below = f["lower"]
+        if type(below) is not list:
+            return f"malformed lattice data: 'lower' of face {i!r} is not a list"
+        for q in below:
+            if type(q) is not int:
+                return (f"malformed lattice data: 'lower' of face {i!r} holds {json.dumps(q)}, "
+                        "not a position")
+            if not 0 <= q < len(raw):
+                return f"'lower' of face {i!r} holds {q}, outside positions [0, {len(raw)})"
+            if q == p:
+                return f"face {i!r} lists itself as a lower cover"
+    raise AssertionError("no fault in the lower lists")

@@ -59,6 +59,16 @@ def fresh_copy(L: sb.FaceLattice) -> sb.FaceLattice:
     return sb.lattice_from_json_dict(sb.lattice_to_json_dict(L))
 
 
+def id_pair_json(L: sb.FaceLattice) -> dict:
+    """``L`` as lattice JSON in the id-pair form that ``gen`` wrote before
+    schema 0.5.0: faces without ``lower`` lists, and each cover between
+    two faces as a pair of ids, sorted."""
+    reserved = {L.bottom, L.top}
+    faces = [{"id": i, "dim": r - 1} for i, r in zip(L.ids, L.ranks) if i not in reserved]
+    covers = [[a, b] for a, b in L.covers() if a not in reserved and b not in reserved]
+    return {"dim": L.dim, "faces": faces, "covers": covers}
+
+
 def rank_permutation(L: sb.FaceLattice, rng: random.Random) -> dict[str, str]:
     """A random permutation of ``L``'s ids within each rank, as a map from
     each id to its new name."""

@@ -13,12 +13,18 @@ import pytest
 import shellbound as sb
 from shellbound.cli import CLAIM_TAGS, run
 
-from corpus import bipyramid_facets, lune_sphere, rank_permutation, relabelled
+from corpus import bipyramid_facets, id_pair_json, lune_sphere, rank_permutation, relabelled
 from oracles import expand_certificate, nested_certificate
 
 
 def write_lattice(path, L):
     path.write_text(json.dumps(sb.lattice_to_json_dict(L)) + "\n")
+    return str(path)
+
+
+def write_id_pairs(path, L):
+    """Writes ``L`` in the id-pair form that schema 0.4.0 wrote."""
+    path.write_text(json.dumps(id_pair_json(L)) + "\n")
     return str(path)
 
 
@@ -152,7 +158,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 0
     env = read_envelope(out)
-    assert env["version"] == "0.4.0"
+    assert env["version"] == "0.5.0"
     cert = env["result"]["certificate"]
     assert set(cert) == {"order", "steps", "nodes"}
     # every facet is a triangle, a simplex, so no step names a node
@@ -165,7 +171,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 1
     env = read_envelope(out)
-    assert env["version"] == "0.4.0"
+    assert env["version"] == "0.5.0"
     assert env["result"] == {
         "accepted": False,
         "failure": {"step": 2, "reason": "EmptyIntersection"},
@@ -249,11 +255,13 @@ def test_find_shelling_prefix_failure(tmp_path, square_json):
 
 
 def test_find_shelling_on_the_empty_complex(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"dim": -1, "faces": [], "covers": []}))
-    out = tmp_path / "report.json"
-    assert run(["find-shelling", "--input", str(path), "--out", str(out)]) == 0
-    assert read_envelope(out)["result"] == {"found": True, "order": []}
+    # in the positional form and in the id-pair form
+    for data in ({"dim": -1, "faces": []}, {"dim": -1, "faces": [], "covers": []}):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        assert run(["find-shelling", "--input", str(path), "--out", str(out)]) == 0
+        assert read_envelope(out)["result"] == {"found": True, "order": []}
 
 
 @pytest.mark.parametrize("command", ["find-shelling", "bounds", "corollaries"])
@@ -504,35 +512,35 @@ OCT_ORDER = "123,126,135,156,234,246,345,456"
 
 # the sha256 of each report as written to stdout, on the octahedron
 # (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON,
-# at report schema 0.4.0
+# at report schema 0.5.0
 GOLDEN_REPORTS = {
     "find-shelling": (
         ["find-shelling", "--input", "oct"], 0,
-        "be9fde675ec7fe05b79c80fc9e4f0943279e5020d464422ce934e33f1d7e8540"),
+        "138ab28959b7557116224f99ddf8a4a73ab272b8ef7fd3bf81434e9c45a8d8e5"),
     "check-shelling accepted": (
         ["check-shelling", "--input", "oct", "--order", OCT_ORDER], 0,
-        "ec35139b08a22ebc84e36897bbb18c68dc30bd6862d88a174a351f5d814a0d4a"),
+        "8eb6589302a9b6485b3bd7c0a6edf71cda07b7c433548a3bf5d3b106829bea25"),
     "check-shelling rejected": (
         ["check-shelling", "--input", "square", "--order", "e12,e34,e23,e41"], 1,
-        "e4581aed8691c2370c13173863f55dee5c6c9c18e33f5ecac70f13142184bce6"),
+        "d227ac984230b65630de85cefe39d46305c3646967c22b41540ed3d5fc9ba0f6"),
     "bounds json": (
         ["bounds", "--input", "oct"], 0,
-        "9f9b7ae6c9f7de447934e0c976e5cb128df686b635a61cf232beadc58cf60592"),
+        "4992d964760db660ccbad128b104e349aef09fcb305683f3052b669684dbe36e"),
     "bounds tsv": (
         ["bounds", "--input", "oct", "--format", "tsv"], 0,
-        "987ddf8154df2f78bea15f0e7d7dae54eaf72e132950448b1512b60116fd979f"),
+        "64e7791f70f1edcc9da9bfbca3d15d069d38fa70475a03969aef655042a8dd11"),
     "witness": (
         ["witness", "--input", "oct", "--order", OCT_ORDER, "--split", "3"], 0,
-        "1b51ef8f1c4a711e6ba4df91a6d7cff65d88cbdf63ec7b3765bb9978ff2ed201"),
+        "5c73b1c50171b412634b97662ec33c96a9bf819a17b9af60f733a134dc0e21cc"),
     "corollaries": (
         ["corollaries", "--input", "oct"], 0,
-        "b8718b599b90e91887a53a21ca861fb2f38a69c119d5663bff113ec0cc36aff2"),
+        "4cf720342d73563d4b9150b40978f5bea44ce3a1a0e0f43023215ad40351f957"),
     "gubt": (
         ["gubt", "--input", "oct", "--d", "3", "--n", "5"], 0,
-        "2e9fa048decd8549d2fc2ffd4247827e60ad43cfd71ac241892442adcdd30ffe"),
+        "b3b7798dc312897f308d631185e0594afc5faa52a460f2f75fd9ca855d09c724"),
     "gen ngon": (
         ["gen", "ngon", "--n", "5"], 0,
-        "bc18cae228f6a3e730e2c1f822fb3bd4f022926b0106cc09f2303e4be89f0f4d"),
+        "b4002a94bff6d02820b91867674ccca141040f0869d83de4fa2e53fd23cb2334"),
 }
 
 
@@ -543,6 +551,107 @@ def test_report_matches_its_golden_hash(capsys, oct_json, square_json, case):
     assert run([inputs.get(arg, arg) for arg in argv]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the input's digest, as the json and the tsv envelopes write it
+INPUT_SHA256 = re.compile(r'("input_sha256": |input_sha256\t)"[0-9a-f]{64}"')
+
+
+@pytest.mark.parametrize("case", [case for case in GOLDEN_REPORTS if case != "gen ngon"])
+def test_either_lattice_form_gives_the_same_report(capsys, tmp_path, oct_json, square_json, case):
+    argv, code, _ = GOLDEN_REPORTS[case]
+    reports = []
+    for inputs in (
+        {"oct": oct_json, "square": square_json},
+        {name: write_id_pairs(tmp_path / f"{name}-pairs.json", L)
+         for name, L in (("oct", sb.cross_polytope(2)), ("square", sb.ngon(4)))},
+    ):
+        assert run([inputs.get(arg, arg) for arg in argv]) == code
+        out = capsys.readouterr().out
+        assert len(INPUT_SHA256.findall(out)) == 1
+        reports.append(INPUT_SHA256.sub(r'\1"*"', out))
+    assert reports[0] == reports[1]
+
+
+def test_a_non_pure_id_pair_file_reads_as_its_positional_twin(capsys, tmp_path):
+    # a triangle with an edge hanging off it, written by hand in the
+    # id-pair form; its defects, if any, must not turn into format errors
+    by_hand = {
+        "dim": 2,
+        "faces": [{"id": i, "dim": len(i) - 1}
+                  for i in ("1", "2", "3", "4", "12", "13", "23", "34", "123")],
+        "covers": [["1", "12"], ["2", "12"], ["1", "13"], ["3", "13"], ["2", "23"],
+                   ["3", "23"], ["3", "34"], ["4", "34"], ["12", "123"], ["13", "123"],
+                   ["23", "123"]],
+    }
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(by_hand))
+    twin = write_lattice(tmp_path / "positions.json", sb.lattice_from_json_dict(by_hand))
+    assert "covers" not in json.loads(Path(twin).read_text())
+    codes, reports = [], []
+    for path in (str(pairs), twin):
+        codes.append(run(["find-shelling", "--input", path]))
+        reports.append(INPUT_SHA256.sub(r'\1"*"', capsys.readouterr().out))
+    assert codes[0] == codes[1] != 2
+    assert reports[0] == reports[1] != ""
+
+
+def _triangle_positions() -> dict:
+    """Lattice JSON of the hand-made triangle, with lower covers by
+    position: faces a, b, c, x, y, z, and x over a and b."""
+    data = sb.lattice_to_json_dict(sb.lattice_from_json_dict(triangle_by_hand()))
+    assert [f["id"] for f in data["faces"]] == list("abcxyz")
+    assert data["faces"][3]["lower"] == [0, 1]
+    return data
+
+
+def _set_lower_of_x(value):
+    return lambda data: data["faces"][3].__setitem__("lower", value)
+
+
+# each fault of a "lower" list, the edit that makes it, and the message
+LOWER_FAULTS = {
+    "negative": (_set_lower_of_x([-1, 1]),
+                 "'lower' of face 'x' holds -1, outside positions [0, 6)"),
+    "true": (_set_lower_of_x([True, 1]),
+             "malformed lattice data: 'lower' of face 'x' holds true, not a position"),
+    "float": (_set_lower_of_x([0, 1.0]),
+              "malformed lattice data: 'lower' of face 'x' holds 1.0, not a position"),
+    "string": (_set_lower_of_x(["a", 1]),
+               "malformed lattice data: 'lower' of face 'x' holds \"a\", not a position"),
+    "out of range": (_set_lower_of_x([0, 6]),
+                     "'lower' of face 'x' holds 6, outside positions [0, 6)"),
+    "not a list": (_set_lower_of_x("01"),
+                   "malformed lattice data: 'lower' of face 'x' is not a list"),
+    "null": (_set_lower_of_x(None), "malformed lattice data: 'lower' of face 'x' is not a list"),
+    "missing": (lambda data: data["faces"][3].pop("lower"),
+                "malformed lattice data: face 'x' has no 'lower' list"),
+    "itself": (_set_lower_of_x([0, 3]), "face 'x' lists itself as a lower cover"),
+    "covers too": (lambda data: data.__setitem__("covers", []),
+                   "malformed lattice data: both 'covers' and a face's 'lower'"),
+}
+
+
+@pytest.mark.parametrize("case", LOWER_FAULTS)
+def test_each_malformed_lower_list_is_a_named_usage_error(capsys, tmp_path, case):
+    mutate, message = LOWER_FAULTS[case]
+    data = _triangle_positions()
+    mutate(data)
+    with pytest.raises(sb.InvalidFace) as err:
+        sb.lattice_from_json_dict(json.loads(json.dumps(data)))
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["find-shelling", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"shellbound: {message}\n")
+
+
+def test_a_lower_fault_is_named_in_file_order():
+    data = _triangle_positions()
+    data["faces"][5]["lower"] = [0, 9]
+    data["faces"][4]["lower"] = "12"
+    with pytest.raises(sb.InvalidFace, match="'lower' of face 'y' is not a list"):
+        sb.lattice_from_json_dict(data)
 
 
 def test_stdout_when_no_out_flag(capsys, square_json):

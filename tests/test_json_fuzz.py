@@ -1,4 +1,5 @@
-"""Mutants of the JSON of small lattices: ``lattice_from_json_dict``
+"""Mutants of the JSON of small lattices, in the positional form and in
+the id-pair form: ``lattice_from_json_dict``
 either builds a well-formed lattice that round-trips, or raises a
 ``ShellboundError``; and ``find-shelling`` on such input exits with a
 documented code and prints no traceback."""
@@ -16,7 +17,7 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
 from shellbound.cli import run
 
-from corpus import bowtie, mixed_dims_by_hand
+from corpus import bowtie, id_pair_json, mixed_dims_by_hand
 
 # a JSON value of every kind that a field may wrongly hold
 WRONG_VALUES = [None, True, 1.5, "x", "1", [], [1, 2, 3], {}, {"id": "v"}]
@@ -26,6 +27,8 @@ BAD_DIMS = [1.5, "1", None, [1], True, False, -3, -2, -1, 0, 1, 2, 50]
 
 @lru_cache(maxsize=None)
 def _bases() -> tuple[str, ...]:
+    """The JSON of small lattices, each in the positional form and in the
+    id-pair form."""
     lattices = (
         sb.ngon(4),
         sb.simplex_boundary(2),
@@ -33,14 +36,17 @@ def _bases() -> tuple[str, ...]:
         bowtie(),
         mixed_dims_by_hand(),
     )
-    return tuple(json.dumps(sb.lattice_to_json_dict(L)) for L in lattices)
+    return tuple(json.dumps(write(L)) for L in lattices
+                 for write in (sb.lattice_to_json_dict, id_pair_json))
 
 
 def _mutate(data: dict, pick) -> None:
     """Apply one mutation to ``data`` in place, each choice made by
-    ``pick(options)``."""
-    faces, covers = data["faces"], data["covers"]
+    ``pick(options)``.  A cover is an id pair in the id-pair form, and an
+    entry of a face's ``lower`` list in the positional form."""
+    faces, covers = data["faces"], data.get("covers")
     ids = [f.get("id") for f in faces]
+    lowers = [f["lower"] for f in faces] if covers is None else []
     kind = pick(["dim", "face dim", "drop cover", "retarget cover", "duplicate id",
                  "reserved id", "number id", "wrong type"])
     if kind == "dim":
@@ -49,11 +55,22 @@ def _mutate(data: dict, pick) -> None:
         pick(faces)["dim"] = pick(BAD_DIMS)
     elif kind == "drop cover" and covers:
         covers.remove(pick(covers))
+    elif kind == "drop cover" and any(lowers):
+        below = pick([below for below in lowers if below])
+        below.remove(pick(below))
     elif kind == "retarget cover" and covers:
         pick(covers)[pick([0, 1])] = pick(ids + ["v9", BOTTOM_ID, TOP_ID])
+    elif kind == "retarget cover" and lowers:
+        # any position, its own, one past the end, or -1
+        below = pick(lowers)
+        target = pick(list(range(-1, len(faces) + 1)))
+        if below and pick([True, False]):
+            below[pick(range(len(below)))] = target
+        else:
+            below.append(target)
     elif kind == "duplicate id" and faces:
         if pick([True, False]):
-            faces.append(dict(pick(faces)))
+            faces.append(json.loads(json.dumps(pick(faces))))
         else:
             pick(faces)["id"] = pick(ids)
     elif kind == "reserved id" and faces:
@@ -62,28 +79,43 @@ def _mutate(data: dict, pick) -> None:
         # 1 and "1" name the same face once ids are strings
         pick(faces)["id"] = pick([1, 12, 1.0])
     elif kind == "wrong type":
-        place = pick(["dim", "faces", "covers", "face", "cover", "face id", "missing"])
+        place = pick(["dim", "faces", "covers", "face", "cover", "face id", "lower", "missing"])
         value = pick(WRONG_VALUES)
         if place in ("dim", "faces", "covers"):
+            # "covers" in the positional form makes a file with both forms
             data[place] = value
         elif place == "face" and faces:
             faces[pick(range(len(faces)))] = value
         elif place == "cover" and covers:
             covers[pick(range(len(covers)))] = value
+        elif place == "cover" and any(lowers):
+            below = pick([below for below in lowers if below])
+            below[pick(range(len(below)))] = value
         elif place == "face id" and faces:
             pick(faces)["id"] = value
+        elif place == "lower" and faces:
+            pick(faces)["lower"] = value
         elif place == "missing":
-            del data[pick(["dim", "faces", "covers"])]
+            key = pick(["dim", "faces", "covers", "lower"])
+            if key == "lower":
+                if faces:
+                    pick(faces).pop("lower", None)
+            else:
+                data.pop(key, None)
 
 
 def _well_shaped(data: dict) -> bool:
-    """Whether ``data`` still has lists of face objects and of id pairs,
-    the shape ``_mutate`` works on."""
+    """Whether ``data`` still has a list of face objects, and lists of id
+    pairs or a ``lower`` list on every face, the shape ``_mutate`` works
+    on."""
     faces, covers = data.get("faces"), data.get("covers")
+    if not (isinstance(faces, list) and all(isinstance(f, dict) for f in faces)):
+        return False
+    if covers is None:
+        return "covers" not in data and all(isinstance(f.get("lower"), list) for f in faces)
     return (
-        isinstance(faces, list) and all(isinstance(f, dict) for f in faces)
-        and isinstance(covers, list)
-        and all(isinstance(c, list) and len(c) == 2 for c in covers)
+        isinstance(covers, list) and all(isinstance(c, list) and len(c) == 2 for c in covers)
+        and not any("lower" in f for f in faces)
     )
 
 

@@ -17,8 +17,11 @@ from corpus import (
     doubled_triangle,
     graded_bounded_poset_parts,
     graded_bounded_posets,
+    id_pair_json,
     lune_sphere,
     mixed_dims_by_hand,
+    rank_permutation,
+    relabelled,
     spheres_d_le_3,
 )
 from oracles import (
@@ -878,8 +881,20 @@ def test_json_round_trip():
 
 
 # sha256 of json.dumps(lattice_to_json_dict(L), sort_keys=True, indent=2),
-# pinning face ids and cover order and with them every report's bytes
+# pinning face ids and face order and with them every report's bytes, at
+# schema 0.5.0, where each face lists its lower covers by position
 LATTICE_JSON_SHA256 = {
+    "simplex-boundary-6": "3a9288b8a8d5ec351808f36625618027dd733c6d4ebce7843da2b42b33fd400e",
+    "cyclic-6-10": "edf2ceade5ce6ab839c8fd7a4553e76f6c1b4dc2dd90fcb76ca4f505ecf63494",
+    "hypercube-boundary-4": "f3e0cde5494b14a7e2687c93180cd53392b000ff6199ec3cae30d959b6a7d9d3",
+    "punctured-cross-polytope-4":
+        "d63fe0cee6e0faa800ef3ad5a427a76076b1a08b7e860ab106db5ac3d162d341",
+    "multi-char-tokens": "f1a7ccfb74e64ed4d9ab0e9c865fae4101035a8bf9a9166a97e1132e8c51ec01",
+}
+
+# the same digests of the id-pair form, ``corpus.id_pair_json``: the bytes
+# that schema 0.4.0 wrote for these lattices
+ID_PAIR_JSON_SHA256 = {
     "simplex-boundary-6": "7ebfcba4697353fed8dce4a5a70722dc4f6162b1ce5dc03618bbe4b7b67b82a0",
     "cyclic-6-10": "5f9860bcfed36ec87072814e1027b927e01137f43959d1edf96d9e764ce49ef7",
     "hypercube-boundary-4": "5fe3c1d413d2efee8d32617ac6e5c066f187c362d27bbfe79a5fc97003e555fe",
@@ -889,7 +904,7 @@ LATTICE_JSON_SHA256 = {
 }
 
 
-def test_lattice_json_bytes_are_pinned():
+def _pinned_cases() -> dict:
     cases = {
         "simplex-boundary-6": sb.simplex_boundary(6),
         "cyclic-6-10": sb.cyclic_boundary(6, 10),
@@ -898,13 +913,77 @@ def test_lattice_json_bytes_are_pinned():
         "multi-char-tokens": sb.from_facets([[1, 2, 10], [2, 10, 11], [1, 10, 11], [1, 2, 11]]),
     }
     assert "1-2-10" in cases["multi-char-tokens"]
-    digests = {
-        name: hashlib.sha256(
-            json.dumps(sb.lattice_to_json_dict(L), sort_keys=True, indent=2).encode()
-        ).hexdigest()
+    return cases
+
+
+def _digests(write, cases: dict) -> dict:
+    return {
+        name: hashlib.sha256(json.dumps(write(L), sort_keys=True, indent=2).encode()).hexdigest()
         for name, L in cases.items()
     }
-    assert digests == LATTICE_JSON_SHA256
+
+
+def _resolved(L: sb.FaceLattice) -> tuple:
+    # the file names no extreme, and a load calls them "_bot" and "_top",
+    # where a dual's bottom is "_top"
+    return L.dim, L.ids[1:-1], L.ranks, L._lower
+
+
+def test_lattice_json_bytes_are_pinned():
+    assert _digests(sb.lattice_to_json_dict, _pinned_cases()) == LATTICE_JSON_SHA256
+
+
+def test_both_forms_of_the_pinned_lattices_load_alike():
+    cases = _pinned_cases()
+    # the id-pair files are the ones schema 0.4.0 wrote, byte for byte
+    assert _digests(id_pair_json, cases) == ID_PAIR_JSON_SHA256
+    for name, L in cases.items():
+        old = sb.lattice_from_json_dict(json.loads(json.dumps(id_pair_json(L))))
+        new = sb.lattice_from_json_dict(json.loads(json.dumps(sb.lattice_to_json_dict(L))))
+        assert _resolved(old) == _resolved(new) == _resolved(L), name
+
+
+def _round_trip_cases():
+    """Each generator family, punctured, dualized and relabelled at seeds
+    11 and 12, then the corpus lattices built by hand, with their names."""
+    families = {
+        "simplex-boundary-4": sb.simplex_boundary(4),
+        "cross-polytope-3": sb.cross_polytope(3),
+        "hypercube-boundary-3": sb.hypercube_boundary(3),
+        "ngon-7": sb.ngon(7),
+        "cyclic-4-8": sb.cyclic_boundary(4, 8),
+    }
+    for name, L in families.items():
+        yield name, L
+        yield f"{name} punctured", sb.punctured(L)
+        yield f"{name} dualized", sb.dualize(L)
+        for seed in (11, 12):
+            name_map = rank_permutation(L, random.Random(seed))
+            yield f"{name} relabelled {seed}", relabelled(L, name_map)
+    for name, L in (("bowtie", bowtie()), ("mixed dims", mixed_dims_by_hand()),
+                    ("lune", lune_sphere()), ("empty complex", sb.sub_lattice(sb.ngon(3), "v1"))):
+        yield name, L
+
+
+@pytest.mark.parametrize("L", [pytest.param(L, id=name) for name, L in _round_trip_cases()])
+def test_a_json_round_trip_keeps_ids_ranks_and_lower_covers(L):
+    data = json.loads(json.dumps(sb.lattice_to_json_dict(L)))
+    assert _resolved(sb.lattice_from_json_dict(data)) == _resolved(L)
+    # and a file in the positional form equals its id-pair twin
+    twin = json.loads(json.dumps(id_pair_json(L)))
+    assert _resolved(sb.lattice_from_json_dict(twin)) == _resolved(L)
+
+
+def test_positions_may_come_in_any_order():
+    # faces in another file order, and lower lists unsorted and repeated
+    data = sb.lattice_to_json_dict(sb.ngon(4))
+    faces = data["faces"]
+    order = [7, 0, 5, 2, 6, 1, 4, 3]
+    moved = [dict(faces[p]) for p in order]
+    for f in moved:
+        f["lower"] = [order.index(q) for q in reversed(f["lower"] * 2)]
+    back = sb.lattice_from_json_dict({"dim": 1, "faces": moved})
+    assert _resolved(back) == _resolved(sb.ngon(4))
 
 
 def test_json_round_trip_of_the_empty_complex():
@@ -912,29 +991,41 @@ def test_json_round_trip_of_the_empty_complex():
     # loader sets the top over the bottom itself
     L = sb.sub_lattice(sb.simplex_boundary(2), "1")
     data = sb.lattice_to_json_dict(L)
-    assert data == {"dim": -1, "faces": [], "covers": []}
+    assert data == {"dim": -1, "faces": []}
     back = sb.lattice_from_json_dict(json.loads(json.dumps(data)))
     assert sb.lattice_to_json_dict(back) == data
     assert back.ranks == (0, 1)
 
 
 def test_json_dict_shape():
-    data = sb.lattice_to_json_dict(zero_sphere())
-    assert data == {
+    assert sb.lattice_to_json_dict(zero_sphere()) == {
         "dim": 0,
-        "faces": [{"id": "v1", "dim": 0}, {"id": "v2", "dim": 0}],
-        "covers": [],
+        "faces": [{"dim": 0, "id": "v1", "lower": []}, {"dim": 0, "id": "v2", "lower": []}],
     }
+    # each face lists its lower covers by their positions in "faces"
+    assert sb.lattice_to_json_dict(sb.ngon(3))["faces"] == [
+        {"dim": 0, "id": "v1", "lower": []},
+        {"dim": 0, "id": "v2", "lower": []},
+        {"dim": 0, "id": "v3", "lower": []},
+        {"dim": 1, "id": "e12", "lower": [0, 1]},
+        {"dim": 1, "id": "e23", "lower": [1, 2]},
+        {"dim": 1, "id": "e31", "lower": [0, 2]},
+    ]
 
 
 def test_a_json_load_holds_one_copy_of_each_cover(traced):
-    data = json.loads(json.dumps(sb.lattice_to_json_dict(sb.simplex_boundary(10))))
-    L, retained, peak = traced(sb.lattice_from_json_dict, data)
+    text = json.dumps(sb.lattice_to_json_dict(sb.simplex_boundary(10)))
+    L, retained, peak = traced(lambda: sb.lattice_from_json_dict(json.loads(text)))
     assert len(L) == 2 ** 12
-    # the JSON cover list is read in place, and each cover list of the
-    # lattice is made once: 3.0 MiB above the lattice when the covers were
-    # copied before they were resolved, 0.7 MiB when not
-    assert peak - retained < 1.5 * 2 ** 20
+    # the decoded dict and the loader's temporaries together: 2.45 MiB
+    # above the lattice with covers by position, 6.6 MiB when each cover
+    # was two id strings; the bound leaves 0.55 MiB of margin
+    assert peak - retained < 3 * 2 ** 20
+    # the loader alone, on the decoded dict: each cover list of the
+    # lattice is made once, 0.62-0.69 MiB above the lattice (3.0 MiB when
+    # the covers were copied before they were resolved); 0.2 MiB of margin
+    L, retained, peak = traced(sb.lattice_from_json_dict, json.loads(text))
+    assert peak - retained < 0.9 * 2 ** 20
 
 
 def test_dumping_a_lattice_memoises_no_covers():
@@ -971,7 +1062,9 @@ def _set_first_cover(value):
         (_set_first_cover(["a", "x", "b"]),
          "malformed lattice data: " + _unpacking_message(["a", "x", "b"])),
         (_set_first_cover("ax"), "malformed lattice data: a cover is not a pair of ids"),
-        (lambda data: data.pop("covers"), "malformed lattice data: 'covers'"),
+        # without it the file is read in the positional form, which
+        # needs a "lower" list on each face
+        (lambda data: data.pop("covers"), "malformed lattice data: face 'a' has no 'lower' list"),
         (_set_first_cover(["a", "q"]), "cover ('a', 'q') names an unknown element"),
     ],
     ids=["three-id cover", "string cover", "no covers key", "unknown cover end"],

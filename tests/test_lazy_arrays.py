@@ -11,7 +11,7 @@ import pytest
 import shellbound as sb
 from shellbound.lattice import _down_sets, _upper_covers
 
-from corpus import balls, spheres_d_le_3
+from corpus import balls, id_pair_json, spheres_d_le_3
 
 
 def built(L: sb.FaceLattice) -> tuple[bool, bool]:
@@ -28,6 +28,9 @@ BUILDERS = {
     "from_facets": lambda: sb.from_facets([[1, 2, 3], [2, 3, 4], [1, 3, 4]]),
     "lattice_from_json_dict": lambda: sb.lattice_from_json_dict(
         sb.lattice_to_json_dict(sb.cross_polytope(3))
+    ),
+    "lattice_from_json_dict id pairs": lambda: sb.lattice_from_json_dict(
+        id_pair_json(sb.cross_polytope(3))
     ),
     "dualize": lambda: sb.dualize(sb.cross_polytope(3)),
     "punctured": lambda: sb.punctured(sb.cross_polytope(3)),
@@ -52,10 +55,15 @@ def test_counting_queries_build_neither():
     assert built(L) == (False, False)
 
 
+def test_a_json_dump_builds_neither():
+    # the dump lists lower covers by position, and reads no upper cover
+    L = sb.cross_polytope(3)
+    sb.lattice_to_json_dict(L)
+    assert built(L) == (False, False)
+
+
 @pytest.mark.parametrize(
-    "query",
-    [sb.lattice_to_json_dict, sb.FaceLattice.covers, sb.is_diamond],
-    ids=["lattice_to_json_dict", "covers", "is_diamond"],
+    "query", [sb.FaceLattice.covers, sb.is_diamond], ids=["covers", "is_diamond"]
 )
 def test_covers_and_the_diamond_test_build_the_upper_covers_only(query):
     L = sb.cross_polytope(3)
