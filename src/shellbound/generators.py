@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Union
 
-from .errors import InvalidFace, RangeError
+from .errors import InvalidFace, PreconditionViolated, RangeError
 from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, build_lattice, from_facets
 
 
@@ -128,6 +128,8 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
     _require_sphere(S)
     facets = S.facets()
     if facet_id is None:
+        if not facets:
+            raise PreconditionViolated("no facet to remove")
         facet_id = facets[0]
     elif facet_id not in facets:
         raise InvalidFace(f"{facet_id!r} is not a facet")

@@ -88,9 +88,11 @@ nowhere else:
   the tuple keys ``(cell index, prefix bitmask)`` and ``(cell index,
   facet order)``, kept apart by the int or tuple second part; the
   certificate of a whole-complex order is not kept there.  A
-  sub-certificate whose cell is a simplex, or a 2-cell, goes in with its
-  facets only, and builds its steps in place when they are first read,
-  adding the sub-certificates they name then;
+  sub-certificate whose cell the search does not walk, a simplex or a
+  cell of rank at most 3, an edge's included, goes in as a
+  ``shelling._ClosedCertificate`` with its facets only, and builds its
+  steps when they are first read, adding the sub-certificates they name
+  then;
 * ``bounds``: one slot, replaced rather than set once, keyed as
   ``bounds._verified`` says: the last whole-complex order that the proof
   route verified, as its facet ids, its certificate, and the facet
@@ -420,7 +422,14 @@ class FaceLattice:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The explicit cover pairs ``(lower, upper)``, sorted; derived on
         each call, since the lattice keeps its covers as indices."""
-        return tuple(_sorted_covers(self))
+        # one string sort of the ids orders the covers by lower id; an
+        # element's upper covers share one rank and run in index order, which
+        # within a rank is id order, so each run of pairs is sorted already
+        ids = self.ids
+        upper = _upper_covers(self)
+        return tuple(
+            (ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]
+        )
 
     def lower_covers(self, face_id: str) -> tuple[str, ...]:
         return tuple(self.ids[c] for c in self._lower[self.index(face_id)])
@@ -474,18 +483,6 @@ class FaceLattice:
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_memo"] = {}
         return None, state
-
-
-def _sorted_covers(L: FaceLattice) -> Iterator[tuple[str, str]]:
-    """The cover pairs of :meth:`FaceLattice.covers`, one at a time."""
-    # one string sort of the ids orders the covers by lower id; an
-    # element's upper covers share one rank and run in index order, which
-    # within a rank is id order, so each run of pairs is sorted already
-    ids = L.ids
-    upper = _upper_covers(L)
-    return (
-        (ids[a], ids[b]) for a in sorted(range(len(ids)), key=ids.__getitem__) for b in upper[a]
-    )
 
 
 class _MaskSet:
@@ -585,10 +582,9 @@ def _record(cls: type) -> type:
 
     Like ``dataclass(slots=True)``, it remakes the class with one slot per
     field and no instance dict, except where a ``cached_property`` needs
-    one to cache in (``ShellingCertificate.order``; the certificate also
-    keeps there the order of a closed-form node whose steps are not yet
-    built, which a copy or a pickle, rebuilt from the fields, reads
-    first).  ``__init__``,
+    one to cache in (``ShellingCertificate.order``, and the ``steps``
+    that its subclass ``shelling._ClosedCertificate`` builds on first
+    read and keeps there, shadowing the slot).  ``__init__``,
     ``__eq__``, ``__hash__`` and ``__reduce__`` are compiled once per
     class, and ``__init__`` stores each field through its slot's
     descriptor ``__set__``, bound at decoration, past the raising

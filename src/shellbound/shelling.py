@@ -46,12 +46,14 @@ form, from ``_closed_steps``: each facet glues along its ridges already
 placed, and its sub-order is the one ``_simplex_order`` gives for them,
 found with no node, no mask and no failure.  ``_verify`` hands it an
 entry cell that is a simplex or of rank at most 2, and makes each such
-facet's sub-certificate through ``_closed_node``: with its facets only,
-its steps built by ``_closed_steps`` when something first reads them
-(:class:`ShellingCertificate` says which reads do), except an edge's,
-whose steps are none.  The JSON writer reads no such node's steps.  The proof route
-reads a facet's sub-shelling through its facets, so on a simplicial
-complex it builds the top's steps alone.  The top's steps, and those of
+facet's sub-certificate through ``_closed_node``, an edge's included, as
+an instance of one private subclass, ``_ClosedCertificate``: made with
+its facets only, its ``steps`` a cached property that ``_closed_steps``
+builds when something first reads it (:class:`ShellingCertificate` says
+which reads do), from the order the facets give back.  The JSON writer
+reads no such node's steps.  The proof route reads a facet's
+sub-shelling through its facets, so on a simplicial complex it builds
+the top's steps alone.  The top's steps, and those of
 every walked cell, are built at once.  Which cells are simplices is the
 one lattice fact the recursion reads besides the covers.
 :func:`find_shelling` and :func:`is_shelling` read it once per call, as
@@ -69,8 +71,9 @@ The lattice builds its down-sets and upper covers on first read, through
 ``_simplex_order`` and ``_graph_order``) reads the down-sets from their
 slot, ``L._down``, without the accessor: :func:`find_shelling` and
 :func:`is_shelling` read them through it before they enter the
-recursion, as they read ``simplices``, and a closed-form node's steps
-are built on read only on a lattice that ran the recursion.  It reads no
+recursion, as they read ``simplices``, and so does the JSON writer
+before it asks ``_search``; a closed-form node's steps are built on read
+only on a lattice that ran the recursion.  It reads no
 upper covers: in a 2-cell's graph, an edge meets the edges placed when
 its down-set meets theirs.
 So a search or a verification builds the down-sets only.
@@ -83,16 +86,18 @@ node there only when ``_search`` walks its facet.  On a simplex cell, or
 a cell of dimension at most 2, the sub-order is the closed form the
 search gives for the glued ridges, that of ``_graph_order`` on a 2-cell
 that is not a simplex and of ``_simplex_order`` on any other, so the
-step's ``sub_certificate`` is null, and the writer reads the mask once to
-tell.  A step states its glued ridges once, as their count: its
+step's ``sub_certificate`` is null; the writer reads the mask once to
+tell, and asks ``_search`` for the order to check the sub-certificate's
+against.  A step states its glued ridges once, as their count: its
 sub-certificate's order starts with exactly them, so they are its first
 entries, and both the step's ``intersection_facets`` and the JSON writer
 read them from there.  No library path builds a lattice for a cell; a
 caller that reads a sub-certificate's ``order`` builds one.  Searches
 and sub-certificates are memoised per cell in ``L._memo``, the host
 lattice's only memo, whose contents the :mod:`~shellbound.lattice`
-docstring lists; a simplex cell's or 2-cell's sub-certificate is kept
-there before its steps are built and keeps them in place once they are.
+docstring lists; a sub-certificate whose cell the search does not walk is
+kept there as a ``_ClosedCertificate`` before its steps are built, and
+keeps them in its instance dict once they are.
 :func:`is_shelling` keeps nothing of its own, so a repeated call walks
 its order again, reading every step's sub-certificate from the memo and
 spending no node.
@@ -213,28 +218,22 @@ class ShellingCertificate:
     of the cell for any other cell, on first read; the library reads
     ``facets`` and never builds that lattice.
 
-    A sub-certificate whose cell :func:`_search` does not walk, other
-    than an edge, is made with its facets only, and its ``steps`` are
-    built in closed form on first read and kept.  So every read, ``==``,
-    ``hash``, ``repr``, a copy and a pickle among them, sees the same
-    steps as for a certificate built whole, and none spends a node.
-    Every other certificate has its steps from the start.
+    A sub-certificate whose cell :func:`_search` does not walk, an
+    edge's included, is a :class:`_ClosedCertificate`, made with its
+    facets only: its ``steps`` are built in closed form on first read and
+    kept.  So every read, ``==``, ``hash`` and ``repr`` among them, sees
+    the same steps as for a certificate built whole, and none spends a
+    node; a copy or a pickle builds them again when it is read.  Only
+    ``repr`` and ``type()`` name the subclass, and ``==`` with a
+    certificate of this class is False, since records compare equal only
+    within one class.  Every other certificate has its steps from the
+    start.
     """
 
     lattice: FaceLattice
     cell: int
     facets: tuple[str, ...]
     steps: tuple[ShellingStep, ...]
-
-    def __getattr__(self, name: str):
-        # called for a name that plain lookup misses; it answers only the
-        # empty ``steps`` slot of a certificate that _closed_node made with
-        # its facets only, and builds them from the order kept for it
-        if name != "steps" or "_pending" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = _closed_steps(self.lattice, self.cell, self.__dict__.pop("_pending"))
-        object.__setattr__(self, "steps", steps)
-        return steps
 
     @cached_property
     def order(self) -> ShellingOrder:
@@ -257,15 +256,17 @@ class ShellingCertificate:
         at each position the least edge that shares a vertex with those
         placed, from the glued edges while they bind; on any other, that
         of :func:`_simplex_order`, the glued ridges and then the rest, each
-        in id order.  The writer reads the Boolean-cell mask once, and a
-        2-cell's order from the memo, where the search keeps it (it is
-        grown again only if it is not there); it builds no such cell's
-        steps and adds no memo entry.  A null step with any other
+        in id order.  The writer reads the Boolean-cell mask once and asks
+        :func:`_search` for that order, which spends no node on such a
+        cell and reads a 2-cell's from the memo, where the search keeps
+        it (it is grown and kept again only if it is not there); it
+        builds no such cell's steps.  A null step with any other
         sub-order, which only a certificate built by hand can hold, would
         be lost as null, so it raises :class:`InternalContradiction`."""
         L = self.lattice
         ids, ranks, simplices = L.ids, L.ranks, _boolean_cells(L)
-        down, edges = _down_sets(L), L._rank_masks[2]
+        # _search reads the down-sets from their slot
+        _down_sets(L)
         index: dict[tuple[int, tuple[str, ...]], int] = {}
         nodes: list[dict] = []
 
@@ -275,21 +276,14 @@ class ShellingCertificate:
                 sub = step.sub_certificate
                 x = sub.cell
                 glued = sub.facets[: step.glued]
-                simplex = simplices >> x & 1
                 ref = None
-                if ranks[x] > 3 and not simplex:
+                if ranks[x] > 3 and not simplices >> x & 1:
                     ref = index.setdefault((x, sub.facets), len(nodes))
                     if ref == len(nodes):
                         nodes.append({"cell": ids[x], "order": list(sub.facets)})
                         nodes[ref]["steps"] = steps_json(sub)
                 else:
-                    prefix = L._mask_of(glued)
-                    if ranks[x] == 3 and not simplex:
-                        closed = L._memo.get((x, prefix))
-                        if closed is None:
-                            closed = _graph_order(L, down[x] & edges, prefix)
-                    else:
-                        closed = _simplex_order(L, x, prefix)
+                    closed = _search(L, x, L._mask_of(glued), simplices, SearchBudget())
                     if closed is None or tuple(map(ids.__getitem__, closed)) != sub.facets:
                         raise InternalContradiction(
                             f"facet {step.facet!r}: its sub-order is not the closed"
@@ -302,6 +296,29 @@ class ShellingCertificate:
             return out
 
         return {"order": list(self.facets), "steps": steps_json(self), "nodes": nodes}
+
+
+class _ClosedCertificate(ShellingCertificate):
+    """The certificate :func:`_closed_node` makes for a cell that
+    :func:`_search` does not walk, with its facets only: its ``steps`` are
+    built by :func:`_closed_steps` on first read and kept in the instance
+    dict, from the order its ``facets`` give back through ``L._index``.
+    That class attribute shadows the ``steps`` slot, which holds ``()``.
+
+    A copy or a pickle takes the fields and that empty slot, so it walks
+    nothing below the node; its steps are built again, on its own
+    lattice, when they are read, as a copied lattice starts with an empty
+    memo."""
+
+    __slots__ = ()
+
+    @cached_property
+    def steps(self) -> tuple[ShellingStep, ...]:
+        L = self.lattice
+        return _closed_steps(L, self.cell, map(L._index.__getitem__, self.facets))
+
+    def __reduce__(self):
+        return self.__class__, (self.lattice, self.cell, self.facets, ())
 
 
 @_record
@@ -573,7 +590,7 @@ def _verify(
     return tuple(steps)
 
 
-def _closed_steps(L: FaceLattice, x: int, order: Sequence[int]) -> tuple[ShellingStep, ...]:
+def _closed_steps(L: FaceLattice, x: int, order: Iterable[int]) -> tuple[ShellingStep, ...]:
     """The steps of ``order``, host indices, on the boundary of a cell
     ``x`` that :func:`_search` does not walk: a simplex, or a cell of rank
     at most 3.  Every order of such a cell's facets is a shelling, a
@@ -596,19 +613,17 @@ def _closed_steps(L: FaceLattice, x: int, order: Sequence[int]) -> tuple[Shellin
     return tuple(steps)
 
 
-def _closed_node(L: FaceLattice, x: int, order: tuple[int, ...]) -> ShellingCertificate:
+def _closed_node(L: FaceLattice, x: int, order: tuple[int, ...]) -> _ClosedCertificate:
     """The memo's certificate of ``order``, host indices, on the boundary
     of a cell ``x`` that :func:`_search` does not walk, made and kept
-    there on a miss.  An edge's is made with its steps, which are none;
-    any other's with its facets only, keeping ``order`` until its steps
-    are first read and built by :func:`_closed_steps`."""
+    there on a miss: a :class:`_ClosedCertificate`, an edge's too, made
+    with its facets only, whose steps :func:`_closed_steps` builds when
+    they are first read.  No order is kept for that: the facets give it
+    back."""
     cert = L._memo.get((x, order))
     if cert is None:
-        cert = ShellingCertificate(L, x, tuple(map(L.ids.__getitem__, order)), ())
-        if L.ranks[x] > 2:
-            object.__delattr__(cert, "steps")
-            cert.__dict__["_pending"] = order
-        L._memo[x, order] = cert
+        facets = tuple(map(L.ids.__getitem__, order))
+        cert = L._memo[x, order] = _ClosedCertificate(L, x, facets, ())
     return cert
 
 

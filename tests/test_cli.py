@@ -476,6 +476,74 @@ def test_sphere_commands_on_a_ball_are_usage_errors(tmp_path, argv):
     assert proc.stderr == "shellbound: the complex has nonempty boundary; need a sphere\n"
 
 
+def test_gen_punctured_on_the_empty_complex_is_usage_error(tmp_path):
+    empty = {"dim": -1, "faces": []}
+    with pytest.raises(sb.PreconditionViolated, match="no facet to remove"):
+        sb.punctured(sb.lattice_from_json_dict(empty))
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps(empty))
+    proc = run_subprocess(["gen", "punctured", "--input", str(src)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "shellbound: no facet to remove\n"
+
+
+# the degenerate inputs of the sweep below, each with its facet text; the
+# empty complex has none, and the non-pure one is given as lattice JSON
+DEGENERATE_INPUTS = {
+    "empty": (lambda: sb.lattice_from_json_dict({"dim": -1, "faces": []}), None),
+    "point": (None, "1\n"),
+    "0-sphere": (None, "1\n2\n"),
+    "edge": (None, "1 2\n"),
+    "path": (None, "1 2\n2 3\n"),
+    "two-edges": (None, "1 2\n3 4\n"),
+    "non-pure": (lambda: sb.lattice_from_json_dict(TRIANGLE_AND_EDGE), None),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_INPUTS)
+def test_every_command_on_degenerate_input_exits_without_a_traceback(capsys, tmp_path, case):
+    # the verdicts are not pinned: find-shelling accepts the non-pure
+    # input, which is a known wrong answer
+    make, text = DEGENERATE_INPUTS[case]
+    L = make() if make else sb.from_facets(sb.parse_facet_text(text))
+    files = {"positions.json": json.dumps(sb.lattice_to_json_dict(L)),
+             "pairs.json": json.dumps(id_pair_json(L))}
+    if text:
+        files["facets.txt"] = text
+    facets = L.facets()
+    order = ",".join(facets) or "-"
+    first = facets[0] if facets else "-"
+    for name, content in files.items():
+        src = tmp_path / name
+        src.write_text(content)
+        inp = ["--input", str(src)]
+        for argv in (
+            ["check-shelling", *inp, "--order", order],
+            ["check-shelling", *inp, "--order", ",".join(reversed(facets)) or "-"],
+            ["check-shelling", *inp, "--order", order, "--format", "tsv"],
+            ["find-shelling", *inp],
+            ["find-shelling", *inp, "--order", first],
+            ["find-shelling", *inp, "--budget", "0"],
+            ["bounds", *inp],
+            ["bounds", *inp, "--k", "0"],
+            ["bounds", *inp, "--order", order],
+            ["witness", *inp, "--order", order, "--split", "1"],
+            ["witness", *inp, "--order", order, "--split", "2"],
+            ["corollaries", *inp],
+            ["corollaries", *inp, "--k", "0"],
+            ["gubt", *inp, "--d", "1", "--n", "2"],
+            ["gubt", *inp, "--d", "2", "--n", "3"],
+            ["gen", "punctured", *inp],
+            ["gen", "punctured", *inp, "--facet", first],
+            ["gen", "punctured", *inp, "--format", "text"],
+        ):
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (name, argv)
+            assert "Traceback" not in err, (name, argv)
+
+
 def test_gubt_hypothesis_not_met(tmp_path):
     src = write_lattice(tmp_path / "tet.json", sb.simplex_boundary(2))
     out = tmp_path / "report.json"
@@ -573,17 +641,21 @@ def test_either_lattice_form_gives_the_same_report(capsys, tmp_path, oct_json, s
     assert reports[0] == reports[1]
 
 
+# a triangle with an edge hanging off it, written by hand in the id-pair
+# form, as the benchmark's non-pure input is
+TRIANGLE_AND_EDGE = {
+    "dim": 2,
+    "faces": [{"id": i, "dim": len(i) - 1}
+              for i in ("1", "2", "3", "4", "12", "13", "23", "34", "123")],
+    "covers": [["1", "12"], ["2", "12"], ["1", "13"], ["3", "13"], ["2", "23"],
+               ["3", "23"], ["3", "34"], ["4", "34"], ["12", "123"], ["13", "123"],
+               ["23", "123"]],
+}
+
+
 def test_a_non_pure_id_pair_file_reads_as_its_positional_twin(capsys, tmp_path):
-    # a triangle with an edge hanging off it, written by hand in the
-    # id-pair form; its defects, if any, must not turn into format errors
-    by_hand = {
-        "dim": 2,
-        "faces": [{"id": i, "dim": len(i) - 1}
-                  for i in ("1", "2", "3", "4", "12", "13", "23", "34", "123")],
-        "covers": [["1", "12"], ["2", "12"], ["1", "13"], ["3", "13"], ["2", "23"],
-                   ["3", "23"], ["3", "34"], ["4", "34"], ["12", "123"], ["13", "123"],
-                   ["23", "123"]],
-    }
+    # its defects, if any, must not turn into format errors
+    by_hand = TRIANGLE_AND_EDGE
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps(by_hand))
     twin = write_lattice(tmp_path / "positions.json", sb.lattice_from_json_dict(by_hand))

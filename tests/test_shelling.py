@@ -350,13 +350,12 @@ def test_certificate_bytes_and_spend_are_pinned():
 
 
 def _built(cert: sb.ShellingCertificate) -> bool:
-    """Whether a certificate holds its steps, asked of the slot itself so
-    that asking builds nothing."""
-    try:
-        sb.ShellingCertificate.steps.__get__(cert)
-    except AttributeError:
-        return False
-    return True
+    """Whether a certificate holds its steps, asked of its instance dict,
+    where a closed-form node keeps them once read, so that asking builds
+    nothing."""
+    from shellbound import shelling
+
+    return type(cert) is not shelling._ClosedCertificate or "steps" in cert.__dict__
 
 
 def _read_all(cert: sb.ShellingCertificate) -> None:
@@ -402,6 +401,8 @@ def test_an_unbuilt_2_cell_node_behaves_as_a_read_one():
 
 
 def _assert_an_unbuilt_node_reads_alike(L: sb.FaceLattice) -> None:
+    from shellbound import shelling
+
     order = sb.find_shelling(L).facets
     j = len(order) - 1
     read = sb.is_shelling(L, order).steps[j].sub_certificate
@@ -416,11 +417,11 @@ def _assert_an_unbuilt_node_reads_alike(L: sb.FaceLattice) -> None:
     assert repr(unbuilt()) == repr(read)
     # a copy or a pickle reads as the original
     copied = copy.copy(unbuilt())
-    assert type(copied) is sb.ShellingCertificate
+    assert type(copied) is type(read) is shelling._ClosedCertificate
     assert copied == read and hash(copied) == hash(read) and copied.steps is not read.steps
     assert copied.to_json_dict() == read.to_json_dict()
     for rebuilt in (copy.deepcopy(unbuilt()), pickle.loads(pickle.dumps(unbuilt()))):
-        assert type(rebuilt) is sb.ShellingCertificate
+        assert type(rebuilt) is shelling._ClosedCertificate
         assert rebuilt.lattice is not L
         assert repr(rebuilt) == repr(read)
         assert rebuilt.to_json_dict() == read.to_json_dict()
@@ -437,6 +438,8 @@ def test_a_lattice_holding_unbuilt_nodes_copies_and_pickles():
     assert not any(_built(step.sub_certificate) for step in cert.steps)
     for rebuilt in (copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
         assert rebuilt.to_json_dict() == cert.to_json_dict()
+    # nor does copying or pickling the certificate
+    assert not any(_built(step.sub_certificate) for step in cert.steps)
 
 
 def _relabelled_cube_4() -> sb.FaceLattice:
@@ -497,10 +500,10 @@ def test_a_cold_simplex_certificate_builds_steps_on_first_read(monkeypatch):
     sub = cert.steps[3].sub_certificate
     assert len(sub.steps) == len(sub.facets) and closed == [L._top, sub.cell]
     assert sub.steps is sub.steps and len(closed) == 2
-    # the writer builds no node; a full read builds every node once, and
-    # a second one builds nothing; an edge's node is made with its steps
+    # the writer builds no node; a full read builds every node once, an
+    # edge's included, and a second one builds nothing
     assert cert.to_json_dict()["nodes"] == [] and len(closed) == 2
-    nodes = _unbuilt_cells(_read_each(cert), L)
+    nodes = _unbuilt_cells(_read_each(cert))
     assert sorted(closed[1:]) == nodes
     _read_each(cert)
     assert sorted(closed[1:]) == nodes and built == [L._top]
@@ -522,10 +525,10 @@ def _read_each(cert: sb.ShellingCertificate) -> list[sb.ShellingCertificate]:
     return list(seen.values())
 
 
-def _unbuilt_cells(nodes: list[sb.ShellingCertificate], L: sb.FaceLattice) -> list[int]:
+def _unbuilt_cells(nodes: list[sb.ShellingCertificate]) -> list[int]:
     """The cells of the nodes whose steps are built after they are made,
-    sorted: every node but an edge's."""
-    return sorted(node.cell for node in nodes if L.ranks[node.cell] > 2)
+    sorted: every node, an edge's included."""
+    return sorted(node.cell for node in nodes)
 
 
 def test_the_writer_builds_no_simplex_node():
@@ -577,8 +580,9 @@ def test_is_shelling_builds_no_closed_form_node(make, expand, monkeypatch):
     doc = cert.to_json_dict()
     assert len(L._memo) == entries and len(built) == 1 + len(doc["nodes"])
     assert len(closed) == top
-    # a full read of the DAG builds each node once, and a second builds none
-    nodes = _unbuilt_cells(_read_each(cert), L)
+    # a full read of the DAG builds each node once, an edge's included, and
+    # a second builds none
+    nodes = _unbuilt_cells(_read_each(cert))
     assert sorted(built[1:] + closed[top:]) == nodes
     _read_each(cert)
     assert sorted(built[1:] + closed[top:]) == nodes
@@ -612,6 +616,35 @@ def test_copies_of_a_cube_lattice_keep_its_2_cells_unbuilt(duplicate):
     _read_each(again)
     assert nested_certificate(again) == nested_certificate(cert)
     assert twin._memo.keys() == L._memo.keys()
+
+
+@pytest.mark.parametrize(
+    "make, squares",
+    # a cube's 2-cells are squares; every 2-cell of a simplex is a simplex,
+    # whose order is the closed form, grown by no graph walk
+    [(lambda: sb.hypercube_boundary(3), True), (lambda: sb.hypercube_boundary(4), True),
+     (lambda: sb.simplex_boundary(5), False)],
+    ids=["hypercube-boundary-3", "hypercube-boundary-4", "simplex-boundary-5"],
+)
+def test_the_writer_asks_the_search_for_a_null_step_order(make, squares, monkeypatch):
+    from shellbound import shelling
+
+    L = make()
+    L = relabelled(L, rank_permutation(L, random.Random(11)))
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    doc = cert.to_json_dict()
+    grown = []
+    graph_order = shelling._graph_order
+    monkeypatch.setattr(
+        shelling, "_graph_order", lambda *args: grown.append(1) or graph_order(*args)
+    )
+    # with the search's 2-cell orders gone, from the memo or with a copy's
+    # empty memo, the writer has them grown again and writes the same
+    L._memo.clear()
+    assert cert.to_json_dict() == doc
+    twin = copy.deepcopy(cert)
+    assert twin.lattice is not L and twin.to_json_dict() == doc
+    assert bool(grown) == squares
 
 
 def test_the_writer_refuses_a_simplex_sub_order_it_cannot_state():
