@@ -1,7 +1,7 @@
 """Graded face lattices of regular CW spheres and balls: shelling search
 and verification, and exact face-number lower bounds."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BOTTOM_ID",

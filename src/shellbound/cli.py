@@ -2,31 +2,13 @@
 
 Every checking subcommand emits one report: a JSON object with the tool
 version, the claim tag being checked, a sha256 of the input, the
-parameters, and the result.  The version also marks the report schema.
-From 0.2.0 on, a ``check-shelling`` certificate is a node table in which
-steps refer to shared sub-certificates by position.  From 0.3.0 on, a
-step whose facet is a simplex names no node: its ``sub_certificate`` is
-null, and a reader rebuilds the sub-order as the step's
-``intersection_facets``, then the facet's other ridges, each in id order,
-and each step below it the same way.  From 0.3.0 on too, ``params`` are
-the same whether a run is accepted, rejected or stopped by an error.
-From 0.4.0 on, a step names a node only when the search walks its
-facet, so a step on a 2-cell, a polygon, is null too.  A reader rebuilds
-its sub-order greedily: at each position the least edge, in id order,
-that shares a vertex with the edges placed (the first need share none),
-drawn from the step's ``intersection_facets`` until all of them are
-placed.  Each edge glues along the vertices it shares with the earlier
-ones.
-From 0.5.0 on, the lattice JSON that ``gen`` writes lists each face's
-lower covers as positions in ``faces`` (a ``lower`` list on each face)
-instead of a top-level ``covers`` list of id pairs; ``--input`` reads
-both forms, and a file in either form gives the same reports apart from
-``input_sha256``.
-Reports are byte-stable given identical inputs (sorted keys, fixed
-indentation), so they can be kept as golden files.  ``gen`` is the
-exception: it emits the complex itself, ready to be fed back through
-``--input``.  JSON is written as it is encoded, a batch of pieces at a
-time, with the same bytes as one ``json.dumps`` of the whole.
+parameters, and the result.  The version also marks the report schema;
+README's "Certificate format" section gives its history.  Each report
+is one ``json.dumps`` with sorted keys and no white space, then a
+newline, so reports are byte-stable given identical inputs and can be
+kept as golden files.  ``gen`` is the exception: it emits the complex
+itself, in the same compact JSON, ready to be fed back through
+``--input``.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report is still written); 2 usage or input error; 3 search budget
@@ -38,8 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Union
 
 from . import __version__
 from .errors import (
@@ -151,7 +132,7 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not text: {e}") from None
     del raw
@@ -172,21 +153,17 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
         raise InputError(f"{path}: malformed lattice JSON: {e}") from None
 
 
-def _write_text(out: Union[str, None], pieces: Iterable[str]) -> None:
-    """Writes ``pieces`` in turn to the file ``out``, or to stdout."""
+def _write_text(out: Union[str, None], text: str) -> None:
+    """Writes ``text`` to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.write(text)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(text)
 
 
 def _write_json(out: Union[str, None], obj) -> None:
-    """Writes ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline
-    as :func:`_write_text` does, encoding a batch of pieces at a time."""
-    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    batches = iter(lambda: "".join(islice(pieces, 4096)), "")
-    _write_text(out, chain(batches, ("\n",)))
+    _write_text(out, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _flatten(value, path: str, rows: list[tuple[str, str]]) -> None:
@@ -208,7 +185,7 @@ def _emit(args: argparse.Namespace, envelope: dict) -> None:
     if args.format == "tsv":
         rows: list[tuple[str, str]] = []
         _flatten(envelope, "", rows)
-        _write_text(args.out, (f"{k}\t{v}\n" for k, v in rows))
+        _write_text(args.out, "".join(f"{k}\t{v}\n" for k, v in rows))
     else:
         _write_json(args.out, envelope)
 
@@ -250,7 +227,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         lines = []
         for facet in L.facets():
             lines.append(" ".join(v for v in L.faces(0) if L.leq(v, facet)))
-        _write_text(args.out, ["\n".join(lines) + "\n"])
+        _write_text(args.out, "\n".join(lines) + "\n")
     else:
         _write_json(args.out, lattice_to_json_dict(L))
     return 0

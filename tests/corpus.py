@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
+from shellbound.lattice import _upper_covers
 
 
 @lru_cache(maxsize=None)
@@ -180,3 +181,24 @@ def lune_sphere() -> sb.FaceLattice:
         covers += [("a", edge), ("b", edge), (edge, lune), (f"e{i % 4 + 1}", lune)]
         covers += [(lune, "B1"), (lune, "B2")]
     return sb.build_lattice(elements, covers, 3)
+
+
+def barycentric_subdivision(L: sb.FaceLattice) -> sb.FaceLattice:
+    """The order complex of ``L``'s proper part: a vertex for each proper
+    face, named by the face's index in ``L``, and a facet for each maximal
+    chain of proper faces.  On a regular CW complex it is a simplicial
+    complex homeomorphic to it (Björner, Europ. J. Combin. 1984)."""
+    upper = _upper_covers(L)
+    top = L.index(L.top)
+    chains = []
+
+    def climb(chain: list[int]) -> None:
+        above = [y for y in upper[chain[-1]] if y != top]
+        if not above:
+            chains.append(chain)
+        for y in above:
+            climb([*chain, y])
+
+    for atom in upper[L.index(L.bottom)]:
+        climb([atom])
+    return sb.from_facets([map(str, chain) for chain in chains])

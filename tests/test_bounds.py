@@ -9,6 +9,7 @@ import shellbound as sb
 
 from corpus import (
     balls,
+    barycentric_subdivision,
     bowtie,
     doubled_triangle,
     fresh_copy,
@@ -485,6 +486,51 @@ def test_bound_four_sphere_equality():
     r = sb.verify_lower_bound(S, sb.find_shelling(S), 2)
     assert (r.lhs, r.rhs) == (10, 10)
     assert r.equality and r.expected_equality and r.ok
+
+
+def chain_counts(L: sb.FaceLattice) -> tuple[int, ...]:
+    """The number of chains of k + 1 proper faces of ``L``, for each k,
+    by a dynamic program over the strict down-sets."""
+    ending = {}  # face -> counts of the chains it tops, by length - 1
+    # faces come in rank order, so a face's down-set is counted before it
+    for x in L.face_ids():
+        counts = [1] + [0] * L.dim
+        for y in L.down_set(x, strict=True) - {L.bottom}:
+            for j, c in enumerate(ending[y][:-1]):
+                counts[j + 1] += c
+        ending[x] = counts
+    return tuple(sum(column) for column in zip(*ending.values()))
+
+
+# complexes to subdivide, each with whether it is a lattice itself: the
+# subdivision of a regular CW complex is strongly regular even where the
+# complex is not, and the subdivision of a polytope's boundary or of a
+# shellable ball is shellable
+SUBDIVIDED = {
+    "cube-2": (lambda: sb.hypercube_boundary(2), True),
+    "cube-3": (lambda: sb.hypercube_boundary(3), True),
+    "cross-3": (lambda: sb.cross_polytope(3), True),
+    "lune": (lune_sphere, False),
+    "doubled-triangle": (doubled_triangle, False),
+    "punctured-cube-3": (lambda: sb.punctured(sb.hypercube_boundary(3)), True),
+}
+
+
+@pytest.mark.parametrize("name", SUBDIVIDED)
+def test_bound_on_barycentric_subdivisions(name):
+    make, is_lattice = SUBDIVIDED[name]
+    L = make()
+    assert sb.is_lattice(L) == is_lattice
+    S = barycentric_subdivision(L)
+    assert sb.f_vector(S).proper == chain_counts(L)
+    assert sb.is_lattice(S)
+    order = sb.find_shelling(S)
+    assert order is not None
+    d = S.dim
+    for k in range((d - 1) // 2, d + 1):
+        r = sb.verify_lower_bound(S, order, k)
+        assert r.ok, k
+        assert r.equality == (k >= d - 1), k
 
 
 def test_bound_report_json_schema():

@@ -60,15 +60,16 @@ def test_gen_families_round_trip(tmp_path):
         assert sb.f_vector(L).proper == fv, argv
 
 
-def test_gen_writes_its_json_as_it_encodes_it(tmp_path, traced):
+def test_gen_json_takes_bounded_memory(tmp_path, traced):
     path = tmp_path / "simplex.json"
     with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
         code, _, peak = traced(run, ["gen", "simplex-boundary", "--d", "10"])
     assert code == 0
-    # 16.3 MiB when the whole text was encoded before it was written
+    # the compact text is encoded whole: about 6.2 MiB at the peak
     assert peak < 10 * 2 ** 20
-    whole = json.dumps(sb.lattice_to_json_dict(sb.simplex_boundary(10)), sort_keys=True, indent=2)
-    assert path.read_text() == whole + "\n"
+    compact = json.dumps(sb.lattice_to_json_dict(sb.simplex_boundary(10)),
+                         sort_keys=True, separators=(",", ":"))
+    assert path.read_text() == compact + "\n"
 
 
 def test_gen_punctured_via_file(tmp_path, oct_json):
@@ -158,7 +159,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 0
     env = read_envelope(out)
-    assert env["version"] == "0.5.0"
+    assert env["version"] == "0.6.0"
     cert = env["result"]["certificate"]
     assert set(cert) == {"order", "steps", "nodes"}
     # every facet is a triangle, a simplex, so no step names a node
@@ -171,7 +172,7 @@ def test_check_shelling_certificate_is_a_node_table(tmp_path, oct_json):
                 "--out", str(out)])
     assert code == 1
     env = read_envelope(out)
-    assert env["version"] == "0.5.0"
+    assert env["version"] == "0.6.0"
     assert env["result"] == {
         "accepted": False,
         "failure": {"step": 2, "reason": "EmptyIntersection"},
@@ -539,9 +540,17 @@ def test_every_command_on_degenerate_input_exits_without_a_traceback(capsys, tmp
             ["gen", "punctured", *inp, "--format", "text"],
         ):
             code = run(argv)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert code in (0, 1, 2, 3), (name, argv)
             assert "Traceback" not in err, (name, argv)
+            if "--format" not in argv:
+                # every JSON output, error and budget reports included,
+                # is in canonical compact form, and only a usage error
+                # writes none
+                assert bool(out) == (code != 2), (name, argv)
+                if out:
+                    canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+                    assert out == canonical + "\n", (name, argv)
 
 
 def test_gubt_hypothesis_not_met(tmp_path):
@@ -580,35 +589,35 @@ OCT_ORDER = "123,126,135,156,234,246,345,456"
 
 # the sha256 of each report as written to stdout, on the octahedron
 # (``cross_polytope(2)``) and the square (``ngon(4)``) as lattice JSON,
-# at report schema 0.5.0
+# at report schema 0.6.0
 GOLDEN_REPORTS = {
     "find-shelling": (
         ["find-shelling", "--input", "oct"], 0,
-        "138ab28959b7557116224f99ddf8a4a73ab272b8ef7fd3bf81434e9c45a8d8e5"),
+        "fff8b3e7c74745546cc686888d47fb3468899e669cd2ac48e052edfa346fa19a"),
     "check-shelling accepted": (
         ["check-shelling", "--input", "oct", "--order", OCT_ORDER], 0,
-        "8eb6589302a9b6485b3bd7c0a6edf71cda07b7c433548a3bf5d3b106829bea25"),
+        "6ed058a88351c002a3ba63d830b22783b98f7d4efadc6c5767a424031c2d281c"),
     "check-shelling rejected": (
         ["check-shelling", "--input", "square", "--order", "e12,e34,e23,e41"], 1,
-        "d227ac984230b65630de85cefe39d46305c3646967c22b41540ed3d5fc9ba0f6"),
+        "15f0d8a1ea5ad702497a4be7e71a5f102fe2589c337f9e285f0c751204b36ed2"),
     "bounds json": (
         ["bounds", "--input", "oct"], 0,
-        "4992d964760db660ccbad128b104e349aef09fcb305683f3052b669684dbe36e"),
+        "f648700ae504535aaebb7d1abe42e61d33d1479831f9fe98365efeeb319ef890"),
     "bounds tsv": (
         ["bounds", "--input", "oct", "--format", "tsv"], 0,
-        "64e7791f70f1edcc9da9bfbca3d15d069d38fa70475a03969aef655042a8dd11"),
+        "d694619f450c7452b1a5ddb2f1707f207a9dbc2e99488225c11f97d3267b84de"),
     "witness": (
         ["witness", "--input", "oct", "--order", OCT_ORDER, "--split", "3"], 0,
-        "5c73b1c50171b412634b97662ec33c96a9bf819a17b9af60f733a134dc0e21cc"),
+        "72c019413f5b8fcaf252b010478a8530336fa86240a885d5122d10f3ec3f5479"),
     "corollaries": (
         ["corollaries", "--input", "oct"], 0,
-        "4cf720342d73563d4b9150b40978f5bea44ce3a1a0e0f43023215ad40351f957"),
+        "996d015f5305913f2187d51b3d12fa94a6e4551199a09651253b0c4f72f3c3df"),
     "gubt": (
         ["gubt", "--input", "oct", "--d", "3", "--n", "5"], 0,
-        "b3b7798dc312897f308d631185e0594afc5faa52a460f2f75fd9ca855d09c724"),
+        "d780f6cfc2faaba7347600ec88bd59377d3365f8bad219fe9c390b87eeda04d4"),
     "gen ngon": (
         ["gen", "ngon", "--n", "5"], 0,
-        "b4002a94bff6d02820b91867674ccca141040f0869d83de4fa2e53fd23cb2334"),
+        "d5b82104450362399eefc0daf9b4bb869b0cbc1d9abf57b230b7112416116aa6"),
 }
 
 
@@ -622,7 +631,7 @@ def test_report_matches_its_golden_hash(capsys, oct_json, square_json, case):
 
 
 # the input's digest, as the json and the tsv envelopes write it
-INPUT_SHA256 = re.compile(r'("input_sha256": |input_sha256\t)"[0-9a-f]{64}"')
+INPUT_SHA256 = re.compile(r'("input_sha256":|input_sha256\t)"[0-9a-f]{64}"')
 
 
 @pytest.mark.parametrize("case", [case for case in GOLDEN_REPORTS if case != "gen ngon"])
@@ -639,6 +648,30 @@ def test_either_lattice_form_gives_the_same_report(capsys, tmp_path, oct_json, s
         assert len(INPUT_SHA256.findall(out)) == 1
         reports.append(INPUT_SHA256.sub(r'\1"*"', out))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("form", ["positions", "pairs", "facets"])
+def test_a_byte_order_mark_is_not_read_as_data(capsys, tmp_path, form):
+    # the JSON is written a value to a line: read as facet text, one line
+    # of many tokens would be one facet with exponentially many faces
+    L = sb.cross_polytope(2)
+    text = {
+        "positions": json.dumps(sb.lattice_to_json_dict(L), indent=1),
+        "pairs": json.dumps(id_pair_json(L), indent=1),
+        "facets": "1 2 3\n2 3 4\n",
+    }[form]
+    reports = []
+    for mark in ("", "\ufeff"):
+        src = tmp_path / f"input{len(mark)}"
+        src.write_text(mark + text, encoding="utf-8")
+        for command in ("find-shelling", "bounds"):
+            assert run([command, "--input", str(src)]) == 0, (mark, command)
+            out = capsys.readouterr().out
+            # the digest is still that of the bytes as given
+            assert hashlib.sha256(src.read_bytes()).hexdigest() in out
+            reports.append(INPUT_SHA256.sub(r'\1"*"', out))
+    assert reports[:2] == reports[2:]
+    assert "\ufeff" not in "".join(reports)
 
 
 # a triangle with an edge hanging off it, written by hand in the id-pair
