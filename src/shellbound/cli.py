@@ -211,7 +211,7 @@ def _require(args: argparse.Namespace, flag: str) -> object:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import generators
-    from .lattice import is_simplicial, lattice_to_json_dict
+    from .lattice import _down_sets, is_simplicial, lattice_to_json_dict
 
     if args.family in _GENERATORS:
         name, flags = _GENERATORS[args.family]
@@ -224,9 +224,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.format == "text":
         if not is_simplicial(L):
             raise InputError("facet-list text output needs a simplicial complex")
-        lines = []
-        for facet in L.facets():
-            lines.append(" ".join(v for v in L.faces(0) if L.leq(v, facet)))
+        # a facet's vertices are the rank-1 part of its down-set, in index
+        # order, which within a rank is id order
+        down, vertices = _down_sets(L), L._rank_masks[1]
+        lines = [" ".join(L._ids_of(down[L.index(f)] & vertices)) for f in L.facets()]
         _write_text(args.out, "\n".join(lines) + "\n")
     else:
         _write_json(args.out, lattice_to_json_dict(L))

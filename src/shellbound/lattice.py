@@ -61,7 +61,9 @@ builder's covers can break, on the lower covers alone: acyclicity,
 gradedness and a lower cover under every element but the bottom (a
 :func:`dualize` of a non-pure lattice lacks one).  It builds neither
 derived array.  Ids run in (rank, id) order, so
-:meth:`FaceLattice.faces` reads each rank as one slice of them.
+:meth:`FaceLattice.faces` reads each rank as one slice of them, and the
+dimension of a set of faces is the rank of its last member, less one:
+``L.ranks[mask.bit_length() - 1] - 1``, or -1 for an empty mask.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
@@ -143,6 +145,7 @@ from .errors import (
     NotPseudomanifold,
     NoTop,
     PreconditionViolated,
+    RangeError,
     RankOutOfRange,
 )
 
@@ -183,7 +186,12 @@ def _closed(down: tuple[int, ...], mask: int) -> int:
 
 def _gc_paused(build: Callable[..., _T], *args) -> _T:
     """``build(*args)`` with the cyclic garbage collector paused: a
-    collection during a build would free nothing, since all of it is kept."""
+    collection during a build would free nothing, since all of it is kept.
+    A fill that allocates no container per element runs unpaused, as
+    ``_down_sets`` does: its down-sets are ints, which the collector does
+    not track, so it adds a handful of containers to the collector's
+    count whatever the lattice's size, and a pause would put off at most
+    one collection."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -219,22 +227,19 @@ def _down_sets(L: FaceLattice) -> tuple[int, ...]:
     order, built on the first call and kept in ``L._down``."""
     down = L._down
     if down is None:
-        down = L._down = _gc_paused(_fill_down_sets, L._lower)
+        # every cover raises the index, as the constructor checked, so the
+        # down-sets fill in index order; the bottom lies below everything
+        lower = L._lower
+        fill = [0] * len(lower)
+        for b, below in enumerate(lower):
+            m = 1 << b | 1
+            for a in below:
+                m |= fill[a]
+            fill[b] = m
+        # the top lies above everything, whether or not covers say so
+        fill[-1] = (1 << len(lower)) - 1
+        down = L._down = tuple(fill)
     return down
-
-
-def _fill_down_sets(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # every cover raises the index, as the constructor checked, so the
-    # down-sets fill in index order; the bottom lies below everything
-    down = [0] * len(lower)
-    for b, below in enumerate(lower):
-        m = 1 << b | 1
-        for a in below:
-            m |= down[a]
-        down[b] = m
-    # the top lies above everything, whether or not covers say so
-    down[-1] = (1 << len(lower)) - 1
-    return tuple(down)
 
 
 def _upper_covers(L: FaceLattice) -> tuple[tuple[int, ...], ...]:
@@ -487,12 +492,18 @@ class FaceLattice:
 
 class _MaskSet:
     """A set of faces of a host lattice, held as a bit mask over its
-    element order.  Two are equal when they are of the same class, on the
-    same lattice object, with the same mask."""
+    element order, with its ``dim``: the rank of its last member, less
+    one, since ranks rise with the index.  Two are equal when they are of
+    the same class, on the same lattice object, with the same mask."""
 
     def __init__(self, lattice: FaceLattice, mask: int):
         self.lattice = lattice
         self.mask = mask
+
+    @cached_property
+    def dim(self) -> int:
+        """Largest dimension of a member face; -1 when at most the bottom."""
+        return self.lattice.ranks[self.mask.bit_length() - 1] - 1 if self.mask else -1
 
     @cached_property
     def members(self) -> frozenset[str]:
@@ -521,15 +532,6 @@ class Subcomplex(_MaskSet):
     Contains the bottom whenever nonempty, never the top.  Instances are
     produced by :func:`closure` and friends.
     """
-
-    @cached_property
-    def dim(self) -> int:
-        """Largest dimension of a member face; -1 when at most the bottom."""
-        rank_masks = self.lattice._rank_masks
-        for r in range(len(rank_masks) - 1, 0, -1):
-            if self.mask & rank_masks[r]:
-                return r - 1
-        return -1
 
     @cached_property
     def _boundary(self) -> Union[int, None]:
@@ -761,10 +763,12 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     """Face lattice of the simplicial complex generated by vertex sets.
 
     Every facet is a set of vertex tokens; all facets must have the same
-    cardinality.  Face ids are the sorted tokens joined together; a ``-``
-    separator is used throughout as soon as any vertex token has more
-    than one character (keeping ids unambiguous), so a facet ``{1, 2, 3}``
-    becomes the face ``"123"`` but ``{1, 2, 10}`` becomes ``"1-2-10"``.
+    cardinality, at most 13, else :class:`RangeError` is raised before
+    any face is made.  Face ids are the sorted tokens joined together;
+    a ``-`` separator is used throughout as soon as any vertex token has
+    more than one character (keeping ids unambiguous), so a facet
+    ``{1, 2, 3}`` becomes the face ``"123"`` but ``{1, 2, 10}`` becomes
+    ``"1-2-10"``.
     """
     facet_sets = {frozenset(str(t) for t in f) for f in facets}
     facet_sets.discard(frozenset())
@@ -774,6 +778,10 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     if len(sizes) != 1:
         raise MixedDimensions(f"facet sizes differ: {sorted(sizes)}")
     d = sizes.pop() - 1
+    if d > 12:
+        # a facet of n vertices makes 2^n - 1 faces; 13 is the facet size of
+        # the largest family, simplex_boundary(12)
+        raise RangeError(f"need facets of at most 13 vertices, got {d + 1}")
 
     vocabulary = frozenset().union(*facet_sets)
     sep = "" if all(len(t) == 1 for t in vocabulary) else "-"
@@ -1065,13 +1073,8 @@ def f_vector(x: Union[Complex, FaceSet]) -> FVector:
     or face set, counts exactly the members.  No closure is taken.
     """
     x = _as_subcomplex(x)
-    L = x.lattice
-    if x.mask == 0:
-        return FVector(-1, (0,))
-    counts = [(x.mask & m).bit_count() for m in L._rank_masks]
-    while not counts[-1]:
-        counts.pop()
-    return FVector(len(counts) - 2, tuple(counts))
+    counts = [(x.mask & m).bit_count() for m in x.lattice._rank_masks[: x.dim + 2]]
+    return FVector(x.dim, tuple(counts))
 
 
 def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:

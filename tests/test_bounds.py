@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -502,17 +503,36 @@ def chain_counts(L: sb.FaceLattice) -> tuple[int, ...]:
     return tuple(sum(column) for column in zip(*ending.values()))
 
 
+# the generators at small sizes: polytope boundaries, whose face
+# lattices are lattices
+POLYTOPES = {
+    **{f"simplex-{d}": partial(sb.simplex_boundary, d) for d in (1, 2, 3)},
+    **{f"cross-{d}": partial(sb.cross_polytope, d) for d in (1, 2, 3)},
+    **{f"cube-{d}": partial(sb.hypercube_boundary, d) for d in (1, 2, 3)},
+    **{f"ngon-{n}": partial(sb.ngon, n) for n in (3, 5, 6)},
+    **{f"cyclic-{d}-6": partial(sb.cyclic_boundary, d, 6) for d in (3, 4)},
+}
+
+
+def _punctured(make):
+    return lambda: sb.punctured(make())
+
+
+def _dual(make):
+    return lambda: sb.dualize(make())
+
+
 # complexes to subdivide, each with whether it is a lattice itself: the
 # subdivision of a regular CW complex is strongly regular even where the
 # complex is not, and the subdivision of a polytope's boundary or of a
-# shellable ball is shellable
+# shellable ball is shellable; a dual's subdivision is its host's, with
+# other vertex names
 SUBDIVIDED = {
-    "cube-2": (lambda: sb.hypercube_boundary(2), True),
-    "cube-3": (lambda: sb.hypercube_boundary(3), True),
-    "cross-3": (lambda: sb.cross_polytope(3), True),
+    **{name: (make, True) for name, make in POLYTOPES.items()},
+    **{f"punctured-{name}": (_punctured(make), True) for name, make in POLYTOPES.items()},
+    **{f"dual-{name}": (_dual(make), True) for name, make in POLYTOPES.items()},
     "lune": (lune_sphere, False),
     "doubled-triangle": (doubled_triangle, False),
-    "punctured-cube-3": (lambda: sb.punctured(sb.hypercube_boundary(3)), True),
 }
 
 
@@ -526,6 +546,11 @@ def test_bound_on_barycentric_subdivisions(name):
     assert sb.is_lattice(S)
     order = sb.find_shelling(S)
     assert order is not None
+    # a CL-shellable poset has a shellable order complex (Björner and
+    # Wachs, Trans. AMS 1983), one way only; each diamond lattice here, a
+    # polytope's or its dual, is CL-shellable, and its subdivision shelled
+    if is_lattice and sb.is_diamond(L):
+        assert sb.is_cl_shellable(L)
     d = S.dim
     for k in range((d - 1) // 2, d + 1):
         r = sb.verify_lower_bound(S, order, k)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import shellbound as sb
+from shellbound import cli
 from shellbound.cli import CLAIM_TAGS, run
 
 from corpus import bipyramid_facets, id_pair_json, lune_sphere, rank_permutation, relabelled
@@ -85,7 +87,24 @@ def test_gen_punctured_via_file(tmp_path, oct_json):
     assert "456" not in B2
 
 
-def test_gen_text_format(tmp_path):
+def facet_lines(L) -> str:
+    """The facet-list text of a simplicial ``L``, each facet's vertices
+    found by testing every vertex against it."""
+    return "".join(" ".join(v for v in L.faces(0) if L.leq(v, f)) + "\n" for f in L.facets())
+
+
+# each simplicial family at small sizes, with its generator's arguments;
+# ngon 11 puts v10 before v2, and ngon 101 writes its edges as e1-2
+TEXT_FAMILIES = [
+    *[("simplex-boundary", (d,)) for d in (0, 1, 2, 3)],
+    *[("cross-polytope", (d,)) for d in (1, 2, 3)],
+    ("hypercube-boundary", (1,)),
+    *[("ngon", (n,)) for n in (3, 4, 5, 11, 101)],
+    *[("cyclic-boundary", dn) for dn in ((3, 7), (4, 6), (5, 8))],
+]
+
+
+def test_gen_text_format(tmp_path, oct_json, monkeypatch):
     out = tmp_path / "facets.txt"
     assert run(["gen", "simplex-boundary", "--d", "2", "--format", "text",
                 "--out", str(out)]) == 0
@@ -93,6 +112,28 @@ def test_gen_text_format(tmp_path):
     assert text.endswith("\n")
     L = sb.from_facets(sb.parse_facet_text(text))
     assert sb.f_vector(L).proper == (4, 6, 4)
+    for family, values in TEXT_FAMILIES:
+        name, flags = cli._GENERATORS[family]
+        argv = ["gen", family, *[a for pair in zip(flags, map(str, values)) for a in pair]]
+        assert run(argv + ["--format", "text", "--out", str(out)]) == 0, argv
+        assert out.read_text() == facet_lines(getattr(sb, name)(*values)), argv
+    cyclic = write_lattice(tmp_path / "cyclic.json", sb.cyclic_boundary(4, 7))
+    for src, facet in [(oct_json, None), (oct_json, "456"), (cyclic, None)]:
+        argv = ["gen", "punctured", "--input", src, *(["--facet", facet] if facet else [])]
+        assert run(argv + ["--format", "text", "--out", str(out)]) == 0, argv
+        base = sb.lattice_from_json_dict(json.loads(Path(src).read_text()))
+        assert out.read_text() == facet_lines(sb.punctured(base, facet)), argv
+    # the vertices come from the down-sets, not from a containment test per
+    # vertex and facet, which would take seconds here
+    L = sb.ngon(8191)
+    expected = "".join(" ".join(L.lower_covers(e)) + "\n" for e in L.facets())
+
+    def leq(self, a, b):
+        raise AssertionError("gen --format text tests containment face by face")
+
+    monkeypatch.setattr(sb.FaceLattice, "leq", leq)
+    assert run(["gen", "ngon", "--n", "8191", "--format", "text", "--out", str(out)]) == 0
+    assert out.read_text() == expected
 
 
 def test_gen_text_format_rejects_nonsimplicial(tmp_path):
@@ -674,6 +715,19 @@ def test_a_byte_order_mark_is_not_read_as_data(capsys, tmp_path, form):
     assert "\ufeff" not in "".join(reports)
 
 
+def test_a_lattice_file_read_as_one_huge_facet_is_refused(tmp_path):
+    # JSON with the default separators behind a stray byte is read as
+    # facet text: one facet of the 68 distinct tokens, which would make
+    # 2^68 - 1 faces; the child's memory is capped, so that a missing
+    # size guard fails here and does not fill the machine
+    hostile = tmp_path / "hostile.txt"
+    hostile.write_text("x" + json.dumps(sb.lattice_to_json_dict(sb.cross_polytope(2))))
+    proc = run_subprocess(["find-shelling", "--input", str(hostile)], memory_cap=2 ** 29)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "shellbound: need facets of at most 13 vertices, got 68\n"
+
+
 # a triangle with an edge hanging off it, written by hand in the id-pair
 # form, as the benchmark's non-pure input is
 TRIANGLE_AND_EDGE = {
@@ -808,18 +862,23 @@ def test_malformed_lattice_data(tmp_path):
     assert run(["find-shelling", "--input", str(bad)]) == 2
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """A child interpreter given ARGV, with these sources on its path."""
+def run_python(*argv: str, memory_cap: int = 0) -> subprocess.CompletedProcess:
+    """A child interpreter given ARGV, with these sources on its path, and
+    its address space capped at ``memory_cap`` bytes when that is not 0."""
     src = str(Path(sb.__file__).resolve().parents[1])
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
     return subprocess.run(
-        [sys.executable, *argv],
+        [sys.executable, *argv], preexec_fn=cap if memory_cap else None,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
 
 
-def run_subprocess(args: list[str]) -> subprocess.CompletedProcess:
+def run_subprocess(args: list[str], memory_cap: int = 0) -> subprocess.CompletedProcess:
     """The CLI in a child interpreter, so that a traceback reaches stderr."""
-    return run_python("-m", "shellbound.cli", *args)
+    return run_python("-m", "shellbound.cli", *args, memory_cap=memory_cap)
 
 
 def triangle_by_hand() -> dict:

@@ -417,6 +417,15 @@ def test_from_facets_rejects_bad_input():
         sb.from_facets([[1, 2], [3, 4, 5]])
 
 
+def test_from_facets_refuses_a_facet_of_more_than_13_vertices():
+    # 13 is the facet size of simplex_boundary(12); one facet of 14 alone
+    # makes 16 383 faces, more than the largest family's elements
+    with pytest.raises(sb.RangeError, match="at most 13 vertices, got 14"):
+        sb.from_facets([range(14)])
+    L = sb.from_facets([range(13)])
+    assert sb.f_vector(L).proper == tuple(comb(13, k) for k in range(1, 14))
+
+
 def test_from_facets_dedupes():
     L = sb.from_facets([[1, 2], [2, 1], [2, 3]])
     assert len(L.facets()) == 2
@@ -734,12 +743,14 @@ def test_pseudomanifold_and_boundary_match_naive_oracle():
     assert not sb.is_pseudomanifold(fan) and sb.is_pseudomanifold(pinched)
 
 
-# the four questions the complex layer answers, each as a comparable value
+# the questions the complex layer answers, each as a comparable value
 COMPLEX_QUESTIONS = {
     "pure": sb.is_pure,
     "pseudomanifold": sb.is_pseudomanifold,
     "boundary": lambda x: sb.boundary_complex(x).members,
     "interior": lambda x: sb.interior(x).members,
+    "dim": lambda x: x.dim,
+    "f_vector": sb.f_vector,
 }
 
 
@@ -765,11 +776,14 @@ def test_complex_layer_matches_naive_oracle_on_small_posets(parts, rng):
     for mask in masks:
         members = L._ids_of(mask)
         ok, boundary = naive_pseudomanifold(L, members)
+        dim, counts = naive_dim_and_counts(L, members)
         expected = {
             "pure": naive_is_pure(L, members),
             "pseudomanifold": ok,
             "boundary": boundary if ok else sb.NotPseudomanifold,
             "interior": frozenset(members) - boundary - {L.bottom} if ok else sb.NotPseudomanifold,
+            "dim": dim,
+            "f_vector": sb.FVector(dim, counts),
         }
         # two objects with one mask, asked in opposite orders: no answer
         # may depend on which question was asked first
@@ -794,8 +808,7 @@ def test_dim_and_f_vector_match_naive_oracle():
             dim, counts = naive_dim_and_counts(L, part.members)
             fv = sb.f_vector(part)
             assert (fv.dim, fv.counts) == (dim, counts), part
-            if isinstance(part, sb.Subcomplex):
-                assert part.dim == dim, part
+            assert part.dim == dim, part
     # whole lattices: every face but the artificial top
     wholes = [L for L, _ in cases]
     wholes += [sb.dualize(L) for L in wholes]
