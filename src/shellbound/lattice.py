@@ -40,16 +40,20 @@ outside facts: it takes ``str()`` of each id, then checks that the ids
 are unique, that the dimension is an integer, that each rank is an
 integer in range and that there is exactly one bottom and one top, and
 resolves each cover pair to indices once (an unknown end is an error).
-It sorts the elements by (rank, id), drops repeated covers and hands
-each lower-cover list over as a sorted tuple, which the constructor
-keeps as it is.
+It sorts the elements by (rank, id) and files each cover under its
+lower end, then reads the lower ends in index order, so each lower-cover
+list fills sorted, with a repeated cover next to itself, where it is
+dropped.  It hands each list over as a tuple, which the constructor
+keeps as it is, and with them its id index, which the constructor keeps
+instead of making one.
 The generators that name their own faces build through it, and so does
 :func:`lattice_from_json_dict` on the id-pair form.  On the positional
 form, where each face lists its lower covers by file position, that
 loader runs the same checks of the elements, with the same messages in
 the same order, then checks the positions and maps each to its index
-once.  The builders that already know every index build the resolved
-form directly, and each vouches for its ids, dimension and extremes:
+once, and hands its id index over too.  The builders that already know
+every index build the resolved form directly, and each vouches for its
+ids, dimension and extremes:
 :func:`from_facets` sorts its faces by (size, id), :func:`dualize`
 reverses the ranks and keeps each rank's id order,
 ``generators.punctured`` drops one index, and :func:`sub_lattice` keeps
@@ -129,7 +133,7 @@ import gc
 import json
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, filterfalse, islice, repeat
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
@@ -204,9 +208,13 @@ def _gc_paused(build: Callable[..., _T], *args) -> _T:
 def _shared_ints(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The indices ``0 .. len(lower) - 1``, one int object each, to be
     shared by a lattice's index and every neighbour list: the object the
-    lower lists hold, where they hold one.  Every builder uses one object
-    per index, and reading them back costs a quarter of what mapping every
-    entry to a new object would."""
+    lower lists hold, where they hold one.  The constructor reads them
+    back for the builders that hand over no id index, :func:`from_facets`,
+    :func:`dualize`, ``generators.punctured`` and :func:`sub_lattice`,
+    each of which uses one object per index; reading them back costs a
+    quarter of what mapping every entry to a new object would.  The two
+    resolvers hand over the index they resolved with instead, whose
+    objects their lower lists hold already."""
     nums = list(range(len(lower)))
     for x in set(chain.from_iterable(lower)):
         nums[x] = x
@@ -314,7 +322,11 @@ class FaceLattice:
     without repeats.  All of that it trusts, since every builder vouches
     for it.  It checks only what the covers can break, on the lower covers
     alone: that the lengths agree, acyclicity, gradedness and a lower
-    cover under every element but the bottom.  The down-set bit vectors
+    cover under every element but the bottom.  The keyword ``_index`` is
+    private to the two resolvers, :func:`build_lattice` and
+    :func:`lattice_from_json_dict`: the id index they resolved with,
+    whose int objects their lower lists hold, kept in place of the one
+    the constructor would make.  The down-set bit vectors
     and the upper-cover lists are built on first read, by
     ``_down_sets`` and ``_upper_covers``; until then their slots hold
     None.  No ``__getattr__`` builds them, since attribute reads on a
@@ -343,19 +355,23 @@ class FaceLattice:
         ids: Sequence[str],
         ranks: Sequence[int],
         lower: Sequence[Sequence[int]],
+        *,
+        _index: Union[dict[str, int], None] = None,
     ):
-        _gc_paused(self._build, dim, ids, ranks, lower)
+        _gc_paused(self._build, dim, ids, ranks, lower, _index)
 
-    def _build(self, dim, ids, ranks, lower) -> None:
+    def _build(self, dim, ids, ranks, lower, index) -> None:
         n = len(ids)
         if not len(ranks) == len(lower) == n:
             raise InvalidFace(f"{n} ids, {len(ranks)} ranks and {len(lower)} lower cover lists")
         self.ids = ids = tuple(ids)
         self.ranks = ranks = tuple(ranks)
-        # a lower list that is a tuple already, as the resolver hands them
+        # a lower list that is a tuple already, as the resolvers hand them
         # over, is kept as it is
         lower = tuple(map(tuple, lower))
-        self._index = dict(zip(ids, _shared_ints(lower)))
+        # the resolvers hand over their id index, whose int objects the
+        # lower lists hold; any other builder's is made here
+        self._index = dict(zip(ids, _shared_ints(lower))) if index is None else index
         self.dim = dim
         _check_covers(ids, ranks, lower)
 
@@ -706,25 +722,43 @@ def build_lattice(
     break.
     """
     # the resolver's temporaries are gone before the constructor runs
-    return FaceLattice(*_gc_paused(_resolve, elements, covers, dim))
+    *parts, index = _gc_paused(_resolve, elements, covers, dim)
+    return FaceLattice(*parts, _index=index)
 
 
 def _resolve(elements, covers, dim) -> tuple:
-    """``(dim, ids, ranks, lower)``, the constructor's arguments, once the
-    outside facts are checked."""
+    """``(dim, ids, ranks, lower, index)``, the constructor's arguments
+    and the id index it keeps, once the outside facts are checked."""
     ids, ranks, index = _resolve_elements(elements, dim)
-    # each cover is resolved once and filed under its upper end; each
-    # lower list then becomes a sorted tuple without repeats, which the
-    # constructor keeps as it is
-    lower: list[list[int]] = [[] for _ in ids]
+    # each cover is resolved once and filed under its lower end
+    above: list = [[] for _ in ids]
     for a, b in covers:
         try:
-            lower[index[str(b)]].append(index[str(a)])
+            above[index[str(a)]].append(index[str(b)])
         except KeyError:
             raise InvalidFace(f"cover ({str(a)!r}, {str(b)!r}) names an unknown element") from None
-    for b, below in enumerate(lower):
-        lower[b] = tuple(sorted(set(below)) if len(below) > 1 else below)
-    return dim, ids, ranks, lower
+    # the lower ends are read in index order, so each lower list fills
+    # sorted and a repeated cover lands next to itself.  Each filed list is
+    # freed once read, and each lower list is made at its first entry and
+    # becomes a tuple when its own index is read, by when every cover that
+    # raises the index has filled it: so the two tables are never held
+    # whole at once.  A cover that does not raise the index, which the
+    # constructor rejects, reopens a finished tuple as a list.
+    lower: list = [None] * len(ids)
+    for a, ups in zip(index.values(), above):
+        above[a] = None
+        below = lower[a]
+        lower[a] = () if below is None else tuple(below)
+        for b in ups:
+            below = lower[b]
+            if below is None:
+                lower[b] = [a]
+            elif below.__class__ is list:
+                if below[-1] != a:
+                    below.append(a)
+            elif not below or below[-1] != a:
+                lower[b] = [*below, a]
+    return dim, ids, ranks, lower, index
 
 
 def _resolve_elements(elements, dim) -> tuple:
@@ -849,18 +883,50 @@ def is_lattice(L: FaceLattice) -> bool:
     follow from meets in a finite poset with a top: the join of x and y
     is the meet of their common upper bounds, a set that holds the top.
 
-    The cost is the pairs of facets of each cell, not the pairs of
-    elements; ``tests/oracles.py`` keeps the all-pairs check.
+    Two facets with no common atom meet in the bottom, which is
+    principal: every other element lies over an atom.  So when the top's
+    faces share few atoms, as a polygon's edges do, only the pairs that
+    share one are tested (:func:`_sibling_pairs`).  Every cell below the
+    top tests all its pairs: choosing would cost each cell a step, and in
+    every generated complex such a cell has at most 13 facets.  The cost
+    is those pairs of facets of each cell, not the pairs of elements;
+    ``tests/oracles.py`` keeps the all-pairs check.
     """
     down, lower, top = _down_sets(L), L._lower, L._top
     principal = set(down)
     covered = set(chain.from_iterable(lower[:top]))
-    top_faces = tuple(x for x in range(top) if x not in covered)
-    for facets in (*lower[:top], top_faces):
-        for a, b in combinations(facets, 2):
+    top_faces = tuple(filterfalse(covered.__contains__, range(top)))
+    top_pairs = _sibling_pairs(top_faces, down, L._rank_masks[1])
+    for pairs in chain(map(combinations, lower[:top], repeat(2)), [top_pairs]):
+        for a, b in pairs:
             if down[a] & down[b] not in principal:
                 return False
     return True
+
+
+def _sibling_pairs(facets: Sequence[int], down: tuple[int, ...], atoms: int) -> Iterator:
+    """The pairs of the top's ``facets`` that :func:`is_lattice` tests:
+    every pair, or each pair once per atom the two share, whichever the
+    shape of the complex makes fewer.
+
+    The choice reads the m facets, the A atoms, all of which lie under
+    some facet, and the I pairs of a facet and an atom under it.  Spread
+    evenly, about I^2 / (2A) pairs share an atom, against m^2 / 2 pairs
+    in all; the atoms' pairs are taken when they are under a quarter of
+    all, which leaves room for filing each facet under its atoms.  A
+    polygon's m edges share m pairs of vertices; the facets of a
+    cross-polytope, a cube or a cyclic polytope share an atom about as
+    often as not, and test every pair.
+    """
+    below = [down[f] & atoms for f in facets]
+    incidences = sum(map(int.bit_count, below))
+    if 4 * incidences ** 2 >= atoms.bit_count() * len(facets) ** 2:
+        return combinations(facets, 2)
+    by_atom: dict[int, list[int]] = {}
+    for f, a in zip(facets, below):
+        for v in _iter_bits(a):
+            by_atom.setdefault(v, []).append(f)
+    return chain.from_iterable(combinations(group, 2) for group in by_atom.values())
 
 
 def is_diamond(L: FaceLattice) -> bool:
@@ -982,17 +1048,20 @@ def _boolean_pass(L: FaceLattice) -> int:
     a cell's facets, since a face may lie under the top with no explicit
     cover.
 
-    "Every face strictly below x passes" is one mask test, ``down[x] &
-    mask == down[x] ^ 1 << x``: ranks rise with the index, so the pass
-    has decided every face below x when it reaches x.  The test holds
-    exactly when every lower cover of x passes.  One way, the covers lie
-    strictly below x.  The other way, by induction on the rank: below
-    the top, the faces strictly below x are the down-sets of its lower
-    covers, and below a cover that passed every face passed.  The top's
-    down-set holds every element; but when the counts hold and its
-    facets pass with r different atom sets, their down-sets hold a face
-    for each of the 2^r - 1 proper subsets of its r atoms, which with the
-    top fill the count, so no face lies outside them.
+    "Every face strictly below x passes" is read off the atom sets of its
+    lower covers, which the distinct-atoms test reads anyway: ranks rise
+    with the index, so the pass has decided every cover when it reaches
+    x, and a cover that failed keeps atom set 0, while one that passed,
+    of rank at least 2, has r - 1 atoms.  So the test is that no cover's
+    atom set is 0, and it holds exactly when every face strictly below x
+    passes.  One way, the covers lie strictly below x.  The other way,
+    by induction on the rank: below the top, the faces strictly below x
+    are the down-sets of its lower covers, and below a cover that passed
+    every face passed.  The top's down-set holds every element; but when
+    the counts hold and its facets pass with r different atom sets,
+    their down-sets hold a face for each of the 2^r - 1 proper subsets of
+    its r atoms, which with the top fill the count, so no face lies
+    outside them.
 
     The bottom and the rank-1 elements always pass, so the mask starts
     with them and the pass with rank 2.  There four faces below a cell
@@ -1013,10 +1082,11 @@ def _boolean_pass(L: FaceLattice) -> int:
                 continue
             a = d & atoms
             if r > 2:
-                if a.bit_count() != r or d & mask != d ^ 1 << x:
+                if a.bit_count() != r:
                     continue
-                below = lower[x] if x != top else tuple(_iter_bits(d & by_rank[r - 1]))
-                if len(set(map(atom_sets.__getitem__, below))) != r:
+                below = lower[x] if x != top else _iter_bits(d & by_rank[r - 1])
+                seen = set(map(atom_sets.__getitem__, below))
+                if len(seen) != r or 0 in seen:
                     continue
             mask |= 1 << x
             atom_sets[x] = a
@@ -1216,7 +1286,8 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
     elements += [(i, k + 1) for i, k in faces]
     if "covers" not in data:
-        return FaceLattice(*_gc_paused(_resolve_positions, elements, raw, dim))
+        *parts, index = _gc_paused(_resolve_positions, elements, raw, dim)
+        return FaceLattice(*parts, _index=index)
     # the JSON list is read in place, followed by the extremes' covers
     extremes = [(BOTTOM_ID, TOP_ID)] if dim == -1 else []
     for i, k in faces:
@@ -1228,9 +1299,10 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
 
 
 def _resolve_positions(elements, raw, dim) -> tuple:
-    """``(dim, ids, ranks, lower)``, the constructor's arguments, from
-    the elements (the extremes, then the faces in file order) and the
-    file's faces, once the elements and the positions are checked."""
+    """``(dim, ids, ranks, lower, index)``, the constructor's arguments
+    and the id index it keeps, from the elements (the extremes, then the
+    faces in file order) and the file's faces, once the elements and the
+    positions are checked."""
     ids, ranks, index = _resolve_elements(elements, dim)
     # at[p] is the lattice index of the face at file position p, which is
     # element p + 2, after the extremes
@@ -1259,7 +1331,7 @@ def _resolve_positions(elements, raw, dim) -> tuple:
     # the index's own int objects, which the other lists hold too
     nums = tuple(index.values())
     lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
-    return dim, ids, ranks, lower
+    return dim, ids, ranks, lower, index
 
 
 def _position_fault(raw: list) -> str:

@@ -430,16 +430,21 @@ def _graph_order(L: FaceLattice, edges: int, prefix: int) -> Union[tuple[int, ..
     left = edges
     while left:
         pool = left & prefix if len(order) < k else left
-        for f in _iter_bits(pool & ~apart if apart else pool):
+        if apart:
+            pool &= ~apart
+        while pool:
+            low = pool & -pool
+            f = low.bit_length() - 1
             if not union or down[f] & union > 1:
                 break
-            apart |= 1 << f
+            pool ^= low
+            apart |= low
             for v in lower[f]:
                 waiting.setdefault(v, []).append(f)
         else:
             return None
         order.append(f)
-        left ^= 1 << f
+        left ^= low
         union |= down[f]
         if waiting:
             for v in lower[f]:
@@ -502,34 +507,40 @@ def _walk(
     subtree failed fails whenever it recurs, and the walk skips it.  A
     failed subtree holds no answer, so skipping it cannot change which
     order is found first.  The walk keeps its own stack, so a cell may
-    have more facets than Python's recursion limit.
+    have more facets than Python's recursion limit.  Each frame keeps
+    the candidates it has not tried as a mask and takes its lowest bit
+    next, so no frame holds a generator.
     """
     n = facets.bit_count()
     k = prefix.bit_count()
     chosen: list[int] = []
     dead: set[int] = set()
     # one frame per depth: the union and the facets left there, and the
-    # candidates not yet tried, in index order (host indices run in id
-    # order within a rank); chosen[i] led from frame i to frame i + 1
-    frames = [(0, facets, _iter_bits(facets & prefix if k else facets))]
+    # mask of the candidates not yet tried, taken in index order (host
+    # indices run in id order within a rank); chosen[i] led from frame i
+    # to frame i + 1
+    frames = [(0, facets, facets & prefix if k else facets)]
     while frames and len(chosen) < n:
-        union, left, candidates = frames[-1]
-        for f in candidates:
+        union, left, untried = frames.pop()
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            f = low.bit_length() - 1
             budget.spend()
             if not isinstance(_step(L, f, union, simplices, budget), str):
                 break
         else:
             dead.add(left)
-            frames.pop()
             if chosen:
                 chosen.pop()
             continue
-        rest = left & ~(1 << f)
+        frames.append((union, left, untried))
+        rest = left ^ low
         if rest in dead:
             continue
         chosen.append(f)
         pool = rest & prefix if len(chosen) < k else rest
-        frames.append((union | L._down[f], rest, _iter_bits(pool)))
+        frames.append((union | L._down[f], rest, pool))
     return tuple(chosen) if len(chosen) == n else None
 
 

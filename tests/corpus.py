@@ -2,7 +2,7 @@
 non-sphere lattices, and a generator of small graded bounded posets."""
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from hypothesis import strategies as st
 
@@ -202,3 +202,36 @@ def barycentric_subdivision(L: sb.FaceLattice) -> sb.FaceLattice:
     for atom in upper[L.index(L.bottom)]:
         climb([atom])
     return sb.from_facets([map(str, chain) for chain in chains])
+
+
+# the generators at small sizes: polytope boundaries, whose face
+# lattices are lattices
+POLYTOPES = {
+    **{f"simplex-{d}": partial(sb.simplex_boundary, d) for d in (1, 2, 3)},
+    **{f"cross-{d}": partial(sb.cross_polytope, d) for d in (1, 2, 3)},
+    **{f"cube-{d}": partial(sb.hypercube_boundary, d) for d in (1, 2, 3)},
+    **{f"ngon-{n}": partial(sb.ngon, n) for n in (3, 5, 6)},
+    **{f"cyclic-{d}-6": partial(sb.cyclic_boundary, d, 6) for d in (3, 4)},
+}
+
+
+def _punctured(make):
+    return lambda: sb.punctured(make())
+
+
+def _dual(make):
+    return lambda: sb.dualize(make())
+
+
+# complexes to subdivide, each with whether it is a lattice itself: the
+# subdivision of a regular CW complex is strongly regular even where the
+# complex is not, and the subdivision of a polytope's boundary or of a
+# shellable ball is shellable; a dual's subdivision is its host's, with
+# other vertex names
+SUBDIVIDED = {
+    **{name: (make, True) for name, make in POLYTOPES.items()},
+    **{f"punctured-{name}": (_punctured(make), True) for name, make in POLYTOPES.items()},
+    **{f"dual-{name}": (_dual(make), True) for name, make in POLYTOPES.items()},
+    "lune": (lune_sphere, False),
+    "doubled-triangle": (doubled_triangle, False),
+}

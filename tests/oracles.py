@@ -5,7 +5,9 @@ pairs, shellings by exhaustive permutation search straight off the
 recursive definition.  Only navigation primitives of the lattice are
 reused; none of the search, memoisation, or purity machinery under test
 is touched, except by :func:`unpruned_search`, the shelling search as it
-was before it learnt to prune, kept as the reference for the pruned one.
+was before it learnt to prune, kept as the reference for the pruned one,
+and by :func:`generator_walk` and :func:`generator_graph_order`, the
+walks as they were before they read candidate masks bit by bit.
 """
 
 from itertools import combinations, permutations
@@ -316,6 +318,67 @@ def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget)
     found = tuple(chosen) if dfs(0, facets) else None
     L._memo[key] = found
     return found
+
+
+def generator_walk(L: FaceLattice, facets: int, prefix: int, simplices: int, budget):
+    """``shelling._walk`` as it was while each frame held its untried
+    candidates as an ``_iter_bits`` generator; installed in its place, it
+    must give the same orders, spend the same nodes and leave the same
+    memo entries."""
+    n = facets.bit_count()
+    k = prefix.bit_count()
+    chosen: list[int] = []
+    dead: set[int] = set()
+    frames = [(0, facets, _iter_bits(facets & prefix if k else facets))]
+    while frames and len(chosen) < n:
+        union, left, candidates = frames[-1]
+        for f in candidates:
+            budget.spend()
+            if not isinstance(_step(L, f, union, simplices, budget), str):
+                break
+        else:
+            dead.add(left)
+            frames.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        rest = left & ~(1 << f)
+        if rest in dead:
+            continue
+        chosen.append(f)
+        pool = rest & prefix if len(chosen) < k else rest
+        frames.append((union | L._down[f], rest, _iter_bits(pool)))
+    return tuple(chosen) if len(chosen) == n else None
+
+
+def generator_graph_order(L: FaceLattice, edges: int, prefix: int):
+    """``shelling._graph_order`` as it was while it read each pool through
+    an ``_iter_bits`` generator."""
+    down, lower = L._down, L._lower
+    k = prefix.bit_count()
+    order: list[int] = []
+    union = 0
+    apart = 0
+    waiting: dict[int, list[int]] = {}
+    left = edges
+    while left:
+        pool = left & prefix if len(order) < k else left
+        for f in _iter_bits(pool & ~apart if apart else pool):
+            if not union or down[f] & union > 1:
+                break
+            apart |= 1 << f
+            for v in lower[f]:
+                waiting.setdefault(v, []).append(f)
+        else:
+            return None
+        order.append(f)
+        left ^= 1 << f
+        union |= down[f]
+        if waiting:
+            for v in lower[f]:
+                for e in waiting.pop(v, ()):
+                    apart &= ~(1 << e)
+    return tuple(order)
 
 
 def naive_is_boolean(L: FaceLattice, x: int) -> bool:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import shellbound as sb
 
 from corpus import (
+    SUBDIVIDED,
     balls,
     barycentric_subdivision,
     bowtie,
@@ -501,39 +501,6 @@ def chain_counts(L: sb.FaceLattice) -> tuple[int, ...]:
                 counts[j + 1] += c
         ending[x] = counts
     return tuple(sum(column) for column in zip(*ending.values()))
-
-
-# the generators at small sizes: polytope boundaries, whose face
-# lattices are lattices
-POLYTOPES = {
-    **{f"simplex-{d}": partial(sb.simplex_boundary, d) for d in (1, 2, 3)},
-    **{f"cross-{d}": partial(sb.cross_polytope, d) for d in (1, 2, 3)},
-    **{f"cube-{d}": partial(sb.hypercube_boundary, d) for d in (1, 2, 3)},
-    **{f"ngon-{n}": partial(sb.ngon, n) for n in (3, 5, 6)},
-    **{f"cyclic-{d}-6": partial(sb.cyclic_boundary, d, 6) for d in (3, 4)},
-}
-
-
-def _punctured(make):
-    return lambda: sb.punctured(make())
-
-
-def _dual(make):
-    return lambda: sb.dualize(make())
-
-
-# complexes to subdivide, each with whether it is a lattice itself: the
-# subdivision of a regular CW complex is strongly regular even where the
-# complex is not, and the subdivision of a polytope's boundary or of a
-# shellable ball is shellable; a dual's subdivision is its host's, with
-# other vertex names
-SUBDIVIDED = {
-    **{name: (make, True) for name, make in POLYTOPES.items()},
-    **{f"punctured-{name}": (_punctured(make), True) for name, make in POLYTOPES.items()},
-    **{f"dual-{name}": (_dual(make), True) for name, make in POLYTOPES.items()},
-    "lune": (lune_sphere, False),
-    "doubled-triangle": (doubled_triangle, False),
-}
 
 
 @pytest.mark.parametrize("name", SUBDIVIDED)

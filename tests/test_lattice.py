@@ -13,6 +13,7 @@ from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
     balls,
+    bipyramid_facets,
     bowtie,
     doubled_triangle,
     graded_bounded_poset_parts,
@@ -539,6 +540,62 @@ def test_is_lattice_on_large_polytopes():
         assert sb.is_lattice(L), L
 
 
+def _intersections(L: sb.FaceLattice) -> tuple[bool, int]:
+    """``is_lattice(L)``, and how many intersections it took with a
+    down-set."""
+    taken = []
+
+    class Counted(int):
+        def __and__(self, other):
+            taken.append(1)
+            return int.__and__(self, other)
+
+        __rand__ = __and__
+
+    L._down = tuple(map(Counted, _down_sets(L)))
+    return sb.is_lattice(L), len(taken)
+
+
+def test_is_lattice_on_a_polygon_takes_linearly_many_intersections():
+    # per edge: its two vertices, its atoms read under the top, and the
+    # pair of edges at one vertex; all pairs of the top's edges would add
+    # 1 999 000 at 2000 edges
+    assert _intersections(sb.ngon(1000)) == (True, 3000)
+    assert _intersections(sb.ngon(2000)) == (True, 6000)
+
+
+def _polygon(n: int, doubled: bool, filled: bool) -> sb.FaceLattice:
+    """The n-gon, with a second edge on the vertices 1 and 2 if
+    ``doubled``, and filled by one 2-cell over all its edges if
+    ``filled``."""
+    edges = {f"e{i}": (f"v{i}", f"v{i % n + 1}") for i in range(1, n + 1)}
+    if doubled:
+        edges["d1"] = ("v1", "v2")
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 4 if filled else 3)]
+    elements += [(f"v{i}", 1) for i in range(1, n + 1)] + [(e, 2) for e in edges]
+    covers = [(BOTTOM_ID, f"v{i}") for i in range(1, n + 1)]
+    covers += [(v, e) for e, ends in edges.items() for v in ends]
+    if filled:
+        elements.append(("P", 3))
+        covers += [(e, "P") for e in edges] + [("P", TOP_ID)]
+    else:
+        covers += [(e, TOP_ID) for e in edges]
+    return sb.build_lattice(elements, covers, 2 if filled else 1)
+
+
+def test_is_lattice_matches_naive_oracle_on_wide_cells():
+    # wide tops, whose pairs may be taken by atom: a polygon's, with and
+    # without a doubled edge, and a bipyramid's, whose apexes lie in many
+    # of its triangles; and wide cells below the top, which test every
+    # pair: a filled polygon and the bipyramid's dual
+    bipyramid = sb.from_facets(bipyramid_facets(12))
+    cases = [_polygon(40, doubled, filled) for doubled in (False, True) for filled in (False, True)]
+    cases += [sb.ngon(9), sb.ngon(17), bipyramid, sb.dualize(bipyramid)]
+    verdicts = [sb.is_lattice(L) for L in cases]
+    assert verdicts == [naive_is_lattice(L) for L in cases]
+    assert verdicts == [True, True, False, False, True, True, True, True]
+
+
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -987,16 +1044,48 @@ def test_a_json_round_trip_keeps_ids_ranks_and_lower_covers(L):
     assert _resolved(sb.lattice_from_json_dict(twin)) == _resolved(L)
 
 
-def test_positions_may_come_in_any_order():
-    # faces in another file order, and lower lists unsorted and repeated
-    data = sb.lattice_to_json_dict(sb.ngon(4))
-    faces = data["faces"]
-    order = [7, 0, 5, 2, 6, 1, 4, 3]
-    moved = [dict(faces[p]) for p in order]
-    for f in moved:
-        f["lower"] = [order.index(q) for q in reversed(f["lower"] * 2)]
-    back = sb.lattice_from_json_dict({"dim": 1, "faces": moved})
-    assert _resolved(back) == _resolved(sb.ngon(4))
+def _load_outcome(data: dict):
+    """What a load of ``data`` keeps, or the class and message of the
+    error it raised."""
+    try:
+        return _resolved(sb.lattice_from_json_dict(data))
+    except sb.ShellboundError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_any_file_order_loads_alike(L: sb.FaceLattice, rng: random.Random) -> None:
+    """``L`` as lattice JSON with its faces in a random file order, each
+    lower list reversed and repeated, loads as its id-pair twin does, in
+    the same order with every cover twice and the covers shuffled."""
+    data, twin = sb.lattice_to_json_dict(L), id_pair_json(L)
+    order = rng.sample(range(len(data["faces"])), len(data["faces"]))
+    moved = {p: q for q, p in enumerate(order)}
+    faces = [dict(data["faces"][p]) for p in order]
+    for f in faces:
+        f["lower"] = [moved[q] for q in reversed(f["lower"] * 2)]
+    covers = twin["covers"] * 2
+    rng.shuffle(covers)
+    twin = {**twin, "faces": [twin["faces"][p] for p in order], "covers": covers}
+    expected = _load_outcome(twin)
+    assert _load_outcome({"dim": data["dim"], "faces": faces}) == expected
+    assert _load_outcome(data) == expected
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_positions_may_come_in_any_order_on_the_corpus(seed):
+    rng = random.Random(seed)
+    cases = [*spheres_d_le_3(), *balls(), *_round_trip_cases()]
+    for _, L in cases:
+        _assert_any_file_order_loads_alike(L, rng)
+    # where the top covers every face of the top dimension, the load is the lattice itself
+    for _, L in spheres_d_le_3():
+        assert _load_outcome(sb.lattice_to_json_dict(L)) == _resolved(L)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_bounded_poset_parts(), st.randoms(use_true_random=False))
+def test_positions_may_come_in_any_order_on_small_posets(parts, rng):
+    _assert_any_file_order_loads_alike(sb.build_lattice(*parts), rng)
 
 
 def test_json_round_trip_of_the_empty_complex():
@@ -1039,6 +1128,23 @@ def test_a_json_load_holds_one_copy_of_each_cover(traced):
     # the covers were copied before they were resolved); 0.2 MiB of margin
     L, retained, peak = traced(sb.lattice_from_json_dict, json.loads(text))
     assert peak - retained < 0.9 * 2 ** 20
+
+
+def test_a_build_holds_one_cover_table_at_a_time(traced):
+    S = sb.simplex_boundary(10)
+    parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
+    # the first build of a process keeps more than the lattice, which the
+    # second does not
+    sb.build_lattice(*parts)
+    L, retained, peak = traced(sb.build_lattice, *parts)
+    assert len(L) == 2 ** 12
+    # the temporaries of the resolver and the constructor: 0.45 MiB above
+    # the lattice when each lower list was sorted through a set and the
+    # constructor made a second index, 0.50 MiB with the lower lists
+    # filled from the covers filed under their lower ends; 0.59 MiB if
+    # each filed list were kept to the end, 0.71 MiB if every lower list
+    # were made before the first entry
+    assert peak - retained < 0.55 * 2 ** 20
 
 
 def test_dumping_a_lattice_memoises_no_covers():

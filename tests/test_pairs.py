@@ -182,3 +182,48 @@ def test_a_seed_list_runs_each_workload_at_each_seed_in_turn(tmp_path, monkeypat
     assert calls == [("search", 0)] * 2 + [("proof", 0)] * 2
     with pytest.raises(SystemExit):
         pairs.main(argv + ["--seed", "11,x"])
+
+
+def test_trace_adds_one_traced_run_per_tree_after_the_pairs(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    layers = [{"name": "lattice.build_s", "unit": "s", "better": "lower"},
+              {"name": "shelling.find_nodes", "unit": "count", "better": "lower"},
+              {"name": "cli.gen_s", "unit": "s", "better": "lower"}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS, "per_layer": layers}))
+    calls = []
+
+    def run_once(tree, workload, seed, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        if not trace:
+            return pairs.result_of(_line(1.0))
+        # the change halves the build, keeps the nodes, and lacks the cli metric
+        metrics = {"lattice.build_s": {"value": 0.02 if tree.name == "parent" else 0.01},
+                   "shelling.find_nodes": {"value": 500}}
+        if tree.name == "parent":
+            metrics["cli.gen_s"] = {"value": 0.3}
+        return {"correct": tree.name == "parent", "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "search", "--pairs", "2", "--seed", "11,17"]
+    assert pairs.main(argv + ["--trace"]) == 1
+    # the pairs of each seed run untraced, then one traced run per tree
+    per_seed = ["parent", "change", "change", "parent"]
+    assert calls == [
+        (tree, "search", seed, trace) for seed in (11, 17)
+        for tree, trace in [(t, 0) for t in per_seed] + [("parent", 1), ("change", 1)]
+    ]
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("search seed=11 traced: one run per tree, single runs, no verdict")
+    # the title follows the pairs' table: its title, header and rows
+    assert at == 2 + len(METRICS)
+    assert out[at + 1].split() == ["metric", "parent", "change", "change"]
+    assert out[at + 2].split() == ["lattice.build_s", "0.02", "0.01", "-50.0%"]
+    assert out[at + 3].split() == ["shelling.find_nodes", "500", "500", "+0.0%"]
+    assert out[at + 4].split() == ["cli.gen_s", "0.3", "n/a", "n/a"]
+    # a traced run that is not correct is flagged after its lines
+    assert out[at + 5] == "flagged: change traced run 1: correct=False failed=0"
+    # without --trace, no traced run is made
+    calls.clear()
+    assert pairs.main(argv) == 0
+    assert all(trace == 0 for *_, trace in calls) and len(calls) == 8

@@ -9,6 +9,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
+from shellbound import lattice
 from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
@@ -16,6 +17,7 @@ from corpus import (
     bowtie,
     doubled_triangle,
     graded_bounded_poset_parts,
+    id_pair_json,
     lune_sphere,
     mixed_dims_by_hand,
     spheres_d_le_3,
@@ -133,3 +135,26 @@ def test_each_builder_constructs_once(lattice_builds):
         lattice_builds.count = 0
         build(*args)
         assert lattice_builds.count == 1, build
+
+
+def test_the_resolvers_hand_their_index_to_the_constructor(monkeypatch):
+    S = sb.simplex_boundary(8)
+    parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
+    files = sb.lattice_to_json_dict(S), id_pair_json(S)
+    calls = []
+    shared_ints = lattice._shared_ints
+    monkeypatch.setattr(lattice, "_shared_ints", lambda lower: calls.append(1) or shared_ints(lower))
+    resolved = [sb.build_lattice(*parts), *map(sb.lattice_from_json_dict, files)]
+    assert calls == []
+    derived = [
+        sb.from_facets(combinations(range(1, 11), 9)),
+        sb.dualize(S),
+        sb.punctured(S),
+        sb.sub_lattice(S, S.facets()[0]),
+    ]
+    assert len(calls) == len(derived)
+    for L in [*resolved, *derived]:
+        nums = tuple(L._index.values())
+        assert nums == tuple(range(len(L)))
+        # the index's int objects, and no others, in every lower list
+        assert all(nums[a] is a for below in L._lower for a in below)

@@ -24,7 +24,9 @@ import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID, lattice, shelling
 
 from corpus import (
+    SUBDIVIDED,
     balls,
+    barycentric_subdivision,
     bipyramid_facets,
     bowtie,
     doubled_triangle,
@@ -35,7 +37,14 @@ from corpus import (
     relabelled,
     spheres_d_le_3,
 )
-from oracles import expand_certificate, naive_is_boolean, nested_certificate, unpruned_search
+from oracles import (
+    expand_certificate,
+    generator_graph_order,
+    generator_walk,
+    naive_is_boolean,
+    nested_certificate,
+    unpruned_search,
+)
 
 
 def _written(L: sb.FaceLattice, res) -> str:
@@ -444,3 +453,67 @@ def test_search_walks_more_facets_than_the_recursion_limit():
     order = sb.find_shelling(L, budget=budget)
     assert budget.spent == 278_920
     assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate)
+
+
+# -- candidate masks against the generator walks they replaced ---------------
+
+
+def _walk_cases():
+    """Makers of the corpus, of each generator family with its
+    relabellings at seeds 11 to 13, its puncture and its dual, and of the
+    subdivided complexes, with their names."""
+    cases = [(name, _fresh(L)) for name, L in spheres_d_le_3() + balls()]
+    cases += [("doubled-triangle", doubled_triangle), ("bowtie", bowtie),
+              ("mixed-dims", mixed_dims_by_hand), ("lune", lune_sphere)]
+    families = {
+        "simplex-boundary-5": lambda: sb.simplex_boundary(5),
+        "cross-polytope-4": lambda: sb.cross_polytope(4),
+        "hypercube-boundary-4": lambda: sb.hypercube_boundary(4),
+        "ngon-9": lambda: sb.ngon(9),
+        "cyclic-4-9": lambda: sb.cyclic_boundary(4, 9),
+    }
+    for name, make in families.items():
+        cases += [(name, make), (f"punctured-{name}", lambda make=make: sb.punctured(make())),
+                  (f"dual-{name}", lambda make=make: sb.dualize(make()))]
+        for seed in (11, 12, 13):
+            def relabel(make=make, seed=seed):
+                L = make()
+                return relabelled(L, rank_permutation(L, random.Random(seed)))
+            cases.append((f"{name}-relabelled-{seed}", relabel))
+    for name, (make, _) in SUBDIVIDED.items():
+        cases.append((f"subdivided-{name}", lambda make=make: barycentric_subdivision(make())))
+    return cases
+
+
+def _walk_answers(L: sb.FaceLattice) -> tuple[list, set]:
+    """``find_shelling`` for a few prefixes, then ``is_shelling`` of each
+    order found and of the facets in reverse id order, each answer with
+    the nodes it spent; and the keys the memo holds after them all."""
+    facets = L.facets()
+    out, orders = [], [facets[::-1]]
+    # none, the first facet, the last, the first two, the first and last
+    prefixes = [(), facets[:1], facets[-1:], facets[:2], facets[:1] + facets[-1:]]
+    for prefix in dict.fromkeys(prefixes):
+        budget = sb.SearchBudget()
+        found = sb.find_shelling(L, prefix, budget=budget)
+        out.append((prefix, None if found is None else found.facets, budget.spent))
+        if found is not None:
+            orders.append(found.facets)
+    for order in dict.fromkeys(orders):
+        budget = sb.SearchBudget()
+        try:
+            res = sb.is_shelling(L, order, budget=budget)
+        except sb.PreconditionViolated as exc:
+            out.append(str(exc))
+        else:
+            out.append((_written(L, res), budget.spent))
+    return out, set(L._memo)
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _walk_cases()])
+def test_mask_walks_match_the_generator_walks(make):
+    answers = _walk_answers(make())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shelling, "_walk", generator_walk)
+        mp.setattr(shelling, "_graph_order", generator_graph_order)
+        assert answers == _walk_answers(make())

@@ -27,6 +27,12 @@ A run whose result says ``correct`` false or ``failed`` above 0 is
 flagged, and the exit code is then 1; a run that exits nonzero or prints
 no result stops the comparison with exit 1.
 
+With ``--trace``, after the pairs of each workload and seed it makes one
+``--trace 1`` run per tree, parent first, and prints every ``per_layer``
+metric that ``BENCHMARK.json`` names: the parent's value, the change's and
+the change in %.  These are single runs, to show where a change moved
+time or work, and get no verdict; their flags count as above.
+
 Each tree is run from its own directory with this interpreter, so run
 both from copies that hold nothing but their committed files.
 ``BENCHMARK.json`` is read from CHANGE_DIR.  Standard library only.
@@ -51,9 +57,9 @@ def result_of(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     try:
         if proc.returncode:
@@ -125,9 +131,26 @@ def format_rows(rows: list[dict]) -> list[str]:
     return out
 
 
-def compare(args, workload: str, seed: int, metrics: list[dict]) -> list[str]:
-    """Run the pairs for one workload at one seed, print its table and
-    return its flag lines."""
+def format_layers(layers: list[dict], parent: dict, change: dict) -> list[str]:
+    """One line per per-layer metric of one traced run per tree: the
+    parent's value, the change's and the change in %."""
+    def cell(value) -> str:
+        return "n/a" if value is None else format(value, ".6g")
+
+    out = [f"{'metric':30} {'parent':>11} {'change':>11} {'change':>8}"]
+    for m in layers:
+        p, c = (r["metrics"].get(m["name"], {}).get("value") for r in (parent, change))
+        # a metric one tree does not report, or 0 at the parent, has no %
+        pct = "n/a" if not p or c is None else f"{100 * (c - p) / p:+.1f}%"
+        out.append(f"{m['name']:30} {cell(p):>11} {cell(c):>11} {pct:>8}")
+    return out
+
+
+def compare(args, workload: str, seed: int, metrics: list[dict],
+            layers: list[dict]) -> list[str]:
+    """Run the pairs for one workload at one seed, print its table, and
+    with ``--trace`` the per-layer lines of one traced run per tree;
+    return the flag lines."""
     parent, change = [], []
     for i in range(1, args.pairs + 1):
         if i % 2:
@@ -145,6 +168,15 @@ def compare(args, workload: str, seed: int, metrics: list[dict]) -> list[str]:
     flagged = flags("parent", parent) + flags("change", change)
     for line in flagged:
         print(line)
+    if args.trace:
+        traced = [run_once(tree, workload, seed, trace=1) for tree in (args.parent, args.change)]
+        print(f"{workload} seed={seed} traced: one run per tree, single runs, no verdict")
+        for line in format_layers(layers, *traced):
+            print(line)
+        traced_flags = flags("parent traced", traced[:1]) + flags("change traced", traced[1:])
+        for line in traced_flags:
+            print(line)
+        flagged += traced_flags
     return flagged
 
 
@@ -161,6 +193,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=seed_list, default="0",
                    help="a seed, or several separated by commas")
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--trace", action="store_true",
+                   help="after the pairs, one traced run per tree, per-layer metrics shown")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -178,7 +212,7 @@ def main(argv=None) -> int:
     for n, (workload, seed) in enumerate(product(workloads, args.seed)):
         if n:
             print()
-        flagged += compare(args, workload, seed, metrics)
+        flagged += compare(args, workload, seed, metrics, benchmark.get("per_layer", []))
     return 1 if flagged else 0
 
 
