@@ -50,10 +50,12 @@ The generators that name their own faces build through it, and so does
 :func:`lattice_from_json_dict` on the id-pair form.  On the positional
 form, where each face lists its lower covers by file position, that
 loader runs the same checks of the elements, with the same messages in
-the same order, then checks the positions and maps each to its index
-once, and hands its id index over too.  The builders that already know
-every index build the resolved form directly, and each vouches for its
-ids, dimension and extremes:
+the same order, then checks each face's positions as it maps them to
+indices, once each, faces in file order and entries in list order, so
+the first fault in the file is the one named, and hands its id index
+over too.  The builders that already know every index build the
+resolved form directly, and each vouches for its ids, dimension and
+extremes:
 :func:`from_facets` sorts its faces by (size, id), :func:`dualize`
 reverses the ranks and keeps each rank's id order,
 ``generators.punctured`` drops one index, and :func:`sub_lattice` keeps
@@ -1257,8 +1259,10 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     of the empty face alone, which has no such face.  The id-pair form
     builds through :func:`build_lattice`.  The positional form runs
     build_lattice's checks of the elements, with the same messages in the
-    same order, then checks the positions, maps each to its lattice index
-    once and hands the lower lists to the constructor.
+    same order, then checks each face's positions as it maps them to
+    lattice indices, once each, faces in file order and entries in list
+    order, so the first fault in the file is the one named, and hands the
+    lower lists to the constructor.
     """
     try:
         dim = data["dim"]
@@ -1301,29 +1305,38 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
 def _resolve_positions(elements, raw, dim) -> tuple:
     """``(dim, ids, ranks, lower, index)``, the constructor's arguments
     and the id index it keeps, from the elements (the extremes, then the
-    faces in file order) and the file's faces, once the elements and the
-    positions are checked."""
+    faces in file order) and the file's faces, once the elements are
+    checked.
+
+    Each face's ``lower`` list is checked as it is mapped, faces in file
+    order and entries in list order, so the first fault in the file is
+    the one named.
+    """
     ids, ranks, index = _resolve_elements(elements, dim)
     # at[p] is the lattice index of the face at file position p, which is
     # element p + 2, after the extremes
     names = map(str, map(itemgetter(0), islice(elements, 2, None)))
     at = tuple(map(index.__getitem__, names))
-    lowers = [f.get("lower") for f in raw]
     m = len(at)
-    if not (
-        set(map(type, lowers)) <= {list}
-        # type(), as for ranks: JSON true must not pass for position 1
-        and set(map(type, chain.from_iterable(lowers))) <= {int}
-        and 0 <= min(chain.from_iterable(lowers), default=0)
-        and max(chain.from_iterable(lowers), default=-1) < m
-        and not any(map(list.__contains__, lowers, range(m)))
-    ):
-        raise InvalidFace(_position_fault(raw))
     # each list is mapped to indices once, and sorted without repeats; a
     # vertex lies over the bottom, and the top over the top-rank faces
     get = at.__getitem__
     lower = [()] * len(ids)
-    for x, below in zip(at, lowers):
+    for p, (x, f) in enumerate(zip(at, raw)):
+        below = f.get("lower")
+        if type(below) is not list:
+            if "lower" not in f:
+                raise InvalidFace(f"malformed lattice data: face {ids[x]!r} has no 'lower' list")
+            raise InvalidFace(f"malformed lattice data: 'lower' of face {ids[x]!r} is not a list")
+        for q in below:
+            # type(), as for ranks: JSON true must not pass for position 1
+            if type(q) is not int:
+                raise InvalidFace(f"malformed lattice data: 'lower' of face {ids[x]!r} holds "
+                                  f"{json.dumps(q)}, not a position")
+            if not 0 <= q < m:
+                raise InvalidFace(f"'lower' of face {ids[x]!r} holds {q}, outside positions [0, {m})")
+            if q == p:
+                raise InvalidFace(f"face {ids[x]!r} lists itself as a lower cover")
         if below:
             lower[x] = tuple(sorted(set(map(get, below))))
     vertices = bisect_right(ranks, 1, 0, len(ids) - 1)
@@ -1332,23 +1345,3 @@ def _resolve_positions(elements, raw, dim) -> tuple:
     nums = tuple(index.values())
     lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
     return dim, ids, ranks, lower, index
-
-
-def _position_fault(raw: list) -> str:
-    """The first fault of the faces' ``lower`` lists, in file order."""
-    for p, f in enumerate(raw):
-        i = str(f["id"])
-        if "lower" not in f:
-            return f"malformed lattice data: face {i!r} has no 'lower' list"
-        below = f["lower"]
-        if type(below) is not list:
-            return f"malformed lattice data: 'lower' of face {i!r} is not a list"
-        for q in below:
-            if type(q) is not int:
-                return (f"malformed lattice data: 'lower' of face {i!r} holds {json.dumps(q)}, "
-                        "not a position")
-            if not 0 <= q < len(raw):
-                return f"'lower' of face {i!r} holds {q}, outside positions [0, {len(raw)})"
-            if q == p:
-                return f"face {i!r} lists itself as a lower cover"
-    raise AssertionError("no fault in the lower lists")

@@ -8,9 +8,14 @@ is touched, except by :func:`unpruned_search`, the shelling search as it
 was before it learnt to prune, kept as the reference for the pruned one,
 and by :func:`generator_walk` and :func:`generator_graph_order`, the
 walks as they were before they read candidate masks bit by bit.
+:func:`precheck_resolve_positions` is the positional JSON loader's
+resolver as it was before it checked each ``lower`` list as it mapped it.
 """
 
-from itertools import combinations, permutations
+import json
+from bisect import bisect_left, bisect_right
+from itertools import chain, combinations, islice, permutations
+from operator import itemgetter
 
 from shellbound import (
     BOTTOM_ID,
@@ -23,7 +28,7 @@ from shellbound import (
     build_lattice,
     sub_lattice,
 )
-from shellbound.lattice import _down_sets, _iter_bits, _require_sphere
+from shellbound.lattice import _down_sets, _iter_bits, _require_sphere, _resolve_elements
 from shellbound.shelling import _step
 
 
@@ -107,6 +112,58 @@ def string_from_facets(facets) -> FaceLattice:
         if len(s) == d + 1:
             covers.append((i, TOP_ID))
     return build_lattice(elements, covers, d)
+
+
+# -- the positional JSON loader with a whole-file pre-check -----------------
+
+
+def precheck_resolve_positions(elements, raw, dim) -> tuple:
+    """What ``lattice._resolve_positions`` returns, as it did when a check
+    of every ``lower`` list in the file came before the mapping, and
+    :func:`position_fault` named the first fault when that check failed."""
+    ids, ranks, index = _resolve_elements(elements, dim)
+    names = map(str, map(itemgetter(0), islice(elements, 2, None)))
+    at = tuple(map(index.__getitem__, names))
+    lowers = [f.get("lower") for f in raw]
+    m = len(at)
+    if not (
+        set(map(type, lowers)) <= {list}
+        and set(map(type, chain.from_iterable(lowers))) <= {int}
+        and 0 <= min(chain.from_iterable(lowers), default=0)
+        and max(chain.from_iterable(lowers), default=-1) < m
+        and not any(map(list.__contains__, lowers, range(m)))
+    ):
+        raise InvalidFace(position_fault(raw))
+    get = at.__getitem__
+    lower = [()] * len(ids)
+    for x, below in zip(at, lowers):
+        if below:
+            lower[x] = tuple(sorted(set(map(get, below))))
+    vertices = bisect_right(ranks, 1, 0, len(ids) - 1)
+    lower[1:vertices] = [(0, *below) for below in lower[1:vertices]]
+    nums = tuple(index.values())
+    lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
+    return dim, ids, ranks, lower, index
+
+
+def position_fault(raw: list) -> str:
+    """The first fault of the faces' ``lower`` lists, in file order."""
+    for p, f in enumerate(raw):
+        i = str(f["id"])
+        if "lower" not in f:
+            return f"malformed lattice data: face {i!r} has no 'lower' list"
+        below = f["lower"]
+        if type(below) is not list:
+            return f"malformed lattice data: 'lower' of face {i!r} is not a list"
+        for q in below:
+            if type(q) is not int:
+                return (f"malformed lattice data: 'lower' of face {i!r} holds {json.dumps(q)}, "
+                        "not a position")
+            if not 0 <= q < len(raw):
+                return f"'lower' of face {i!r} holds {q}, outside positions [0, {len(raw)})"
+            if q == p:
+                return f"face {i!r} lists itself as a lower cover"
+    raise AssertionError("no fault in the lower lists")
 
 
 def reachability(

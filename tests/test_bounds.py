@@ -321,6 +321,154 @@ def test_decomposition_checks_the_certificate_steps():
         _witness(relabelled_certificate, 2)
 
 
+def _by_hand(L: sb.FaceLattice, facets, steps=()) -> sb.ShellingCertificate:
+    """A whole-complex certificate of ``facets`` and ``steps`` that no
+    search made."""
+    return sb.ShellingCertificate(L, L._top, tuple(facets), tuple(steps))
+
+
+def _sub_certificates(L: sb.FaceLattice) -> dict:
+    """Each facet's sub-certificate in the first shelling of ``L``."""
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    return {step.facet: step.sub_certificate for step in cert.steps}
+
+
+def test_a_split_checks_its_sides():
+    from shellbound.bounds import _split
+
+    L = sb.ngon(4)
+    # a vertex among the facets: the leading side is not pure
+    with pytest.raises(sb.InternalContradiction,
+                       match="a side of a verified sphere split is not a pseudomanifold"):
+        _split(_by_hand(L, ("e12", "v3", "e34", "e41")), 2)
+    # e41 left out: it and v1 lie on neither side, so the leading side's
+    # interior is less than the complement of the trailing side
+    with pytest.raises(sb.InternalContradiction,
+                       match="split interiors do not complement each other"):
+        _split(_by_hand(L, ("e12", "e23", "e34")), 1)
+
+
+def test_ridge_sides_checks_each_ridge():
+    from shellbound.bounds import _ridge_sides
+
+    # the ridge 12 lies in three triangles
+    fan = sb.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]])
+    with pytest.raises(sb.InternalContradiction, match="a ridge lies in more than two facets"):
+        _ridge_sides(fan, fan.index("123"), fan._real_mask, 0, 0)
+    # the ridge 12 of a ball lies in one triangle, and the boundary handed in is empty
+    ball = sb.from_facets([[1, 2, 3], [2, 3, 4]])
+    with pytest.raises(sb.InternalContradiction,
+                       match="a ridge in a single facet is missing from the boundary"):
+        _ridge_sides(ball, ball.index("123"), ball._real_mask, 0, 0)
+
+
+def test_witness_checks_the_step_it_descends_into():
+    from shellbound.bounds import _witness
+
+    L = sb.ngon(4)
+    subs = _sub_certificates(L)
+    # e34 meets e12 in no vertex, so it glues along none
+    apart = _by_hand(L, ("e12", "e34", "e23", "e41"),
+                     (sb.ShellingStep("e12", 0, subs["e12"]), sb.ShellingStep("e34", 0, subs["e34"])))
+    with pytest.raises(sb.InternalContradiction, match="facet boundary split is degenerate"):
+        _witness(apart, 2)
+    # a sub-certificate of e23 whose trailing facet is e23 itself, which
+    # has no cover but the top
+    lying = sb.ShellingCertificate(L, L.index("e23"), ("v2", "e23"), ())
+    forged = _by_hand(L, ("e12", "e23", "e34", "e41"),
+                      (sb.ShellingStep("e12", 0, subs["e12"]), sb.ShellingStep("e23", 1, lying)))
+    with pytest.raises(sb.InternalContradiction,
+                       match="every cover of the inner witness lies inside the closed facet"):
+        _witness(forged, 2)
+
+
+def test_witness_pair_checks_the_faces_it_is_handed(monkeypatch):
+    from shellbound import bounds
+
+    L = sb.ngon(4)
+    order = sb.find_shelling(L).facets
+    first, last = L.index(order[0]), L.index(order[-1])
+    # the leading facet twice: it is not interior to the trailing side
+    monkeypatch.setattr(bounds, "_witness", lambda cert, j: (first, first))
+    with pytest.raises(sb.InternalContradiction,
+                       match="witness faces are not interior to their sides"):
+        sb.find_witness_pair(L, order, 1)
+    # the leading and the last facet: each interior to its side, but 1 + 1 > 1
+    monkeypatch.setattr(bounds, "_witness", lambda cert, j: (first, last))
+    with pytest.raises(sb.InternalContradiction,
+                       match="witness dimensions exceed the complex dimension"):
+        sb.find_witness_pair(L, order, 1)
+
+
+def test_decomposition_checks_the_step_intersection():
+    from shellbound.bounds import _decomposition
+
+    L = sb.ngon(4)
+    subs = _sub_certificates(L)
+    # e34 meets e12 in the empty face alone, so its earlier side is empty
+    apart = _by_hand(L, ("e12", "e34", "e23", "e41"),
+                     (sb.ShellingStep(f, 0, subs[f]) for f in ("e12", "e34", "e23", "e41")))
+    with pytest.raises(sb.InternalContradiction,
+                       match="the earlier side differs from the step intersection"):
+        _decomposition(apart)
+
+
+def test_decomposition_checks_the_ridge_sides(monkeypatch):
+    from shellbound import bounds
+
+    L = sb.ngon(4)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    ridge_sides = bounds._ridge_sides
+    # each lie takes the true (before, after) ridge masks of a facet
+    lies = {
+        "a ridge landed on both sides of its facet": lambda b, a: (b | a, b | a),
+        "the two sides do not cover the facet boundary": lambda b, a: (b, 0),
+        "the first facet has no earlier side": lambda b, a: (a, b),
+    }
+    for guard, lie in lies.items():
+        monkeypatch.setattr(bounds, "_ridge_sides", lambda *args, lie=lie: lie(*ridge_sides(*args)))
+        with pytest.raises(sb.InternalContradiction, match=guard):
+            bounds._decomposition(cert)
+
+
+def test_decomposition_checks_how_the_sides_meet(monkeypatch):
+    from shellbound import bounds
+
+    L = sb.ngon(4)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    boundary = bounds.boundary_complex
+    # each side of a facet taken to have no boundary, while the sides of
+    # e23 meet in v2
+    monkeypatch.setattr(bounds, "boundary_complex",
+                        lambda x: boundary(x) if x is L else sb.Subcomplex(L, 0))
+    with pytest.raises(sb.InternalContradiction,
+                       match="the sides do not meet in their common boundary"):
+        bounds._decomposition(cert)
+
+
+@pytest.mark.parametrize("side", ["earlier", "later"])
+def test_decomposition_checks_the_interiors_are_disjoint(monkeypatch, side):
+    from shellbound import bounds
+
+    L = sb.cross_polytope(2)
+    cert = sb.is_shelling(L, sb.find_shelling(L))
+    split = bounds._split
+
+    def closed_interior(sub, j):
+        # one side's interior taken as the whole side, so that the
+        # vertices of the facets' glued edges repeat
+        pair = split(sub, j)
+        if side == "earlier":
+            whole = sb.FaceSet(L, pair.begin.mask & L._real_mask)
+            return bounds.SplitPair(pair.begin, pair.end, whole, pair.end_interior)
+        whole = sb.FaceSet(L, pair.end.mask & L._real_mask)
+        return bounds.SplitPair(pair.begin, pair.end, pair.begin_interior, whole)
+
+    monkeypatch.setattr(bounds, "_split", closed_interior)
+    with pytest.raises(sb.InternalContradiction, match=f"a face is interior to two {side} sides"):
+        bounds._decomposition(cert)
+
+
 def whole_certificates(L: sb.FaceLattice) -> list:
     """The whole-complex certificates in the lattice's memo, looking one
     level into tuples."""
@@ -642,6 +790,15 @@ def test_vandermonde_check():
         sb.vandermonde_check(0, 0)
     with pytest.raises(sb.RangeError):
         sb.vandermonde_check(3, 4)
+
+
+def test_vandermonde_check_recomputes_the_identity(monkeypatch):
+    from shellbound import bounds
+
+    # C(4, m) off by one: the identity fails on the way to the verdict
+    monkeypatch.setattr(bounds, "comb", lambda n, k: comb(n, k) + (n == 4))
+    with pytest.raises(sb.InternalContradiction, match="binomial convolution identity failed"):
+        sb.vandermonde_check(3, 1)
 
 
 # -- corollaries ---------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
+from shellbound import lattice
 from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
@@ -33,6 +34,7 @@ from oracles import (
     naive_is_pure,
     naive_lattice_arrays,
     naive_pseudomanifold,
+    precheck_resolve_positions,
     reachability,
 )
 
@@ -1086,6 +1088,80 @@ def test_positions_may_come_in_any_order_on_the_corpus(seed):
 @given(graded_bounded_poset_parts(), st.randoms(use_true_random=False))
 def test_positions_may_come_in_any_order_on_small_posets(parts, rng):
     _assert_any_file_order_loads_alike(sb.build_lattice(*parts), rng)
+
+
+def _edit_lower(face: dict, p: int, m: int, rng: random.Random) -> None:
+    """One edit of the ``lower`` list of ``face``, at file position ``p``
+    of ``m``, as ``LOWER_FAULTS`` in ``test_cli.py`` makes them: the list
+    dropped or set to a value that is not a list, or one or two entries
+    put in or overwritten, each with one of the faulty values or with a
+    position in range; or one of its entries repeated, which leaves the
+    file valid."""
+    kind = rng.choice(["missing", "not a list", "entry", "entry", "repeat"])
+    below = face["lower"]
+    if kind == "missing":
+        del face["lower"]
+        return
+    if kind == "not a list":
+        face["lower"] = rng.choice([None, "01", {}, 0])
+        return
+    if kind == "repeat":
+        if below:
+            below.insert(rng.randrange(len(below) + 1), rng.choice(below))
+        return
+    for _ in range(rng.choice([1, 2])):
+        q = rng.randrange(m)
+        value = rng.choice([-1, -m, True, False, float(q), str(q), m, m + 1, p, q])
+        if below and rng.random() < 0.5:
+            below[rng.randrange(len(below))] = value
+        else:
+            below.insert(rng.randrange(len(below) + 1), value)
+
+
+def _kept_or_raised(data: dict):
+    """What a load of ``data`` keeps, its id index too, or the class and
+    message of the error it raised."""
+    try:
+        L = sb.lattice_from_json_dict(data)
+    except sb.ShellboundError as exc:
+        return type(exc), str(exc)
+    return L.dim, L.ids, L.ranks, L._lower, L._index
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_the_loader_names_the_fault_the_precheck_named(monkeypatch, seed):
+    # one or two edited lower lists, on different faces taken in either
+    # order, in the positional JSON of the corpus, half of it with its
+    # faces shuffled: the load raises what the resolver with a whole-file
+    # pre-check raised, or builds what it built
+    rng = random.Random(seed)
+    cases = [*spheres_d_le_3(), *balls(), *_round_trip_cases()]
+    files = [json.dumps(sb.lattice_to_json_dict(L)) for _, L in cases if len(L) > 2]
+    named, built = [], 0
+    for _ in range(300):
+        data = json.loads(rng.choice(files))
+        faces = data["faces"]
+        m = len(faces)
+        if rng.random() < 0.5:
+            order = rng.sample(range(m), m)
+            moved = {p: q for q, p in enumerate(order)}
+            data["faces"] = faces = [faces[p] for p in order]
+            for f in faces:
+                f["lower"] = [moved[q] for q in f["lower"]]
+        for p in rng.sample(range(m), min(m, rng.choice([1, 2]))):
+            _edit_lower(faces[p], p, m, rng)
+        got = _kept_or_raised(data)
+        with monkeypatch.context() as patched:
+            patched.setattr(lattice, "_resolve_positions", precheck_resolve_positions)
+            assert got == _kept_or_raised(data)
+        if got[0] is sb.InvalidFace:
+            named.append(got[1])
+        built += type(got[0]) is int
+    # every fault was named, and some edited files still built
+    for fault in ("has no 'lower' list", "is not a list", "not a position",
+                  "outside positions", "lists itself"):
+        assert any(fault in message for message in named), fault
+    assert built
 
 
 def test_json_round_trip_of_the_empty_complex():

@@ -757,6 +757,29 @@ def test_a_disconnected_2_cell_order_is_refused_inside_the_verify(monkeypatch):
     assert square
 
 
+def test_a_walked_sub_order_that_fails_is_refused_inside_the_verify(monkeypatch):
+    from shellbound import shelling
+
+    # the facets of the boundary of the 5-cube are 4-cubes, whose
+    # sub-orders the verify checks step by step
+    L = sb.hypercube_boundary(4)
+    walk = shelling._walk
+
+    def apart(L, facets, prefix, simplices, budget):
+        # on the facets of a 4-cube, which are 3-cubes of rank 4: the first
+        # found, then the one opposite it
+        found = walk(L, facets, prefix, simplices, budget)
+        if found is None or L.ranks[(facets & -facets).bit_length() - 1] != 4:
+            return found
+        far = next(f for f in found if L._down[f] & L._down[found[0]] <= 1)
+        return (found[0], far, *(f for f in found[1:] if f != far))
+
+    monkeypatch.setattr(shelling, "_walk", apart)
+    with pytest.raises(sb.InternalContradiction,
+                       match="search returned an order that fails verification at step 2"):
+        sb.is_shelling(L, L.facets())
+
+
 def test_the_oracle_rejects_a_node_named_for_a_simplex_facet():
     L = sb.ngon(4)
     doc = sb.is_shelling(L, SQUARE_ORDER).to_json_dict()
