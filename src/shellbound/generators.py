@@ -61,8 +61,6 @@ def hypercube_boundary(d: int) -> FaceLattice:
         elements.append((face, stars + 1))
         if stars == 0:
             covers.append((BOTTOM_ID, face))
-        if stars == m - 1:
-            covers.append((face, TOP_ID))
         for i, c in enumerate(word):
             if c == "*":
                 for bit in "01":
@@ -92,7 +90,7 @@ def ngon(n: int) -> FaceLattice:
     for a, b in ends:
         edge = f"e{a}{sep}{b}"
         elements.append((edge, 2))
-        covers += [(f"v{a}", edge), (f"v{b}", edge), (edge, TOP_ID)]
+        covers += [(f"v{a}", edge), (f"v{b}", edge)]
     return build_lattice(elements, covers, 1)
 
 
@@ -135,8 +133,7 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
         raise InvalidFace(f"{facet_id!r} is not a facet")
     x = S.index(facet_id)
     # only the top covers a facet, so every other lower list keeps its
-    # indices, which all lie below x
-    lower = [*S._lower[:x], *S._lower[x + 1 : -1]]
-    lower.append([a if a < x else a - 1 for a in S._lower[-1] if a != x])
+    # indices, which all lie below x; the constructor adds the top's
+    lower = [*S._lower[:x], *S._lower[x + 1 : -1], ()]
     ids, ranks = S.ids, S.ranks
     return FaceLattice(S.dim, ids[:x] + ids[x + 1 :], ranks[:x] + ranks[x + 1 :], lower)

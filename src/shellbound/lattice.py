@@ -62,14 +62,20 @@ reverses the ranks and keeps each rank's id order,
 a cell's down-set in host order.  The constructor takes the resolved
 form: ids and ranks in (rank, id) order, and each element's lower covers
 as sorted indices without repeats.  It trusts every builder for the ids,
-the dimension, the extremes and that order, and checks only what a
-builder's covers can break, on the lower covers alone: acyclicity,
-gradedness and a lower cover under every element but the bottom (a
-:func:`dualize` of a non-pure lattice lacks one).  It builds neither
-derived array.  Ids run in (rank, id) order, so
-:meth:`FaceLattice.faces` reads each rank as one slice of them, and the
-dimension of a set of faces is the rank of its last member, less one:
-``L.ranks[mask.bit_length() - 1] - 1``, or -1 for an empty mask.
+the dimension, the extremes and that order.  It alone decides the top's
+lower covers: the top covers every face of rank d + 1, the run of
+indices just below it, together with whatever its builder listed, so no
+builder computes that list and every reader reads it as it reads any
+cell's; a lesser maximal face of a non-pure complex lies under the top
+by the implicit order only.  Then it checks only what a builder's
+covers can break, on the lower covers alone: acyclicity, gradedness and
+a lower cover under every element but the bottom (a :func:`dualize` of
+a non-pure lattice lacks one, and so does the top of a complex with no
+face of rank d + 1).  It builds neither derived array.  Ids run in
+(rank, id) order, so :meth:`FaceLattice.faces` reads each rank as one
+slice of them, and the dimension of a set of faces is the rank of its
+last member, less one: ``L.ranks[mask.bit_length() - 1] - 1``, or -1
+for an empty mask.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
@@ -322,14 +328,15 @@ class FaceLattice:
     id) order with one bottom at rank 0 and one top at rank ``dim + 2``,
     and for each element the indices of its lower covers, sorted and
     without repeats.  All of that it trusts, since every builder vouches
-    for it.  It checks only what the covers can break, on the lower covers
-    alone: that the lengths agree, acyclicity, gradedness and a lower
-    cover under every element but the bottom.  The keyword ``_index`` is
-    private to the two resolvers, :func:`build_lattice` and
-    :func:`lattice_from_json_dict`: the id index they resolved with,
-    whose int objects their lower lists hold, kept in place of the one
-    the constructor would make.  The down-set bit vectors
-    and the upper-cover lists are built on first read, by
+    for it.  The top's lower covers it sets itself: every face of rank
+    ``dim + 1``, merged with the top's list as handed.  It checks only
+    what the covers can break, on the lower covers alone: that the
+    lengths agree, acyclicity, gradedness and a lower cover under every
+    element but the bottom.  The keyword ``_index`` is private to the two
+    resolvers, :func:`build_lattice` and :func:`lattice_from_json_dict`:
+    the id index they resolved with, whose int objects their lower lists
+    hold, kept in place of the one the constructor would make.  The
+    down-set bit vectors and the upper-cover lists are built on first read, by
     ``_down_sets`` and ``_upper_covers``; until then their slots hold
     None.  No ``__getattr__`` builds them, since attribute reads on a
     class with one are no longer specialised, and no property, which
@@ -373,15 +380,19 @@ class FaceLattice:
         lower = tuple(map(tuple, lower))
         # the resolvers hand over their id index, whose int objects the
         # lower lists hold; any other builder's is made here
-        self._index = dict(zip(ids, _shared_ints(lower))) if index is None else index
+        self._index = index = dict(zip(ids, _shared_ints(lower))) if index is None else index
         self.dim = dim
-        _check_covers(ids, ranks, lower)
-
         # the frozen order is (rank, id), so the bottom is index 0 and the
         # top index n - 1; neighbour lists are sorted by index, which within
         # a rank is lexicographic id order
         self._bottom = 0
         self._top = top = n - 1
+        # the top covers every face of rank dim + 1, the run of indices
+        # just below it, merged with whatever the builder handed
+        lo = bisect_left(ranks, dim + 1, 0, top)
+        lower = (*lower[:top], tuple(sorted({*islice(index.values(), lo, top), *lower[top]})))
+        _check_covers(ids, ranks, lower)
+
         self._lower = lower
         # built on first read, by _down_sets and _upper_covers
         self._down = self._upper = None
@@ -721,7 +732,9 @@ def build_lattice(
     top, and known cover ends (naming the first unknown one).  It sorts
     the elements by (rank, id), resolves each cover to indices once and
     drops repeated covers; the constructor checks what the covers can
-    break.
+    break.  The top's covers need not be listed: the constructor puts the
+    top over every face of rank ``dim + 1``, and still refuses a listed
+    one that jumps rank.
     """
     # the resolver's temporaries are gone before the constructor runs
     *parts, index = _gc_paused(_resolve, elements, covers, dim)
@@ -843,8 +856,7 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     index.update((s, x) for x, (_, _, s) in enumerate(order, 1))
     lower = [()]
     lower += [sorted(map(index.__getitem__, combinations(s, k - 1))) for k, _, s in order]
-    # every face of the top size is a facet
-    lower.append(range(len(ids) - 1 - len(facet_sets), len(ids) - 1))
+    lower.append(())
     ranks = [0, *[k for k, _, _ in order], d + 2]
     return FaceLattice(d, ids, ranks, lower)
 
@@ -1046,9 +1058,8 @@ def _boolean_pass(L: FaceLattice) -> int:
     for exactly one face per subset, and so for no other lower cover.
     Counting alone is not enough: three edges on three vertices, two of
     them with the same ends, have the counts of a triangle.  The top's
-    lower covers are read from its down-set, as the shelling search reads
-    a cell's facets, since a face may lie under the top with no explicit
-    cover.
+    lower covers are every face of the rank below it, as the constructor
+    sets them, so the top is read as any cell is.
 
     "Every face strictly below x passes" is read off the atom sets of its
     lower covers, which the distinct-atoms test reads anyway: ranks rise
@@ -1073,7 +1084,7 @@ def _boolean_pass(L: FaceLattice) -> int:
     distinct-atoms test of the rank above reads it.
     """
     down, by_rank, lower = _down_sets(L), L._rank_masks, L._lower
-    atoms, top = by_rank[1], L._top
+    atoms = by_rank[1]
     mask = by_rank[0] | atoms
     atom_sets = [0] * len(down)
     for r in range(2, len(by_rank)):
@@ -1086,8 +1097,7 @@ def _boolean_pass(L: FaceLattice) -> int:
             if r > 2:
                 if a.bit_count() != r:
                     continue
-                below = lower[x] if x != top else _iter_bits(d & by_rank[r - 1])
-                seen = set(map(atom_sets.__getitem__, below))
+                seen = set(map(atom_sets.__getitem__, lower[x]))
                 if len(seen) != r or 0 in seen:
                     continue
             mask |= 1 << x
@@ -1254,9 +1264,9 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     face may have a ``lower`` list.  Any other dict gives each face a
     ``lower`` list of positions in ``faces``: JSON integers in range,
     none the face's own.  Both forms add the bottom below every
-    0-dimensional face and the top above every face of the declared
-    dimension, or above the bottom when that dimension is -1, the complex
-    of the empty face alone, which has no such face.  The id-pair form
+    0-dimensional face; the constructor puts the top above every face of
+    the declared dimension, or above the bottom when that dimension is
+    -1, the complex of the empty face alone.  The id-pair form
     builds through :func:`build_lattice`.  The positional form runs
     build_lattice's checks of the elements, with the same messages in the
     same order, then checks each face's positions as it maps them to
@@ -1292,14 +1302,9 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     if "covers" not in data:
         *parts, index = _gc_paused(_resolve_positions, elements, raw, dim)
         return FaceLattice(*parts, _index=index)
-    # the JSON list is read in place, followed by the extremes' covers
-    extremes = [(BOTTOM_ID, TOP_ID)] if dim == -1 else []
-    for i, k in faces:
-        if k == 0:
-            extremes.append((BOTTOM_ID, i))
-        if k == dim:
-            extremes.append((i, TOP_ID))
-    return build_lattice(elements, chain(covers, extremes), dim)
+    # the JSON list is read in place, followed by the bottom's covers
+    vertices = [(BOTTOM_ID, i) for i, k in faces if k == 0]
+    return build_lattice(elements, chain(covers, vertices), dim)
 
 
 def _resolve_positions(elements, raw, dim) -> tuple:
@@ -1319,7 +1324,8 @@ def _resolve_positions(elements, raw, dim) -> tuple:
     at = tuple(map(index.__getitem__, names))
     m = len(at)
     # each list is mapped to indices once, and sorted without repeats; a
-    # vertex lies over the bottom, and the top over the top-rank faces
+    # vertex lies over the bottom, and the constructor puts the top over
+    # the top-rank faces
     get = at.__getitem__
     lower = [()] * len(ids)
     for p, (x, f) in enumerate(zip(at, raw)):
@@ -1341,7 +1347,4 @@ def _resolve_positions(elements, raw, dim) -> tuple:
             lower[x] = tuple(sorted(set(map(get, below))))
     vertices = bisect_right(ranks, 1, 0, len(ids) - 1)
     lower[1:vertices] = [(0, *below) for below in lower[1:vertices]]
-    # the index's own int objects, which the other lists hold too
-    nums = tuple(index.values())
-    lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
     return dim, ids, ranks, lower, index

@@ -129,7 +129,6 @@ from .lattice import (
     _closed,
     _down_sets,
     _is_diamond_lattice,
-    _iter_bits,
     _json_fields,
     _memoised,
     _record,
@@ -394,15 +393,11 @@ def _simplex_order(L: FaceLattice, x: int, prefix: int) -> tuple[int, ...]:
     """The first shelling of the boundary of a simplex cell ``x`` (Boolean
     lower interval, or rank at most 2) that starts with exactly the facets
     in ``prefix``: those facets, then the rest, each in index order."""
-    r = L.ranks[x]
-    # below the top and above rank 1 the facets are the lower covers,
-    # already in index order; the top's are read from its down-set
-    if 1 < r and x != L._top:
-        in_order = L._lower[x]
-    else:
-        in_order = _iter_bits(L._down[x] & L._rank_masks[r - 1] & L._real_mask)
+    # above rank 1 the facets are the lower covers, already in index
+    # order; a vertex, or the top of the empty complex, covers the bottom
+    # alone, and its boundary has no facet
     first, rest = [], []
-    for f in in_order:
+    for f in L._lower[x] if L.ranks[x] > 1 else ():
         (first if prefix >> f & 1 else rest).append(f)
     return tuple(first + rest)
 

@@ -183,6 +183,62 @@ def lune_sphere() -> sb.FaceLattice:
     return sb.build_lattice(elements, covers, 3)
 
 
+def pyramid(L: sb.FaceLattice) -> sb.FaceLattice:
+    """The boundary of the pyramid over the polytope whose boundary is
+    ``L``: each face x of that polytope, itself (``L.top``) included, as
+    ``b:x``, and the pyramid over each face x of ``L``, the empty face
+    included, as ``p:x``, one rank up; ``p:_bot`` is the apex.  Built
+    through ``build_lattice`` listing no cover to the top."""
+    def base(y: str) -> str:
+        return BOTTOM_ID if y == L.bottom else f"b:{y}"
+
+    elements = [(BOTTOM_ID, 0), (TOP_ID, L.dim + 3)]
+    covers = []
+    for x, r in zip(L.ids, L.ranks):
+        if x != L.bottom:
+            elements.append((base(x), r))
+            covers += [(base(y), base(x)) for y in L.lower_covers(x)]
+        if x != L.top:
+            elements.append((f"p:{x}", r + 1))
+            covers += [(base(x), f"p:{x}")]
+            covers += [(f"p:{y}", f"p:{x}") for y in L.lower_covers(x)]
+    return sb.build_lattice(elements, covers, L.dim + 1)
+
+
+def prism(L: sb.FaceLattice) -> sb.FaceLattice:
+    """The boundary of the prism over the polytope whose boundary is
+    ``L``: each face x of that polytope, itself (``L.top``) included, at
+    both ends, as ``0:x`` and ``1:x``, and each face x of ``L`` times the
+    segment as ``I:x``, one rank up.  Built through ``build_lattice``
+    listing no cover to the top."""
+    def at(end: str, y: str) -> str:
+        return BOTTOM_ID if y == L.bottom else f"{end}:{y}"
+
+    elements = [(BOTTOM_ID, 0), (TOP_ID, L.dim + 3)]
+    covers = []
+    for x, r in zip(L.ids[1:], L.ranks[1:]):
+        below = L.lower_covers(x)
+        for end in "01":
+            elements.append((at(end, x), r))
+            covers += [(at(end, y), at(end, x)) for y in below]
+        if x != L.top:
+            elements.append((f"I:{x}", r + 1))
+            covers += [(f"0:{x}", f"I:{x}"), (f"1:{x}", f"I:{x}")]
+            covers += [(f"I:{y}", f"I:{x}") for y in below if y != L.bottom]
+    return sb.build_lattice(elements, covers, L.dim + 1)
+
+
+# the bases of the pyramids and prisms: polytope boundaries
+PRODUCT_BASES = {
+    "ngon-4": partial(sb.ngon, 4),
+    "ngon-5": partial(sb.ngon, 5),
+    "simplex-2": partial(sb.simplex_boundary, 2),
+    "cube-2": partial(sb.hypercube_boundary, 2),
+    "cross-2": partial(sb.cross_polytope, 2),
+    "cyclic-4-6": partial(sb.cyclic_boundary, 4, 6),
+}
+
+
 def barycentric_subdivision(L: sb.FaceLattice) -> sb.FaceLattice:
     """The order complex of ``L``'s proper part: a vertex for each proper
     face, named by the face's index in ``L``, and a facet for each maximal

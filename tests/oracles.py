@@ -188,20 +188,30 @@ def reachability(
     return above
 
 
+def implied_covers(
+    elements: list[tuple[str, int]], covers: list[tuple[str, str]], dim: int
+) -> set[tuple[str, str]]:
+    """The cover pairs, with the top over every element of rank ``dim +
+    1`` whether or not ``covers`` lists that cover."""
+    top = next(i for i, r in elements if r == dim + 2)
+    return set(covers) | {(i, top) for i, r in elements if r == dim + 1}
+
+
 def naive_lattice_arrays(
     elements: list[tuple[str, int]], covers: list[tuple[str, str]], dim: int
 ) -> tuple[tuple, tuple, tuple, tuple]:
     """The cover neighbours ``_lower`` and ``_upper_covers``, the down-set
     masks ``_down_sets`` and the up-set masks of the lattice on these elements and
     covers, over the (rank, id) element order: cover neighbours read off
-    the cover list pair by pair, down- and up-sets from
+    the cover list pair by pair, with the top over every element of rank
+    ``dim + 1`` (:func:`implied_covers`), down- and up-sets from
     :func:`reachability`."""
     order = sorted(elements, key=lambda e: (e[1], e[0]))
     ids = [i for i, _ in order]
     pos = {i: x for x, i in enumerate(ids)}
     bottom = next(i for i, r in elements if r == 0)
     top = next(i for i, r in elements if r == dim + 2)
-    pairs = set(covers)
+    pairs = implied_covers(elements, covers, dim)
     lower = tuple(tuple(sorted(pos[a] for a, b in pairs if b == i)) for i in ids)
     upper = tuple(tuple(sorted(pos[b] for a, b in pairs if a == i)) for i in ids)
     above = reachability(elements, list(pairs), bottom, top)

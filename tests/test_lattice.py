@@ -27,6 +27,7 @@ from corpus import (
     spheres_d_le_3,
 )
 from oracles import (
+    implied_covers,
     naive_atoms_avoiding_coatoms,
     naive_dim_and_counts,
     naive_is_diamond,
@@ -101,6 +102,11 @@ def test_acyclic_covers_that_lower_the_index_are_walked():
         )
 
 
+def _parts_with(L: sb.FaceLattice, cover: tuple[str, str]) -> tuple[list, list, int]:
+    """``build_lattice``'s arguments for ``L`` with one more cover."""
+    return list(zip(L.ids, L.ranks)), [*L.covers(), cover], L.dim
+
+
 @pytest.mark.parametrize(
     "elements, covers, dim, error, message",
     [
@@ -127,9 +133,17 @@ def test_acyclic_covers_that_lower_the_index_are_walked():
          [(BOTTOM_ID, "a"), ("c", "b"), ("b", "a"), ("a", "c"), ("a", TOP_ID),
           ("b", TOP_ID), ("c", TOP_ID)], 0,
          sb.CyclicCovers, "cover relation contains a cycle"),
+        # the top keeps a listed cover that jumps, beside the ones it implies
+        (*_parts_with(sb.ngon(4), ("v1", TOP_ID)),
+         sb.NotGraded, "cover ('v1', '_top') jumps rank 1 to 3"),
+        # no face of rank dim + 1 for the top to cover
+        ([(BOTTOM_ID, 0), ("a", 1), ("b", 1), ("c", 2), (TOP_ID, 4)],
+         [(BOTTOM_ID, "a"), (BOTTOM_ID, "b"), ("a", "c"), ("b", "c")], 2,
+         sb.NotGraded, "element '_top' has no chain to the bottom"),
     ],
     ids=["two jumps in opposite orders", "cycle and jump", "jump and orphan",
-         "acyclic against the index", "cycle against the index"],
+         "acyclic against the index", "cycle against the index", "jump to the top",
+         "no face of the top rank"],
 )
 def test_the_first_fault_of_the_covers_is_reported(elements, covers, dim, error, message):
     # the constructor checks the lower covers for a cycle, then for a rank
@@ -268,7 +282,7 @@ def _check_constructor(elements, covers, dim, rng):
     rng.shuffle(covers)
     L = sb.build_lattice(elements, covers, dim)
     assert _arrays(L) == expected
-    assert L.covers() == tuple(sorted(set(covers)))
+    assert L.covers() == tuple(sorted(implied_covers(elements, covers, dim)))
     return L
 
 
@@ -514,15 +528,53 @@ def test_is_lattice():
 
 
 def test_is_lattice_reads_the_tops_faces_from_the_upper_covers():
-    # the doubled triangle with the 2-cell B under the top only by the
-    # implicit order: the top's one lower cover is A, yet A and B are both
-    # maximal faces of it, and they do not meet
+    # the triangle 123 and a second edge d12 on its vertices 1 and 2: the
+    # edge is maximal, under the top only by the implicit order, so the
+    # top's one lower cover is the triangle, yet the triangle and d12 are
+    # both maximal faces of it, and they do not meet
+    elements = [(BOTTOM_ID, 0), ("v1", 1), ("v2", 1), ("v3", 1), ("d12", 2), ("t123", 3),
+                (TOP_ID, 4)]
+    covers = [(BOTTOM_ID, "v1"), (BOTTOM_ID, "v2"), (BOTTOM_ID, "v3"), ("v1", "d12"),
+              ("v2", "d12"), ("t123", TOP_ID)]
+    for e in ("12", "13", "23"):
+        elements.append((f"e{e}", 2))
+        covers += [(f"v{e[0]}", f"e{e}"), (f"v{e[1]}", f"e{e}"), (f"e{e}", "t123")]
+    L = sb.build_lattice(elements, covers, 2)
+    assert L.lower_covers(TOP_ID) == ("t123",) and L.upper_covers("d12") == ()
+    assert not sb.is_pure(L)
+    assert not sb.is_lattice(L)
+    assert not naive_is_lattice(L)
+
+
+def test_the_top_covers_every_face_of_the_top_rank_unlisted():
+    # the doubled triangle without the cover ('B', '_top'): the constructor
+    # puts it back, so the build is the doubled triangle's
     D = doubled_triangle()
     covers = [c for c in D.covers() if c != ("B", TOP_ID)]
     L = sb.build_lattice(zip(D.ids, D.ranks), covers, D.dim)
-    assert L.lower_covers(TOP_ID) == ("A",) and L.upper_covers("B") == ()
+    assert L.lower_covers(TOP_ID) == ("A", "B") and L.upper_covers("B") == (TOP_ID,)
+    assert L.fingerprint() == D.fingerprint()
     assert not sb.is_lattice(L)
-    assert not naive_is_lattice(L)
+
+
+@pytest.mark.parametrize("dropped", [{("e12", TOP_ID)}, {(e, TOP_ID) for e in sb.ngon(4).facets()}],
+                         ids=["one cover", "every cover"])
+def test_a_missing_cover_to_the_top_changes_no_answer(dropped):
+    # a facet listed with no cover to the top is given one, so dualize,
+    # the corollaries and both JSON forms read the lattice the generator
+    # builds
+    S = sb.ngon(4)
+    covers = [c for c in S.covers() if c not in dropped]
+    assert len(covers) == len(S.covers()) - len(dropped)
+    L = sb.build_lattice(zip(S.ids, S.ranks), covers, S.dim)
+    assert L.fingerprint() == S.fingerprint()
+    assert L.upper_covers("e12") == (TOP_ID,)
+    assert sb.dualize(L).fingerprint() == sb.dualize(S).fingerprint()
+    assert [sb.corollary_bounds(L, k) for k in (0, 1)] == [
+        sb.corollary_bounds(S, k) for k in (0, 1)
+    ]
+    for data in (sb.lattice_to_json_dict(L), id_pair_json(L)):
+        assert sb.lattice_from_json_dict(data).fingerprint() == S.fingerprint()
 
 
 def test_is_lattice_matches_naive_oracle():

@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import py_compile
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,3 +231,42 @@ def test_trace_adds_one_traced_run_per_tree_after_the_pairs(tmp_path, monkeypatc
     calls.clear()
     assert pairs.main(argv) == 0
     assert all(trace == 0 for *_, trace in calls) and len(calls) == 8
+
+
+def test_a_planted_pycache_is_removed_before_the_first_run(tmp_path, monkeypatch):
+    trees = parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "src" / "pkg" / "__init__.py").write_text("")
+        (tree / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "sys.path.insert(0, 'src')\n"
+            "from pkg.mod import VALUE\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'value': VALUE}))\n"
+        )
+        # bytecode of other sources, with the size and time stamp of the tree's own
+        mod = tree / "src" / "pkg" / "mod.py"
+        mod.write_text("VALUE = 1\n")
+        stamp = mod.stat().st_mtime_ns
+        py_compile.compile(str(mod), importlib.util.cache_from_source(str(mod)),
+                           invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+        mod.write_text("VALUE = 2\n")
+        os.utime(mod, ns=(stamp, stamp))
+        (tree / "perfbench" / "__pycache__").mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    plain = subprocess.run([sys.executable, "perfbench/run.py"], cwd=parent, env=env,
+                           capture_output=True, text=True, check=True)
+    assert pairs.result_of(plain.stdout)["value"] == 1
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    real, values = pairs.run_once, []
+
+    def run_once(tree, workload, seed):
+        assert not any(tree.rglob("__pycache__"))
+        values.append(real(tree, workload, seed)["value"])
+        return pairs.result_of(_line(1.0))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "search", "--pairs", "1"]
+    assert pairs.main(argv) == 0
+    assert values == [2, 2]

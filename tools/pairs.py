@@ -34,7 +34,12 @@ the change in %.  These are single runs, to show where a change moved
 time or work, and get no verdict; their flags count as above.
 
 Each tree is run from its own directory with this interpreter, so run
-both from copies that hold nothing but their committed files.
+both from copies that hold nothing but their committed files.  Python
+runs a cached module whenever the source's size and time stamp match
+what its bytecode recorded, which a copy can reproduce from other
+sources.  So before the first run every ``__pycache__`` directory under
+``src/`` and ``perfbench/`` of both trees is removed; bytecode that the
+runs themselves write there is compiled from the tree's own sources.
 ``BENCHMARK.json`` is read from CHANGE_DIR.  Standard library only.
 """
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -180,6 +186,15 @@ def compare(args, workload: str, seed: int, metrics: list[dict],
     return flagged
 
 
+def clear_bytecode(trees: list[Path]) -> None:
+    """Remove every ``__pycache__`` directory under ``src/`` and
+    ``perfbench/`` of the trees."""
+    for tree in trees:
+        for part in ("src", "perfbench"):
+            for cache in list((tree / part).rglob("__pycache__")):
+                shutil.rmtree(cache)
+
+
 def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
@@ -207,6 +222,7 @@ def main(argv=None) -> int:
         # perfbench's own "all" would print only its last workload's result
         workloads += [b["name"] for b in benchmark["workloads"]] if w == "all" else [w]
     metrics = benchmark["end_to_end"]
+    clear_bytecode([args.parent, args.change])
 
     flagged = []
     for n, (workload, seed) in enumerate(product(workloads, args.seed)):
