@@ -32,16 +32,27 @@ certificate and hands it down: the private helpers of the proof route
 take a verified :class:`ShellingCertificate`.  This module owns the
 memo's ``"proof"`` slot, which keeps the last order that verified with
 its certificate, so a k-sweep, the decomposition, the witnesses and the
-split counts on one order verify it once per lattice, and
+split counts on one order verify it once per lattice.
 :func:`_decomposition` keeps its result in the same slot, for that
 certificate object alone, so each facet boundary is cut once for every
-k; a certificate built by hand is checked afresh on every call.
-Failures and runs out of budget are never kept.  Step j carries the
-shelling of the j-th facet boundary that starts with exactly the ridges
-glued to earlier facets, and how many those are, the split that the
-per-facet counts and the witness construction need at every depth; both
-check that its first entries are the ridges the geometry glues along, cut
-it at that count on host masks, and build no cell lattice.  The
+k, and :func:`_cut` keeps there the certificate's :func:`_split` at
+each position a call asked for, so its guards run once per order and
+position; a certificate built by hand is checked and cut afresh on
+every call.  The facts that do not depend on the order are kept in the
+lattice's memo, each derived once by this module: the f-vectors of the
+complex and of its boundary, whether it is simplicial (asked only for
+the equality case at k = d - 1) and the two CL verdicts of the
+corollaries.  Every call still checks its arguments and its budget
+first, a warm one included.  Failures and runs out of budget are never
+kept.  Counts at one dimension k read one rank mask, and each bound is
+one ``Fraction`` of the doubled multiplier, :func:`_rho_doubled`.
+
+Step j carries the shelling of the j-th facet boundary that starts
+with exactly the ridges glued to earlier facets, and how many those
+are, the split that the per-facet counts and the witness construction
+need at every depth; both check that its first entries are the ridges
+the geometry glues along, cut it at that count on host masks, and build
+no cell lattice.  The
 polytopal corollaries ask :func:`is_dual_cl_shellable` and
 :func:`is_cl_shellable`, whose diamond check and dual lattice are made
 once per lattice and kept in its memo (``L._memo``, listed in the
@@ -52,7 +63,7 @@ Last comes the comparison of a shellable sphere with the boundary of the
 cyclic polytope of the same dimension on a given number of vertices
 (:func:`gubt_compare`); it is the only function here that builds a
 reference complex, so it alone imports :mod:`generators`; likewise only
-the two functions that build a ``Fraction`` import :mod:`fractions`.
+the three functions that build a ``Fraction`` import :mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -76,6 +87,7 @@ from .errors import (
 from .lattice import (
     FaceLattice,
     FaceSet,
+    FVector,
     Subcomplex,
     _as_subcomplex,
     _closed,
@@ -83,6 +95,7 @@ from .lattice import (
     _is_diamond_lattice,
     _json_fields,
     _least_atom_avoiding,
+    _memoised,
     _record,
     _require_sphere,
     _upper_covers,
@@ -165,16 +178,17 @@ def _verified(
 ) -> ShellingCertificate:
     """The certificate of ``order``, or :class:`NotAShelling`.  The last
     order that verified is kept in the memo's ``"proof"`` slot as ``(facet
-    ids, certificate, decomposition or None)``, and a call on that order
-    again returns its certificate without a search or a walk."""
+    ids, certificate, decomposition or None, {j: cut at j})``, and a call
+    on that order again returns its certificate without a search or a
+    walk."""
     ids = _order_ids(L, order)
-    kept_ids, kept, _ = L._memo.get("proof", (None, None, None))
+    kept_ids, kept, *_ = L._memo.get("proof", (None, None))
     if kept_ids == ids:
         return kept
     result = is_shelling(L, ids, budget=budget)
     if isinstance(result, ShellingFailure):
         raise NotAShelling(result)
-    L._memo["proof"] = (ids, result, None)
+    L._memo["proof"] = (ids, result, None, {})
     return result
 
 
@@ -201,7 +215,21 @@ def split_complexes(
     Both sides are pseudomanifolds, and the interior of each side is the
     complement of the other side; both facts are recomputed and enforced.
     """
-    return _split(_verified(L, order, _as_budget(budget)), j)
+    return _cut(_verified(L, order, _as_budget(budget)), j)
+
+
+def _cut(cert: ShellingCertificate, j: int) -> SplitPair:
+    """``_split(cert, j)``, kept in the ``"proof"`` slot of
+    :func:`_verified` for the certificate object held there, so that its
+    guards run once per order and position; any other certificate, or a
+    position that is no int, is cut afresh."""
+    slot = cert.lattice._memo.get("proof")
+    if slot is None or slot[1] is not cert or type(j) is not int:
+        return _split(cert, j)
+    cuts = slot[3]
+    if j not in cuts:
+        cuts[j] = _split(cert, j)
+    return cuts[j]
 
 
 def _split(cert: ShellingCertificate, j: int) -> SplitPair:
@@ -267,9 +295,10 @@ def check_split_count(
     cert = _verified(L, order, _as_budget(budget))
     if not 0 <= j <= len(cert.facets):
         raise RangeError(f"need 0 <= j <= {len(cert.facets)}, got j={j}")
-    pair = _split(cert, j)
-    fk_begin = f_vector(pair.begin_interior)[k]
-    fk_end = f_vector(pair.end_interior)[k]
+    pair = _cut(cert, j)
+    count = L._rank_masks[k + 1]
+    fk_begin = (pair.begin_interior.mask & count).bit_count()
+    fk_end = (pair.end_interior.mask & count).bit_count()
     # the boundary of a cell of rank r is a sphere of dimension r - 2
     rhs = _rho_doubled(L.ranks[cert.cell], k)
     return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
@@ -380,7 +409,7 @@ def find_witness_pair(
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
     begin, end = _witness(cert, j)
     begin_face, end_face = L.ids[begin], L.ids[end]
-    pair = _split(cert, j)
+    pair = _cut(cert, j)
     witness = WitnessPair(
         begin_face,
         end_face,
@@ -449,7 +478,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     for the certificate object held there alone: a certificate built by
     hand with the same facets is checked afresh."""
     X, seq = cert.lattice, cert.facets
-    ids, kept, done = X._memo.get("proof", (None, None, None))
+    ids, kept, done, cuts = X._memo.get("proof", (None, None, None, None))
     if kept is cert and done is not None:
         return done
     if not is_pseudomanifold(X):
@@ -513,7 +542,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
     decomposition = SplitDecomposition(X, seq, tuple(splits))
     if kept is cert:
-        X._memo["proof"] = (ids, cert, decomposition)
+        X._memo["proof"] = (ids, cert, decomposition, cuts)
     return decomposition
 
 
@@ -572,16 +601,24 @@ class BoundsReport:
         }
 
 
+def _face_counts(X: FaceLattice) -> tuple[FVector, FVector]:
+    """The f-vectors of a pseudomanifold and of its boundary, each kept in
+    its memo once derived."""
+    return (
+        _memoised(X, "f-vector", f_vector),
+        _memoised(X, "boundary f-vector", lambda X: f_vector(boundary_complex(X))),
+    )
+
+
 def simplicial_equality_identity(X: FaceLattice) -> bool:
     """The ridge-count identity behind the simplicial equality case:
     (d+1) * f_d + f_{d-1}(boundary) = 2 * f_{d-1}."""
-    if not is_simplicial(X):
+    if not _memoised(X, "simplicial", is_simplicial):
         raise NotSimplicial("the identity is stated for simplicial complexes")
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the identity needs a pseudomanifold")
     d = X.dim
-    f = f_vector(X)
-    fbd = f_vector(boundary_complex(X))
+    f, fbd = _face_counts(X)
     return (d + 1) * f[d] + fbd[d - 1] == 2 * f[d - 1]
 
 
@@ -625,24 +662,24 @@ def verify_lower_bound(
     cert = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the bound applies to pseudomanifolds")
-    f = f_vector(X)
-    fbd = f_vector(boundary_complex(X))
+    f, fbd = _face_counts(X)
+    # a facet is a cell of rank d + 1
+    rho2 = _rho_doubled(d + 1, k)
 
     per_facet: list[PerFacetBound] = []
     interior_sum = 0
     if k <= d - 1:
-        # a facet is a cell of rank d + 1
-        rhs = _rho_doubled(d + 1, k)
+        count = X._rank_masks[k + 1]
         for split in _decomposition(cert).splits:
-            fk_begin = f_vector(split.before_interior)[k]
-            fk_end = f_vector(split.after_interior)[k]
-            per_facet.append(PerFacetBound(split.j, fk_begin, fk_end, rhs))
+            fk_begin = (split.before_interior.mask & count).bit_count()
+            fk_end = (split.after_interior.mask & count).bit_count()
+            per_facet.append(PerFacetBound(split.j, fk_begin, fk_end, rho2))
             interior_sum += fk_begin + fk_end
 
     from fractions import Fraction
 
     lhs = f[k]
-    rhs = rho(d + 1, k).value * f[d] + Fraction(fbd[k], 2)
+    rhs = Fraction(rho2 * f[d] + fbd[k], 2)
     slack = lhs - rhs
     return BoundsReport(
         k=k,
@@ -650,7 +687,7 @@ def verify_lower_bound(
         rhs=rhs,
         slack=slack,
         equality=slack == 0,
-        expected_equality=(k == d) or (k == d - 1 and is_simplicial(X)),
+        expected_equality=k == d or k == d - 1 and _memoised(X, "simplicial", is_simplicial),
         per_facet=tuple(per_facet),
         interior_sum=interior_sum,
         interior_sum_bound=2 * f[k] - fbd[k],
@@ -679,6 +716,13 @@ class CorollaryReport:
     to_json_dict = _json_fields
 
 
+def _shellable(L: FaceLattice, key: str, test, bud: SearchBudget) -> bool:
+    """``test(L, budget=bud)``, one of the two CL predicates, kept in the
+    memo under ``key`` once it answers; a search that runs out of budget
+    raises and keeps nothing."""
+    return _memoised(L, key, lambda L: test(L, budget=bud))
+
+
 def corollary_bounds(
     L: FaceLattice, k: int, *, budget: Union[int, SearchBudget, None] = None
 ) -> CorollaryReport:
@@ -696,17 +740,19 @@ def corollary_bounds(
     if not 0 <= k <= d:
         raise RangeError(f"need 0 <= k <= {d}, got k={k}")
     bud = _as_budget(budget)
-    dual_cl = is_dual_cl_shellable(L, budget=bud)
-    cl = is_cl_shellable(L, budget=bud)
-    f = f_vector(L)
+    dual_cl = _shellable(L, "dual CL-shellable", is_dual_cl_shellable, bud)
+    cl = _shellable(L, "CL-shellable", is_cl_shellable, bud)
+    f = _memoised(L, "f-vector", f_vector)
+
+    from fractions import Fraction
 
     facet_bound = facet_ok = None
     if dual_cl and (d - 1) // 2 <= k <= d:
-        facet_bound = rho(d + 1, k).value * f[d]
+        facet_bound = Fraction(_rho_doubled(d + 1, k) * f[d], 2)
         facet_ok = f[k] >= facet_bound
     vertex_bound = vertex_ok = None
     if cl and k <= (d + 2) // 2:
-        vertex_bound = rho(d + 1, d - k).value * f[0]
+        vertex_bound = Fraction(_rho_doubled(d + 1, d - k) * f[0], 2)
         vertex_ok = f[k] >= vertex_bound
     barany_bound = barany_ok = None
     if dual_cl and cl:
@@ -727,9 +773,10 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     if not _is_diamond_lattice(L):
         raise NotDiamond("the floor is stated for diamond lattices")
     bud = _as_budget(budget)
-    if not (is_dual_cl_shellable(L, budget=bud) and is_cl_shellable(L, budget=bud)):
+    dual_cl = _shellable(L, "dual CL-shellable", is_dual_cl_shellable, bud)
+    if not (dual_cl and _shellable(L, "CL-shellable", is_cl_shellable, bud)):
         raise NotShellable("the lattice is not shellable in both directions")
-    f = f_vector(L)
+    f = _memoised(L, "f-vector", f_vector)
     floor_value = min(f[0], f[L.dim])
     return all(f[k] >= floor_value for k in range(L.dim + 1))
 

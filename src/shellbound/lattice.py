@@ -108,11 +108,18 @@ nowhere else:
   steps when they are first read, adding the sub-certificates they name
   then;
 * ``bounds``: one slot, replaced rather than set once, keyed as
-  ``bounds._verified`` says: the last whole-complex order that the proof
-  route verified, as its facet ids, its certificate, and the facet
-  decomposition of that certificate once derived (None before).
-  Verifying another order replaces it, so the memo stays bounded by the
-  input.
+  ``bounds._verified`` says: ``"proof"``, the last whole-complex order
+  that the proof route verified, as its facet ids, its certificate, the
+  facet decomposition of that certificate once derived (None before),
+  written by ``bounds._decomposition``, and a dict from each position j
+  a call cut it at to that cut, filled by ``bounds._cut``.  Verifying
+  another order replaces the slot, cuts and all, so the memo stays
+  bounded by the input.  And, set once through ``_memoised``:
+  ``"f-vector"`` and ``"boundary f-vector"`` (the :func:`f_vector` of
+  the complex and of its boundary), ``"simplicial"`` (whether
+  :func:`is_simplicial` holds) and ``"dual CL-shellable"`` and
+  ``"CL-shellable"`` (the verdicts of ``is_dual_cl_shellable`` and
+  ``is_cl_shellable``); a search that runs out of budget sets none.
 
 A :class:`Subcomplex` derives its boundary once, on first use: it asks
 :func:`is_pure`, then counts ridges in one pass over its top faces;
@@ -951,17 +958,29 @@ def is_diamond(L: FaceLattice) -> bool:
 
     Read from the covers: an interval [x, z] of rank 2 holds x, z and one
     y per path x < y < z, except that the top lies above every face, so
-    [x, top] holds x, the top and the upper covers of x.
+    [x, top] holds x, the top and the upper covers of x.  The paths are
+    counted bit-sliced: each face's upper covers form a mask over their
+    rank, from its first index, and the masks of x's covers fold into
+    the z reached once, twice and three times or more.
     """
-    upper = _upper_covers(L)
-    for x, r in enumerate(L.ranks):
-        if r == L.dim:
+    upper, ranks, d = _upper_covers(L), L.ranks, L.dim
+    starts = [bisect_left(ranks, r) for r in range(d + 3)]
+    # faces of rank at most d, the covers of faces below rank d
+    above = [sum(1 << z - starts[r + 1] for z in upper[y])
+             for y, r in enumerate(ranks[:starts[d + 1]])]
+    for x, r in enumerate(ranks):
+        if r == d:
             if len(upper[x]) != 2:
                 return False
-        elif r < L.dim:
-            # paths to each z, sorted: pairs of equal entries, no z thrice
-            zs = sorted([z for y in upper[x] for z in upper[y]])
-            if zs[::2] != zs[1::2] or 2 * len(set(zs)) != len(zs):
+        elif r < d:
+            one = two = three = 0
+            for y in upper[x]:
+                m = above[y]
+                three |= two & m
+                two |= one & m
+                one |= m
+            # every z reached exactly twice
+            if three or one != two:
                 return False
     return True
 

@@ -1,5 +1,7 @@
+import copy
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import shellbound as sb
 
 from corpus import (
+    PRODUCT_BASES,
     SUBDIVIDED,
     balls,
     barycentric_subdivision,
@@ -18,6 +21,8 @@ from corpus import (
     graded_bounded_posets,
     lune_sphere,
     mixed_dims_by_hand,
+    prism,
+    pyramid,
     shelled_spheres_d_le_3,
     spheres_d_le_3,
 )
@@ -485,8 +490,8 @@ def test_proof_route_keeps_one_proof():
     for order in (seq, seq[::-1], seq):
         report = sb.verify_lower_bound(L, order, d - 1)
         assert report == sb.verify_lower_bound(fresh_copy(L), order, d - 1)
-        ids, cert, _ = L._memo["proof"]
-        assert ids == order and whole_certificates(L) == [cert]
+        ids, cert, _, cuts = L._memo["proof"]
+        assert ids == order and whole_certificates(L) == [cert] and cuts == {}
     # is_shelling keeps no certificate of its own; its sub-certificates
     # are memoised, so a repeated call spends no node
     M = fresh_copy(L)
@@ -524,6 +529,18 @@ def test_failed_verification_is_not_kept():
     )
 
 
+def memo_state(L: sb.FaceLattice) -> tuple:
+    """The memo's entries, and the proof slot's cuts, as they stand."""
+    cuts = dict(L._memo["proof"][3]) if "proof" in L._memo else None
+    return dict(L._memo), cuts
+
+
+def assert_memo_is(L: sb.FaceLattice, state: tuple) -> None:
+    entries, cuts = memo_state(L)
+    assert entries.keys() == state[0].keys() and cuts == state[1]
+    assert all(entries[key] is value for key, value in state[0].items())
+
+
 def test_bad_budget_is_rejected_when_the_order_is_kept():
     oct_ = sb.cross_polytope(2)
     seq = sb.find_shelling(oct_).facets
@@ -534,6 +551,52 @@ def test_bad_budget_is_rejected_when_the_order_is_kept():
             sb.verify_lower_bound(oct_, seq, 1, budget=bad)
     assert oct_._memo["proof"] is kept
     assert sb.verify_lower_bound(oct_, seq, 1) == report
+    # every other call of the proof route checks its budget on a warm
+    # call too, and keeps nothing then
+    calls = [
+        (sb.corollary_bounds, 1),
+        (sb.barany_check,),
+        (sb.check_split_count, seq, 3, 1),
+        (sb.find_witness_pair, seq, 3),
+        (sb.split_complexes, seq, 3),
+        (sb.facet_decomposition, seq),
+    ]
+    for fn, *args in calls:
+        warm = fn(oct_, *args)
+        state = memo_state(oct_)
+        for bad in (-1, "many"):
+            with pytest.raises(sb.RangeError):
+                fn(oct_, *args, budget=bad)
+            assert_memo_is(oct_, state)
+        assert fn(oct_, *args) == warm
+
+
+def test_a_run_out_of_budget_keeps_no_fact():
+    # the search of the octahedron itself runs out, then that of its dual,
+    # the cube, after the octahedron's own verdict is kept
+    oct_ = sb.cross_polytope(2)
+    dual_spent = sb.SearchBudget()
+    assert sb.is_dual_cl_shellable(fresh_copy(oct_), budget=dual_spent)
+    facts = {"dual CL-shellable", "CL-shellable", "f-vector", "proof"}
+    for fn in (lambda b: sb.corollary_bounds(oct_, 1, budget=b),
+               lambda b: sb.barany_check(oct_, budget=b)):
+        with pytest.raises(sb.BudgetExceeded):
+            fn(0)
+        assert not facts & set(oct_._memo)
+    with pytest.raises(sb.BudgetExceeded):
+        sb.corollary_bounds(oct_, 1, budget=dual_spent.spent)
+    assert oct_._memo["dual CL-shellable"] is True
+    assert not {"CL-shellable", "f-vector"} & set(oct_._memo)
+    assert sb.corollary_bounds(oct_, 1) == sb.corollary_bounds(fresh_copy(oct_), 1)
+    assert oct_._memo["CL-shellable"] is True
+    # a verification that runs out keeps neither an order nor its cuts
+    cube = sb.hypercube_boundary(3)
+    seq = sb.find_shelling(fresh_copy(cube)).facets
+    for fn in (sb.split_complexes, sb.find_witness_pair):
+        with pytest.raises(sb.BudgetExceeded):
+            fn(cube, seq, 3, budget=0)
+        assert "proof" not in cube._memo
+    assert not any(isinstance(v, sb.ShellingFailure) for v in cube._memo.values())
 
 
 def test_kept_decomposition_serves_only_its_certificate():
@@ -542,8 +605,8 @@ def test_kept_decomposition_serves_only_its_certificate():
     L = sb.cross_polytope(2)
     seq = sb.find_shelling(L).facets
     decomp = sb.facet_decomposition(L, seq)
-    ids, cert, kept = L._memo["proof"]
-    assert ids == seq and kept is decomp
+    ids, cert, kept, cuts = L._memo["proof"]
+    assert ids == seq and kept is decomp and cuts == {}
     assert _decomposition(cert) is decomp
     # an equal certificate that is another object is checked afresh
     equal = sb.is_shelling(L, seq)
@@ -560,8 +623,8 @@ def test_kept_decomposition_serves_only_its_certificate():
     # verifying another order replaces the proof, decomposition and all,
     # and the old certificate's decomposition is no longer kept
     sb.verify_lower_bound(L, seq[::-1], 2)
-    ids, other, kept = L._memo["proof"]
-    assert ids == seq[::-1] and other is not cert and kept is None
+    ids, other, kept, cuts = L._memo["proof"]
+    assert ids == seq[::-1] and other is not cert and kept is None and cuts == {}
     assert _decomposition(cert) is not decomp
     assert L._memo["proof"][2] is None
     assert sb.facet_decomposition(L, seq) is not decomp
@@ -1012,7 +1075,8 @@ def plain(result):
 
 def proof_route_calls(L: sb.FaceLattice) -> list:
     """Every proof-route call on the lattice's first shelling (its sorted
-    facets when it has none) and on the reverse of that order."""
+    facets when it has none) and on the reverse of that order, and the
+    corollaries at every k."""
     try:
         found = sb.find_shelling(fresh_copy(L))
     except sb.ShellboundError:
@@ -1027,22 +1091,26 @@ def proof_route_calls(L: sb.FaceLattice) -> list:
         calls += [(sb.find_witness_pair, order, j) for j in range(n + 1)]
         calls += [(sb.split_complexes, order, j) for j in (0, 1, n // 2, n)]
         calls += [(sb.check_split_count, order, j, k) for j in (0, n // 2, n) for k in range(d + 1)]
+    calls += [(sb.corollary_bounds, k) for k in range(-1, d + 2)]
+    calls.append((sb.barany_check,))
     return calls
 
 
 def run_call(L: sb.FaceLattice, call: tuple):
-    fn, order, *rest = call
+    fn, *args = call
     try:
-        return plain(fn(L, order, *rest))
+        return plain(fn(L, *args))
     except sb.ShellboundError as exc:
         return plain(exc)
 
 
-def assert_shared_lattice_answers_as_fresh(L: sb.FaceLattice, rng: random.Random) -> None:
+def assert_shared_lattice_answers_as_fresh(
+    L: sb.FaceLattice, rng: random.Random, fresh=fresh_copy
+) -> None:
     calls = proof_route_calls(L)
     rng.shuffle(calls)
     for call in calls:
-        assert run_call(L, call) == run_call(fresh_copy(L), call), call
+        assert run_call(L, call) == run_call(fresh(L), call), call
 
 
 def test_shared_lattice_answers_as_a_fresh_one_on_the_corpus():
@@ -1057,3 +1125,104 @@ def test_shared_lattice_answers_as_a_fresh_one_on_the_corpus():
 @given(graded_bounded_posets, st.randoms(use_true_random=False))
 def test_shared_lattice_answers_as_a_fresh_one_on_posets(L, rng):
     assert_shared_lattice_answers_as_fresh(L, rng)
+
+
+def test_shared_lattice_answers_as_a_fresh_one_on_subdivided_pyramids_and_prisms():
+    rng = random.Random(41)
+    cases = [(name, make()) for name, (make, _) in SUBDIVIDED.items()]
+    cases += [(name, make(base())) for make in (pyramid, prism)
+              for name, base in PRODUCT_BASES.items()]
+    for name, L in cases:
+        # a JSON round trip renames a dual's extremes, which keep the
+        # host's ids, so a dual is compared with a copy, whose memo is
+        # empty too
+        fresh = copy.copy if name.startswith("dual-") else fresh_copy
+        assert_shared_lattice_answers_as_fresh(L, rng, fresh)
+
+
+def test_witnesses_before_bounds_answer_as_fresh():
+    # the cuts a witness keeps serve the split counts and the bounds after it
+    L = sb.hypercube_boundary(3)
+    seq = sb.find_shelling(fresh_copy(L)).facets
+    n, d = len(seq), L.dim
+    calls = [(sb.find_witness_pair, seq, j) for j in range(1, n)]
+    calls += [(sb.check_split_count, seq, j, k) for j in range(n + 1) for k in range(1, d + 1)]
+    calls += [(sb.verify_lower_bound, seq, k) for k in range(d + 1)]
+    calls += [(sb.split_complexes, seq, j) for j in range(n + 1)]
+    for call in calls:
+        assert run_call(L, call) == run_call(fresh_copy(L), call), call
+    assert set(L._memo["proof"][3]) == set(range(n + 1))
+
+
+def distinct_orders(L: sb.FaceLattice, count: int) -> list:
+    """``count`` shellings of ``L`` that differ in their first facet,
+    found on a copy so that ``L``'s memo stays empty."""
+    M = fresh_copy(L)
+    return [sb.find_shelling(M, [f]).facets for f in sorted(M.facets())[:count]]
+
+
+def test_one_proof_slot_holds_the_last_orders_cuts_alone():
+    L = sb.cross_polytope(3)
+    orders = distinct_orders(L, 4)
+    assert len(set(orders)) == 4
+    n = len(orders[0])
+    for order in orders:
+        pairs = [sb.split_complexes(L, order, j) for j in range(n + 1)]
+        ids, cert, _, cuts = L._memo["proof"]
+        assert ids == order and whole_certificates(L) == [cert]
+        assert sorted(cuts) == list(range(n + 1))
+        assert all(cuts[j] is pair for j, pair in enumerate(pairs))
+        # a warm cut is the kept one, and equals a fresh lattice's
+        assert sb.split_complexes(L, order, n // 2) is pairs[n // 2]
+        assert plain(pairs[n // 2]) == plain(sb.split_complexes(fresh_copy(L), order, n // 2))
+    assert [key for key in L._memo if key == "proof"] == ["proof"]
+
+
+@pytest.mark.parametrize("make", [partial(sb.cross_polytope, 3),
+                                  partial(sb.hypercube_boundary, 3),
+                                  partial(sb.cross_polytope, 4)])
+def test_cutting_many_orders_retains_the_memory_of_one(traced, make):
+    from shellbound import lattice
+
+    L = make()
+    orders = distinct_orders(L, 6)
+    n, d = len(orders[0]), L.dim
+
+    def cut_all(orders):
+        for order in orders:
+            for j in range(n + 1):
+                sb.check_split_count(L, order, j, d)
+
+    # the lattice's own arrays are built first, and no order verified
+    for build in (sb.is_pseudomanifold, lattice._down_sets, lattice._upper_covers,
+                  lattice._boolean_cells):
+        build(L)
+    _, one, _ = traced(cut_all, orders[:1])
+    _, many, _ = traced(cut_all, orders[1:])
+    assert 0 < many <= 2 * one
+
+
+def test_a_hand_built_certificate_is_cut_afresh():
+    from shellbound.bounds import _cut
+
+    L = sb.cross_polytope(2)
+    seq = sb.find_shelling(fresh_copy(L)).facets
+    # with no proof kept, and beside a kept one, an equal certificate that
+    # is another object is cut afresh and keeps no cut
+    equal = sb.is_shelling(L, seq)
+    first = _cut(equal, 2)
+    assert "proof" not in L._memo
+    kept = sb.split_complexes(L, seq, 2)
+    assert kept == first and kept is not first
+    again = _cut(equal, 2)
+    assert again == kept and again is not kept and again is not first
+    assert list(L._memo["proof"][3]) == [2]
+    # a position that is no int is cut afresh too, as on a fresh lattice:
+    # a float is refused even where an equal int was cut, a bool is not
+    for M in (L, fresh_copy(L)):
+        with pytest.raises(TypeError):
+            sb.split_complexes(M, seq, 2.0)
+    assert plain(sb.split_complexes(L, seq, True)) == plain(
+        sb.split_complexes(fresh_copy(L), seq, True)
+    )
+    assert list(L._memo["proof"][3]) == [2]

@@ -13,7 +13,10 @@ from shellbound import lattice
 from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
+    PRODUCT_BASES,
+    SUBDIVIDED,
     balls,
+    barycentric_subdivision,
     bipyramid_facets,
     bowtie,
     doubled_triangle,
@@ -22,6 +25,8 @@ from corpus import (
     id_pair_json,
     lune_sphere,
     mixed_dims_by_hand,
+    prism,
+    pyramid,
     rank_permutation,
     relabelled,
     spheres_d_le_3,
@@ -678,6 +683,28 @@ def test_is_diamond():
     assert sb.is_diamond(sb.cross_polytope(2))
     assert sb.is_diamond(sb.ngon(4))
     assert not sb.is_diamond(sb.from_facets([[1, 2], [2, 3]]))
+
+
+def test_is_diamond_counts_paths_as_the_naive_oracle():
+    """The bit-sliced path count against brute force on the subdivided
+    complexes and their subdivisions, the pyramids and prisms, and on an
+    edge reached from the bottom once and one reached three times."""
+    cases = [make() for make, _ in SUBDIVIDED.values()]
+    cases += [barycentric_subdivision(L) for L in cases]
+    cases += [make(base()) for make in (pyramid, prism) for base in PRODUCT_BASES.values()]
+    verdicts = [sb.is_diamond(L) for L in cases]
+    assert verdicts == [naive_is_diamond(L) for L in cases]
+    assert True in verdicts and False in verdicts
+    # two edges x and y, each over the one vertex a, or each over the
+    # three vertices a, b and c: every vertex lies in two edges, so only
+    # the path count from the bottom tells these from a diamond
+    for vertices in ("a", "abc"):
+        elements = [(BOTTOM_ID, 0), (TOP_ID, 3), ("x", 2), ("y", 2)]
+        elements += [(v, 1) for v in vertices]
+        covers = [(BOTTOM_ID, v) for v in vertices]
+        covers += [(v, edge) for edge in "xy" for v in vertices]
+        L = sb.build_lattice(elements, covers, 1)
+        assert not sb.is_diamond(L) and not naive_is_diamond(L)
 
 
 def _check_upward_readers(L: sb.FaceLattice) -> None:

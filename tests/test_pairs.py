@@ -249,7 +249,10 @@ def test_a_planted_pycache_is_removed_before_the_first_run(tmp_path, monkeypatch
         mod = tree / "src" / "pkg" / "mod.py"
         mod.write_text("VALUE = 1\n")
         stamp = mod.stat().st_mtime_ns
-        py_compile.compile(str(mod), importlib.util.cache_from_source(str(mod)),
+        # in the tree's own __pycache__, which cache_from_source would
+        # leave for PYTHONPYCACHEPREFIX when that is set
+        pyc = mod.parent / "__pycache__" / f"mod.{sys.implementation.cache_tag}.pyc"
+        py_compile.compile(str(mod), str(pyc),
                            invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
         mod.write_text("VALUE = 2\n")
         os.utime(mod, ns=(stamp, stamp))
