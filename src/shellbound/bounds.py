@@ -28,17 +28,15 @@ the diamond test of the corollaries), is imported from
 :mod:`~shellbound.lattice`; none is defined here.
 
 Each public function asks :func:`_verified` for its order's
-certificate and hands it down: the private helpers of the proof route
-take a verified :class:`ShellingCertificate`.  This module owns the
-memo's ``"proof"`` slot, which keeps the last order that verified with
-its certificate, so a k-sweep, the decomposition, the witnesses and the
-split counts on one order verify it once per lattice.
-:func:`_decomposition` keeps its result in the same slot, for that
-certificate object alone, so each facet boundary is cut once for every
-k, and :func:`_cut` keeps there the certificate's :func:`_split` at
+:class:`_Proof` and reads the facts of that order from it: the private
+helpers of the proof route take a verified :class:`ShellingCertificate`
+and keep nothing.  This module owns the memo's ``"proof"`` slot, which
+keeps the last order that verified as one ``_Proof``, so a k-sweep, the
+decomposition, the witnesses and the split counts on one order verify
+it once per lattice.  The proof keeps its :func:`_decomposition`, so
+each facet boundary is cut once for every k, and its :func:`_split` at
 each position a call asked for, so its guards run once per order and
-position; a certificate built by hand is checked and cut afresh on
-every call.  The facts that do not depend on the order are kept in the
+position.  The facts that do not depend on the order are kept in the
 lattice's memo, each derived once by this module: the f-vectors of the
 complex and of its boundary, whether it is simplicial (asked only for
 the equality case at k = d - 1) and the two CL verdicts of the
@@ -68,6 +66,7 @@ the three functions that build a ``Fraction`` import :mod:`fractions`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from typing import Sequence, Union
 
@@ -175,21 +174,44 @@ def binomial_split_lb(a: int, b: int, d: int, m: int) -> bool:
 
 def _verified(
     L: FaceLattice, order: Union[ShellingOrder, Sequence[str]], budget: SearchBudget
-) -> ShellingCertificate:
-    """The certificate of ``order``, or :class:`NotAShelling`.  The last
-    order that verified is kept in the memo's ``"proof"`` slot as ``(facet
-    ids, certificate, decomposition or None, {j: cut at j})``, and a call
-    on that order again returns its certificate without a search or a
-    walk."""
+) -> _Proof:
+    """The :class:`_Proof` of ``order``, or :class:`NotAShelling`.  The
+    last order that verified is kept in the memo's ``"proof"`` slot, which
+    this function alone writes, and a call on that order again returns its
+    proof without a search or a walk."""
     ids = _order_ids(L, order)
-    kept_ids, kept, *_ = L._memo.get("proof", (None, None))
-    if kept_ids == ids:
-        return kept
+    proof = L._memo.get("proof")
+    if proof is not None and proof.cert.facets == ids:
+        return proof
     result = is_shelling(L, ids, budget=budget)
     if isinstance(result, ShellingFailure):
         raise NotAShelling(result)
-    L._memo["proof"] = (ids, result, None, {})
-    return result
+    proof = L._memo["proof"] = _Proof(result)
+    return proof
+
+
+class _Proof:
+    """A verified whole-complex certificate and the facts of its order,
+    each derived on first read and kept: the cut at each int position,
+    :meth:`cut`, and the :attr:`decomposition`.  A derivation that raises
+    keeps nothing."""
+
+    def __init__(self, cert: ShellingCertificate) -> None:
+        self.cert = cert
+        self.cuts: dict[int, SplitPair] = {}
+
+    def cut(self, j: int) -> SplitPair:
+        """``_split(cert, j)``; a position that is no int is cut afresh,
+        so a float raises as it does on a fresh lattice."""
+        if type(j) is not int:
+            return _split(self.cert, j)
+        if j not in self.cuts:
+            self.cuts[j] = _split(self.cert, j)
+        return self.cuts[j]
+
+    @cached_property
+    def decomposition(self) -> SplitDecomposition:
+        return _decomposition(self.cert)
 
 
 @_record
@@ -215,21 +237,7 @@ def split_complexes(
     Both sides are pseudomanifolds, and the interior of each side is the
     complement of the other side; both facts are recomputed and enforced.
     """
-    return _cut(_verified(L, order, _as_budget(budget)), j)
-
-
-def _cut(cert: ShellingCertificate, j: int) -> SplitPair:
-    """``_split(cert, j)``, kept in the ``"proof"`` slot of
-    :func:`_verified` for the certificate object held there, so that its
-    guards run once per order and position; any other certificate, or a
-    position that is no int, is cut afresh."""
-    slot = cert.lattice._memo.get("proof")
-    if slot is None or slot[1] is not cert or type(j) is not int:
-        return _split(cert, j)
-    cuts = slot[3]
-    if j not in cuts:
-        cuts[j] = _split(cert, j)
-    return cuts[j]
+    return _verified(L, order, _as_budget(budget)).cut(j)
 
 
 def _split(cert: ShellingCertificate, j: int) -> SplitPair:
@@ -292,10 +300,11 @@ def check_split_count(
     delta = L.dim
     if not (delta >= 0 and (delta // 2) <= k <= delta):
         raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
-    cert = _verified(L, order, _as_budget(budget))
+    proof = _verified(L, order, _as_budget(budget))
+    cert = proof.cert
     if not 0 <= j <= len(cert.facets):
         raise RangeError(f"need 0 <= j <= {len(cert.facets)}, got j={j}")
-    pair = _cut(cert, j)
+    pair = proof.cut(j)
     count = L._rank_masks[k + 1]
     fk_begin = (pair.begin_interior.mask & count).bit_count()
     fk_end = (pair.end_interior.mask & count).bit_count()
@@ -402,14 +411,14 @@ def find_witness_pair(
     witness through a cover that escapes the closed facet.  Memberships
     are verified against the split interiors before returning.
     """
-    cert = _verified(L, order, _as_budget(budget))
+    proof = _verified(L, order, _as_budget(budget))
     _require_sphere(L)
-    n = len(cert.facets)
+    n = len(proof.cert.facets)
     if not 1 <= j < n:
         raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
-    begin, end = _witness(cert, j)
+    begin, end = _witness(proof.cert, j)
     begin_face, end_face = L.ids[begin], L.ids[end]
-    pair = _cut(cert, j)
+    pair = proof.cut(j)
     witness = WitnessPair(
         begin_face,
         end_face,
@@ -469,18 +478,13 @@ def facet_decomposition(
     earlier side and the complex boundary), nor interior to two later
     sides.
     """
-    return _decomposition(_verified(X, order, _as_budget(budget)))
+    return _verified(X, order, _as_budget(budget)).decomposition
 
 
 def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
     """:func:`facet_decomposition` of a verified shelling of the whole
-    complex.  It is kept in the ``"proof"`` slot of :func:`_verified`,
-    for the certificate object held there alone: a certificate built by
-    hand with the same facets is checked afresh."""
+    complex."""
     X, seq = cert.lattice, cert.facets
-    ids, kept, done, cuts = X._memo.get("proof", (None, None, None, None))
-    if kept is cert and done is not None:
-        return done
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the decomposition needs a pseudomanifold")
     d = X.dim
@@ -540,10 +544,7 @@ def _decomposition(cert: ShellingCertificate) -> SplitDecomposition:
         earlier |= 1 << x
         earlier_union |= down[x]
         splits.append(FacetSplit(j0 + 1, step.facet, pair.begin, pair.end, before_int, after_int))
-    decomposition = SplitDecomposition(X, seq, tuple(splits))
-    if kept is cert:
-        X._memo["proof"] = (ids, cert, decomposition, cuts)
-    return decomposition
+    return SplitDecomposition(X, seq, tuple(splits))
 
 
 # -- the main inequality -------------------------------------------------
@@ -659,7 +660,7 @@ def verify_lower_bound(
         raise RangeError(f"the bound needs dimension at least 1, got dimension {d}")
     if not (d - 1) // 2 <= k <= d:
         raise RangeError(f"need {(d - 1) // 2} <= k <= {d}, got k={k}")
-    cert = _verified(X, order, _as_budget(budget))
+    proof = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the bound applies to pseudomanifolds")
     f, fbd = _face_counts(X)
@@ -670,7 +671,7 @@ def verify_lower_bound(
     interior_sum = 0
     if k <= d - 1:
         count = X._rank_masks[k + 1]
-        for split in _decomposition(cert).splits:
+        for split in proof.decomposition.splits:
             fk_begin = (split.before_interior.mask & count).bit_count()
             fk_end = (split.after_interior.mask & count).bit_count()
             per_facet.append(PerFacetBound(split.j, fk_begin, fk_end, rho2))
@@ -716,13 +717,6 @@ class CorollaryReport:
     to_json_dict = _json_fields
 
 
-def _shellable(L: FaceLattice, key: str, test, bud: SearchBudget) -> bool:
-    """``test(L, budget=bud)``, one of the two CL predicates, kept in the
-    memo under ``key`` once it answers; a search that runs out of budget
-    raises and keeps nothing."""
-    return _memoised(L, key, lambda L: test(L, budget=bud))
-
-
 def corollary_bounds(
     L: FaceLattice, k: int, *, budget: Union[int, SearchBudget, None] = None
 ) -> CorollaryReport:
@@ -740,8 +734,8 @@ def corollary_bounds(
     if not 0 <= k <= d:
         raise RangeError(f"need 0 <= k <= {d}, got k={k}")
     bud = _as_budget(budget)
-    dual_cl = _shellable(L, "dual CL-shellable", is_dual_cl_shellable, bud)
-    cl = _shellable(L, "CL-shellable", is_cl_shellable, bud)
+    dual_cl = _memoised(L, "dual CL-shellable", lambda L: is_dual_cl_shellable(L, budget=bud))
+    cl = _memoised(L, "CL-shellable", lambda L: is_cl_shellable(L, budget=bud))
     f = _memoised(L, "f-vector", f_vector)
 
     from fractions import Fraction
@@ -773,8 +767,8 @@ def barany_check(L: FaceLattice, *, budget: Union[int, SearchBudget, None] = Non
     if not _is_diamond_lattice(L):
         raise NotDiamond("the floor is stated for diamond lattices")
     bud = _as_budget(budget)
-    dual_cl = _shellable(L, "dual CL-shellable", is_dual_cl_shellable, bud)
-    if not (dual_cl and _shellable(L, "CL-shellable", is_cl_shellable, bud)):
+    dual_cl = _memoised(L, "dual CL-shellable", lambda L: is_dual_cl_shellable(L, budget=bud))
+    if not (dual_cl and _memoised(L, "CL-shellable", lambda L: is_cl_shellable(L, budget=bud))):
         raise NotShellable("the lattice is not shellable in both directions")
     f = _memoised(L, "f-vector", f_vector)
     floor_value = min(f[0], f[L.dim])

@@ -107,14 +107,14 @@ nowhere else:
   ``shelling._ClosedCertificate`` with its facets only, and builds its
   steps when they are first read, adding the sub-certificates they name
   then;
-* ``bounds``: one slot, replaced rather than set once, keyed as
-  ``bounds._verified`` says: ``"proof"``, the last whole-complex order
-  that the proof route verified, as its facet ids, its certificate, the
-  facet decomposition of that certificate once derived (None before),
-  written by ``bounds._decomposition``, and a dict from each position j
-  a call cut it at to that cut, filled by ``bounds._cut``.  Verifying
-  another order replaces the slot, cuts and all, so the memo stays
-  bounded by the input.  And, set once through ``_memoised``:
+* ``bounds``: one slot, replaced rather than set once, written by
+  ``bounds._verified`` alone: ``"proof"``, one ``bounds._Proof`` of the
+  last whole-complex order that the proof route verified.  It holds
+  that order's certificate, whose facets are the order's ids, the facet
+  decomposition of that certificate once read, and a dict from each int
+  position j a call cut it at to that cut.  Verifying another order
+  replaces the slot, cuts and all, so the memo stays bounded by the
+  input.  And, set once through ``_memoised``:
   ``"f-vector"`` and ``"boundary f-vector"`` (the :func:`f_vector` of
   the complex and of its boundary), ``"simplicial"`` (whether
   :func:`is_simplicial` holds) and ``"dual CL-shellable"`` and

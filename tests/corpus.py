@@ -2,7 +2,9 @@
 non-sphere lattices, and a generator of small graded bounded posets."""
 
 import random
+from collections import defaultdict
 from functools import lru_cache, partial
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -164,6 +166,36 @@ def bipyramid_facets(n: int = 600) -> list[list[str]]:
     return [
         [apex, f"v{i}", f"v{i % n + 1}"] for i in range(1, n + 1) for apex in ("N", "S")
     ]
+
+
+def bistellar_sphere(n: int, seed: int) -> sb.FaceLattice:
+    """A random simplicial 3-sphere, made from the boundary of the
+    4-simplex by bistellar moves.  A move replaces A * bd(B) by bd(A) * B,
+    when the link of the face A is bd(B) and B is no face.  While there
+    are fewer than n vertices, a random facet is subdivided with
+    probability 0.3, or whenever no other move is admissible; otherwise a
+    uniformly random admissible move is taken.  It stops after 6n moves."""
+    rng = random.Random(seed)
+    facets = {frozenset(f) for f in combinations(range(5), 4)}
+    for _ in range(6 * n):
+        star = defaultdict(list)
+        for facet in facets:
+            for size in (1, 2, 3):
+                for face in combinations(sorted(facet), size):
+                    star[frozenset(face)].append(facet)
+        moves = []
+        for a in sorted(star, key=sorted):
+            b = frozenset().union(*star[a]) - a
+            if len(b) == 5 - len(a) == len(star[a]) and not any(b <= f for f in facets):
+                moves.append((a, b))
+        vertices = frozenset().union(*facets)
+        if not moves or len(vertices) < n and rng.random() < 0.3:
+            facet = rng.choice(sorted(sorted(f) for f in facets))
+            moves = [(frozenset(facet), frozenset([max(vertices) + 1]))]
+        a, b = rng.choice(moves)
+        facets -= {a | b - {v} for v in b}
+        facets |= {a - {v} | b for v in a}
+    return sb.from_facets(sorted(sorted(f) for f in facets))
 
 
 def lune_sphere() -> sb.FaceLattice:

@@ -14,6 +14,7 @@ from corpus import (
     SUBDIVIDED,
     balls,
     barycentric_subdivision,
+    bistellar_sphere,
     bowtie,
     doubled_triangle,
     fresh_copy,
@@ -475,10 +476,14 @@ def test_decomposition_checks_the_interiors_are_disjoint(monkeypatch, side):
 
 
 def whole_certificates(L: sb.FaceLattice) -> list:
-    """The whole-complex certificates in the lattice's memo, looking one
-    level into tuples."""
+    """The whole-complex certificates in the lattice's memo, looking into
+    the proof slot and one level into tuples."""
+    from shellbound.bounds import _Proof
+
     items = []
     for value in L._memo.values():
+        if isinstance(value, _Proof):
+            value = value.cert
         items += value if isinstance(value, tuple) else (value,)
     return [i for i in items if isinstance(i, sb.ShellingCertificate) and i.cell == L._top]
 
@@ -490,8 +495,9 @@ def test_proof_route_keeps_one_proof():
     for order in (seq, seq[::-1], seq):
         report = sb.verify_lower_bound(L, order, d - 1)
         assert report == sb.verify_lower_bound(fresh_copy(L), order, d - 1)
-        ids, cert, _, cuts = L._memo["proof"]
-        assert ids == order and whole_certificates(L) == [cert] and cuts == {}
+        proof = L._memo["proof"]
+        assert proof.cert.facets == order and whole_certificates(L) == [proof.cert]
+        assert proof.cuts == {}
     # is_shelling keeps no certificate of its own; its sub-certificates
     # are memoised, so a repeated call spends no node
     M = fresh_copy(L)
@@ -530,15 +536,19 @@ def test_failed_verification_is_not_kept():
 
 
 def memo_state(L: sb.FaceLattice) -> tuple:
-    """The memo's entries, and the proof slot's cuts, as they stand."""
-    cuts = dict(L._memo["proof"][3]) if "proof" in L._memo else None
-    return dict(L._memo), cuts
+    """The memo's entries, and the proof slot's decomposition (None before
+    it is read) and cuts, as they stand."""
+    proof = L._memo.get("proof")
+    if proof is None:
+        return dict(L._memo), None, None
+    return dict(L._memo), vars(proof).get("decomposition"), dict(proof.cuts)
 
 
 def assert_memo_is(L: sb.FaceLattice, state: tuple) -> None:
-    entries, cuts = memo_state(L)
-    assert entries.keys() == state[0].keys() and cuts == state[1]
+    entries, decomposition, cuts = memo_state(L)
+    assert entries.keys() == state[0].keys() and cuts == state[2]
     assert all(entries[key] is value for key, value in state[0].items())
+    assert decomposition is state[1]
 
 
 def test_bad_budget_is_rejected_when_the_order_is_kept():
@@ -605,9 +615,13 @@ def test_kept_decomposition_serves_only_its_certificate():
     L = sb.cross_polytope(2)
     seq = sb.find_shelling(L).facets
     decomp = sb.facet_decomposition(L, seq)
-    ids, cert, kept, cuts = L._memo["proof"]
-    assert ids == seq and kept is decomp and cuts == {}
-    assert _decomposition(cert) is decomp
+    proof = L._memo["proof"]
+    cert = proof.cert
+    assert cert.facets == seq and proof.decomposition is decomp and proof.cuts == {}
+    # the kept proof serves the decomposition; _decomposition itself
+    # derives it afresh, equal to the kept one
+    assert sb.facet_decomposition(L, seq) is decomp
+    assert _decomposition(cert) == decomp and _decomposition(cert) is not decomp
     # an equal certificate that is another object is checked afresh
     equal = sb.is_shelling(L, seq)
     assert equal == cert and equal is not cert
@@ -619,14 +633,15 @@ def test_kept_decomposition_serves_only_its_certificate():
     lying = sb.ShellingCertificate(L, cert.cell, cert.facets, tuple(steps))
     with pytest.raises(sb.InternalContradiction, match="split recount"):
         _decomposition(lying)
-    assert L._memo["proof"][2] is decomp
+    assert L._memo["proof"] is proof and proof.decomposition is decomp
     # verifying another order replaces the proof, decomposition and all,
     # and the old certificate's decomposition is no longer kept
     sb.verify_lower_bound(L, seq[::-1], 2)
-    ids, other, kept, cuts = L._memo["proof"]
-    assert ids == seq[::-1] and other is not cert and kept is None and cuts == {}
+    other = L._memo["proof"]
+    assert other.cert.facets == seq[::-1] and other.cert is not cert
+    assert "decomposition" not in vars(other) and other.cuts == {}
     assert _decomposition(cert) is not decomp
-    assert L._memo["proof"][2] is None
+    assert "decomposition" not in vars(L._memo["proof"])
     assert sb.facet_decomposition(L, seq) is not decomp
 
 
@@ -1151,7 +1166,7 @@ def test_witnesses_before_bounds_answer_as_fresh():
     calls += [(sb.split_complexes, seq, j) for j in range(n + 1)]
     for call in calls:
         assert run_call(L, call) == run_call(fresh_copy(L), call), call
-    assert set(L._memo["proof"][3]) == set(range(n + 1))
+    assert set(L._memo["proof"].cuts) == set(range(n + 1))
 
 
 def distinct_orders(L: sb.FaceLattice, count: int) -> list:
@@ -1168,8 +1183,9 @@ def test_one_proof_slot_holds_the_last_orders_cuts_alone():
     n = len(orders[0])
     for order in orders:
         pairs = [sb.split_complexes(L, order, j) for j in range(n + 1)]
-        ids, cert, _, cuts = L._memo["proof"]
-        assert ids == order and whole_certificates(L) == [cert]
+        proof = L._memo["proof"]
+        cuts = proof.cuts
+        assert proof.cert.facets == order and whole_certificates(L) == [proof.cert]
         assert sorted(cuts) == list(range(n + 1))
         assert all(cuts[j] is pair for j, pair in enumerate(pairs))
         # a warm cut is the kept one, and equals a fresh lattice's
@@ -1203,20 +1219,20 @@ def test_cutting_many_orders_retains_the_memory_of_one(traced, make):
 
 
 def test_a_hand_built_certificate_is_cut_afresh():
-    from shellbound.bounds import _cut
+    from shellbound.bounds import _split
 
     L = sb.cross_polytope(2)
     seq = sb.find_shelling(fresh_copy(L)).facets
     # with no proof kept, and beside a kept one, an equal certificate that
     # is another object is cut afresh and keeps no cut
     equal = sb.is_shelling(L, seq)
-    first = _cut(equal, 2)
+    first = _split(equal, 2)
     assert "proof" not in L._memo
     kept = sb.split_complexes(L, seq, 2)
     assert kept == first and kept is not first
-    again = _cut(equal, 2)
+    again = _split(equal, 2)
     assert again == kept and again is not kept and again is not first
-    assert list(L._memo["proof"][3]) == [2]
+    assert list(L._memo["proof"].cuts) == [2]
     # a position that is no int is cut afresh too, as on a fresh lattice:
     # a float is refused even where an equal int was cut, a bool is not
     for M in (L, fresh_copy(L)):
@@ -1225,4 +1241,99 @@ def test_a_hand_built_certificate_is_cut_afresh():
     assert plain(sb.split_complexes(L, seq, True)) == plain(
         sb.split_complexes(fresh_copy(L), seq, True)
     )
-    assert list(L._memo["proof"][3]) == [2]
+    assert list(L._memo["proof"].cuts) == [2]
+
+
+def test_split_and_decomposition_leave_the_memo_as_it_stands():
+    from shellbound.bounds import _decomposition, _split
+
+    L = sb.cross_polytope(3)
+    seq = sb.find_shelling(L).facets
+    cert = sb.is_shelling(L, seq)
+    hand = sb.ShellingCertificate(L, cert.cell, cert.facets, cert.steps)
+    # the lattice's own set-once fact that both read is derived first
+    sb.is_pseudomanifold(L)
+    assert "proof" not in L._memo
+    for keep_a_proof in (False, True):
+        if keep_a_proof:
+            sb.facet_decomposition(L, seq)
+            sb.split_complexes(L, seq, 2)
+        state = memo_state(L)
+        for j in range(len(seq) + 1):
+            _split(hand, j)
+            assert_memo_is(L, state)
+        _decomposition(hand)
+        assert_memo_is(L, state)
+    proof = L._memo["proof"]
+    assert _split(hand, 2) == proof.cuts[2] and _split(hand, 2) is not proof.cuts[2]
+    assert _decomposition(hand) == proof.decomposition
+    assert _decomposition(hand) is not proof.decomposition
+
+
+def test_a_decomposition_that_raises_is_not_kept(monkeypatch):
+    from shellbound import bounds
+
+    L = sb.cross_polytope(3)
+    seq = sb.find_shelling(fresh_copy(L)).facets
+    # the bound at k = d reads no decomposition
+    sb.verify_lower_bound(L, seq, L.dim)
+    proof = L._memo["proof"]
+    assert "decomposition" not in vars(proof)
+    derived = []
+    decomposition = bounds._decomposition
+
+    def fails_once(cert):
+        derived.append(cert)
+        if len(derived) == 1:
+            raise sb.InternalContradiction("planted")
+        return decomposition(cert)
+
+    monkeypatch.setattr(bounds, "_decomposition", fails_once)
+    with pytest.raises(sb.InternalContradiction, match="planted"):
+        proof.decomposition
+    assert L._memo["proof"] is proof and "decomposition" not in vars(proof)
+    first = proof.decomposition
+    assert proof.decomposition is first and derived == [proof.cert, proof.cert]
+    assert plain(first) == plain(sb.facet_decomposition(fresh_copy(L), seq))
+
+
+def test_the_memo_holds_the_keys_the_lattice_docstring_lists():
+    import re
+
+    from shellbound import lattice
+
+    doc = lattice.__doc__
+    listing = doc[doc.index("A lattice keeps one memo"):doc.index("A :class:`Subcomplex`")]
+    listed = set(re.findall(r'``"([^"`]+)"``', listing))
+    sphere = sb.cross_polytope(3)
+    kept = []
+    for L in (sphere, sb.punctured(sphere)):
+        seq = sb.find_shelling(L).facets
+        sb.is_shelling(L, seq)
+        for call in proof_route_calls(L):
+            run_call(L, call)
+        sb.is_simplicial(L)
+        sb.simplicial_equality_identity(L)
+        kept.append({key for key in L._memo if isinstance(key, str)})
+    # the ball passes no diamond test, so it keeps no dual and no verdict
+    # of the corollaries
+    assert kept[0] == listed
+    assert kept[1] == listed - {"dual", "dual CL-shellable", "CL-shellable"}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_bistellar_three_spheres_take_the_proof_route(seed):
+    L = bistellar_sphere(6 + seed % 9, seed)
+    f = sb.f_vector(L)
+    assert f[0] - f[1] + f[2] - f[3] == 0 and f[2] == 2 * f[3]
+    assert sb.is_lattice(L) and sb.is_diamond(L)
+    assert sb.is_pseudomanifold(L) and sb.is_simplicial(L)
+    order = sb.find_shelling(L)
+    assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate)
+    for k in (1, 2, 3):
+        report = sb.verify_lower_bound(L, order, k)
+        assert report.ok and report.equality == (k >= 2)
+    # the whole proof route, on a lattice the calls above have warmed, on
+    # every fourth sphere
+    if seed % 4 == 0:
+        assert_shared_lattice_answers_as_fresh(L, random.Random(seed))

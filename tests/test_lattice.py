@@ -307,6 +307,12 @@ def test_constructor_matches_naive_oracle():
             assert sb.dualize(sb.dualize(L)).covers() == L.covers(), name
 
 
+def test_the_constructor_rejects_arrays_of_unequal_length():
+    with pytest.raises(sb.InvalidFace) as err:
+        sb.FaceLattice(0, [BOTTOM_ID, TOP_ID], [0, 2], [()])
+    assert str(err.value) == "2 ids, 2 ranks and 1 lower cover lists"
+
+
 def test_constructor_pauses_the_collector_and_restores_it():
     was_enabled = gc.isenabled()
     L = zero_sphere()

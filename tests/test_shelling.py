@@ -808,7 +808,7 @@ def test_the_proof_route_leaves_simplex_facets_unbuilt(monkeypatch):
         assert sb.verify_lower_bound(L, order, k).ok
     sb.facet_decomposition(L, order)
     assert built == [L._top]
-    cert = L._memo["proof"][1]
+    cert = L._memo["proof"].cert
     assert not any(_built(step.sub_certificate) for step in cert.steps)
 
 
