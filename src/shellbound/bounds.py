@@ -36,14 +36,15 @@ decomposition, the witnesses and the split counts on one order verify
 it once per lattice.  The proof keeps its :func:`_decomposition`, so
 each facet boundary is cut once for every k, and its :func:`_split` at
 each position a call asked for, so its guards run once per order and
-position.  The facts that do not depend on the order are kept in the
-lattice's memo, each derived once by this module: the f-vectors of the
-complex and of its boundary, whether it is simplicial (asked only for
-the equality case at k = d - 1) and the two CL verdicts of the
-corollaries.  Every call still checks its arguments and its budget
-first, a warm one included.  Failures and runs out of budget are never
-kept.  Counts at one dimension k read one rank mask, and each bound is
-one ``Fraction`` of the doubled multiplier, :func:`_rho_doubled`.
+position.  :meth:`_Proof.cut` admits every split position, warm or
+fresh: an int, not a bool, with 0 <= j <= n, else :class:`InvalidSplit`.
+The facts that do not depend on the order are kept in the lattice's
+memo, each derived once by this module: the f-vectors of the complex
+and of its boundary and the two CL verdicts of the corollaries.  Every
+call still checks its arguments and its budget first, a warm one
+included.  Failures and runs out of budget are never kept.  Counts at
+one dimension k read one rank mask, and each bound is one ``Fraction``
+of the doubled multiplier, :func:`_rho_doubled`.
 
 Step j carries the shelling of the j-th facet boundary that starts
 with exactly the ridges glued to earlier facets, and how many those
@@ -192,19 +193,21 @@ def _verified(
 
 class _Proof:
     """A verified whole-complex certificate and the facts of its order,
-    each derived on first read and kept: the cut at each int position,
-    :meth:`cut`, and the :attr:`decomposition`.  A derivation that raises
-    keeps nothing."""
+    each derived on first read and kept: the cut at each position,
+    :meth:`cut`, which admits every split position, and the
+    :attr:`decomposition`.  A derivation that raises keeps nothing."""
 
     def __init__(self, cert: ShellingCertificate) -> None:
         self.cert = cert
         self.cuts: dict[int, SplitPair] = {}
 
     def cut(self, j: int) -> SplitPair:
-        """``_split(cert, j)``; a position that is no int is cut afresh,
-        so a float raises as it does on a fresh lattice."""
-        if type(j) is not int:
-            return _split(self.cert, j)
+        """``_split(cert, j)`` at an int position ``0 <= j <= n``, a bool
+        not counting as an int, else :class:`InvalidSplit`: the one check
+        of a split position."""
+        n = len(self.cert.facets)
+        if type(j) is not int or not 0 <= j <= n:
+            raise InvalidSplit(f"need 0 <= j <= {n}, got {j!r}")
         if j not in self.cuts:
             self.cuts[j] = _split(self.cert, j)
         return self.cuts[j]
@@ -243,7 +246,7 @@ def split_complexes(
 def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     """:func:`split_complexes` of a verified shelling of the boundary of
     host cell ``cert.cell`` (the top for the whole complex), on host
-    masks."""
+    masks, at a position ``0 <= j <= n`` that its caller admitted."""
     L, cell, seq = cert.lattice, cert.cell, cert.facets
     # the cell's boundary as a subcomplex, the whole complex's kept once
     # per lattice; at j = 0 and j = n it is one side, derived once
@@ -251,9 +254,6 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     whole = _as_subcomplex(L) if cell == L._top else Subcomplex(L, down[cell] & ~(1 << cell))
     _require_sphere(whole)
     real = whole.mask & ~(1 << L._bottom)
-    n = len(seq)
-    if not 0 <= j <= n:
-        raise InvalidSplit(f"need 0 <= j <= {n}, got {j}")
     begin_mask = _closed(down, L._mask_of(seq[:j]))
     end_mask = _closed(down, L._mask_of(seq[j:]))
     begin = whole if begin_mask == whole.mask else Subcomplex(L, begin_mask)
@@ -301,15 +301,12 @@ def check_split_count(
     if not (delta >= 0 and (delta // 2) <= k <= delta):
         raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
     proof = _verified(L, order, _as_budget(budget))
-    cert = proof.cert
-    if not 0 <= j <= len(cert.facets):
-        raise RangeError(f"need 0 <= j <= {len(cert.facets)}, got j={j}")
     pair = proof.cut(j)
     count = L._rank_masks[k + 1]
     fk_begin = (pair.begin_interior.mask & count).bit_count()
     fk_end = (pair.end_interior.mask & count).bit_count()
     # the boundary of a cell of rank r is a sphere of dimension r - 2
-    rhs = _rho_doubled(L.ranks[cert.cell], k)
+    rhs = _rho_doubled(L.ranks[proof.cert.cell], k)
     return SplitCountResult(j, k, fk_begin + fk_end, rhs, fk_begin, fk_end)
 
 
@@ -414,8 +411,8 @@ def find_witness_pair(
     proof = _verified(L, order, _as_budget(budget))
     _require_sphere(L)
     n = len(proof.cert.facets)
-    if not 1 <= j < n:
-        raise InvalidSplit(f"need 1 <= j < {n}, got {j}")
+    if type(j) is not int or not 1 <= j < n:
+        raise InvalidSplit(f"need 1 <= j < {n}, got {j!r}")
     begin, end = _witness(proof.cert, j)
     begin_face, end_face = L.ids[begin], L.ids[end]
     pair = proof.cut(j)
@@ -614,7 +611,7 @@ def _face_counts(X: FaceLattice) -> tuple[FVector, FVector]:
 def simplicial_equality_identity(X: FaceLattice) -> bool:
     """The ridge-count identity behind the simplicial equality case:
     (d+1) * f_d + f_{d-1}(boundary) = 2 * f_{d-1}."""
-    if not _memoised(X, "simplicial", is_simplicial):
+    if not is_simplicial(X):
         raise NotSimplicial("the identity is stated for simplicial complexes")
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the identity needs a pseudomanifold")
@@ -688,7 +685,7 @@ def verify_lower_bound(
         rhs=rhs,
         slack=slack,
         equality=slack == 0,
-        expected_equality=k == d or k == d - 1 and _memoised(X, "simplicial", is_simplicial),
+        expected_equality=k == d or k == d - 1 and is_simplicial(X),
         per_facet=tuple(per_facet),
         interior_sum=interior_sum,
         interior_sum_bound=2 * f[k] - fbd[k],

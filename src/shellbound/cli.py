@@ -168,8 +168,6 @@ def _write_json(out: Union[str, None], obj) -> None:
 
 def _flatten(value, path: str, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
-        if not value:
-            rows.append((path, "{}"))
         for key in sorted(value):
             _flatten(value[key], f"{path}.{key}" if path else str(key), rows)
     elif isinstance(value, list):
@@ -289,7 +287,7 @@ def _dispatch(
         if order is None:
             search = find_shelling(L, budget=bud)
             if search is None:
-                return {"error": "NotShellable", "detail": "no shelling found"}, False
+                raise NotShellable("no shelling found")
             order = search.facets
         d = L.dim
         ks = [args.k] if args.k is not None else list(range((d - 1) // 2, d + 1))

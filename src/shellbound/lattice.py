@@ -116,8 +116,7 @@ nowhere else:
   replaces the slot, cuts and all, so the memo stays bounded by the
   input.  And, set once through ``_memoised``:
   ``"f-vector"`` and ``"boundary f-vector"`` (the :func:`f_vector` of
-  the complex and of its boundary), ``"simplicial"`` (whether
-  :func:`is_simplicial` holds) and ``"dual CL-shellable"`` and
+  the complex and of its boundary) and ``"dual CL-shellable"`` and
   ``"CL-shellable"`` (the verdicts of ``is_dual_cl_shellable`` and
   ``is_cl_shellable``); a search that runs out of budget sets none.
 
@@ -1018,17 +1017,12 @@ def dualize(L: FaceLattice) -> FaceLattice:
 
 def closure(L: FaceLattice, face_ids: Union[FaceSet, Iterable[str]]) -> Subcomplex:
     """Smallest subcomplex containing the given faces: the union of their
-    down-sets.  An empty input yields the void subcomplex."""
-    if isinstance(face_ids, FaceSet):
-        seed = face_ids.members
-    else:
-        seed = face_ids
-    mask = 0
-    for i in seed:
-        x = L.index(i)
-        if x == L._top:
-            raise InvalidFace("the artificial top is not a face")
-        mask |= 1 << x
+    down-sets.  An empty input yields the void subcomplex.  Every id is
+    resolved before the artificial top is refused, so an unknown id is
+    named wherever the top stands."""
+    mask = L._mask_of(face_ids.members if isinstance(face_ids, FaceSet) else face_ids)
+    if mask >> L._top & 1:
+        raise InvalidFace("the artificial top is not a face")
     return Subcomplex(L, _closed(_down_sets(L), mask))
 
 

@@ -668,15 +668,15 @@ def is_shelling(
     or a :class:`ShellingFailure` naming the first bad step and why:
     ``EmptyIntersection``, ``NotPure``, or ``NoPrefixShelling``.
 
-    The input is checked and the order walked on every call; the
+    The input is checked and the order walked on every call: purity
+    first, then the order is bound as a :class:`ShellingOrder`, which
+    refuses one that is no permutation of the facets; the
     sub-certificates of its steps are memoised, so a repeated call spends
     no node.
     """
     if not is_pure(L):
         raise PreconditionViolated("shellings are defined for pure complexes")
-    seq = _order_ids(L, order)
-    if sorted(seq) != sorted(L.facets()):
-        raise PreconditionViolated("order is not a permutation of the facets")
+    seq = ShellingOrder(L, _order_ids(L, order)).facets
     bud = _as_budget(budget)
     # the recursion reads the down-sets from their slot
     _down_sets(L)

@@ -1,8 +1,10 @@
 import copy
+import json
 import random
 from fractions import Fraction
 from functools import partial
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,7 +189,8 @@ def test_check_split_count_range_errors():
         sb.check_split_count(oct_, order, 2, 0)
     with pytest.raises(sb.RangeError):
         sb.check_split_count(oct_, order, 2, 3)
-    with pytest.raises(sb.RangeError):
+    # a position out of range is refused where every split position is
+    with pytest.raises(sb.InvalidSplit):
         sb.check_split_count(oct_, order, 9, 1)
 
 
@@ -1098,14 +1101,17 @@ def proof_route_calls(L: sb.FaceLattice) -> list:
         found = None
     seq = found.facets if found else tuple(sorted(L.facets()))
     d, n = L.dim, len(seq)
+    # split positions that every call refuses, warm or fresh
+    bad = (-1, n + 1, 2.0, True)
     calls = []
     for order in (seq, seq[::-1]):
         calls.append((sb.is_shelling, order))
         calls.append((sb.facet_decomposition, order))
         calls += [(sb.verify_lower_bound, order, k) for k in range(-1, d + 2)]
-        calls += [(sb.find_witness_pair, order, j) for j in range(n + 1)]
-        calls += [(sb.split_complexes, order, j) for j in (0, 1, n // 2, n)]
+        calls += [(sb.find_witness_pair, order, j) for j in (*range(n + 1), *bad)]
+        calls += [(sb.split_complexes, order, j) for j in (0, 1, n // 2, n, *bad)]
         calls += [(sb.check_split_count, order, j, k) for j in (0, n // 2, n) for k in range(d + 1)]
+        calls += [(sb.check_split_count, order, j, d) for j in bad]
     calls += [(sb.corollary_bounds, k) for k in range(-1, d + 2)]
     calls.append((sb.barany_check,))
     return calls
@@ -1233,14 +1239,12 @@ def test_a_hand_built_certificate_is_cut_afresh():
     again = _split(equal, 2)
     assert again == kept and again is not kept and again is not first
     assert list(L._memo["proof"].cuts) == [2]
-    # a position that is no int is cut afresh too, as on a fresh lattice:
-    # a float is refused even where an equal int was cut, a bool is not
-    for M in (L, fresh_copy(L)):
-        with pytest.raises(TypeError):
-            sb.split_complexes(M, seq, 2.0)
-    assert plain(sb.split_complexes(L, seq, True)) == plain(
-        sb.split_complexes(fresh_copy(L), seq, True)
-    )
+    # a position that is no int, a float or a bool, is refused as on a
+    # fresh lattice, even where an equal int was cut, and keeps no cut
+    for j in (2.0, True):
+        for M in (L, fresh_copy(L)):
+            with pytest.raises(sb.InvalidSplit, match=f"got {j!r}"):
+                sb.split_complexes(M, seq, j)
     assert list(L._memo["proof"].cuts) == [2]
 
 
@@ -1321,19 +1325,63 @@ def test_the_memo_holds_the_keys_the_lattice_docstring_lists():
     assert kept[1] == listed - {"dual", "dual CL-shellable", "CL-shellable"}
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_random_bistellar_three_spheres_take_the_proof_route(seed):
-    L = bistellar_sphere(6 + seed % 9, seed)
+def h_vector(L: sb.FaceLattice) -> list:
+    """The h-vector of a pure simplicial complex with facets of d
+    vertices: h_k = sum over i <= k of (-1)^(k-i) C(d-i, k-i) f_(i-1)."""
+    counts, d = sb.f_vector(L).counts, L.dim + 1
+    return [sum((-1) ** (k - i) * comb(d - i, k - i) * counts[i] for i in range(k + 1))
+            for k in range(d + 1)]
+
+
+def assert_a_simplicial_three_sphere(L: sb.FaceLattice) -> None:
+    """Euler and Dehn-Sommerville: the alternating sum of the f-vector
+    vanishes, f_2 = 2 f_3 and the h-vector is symmetric."""
     f = sb.f_vector(L)
     assert f[0] - f[1] + f[2] - f[3] == 0 and f[2] == 2 * f[3]
-    assert sb.is_lattice(L) and sb.is_diamond(L)
-    assert sb.is_pseudomanifold(L) and sb.is_simplicial(L)
+    h = h_vector(L)
+    assert h == h[::-1] and h[0] == 1
+    assert sb.is_simplicial(L) and sb.boundary_complex(L).mask == 0
+
+
+@pytest.mark.parametrize("n, seed", [
+    *(pytest.param(6 + seed % 9, seed, id=str(seed)) for seed in range(20)),
+    pytest.param(24, 0, id="n24-0"),
+])
+def test_random_bistellar_three_spheres_take_the_proof_route(n, seed):
+    L = bistellar_sphere(n, seed)
+    assert_a_simplicial_three_sphere(L)
+    assert sb.is_lattice(L) and sb.is_diamond(L) and sb.is_pseudomanifold(L)
+    fingerprint = L.fingerprint()
+    assert sb.dualize(sb.dualize(L)).fingerprint() == fingerprint
+    text = json.dumps(sb.lattice_to_json_dict(L))
+    assert sb.lattice_from_json_dict(json.loads(text)).fingerprint() == fingerprint
     order = sb.find_shelling(L)
     assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate)
     for k in (1, 2, 3):
         report = sb.verify_lower_bound(L, order, k)
         assert report.ok and report.equality == (k >= 2)
+    for k in range(L.dim + 1):
+        r = sb.corollary_bounds(L, k)
+        assert r.dual_cl_shellable and r.cl_shellable, k
+        assert r.barany_ok and False not in (r.facet_bound_ok, r.vertex_bound_ok), k
     # the whole proof route, on a lattice the calls above have warmed, on
-    # every fourth sphere
-    if seed % 4 == 0:
+    # every fourth sphere of the first twenty
+    if n < 24 and seed % 4 == 0:
         assert_shared_lattice_answers_as_fresh(L, random.Random(seed))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_hard_bistellar_three_spheres_run_out_and_never_answer_no(seed):
+    # the facets of bistellar_sphere(120, seed), which takes about 20 s to
+    # generate; 0 and 5 are the seeds in 0-5 whose sphere a cold find at
+    # 10**5 nodes does not finish: ran out must never read as unshellable
+    L = sb.from_facets(sb.parse_facet_text((DATA / f"bistellar-120-{seed}.txt").read_text()))
+    assert sb.f_vector(L)[0] == 120
+    assert_a_simplicial_three_sphere(L)
+    budget = sb.SearchBudget(10**5)
+    with pytest.raises(sb.BudgetExceeded):
+        sb.find_shelling(L, budget=budget)
+    assert budget.spent == 100_001

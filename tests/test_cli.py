@@ -833,21 +833,28 @@ def test_directory_as_input_is_usage_error(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_non_utf8_input_is_usage_error(tmp_path):
+def test_non_utf8_input_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bytes.txt"
     bad.write_bytes(b"1 2\n2 \xff\n")
-    proc = run_subprocess(["find-shelling", "--input", str(bad)])
+    argv = ["find-shelling", "--input", str(bad)]
+    proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "not text" in proc.stderr
+    # in-process too, where a line tracer sees it
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", proc.stderr)
 
 
-def test_empty_order_entry_is_usage_error(oct_json):
-    proc = run_subprocess(["check-shelling", "--input", oct_json, "--order", "a,,b"])
+def test_empty_order_entry_is_usage_error(capsys, oct_json):
+    argv = ["check-shelling", "--input", oct_json, "--order", "a,,b"]
+    proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "--order must be a comma-separated list of face ids" in proc.stderr
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", proc.stderr)
 
 
 def test_malformed_json_input(tmp_path):

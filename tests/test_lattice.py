@@ -806,8 +806,17 @@ def test_face_sets_compare_by_class_lattice_and_mask():
 
 
 def test_closure_rejects_top():
-    with pytest.raises(sb.InvalidFace):
-        sb.closure(sb.ngon(4), [TOP_ID])
+    g = sb.ngon(4)
+    top = 1 << g.index(TOP_ID)
+    for given in ([TOP_ID], [TOP_ID, "v1"], ["e12", TOP_ID], ["v1", TOP_ID, "e34"],
+                  sb.FaceSet(g, top), sb.FaceSet(g, top | 1 << g.index("v2"))):
+        with pytest.raises(sb.InvalidFace, match="artificial top"):
+            sb.closure(g, given)
+    # every id is resolved first, so an unknown one is named wherever the
+    # top stands
+    for given in (["nope", TOP_ID], [TOP_ID, "nope"], ["v1", TOP_ID, "nope"]):
+        with pytest.raises(sb.InvalidFace, match="'nope'"):
+            sb.closure(g, given)
 
 
 def test_purity_and_pseudomanifold():
