@@ -7,6 +7,13 @@ in the same order.  Size guards keep the combinatorial blow-up of the
 larger families within interactive reach; they raise :class:`RangeError`
 rather than letting a call run away.
 
+Each generator builds the constructor's resolved form from integer face
+codes, with no string pairs to resolve: the simplicial families through
+``from_facets``, whose faces are vertex bit masks, the cube from its
+faces' base-3 words, the polygon directly.  The cyclic polytope's facets
+are walked, not filtered: Gale's evenness condition is kept as each
+subset grows, so only the facets are ever made.
+
 The module only builds complexes, so it imports only :mod:`errors` and
 :mod:`lattice`; the comparison of a sphere with the cyclic polytope
 boundary is ``bounds.gubt_compare``.
@@ -14,11 +21,11 @@ boundary is ``bounds.gubt_compare``.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Union
 
 from .errors import InvalidFace, PreconditionViolated, RangeError
-from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, build_lattice, from_facets
+from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, from_facets
 
 
 def simplex_boundary(d: int) -> FaceLattice:
@@ -51,21 +58,30 @@ def hypercube_boundary(d: int) -> FaceLattice:
     if not 1 <= d <= 6:
         raise RangeError(f"need 1 <= d <= 6, got {d}")
     m = d + 1
-    elements = [(BOTTOM_ID, 0), (TOP_ID, d + 2)]
-    covers = []
-    for word in product("01*", repeat=m):
-        stars = word.count("*")
-        if stars == m:
-            continue
-        face = "".join(word)
-        elements.append((face, stars + 1))
-        if stars == 0:
-            covers.append((BOTTOM_ID, face))
-        for i, c in enumerate(word):
-            if c == "*":
-                for bit in "01":
-                    covers.append((face[:i] + bit + face[i + 1 :], face))
-    return build_lattice(elements, covers, d)
+    # a word read in base 3, * = 0, 0 = 1 and 1 = 2, the first letter most
+    # significant, is its code; as * < 0 < 1, code order is id order
+    words = list(map("".join, product("*01", repeat=m)))
+    # fixing a star of weight p adds p for a 0 and 2p for a 1, so where a
+    # word's stars stand gives its covers' codes less its own, ascending
+    weights = [3**i for i in reversed(range(m))]
+    steps = {
+        free: sorted(k * p for p, star in zip(weights, free) if star for k in (1, 2))
+        for free in product((True, False), repeat=m)
+    }
+    below = list(map(steps.__getitem__, product((True, False, False), repeat=m)))
+    stars = [len(s) // 2 for s in below]
+    index = {BOTTOM_ID: 0}
+    place = [0] * len(words)
+    lower = [()]
+    # by stars, then code: the (rank, id) order; code 0, all stars, is no face
+    order = sorted(range(1, len(words)), key=stars.__getitem__)
+    for x, c in enumerate(order, 1):
+        place[c] = index[words[c]] = x
+        # a vertex fixes no star, and lies on the bottom
+        lower.append([*map(place.__getitem__, map(c.__add__, below[c]))] or (0,))
+    index[TOP_ID] = len(words)
+    ranks = [0, *[stars[c] + 1 for c in order], d + 2]
+    return FaceLattice(d, list(index), ranks, [*lower, ()], _index=index)
 
 
 def ngon(n: int) -> FaceLattice:
@@ -80,29 +96,44 @@ def ngon(n: int) -> FaceLattice:
     if n > 8191:
         # 16 384 elements, as many as simplex_boundary(12), the largest family
         raise RangeError(f"need n <= 8191, got {n}")
-    elements = [(BOTTOM_ID, 0), (TOP_ID, 3)]
-    covers = []
-    for i in range(1, n + 1):
-        elements.append((f"v{i}", 1))
-        covers.append((BOTTOM_ID, f"v{i}"))
     ends = [(i, i % n + 1) for i in range(1, n + 1)]
     sep = "" if len({f"{a}{b}" for a, b in ends}) == n else "-"
-    for a, b in ends:
-        edge = f"e{a}{sep}{b}"
-        elements.append((edge, 2))
-        covers += [(f"v{a}", edge), (f"v{b}", edge)]
-    return build_lattice(elements, covers, 1)
+    edges = sorted((f"e{a}{sep}{b}", a, b) for a, b in ends)
+    # vertex i is named v{i}, so the vertices run in the order of str(i)
+    index = {BOTTOM_ID: 0}
+    place = [0] * (n + 1)
+    for x, i in enumerate(sorted(range(1, n + 1), key=str), 1):
+        place[i] = index[f"v{i}"] = x
+    lower = [(), *repeat((0,), n)]
+    for x, (edge, a, b) in enumerate(edges, n + 1):
+        index[edge] = x
+        lower.append(sorted((place[a], place[b])))
+    index[TOP_ID] = 2 * n + 1
+    ranks = [0, *repeat(1, n), *repeat(2, n), 3]
+    return FaceLattice(1, list(index), ranks, [*lower, ()], _index=index)
 
 
-def _gale_even(subset: tuple[int, ...], n: int) -> bool:
-    # maximal runs of consecutive elements; runs touching 1 or n are exempt
-    runs: list[list[int]] = [[subset[0]]]
-    for v in subset[1:]:
-        if v == runs[-1][-1] + 1:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-    return all(len(r) % 2 == 0 for r in runs if r[0] != 1 and r[-1] != n)
+def _gale_facets(d: int, n: int) -> list[tuple[int, ...]]:
+    """The d-subsets of 1..n that pass Gale's evenness condition, walked
+    element by element: a run of chosen elements is closed only when it
+    is even or holds 1, and a final run may reach n."""
+    facets = []
+
+    def walk(chosen: list[int], v: int, run: int) -> None:
+        # ``run`` counts the chosen elements that end at v - 1
+        closes = run % 2 == 0 or run == v - 1
+        if len(chosen) == d:
+            if closes or v > n:
+                facets.append(tuple(chosen))
+        elif d - len(chosen) <= n - v + 1:
+            chosen.append(v)
+            walk(chosen, v + 1, run + 1)
+            chosen.pop()
+            if closes:
+                walk(chosen, v + 1, 0)
+
+    walk([], 1, 0)
+    return facets
 
 
 def cyclic_boundary(d: int, n: int) -> FaceLattice:
@@ -116,8 +147,7 @@ def cyclic_boundary(d: int, n: int) -> FaceLattice:
         raise RangeError(f"need 2 <= d <= 6, got d={d}")
     if not d + 1 <= n <= 16:
         raise RangeError(f"need {d + 1} <= n <= 16, got n={n}")
-    facets = [s for s in combinations(range(1, n + 1), d) if _gale_even(s, n)]
-    return from_facets(facets)
+    return from_facets(_gale_facets(d, n))
 
 
 def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:

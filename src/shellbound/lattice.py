@@ -46,20 +46,26 @@ list fills sorted, with a repeated cover next to itself, where it is
 dropped.  It hands each list over as a tuple, which the constructor
 keeps as it is, and with them its id index, which the constructor keeps
 instead of making one.
-The generators that name their own faces build through it, and so does
-:func:`lattice_from_json_dict` on the id-pair form.  On the positional
-form, where each face lists its lower covers by file position, that
-loader runs the same checks of the elements, with the same messages in
-the same order, then checks each face's positions as it maps them to
-indices, once each, faces in file order and entries in list order, so
-the first fault in the file is the one named, and hands its id index
-over too.  The builders that already know every index build the
-resolved form directly, and each vouches for its ids, dimension and
-extremes:
-:func:`from_facets` sorts its faces by (size, id), :func:`dualize`
-reverses the ranks and keeps each rank's id order,
-``generators.punctured`` drops one index, and :func:`sub_lattice` keeps
-a cell's down-set in host order.  The constructor takes the resolved
+It serves outside ids only: no generator builds through it, and
+:func:`lattice_from_json_dict` does on the id-pair form.  On the
+positional form, where each face lists its lower covers by file
+position, that loader runs the same checks of the elements, with the
+same messages in the same order, then checks each face's positions as
+it maps them to indices, once each, faces in file order and entries in
+list order, so the first fault in the file is the one named, and hands
+its id index over too.  The builders that already know every index
+build the resolved form directly, and each vouches for its ids,
+dimension and extremes.  Three name every face from integers and
+hand their id index over, as the resolvers do: :func:`from_facets`
+makes each face the bit mask of its vertices, rank by rank from the
+facets down, and names each rank in id order;
+``generators.hypercube_boundary`` reads each word as a base-3 code,
+which within a rank runs in id order; and ``generators.ngon`` writes
+its ids in order.  Three take their faces from a host lattice, and the
+constructor reads their index back from the lower lists:
+:func:`dualize` reverses the ranks and keeps each rank's id order,
+``generators.punctured`` drops one index, and :func:`sub_lattice`
+keeps a cell's down-set in host order.  The constructor takes the resolved
 form: ids and ranks in (rank, id) order, and each element's lower covers
 as sorted indices without repeats.  It trusts every builder for the ids,
 the dimension, the extremes and that order.  It alone decides the top's
@@ -223,12 +229,13 @@ def _shared_ints(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The indices ``0 .. len(lower) - 1``, one int object each, to be
     shared by a lattice's index and every neighbour list: the object the
     lower lists hold, where they hold one.  The constructor reads them
-    back for the builders that hand over no id index, :func:`from_facets`,
-    :func:`dualize`, ``generators.punctured`` and :func:`sub_lattice`,
-    each of which uses one object per index; reading them back costs a
-    quarter of what mapping every entry to a new object would.  The two
-    resolvers hand over the index they resolved with instead, whose
-    objects their lower lists hold already."""
+    back for the builders that hand over no id index, :func:`dualize`,
+    ``generators.punctured`` and :func:`sub_lattice`, each of which uses
+    one object per index; reading them back costs a quarter of what
+    mapping every entry to a new object would.  The two resolvers,
+    :func:`from_facets`, ``generators.hypercube_boundary`` and
+    ``generators.ngon`` hand over the index they named their faces with
+    instead, whose objects their lower lists hold already."""
     nums = list(range(len(lower)))
     for x in set(chain.from_iterable(lower)):
         nums[x] = x
@@ -338,10 +345,13 @@ class FaceLattice:
     ``dim + 1``, merged with the top's list as handed.  It checks only
     what the covers can break, on the lower covers alone: that the
     lengths agree, acyclicity, gradedness and a lower cover under every
-    element but the bottom.  The keyword ``_index`` is private to the two
-    resolvers, :func:`build_lattice` and :func:`lattice_from_json_dict`:
-    the id index they resolved with, whose int objects their lower lists
-    hold, kept in place of the one the constructor would make.  The
+    element but the bottom.  The keyword ``_index`` is private to the
+    builders that name every face, the two resolvers,
+    :func:`build_lattice` and :func:`lattice_from_json_dict`, and
+    :func:`from_facets`, ``generators.hypercube_boundary`` and
+    ``generators.ngon``: the id index they named the faces with, whose int
+    objects their lower lists hold, kept in place of the one the
+    constructor would make.  The
     down-set bit vectors and the upper-cover lists are built on first read, by
     ``_down_sets`` and ``_upper_covers``; until then their slots hold
     None.  No ``__getattr__`` builds them, since attribute reads on a
@@ -384,8 +394,8 @@ class FaceLattice:
         # a lower list that is a tuple already, as the resolvers hand them
         # over, is kept as it is
         lower = tuple(map(tuple, lower))
-        # the resolvers hand over their id index, whose int objects the
-        # lower lists hold; any other builder's is made here
+        # the builders that name every face hand over their id index, whose
+        # int objects the lower lists hold; any other builder's is made here
         self._index = index = dict(zip(ids, _shared_ints(lower))) if index is None else index
         self.dim = dim
         # the frozen order is (rank, id), so the bottom is index 0 and the
@@ -843,28 +853,58 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     if sep and any("-" in t for t in vocabulary):
         raise InvalidFace("multi-character vertex tokens may not contain '-'")
 
-    # with each facet's tokens in id order, every face is a tuple already
-    # in id order, and its lower covers are its combinations of one fewer
-    faces: set[tuple[str, ...]] = set()
-    for f in facet_sets:
-        tokens = sorted(f, key=lambda t: (len(t), t))
-        for k in range(1, d + 2):
-            faces.update(combinations(tokens, k))
-    # (size, id) order is the (rank, id) order, and no two faces share both
-    order = sorted([(len(s), sep.join(s), s) for s in faces])
-    ids = [BOTTOM_ID, *[i for _, i, _ in order], TOP_ID]
-    for i in (BOTTOM_ID, TOP_ID):
-        if i in ids[1:-1]:
-            raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
+    # a face is the bit mask of its vertices, bit i the i-th token in id
+    # order, so a face's last vertex is its highest bit
+    tokens = sorted(vocabulary, key=lambda t: (len(t), t))
+    bit = {t: 1 << i for i, t in enumerate(tokens)}
+    # the faces rank by rank, from the facets down; each drops one vertex
+    layers = [{sum(map(bit.__getitem__, f)) for f in facet_sets}]
+    for _ in range(d):
+        layer = set()
+        for m in layers[-1]:
+            b = m
+            while b:
+                low = b & -b
+                layer.add(m ^ low)
+                b ^= low
+        layers.append(layer)
 
-    # the empty tuple is the empty face, the bottom
-    index = {(): 0}
-    index.update((s, x) for x, (_, _, s) in enumerate(order, 1))
-    lower = [()]
-    lower += [sorted(map(index.__getitem__, combinations(s, k - 1))) for k, _, s in order]
+    # then from the vertices up, one rank at a time in id order: a face's id
+    # extends that of the face without its last vertex, and its lower covers
+    # drop one vertex each; ``prev`` indexes the masks of the rank below,
+    # first the empty face, mask 0, at the bottom
+    ids, ranks, lower = [BOTTOM_ID], [0], [()]
+    index = {BOTTOM_ID: 0}
+    prev = {0: 0}
+    for k in range(1, d + 2):
+        named = []
+        for m in layers.pop():
+            t = m.bit_length() - 1
+            rest = prev[m ^ 1 << t]
+            named.append(((ids[rest] + sep if rest else "") + tokens[t], m))
+        named.sort()
+        ranks += repeat(k, len(named))
+        cur = {}
+        for x, (i, m) in enumerate(named, len(ids)):
+            ids.append(i)
+            index[i] = cur[m] = x
+            below = []
+            b = m
+            while b:
+                low = b & -b
+                below.append(prev[m ^ low])
+                b ^= low
+            below.sort()
+            lower.append(below)
+        prev = cur
+    for i in (BOTTOM_ID, TOP_ID):
+        if i in ids[1:]:
+            raise InvalidFace(f"vertex tokens collide with reserved id {i!r}")
+    index[TOP_ID] = len(ids)
+    ids.append(TOP_ID)
+    ranks.append(d + 2)
     lower.append(())
-    ranks = [0, *[k for k, _, _ in order], d + 2]
-    return FaceLattice(d, ids, ranks, lower)
+    return FaceLattice(d, ids, ranks, lower, _index=index)
 
 
 def parse_facet_text(text: str) -> list[list[str]]:

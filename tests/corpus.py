@@ -2,6 +2,7 @@
 non-sphere lattices, and a generator of small graded bounded posets."""
 
 import random
+from bisect import bisect_left, insort
 from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import combinations
@@ -176,25 +177,45 @@ def bistellar_sphere(n: int, seed: int) -> sb.FaceLattice:
     probability 0.3, or whenever no other move is admissible; otherwise a
     uniformly random admissible move is taken.  It stops after 6n moves."""
     rng = random.Random(seed)
-    facets = {frozenset(f) for f in combinations(range(5), 4)}
-    for _ in range(6 * n):
-        star = defaultdict(list)
-        for facet in facets:
-            for size in (1, 2, 3):
-                for face in combinations(sorted(facet), size):
-                    star[frozenset(face)].append(facet)
-        moves = []
-        for a in sorted(star, key=sorted):
+    facets: set[frozenset[int]] = set()
+    # each face of one to three vertices, with the facets on it, kept move
+    # by move, and the faces whose star is A * bd(B) for some B, mapped to
+    # that B and kept in the order of their sorted vertices
+    star: dict[frozenset[int], set[frozenset[int]]] = defaultdict(set)
+    links: dict[tuple[int, ...], tuple[frozenset[int], frozenset[int]]] = {}
+    order: list[tuple[int, ...]] = []
+
+    def replace(gone: set[frozenset[int]], new: set[frozenset[int]]) -> None:
+        facets.difference_update(gone)
+        facets.update(new)
+        touched = set()
+        for group, update in ((gone, set.discard), (new, set.add)):
+            for facet in group:
+                for size in (1, 2, 3):
+                    for face in map(frozenset, combinations(facet, size)):
+                        update(star[face], facet)
+                        touched.add(face)
+        for a in touched:
+            key = tuple(sorted(a))
             b = frozenset().union(*star[a]) - a
-            if len(b) == 5 - len(a) == len(star[a]) and not any(b <= f for f in facets):
-                moves.append((a, b))
+            if len(b) == 5 - len(a) == len(star[a]):
+                if key not in links:
+                    insort(order, key)
+                links[key] = a, b
+            elif links.pop(key, None):
+                del order[bisect_left(order, key)]
+            if not star[a]:
+                del star[a]
+
+    replace(set(), {frozenset(f) for f in combinations(range(5), 4)})
+    for _ in range(6 * n):
+        moves = [(a, b) for a, b in map(links.__getitem__, order) if b not in star and b not in facets]
         vertices = frozenset().union(*facets)
         if not moves or len(vertices) < n and rng.random() < 0.3:
             facet = rng.choice(sorted(sorted(f) for f in facets))
             moves = [(frozenset(facet), frozenset([max(vertices) + 1]))]
         a, b = rng.choice(moves)
-        facets -= {a | b - {v} for v in b}
-        facets |= {a - {v} | b for v in a}
+        replace({a | b - {v} for v in b}, {a - {v} | b for v in a})
     return sb.from_facets(sorted(sorted(f) for f in facets))
 
 

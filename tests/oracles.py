@@ -14,7 +14,7 @@ resolver as it was before it checked each ``lower`` list as it mapped it.
 
 import json
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 
 from shellbound import (
@@ -36,8 +36,10 @@ from shellbound.shelling import _step
 #
 # Each builder below writes its lattice as ``(id, rank)`` and ``(id, id)``
 # string pairs and hands them to ``build_lattice``, the one resolver of
-# outside ids, as the library's derived builders once did; they are the
-# reference for the builders that now index the result themselves.
+# outside ids, as the library's derived builders and generators once did;
+# they are the reference for the builders that now index the result
+# themselves.  :func:`filtered_gale_facets` is the filter the cyclic
+# polytope generator ran over every d-subset before it walked them.
 
 
 def string_dualize(L: FaceLattice) -> FaceLattice:
@@ -112,6 +114,57 @@ def string_from_facets(facets) -> FaceLattice:
         if len(s) == d + 1:
             covers.append((i, TOP_ID))
     return build_lattice(elements, covers, d)
+
+
+def string_hypercube_boundary(d: int) -> FaceLattice:
+    m = d + 1
+    elements = [(BOTTOM_ID, 0), (TOP_ID, d + 2)]
+    covers = []
+    for word in product("01*", repeat=m):
+        stars = word.count("*")
+        if stars == m:
+            continue
+        face = "".join(word)
+        elements.append((face, stars + 1))
+        if stars == 0:
+            covers.append((BOTTOM_ID, face))
+        for i, c in enumerate(word):
+            if c == "*":
+                for bit in "01":
+                    covers.append((face[:i] + bit + face[i + 1 :], face))
+    return build_lattice(elements, covers, d)
+
+
+def string_ngon(n: int) -> FaceLattice:
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 3)]
+    covers = []
+    for i in range(1, n + 1):
+        elements.append((f"v{i}", 1))
+        covers.append((BOTTOM_ID, f"v{i}"))
+    ends = [(i, i % n + 1) for i in range(1, n + 1)]
+    sep = "" if len({f"{a}{b}" for a, b in ends}) == n else "-"
+    for a, b in ends:
+        edge = f"e{a}{sep}{b}"
+        elements.append((edge, 2))
+        covers += [(f"v{a}", edge), (f"v{b}", edge)]
+    return build_lattice(elements, covers, 1)
+
+
+def _gale_even(subset: tuple[int, ...], n: int) -> bool:
+    # maximal runs of consecutive elements; runs touching 1 or n are exempt
+    runs: list[list[int]] = [[subset[0]]]
+    for v in subset[1:]:
+        if v == runs[-1][-1] + 1:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return all(len(r) % 2 == 0 for r in runs if r[0] != 1 and r[-1] != n)
+
+
+def filtered_gale_facets(d: int, n: int) -> list[tuple[int, ...]]:
+    """The facets of the cyclic d-polytope on n vertices: every d-subset
+    of 1..n, filtered by Gale's evenness condition."""
+    return [s for s in combinations(range(1, n + 1), d) if _gale_even(s, n)]
 
 
 # -- the positional JSON loader with a whole-file pre-check -----------------

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -1315,6 +1316,17 @@ def test_a_build_holds_one_cover_table_at_a_time(traced):
     # each filed list were kept to the end, 0.71 MiB if every lower list
     # were made before the first entry
     assert peak - retained < 0.55 * 2 ** 20
+
+
+def test_from_facets_holds_each_face_as_one_int(traced):
+    facets = list(combinations(range(1, 13), 11))
+    sb.from_facets(facets)
+    L, retained, peak = traced(sb.from_facets, facets)
+    assert len(L) == 2 ** 12
+    # the rank layers of vertex masks, one rank's names and index, and the
+    # lower lists: 0.65 MiB above the lattice; 1.16 MiB when each face
+    # was a tuple of tokens, sorted under a (size, id, tuple) key
+    assert peak - retained < 0.9 * 2 ** 20
 
 
 def test_dumping_a_lattice_memoises_no_covers():

@@ -1,10 +1,11 @@
 """The builders that index their result themselves (``dualize``,
-``punctured``, ``sub_lattice`` and ``from_facets``) against the string
-oracles, which hand ``(id, rank)`` and ``(id, id)`` pairs to
-``build_lattice``: the same lattice, or the same error, every time."""
+``punctured``, ``sub_lattice``, ``from_facets`` and the generators)
+against the string oracles, which hand ``(id, rank)`` and ``(id, id)``
+pairs to ``build_lattice``: the same lattice, or the same error, every
+time."""
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,16 @@ from corpus import (
     mixed_dims_by_hand,
     spheres_d_le_3,
 )
-from oracles import string_dualize, string_from_facets, string_punctured, string_sub_lattice
+from oracles import (
+    filtered_gale_facets,
+    string_dualize,
+    string_from_facets,
+    string_hypercube_boundary,
+    string_ngon,
+    string_punctured,
+    string_sub_lattice,
+)
+from shellbound.generators import _gale_facets
 
 
 def _outcome(build, *args):
@@ -130,6 +140,8 @@ def test_each_builder_constructs_once(lattice_builds):
         (sb.dualize, (S,)),
         (sb.punctured, (S,)),
         (sb.sub_lattice, (S, S.facets()[0])),
+        (sb.hypercube_boundary, (2,)),
+        (sb.ngon, (5,)),
     ]
     for build, args in calls:
         lattice_builds.count = 0
@@ -137,23 +149,48 @@ def test_each_builder_constructs_once(lattice_builds):
         assert lattice_builds.count == 1, build
 
 
+def test_the_generators_match_the_string_oracles():
+    for d in [*range(11), 12]:
+        facets = list(combinations(range(1, d + 3), d + 1))
+        assert _outcome(sb.simplex_boundary, d) == _outcome(string_from_facets, facets), d
+    for d in range(1, 7):
+        facets = list(product(*[(i, i + d + 1) for i in range(1, d + 2)]))
+        assert _outcome(sb.cross_polytope, d) == _outcome(string_from_facets, facets), d
+        _same(sb.hypercube_boundary, string_hypercube_boundary, d)
+    for n in (3, 4, 9, 10, 11, 101, 1000):
+        _same(sb.ngon, string_ngon, n)
+
+
+def test_the_walked_gale_facets_are_the_filtered_ones():
+    for d in range(2, 7):
+        for n in range(d + 1, 17):
+            assert sorted(_gale_facets(d, n)) == filtered_gale_facets(d, n), (d, n)
+    for d, n in ((2, 3), (2, 16), (3, 7), (4, 9), (5, 12), (6, 14), (4, 16)):
+        facets = filtered_gale_facets(d, n)
+        assert _outcome(sb.cyclic_boundary, d, n) == _outcome(string_from_facets, facets), (d, n)
+
+
 def test_the_resolvers_hand_their_index_to_the_constructor(monkeypatch):
+    # the builders that name every face hand the index they named them
+    # with; only the builders that take their faces from a host lattice
+    # have the constructor read the lower lists' int objects back
     S = sb.simplex_boundary(8)
     parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
     files = sb.lattice_to_json_dict(S), id_pair_json(S)
     calls = []
     shared_ints = lattice._shared_ints
     monkeypatch.setattr(lattice, "_shared_ints", lambda lower: calls.append(1) or shared_ints(lower))
-    resolved = [sb.build_lattice(*parts), *map(sb.lattice_from_json_dict, files)]
-    assert calls == []
-    derived = [
+    named = [
+        sb.build_lattice(*parts),
+        *map(sb.lattice_from_json_dict, files),
         sb.from_facets(combinations(range(1, 11), 9)),
-        sb.dualize(S),
-        sb.punctured(S),
-        sb.sub_lattice(S, S.facets()[0]),
+        sb.hypercube_boundary(6),
+        sb.ngon(1000),
     ]
+    assert calls == []
+    derived = [sb.dualize(S), sb.punctured(S), sb.sub_lattice(S, S.facets()[0])]
     assert len(calls) == len(derived)
-    for L in [*resolved, *derived]:
+    for L in [*named, *derived]:
         nums = tuple(L._index.values())
         assert nums == tuple(range(len(L)))
         # the index's int objects, and no others, in every lower list
