@@ -37,7 +37,9 @@ it once per lattice.  The proof keeps its :func:`_decomposition`, so
 each facet boundary is cut once for every k, and its :func:`_split` at
 each position a call asked for, so its guards run once per order and
 position.  :meth:`_Proof.cut` admits every split position, warm or
-fresh: an int, not a bool, with 0 <= j <= n, else :class:`InvalidSplit`.
+fresh: an int, not a bool, with 0 <= j <= n, else :class:`InvalidSplit`;
+``_require_k`` admits k alike, in the range of the entry that takes it,
+else :class:`RangeError`.
 The facts that do not depend on the order are kept in the lattice's
 memo, each derived once by this module: the f-vectors of the complex
 and of its boundary and the two CL verdicts of the corollaries.  Every
@@ -131,6 +133,14 @@ class RhoCoefficient:
     value: Fraction
 
 
+def _require_k(k: int, lo: int, hi: int) -> None:
+    """Refuse k with :class:`RangeError` unless it is an int, a bool not
+    counting as one, with ``lo <= k <= hi`` and, as a face dimension,
+    ``k >= 0``: the one check of k on the proof route."""
+    if type(k) is not int or not max(lo, 0) <= k <= hi:
+        raise RangeError(f"need {lo} <= k <= {hi}, got k={k!r}")
+
+
 def _halves(d_plus_1: int) -> tuple[int, int]:
     return (d_plus_1 + 1) // 2, d_plus_1 // 2
 
@@ -144,8 +154,8 @@ def rho(d_plus_1: int, k: int) -> RhoCoefficient:
     from fractions import Fraction
 
     d = d_plus_1 - 1
-    if d < 0 or not 0 <= k <= d:
-        raise RangeError(f"rho needs 0 <= k <= {d}, got k={k}")
+    if d < 0 or type(k) is not int or not 0 <= k <= d:
+        raise RangeError(f"rho needs 0 <= k <= {d}, got k={k!r}")
     return RhoCoefficient(d_plus_1, k, Fraction(_rho_doubled(d_plus_1, k), 2))
 
 
@@ -298,8 +308,7 @@ def check_split_count(
     the verdict.
     """
     delta = L.dim
-    if not (delta >= 0 and (delta // 2) <= k <= delta):
-        raise RangeError(f"need {delta // 2} <= k <= {delta}, got k={k}")
+    _require_k(k, delta // 2, delta)
     proof = _verified(L, order, _as_budget(budget))
     pair = proof.cut(j)
     count = L._rank_masks[k + 1]
@@ -626,8 +635,8 @@ def vandermonde_check(d: int, k: int) -> bool:
 
     The full convolution identity is recomputed and enforced on the way.
     """
-    if d < 1 or not 0 <= k <= d:
-        raise RangeError(f"need d >= 1 and 0 <= k <= {d}, got k={k}")
+    if d < 1 or type(k) is not int or not 0 <= k <= d:
+        raise RangeError(f"need d >= 1 and 0 <= k <= {d}, got k={k!r}")
     hi, lo = _halves(d + 1)
     m = d - k
     if comb(d + 1, m) != sum(comb(hi, i) * comb(lo, m - i) for i in range(m + 1)):
@@ -655,8 +664,7 @@ def verify_lower_bound(
     d = X.dim
     if d < 1:
         raise RangeError(f"the bound needs dimension at least 1, got dimension {d}")
-    if not (d - 1) // 2 <= k <= d:
-        raise RangeError(f"need {(d - 1) // 2} <= k <= {d}, got k={k}")
+    _require_k(k, (d - 1) // 2, d)
     proof = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the bound applies to pseudomanifolds")
@@ -728,8 +736,7 @@ def corollary_bounds(
     if not _is_diamond_lattice(L):
         raise NotDiamond("the corollaries are stated for diamond lattices")
     d = L.dim
-    if not 0 <= k <= d:
-        raise RangeError(f"need 0 <= k <= {d}, got k={k}")
+    _require_k(k, 0, d)
     bud = _as_budget(budget)
     dual_cl = _memoised(L, "dual CL-shellable", lambda L: is_dual_cl_shellable(L, budget=bud))
     cl = _memoised(L, "CL-shellable", lambda L: is_cl_shellable(L, budget=bud))

@@ -12,7 +12,9 @@ codes, with no string pairs to resolve: the simplicial families through
 ``from_facets``, whose faces are vertex bit masks, the cube from its
 faces' base-3 words, the polygon directly.  The cyclic polytope's facets
 are walked, not filtered: Gale's evenness condition is kept as each
-subset grows, so only the facets are ever made.
+subset grows, so only the facets are ever made.  A punctured sphere is
+carved out of its host by ``lattice._restricted``, the one builder that
+carves a lattice out of another.
 
 The module only builds complexes, so it imports only :mod:`errors` and
 :mod:`lattice`; the comparison of a sphere with the cyclic polytope
@@ -25,7 +27,7 @@ from itertools import combinations, product, repeat
 from typing import Union
 
 from .errors import InvalidFace, PreconditionViolated, RangeError
-from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, from_facets
+from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, _restricted, from_facets
 
 
 def simplex_boundary(d: int) -> FaceLattice:
@@ -152,7 +154,11 @@ def cyclic_boundary(d: int, n: int) -> FaceLattice:
 
 def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
     """Remove one open facet from a sphere, leaving a ball with the same
-    faces otherwise.  Defaults to the lexicographically least facet."""
+    faces otherwise.  Defaults to the lexicographically least facet.
+
+    The ball is the sphere restricted to every index but the facet's:
+    only the top covers a facet, so every other lower list is kept as it
+    is, and every face below the facet keeps its index."""
     _require_sphere(S)
     facets = S.facets()
     if facet_id is None:
@@ -162,8 +168,4 @@ def punctured(S: FaceLattice, facet_id: Union[str, None] = None) -> FaceLattice:
     elif facet_id not in facets:
         raise InvalidFace(f"{facet_id!r} is not a facet")
     x = S.index(facet_id)
-    # only the top covers a facet, so every other lower list keeps its
-    # indices, which all lie below x; the constructor adds the top's
-    lower = [*S._lower[:x], *S._lower[x + 1 : -1], ()]
-    ids, ranks = S.ids, S.ranks
-    return FaceLattice(S.dim, ids[:x] + ids[x + 1 :], ranks[:x] + ranks[x + 1 :], lower)
+    return _restricted(S, [*range(x), *range(x + 1, len(S))])

@@ -55,21 +55,26 @@ it maps them to indices, once each, faces in file order and entries in
 list order, so the first fault in the file is the one named, and hands
 its id index over too.  The builders that already know every index
 build the resolved form directly, and each vouches for its ids,
-dimension and extremes.  Three name every face from integers and
-hand their id index over, as the resolvers do: :func:`from_facets`
-makes each face the bit mask of its vertices, rank by rank from the
-facets down, and names each rank in id order;
+dimension and extremes.  Every builder hands over the id index it
+named its faces with, whose int objects its lower lists hold, so the
+constructor makes none.  Three name every face from integers:
+:func:`from_facets` makes each face the bit mask of its vertices, rank
+by rank from the facets down, and names each rank in id order;
 ``generators.hypercube_boundary`` reads each word as a base-3 code,
 which within a rank runs in id order; and ``generators.ngon`` writes
-its ids in order.  Three take their faces from a host lattice, and the
-constructor reads their index back from the lower lists:
-:func:`dualize` reverses the ranks and keeps each rank's id order,
-``generators.punctured`` drops one index, and :func:`sub_lattice`
-keeps a cell's down-set in host order.  The constructor takes the resolved
-form: ids and ranks in (rank, id) order, and each element's lower covers
-as sorted indices without repeats.  It trusts every builder for the ids,
-the dimension, the extremes and that order.  It alone decides the top's
-lower covers: the top covers every face of rank d + 1, the run of
+its ids in order.  Two take their faces from a host lattice:
+:func:`dualize` reverses the ranks and keeps each rank's id order, and
+``_restricted``, the one builder that carves a lattice out of a host,
+keeps a down-closed set of host indices in host order and makes the
+last one the top.  :func:`sub_lattice` carves out a cell's down-set,
+``generators.punctured`` every index but one facet's, and the closure
+of a set of facets is their down-set under the host's top.
+
+The constructor takes the resolved form: ids and ranks in (rank, id)
+order, and each element's lower covers as sorted indices without
+repeats.  It trusts every builder for the ids, the dimension, the
+extremes and that order.  It alone decides the top's lower covers:
+the top covers every face of rank d + 1, the run of
 indices just below it, together with whatever its builder listed, so no
 builder computes that list and every reader reads it as it reads any
 cell's; a lesser maximal face of a non-pure complex lies under the top
@@ -225,23 +230,6 @@ def _gc_paused(build: Callable[..., _T], *args) -> _T:
             gc.enable()
 
 
-def _shared_ints(lower: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The indices ``0 .. len(lower) - 1``, one int object each, to be
-    shared by a lattice's index and every neighbour list: the object the
-    lower lists hold, where they hold one.  The constructor reads them
-    back for the builders that hand over no id index, :func:`dualize`,
-    ``generators.punctured`` and :func:`sub_lattice`, each of which uses
-    one object per index; reading them back costs a quarter of what
-    mapping every entry to a new object would.  The two resolvers,
-    :func:`from_facets`, ``generators.hypercube_boundary`` and
-    ``generators.ngon`` hand over the index they named their faces with
-    instead, whose objects their lower lists hold already."""
-    nums = list(range(len(lower)))
-    for x in set(chain.from_iterable(lower)):
-        nums[x] = x
-    return tuple(nums)
-
-
 def _memoised(L: FaceLattice, key: str, make: Callable[[FaceLattice], _T]) -> _T:
     """``L._memo[key]``, set to ``make(L)`` on the first call; the one
     way a set-once entry of the memo is read or written."""
@@ -346,12 +334,9 @@ class FaceLattice:
     what the covers can break, on the lower covers alone: that the
     lengths agree, acyclicity, gradedness and a lower cover under every
     element but the bottom.  The keyword ``_index`` is private to the
-    builders that name every face, the two resolvers,
-    :func:`build_lattice` and :func:`lattice_from_json_dict`, and
-    :func:`from_facets`, ``generators.hypercube_boundary`` and
-    ``generators.ngon``: the id index they named the faces with, whose int
-    objects their lower lists hold, kept in place of the one the
-    constructor would make.  The
+    builders, and every one of them hands it over: the id index they
+    named the faces with, whose int objects their lower lists hold, kept
+    in place of the one the constructor makes for a direct call.  The
     down-set bit vectors and the upper-cover lists are built on first read, by
     ``_down_sets`` and ``_upper_covers``; until then their slots hold
     None.  No ``__getattr__`` builds them, since attribute reads on a
@@ -394,9 +379,9 @@ class FaceLattice:
         # a lower list that is a tuple already, as the resolvers hand them
         # over, is kept as it is
         lower = tuple(map(tuple, lower))
-        # the builders that name every face hand over their id index, whose
-        # int objects the lower lists hold; any other builder's is made here
-        self._index = index = dict(zip(ids, _shared_ints(lower))) if index is None else index
+        # every builder hands over its id index, whose int objects the lower
+        # lists hold; a direct call's is made here
+        self._index = index = dict(zip(ids, range(n))) if index is None else index
         self.dim = dim
         # the frozen order is (rank, id), so the bottom is index 0 and the
         # top index n - 1; neighbour lists are sorted by index, which within
@@ -1047,8 +1032,10 @@ def dualize(L: FaceLattice) -> FaceLattice:
     # run in the same order
     upper = _upper_covers(L)
     lower = [tuple(map(new.__getitem__, upper[x])) for x in order]
+    # the index holds the int objects that the lower lists hold
+    index = dict(zip(map(ids.__getitem__, order), map(new.__getitem__, order)))
     return FaceLattice(
-        L.dim, [ids[x] for x in order], [top_rank - ranks[x] for x in order], lower
+        L.dim, list(index), [top_rank - ranks[x] for x in order], lower, _index=index
     )
 
 
@@ -1223,13 +1210,35 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     if x in (L._bottom, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
     # the down-set in host order is in (rank, id) order, the cell last
-    members = list(_iter_bits(_down_sets(L)[x]))
-    new = dict(zip(members, range(len(members))))
-    ids, ranks, host_lower = L.ids, L.ranks, L._lower
-    lower = [tuple(map(new.__getitem__, host_lower[e])) for e in members]
-    return FaceLattice(
-        L.ranks[x] - 2, [ids[e] for e in members], [ranks[e] for e in members], lower
-    )
+    return _restricted(L, list(_iter_bits(_down_sets(L)[x])))
+
+
+def _restricted(L: FaceLattice, members: Sequence[int]) -> FaceLattice:
+    """The lattice of the host indices ``members`` of ``L``, a down-closed
+    set in host order, so in (rank, id) order, whose last member becomes
+    the top: of dimension its rank less 2.
+
+    The one builder that carves a lattice out of a host, for
+    :func:`sub_lattice`, ``generators.punctured`` and the closure of a set
+    of facets.  Each member but the last keeps its lower covers, mapped
+    to new indices; the top's list is left to the constructor.  Every
+    member before the first host index left out keeps its index and its
+    int object, so a lower list that lies wholly below that index is
+    kept as the same tuple.
+    """
+    # members[i] >= i, with equality exactly before the first index left out
+    lo = bisect_left(range(len(members) - 1), True, key=lambda i: members[i] != i)
+    nums = [*islice(L._index.values(), lo), *range(lo, len(members))]
+    moved = dict(zip(members[lo:], nums[lo:]))
+    lower = list(L._lower[:lo])
+    for e in members[lo:-1]:
+        below = L._lower[e]
+        # an entry below lo keeps its object: moved.get(a, a)
+        lower.append(below if not below or below[-1] < lo else tuple(map(moved.get, below, below)))
+    lower.append(())
+    ids = tuple(map(L.ids.__getitem__, members))
+    ranks = tuple(map(L.ranks.__getitem__, members))
+    return FaceLattice(ranks[-1] - 2, ids, ranks, lower, _index=dict(zip(ids, nums)))
 
 
 def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, bool]:
@@ -1242,8 +1251,8 @@ def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, boo
     x = L.index(face_id)
     r = L.ranks[x]
     top_rank = L.dim + 2
-    if not r <= s <= top_rank - 1:
-        raise RankOutOfRange(f"need rank {r} <= s <= {top_rank - 1}, got {s}")
+    if type(s) is not int or not r <= s <= top_rank - 1:
+        raise RankOutOfRange(f"need rank {r} <= s <= {top_rank - 1}, got {s!r}")
     count = len(next(islice(_levels_above(L, x), s - r, None), ()))
     return count, count >= comb(top_rank - r, top_rank - s)
 

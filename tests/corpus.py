@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import shellbound as sb
 from shellbound import BOTTOM_ID, TOP_ID
-from shellbound.lattice import _upper_covers
+from shellbound.lattice import _closed, _down_sets, _iter_bits, _restricted, _upper_covers
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +56,14 @@ def balls() -> tuple[tuple[str, sb.FaceLattice], ...]:
     ]:
         out.append((f"punctured-{name}", sb.punctured(sphere)))
     return tuple(out)
+
+
+def closure_lattice(L: sb.FaceLattice, facet_ids) -> sb.FaceLattice:
+    """The face lattice of the closure of the faces ``facet_ids`` of
+    ``L``, under ``L``'s top, carved out of ``L`` by the library's one
+    carve-out builder; of no faces, the bottom under the top."""
+    mask = _closed(_down_sets(L), L._mask_of(facet_ids)) | 1 << L._bottom | 1 << L._top
+    return _restricted(L, list(_iter_bits(mask)))
 
 
 def fresh_copy(L: sb.FaceLattice) -> sb.FaceLattice:

@@ -2,7 +2,9 @@
 
 Deliberately naive: order relations by fixpoint iteration over raw cover
 pairs, shellings by exhaustive permutation search straight off the
-recursive definition.  Only navigation primitives of the lattice are
+recursive definition, or, in :func:`subset_first_shelling`, by a DP
+over sets of placed facets with the same step rule, for inputs too
+large to permute.  Only navigation primitives of the lattice are
 reused; none of the search, memoisation, or purity machinery under test
 is touched, except by :func:`unpruned_search`, the shelling search as it
 was before it learnt to prune, kept as the reference for the pruned one,
@@ -14,6 +16,7 @@ resolver as it was before it checked each ``lower`` list as it mapped it.
 
 import json
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 
@@ -68,6 +71,16 @@ def string_punctured(S: FaceLattice, facet_id=None) -> FaceLattice:
         if a != x
     ]
     return build_lattice(elements, covers, S.dim)
+
+
+def string_restricted(L: FaceLattice, facet_ids) -> FaceLattice:
+    """The closure of the faces ``facet_ids`` of ``L`` under ``L``'s top,
+    which lists no cover."""
+    members = set().union(*(L.down_set(f) for f in facet_ids)) - {L.bottom}
+    elements = [(L.bottom, 0), (L.top, L.dim + 2)]
+    elements += [(i, L.rank_of(i)) for i in members]
+    covers = [(a, b) for b in members for a in L.lower_covers(b)]
+    return build_lattice(elements, covers, L.dim)
 
 
 def string_sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
@@ -396,6 +409,67 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
         if _first_shelling(sub, tuple(ridges)) is None:
             return False
     return True
+
+
+def subset_first_shelling(L: FaceLattice, prefix=()):
+    """The first shelling of ``L`` whose first entries are exactly the
+    facets in ``prefix``, or None: exact, with no budget, by a DP over the
+    sets of placed facets.
+
+    A step is tested by the literal rule of :func:`naive_is_shelling`,
+    through :func:`_intersection_faces`; whether a facet boundary has a
+    shelling that starts with given ridges is this DP on the boundary, in
+    place of :func:`_first_shelling`'s permutations.  A cell of a cell is
+    a cell of ``L`` with the same faces, so one cache serves every depth.
+    The rule reads the earlier facets as a set, so ``good(placed)``,
+    whether the facets in ``placed`` can be followed by all the others,
+    decides each position; the first order takes at each position the
+    least facet with an admissible step into a good set.
+    """
+
+    @lru_cache(maxsize=None)
+    def cell_shelling(f: str, ridges: tuple[str, ...]) -> bool:
+        return first(sub_lattice(L, f), ridges) is not None
+
+    def first(K: FaceLattice, prefix) -> tuple[str, ...] | None:
+        everything = frozenset(K.facets())
+        forced = frozenset(prefix)
+
+        @lru_cache(maxsize=None)
+        def admissible(placed: frozenset, f: str) -> bool:
+            if K.dim <= 0:
+                return True
+            if not cell_shelling(f, ()):
+                return False
+            if not placed:
+                return True
+            order = (*sorted(placed), f)
+            inter = _intersection_faces(K, order, len(order))
+            ridges = tuple(sorted(g for g in inter if K.dim_of(g) == K.dim - 1))
+            covered: set[str] = set()
+            for r in ridges:
+                covered |= set(K.down_set(r)) - {K.bottom}
+            return bool(inter) and covered == inter and cell_shelling(f, ridges)
+
+        def candidates(placed: frozenset) -> list[str]:
+            return sorted((everything if forced <= placed else forced) - placed)
+
+        @lru_cache(maxsize=None)
+        def good(placed: frozenset) -> bool:
+            return placed == everything or any(
+                admissible(placed, f) and good(placed | {f}) for f in candidates(placed)
+            )
+
+        placed, order = frozenset(), []
+        if not good(placed):
+            return None
+        while placed != everything:
+            f = next(f for f in candidates(placed) if admissible(placed, f) and good(placed | {f}))
+            placed |= {f}
+            order.append(f)
+        return tuple(order)
+
+    return first(L, prefix)
 
 
 def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget):

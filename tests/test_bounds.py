@@ -57,6 +57,10 @@ def test_rho_range():
         sb.rho(4, -1)
     with pytest.raises(sb.RangeError):
         sb.rho(0, 0)
+    # an int that is not a bool, refused as any k out of range is
+    for k in (True, 1.0):
+        with pytest.raises(sb.RangeError, match=f"^rho needs 0 <= k <= 3, got k={k!r}$"):
+            sb.rho(4, k)
 
 
 def test_rho_closed_form():
@@ -192,6 +196,27 @@ def test_check_split_count_range_errors():
     # a position out of range is refused where every split position is
     with pytest.raises(sb.InvalidSplit):
         sb.check_split_count(oct_, order, 9, 1)
+
+
+def test_the_proof_route_refuses_a_k_that_is_not_an_int():
+    # True passed for 1 and 1.0 raised a bare TypeError; each entry now
+    # refuses both with the message of a k out of range
+    oct_ = sb.cross_polytope(2)
+    order = sb.find_shelling(oct_)
+    calls = [
+        (partial(sb.verify_lower_bound, oct_, order), "need 0 <= k <= 2"),
+        (partial(sb.check_split_count, oct_, order, 2), "need 1 <= k <= 2"),
+        (partial(sb.corollary_bounds, oct_), "need 0 <= k <= 2"),
+    ]
+    for call, need in calls:
+        for k in (True, 1.0):
+            with pytest.raises(sb.RangeError) as err:
+                call(k)
+            assert str(err.value) == f"{need}, got k={k!r}"
+        # an int keeps the message it always had
+        with pytest.raises(sb.RangeError) as err:
+            call(3)
+        assert str(err.value) == f"{need}, got k=3"
 
 
 # -- witness pairs -------------------------------------------------------
@@ -871,6 +896,9 @@ def test_vandermonde_check():
         sb.vandermonde_check(0, 0)
     with pytest.raises(sb.RangeError):
         sb.vandermonde_check(3, 4)
+    for k in (True, 1.0):
+        with pytest.raises(sb.RangeError, match=f"^need d >= 1 and 0 <= k <= 3, got k={k!r}$"):
+            sb.vandermonde_check(3, k)
 
 
 def test_vandermonde_check_recomputes_the_identity(monkeypatch):
@@ -1103,16 +1131,19 @@ def proof_route_calls(L: sb.FaceLattice) -> list:
     d, n = L.dim, len(seq)
     # split positions that every call refuses, warm or fresh
     bad = (-1, n + 1, 2.0, True)
+    # and dimensions k that every call refuses, as any k out of range
+    bad_k = (True, 1.0)
     calls = []
     for order in (seq, seq[::-1]):
         calls.append((sb.is_shelling, order))
         calls.append((sb.facet_decomposition, order))
-        calls += [(sb.verify_lower_bound, order, k) for k in range(-1, d + 2)]
+        calls += [(sb.verify_lower_bound, order, k) for k in (*range(-1, d + 2), *bad_k)]
         calls += [(sb.find_witness_pair, order, j) for j in (*range(n + 1), *bad)]
         calls += [(sb.split_complexes, order, j) for j in (0, 1, n // 2, n, *bad)]
         calls += [(sb.check_split_count, order, j, k) for j in (0, n // 2, n) for k in range(d + 1)]
         calls += [(sb.check_split_count, order, j, d) for j in bad]
-    calls += [(sb.corollary_bounds, k) for k in range(-1, d + 2)]
+        calls += [(sb.check_split_count, order, n // 2, k) for k in bad_k]
+    calls += [(sb.corollary_bounds, k) for k in (*range(-1, d + 2), *bad_k)]
     calls.append((sb.barany_check,))
     return calls
 

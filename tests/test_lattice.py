@@ -1008,6 +1008,11 @@ def test_upper_interval_count_examples():
         sb.upper_interval_count(oct_, v, 0)
     with pytest.raises(sb.RankOutOfRange):
         sb.upper_interval_count(oct_, v, 4)
+    # a rank that is not an int raised a ValueError from islice, or passed
+    for s in (2.0, True):
+        with pytest.raises(sb.RankOutOfRange) as err:
+            sb.upper_interval_count(oct_, v, s)
+        assert str(err.value) == f"need rank 1 <= s <= 3, got {s!r}"
 
 
 def test_atom_avoiding_coatom_examples():

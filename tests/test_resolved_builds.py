@@ -1,5 +1,6 @@
 """The builders that index their result themselves (``dualize``,
-``punctured``, ``sub_lattice``, ``from_facets`` and the generators)
+``punctured``, ``sub_lattice``, the closure of a facet set,
+``from_facets`` and the generators)
 against the string oracles, which hand ``(id, rank)`` and ``(id, id)``
 pairs to ``build_lattice``: the same lattice, or the same error, every
 time."""
@@ -10,12 +11,12 @@ from itertools import combinations, product
 from hypothesis import given, settings, strategies as st
 
 import shellbound as sb
-from shellbound import lattice
 from shellbound.lattice import _down_sets, _upper_covers
 
 from corpus import (
     balls,
     bowtie,
+    closure_lattice,
     doubled_triangle,
     graded_bounded_poset_parts,
     id_pair_json,
@@ -30,6 +31,7 @@ from oracles import (
     string_hypercube_boundary,
     string_ngon,
     string_punctured,
+    string_restricted,
     string_sub_lattice,
 )
 from shellbound.generators import _gale_facets
@@ -77,6 +79,9 @@ def _check_every_builder(L: sb.FaceLattice, cells=None) -> None:
         _same(sb.punctured, string_punctured, L, f)
     for i in L.face_ids() if cells is None else cells:
         _same(sb.sub_lattice, string_sub_lattice, L, i)
+    facets = L.facets()
+    for chosen in (facets[:1], facets[1::2], facets):
+        _same(closure_lattice, string_restricted, L, chosen)
 
 
 def test_derived_builders_match_the_string_oracles_on_the_corpus():
@@ -171,26 +176,33 @@ def test_the_walked_gale_facets_are_the_filtered_ones():
 
 
 def test_the_resolvers_hand_their_index_to_the_constructor(monkeypatch):
-    # the builders that name every face hand the index they named them
-    # with; only the builders that take their faces from a host lattice
-    # have the constructor read the lower lists' int objects back
+    # every library builder hands over the id index it named its faces
+    # with, whose int objects its lower lists hold; the constructor makes
+    # none of its own
     S = sb.simplex_boundary(8)
     parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
     files = sb.lattice_to_json_dict(S), id_pair_json(S)
-    calls = []
-    shared_ints = lattice._shared_ints
-    monkeypatch.setattr(lattice, "_shared_ints", lambda lower: calls.append(1) or shared_ints(lower))
-    named = [
+    handed = []
+    build = sb.FaceLattice._build
+
+    def recording(self, dim, ids, ranks, lower, index):
+        handed.append(index)
+        build(self, dim, ids, ranks, lower, index)
+
+    monkeypatch.setattr(sb.FaceLattice, "_build", recording)
+    built = [
         sb.build_lattice(*parts),
         *map(sb.lattice_from_json_dict, files),
         sb.from_facets(combinations(range(1, 11), 9)),
         sb.hypercube_boundary(6),
         sb.ngon(1000),
+        sb.dualize(S),
+        sb.punctured(S),
+        sb.sub_lattice(S, S.facets()[0]),
+        closure_lattice(S, S.facets()[1::2]),
     ]
-    assert calls == []
-    derived = [sb.dualize(S), sb.punctured(S), sb.sub_lattice(S, S.facets()[0])]
-    assert len(calls) == len(derived)
-    for L in [*named, *derived]:
+    assert len(handed) == len(built) and None not in handed
+    for L in built:
         nums = tuple(L._index.values())
         assert nums == tuple(range(len(L)))
         # the index's int objects, and no others, in every lower list
