@@ -136,8 +136,10 @@ class RhoCoefficient:
 def _require_k(k: int, lo: int, hi: int) -> None:
     """Refuse k with :class:`RangeError` unless it is an int, a bool not
     counting as one, with ``lo <= k <= hi`` and, as a face dimension,
-    ``k >= 0``: the one check of k on the proof route."""
-    if type(k) is not int or not max(lo, 0) <= k <= hi:
+    ``k >= 0``: the one check of k on the proof route.  The message names
+    the range enforced, from ``max(lo, 0)``."""
+    lo = max(lo, 0)
+    if type(k) is not int or not lo <= k <= hi:
         raise RangeError(f"need {lo} <= k <= {hi}, got k={k!r}")
 
 
@@ -153,6 +155,8 @@ def rho(d_plus_1: int, k: int) -> RhoCoefficient:
     """
     from fractions import Fraction
 
+    if type(d_plus_1) is not int:
+        raise RangeError(f"rho needs an int d_plus_1, got {d_plus_1!r}")
     d = d_plus_1 - 1
     if d < 0 or type(k) is not int or not 0 <= k <= d:
         raise RangeError(f"rho needs 0 <= k <= {d}, got k={k!r}")
@@ -263,7 +267,7 @@ def _split(cert: ShellingCertificate, j: int) -> SplitPair:
     down = _down_sets(L)
     whole = _as_subcomplex(L) if cell == L._top else Subcomplex(L, down[cell] & ~(1 << cell))
     _require_sphere(whole)
-    real = whole.mask & ~(1 << L._bottom)
+    real = whole.mask & ~1
     begin_mask = _closed(down, L._mask_of(seq[:j]))
     end_mask = _closed(down, L._mask_of(seq[j:]))
     begin = whole if begin_mask == whole.mask else Subcomplex(L, begin_mask)
@@ -382,7 +386,7 @@ def _witness(cert: ShellingCertificate, j: int) -> tuple[int, int]:
     if j == 1:
         # the leading closed facet, and the least vertex outside it
         first = L.index(seq[0])
-        return first, _least_atom_avoiding(L, inside, first, L._bottom)
+        return first, _least_atom_avoiding(L, inside, first, 0)
     step = cert.steps[j - 1]
     x = L.index(step.facet)
     sub_cert = step.sub_certificate
@@ -635,6 +639,8 @@ def vandermonde_check(d: int, k: int) -> bool:
 
     The full convolution identity is recomputed and enforced on the way.
     """
+    if type(d) is not int:
+        raise RangeError(f"need an int d, got {d!r}")
     if d < 1 or type(k) is not int or not 0 <= k <= d:
         raise RangeError(f"need d >= 1 and 0 <= k <= {d}, got k={k!r}")
     hi, lo = _halves(d + 1)

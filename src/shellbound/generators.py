@@ -5,7 +5,8 @@ All generators return validated :class:`FaceLattice` objects with
 deterministic face ids, so the same call always produces the same labels
 in the same order.  Size guards keep the combinatorial blow-up of the
 larger families within interactive reach; they raise :class:`RangeError`
-rather than letting a call run away.
+rather than letting a call run away, and for a size that is not an int,
+a bool not counting as one, shown by its ``repr``.
 
 Each generator builds the constructor's resolved form from integer face
 codes, with no string pairs to resolve: the simplicial families through
@@ -32,8 +33,8 @@ from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, _restricte
 
 def simplex_boundary(d: int) -> FaceLattice:
     """Boundary of the (d+1)-simplex on vertices 1..d+2, a d-sphere."""
-    if not 0 <= d <= 12:
-        raise RangeError(f"need 0 <= d <= 12, got {d}")
+    if type(d) is not int or not 0 <= d <= 12:
+        raise RangeError(f"need 0 <= d <= 12, got {d!r}")
     return from_facets(combinations(range(1, d + 3), d + 1))
 
 
@@ -43,8 +44,8 @@ def cross_polytope(d: int) -> FaceLattice:
     Vertices i and i + d + 1 are antipodal; the facets pick one vertex
     from each antipodal pair.
     """
-    if not 1 <= d <= 6:
-        raise RangeError(f"need 1 <= d <= 6, got {d}")
+    if type(d) is not int or not 1 <= d <= 6:
+        raise RangeError(f"need 1 <= d <= 6, got {d!r}")
     m = d + 1
     pairs = [(i, i + m) for i in range(1, m + 1)]
     return from_facets(product(*pairs))
@@ -57,8 +58,8 @@ def hypercube_boundary(d: int) -> FaceLattice:
     fixed letter; ``*`` marks a free coordinate, so the face dimension is
     the number of stars.  A cover fixes exactly one star.
     """
-    if not 1 <= d <= 6:
-        raise RangeError(f"need 1 <= d <= 6, got {d}")
+    if type(d) is not int or not 1 <= d <= 6:
+        raise RangeError(f"need 1 <= d <= 6, got {d!r}")
     m = d + 1
     # a word read in base 3, * = 0, 0 = 1 and 1 = 2, the first letter most
     # significant, is its code; as * < 0 < 1, code order is id order
@@ -83,7 +84,7 @@ def hypercube_boundary(d: int) -> FaceLattice:
         lower.append([*map(place.__getitem__, map(c.__add__, below[c]))] or (0,))
     index[TOP_ID] = len(words)
     ranks = [0, *[stars[c] + 1 for c in order], d + 2]
-    return FaceLattice(d, list(index), ranks, [*lower, ()], _index=index)
+    return FaceLattice(index, ranks, [*lower, ()])
 
 
 def ngon(n: int) -> FaceLattice:
@@ -93,8 +94,8 @@ def ngon(n: int) -> FaceLattice:
     (10, 11) and (101, 1) when n = 101, every edge id puts a ``-``
     between its ends instead: ``e1-2, ..., e101-1``.
     """
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise RangeError(f"need n >= 3, got {n!r}")
     if n > 8191:
         # 16 384 elements, as many as simplex_boundary(12), the largest family
         raise RangeError(f"need n <= 8191, got {n}")
@@ -112,7 +113,7 @@ def ngon(n: int) -> FaceLattice:
         lower.append(sorted((place[a], place[b])))
     index[TOP_ID] = 2 * n + 1
     ranks = [0, *repeat(1, n), *repeat(2, n), 3]
-    return FaceLattice(1, list(index), ranks, [*lower, ()], _index=index)
+    return FaceLattice(index, ranks, [*lower, ()])
 
 
 def _gale_facets(d: int, n: int) -> list[tuple[int, ...]]:
@@ -145,10 +146,10 @@ def cyclic_boundary(d: int, n: int) -> FaceLattice:
     every maximal run of consecutive chosen elements that contains
     neither 1 nor n has even length.
     """
-    if not 2 <= d <= 6:
-        raise RangeError(f"need 2 <= d <= 6, got d={d}")
-    if not d + 1 <= n <= 16:
-        raise RangeError(f"need {d + 1} <= n <= 16, got n={n}")
+    if type(d) is not int or not 2 <= d <= 6:
+        raise RangeError(f"need 2 <= d <= 6, got d={d!r}")
+    if type(n) is not int or not d + 1 <= n <= 16:
+        raise RangeError(f"need {d + 1} <= n <= 16, got n={n!r}")
     return from_facets(_gale_facets(d, n))
 
 

@@ -44,20 +44,19 @@ It sorts the elements by (rank, id) and files each cover under its
 lower end, then reads the lower ends in index order, so each lower-cover
 list fills sorted, with a repeated cover next to itself, where it is
 dropped.  It hands each list over as a tuple, which the constructor
-keeps as it is, and with them its id index, which the constructor keeps
-instead of making one.
+keeps as it is, with the id index it resolved the covers through.
 It serves outside ids only: no generator builds through it, and
 :func:`lattice_from_json_dict` does on the id-pair form.  On the
 positional form, where each face lists its lower covers by file
 position, that loader runs the same checks of the elements, with the
 same messages in the same order, then checks each face's positions as
 it maps them to indices, once each, faces in file order and entries in
-list order, so the first fault in the file is the one named, and hands
-its id index over too.  The builders that already know every index
-build the resolved form directly, and each vouches for its ids,
-dimension and extremes.  Every builder hands over the id index it
-named its faces with, whose int objects its lower lists hold, so the
-constructor makes none.  Three name every face from integers:
+list order, so the first fault in the file is the one named.  The
+builders that already know every index build the resolved form
+directly, and each vouches for its ids, their order and the extremes.
+Every builder names its faces through an id index whose int objects
+its lower lists hold, and hands the constructor that index.  Three
+name every face from integers:
 :func:`from_facets` makes each face the bit mask of its vertices, rank
 by rank from the facets down, and names each rank in id order;
 ``generators.hypercube_boundary`` reads each word as a base-3 code,
@@ -70,15 +69,17 @@ last one the top.  :func:`sub_lattice` carves out a cell's down-set,
 ``generators.punctured`` every index but one facet's, and the closure
 of a set of facets is their down-set under the host's top.
 
-The constructor takes the resolved form: ids and ranks in (rank, id)
-order, and each element's lower covers as sorted indices without
-repeats.  It trusts every builder for the ids, the dimension, the
-extremes and that order.  It alone decides the top's lower covers:
-the top covers every face of rank d + 1, the run of
-indices just below it, together with whatever its builder listed, so no
-builder computes that list and every reader reads it as it reads any
-cell's; a lesser maximal face of a non-pure complex lies under the top
-by the implicit order only.  Then it checks only what a builder's
+The constructor takes the resolved form, each fact once: the id index,
+whose keys are the ids in (rank, id) order and whose values are their
+element numbers, the ranks in that order, and each element's lower
+covers as sorted indices without repeats.  The dimension is the top's
+rank less 2, and the bottom is index 0.  It trusts every builder for
+the ids, the extremes and that order.  It alone decides the top's
+lower covers: the top covers every face of rank d + 1, the run of
+indices just below it, together with whatever its builder listed, so
+no builder computes that list and every reader reads it as it reads
+any cell's; a lesser maximal face of a non-pure complex lies under the
+top by the implicit order only.  Then it checks only what a builder's
 covers can break, on the lower covers alone: acyclicity, gradedness and
 a lower cover under every element but the bottom (a :func:`dualize` of
 a non-pure lattice lacks one, and so does the top of a complex with no
@@ -325,22 +326,21 @@ class FaceLattice:
 
     Build through :func:`build_lattice`, :func:`from_facets`, a generator,
     or :func:`lattice_from_json_dict`.  The constructor takes the resolved
-    form: an integer ``dim``, unique ``ids`` and their ``ranks`` in (rank,
-    id) order with one bottom at rank 0 and one top at rank ``dim + 2``,
-    and for each element the indices of its lower covers, sorted and
-    without repeats.  All of that it trusts, since every builder vouches
-    for it.  The top's lower covers it sets itself: every face of rank
-    ``dim + 1``, merged with the top's list as handed.  It checks only
-    what the covers can break, on the lower covers alone: that the
-    lengths agree, acyclicity, gradedness and a lower cover under every
-    element but the bottom.  The keyword ``_index`` is private to the
-    builders, and every one of them hands it over: the id index they
-    named the faces with, whose int objects their lower lists hold, kept
-    in place of the one the constructor makes for a direct call.  The
-    down-set bit vectors and the upper-cover lists are built on first read, by
-    ``_down_sets`` and ``_upper_covers``; until then their slots hold
-    None.  No ``__getattr__`` builds them, since attribute reads on a
-    class with one are no longer specialised, and no property, which
+    form, ``FaceLattice(index, ranks, lower)``: ``index`` maps each
+    unique id to its element number in (rank, id) order, with one bottom
+    at rank 0, number 0, and one top last; ``ranks`` are the ids' ranks in
+    that order; and ``lower`` gives each element the numbers of its lower
+    covers, sorted, without repeats, as the index's own int objects.  All
+    of that it trusts, since every builder vouches for it.  The ids are
+    the index's keys and ``dim`` is the top's rank less 2.  The top's
+    lower covers it sets itself: every face of rank ``dim + 1``, merged
+    with the top's list as handed.  It checks only what the covers can
+    break, on the lower covers alone: that the lengths agree, acyclicity,
+    gradedness and a lower cover under every element but the bottom.
+    The down-set bit vectors and the upper-cover lists are built on first
+    read, by ``_down_sets`` and ``_upper_covers``; until then their slots
+    hold None.  No ``__getattr__`` builds them, since attribute reads on
+    a class with one are no longer specialised, and no property, which
     would put a call on every read of the slot in the shelling recursion.
     """
 
@@ -353,40 +353,32 @@ class FaceLattice:
         "_lower",
         "_upper",
         "_rank_masks",
-        "_bottom",
         "_top",
         "_real_mask",
         "_memo",
     )
 
     def __init__(
-        self,
-        dim: int,
-        ids: Sequence[str],
-        ranks: Sequence[int],
-        lower: Sequence[Sequence[int]],
-        *,
-        _index: Union[dict[str, int], None] = None,
+        self, index: dict[str, int], ranks: Sequence[int], lower: Sequence[Sequence[int]]
     ):
-        _gc_paused(self._build, dim, ids, ranks, lower, _index)
+        _gc_paused(self._build, index, ranks, lower)
 
-    def _build(self, dim, ids, ranks, lower, index) -> None:
-        n = len(ids)
+    def _build(self, index, ranks, lower) -> None:
+        n = len(index)
         if not len(ranks) == len(lower) == n:
             raise InvalidFace(f"{n} ids, {len(ranks)} ranks and {len(lower)} lower cover lists")
-        self.ids = ids = tuple(ids)
+        # the index's keys are the ids, and its int objects the ones the
+        # lower lists hold
+        self._index = index
+        self.ids = ids = tuple(index)
         self.ranks = ranks = tuple(ranks)
+        self.dim = dim = ranks[-1] - 2
         # a lower list that is a tuple already, as the resolvers hand them
         # over, is kept as it is
         lower = tuple(map(tuple, lower))
-        # every builder hands over its id index, whose int objects the lower
-        # lists hold; a direct call's is made here
-        self._index = index = dict(zip(ids, range(n))) if index is None else index
-        self.dim = dim
         # the frozen order is (rank, id), so the bottom is index 0 and the
         # top index n - 1; neighbour lists are sorted by index, which within
         # a rank is lexicographic id order
-        self._bottom = 0
         self._top = top = n - 1
         # the top covers every face of rank dim + 1, the run of indices
         # just below it, merged with whatever the builder handed
@@ -423,7 +415,7 @@ class FaceLattice:
 
     @property
     def bottom(self) -> str:
-        return self.ids[self._bottom]
+        return self.ids[0]
 
     @property
     def top(self) -> str:
@@ -738,13 +730,12 @@ def build_lattice(
     one that jumps rank.
     """
     # the resolver's temporaries are gone before the constructor runs
-    *parts, index = _gc_paused(_resolve, elements, covers, dim)
-    return FaceLattice(*parts, _index=index)
+    return FaceLattice(*_gc_paused(_resolve, elements, covers, dim))
 
 
 def _resolve(elements, covers, dim) -> tuple:
-    """``(dim, ids, ranks, lower, index)``, the constructor's arguments
-    and the id index it keeps, once the outside facts are checked."""
+    """``(index, ranks, lower)``, the constructor's arguments, once the
+    outside facts are checked."""
     ids, ranks, index = _resolve_elements(elements, dim)
     # each cover is resolved once and filed under its lower end
     above: list = [[] for _ in ids]
@@ -774,7 +765,7 @@ def _resolve(elements, covers, dim) -> tuple:
                     below.append(a)
             elif not below or below[-1] != a:
                 lower[b] = [*below, a]
-    return dim, ids, ranks, lower, index
+    return index, ranks, lower
 
 
 def _resolve_elements(elements, dim) -> tuple:
@@ -889,7 +880,7 @@ def from_facets(facets: Iterable[Iterable[object]]) -> FaceLattice:
     ids.append(TOP_ID)
     ranks.append(d + 2)
     lower.append(())
-    return FaceLattice(d, ids, ranks, lower, _index=index)
+    return FaceLattice(index, ranks, lower)
 
 
 def parse_facet_text(text: str) -> list[list[str]]:
@@ -1034,9 +1025,7 @@ def dualize(L: FaceLattice) -> FaceLattice:
     lower = [tuple(map(new.__getitem__, upper[x])) for x in order]
     # the index holds the int objects that the lower lists hold
     index = dict(zip(map(ids.__getitem__, order), map(new.__getitem__, order)))
-    return FaceLattice(
-        L.dim, list(index), [top_rank - ranks[x] for x in order], lower, _index=index
-    )
+    return FaceLattice(index, [top_rank - ranks[x] for x in order], lower)
 
 
 # -- subcomplex machinery ------------------------------------------------
@@ -1058,7 +1047,7 @@ def _as_subcomplex(x: Complex) -> Subcomplex:
     boundary is derived once; anything else as it is."""
     if not isinstance(x, FaceLattice):
         return x
-    return _memoised(x, "whole complex", lambda L: Subcomplex(L, L._real_mask | 1 << L._bottom))
+    return _memoised(x, "whole complex", lambda L: Subcomplex(L, L._real_mask | 1))
 
 
 def is_pure(x: Complex) -> bool:
@@ -1207,7 +1196,7 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     of dimension -1.  Each call builds a new lattice.
     """
     x = L.index(face_id)
-    if x in (L._bottom, L._top):
+    if x in (0, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
     # the down-set in host order is in (rank, id) order, the cell last
     return _restricted(L, list(_iter_bits(_down_sets(L)[x])))
@@ -1216,7 +1205,7 @@ def sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
 def _restricted(L: FaceLattice, members: Sequence[int]) -> FaceLattice:
     """The lattice of the host indices ``members`` of ``L``, a down-closed
     set in host order, so in (rank, id) order, whose last member becomes
-    the top: of dimension its rank less 2.
+    the top; the constructor reads the dimension off its rank.
 
     The one builder that carves a lattice out of a host, for
     :func:`sub_lattice`, ``generators.punctured`` and the closure of a set
@@ -1236,9 +1225,8 @@ def _restricted(L: FaceLattice, members: Sequence[int]) -> FaceLattice:
         # an entry below lo keeps its object: moved.get(a, a)
         lower.append(below if not below or below[-1] < lo else tuple(map(moved.get, below, below)))
     lower.append(())
-    ids = tuple(map(L.ids.__getitem__, members))
-    ranks = tuple(map(L.ranks.__getitem__, members))
-    return FaceLattice(ranks[-1] - 2, ids, ranks, lower, _index=dict(zip(ids, nums)))
+    index = dict(zip(map(L.ids.__getitem__, members), nums))
+    return FaceLattice(index, tuple(map(L.ranks.__getitem__, members)), lower)
 
 
 def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, bool]:
@@ -1284,10 +1272,10 @@ def atom_avoiding_coatom(
     and :class:`InvalidFace` a non-coatom or the top as the base.
     """
     c = L.index(coatom_id)
-    base = L._bottom if base_id is None else L.index(base_id)
+    base = 0 if base_id is None else L.index(base_id)
     if L.ranks[c] != L.ranks[L._top] - 1 or base == L._top:
         raise InvalidFace(f"need a coatom and a base below the top: {coatom_id!r}, {base_id!r}")
-    return L.ids[_least_atom_avoiding(L, L._real_mask | 1 << L._bottom, c, base)]
+    return L.ids[_least_atom_avoiding(L, L._real_mask | 1, c, base)]
 
 
 # -- serialisation -------------------------------------------------------
@@ -1362,18 +1350,16 @@ def lattice_from_json_dict(data: dict) -> FaceLattice:
     elements = [(BOTTOM_ID, 0), (TOP_ID, dim + 2)]
     elements += [(i, k + 1) for i, k in faces]
     if "covers" not in data:
-        *parts, index = _gc_paused(_resolve_positions, elements, raw, dim)
-        return FaceLattice(*parts, _index=index)
+        return FaceLattice(*_gc_paused(_resolve_positions, elements, raw, dim))
     # the JSON list is read in place, followed by the bottom's covers
     vertices = [(BOTTOM_ID, i) for i, k in faces if k == 0]
     return build_lattice(elements, chain(covers, vertices), dim)
 
 
 def _resolve_positions(elements, raw, dim) -> tuple:
-    """``(dim, ids, ranks, lower, index)``, the constructor's arguments
-    and the id index it keeps, from the elements (the extremes, then the
-    faces in file order) and the file's faces, once the elements are
-    checked.
+    """``(index, ranks, lower)``, the constructor's arguments, from the
+    elements (the extremes, then the faces in file order) and the file's
+    faces, once the elements are checked.
 
     Each face's ``lower`` list is checked as it is mapped, faces in file
     order and entries in list order, so the first fault in the file is
@@ -1409,4 +1395,4 @@ def _resolve_positions(elements, raw, dim) -> tuple:
             lower[x] = tuple(sorted(set(map(get, below))))
     vertices = bisect_right(ranks, 1, 0, len(ids) - 1)
     lower[1:vertices] = [(0, *below) for below in lower[1:vertices]]
-    return dim, ids, ranks, lower, index
+    return index, ranks, lower

@@ -62,7 +62,7 @@ def closure_lattice(L: sb.FaceLattice, facet_ids) -> sb.FaceLattice:
     """The face lattice of the closure of the faces ``facet_ids`` of
     ``L``, under ``L``'s top, carved out of ``L`` by the library's one
     carve-out builder; of no faces, the bottom under the top."""
-    mask = _closed(_down_sets(L), L._mask_of(facet_ids)) | 1 << L._bottom | 1 << L._top
+    mask = _closed(_down_sets(L), L._mask_of(facet_ids)) | 1 | 1 << L._top
     return _restricted(L, list(_iter_bits(mask)))
 
 

@@ -4,12 +4,13 @@ Deliberately naive: order relations by fixpoint iteration over raw cover
 pairs, shellings by exhaustive permutation search straight off the
 recursive definition, or, in :func:`subset_first_shelling`, by a DP
 over sets of placed facets with the same step rule, for inputs too
-large to permute.  Only navigation primitives of the lattice are
-reused; none of the search, memoisation, or purity machinery under test
-is touched, except by :func:`unpruned_search`, the shelling search as it
-was before it learnt to prune, kept as the reference for the pruned one,
-and by :func:`generator_walk` and :func:`generator_graph_order`, the
-walks as they were before they read candidate masks bit by bit.
+large to permute; :func:`dead_prefixes` reads the same DP.  Only
+navigation primitives of the lattice are reused; none of the search,
+memoisation, or purity machinery under test is touched, except by
+:func:`unpruned_search`, the shelling search as it was before it learnt
+to prune, kept as the reference for the pruned one, and by
+:func:`generator_walk` and :func:`generator_graph_order`, the walks as
+they were before they read candidate masks bit by bit.
 :func:`precheck_resolve_positions` is the positional JSON loader's
 resolver as it was before it checked each ``lower`` list as it mapped it.
 """
@@ -85,7 +86,7 @@ def string_restricted(L: FaceLattice, facet_ids) -> FaceLattice:
 
 def string_sub_lattice(L: FaceLattice, face_id: str) -> FaceLattice:
     x = L.index(face_id)
-    if x in (L._bottom, L._top):
+    if x in (0, L._top):
         raise InvalidFace("the artificial extremes bound no cell")
     members = _down_sets(L)[x]
     elements = [(L.ids[e], L.ranks[e]) for e in _iter_bits(members & ~(1 << x))]
@@ -209,7 +210,7 @@ def precheck_resolve_positions(elements, raw, dim) -> tuple:
     lower[1:vertices] = [(0, *below) for below in lower[1:vertices]]
     nums = tuple(index.values())
     lower[-1] = nums[bisect_left(ranks, dim + 1) : -1]
-    return dim, ids, ranks, lower, index
+    return index, ranks, lower
 
 
 def position_fault(raw: list) -> str:
@@ -414,62 +415,105 @@ def naive_is_shelling(L: FaceLattice, order) -> bool:
 def subset_first_shelling(L: FaceLattice, prefix=()):
     """The first shelling of ``L`` whose first entries are exactly the
     facets in ``prefix``, or None: exact, with no budget, by a DP over the
-    sets of placed facets.
+    sets of placed facets (:func:`_placements`).
 
-    A step is tested by the literal rule of :func:`naive_is_shelling`,
-    through :func:`_intersection_faces`; whether a facet boundary has a
-    shelling that starts with given ridges is this DP on the boundary, in
-    place of :func:`_first_shelling`'s permutations.  A cell of a cell is
-    a cell of ``L`` with the same faces, so one cache serves every depth.
     The rule reads the earlier facets as a set, so ``good(placed)``,
     whether the facets in ``placed`` can be followed by all the others,
     decides each position; the first order takes at each position the
     least facet with an admissible step into a good set.
     """
+    return _first(L, prefix, _cell_shellings(L))
+
+
+def prefix_sets(L: FaceLattice) -> dict[frozenset, bool]:
+    """Every set of facets that admissible steps reach from the empty
+    set, the empty set included, with whether a shelling completes it."""
+    _, admissible, good = _placements(L, (), _cell_shellings(L))
+    facets = L.facets()
+    reached = {frozenset(): good(frozenset())}
+    frontier = [frozenset()]
+    for placed in frontier:
+        for f in facets:
+            if f not in placed and admissible(placed, f):
+                grown = placed | {f}
+                if grown not in reached:
+                    reached[grown] = good(grown)
+                    frontier.append(grown)
+    return reached
+
+
+def dead_prefixes(L: FaceLattice) -> list[frozenset]:
+    """The dead prefixes of ``L``: the sets of facets that admissible
+    steps reach from the empty set and that no shelling completes."""
+    return [placed for placed, ok in prefix_sets(L).items() if not ok]
+
+
+def _cell_shellings(L: FaceLattice):
+    """``cell_shelling(f, ridges)``: whether the boundary of the cell
+    ``f`` of ``L`` has a shelling that starts with the ``ridges``.  A cell
+    of a cell is a cell of ``L`` with the same faces, so one cache serves
+    every depth."""
 
     @lru_cache(maxsize=None)
     def cell_shelling(f: str, ridges: tuple[str, ...]) -> bool:
-        return first(sub_lattice(L, f), ridges) is not None
+        return _first(sub_lattice(L, f), ridges, cell_shelling) is not None
 
-    def first(K: FaceLattice, prefix) -> tuple[str, ...] | None:
-        everything = frozenset(K.facets())
-        forced = frozenset(prefix)
+    return cell_shelling
 
-        @lru_cache(maxsize=None)
-        def admissible(placed: frozenset, f: str) -> bool:
-            if K.dim <= 0:
-                return True
-            if not cell_shelling(f, ()):
-                return False
-            if not placed:
-                return True
-            order = (*sorted(placed), f)
-            inter = _intersection_faces(K, order, len(order))
-            ridges = tuple(sorted(g for g in inter if K.dim_of(g) == K.dim - 1))
-            covered: set[str] = set()
-            for r in ridges:
-                covered |= set(K.down_set(r)) - {K.bottom}
-            return bool(inter) and covered == inter and cell_shelling(f, ridges)
 
-        def candidates(placed: frozenset) -> list[str]:
-            return sorted((everything if forced <= placed else forced) - placed)
+def _first(K: FaceLattice, prefix, cell_shelling) -> tuple[str, ...] | None:
+    candidates, admissible, good = _placements(K, prefix, cell_shelling)
+    everything = frozenset(K.facets())
+    placed, order = frozenset(), []
+    if not good(placed):
+        return None
+    while placed != everything:
+        f = next(f for f in candidates(placed) if admissible(placed, f) and good(placed | {f}))
+        placed |= {f}
+        order.append(f)
+    return tuple(order)
 
-        @lru_cache(maxsize=None)
-        def good(placed: frozenset) -> bool:
-            return placed == everything or any(
-                admissible(placed, f) and good(placed | {f}) for f in candidates(placed)
-            )
 
-        placed, order = frozenset(), []
-        if not good(placed):
-            return None
-        while placed != everything:
-            f = next(f for f in candidates(placed) if admissible(placed, f) and good(placed | {f}))
-            placed |= {f}
-            order.append(f)
-        return tuple(order)
+def _placements(K: FaceLattice, prefix, cell_shelling):
+    """``(candidates, admissible, good)`` over the sets of placed facets
+    of ``K``, the facets of ``prefix`` first: the facets that may come
+    next, whether a facet's step after a set is admissible, and whether a
+    set can be followed by all the other facets.
 
-    return first(L, prefix)
+    A step is tested by the literal rule of :func:`naive_is_shelling`,
+    through :func:`_intersection_faces`; whether a facet boundary has a
+    shelling that starts with given ridges is ``cell_shelling``, this DP
+    on the boundary, in place of :func:`_first_shelling`'s permutations.
+    """
+    everything = frozenset(K.facets())
+    forced = frozenset(prefix)
+
+    @lru_cache(maxsize=None)
+    def admissible(placed: frozenset, f: str) -> bool:
+        if K.dim <= 0:
+            return True
+        if not cell_shelling(f, ()):
+            return False
+        if not placed:
+            return True
+        order = (*sorted(placed), f)
+        inter = _intersection_faces(K, order, len(order))
+        ridges = tuple(sorted(g for g in inter if K.dim_of(g) == K.dim - 1))
+        covered: set[str] = set()
+        for r in ridges:
+            covered |= set(K.down_set(r)) - {K.bottom}
+        return bool(inter) and covered == inter and cell_shelling(f, ridges)
+
+    def candidates(placed: frozenset) -> list[str]:
+        return sorted((everything if forced <= placed else forced) - placed)
+
+    @lru_cache(maxsize=None)
+    def good(placed: frozenset) -> bool:
+        return placed == everything or any(
+            admissible(placed, f) and good(placed | {f}) for f in candidates(placed)
+        )
+
+    return candidates, admissible, good
 
 
 def unpruned_search(L: FaceLattice, x: int, prefix: int, simplices: int, budget):

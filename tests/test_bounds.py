@@ -61,6 +61,11 @@ def test_rho_range():
     for k in (True, 1.0):
         with pytest.raises(sb.RangeError, match=f"^rho needs 0 <= k <= 3, got k={k!r}$"):
             sb.rho(4, k)
+    # so is a d + 1 that is not an int, shown by its repr
+    for d_plus_1 in (True, 3.0):
+        with pytest.raises(sb.RangeError) as err:
+            sb.rho(d_plus_1, 0)
+        assert str(err.value) == f"rho needs an int d_plus_1, got {d_plus_1!r}"
 
 
 def test_rho_closed_form():
@@ -196,6 +201,12 @@ def test_check_split_count_range_errors():
     # a position out of range is refused where every split position is
     with pytest.raises(sb.InvalidSplit):
         sb.check_split_count(oct_, order, 9, 1)
+    # on the empty complex, k's range from floor(-1 / 2) is empty, and the
+    # message names the range enforced, whose least k is a face dimension
+    empty = sb.sub_lattice(sb.ngon(3), "v1")
+    with pytest.raises(sb.RangeError) as err:
+        sb.check_split_count(empty, (), 0, -1)
+    assert str(err.value) == "need 0 <= k <= -1, got k=-1"
 
 
 def test_the_proof_route_refuses_a_k_that_is_not_an_int():
@@ -899,6 +910,10 @@ def test_vandermonde_check():
     for k in (True, 1.0):
         with pytest.raises(sb.RangeError, match=f"^need d >= 1 and 0 <= k <= 3, got k={k!r}$"):
             sb.vandermonde_check(3, k)
+    for d in (True, 2.0):
+        with pytest.raises(sb.RangeError) as err:
+            sb.vandermonde_check(d, 1)
+        assert str(err.value) == f"need an int d, got {d!r}"
 
 
 def test_vandermonde_check_recomputes_the_identity(monkeypatch):

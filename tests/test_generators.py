@@ -109,6 +109,26 @@ def test_generator_range_guards():
         sb.cyclic_boundary(4, 4)
     with pytest.raises(sb.RangeError):
         sb.cyclic_boundary(4, 17)
+    # a size that is not an int, a bool not counting as one, is refused
+    # with the message of a size out of range, showing its repr
+    calls = [
+        (sb.simplex_boundary, (True,), "need 0 <= d <= 12, got True"),
+        (sb.simplex_boundary, (2.0,), "need 0 <= d <= 12, got 2.0"),
+        (sb.cross_polytope, (True,), "need 1 <= d <= 6, got True"),
+        (sb.cross_polytope, (2.0,), "need 1 <= d <= 6, got 2.0"),
+        (sb.hypercube_boundary, (True,), "need 1 <= d <= 6, got True"),
+        (sb.hypercube_boundary, (2.0,), "need 1 <= d <= 6, got 2.0"),
+        (sb.ngon, (True,), "need n >= 3, got True"),
+        (sb.ngon, (4.0,), "need n >= 3, got 4.0"),
+        (sb.cyclic_boundary, (True, 7), "need 2 <= d <= 6, got d=True"),
+        (sb.cyclic_boundary, (3.0, 7), "need 2 <= d <= 6, got d=3.0"),
+        (sb.cyclic_boundary, (3, True), "need 4 <= n <= 16, got n=True"),
+        (sb.cyclic_boundary, (3, 7.0), "need 4 <= n <= 16, got n=7.0"),
+    ]
+    for build, args, message in calls:
+        with pytest.raises(sb.RangeError) as err:
+            build(*args)
+        assert str(err.value) == message, (build, args)
 
 
 def test_generators_are_deterministic():

@@ -176,18 +176,18 @@ def test_the_walked_gale_facets_are_the_filtered_ones():
 
 
 def test_the_resolvers_hand_their_index_to_the_constructor(monkeypatch):
-    # every library builder hands over the id index it named its faces
-    # with, whose int objects its lower lists hold; the constructor makes
-    # none of its own
+    # every library builder hands the constructor the id index it named
+    # its faces with, whose int objects its lower lists hold, and the
+    # lattice keeps that very index
     S = sb.simplex_boundary(8)
     parts = list(zip(S.ids, S.ranks)), list(S.covers()), S.dim
     files = sb.lattice_to_json_dict(S), id_pair_json(S)
     handed = []
     build = sb.FaceLattice._build
 
-    def recording(self, dim, ids, ranks, lower, index):
+    def recording(self, index, ranks, lower):
         handed.append(index)
-        build(self, dim, ids, ranks, lower, index)
+        build(self, index, ranks, lower)
 
     monkeypatch.setattr(sb.FaceLattice, "_build", recording)
     built = [
@@ -201,8 +201,9 @@ def test_the_resolvers_hand_their_index_to_the_constructor(monkeypatch):
         sb.sub_lattice(S, S.facets()[0]),
         closure_lattice(S, S.facets()[1::2]),
     ]
-    assert len(handed) == len(built) and None not in handed
-    for L in built:
+    assert len(handed) == len(built)
+    for L, index in zip(built, handed):
+        assert L._index is index
         nums = tuple(L._index.values())
         assert nums == tuple(range(len(L)))
         # the index's int objects, and no others, in every lower list

@@ -11,6 +11,9 @@ f(S) = f(B1) + f(B2) - f(bd B1).  Each ball is carved out of S by the
 library's one carve-out builder, so these are also checks of it, of
 ``boundary_complex`` and of ``f_vector``."""
 
+import copy
+import random
+
 import shellbound as sb
 
 from corpus import (
@@ -19,10 +22,12 @@ from corpus import (
     barycentric_subdivision,
     bistellar_sphere,
     closure_lattice,
+    fresh_copy,
     prism,
     pyramid,
     spheres_d_le_3,
 )
+from test_bounds import assert_shared_lattice_answers_as_fresh
 
 
 def _spheres() -> list[tuple[str, sb.FaceLattice]]:
@@ -80,3 +85,22 @@ def test_shelling_splits_are_balls_that_meet_the_bound():
             assert all(f[k] == f1[k] + f2[k] - fbd[k] for k in range(-1, d + 1)), (name, m)
             pairs += 1
     assert cases > 2000 and pairs > 400, (cases, pairs)
+
+
+def test_split_balls_answer_on_a_shared_lattice_as_fresh_ones():
+    # both balls at the middle cut of every fourth sphere of at most 24
+    # facets; a JSON round trip renames a dual's extremes, which keep the
+    # host's ids, so a ball carved out of a dual is compared with a copy,
+    # whose memo is empty too
+    rng = random.Random(29)
+    checked = 0
+    for name, S in _spheres()[::4]:
+        if len(S.facets()) > 24:
+            continue
+        seq = sb.find_shelling(S).facets
+        m = len(seq) // 2
+        fresh = copy.copy if name.startswith("dual-") else fresh_copy
+        for B in (closure_lattice(S, seq[:m]), closure_lattice(S, seq[m:])):
+            assert_shared_lattice_answers_as_fresh(B, rng, fresh)
+            checked += 1
+    assert checked == 48
