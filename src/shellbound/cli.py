@@ -188,10 +188,10 @@ def _emit(args: argparse.Namespace, envelope: dict) -> None:
         _write_json(args.out, envelope)
 
 
-def _parse_order(raw: Union[str, None]) -> Union[tuple[str, ...], None]:
+def _parse_order(raw: Union[str, None]) -> Union[list[str], None]:
     if raw is None:
         return None
-    ids = tuple(part.strip() for part in raw.split(","))
+    ids = [part.strip() for part in raw.split(",")]
     if any(not part for part in ids):
         raise InputError("--order must be a comma-separated list of face ids")
     return ids
@@ -215,9 +215,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         name, flags = _GENERATORS[args.family]
         L = getattr(generators, name)(*[_require(args, flag) for flag in flags])
     else:
-        if args.input is None:
-            raise InputError("punctured: --input is required")
-        base, _ = _load_lattice(args.input)
+        base, _ = _load_lattice(_require(args, "--input"))
         L = generators.punctured(base, args.facet)
     if args.format == "text":
         if not is_simplicial(L):
@@ -250,10 +248,9 @@ def _params(args: argparse.Namespace) -> dict:
     params = {}
     for name in _PARAMS[args.command]:
         if name == "order":
-            given = _parse_order(args.order)
-            params[name] = None if given is None else list(given)
+            params[name] = _parse_order(args.order)
         elif name == "prefix":
-            params[name] = list(_parse_order(args.order) or ())
+            params[name] = _parse_order(args.order) or []
         else:
             params[name] = getattr(args, name)
     return params
@@ -290,7 +287,7 @@ def _dispatch(
                 raise NotShellable("no shelling found")
             order = search.facets
         d = L.dim
-        ks = [args.k] if args.k is not None else list(range((d - 1) // 2, d + 1))
+        ks = [params["k"]] if params["k"] is not None else list(range((d - 1) // 2, d + 1))
         reports = [verify_lower_bound(L, order, k, budget=bud) for k in ks]
         result = {
             "order": list(order),
@@ -299,11 +296,11 @@ def _dispatch(
         return result, all(r.ok for r in reports)
 
     if command == "witness":
-        pair = find_witness_pair(L, params["order"], args.split, budget=bud)
+        pair = find_witness_pair(L, params["order"], params["split"], budget=bud)
         return pair.to_json_dict(), True
 
     if command == "corollaries":
-        ks = [args.k] if args.k is not None else list(range(L.dim + 1))
+        ks = [params["k"]] if params["k"] is not None else list(range(L.dim + 1))
         reports = [corollary_bounds(L, k, budget=bud) for k in ks]
         ok = all(
             flag is not False
@@ -313,7 +310,7 @@ def _dispatch(
         return {"reports": [r.to_json_dict() for r in reports]}, ok
 
     if command == "gubt":
-        report = gubt_compare(L, args.d, args.n, budget=bud)
+        report = gubt_compare(L, params["d"], params["n"], budget=bud)
         return report.to_json_dict(), report.all_ok
 
 

@@ -79,15 +79,18 @@ lower covers: the top covers every face of rank d + 1, the run of
 indices just below it, together with whatever its builder listed, so
 no builder computes that list and every reader reads it as it reads
 any cell's; a lesser maximal face of a non-pure complex lies under the
-top by the implicit order only.  Then it checks only what a builder's
-covers can break, on the lower covers alone: acyclicity, gradedness and
-a lower cover under every element but the bottom (a :func:`dualize` of
-a non-pure lattice lacks one, and so does the top of a complex with no
-face of rank d + 1).  It builds neither derived array.  Ids run in
-(rank, id) order, so :meth:`FaceLattice.faces` reads each rank as one
-slice of them, and the dimension of a set of faces is the rank of its
-last member, less one: ``L.ranks[mask.bit_length() - 1] - 1``, or -1
-for an empty mask.
+top by the implicit order only.  It refuses fewer than two elements,
+since a lattice needs a bottom and a top that differ.  Then it checks
+only what a builder's covers can break, on the lower covers alone:
+acyclicity, gradedness and a lower cover under every element but the
+bottom (a :func:`dualize` of a non-pure lattice lacks one, and so does
+the top of a complex with no face of rank d + 1).  The cycle test is
+:mod:`graphlib`'s, loaded only when some cover does not raise the rank
+by one, so that no valid build loads it.  It builds neither derived
+array.  Ids run in (rank, id) order, so :meth:`FaceLattice.faces`
+reads each rank as one slice of them, and the dimension of a set of
+faces is the rank of its last member, less one:
+``L.ranks[mask.bit_length() - 1] - 1``, or -1 for an empty mask.
 The library reads a cell through host masks and builds no lattice for
 it; :func:`sub_lattice` builds one only when a caller asks.
 
@@ -301,24 +304,13 @@ def _check_covers(ids: tuple[str, ...], ranks: tuple[int, ...], lower: tuple) ->
 
 
 def _check_acyclic(lower: tuple[tuple[int, ...], ...]) -> None:
-    # Kahn's algorithm from the top down: an element is taken once every
-    # element it lies under is taken
-    n = len(lower)
-    above = [0] * n
-    for below in lower:
-        for a in below:
-            above[a] += 1
-    queue = [x for x in range(n) if above[x] == 0]
-    seen = 0
-    while queue:
-        b = queue.pop()
-        seen += 1
-        for a in lower[b]:
-            above[a] -= 1
-            if above[a] == 0:
-                queue.append(a)
-    if seen != n:
-        raise CyclicCovers("cover relation contains a cycle")
+    # imported here, so that only refused input loads it
+    import graphlib
+
+    try:
+        graphlib.TopologicalSorter(dict(enumerate(lower))).prepare()
+    except graphlib.CycleError:
+        raise CyclicCovers("cover relation contains a cycle") from None
 
 
 class FaceLattice:
@@ -334,9 +326,11 @@ class FaceLattice:
     of that it trusts, since every builder vouches for it.  The ids are
     the index's keys and ``dim`` is the top's rank less 2.  The top's
     lower covers it sets itself: every face of rank ``dim + 1``, merged
-    with the top's list as handed.  It checks only what the covers can
-    break, on the lower covers alone: that the lengths agree, acyclicity,
-    gradedness and a lower cover under every element but the bottom.
+    with the top's list as handed.  It checks that the lengths agree and
+    that there are at least two elements, a bottom and a top, and then
+    only what the covers can break, on the lower covers alone:
+    acyclicity, gradedness and a lower cover under every element but the
+    bottom.
     The down-set bit vectors and the upper-cover lists are built on first
     read, by ``_down_sets`` and ``_upper_covers``; until then their slots
     hold None.  No ``__getattr__`` builds them, since attribute reads on
@@ -367,6 +361,8 @@ class FaceLattice:
         n = len(index)
         if not len(ranks) == len(lower) == n:
             raise InvalidFace(f"{n} ids, {len(ranks)} ranks and {len(lower)} lower cover lists")
+        if n < 2:
+            raise InvalidFace("need a bottom and a top")
         # the index's keys are the ids, and its int objects the ones the
         # lower lists hold
         self._index = index

@@ -227,6 +227,19 @@ def bistellar_sphere(n: int, seed: int) -> sb.FaceLattice:
     return sb.from_facets(sorted(sorted(f) for f in facets))
 
 
+def stacked_sphere(d: int, m: int, seed: int) -> sb.FaceLattice:
+    """A stacked d-sphere (Ziegler, *Lectures on Polytopes*, Lecture 0):
+    the boundary of the (d+1)-simplex on the vertices 1..d+2, then, m
+    times, a seeded facet F replaced by the d + 1 facets F - {u} | {new},
+    the cone from a new vertex over the boundary of F."""
+    rng = random.Random(seed)
+    facets = [frozenset(f) for f in combinations(range(1, d + 3), d + 1)]
+    for new in range(d + 3, d + 3 + m):
+        F = facets.pop(rng.randrange(len(facets)))
+        facets += [F - {u} | {new} for u in sorted(F)]
+    return sb.from_facets(sorted(sorted(f) for f in facets))
+
+
 def lune_sphere() -> sb.FaceLattice:
     """A regular CW 3-sphere that is not strongly regular (Björner, Europ.
     J. Combin. 1984): two 3-cells ``B1`` and ``B2`` glued along the

@@ -28,6 +28,7 @@ from corpus import (
     pyramid,
     shelled_spheres_d_le_3,
     spheres_d_le_3,
+    stacked_sphere,
 )
 from oracles import naive_is_boolean, naive_witness
 
@@ -1415,6 +1416,28 @@ def test_random_bistellar_three_spheres_take_the_proof_route(n, seed):
     # every fourth sphere of the first twenty
     if n < 24 and seed % 4 == 0:
         assert_shared_lattice_answers_as_fresh(L, random.Random(seed))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_spheres_meet_the_bound_with_equality_at_the_top_two_dimensions(d):
+    # each stacking adds a vertex and the cone over a facet's boundary
+    for m in range(7):
+        for seed in range(3):
+            L = stacked_sphere(d, m, seed)
+            f = sb.f_vector(L)
+            assert [f[k] for k in range(d + 1)] == [
+                *(comb(d + 2, k + 1) + m * comb(d + 1, k) for k in range(d)), d + 2 + m * d
+            ], (m, seed)
+            assert h_vector(L) == [1, *[m + 1] * d, 1], (m, seed)
+            order = sb.find_shelling(L)
+            assert isinstance(sb.is_shelling(L, order), sb.ShellingCertificate), (m, seed)
+            for k in range((d - 1) // 2, d + 1):
+                report = sb.verify_lower_bound(L, order, k)
+                assert report.ok and report.equality == (k >= d - 1), (m, seed, k)
+            for k in range(d + 1):
+                r = sb.corollary_bounds(L, k)
+                assert r.dual_cl_shellable and r.cl_shellable, (m, seed, k)
+                assert False not in (r.facet_bound_ok, r.vertex_bound_ok, r.barany_ok), (m, seed, k)
 
 
 DATA = Path(__file__).parent / "data"

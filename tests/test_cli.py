@@ -152,9 +152,10 @@ def test_gen_text_format_on_the_lune_ball_is_usage_error(tmp_path):
     assert proc.stderr == "shellbound: facet-list text output needs a simplicial complex\n"
 
 
-def test_gen_missing_parameter():
-    assert run(["gen", "ngon"]) == 2
-    assert run(["gen", "punctured"]) == 2
+def test_gen_missing_parameter(capsys):
+    for family, flag in (("ngon", "--n"), ("punctured", "--input")):
+        assert run(["gen", family]) == 2
+        assert capsys.readouterr().err == f"shellbound: {family}: {flag} is required\n"
 
 
 def test_gen_size_guard_is_usage_error(capsys):

@@ -6,7 +6,9 @@ all), each the closure of a random set of facets, and on three
 hand-made complexes that are no strongly regular spheres.  The same DP
 lists the dead prefixes, the sets of facets that the step rule accepts
 but that no shelling completes: thin 2-spheres and 2-balls have none,
-and the search refutes a forced prefix exactly when it is dead."""
+and the search refutes a forced prefix exactly when it is dead.  On
+random orders of the seeded closures, ``is_shelling`` fails at the first
+step that the DP's step rule refuses, and accepts when none is."""
 
 import random
 
@@ -22,7 +24,7 @@ from corpus import (
     pyramid,
     spheres_d_le_3,
 )
-from oracles import dead_prefixes, prefix_sets, subset_first_shelling
+from oracles import _cell_shellings, _placements, dead_prefixes, prefix_sets, subset_first_shelling
 
 HOSTS = (
     *((f"bistellar-8-{seed}", bistellar_sphere, (8, seed)) for seed in range(4)),
@@ -60,6 +62,27 @@ def test_the_search_finds_the_oracles_first_shelling_and_its_none():
             answers.append(expected is None)
     # both answers are well represented
     assert 20 <= sum(answers) <= len(answers) - 20, sum(answers)
+
+
+def test_is_shelling_fails_random_orders_at_the_oracles_first_bad_step():
+    # the oracle's verdict on an order is its first step that the DP's
+    # step rule refuses, given the facets placed before it
+    accepted = refused = 0
+    for name, L in _subcomplexes():
+        _, admissible, _ = _placements(L, (), _cell_shellings(L))
+        rng = random.Random(f"orders:{name}")
+        for _ in range(8):
+            order = rng.sample(L.facets(), len(L.facets()))
+            bad = next((j for j in range(1, len(order) + 1)
+                        if not admissible(frozenset(order[:j - 1]), order[j - 1])), None)
+            result = sb.is_shelling(L, order)
+            if bad is None:
+                assert isinstance(result, sb.ShellingCertificate), (name, order)
+                accepted += 1
+            else:
+                assert isinstance(result, sb.ShellingFailure) and result.step == bad, (name, order)
+                refused += 1
+    assert (accepted, refused) == (107, 309)
 
 
 def _thin_2_complexes() -> list[tuple[str, sb.FaceLattice]]:

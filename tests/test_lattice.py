@@ -161,7 +161,7 @@ def test_the_first_fault_of_the_covers_is_reported(elements, covers, dim, error,
 
 def test_the_cycle_check_walks_covers_against_the_index():
     # lower covers as the constructor keeps them, but 3 lies under 1,
-    # against the index order: Kahn's walk does not assume index order
+    # against the index order: the cycle check does not assume index order
     from shellbound.lattice import _check_acyclic
 
     lower = ((), (0, 3), (0,), (0,), (1, 2))
@@ -312,6 +312,13 @@ def test_the_constructor_rejects_arrays_of_unequal_length():
     with pytest.raises(sb.InvalidFace) as err:
         sb.FaceLattice({BOTTOM_ID: 0, TOP_ID: 1}, [0, 2], [()])
     assert str(err.value) == "2 ids, 2 ranks and 1 lower cover lists"
+
+
+def test_the_constructor_refuses_a_call_without_a_bottom_and_a_top():
+    for args in (({}, [], []), ({BOTTOM_ID: 0}, [0], [()])):
+        with pytest.raises(sb.InvalidFace) as err:
+            sb.FaceLattice(*args)
+        assert str(err.value) == "need a bottom and a top"
 
 
 def test_constructor_pauses_the_collector_and_restores_it():
