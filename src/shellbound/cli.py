@@ -2,17 +2,18 @@
 
 Every checking subcommand emits one report: a JSON object with the tool
 version, the claim tag being checked, a sha256 of the input, the
-parameters, and the result.  The version also marks the report schema;
-README's "Certificate format" section gives its history.  Each report
-is one ``json.dumps`` with sorted keys and no white space, then a
-newline, so reports are byte-stable given identical inputs and can be
-kept as golden files.  ``gen`` is the exception: it emits the complex
-itself, in the same compact JSON, ready to be fed back through
-``--input``.
+parameters (the subcommand's own flags, as parsed), and the result.
+The version also marks the report schema; README's "Certificate format"
+section gives its history.  Each report is one ``json.dumps`` with
+sorted keys and no white space, then a newline, so reports are
+byte-stable given identical inputs and can be kept as golden files.
+``gen`` is the exception: it emits the complex itself, in the same
+compact JSON, ready to be fed back through ``--input``.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report is still written); 2 usage or input error; 3 search budget
-exceeded.
+exceeded.  The argument parser refuses a malformed flag, ``--order``
+included, before any input is read.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ _GENERATORS = {
 }
 FAMILIES = (*_GENERATORS, "punctured")
 
+# what a report's ``params`` leave out of the parsed arguments: the
+# subcommand's name and the flags ``common`` gives every checking one
+_COMMON = ("command", "input", "out", "format", "budget")
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -91,20 +96,22 @@ def _parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check-shelling", help="verify a facet order")
     common(c)
-    c.add_argument("--order", required=True, help="comma-separated facet ids")
+    c.add_argument("--order", type=_parse_order, required=True, help="comma-separated facet ids")
 
     f = sub.add_parser("find-shelling", help="search for a shelling order")
     common(f)
-    f.add_argument("--order", help="comma-separated facet ids to use as a prefix")
+    f.add_argument("--order", type=_parse_order, dest="prefix", default=[], metavar="ORDER",
+                   help="comma-separated facet ids to use as a prefix")
 
     b = sub.add_parser("bounds", help="verify the face-number lower bound")
     common(b)
-    b.add_argument("--order", help="shelling order (found automatically if omitted)")
+    b.add_argument("--order", type=_parse_order,
+                   help="shelling order (found automatically if omitted)")
     b.add_argument("--k", type=int, help="dimension to check (sweeps the range if omitted)")
 
     w = sub.add_parser("witness", help="construct the split witness pair")
     common(w)
-    w.add_argument("--order", required=True, help="comma-separated facet ids")
+    w.add_argument("--order", type=_parse_order, required=True, help="comma-separated facet ids")
     w.add_argument("--split", type=int, required=True, help="split position j")
 
     r = sub.add_parser("corollaries", help="shellability-conditional floors")
@@ -147,10 +154,7 @@ def _load_lattice(path: str) -> tuple[FaceLattice, str]:
     except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
     del text
-    try:
-        return lattice_from_json_dict(data), digest
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: malformed lattice JSON: {e}") from None
+    return lattice_from_json_dict(data), digest
 
 
 def _write_text(out: Union[str, None], text: str) -> None:
@@ -188,12 +192,10 @@ def _emit(args: argparse.Namespace, envelope: dict) -> None:
         _write_json(args.out, envelope)
 
 
-def _parse_order(raw: Union[str, None]) -> Union[list[str], None]:
-    if raw is None:
-        return None
+def _parse_order(raw: str) -> list[str]:
     ids = [part.strip() for part in raw.split(",")]
     if any(not part for part in ids):
-        raise InputError("--order must be a comma-separated list of face ids")
+        raise argparse.ArgumentTypeError("--order must be a comma-separated list of face ids")
     return ids
 
 
@@ -230,30 +232,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-# each checking subcommand's report params, in the form the report gives
-# them: ``order`` and ``prefix`` are read from ``--order`` as id lists
-_PARAMS = {
-    "check-shelling": ("order",),
-    "find-shelling": ("prefix",),
-    "bounds": ("order", "k"),
-    "witness": ("order", "split"),
-    "corollaries": ("k",),
-    "gubt": ("d", "n"),
-}
-
-
 def _params(args: argparse.Namespace) -> dict:
-    """The report's ``params``, the same whether the run is accepted,
-    rejected or stopped by an error."""
-    params = {}
-    for name in _PARAMS[args.command]:
-        if name == "order":
-            params[name] = _parse_order(args.order)
-        elif name == "prefix":
-            params[name] = _parse_order(args.order) or []
-        else:
-            params[name] = getattr(args, name)
-    return params
+    """The report's ``params``: the subcommand's own flags, as parsed, the
+    same whether the run is accepted, rejected or stopped by an error."""
+    return {name: value for name, value in vars(args).items() if name not in _COMMON}
 
 
 def _dispatch(

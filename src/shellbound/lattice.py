@@ -104,15 +104,15 @@ nowhere else:
 
 * this module, set once through ``_memoised``: ``"whole complex"`` (the
   lattice as one :class:`Subcomplex`), ``"diamond lattice"`` (whether
-  :func:`is_lattice` and :func:`is_diamond` hold), ``"dual"`` (its
-  :func:`dualize`, so that searches on the dual share one memo) and
+  :func:`is_lattice` and :func:`is_diamond` hold) and
   ``"boolean cells"`` (the mask of the cells with a Boolean lower
   interval, read through ``_boolean_cells`` by :func:`is_simplicial`,
   by ``find_shelling`` and ``is_shelling`` once per call, which pass
   it down the shelling recursion, and by the certificate writer once
   per call, which names no node for a simplex or a 2-cell).  The
-  verdict is kept apart from the dual, which a lattice that passes the
-  diamond test can lack (a sphere plus an isolated vertex);
+  verdict is kept apart from ``shelling``'s ``"dual"``, which a lattice
+  that passes the diamond test can lack (a sphere plus an isolated
+  vertex);
 * ``shelling``: its searches and sub-certificates, one per cell, under
   the tuple keys ``(cell index, prefix bitmask)`` and ``(cell index,
   facet order)``, kept apart by the int or tuple second part; the
@@ -121,7 +121,9 @@ nowhere else:
   cell of rank at most 3, an edge's included, goes in as a
   ``shelling._ClosedCertificate`` with its facets only, and builds its
   steps when they are first read, adding the sub-certificates they name
-  then;
+  then.  And, set once through ``_memoised`` by ``is_cl_shellable``:
+  ``"dual"`` (the lattice's :func:`dualize`, so that searches on the
+  dual share one memo);
 * ``bounds``: one slot, replaced rather than set once, written by
   ``bounds._verified`` alone: ``"proof"``, one ``bounds._Proof`` of the
   last whole-complex order that the proof route verified.  It holds

@@ -313,6 +313,43 @@ PRODUCT_BASES = {
 }
 
 
+def product(A: sb.FaceLattice, B: sb.FaceLattice) -> sb.FaceLattice:
+    """The boundary of P x Q for the polytopes P and Q whose boundaries are
+    ``A`` and ``B``: a face ``x*y`` of rank rank(x) + rank(y) - 1 for each
+    pair of non-empty faces, P (``A.top``) and Q (``B.top``) included,
+    but for (P, Q) itself.  A face covers the faces that lower one
+    coordinate to a non-empty face, and the bottom covers each pair of
+    vertices.  Built through ``build_lattice`` listing no cover to the
+    top."""
+    elements = [(BOTTOM_ID, 0), (TOP_ID, A.dim + B.dim + 3)]
+    covers = []
+    for x, r in zip(A.ids[1:], A.ranks[1:]):
+        for y, t in zip(B.ids[1:], B.ranks[1:]):
+            if (x, y) == (A.top, B.top):
+                continue
+            elements.append((f"{x}*{y}", r + t - 1))
+            if r + t == 2:
+                covers.append((BOTTOM_ID, f"{x}*{y}"))
+            covers += [(f"{u}*{y}", f"{x}*{y}") for u in A.lower_covers(x) if u != A.bottom]
+            covers += [(f"{x}*{v}", f"{x}*{y}") for v in B.lower_covers(y) if v != B.bottom]
+    return sb.build_lattice(elements, covers, A.dim + B.dim + 1)
+
+
+def free_sum(A: sb.FaceLattice, B: sb.FaceLattice) -> sb.FaceLattice:
+    """The boundary of the free sum of P and Q, the polar of the product
+    of their polars."""
+    return sb.dualize(product(sb.dualize(A), sb.dualize(B)))
+
+
+# the products of a triangle or a square with each base of the pyramids
+# and prisms, and their free sums, each with its two factors: polytope
+# boundaries of dimension 3 to 5
+PRODUCTS = {
+    f"{join.__name__}-ngon-{m}-{name}": (join, partial(sb.ngon, m), base)
+    for join in (product, free_sum) for m in (3, 4) for name, base in PRODUCT_BASES.items()
+}
+
+
 def barycentric_subdivision(L: sb.FaceLattice) -> sb.FaceLattice:
     """The order complex of ``L``'s proper part: a vertex for each proper
     face, named by the face's index in ``L``, and a facet for each maximal

@@ -847,15 +847,44 @@ def test_non_utf8_input_is_usage_error(capsys, tmp_path):
     assert capsys.readouterr() == ("", proc.stderr)
 
 
-def test_empty_order_entry_is_usage_error(capsys, oct_json):
-    argv = ["check-shelling", "--input", oct_json, "--order", "a,,b"]
+@pytest.mark.parametrize("command, flags, present", [
+    ("check-shelling", [], True),
+    ("find-shelling", [], True),
+    ("bounds", ["--k", "1"], True),
+    ("witness", ["--split", "2"], True),
+    # the parser refuses the flag before the input is opened, so a
+    # missing input file gets the same message
+    ("check-shelling", [], False),
+], ids=["check-shelling", "find-shelling", "bounds", "witness", "absent-input"])
+def test_empty_order_entry_is_usage_error(capsys, tmp_path, oct_json, command, flags, present):
+    path = oct_json if present else str(tmp_path / "absent.json")
+    argv = [command, "--input", path, "--order", "a,,b", *flags]
     proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert "--order must be a comma-separated list of face ids" in proc.stderr
+    assert proc.stderr.startswith(f"usage: shellbound {command} ")
+    assert "argument --order: --order must be a comma-separated list of face ids" in proc.stderr
     assert run(argv) == 2
     assert capsys.readouterr() == ("", proc.stderr)
+
+
+OCT_ORDER = ["123", "126", "135", "156", "234", "246", "345", "456"]
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["check-shelling", "--order", ",".join(OCT_ORDER)], {"order": OCT_ORDER}),
+    (["find-shelling"], {"prefix": []}),
+    (["bounds"], {"order": None, "k": None}),
+    (["witness", "--order", ",".join(OCT_ORDER), "--split", "2"],
+     {"order": OCT_ORDER, "split": 2}),
+    (["corollaries"], {"k": None}),
+    (["gubt", "--d", "3", "--n", "6"], {"d": 3, "n": 6}),
+], ids=["check-shelling", "find-shelling", "bounds", "witness", "corollaries", "gubt"])
+def test_a_report_gives_the_subcommands_own_flags_as_params(tmp_path, oct_json, argv, params):
+    out = tmp_path / "report.json"
+    assert run([*argv, "--input", oct_json, "--budget", "100000", "--out", str(out)]) == 0
+    assert read_envelope(out)["params"] == params
 
 
 def test_malformed_json_input(tmp_path):

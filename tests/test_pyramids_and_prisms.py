@@ -1,12 +1,13 @@
-"""Pyramids and prisms over polytope boundaries, built listing no cover
-to the top: polytope boundaries again, so every claim the package checks
-holds on them and on their punctures."""
+"""Pyramids and prisms over polytope boundaries, and products and free
+sums of them, built listing no cover to the top: polytope boundaries
+again, so every claim the package checks holds on them and on the
+punctures of the pyramids and prisms."""
 
 import pytest
 
 import shellbound as sb
 
-from corpus import PRODUCT_BASES, prism, pyramid
+from corpus import PRODUCT_BASES, PRODUCTS, prism, product, pyramid
 
 CASES = {f"{make.__name__}-{name}": (make, name)
          for make in (pyramid, prism) for name in PRODUCT_BASES}
@@ -49,3 +50,34 @@ def test_a_pyramid_and_a_prism_of_known_polytopes():
              (prism(sb.hypercube_boundary(2)), sb.hypercube_boundary(3))]
     for built, known in pairs:
         assert sb.f_vector(built) == sb.f_vector(known)
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_products_and_free_sums_are_shellable_spheres(name):
+    join, P, Q = PRODUCTS[name]
+    S = join(P(), Q())
+    d = S.dim
+    if join is product:
+        # a face of the product is a pair of faces, each polytope its own
+        # top face
+        fp, fq = (list(sb.f_vector(F()).proper) + [1] for F in (P, Q))
+        assert sb.f_vector(S).proper == tuple(
+            sum(fp[i] * fq[k - i] for i in range(len(fp)) if 0 <= k - i < len(fq))
+            for k in range(d + 1))
+    assert sb.is_lattice(S) and sb.is_diamond(S)
+    order = sb.find_shelling(S)
+    assert isinstance(sb.is_shelling(S, order), sb.ShellingCertificate)
+    _check_bounds(S, sb.is_simplicial(S))
+    for k in range(d + 1):
+        report = sb.corollary_bounds(S, k)
+        assert report.dual_cl_shellable and report.cl_shellable, k
+        assert False not in (report.facet_bound_ok, report.vertex_bound_ok,
+                             report.barany_ok), k
+
+
+def test_a_product_of_known_polytopes():
+    # a square times a square is the 4-cube, and a segment times a
+    # polytope the prism over it
+    assert sb.f_vector(product(sb.ngon(4), sb.ngon(4))) == sb.f_vector(sb.hypercube_boundary(3))
+    for base in PRODUCT_BASES.values():
+        assert sb.f_vector(product(sb.simplex_boundary(0), base())) == sb.f_vector(prism(base()))

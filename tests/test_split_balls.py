@@ -18,6 +18,7 @@ import shellbound as sb
 
 from corpus import (
     PRODUCT_BASES,
+    PRODUCTS,
     SUBDIVIDED,
     barycentric_subdivision,
     bistellar_sphere,
@@ -67,7 +68,8 @@ def _check_ball(B: sb.FaceLattice, order: tuple[str, ...], name) -> int:
 
 def test_shelling_splits_are_balls_that_meet_the_bound():
     cases = pairs = 0
-    for name, S in _spheres():
+    products = [(name, join(P(), Q())) for name, (join, P, Q) in PRODUCTS.items()]
+    for name, S in _spheres() + products:
         seq = sb.find_shelling(S).facets
         n, d = len(seq), S.dim
         f = sb.f_vector(S)
