@@ -37,9 +37,9 @@ it once per lattice.  The proof keeps its :func:`_decomposition`, so
 each facet boundary is cut once for every k, and its :func:`_split` at
 each position a call asked for, so its guards run once per order and
 position.  :meth:`_Proof.cut` admits every split position, warm or
-fresh: an int, not a bool, with 0 <= j <= n, else :class:`InvalidSplit`;
-``_require_k`` admits k alike, in the range of the entry that takes it,
-else :class:`RangeError`.
+fresh, with 0 <= j <= n, else :class:`InvalidSplit`, and each entry
+admits k in its own range, else :class:`RangeError`; both ask
+``lattice._require_int``, so an int passes and a bool does not.
 The facts that do not depend on the order are kept in the lattice's
 memo, each derived once by this module: the f-vectors of the complex
 and of its boundary and the two CL verdicts of the corollaries.  Every
@@ -99,6 +99,7 @@ from .lattice import (
     _least_atom_avoiding,
     _memoised,
     _record,
+    _require_int,
     _require_sphere,
     _upper_covers,
     boundary_complex,
@@ -133,16 +134,6 @@ class RhoCoefficient:
     value: Fraction
 
 
-def _require_k(k: int, lo: int, hi: int) -> None:
-    """Refuse k with :class:`RangeError` unless it is an int, a bool not
-    counting as one, with ``lo <= k <= hi`` and, as a face dimension,
-    ``k >= 0``: the one check of k on the proof route.  The message names
-    the range enforced, from ``max(lo, 0)``."""
-    lo = max(lo, 0)
-    if type(k) is not int or not lo <= k <= hi:
-        raise RangeError(f"need {lo} <= k <= {hi}, got k={k!r}")
-
-
 def _halves(d_plus_1: int) -> tuple[int, int]:
     return (d_plus_1 + 1) // 2, d_plus_1 // 2
 
@@ -155,11 +146,8 @@ def rho(d_plus_1: int, k: int) -> RhoCoefficient:
     """
     from fractions import Fraction
 
-    if type(d_plus_1) is not int:
-        raise RangeError(f"rho needs an int d_plus_1, got {d_plus_1!r}")
-    d = d_plus_1 - 1
-    if d < 0 or type(k) is not int or not 0 <= k <= d:
-        raise RangeError(f"rho needs 0 <= k <= {d}, got k={k!r}")
+    _require_int(d_plus_1, 1, None, "d_plus_1")
+    _require_int(k, 0, d_plus_1 - 1, "k")
     return RhoCoefficient(d_plus_1, k, Fraction(_rho_doubled(d_plus_1, k), 2))
 
 
@@ -173,14 +161,16 @@ def binomial_split_lb(a: int, b: int, d: int, m: int) -> bool:
     """Whether C(a, m) + C(b, m) meets the balanced-split floor
     C(ceil((d+1)/2), m) + C(floor((d+1)/2), m).
 
-    Requires a, b >= 0, a + b >= d + 1 and 1 <= m <= ceil((d+1)/2); the
-    floor is attained by the most balanced split of d + 1.
+    Requires ints a, b, d >= 0, a bool not counting as one, with
+    a + b >= d + 1 and 1 <= m <= ceil((d+1)/2); the floor is attained by
+    the most balanced split of d + 1.
     """
+    for value, name in ((a, "a"), (b, "b"), (d, "d")):
+        _require_int(value, 0, None, name, PreconditionViolated)
     hi, lo = _halves(d + 1)
-    if a < 0 or b < 0 or a + b < d + 1 or not 1 <= m <= hi:
-        raise PreconditionViolated(
-            f"need a,b >= 0, a+b >= {d + 1}, 1 <= m <= {hi}; got a={a} b={b} m={m}"
-        )
+    _require_int(m, 1, hi, "m", PreconditionViolated)
+    if a + b < d + 1:
+        raise PreconditionViolated(f"need a+b >= {d + 1}, got a={a} b={b}")
     return comb(a, m) + comb(b, m) >= comb(hi, m) + comb(lo, m)
 
 
@@ -219,9 +209,7 @@ class _Proof:
         """``_split(cert, j)`` at an int position ``0 <= j <= n``, a bool
         not counting as an int, else :class:`InvalidSplit`: the one check
         of a split position."""
-        n = len(self.cert.facets)
-        if type(j) is not int or not 0 <= j <= n:
-            raise InvalidSplit(f"need 0 <= j <= {n}, got {j!r}")
+        _require_int(j, 0, len(self.cert.facets), "j", InvalidSplit)
         if j not in self.cuts:
             self.cuts[j] = _split(self.cert, j)
         return self.cuts[j]
@@ -312,7 +300,8 @@ def check_split_count(
     the verdict.
     """
     delta = L.dim
-    _require_k(k, delta // 2, delta)
+    # the least k is a face dimension, also on the empty complex
+    _require_int(k, max(delta // 2, 0), delta, "k")
     proof = _verified(L, order, _as_budget(budget))
     pair = proof.cut(j)
     count = L._rank_masks[k + 1]
@@ -423,9 +412,7 @@ def find_witness_pair(
     """
     proof = _verified(L, order, _as_budget(budget))
     _require_sphere(L)
-    n = len(proof.cert.facets)
-    if type(j) is not int or not 1 <= j < n:
-        raise InvalidSplit(f"need 1 <= j < {n}, got {j!r}")
+    _require_int(j, 1, len(proof.cert.facets) - 1, "j", InvalidSplit)
     begin, end = _witness(proof.cert, j)
     begin_face, end_face = L.ids[begin], L.ids[end]
     pair = proof.cut(j)
@@ -639,10 +626,8 @@ def vandermonde_check(d: int, k: int) -> bool:
 
     The full convolution identity is recomputed and enforced on the way.
     """
-    if type(d) is not int:
-        raise RangeError(f"need an int d, got {d!r}")
-    if d < 1 or type(k) is not int or not 0 <= k <= d:
-        raise RangeError(f"need d >= 1 and 0 <= k <= {d}, got k={k!r}")
+    _require_int(d, 1, None, "d")
+    _require_int(k, 0, d, "k")
     hi, lo = _halves(d + 1)
     m = d - k
     if comb(d + 1, m) != sum(comb(hi, i) * comb(lo, m - i) for i in range(m + 1)):
@@ -670,7 +655,7 @@ def verify_lower_bound(
     d = X.dim
     if d < 1:
         raise RangeError(f"the bound needs dimension at least 1, got dimension {d}")
-    _require_k(k, (d - 1) // 2, d)
+    _require_int(k, (d - 1) // 2, d, "k")
     proof = _verified(X, order, _as_budget(budget))
     if not is_pseudomanifold(X):
         raise NotPseudomanifold("the bound applies to pseudomanifolds")
@@ -742,7 +727,7 @@ def corollary_bounds(
     if not _is_diamond_lattice(L):
         raise NotDiamond("the corollaries are stated for diamond lattices")
     d = L.dim
-    _require_k(k, 0, d)
+    _require_int(k, 0, d, "k")
     bud = _as_budget(budget)
     dual_cl = _memoised(L, "dual CL-shellable", lambda L: is_dual_cl_shellable(L, budget=bud))
     cl = _memoised(L, "CL-shellable", lambda L: is_cl_shellable(L, budget=bud))

@@ -4,9 +4,10 @@ polygons, cyclic polytope boundaries, and punctured spheres.
 All generators return validated :class:`FaceLattice` objects with
 deterministic face ids, so the same call always produces the same labels
 in the same order.  Size guards keep the combinatorial blow-up of the
-larger families within interactive reach; they raise :class:`RangeError`
-rather than letting a call run away, and for a size that is not an int,
-a bool not counting as one, shown by its ``repr``.
+larger families within interactive reach; each is one call of
+``lattice._require_int``, which raises :class:`RangeError` rather than
+letting a call run away, and for a size that is not an int, a bool not
+counting as one, names the range and shows the size by its ``repr``.
 
 Each generator builds the constructor's resolved form from integer face
 codes, with no string pairs to resolve: the simplicial families through
@@ -27,14 +28,14 @@ from __future__ import annotations
 from itertools import combinations, product, repeat
 from typing import Union
 
-from .errors import InvalidFace, PreconditionViolated, RangeError
-from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, _require_sphere, _restricted, from_facets
+from .errors import InvalidFace, PreconditionViolated
+from .lattice import BOTTOM_ID, TOP_ID, FaceLattice, from_facets
+from .lattice import _require_int, _require_sphere, _restricted
 
 
 def simplex_boundary(d: int) -> FaceLattice:
     """Boundary of the (d+1)-simplex on vertices 1..d+2, a d-sphere."""
-    if type(d) is not int or not 0 <= d <= 12:
-        raise RangeError(f"need 0 <= d <= 12, got {d!r}")
+    _require_int(d, 0, 12, "d")
     return from_facets(combinations(range(1, d + 3), d + 1))
 
 
@@ -44,8 +45,7 @@ def cross_polytope(d: int) -> FaceLattice:
     Vertices i and i + d + 1 are antipodal; the facets pick one vertex
     from each antipodal pair.
     """
-    if type(d) is not int or not 1 <= d <= 6:
-        raise RangeError(f"need 1 <= d <= 6, got {d!r}")
+    _require_int(d, 1, 6, "d")
     m = d + 1
     pairs = [(i, i + m) for i in range(1, m + 1)]
     return from_facets(product(*pairs))
@@ -58,8 +58,7 @@ def hypercube_boundary(d: int) -> FaceLattice:
     fixed letter; ``*`` marks a free coordinate, so the face dimension is
     the number of stars.  A cover fixes exactly one star.
     """
-    if type(d) is not int or not 1 <= d <= 6:
-        raise RangeError(f"need 1 <= d <= 6, got {d!r}")
+    _require_int(d, 1, 6, "d")
     m = d + 1
     # a word read in base 3, * = 0, 0 = 1 and 1 = 2, the first letter most
     # significant, is its code; as * < 0 < 1, code order is id order
@@ -94,11 +93,8 @@ def ngon(n: int) -> FaceLattice:
     (10, 11) and (101, 1) when n = 101, every edge id puts a ``-``
     between its ends instead: ``e1-2, ..., e101-1``.
     """
-    if type(n) is not int or n < 3:
-        raise RangeError(f"need n >= 3, got {n!r}")
-    if n > 8191:
-        # 16 384 elements, as many as simplex_boundary(12), the largest family
-        raise RangeError(f"need n <= 8191, got {n}")
+    # at most 16 384 elements, as many as simplex_boundary(12), the largest family
+    _require_int(n, 3, 8191, "n")
     ends = [(i, i % n + 1) for i in range(1, n + 1)]
     sep = "" if len({f"{a}{b}" for a, b in ends}) == n else "-"
     edges = sorted((f"e{a}{sep}{b}", a, b) for a, b in ends)
@@ -146,10 +142,8 @@ def cyclic_boundary(d: int, n: int) -> FaceLattice:
     every maximal run of consecutive chosen elements that contains
     neither 1 nor n has even length.
     """
-    if type(d) is not int or not 2 <= d <= 6:
-        raise RangeError(f"need 2 <= d <= 6, got d={d!r}")
-    if type(n) is not int or not d + 1 <= n <= 16:
-        raise RangeError(f"need {d + 1} <= n <= 16, got n={n!r}")
+    _require_int(d, 2, 6, "d")
+    _require_int(n, d + 1, 16, "n")
     return from_facets(_gale_facets(d, n))
 
 

@@ -150,8 +150,11 @@ once per lattice, :func:`is_lattice` from the pairs of sibling facets of
 each cell, not from every pair of elements; ``_boolean_cells``, the
 exact test of which cells are simplices, and :func:`is_simplicial`,
 which reads it; and
-``_require_sphere``, the one check of the sphere hypothesis.  The other
-modules import these and define none of their own.  Here too are
+``_require_sphere``, the one check of the sphere hypothesis.  Beside
+them is ``_require_int``, the one check of a whole-number argument, a
+size, a dimension, a rank, a position or a budget: an int, a bool not
+counting as one, in a range, else the caller's error, in one wording.
+The other modules import these and define none of their own.  Here too are
 ``_record``, the decorator that makes the library's result classes
 (:class:`FVector` here, the shelling orders, certificates and failures,
 and the bounds reports) immutable records, and ``_json_fields``, the
@@ -1164,6 +1167,17 @@ def _require_sphere(x: Complex) -> None:
         raise PreconditionViolated("the complex has nonempty boundary; need a sphere")
 
 
+def _require_int(
+    value: object, lo: int, hi: Union[int, None], name: str, error: type = RangeError
+) -> None:
+    """Raise ``error`` unless ``value`` is an int, a bool not counting as
+    one, with ``lo <= value`` and, unless ``hi`` is None, ``value <= hi``;
+    the one check of a whole-number argument."""
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        need = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise error(f"need {need}, got {name}={value!r}")
+
+
 def interior(x: Complex) -> FaceSet:
     """Faces not contained in the boundary.
 
@@ -1235,10 +1249,11 @@ def upper_interval_count(L: FaceLattice, face_id: str, s: int) -> tuple[int, boo
     at rank ``s`` (with r <= s <= D - 1) is at least ``C(D - r, D - s)``.
     """
     x = L.index(face_id)
+    if x == L._top:
+        raise InvalidFace("the artificial top is not a face")
     r = L.ranks[x]
     top_rank = L.dim + 2
-    if type(s) is not int or not r <= s <= top_rank - 1:
-        raise RankOutOfRange(f"need rank {r} <= s <= {top_rank - 1}, got {s!r}")
+    _require_int(s, r, top_rank - 1, "s", RankOutOfRange)
     count = len(next(islice(_levels_above(L, x), s - r, None), ()))
     return count, count >= comb(top_rank - r, top_rank - s)
 

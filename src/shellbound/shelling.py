@@ -120,7 +120,6 @@ from .errors import (
     NotDiamond,
     NotPseudomanifold,
     PreconditionViolated,
-    RangeError,
 )
 from .lattice import (
     FaceLattice,
@@ -132,6 +131,7 @@ from .lattice import (
     _json_fields,
     _memoised,
     _record,
+    _require_int,
     boundary_complex,
     dualize,
     is_pseudomanifold,
@@ -152,12 +152,7 @@ class SearchBudget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
-        # type(), not isinstance(): bool is an int subclass, and True must
-        # not pass for a budget of 1
-        if type(limit) is not int:
-            raise RangeError(f"a search budget must be an int, got {limit!r}")
-        if limit < 0:
-            raise RangeError(f"a search budget must be at least 0, got {limit}")
+        _require_int(limit, 0, None, "budget")
         self.limit = limit
         self.spent = 0
 
@@ -268,6 +263,7 @@ class ShellingCertificate:
         _down_sets(L)
         index: dict[tuple[int, tuple[str, ...]], int] = {}
         nodes: list[dict] = []
+        budget = SearchBudget()
 
         def steps_json(cert: ShellingCertificate) -> list[dict]:
             out = []
@@ -282,7 +278,7 @@ class ShellingCertificate:
                         nodes.append({"cell": ids[x], "order": list(sub.facets)})
                         nodes[ref]["steps"] = steps_json(sub)
                 else:
-                    closed = _search(L, x, L._mask_of(glued), simplices, SearchBudget())
+                    closed = _search(L, x, L._mask_of(glued), simplices, budget)
                     if closed is None or tuple(map(ids.__getitem__, closed)) != sub.facets:
                         raise InternalContradiction(
                             f"facet {step.facet!r}: its sub-order is not the closed"
@@ -353,14 +349,18 @@ def boundary_intersection(
     of the earlier facet boundaries (j is 1-based, j >= 2).
 
     Always contains the empty face; it has no other member exactly when
-    the j-th facet touches none of its predecessors.
+    the j-th facet touches none of its predecessors.  The first j entries
+    must be distinct facets, else :class:`PreconditionViolated`; the rest
+    are not read.
     """
     seq = _order_ids(L, order)
-    if not 2 <= j <= len(seq):
-        raise IndexOutOfRange(f"need 2 <= j <= {len(seq)}, got {j}")
-    x = L.index(seq[j - 1])
+    _require_int(j, 2, len(seq), "j", IndexOutOfRange)
+    head = [*map(L.index, seq[:j])]
+    if len(set(head)) < j or any(L.ranks[f] != L.dim + 1 for f in head):
+        raise PreconditionViolated(f"the order's first {j} entries contain non-facets or repeats")
+    *earlier, x = head
     down = _down_sets(L)
-    union = _closed(down, L._mask_of(seq[: j - 1]))
+    union = _closed(down, sum(1 << f for f in earlier))
     return Subcomplex(L, (down[x] & ~(1 << x)) & union)
 
 

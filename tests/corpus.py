@@ -240,6 +240,51 @@ def stacked_sphere(d: int, m: int, seed: int) -> sb.FaceLattice:
     return sb.from_facets(sorted(sorted(f) for f in facets))
 
 
+def polygonal_ball(m: int, seed: int) -> sb.FaceLattice:
+    """A random CW 2-ball of m polygons ``p1..pm`` of 3 to 7 sides, glued
+    in that order, which is a shelling.  Each polygon after the first is
+    glued along a path of one or two consecutive boundary edges, its other
+    edges new; a draw is made again whenever the new polygon would meet an
+    earlier one in anything but nothing, one vertex or one edge, or add an
+    edge that is there already.  Vertices are ``v<i>`` and edges
+    ``e<a>-<b>``, a < b.  Built through ``build_lattice``."""
+
+    def edges(cycle: list[int]) -> set[frozenset[int]]:
+        return set(map(frozenset, zip(cycle, cycle[1:] + cycle[:1])))
+
+    rng = random.Random(seed)
+    # the boundary cycle, every polygon as a cycle of its vertices, and
+    # the vertex count, the next vertex's number
+    boundary = list(range(rng.randint(3, 7)))
+    polygons = [boundary]
+    known = edges(boundary)
+    n = len(boundary)
+    while len(polygons) < m:
+        sides, glued = rng.randint(3, 7), rng.randint(1, 2)
+        i = rng.randrange(len(boundary))
+        turned = boundary[i:] + boundary[:i]
+        path, new = turned[: glued + 1], list(range(n, n + sides - glued - 1))
+        cycle = path + new[::-1]
+        if (edges(cycle) - edges(path)) & known or not all(
+            len(s) < 2 or len(s) == 2 and frozenset(s) in edges(cycle) & edges(P)
+            for P in polygons
+            for s in [set(cycle).intersection(P)]
+        ):
+            continue
+        polygons.append(cycle)
+        known |= edges(cycle)
+        n += len(new)
+        boundary = [turned[0], *new, *turned[glued:]]
+    name = {e: "e{}-{}".format(*sorted(e)) for e in known}
+    elements = [(BOTTOM_ID, 0), (TOP_ID, 4)]
+    elements += [(f"v{v}", 1) for v in range(n)] + [(x, 2) for x in name.values()]
+    elements += [(f"p{t}", 3) for t in range(1, m + 1)]
+    covers = [(BOTTOM_ID, f"v{v}") for v in range(n)]
+    covers += [(f"v{v}", name[e]) for e in known for v in e]
+    covers += [(name[e], f"p{t}") for t, P in enumerate(polygons, 1) for e in edges(P)]
+    return sb.build_lattice(elements, covers, 2)
+
+
 def lune_sphere() -> sb.FaceLattice:
     """A regular CW 3-sphere that is not strongly regular (Björner, Europ.
     J. Combin. 1984): two 3-cells ``B1`` and ``B2`` glued along the

@@ -24,6 +24,7 @@ from corpus import (
     graded_bounded_posets,
     lune_sphere,
     mixed_dims_by_hand,
+    polygonal_ball,
     prism,
     pyramid,
     shelled_spheres_d_le_3,
@@ -52,21 +53,23 @@ def test_rho_values():
 
 
 def test_rho_range():
-    with pytest.raises(sb.RangeError):
-        sb.rho(4, 4)
-    with pytest.raises(sb.RangeError):
-        sb.rho(4, -1)
-    with pytest.raises(sb.RangeError):
-        sb.rho(0, 0)
+    # d + 1 is checked first, so an empty k-range is never named
+    for d_plus_1 in (0, -3):
+        with pytest.raises(sb.RangeError) as err:
+            sb.rho(d_plus_1, 0)
+        assert str(err.value) == f"need d_plus_1 >= 1, got d_plus_1={d_plus_1}"
     # an int that is not a bool, refused as any k out of range is
-    for k in (True, 1.0):
-        with pytest.raises(sb.RangeError, match=f"^rho needs 0 <= k <= 3, got k={k!r}$"):
+    for k in (True, 1.0, -1, 4):
+        with pytest.raises(sb.RangeError, match=f"^need 0 <= k <= 3, got k={k!r}$"):
             sb.rho(4, k)
     # so is a d + 1 that is not an int, shown by its repr
     for d_plus_1 in (True, 3.0):
         with pytest.raises(sb.RangeError) as err:
             sb.rho(d_plus_1, 0)
-        assert str(err.value) == f"rho needs an int d_plus_1, got {d_plus_1!r}"
+        assert str(err.value) == f"need d_plus_1 >= 1, got d_plus_1={d_plus_1!r}"
+    # both ends of each range are admitted
+    assert sb.rho(1, 0).value == 1
+    assert sb.rho(4, 0).value == 0 and sb.rho(4, 3).value == 1
 
 
 def test_rho_closed_form():
@@ -103,6 +106,30 @@ def test_binomial_split_lb_preconditions():
         sb.binomial_split_lb(3, 1, 3, 0)
     with pytest.raises(sb.PreconditionViolated):
         sb.binomial_split_lb(3, 1, 3, 3)
+    # a, b and d are ints >= 0, and 1 <= m <= ceil((d + 1) / 2), each a
+    # bool not counting as an int; 1.0 raised a bare TypeError from comb,
+    # and True passed for 1
+    bad = [
+        ((1.0, 1, 1, 1), "need a >= 0, got a=1.0"),
+        ((True, 1, 1, 1), "need a >= 0, got a=True"),
+        ((1, -1, 1, 1), "need b >= 0, got b=-1"),
+        ((1, 1.0, 1, 1), "need b >= 0, got b=1.0"),
+        ((2, 1, True, 1), "need d >= 0, got d=True"),
+        ((2, 1, -1, 1), "need d >= 0, got d=-1"),
+        ((2, 1, 1.0, 1), "need d >= 0, got d=1.0"),
+        ((3, 1, 3, True), "need 1 <= m <= 2, got m=True"),
+        ((3, 1, 3, 1.0), "need 1 <= m <= 2, got m=1.0"),
+        ((3, 1, 3, 0), "need 1 <= m <= 2, got m=0"),
+        ((3, 1, 3, 3), "need 1 <= m <= 2, got m=3"),
+        ((1, 1, 3, 1), "need a+b >= 4, got a=1 b=1"),
+    ]
+    for args, message in bad:
+        with pytest.raises(sb.PreconditionViolated) as err:
+            sb.binomial_split_lb(*args)
+        assert str(err.value) == message, args
+    # both ends of each range are admitted
+    assert sb.binomial_split_lb(0, 1, 0, 1)
+    assert sb.binomial_split_lb(4, 0, 3, 1) and sb.binomial_split_lb(4, 0, 3, 2)
 
 
 # -- split_complexes -----------------------------------------------------
@@ -149,10 +176,13 @@ def test_split_interiors_partition_the_sphere():
 
 def test_split_complexes_rejects_bad_input():
     g = sb.ngon(4)
-    with pytest.raises(sb.InvalidSplit):
-        sb.split_complexes(g, SQUARE_ORDER, 5)
-    with pytest.raises(sb.InvalidSplit):
-        sb.split_complexes(g, SQUARE_ORDER, -1)
+    for j in (True, 2.0, -1, 5):
+        with pytest.raises(sb.InvalidSplit) as err:
+            sb.split_complexes(g, SQUARE_ORDER, j)
+        assert str(err.value) == f"need 0 <= j <= 4, got j={j!r}"
+    # both ends are admitted: one side is then the whole complex
+    assert sb.split_complexes(g, SQUARE_ORDER, 0).begin.mask == 0
+    assert sb.split_complexes(g, SQUARE_ORDER, 4).end.mask == 0
     with pytest.raises(sb.NotAShelling):
         sb.split_complexes(g, ("e12", "e34", "e23", "e41"), 2)
     order = sb.find_shelling(ball2())
@@ -195,13 +225,18 @@ def test_check_split_count_whole_corpus():
 def test_check_split_count_range_errors():
     oct_ = sb.cross_polytope(2)
     order = sb.find_shelling(oct_)
-    with pytest.raises(sb.RangeError):
-        sb.check_split_count(oct_, order, 2, 0)
-    with pytest.raises(sb.RangeError):
-        sb.check_split_count(oct_, order, 2, 3)
+    for k in (True, 1.0, 0, 3):
+        with pytest.raises(sb.RangeError) as err:
+            sb.check_split_count(oct_, order, 2, k)
+        assert str(err.value) == f"need 1 <= k <= 2, got k={k!r}"
     # a position out of range is refused where every split position is
-    with pytest.raises(sb.InvalidSplit):
-        sb.check_split_count(oct_, order, 9, 1)
+    for j in (True, 2.0, -1, 9):
+        with pytest.raises(sb.InvalidSplit) as err:
+            sb.check_split_count(oct_, order, j, 1)
+        assert str(err.value) == f"need 0 <= j <= 8, got j={j!r}"
+    # both ends of each range are admitted
+    for j, k in ((0, 1), (8, 2)):
+        assert sb.check_split_count(oct_, order, j, k).ok
     # on the empty complex, k's range from floor(-1 / 2) is empty, and the
     # message names the range enforced, whose least k is a face dimension
     empty = sb.sub_lattice(sb.ngon(3), "v1")
@@ -216,19 +251,19 @@ def test_the_proof_route_refuses_a_k_that_is_not_an_int():
     oct_ = sb.cross_polytope(2)
     order = sb.find_shelling(oct_)
     calls = [
-        (partial(sb.verify_lower_bound, oct_, order), "need 0 <= k <= 2"),
-        (partial(sb.check_split_count, oct_, order, 2), "need 1 <= k <= 2"),
-        (partial(sb.corollary_bounds, oct_), "need 0 <= k <= 2"),
+        (partial(sb.verify_lower_bound, oct_, order), 0),
+        (partial(sb.check_split_count, oct_, order, 2), 1),
+        (partial(sb.corollary_bounds, oct_), 0),
     ]
-    for call, need in calls:
-        for k in (True, 1.0):
+    for call, lo in calls:
+        # an int out of range gets the same message
+        for k in (True, 1.0, lo - 1, 3):
             with pytest.raises(sb.RangeError) as err:
                 call(k)
-            assert str(err.value) == f"{need}, got k={k!r}"
-        # an int keeps the message it always had
-        with pytest.raises(sb.RangeError) as err:
-            call(3)
-        assert str(err.value) == f"{need}, got k=3"
+            assert str(err.value) == f"need {lo} <= k <= 2, got k={k!r}"
+        # both ends are admitted
+        for k in (lo, 2):
+            assert call(k).k == k
 
 
 # -- witness pairs -------------------------------------------------------
@@ -298,10 +333,13 @@ def test_witness_pairs_match_the_naive_construction():
 
 def test_witness_rejects_bad_input():
     g = sb.ngon(4)
-    with pytest.raises(sb.InvalidSplit):
-        sb.find_witness_pair(g, SQUARE_ORDER, 0)
-    with pytest.raises(sb.InvalidSplit):
-        sb.find_witness_pair(g, SQUARE_ORDER, 4)
+    for j in (True, 2.0, 0, 4):
+        with pytest.raises(sb.InvalidSplit) as err:
+            sb.find_witness_pair(g, SQUARE_ORDER, j)
+        assert str(err.value) == f"need 1 <= j <= 3, got j={j!r}"
+    # both ends are admitted
+    for j in (1, 3):
+        assert sb.find_witness_pair(g, SQUARE_ORDER, j).split == j
     with pytest.raises(sb.NotAShelling) as exc:
         sb.find_witness_pair(g, ("e12", "e34", "e23", "e41"), 2)
     assert exc.value.failure.step == 2
@@ -904,17 +942,17 @@ def test_vandermonde_check():
     for d in range(1, 13):
         for k in range(d + 1):
             assert sb.vandermonde_check(d, k) == (k >= d - 1), (d, k)
-    with pytest.raises(sb.RangeError):
-        sb.vandermonde_check(0, 0)
-    with pytest.raises(sb.RangeError):
-        sb.vandermonde_check(3, 4)
-    for k in (True, 1.0):
-        with pytest.raises(sb.RangeError, match=f"^need d >= 1 and 0 <= k <= 3, got k={k!r}$"):
+    for k in (True, 1.0, -1, 4):
+        with pytest.raises(sb.RangeError, match=f"^need 0 <= k <= 3, got k={k!r}$"):
             sb.vandermonde_check(3, k)
-    for d in (True, 2.0):
-        with pytest.raises(sb.RangeError) as err:
-            sb.vandermonde_check(d, 1)
-        assert str(err.value) == f"need an int d, got {d!r}"
+    # d is checked first, so a k is never measured against a d out of range
+    for d in (True, 2.0, 0):
+        for k in (0, 1):
+            with pytest.raises(sb.RangeError) as err:
+                sb.vandermonde_check(d, k)
+            assert str(err.value) == f"need d >= 1, got d={d!r}"
+    # both ends of each range are admitted
+    assert sb.vandermonde_check(1, 0) and sb.vandermonde_check(1, 1)
 
 
 def test_vandermonde_check_recomputes_the_identity(monkeypatch):
@@ -1290,7 +1328,7 @@ def test_a_hand_built_certificate_is_cut_afresh():
     # fresh lattice, even where an equal int was cut, and keeps no cut
     for j in (2.0, True):
         for M in (L, fresh_copy(L)):
-            with pytest.raises(sb.InvalidSplit, match=f"got {j!r}"):
+            with pytest.raises(sb.InvalidSplit, match=f"got j={j!r}"):
                 sb.split_complexes(M, seq, j)
     assert list(L._memo["proof"].cuts) == [2]
 
@@ -1438,6 +1476,26 @@ def test_stacked_spheres_meet_the_bound_with_equality_at_the_top_two_dimensions(
                 r = sb.corollary_bounds(L, k)
                 assert r.dual_cl_shellable and r.cl_shellable, (m, seed, k)
                 assert False not in (r.facet_bound_ok, r.vertex_bound_ok, r.barany_ok), (m, seed, k)
+
+
+
+def test_polygonal_balls_are_shellable_and_meet_the_bound():
+    # non-simplicial CW 2-balls, the paper's generalisation: the gluing
+    # order is a shelling, and equality holds at k = 1 exactly when every
+    # polygon is a triangle
+    for m in range(1, 9):
+        for seed in range(5):
+            B = polygonal_ball(m, seed)
+            glued = tuple(f"p{t}" for t in range(1, m + 1))
+            assert sb.is_lattice(B), (m, seed)
+            assert isinstance(sb.is_shelling(B, glued), sb.ShellingCertificate), (m, seed)
+            assert sb.find_shelling(B) is not None, (m, seed)
+            triangles = all(len(B.lower_covers(p)) == 3 for p in glued)
+            assert sb.is_simplicial(B) == triangles, (m, seed)
+            for k in range(3):
+                report = sb.verify_lower_bound(B, glued, k)
+                assert report.ok, (m, seed, k)
+                assert report.equality == (k == 2 or k == 1 and triangles), (m, seed, k)
 
 
 DATA = Path(__file__).parent / "data"

@@ -991,7 +991,7 @@ def test_negative_budget_is_usage_error(oct_json):
     proc = run_subprocess(["find-shelling", "--input", oct_json, "--budget", "-1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "a search budget must be at least 0, got -1" in proc.stderr
+    assert "need budget >= 0, got budget=-1" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -112,14 +112,14 @@ def test_generator_range_guards():
     # a size that is not an int, a bool not counting as one, is refused
     # with the message of a size out of range, showing its repr
     calls = [
-        (sb.simplex_boundary, (True,), "need 0 <= d <= 12, got True"),
-        (sb.simplex_boundary, (2.0,), "need 0 <= d <= 12, got 2.0"),
-        (sb.cross_polytope, (True,), "need 1 <= d <= 6, got True"),
-        (sb.cross_polytope, (2.0,), "need 1 <= d <= 6, got 2.0"),
-        (sb.hypercube_boundary, (True,), "need 1 <= d <= 6, got True"),
-        (sb.hypercube_boundary, (2.0,), "need 1 <= d <= 6, got 2.0"),
-        (sb.ngon, (True,), "need n >= 3, got True"),
-        (sb.ngon, (4.0,), "need n >= 3, got 4.0"),
+        (sb.simplex_boundary, (True,), "need 0 <= d <= 12, got d=True"),
+        (sb.simplex_boundary, (2.0,), "need 0 <= d <= 12, got d=2.0"),
+        (sb.cross_polytope, (True,), "need 1 <= d <= 6, got d=True"),
+        (sb.cross_polytope, (2.0,), "need 1 <= d <= 6, got d=2.0"),
+        (sb.hypercube_boundary, (True,), "need 1 <= d <= 6, got d=True"),
+        (sb.hypercube_boundary, (2.0,), "need 1 <= d <= 6, got d=2.0"),
+        (sb.ngon, (True,), "need 3 <= n <= 8191, got n=True"),
+        (sb.ngon, (4.0,), "need 3 <= n <= 8191, got n=4.0"),
         (sb.cyclic_boundary, (True, 7), "need 2 <= d <= 6, got d=True"),
         (sb.cyclic_boundary, (3.0, 7), "need 2 <= d <= 6, got d=3.0"),
         (sb.cyclic_boundary, (3, True), "need 4 <= n <= 16, got n=True"),
@@ -129,6 +129,23 @@ def test_generator_range_guards():
         with pytest.raises(sb.RangeError) as err:
             build(*args)
         assert str(err.value) == message, (build, args)
+    # each size is admitted at both ends of its range, and refused just
+    # past them with the same message
+    guards = [
+        (sb.simplex_boundary, "d", 0, 12),
+        (sb.cross_polytope, "d", 1, 6),
+        (sb.hypercube_boundary, "d", 1, 6),
+        (sb.ngon, "n", 3, 8191),
+        (lambda d: sb.cyclic_boundary(d, 7), "d", 2, 6),
+        (lambda n: sb.cyclic_boundary(3, n), "n", 4, 16),
+    ]
+    for build, name, lo, hi in guards:
+        for size in (lo - 1, hi + 1):
+            with pytest.raises(sb.RangeError) as err:
+                build(size)
+            assert str(err.value) == f"need {lo} <= {name} <= {hi}, got {name}={size}"
+        for size in (lo, hi):
+            assert isinstance(build(size), sb.FaceLattice)
 
 
 def test_generators_are_deterministic():

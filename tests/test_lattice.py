@@ -1011,15 +1011,16 @@ def test_upper_interval_count_examples():
     assert sb.upper_interval_count(oct_, v, 3) == (4, True)
     tet = sb.simplex_boundary(2)
     assert sb.upper_interval_count(tet, tet.bottom, 2) == (6, True)
-    with pytest.raises(sb.RankOutOfRange):
-        sb.upper_interval_count(oct_, v, 0)
-    with pytest.raises(sb.RankOutOfRange):
-        sb.upper_interval_count(oct_, v, 4)
     # a rank that is not an int raised a ValueError from islice, or passed
-    for s in (2.0, True):
+    for s in (2.0, True, 0, 4):
         with pytest.raises(sb.RankOutOfRange) as err:
             sb.upper_interval_count(oct_, v, s)
-        assert str(err.value) == f"need rank 1 <= s <= 3, got {s!r}"
+        assert str(err.value) == f"need 1 <= s <= 3, got s={s!r}"
+    # both ends are admitted: the vertex itself, and the facets above it
+    assert sb.upper_interval_count(oct_, v, 1) == (1, True)
+    # the artificial top is refused as no face, not with an empty range
+    with pytest.raises(sb.InvalidFace, match="^the artificial top is not a face$"):
+        sb.upper_interval_count(oct_, TOP_ID, 3)
 
 
 def test_atom_avoiding_coatom_examples():

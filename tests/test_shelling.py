@@ -4,6 +4,7 @@ import inspect
 import json
 import pickle
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -47,10 +48,26 @@ def test_boundary_intersection_octahedron_adjacent():
 
 def test_boundary_intersection_index_bounds():
     g = sb.ngon(4)
-    with pytest.raises(sb.IndexOutOfRange):
-        sb.boundary_intersection(g, SQUARE_ORDER, 1)
-    with pytest.raises(sb.IndexOutOfRange):
-        sb.boundary_intersection(g, SQUARE_ORDER, 5)
+    # 2.0 ended in a bare TypeError from slicing; both ends, 2 and 4, are
+    # admitted in test_boundary_intersection_square
+    for j in (True, 2.0, 1, 5):
+        with pytest.raises(sb.IndexOutOfRange) as err:
+            sb.boundary_intersection(g, SQUARE_ORDER, j)
+        assert str(err.value) == f"need 2 <= j <= 4, got j={j!r}"
+
+
+def test_boundary_intersection_takes_facets_only():
+    g = sb.ngon(4)
+    # a vertex standing as a facet, or a facet twice, among the first j
+    # entries is refused; each returned a Subcomplex
+    for order in (("e12", "v1"), ("e12", "e12"), ("v1", "e12"), ("e12", "e23", "e12")):
+        with pytest.raises(sb.PreconditionViolated, match="non-facets or repeats"):
+            sb.boundary_intersection(g, order, len(order))
+    # entries past the j-th are not read
+    inter = sb.boundary_intersection(g, ("e12", "e23", "v1", "e23"), 2)
+    assert inter.members == {BOTTOM_ID, "v2"}
+    with pytest.raises(sb.InvalidFace):
+        sb.boundary_intersection(g, ("e12", "nope"), 2)
 
 
 def test_boundary_intersection_accepts_partial_orders():
@@ -938,12 +955,17 @@ def test_negative_budget_is_rejected():
 
 def test_budget_must_be_an_int():
     oct_ = sb.cross_polytope(2)
-    for bad in (2.7, True, "5", "many", 2.5):
-        with pytest.raises(sb.RangeError, match="must be an int"):
+    for bad in (2.7, True, "5", "many", 2.5, -1):
+        message = f"^need budget >= 0, got budget={re.escape(repr(bad))}$"
+        with pytest.raises(sb.RangeError, match=message):
             sb.SearchBudget(bad)
-        with pytest.raises(sb.RangeError, match="must be an int"):
+        with pytest.raises(sb.RangeError, match=message):
             sb.find_shelling(oct_, budget=bad)
     assert sb.find_shelling(oct_, budget=10 ** 6) == sb.find_shelling(oct_)
+    # the least budget is admitted, and a fresh search runs out at once
+    assert sb.SearchBudget(0).limit == 0
+    with pytest.raises(sb.BudgetExceeded):
+        sb.find_shelling(sb.cross_polytope(2), budget=0)
 
 
 def test_shared_budget_accumulates():
