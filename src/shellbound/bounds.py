@@ -62,9 +62,9 @@ one memo across k.
 
 Last comes the comparison of a shellable sphere with the boundary of the
 cyclic polytope of the same dimension on a given number of vertices
-(:func:`gubt_compare`); it is the only function here that builds a
-reference complex, so it alone imports :mod:`generators`; likewise only
-the three functions that build a ``Fraction`` import :mod:`fractions`.
+(:func:`gubt_compare`), whose face counts come from McMullen's closed
+form, :func:`_cyclic_f`, with no complex built.  Only the three functions
+that build a ``Fraction`` import :mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -300,8 +300,9 @@ def check_split_count(
     the verdict.
     """
     delta = L.dim
-    # the least k is a face dimension, also on the empty complex
-    _require_int(k, max(delta // 2, 0), delta, "k")
+    if delta < 0:
+        raise RangeError(f"split counts need dimension at least 0, got dimension {delta}")
+    _require_int(k, delta // 2, delta, "k")
     proof = _verified(L, order, _as_budget(budget))
     pair = proof.cut(j)
     count = L._rank_masks[k + 1]
@@ -800,6 +801,14 @@ class GubtReport:
     to_json_dict = _json_fields
 
 
+def _cyclic_f(d: int, n: int) -> list[int]:
+    """f_0, ..., f_{d-1} of C(d, n), from its h-vector: h_i = h_{d-i} =
+    C(n - d - 1 + i, i) for i <= d/2, and f_{j-1} = sum over i <= j of
+    C(d - i, j - i) h_i."""
+    h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
+    return [sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)]
+
+
 def gubt_compare(
     P: FaceLattice, d: int, n: int, *, budget: Union[int, SearchBudget, None] = None
 ) -> GubtReport:
@@ -807,21 +816,22 @@ def gubt_compare(
     the cyclic d-polytope on n vertices.
 
     n is the cyclic polytope's vertex count and is not checked against
-    the sphere's.  The hypothesis is that P has at least as many facets
-    as the cyclic boundary; when it holds, every face count of P is
-    expected to meet the cyclic one, and the report records where that
-    happens.  A sphere with fewer facets raises :class:`HypothesisNotMet`
-    since the comparison is silent about it.
+    the sphere's.  The cyclic counts come from McMullen's closed form for
+    the h-vector of C(d, n) (McMullen, Mathematika 17, 1970; Ziegler,
+    Lectures on Polytopes, Lecture 8), with no complex built, so d >= 2
+    and n >= d + 1 have no upper end.  The hypothesis is that P has at
+    least as many facets as the cyclic boundary; when it holds, every
+    face count of P is expected to meet the cyclic one, and the report
+    records where that happens.  A sphere with fewer facets raises
+    :class:`HypothesisNotMet` since the comparison is silent about it.
     """
-    # the only use of the generators, so the other reports never load them
-    from .generators import cyclic_boundary
-
-    C = cyclic_boundary(d, n)
+    _require_int(d, 2, None, "d")
+    _require_int(n, d + 1, None, "n")
     if P.dim != d - 1:
         raise PreconditionViolated(f"dimension {P.dim} does not match d-1={d - 1}")
     _require_sphere(P)
     fP = f_vector(P)
-    fC = f_vector(C)
+    fC = _cyclic_f(d, n)
     if find_shelling(P, budget=_as_budget(budget)) is None:
         raise NotShellable("no shelling order found")
     if fP[d - 1] < fC[d - 1]:

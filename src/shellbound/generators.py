@@ -20,7 +20,8 @@ carves a lattice out of another.
 
 The module only builds complexes, so it imports only :mod:`errors` and
 :mod:`lattice`; the comparison of a sphere with the cyclic polytope
-boundary is ``bounds.gubt_compare``.
+boundary is ``bounds.gubt_compare``, which reads the cyclic counts from a
+closed form and imports nothing from here.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from corpus import (
     SUBDIVIDED,
     balls,
     barycentric_subdivision,
+    bipyramid_facets,
     bistellar_sphere,
     bowtie,
     doubled_triangle,
@@ -237,12 +238,13 @@ def test_check_split_count_range_errors():
     # both ends of each range are admitted
     for j, k in ((0, 1), (8, 2)):
         assert sb.check_split_count(oct_, order, j, k).ok
-    # on the empty complex, k's range from floor(-1 / 2) is empty, and the
-    # message names the range enforced, whose least k is a face dimension
+    # the empty complex has no face dimension to count at, so the complex
+    # is refused before k, as verify_lower_bound refuses it
     empty = sb.sub_lattice(sb.ngon(3), "v1")
-    with pytest.raises(sb.RangeError) as err:
-        sb.check_split_count(empty, (), 0, -1)
-    assert str(err.value) == "need 0 <= k <= -1, got k=-1"
+    for k in (-1, 0):
+        with pytest.raises(sb.RangeError) as err:
+            sb.check_split_count(empty, (), 0, k)
+        assert str(err.value) == "split counts need dimension at least 0, got dimension -1"
 
 
 def test_the_proof_route_refuses_a_k_that_is_not_an_int():
@@ -1514,3 +1516,66 @@ def test_hard_bistellar_three_spheres_run_out_and_never_answer_no(seed):
     with pytest.raises(sb.BudgetExceeded):
         sb.find_shelling(L, budget=budget)
     assert budget.spent == 100_001
+
+
+# -- the cyclic polytope comparison --------------------------------------
+
+
+def test_the_cyclic_counts_match_the_built_cyclic_polytope():
+    from shellbound.bounds import _cyclic_f
+
+    pairs = [(d, n) for d in range(2, 7) for n in range(d + 1, 17)]
+    assert len(pairs) == 60
+    for d, n in pairs:
+        assert _cyclic_f(d, n) == list(sb.f_vector(sb.cyclic_boundary(d, n)).proper), (d, n)
+
+
+def test_gubt_answers_past_the_cyclic_generators_sizes():
+    # a simplicial 2-sphere has as many faces as the cyclic one on as many
+    # vertices, here 32 > 16
+    report = sb.gubt_compare(sb.from_facets(bipyramid_facets(30)), 3, 32)
+    assert report.all_ok and report.simplicial
+    assert [(r.k, r.f_p) for r in report.rows] == [(0, 32), (1, 90), (2, 60)]
+    assert all(r.f_p == r.f_c for r in report.rows)
+    # d = 7 > 6: the boundary of the 7-simplex is C(7, 8)
+    report = sb.gubt_compare(sb.simplex_boundary(6), 7, 8)
+    assert report.all_ok and all(r.f_p == r.f_c for r in report.rows)
+    # 29 vertices and 143 facets against the 377 of C(4, 29): the
+    # hypothesis fails, and the size is no range error
+    with pytest.raises(sb.HypothesisNotMet) as err:
+        sb.gubt_compare(bistellar_sphere(30, 0), 4, 29)
+    assert str(err.value) == "facet count 143 is below the cyclic count 377"
+
+
+def test_gubt_checks_its_arguments_before_any_search(monkeypatch):
+    from shellbound import bounds
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(bounds, "find_shelling", no_search)
+    for d, n, message in (
+        (1, 3, "need d >= 2, got d=1"),
+        (True, 3, "need d >= 2, got d=True"),
+        (3, 3, "need n >= 4, got n=3"),
+        (3, 7.0, "need n >= 4, got n=7.0"),
+    ):
+        with pytest.raises(sb.RangeError) as err:
+            sb.gubt_compare(sb.cross_polytope(2), d, n)
+        assert str(err.value) == message
+
+
+def test_rho_is_sharp_along_the_cyclic_polytopes():
+    # on C(d+1, n), f_k / (rho(d+1, k) f_d) is 1 at k = d - 1 and falls
+    # toward 1 at every lower k of the bound's range as n grows
+    from shellbound.bounds import _cyclic_f
+
+    ratios = {}
+    for d_plus_1 in range(4, 9):
+        d = d_plus_1 - 1
+        f = _cyclic_f(d_plus_1, 10**5)
+        for k in range((d - 1) // 2, d):
+            ratios[d_plus_1, k] = Fraction(f[k]) / (sb.rho(d_plus_1, k).value * f[d])
+    assert all(1 <= r < 1 + Fraction(1, 10**3) for r in ratios.values())
+    assert [key for key, r in ratios.items() if r == 1] == [(d, d - 2) for d in range(4, 9)]
+    assert max(ratios, key=ratios.get) == (8, 3)
